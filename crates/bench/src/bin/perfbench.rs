@@ -1,7 +1,8 @@
 //! Performance baseline: erasure-kernel throughput, sweep wall-clock,
-//! and end-to-end request rate, exported as schema-v4 `perf` records.
+//! tracing overhead, and end-to-end request rate, exported as `perf`
+//! records of the current exporter schema.
 //!
-//! Three groups of measurements:
+//! Four groups of measurements:
 //!
 //! 1. **Erasure kernels** — encode / reconstruct / delta-update GiB/s at
 //!    the paper-default stripe geometry (4 data + 1 parity, 64 KiB
@@ -12,17 +13,14 @@
 //! 2. **Sweep wall-clock** — a miniature `run_once` sweep timed twice
 //!    through `parallel_map_ordered`: once forced serial, once at
 //!    `sweep_threads()`. On a multi-core box the speedup point shows the
-//!    pool's scaling; on one core it honestly reports ~1x.
-//! 3. **End-to-end request rate** — one timed Reo-20% run through the
-//!    sharded request engine (1 shard = the inline serial path;
-//!    `REO_SHARDS` overrides), reported as requests per second.
-//! 4. **Tracing overhead** — paired off/on runs; the most favorable
+//!    pool's scaling; on one core the two passes run the same serial
+//!    loop, so the parallel and speedup rows carry a unit that says they
+//!    are not a scaling measurement.
+//! 3. **Tracing overhead** — paired off/on runs; the most favorable
 //!    pair ratio estimates the enabled tracer's intrinsic cost (the
 //!    `exp_observability` binary gates the same number at ≤ 2%).
-//! 5. **Shard metadata path** — index-resolve throughput against the
-//!    shard-loop mirrors: per-request dispatch (a batch-of-one round
-//!    trip per request) vs batched dispatch at the configured batch
-//!    cap, on the same transport. Batching must clear 2x.
+//! 4. **End-to-end request rate** — one timed Reo-20% run through
+//!    `ExperimentRunner::run`, reported as requests per second.
 //!
 //! The full run report (with the `perf` records appended) is validated
 //! against the exporter schema and written to `BENCH_perf.json` in the
@@ -35,7 +33,6 @@ use reo_bench::export::{self, PerfPoint};
 use reo_bench::{build_system, run_once, RunScale};
 use reo_core::{
     parallel_map_ordered, sweep_threads, ExperimentPlan, ExperimentRunner, SchemeConfig,
-    ShardedSystem,
 };
 use reo_erasure::{delta, gf256, ReedSolomon};
 use reo_sim::ByteSize;
@@ -207,19 +204,25 @@ fn sweep_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
     let parallel_s = start.elapsed().as_secs_f64();
     assert_eq!(serial, parallel, "pool result order matches serial");
 
-    // The speedup *measurement* always ships; the *assert* only runs
-    // where a speedup is physically possible. On a 1-core host the pool
-    // degenerates to the serial loop and ~1.0x is the honest (and
-    // correct) figure — asserting > 1 there would fail every run.
+    // With one core (or one pool thread) the pool degenerates to the
+    // serial loop: the second pass times the same code as the first, so
+    // its rows are labelled as no scaling measurement and nothing is
+    // asserted.
     let speedup = serial_s / parallel_s;
-    if cores > 1 && threads > 1 {
+    let scaling = cores > 1 && threads > 1;
+    if scaling {
         assert!(
             speedup >= 0.8,
             "parallel sweep slower than serial on {cores} cores: {speedup:.2}x"
         );
-    } else {
-        println!("  [sweep speedup assert skipped: {cores} core(s), {threads} thread(s)]");
     }
+    let unit = |base: &str| {
+        if scaling {
+            base.to_string()
+        } else {
+            format!("{base} ({cores} core(s), {threads} thread(s): not a scaling measurement)")
+        }
+    };
 
     points.push(PerfPoint {
         bench: "sweep_serial".to_string(),
@@ -229,12 +232,12 @@ fn sweep_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
     points.push(PerfPoint {
         bench: "sweep_parallel".to_string(),
         value: parallel_s,
-        unit: "s".to_string(),
+        unit: unit("s"),
     });
     points.push(PerfPoint {
         bench: "sweep_speedup_x".to_string(),
         value: speedup,
-        unit: "x".to_string(),
+        unit: unit("x"),
     });
     points.push(PerfPoint {
         bench: "sweep_threads".to_string(),
@@ -292,91 +295,6 @@ fn tracing_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
     });
 }
 
-/// The shard metadata hot path: index resolves against the shard-loop
-/// mirrors, per-request dispatch vs batched dispatch on the *same*
-/// transport (forced service threads even at one shard, so the only
-/// variable is how many requests share a loop turn).
-fn shard_benches(scale: RunScale, min_secs: f64, points: &mut Vec<PerfPoint>) {
-    let spec = match scale {
-        RunScale::Quick => WorkloadSpec::medium().with_objects(50).with_requests(2_000),
-        RunScale::Full => WorkloadSpec::medium(),
-    };
-    let trace = spec.generate(42);
-    let scheme = SchemeConfig::Reo { reserve: 0.20 };
-    let batch = 64usize;
-    let build_engine = |shards: usize| {
-        // Run the trace once first so the mirrors hold a realistic,
-        // fully warmed index; resolve commits nothing, so the measured
-        // path is pure metadata.
-        let mut system = build_system(scheme, &trace, 0.10, ByteSize::from_kib(64));
-        ExperimentRunner::run(&mut system, &trace, &ExperimentPlan::normal_run());
-        ShardedSystem::with_service_threads(system, shards, batch)
-    };
-    let requests = trace.requests();
-    let resolves_per_s = |engine: &mut ShardedSystem, per_request: bool| -> f64 {
-        let mut window = || {
-            let start = Instant::now();
-            let mut done = 0u64;
-            loop {
-                if per_request {
-                    for request in requests {
-                        engine.resolve_batch(std::slice::from_ref(request));
-                    }
-                } else {
-                    engine.resolve_batch(requests);
-                }
-                done += requests.len() as u64;
-                if start.elapsed().as_secs_f64() >= min_secs {
-                    break;
-                }
-            }
-            done as f64 / start.elapsed().as_secs_f64()
-        };
-        let first = window();
-        window().max(first)
-    };
-
-    let mut one = build_engine(1);
-    let per_request = resolves_per_s(&mut one, true);
-    let batched = resolves_per_s(&mut one, false);
-    drop(one);
-    let mut four = build_engine(4);
-    let batched_4 = resolves_per_s(&mut four, false);
-    drop(four);
-
-    assert!(
-        batched >= 2.0 * per_request,
-        "batched metadata path must clear 2x per-request dispatch \
-         (batched {batched:.0} vs per-request {per_request:.0} resolves/s)"
-    );
-
-    points.push(PerfPoint {
-        bench: "shard_meta_per_request".to_string(),
-        value: per_request,
-        unit: "resolves/s".to_string(),
-    });
-    points.push(PerfPoint {
-        bench: "shard_meta_batched".to_string(),
-        value: batched,
-        unit: "resolves/s".to_string(),
-    });
-    points.push(PerfPoint {
-        bench: "shard_meta_batch_speedup_x".to_string(),
-        value: batched / per_request,
-        unit: "x".to_string(),
-    });
-    points.push(PerfPoint {
-        bench: "shard_meta_batched_4shards".to_string(),
-        value: batched_4,
-        unit: "resolves/s".to_string(),
-    });
-    points.push(PerfPoint {
-        bench: "shard_batch".to_string(),
-        value: batch as f64,
-        unit: "requests".to_string(),
-    });
-}
-
 fn main() {
     let scale = RunScale::from_args();
     let min_secs = match scale {
@@ -385,38 +303,27 @@ fn main() {
     };
     let mut points = Vec::new();
 
-    println!("### perfbench — erasure kernels, sweep pool, shard metadata path, end-to-end rate");
+    println!("### perfbench — erasure kernels, sweep pool, tracing overhead, end-to-end rate");
     kernel_benches(min_secs, &mut points);
     sweep_benches(scale, &mut points);
     tracing_benches(scale, &mut points);
-    shard_benches(scale, min_secs, &mut points);
 
     // End-to-end rate plus the run report BENCH_perf.json is built from.
-    // The run goes through the sharded engine at its configured shard
-    // count (1 = the inline serial path; `REO_SHARDS` overrides), so
-    // this figure *is* the engine's throughput, not a path around it.
     let spec = match scale {
         RunScale::Quick => WorkloadSpec::medium().with_objects(50).with_requests(500),
         RunScale::Full => WorkloadSpec::medium(),
     };
     let trace = spec.generate(42);
     let scheme = SchemeConfig::Reo { reserve: 0.20 };
-    let mut engine =
-        ShardedSystem::from_config(build_system(scheme, &trace, 0.10, ByteSize::from_kib(64)));
+    let mut system = build_system(scheme, &trace, 0.10, ByteSize::from_kib(64));
     let start = Instant::now();
-    let result = ExperimentRunner::run_sharded(&mut engine, &trace, &ExperimentPlan::normal_run());
+    let result = ExperimentRunner::run(&mut system, &trace, &ExperimentPlan::normal_run());
     let secs = start.elapsed().as_secs_f64();
     points.push(PerfPoint {
         bench: "end_to_end_requests".to_string(),
         value: result.totals.requests as f64 / secs,
         unit: "req/s".to_string(),
     });
-    points.push(PerfPoint {
-        bench: "engine_shards".to_string(),
-        value: engine.shard_count() as f64,
-        unit: "shards".to_string(),
-    });
-    let system = engine.into_system();
 
     for p in &points {
         println!("{:<36} {:>12.3} {}", p.bench, p.value, p.unit);

@@ -26,7 +26,7 @@ use std::io::Write as _;
 
 use reo_core::{
     CacheSystem, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport, ExperimentResult,
-    MetricsSnapshot, ShardMetricsRow, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
+    MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
 };
 use reo_sim::{Layer, Postmortem, TraceBreakdown, TraceTree};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -54,13 +54,10 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// record (erasure-coded cross-target protection: group geometry,
 /// degraded-serve / repair counters, per-class time-to-restored-
 /// redundancy, and the flash overhead split), `served_by_parity` on
-/// `totals`, and `parity_serves` on `placement` rows. v9 added the
-/// optional repeated `shard` record (one diagnostic row per shard loop
-/// of the sharded request engine: queue depth, batching, and index
-/// mirror occupancy). Canonical run reports never carry `shard` rows —
-/// they are definitionally shard-count-dependent, and the exported
-/// document must stay byte-identical for any shard count — so they
-/// appear only in explicitly diagnostic documents (the shard matrix).
+/// `totals`, and `parity_serves` on `placement` rows. v9 added a
+/// diagnostic `shard` record kind that was later removed with the code
+/// that emitted it; the number is not reused, so v9 is v8's record
+/// set.
 pub const SCHEMA_VERSION: u64 = 9;
 
 /// Oldest schema version [`validate_jsonl`] still accepts: v5 through
@@ -69,7 +66,7 @@ pub const SCHEMA_VERSION: u64 = 9;
 pub const MIN_SCHEMA_VERSION: u64 = 4;
 
 /// The record kinds a JSON-lines document may contain.
-pub const RECORD_KINDS: [&str; 16] = [
+pub const RECORD_KINDS: [&str; 15] = [
     "meta",
     "totals",
     "class",
@@ -85,7 +82,6 @@ pub const RECORD_KINDS: [&str; 16] = [
     "postmortem",
     "replication",
     "parity_group",
-    "shard",
 ];
 
 /// Everything one run exports (see the module docs).
@@ -365,20 +361,6 @@ fn totals_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, Value)> {
     ]
 }
 
-fn shard_fields(row: &ShardMetricsRow) -> Vec<(&'static str, Value)> {
-    vec![
-        ("shard", u(row.shard as u64)),
-        ("requests", u(row.requests)),
-        ("batches", u(row.batches)),
-        ("max_batch", u(row.max_batch)),
-        ("queue_depth", u(row.queue_depth)),
-        ("mirror_hits", u(row.mirror_hits)),
-        ("mirror_objects", u(row.mirror_objects)),
-        ("mirror_bytes", u(row.mirror_bytes)),
-        ("stale_hints", u(row.stale_hints)),
-    ]
-}
-
 fn placement_fields(row: &TargetMetricsRow) -> Vec<(&'static str, Value)> {
     vec![
         ("target", u(row.target as u64)),
@@ -628,9 +610,6 @@ fn records(report: &RunReport) -> Vec<Value> {
     ));
     for row in &report.totals.targets {
         out.push(rec("placement", placement_fields(row)));
-    }
-    for row in &report.totals.shards {
-        out.push(rec("shard", shard_fields(row)));
     }
     for p in &report.perf {
         out.push(rec(
@@ -883,17 +862,6 @@ fn required_numbers(kind: &str) -> &'static [&'static str] {
             "parity_mib",
             "overhead_pct",
         ],
-        "shard" => &[
-            "shard",
-            "requests",
-            "batches",
-            "max_batch",
-            "queue_depth",
-            "mirror_hits",
-            "mirror_objects",
-            "mirror_bytes",
-            "stale_hints",
-        ],
         _ => &[],
     }
 }
@@ -1097,18 +1065,6 @@ fn allowed_fields(kind: &str) -> &'static [&'static str] {
             "replica_mib",
             "parity_mib",
             "overhead_pct",
-        ],
-        "shard" => &[
-            "kind",
-            "shard",
-            "requests",
-            "batches",
-            "max_batch",
-            "queue_depth",
-            "mirror_hits",
-            "mirror_objects",
-            "mirror_bytes",
-            "stale_hints",
         ],
         _ => &[],
     }
@@ -1598,41 +1554,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_rows_export_and_validate() {
-        use reo_core::ShardedSystem;
-
-        let trace = WorkloadSpec::medium()
-            .with_objects(40)
-            .with_requests(300)
-            .generate(19);
-        let system = crate::build_system(
-            SchemeConfig::Reo { reserve: 0.10 },
-            &trace,
-            0.2,
-            ByteSize::from_kib(32),
-        );
-        let mut engine = ShardedSystem::new(system, 4, 32);
-        let plan = ExperimentPlan::normal_run();
-        let result = ExperimentRunner::run_sharded(&mut engine, &trace, &plan);
-
-        // The canonical report carries no shard rows (byte-identity
-        // surface)…
-        let canonical = collect_run_report("unit_test", "Reo-10%", engine.system(), &result);
-        assert!(canonical.totals.shards.is_empty());
-        assert!(!jsonl(&canonical).contains("\"kind\":\"shard\""));
-
-        // …the diagnostic snapshot does, and it validates under v9.
-        let mut diagnostic = canonical;
-        diagnostic.totals = engine.totals_with_shards();
-        assert_eq!(diagnostic.totals.shards.len(), 4);
-        let text = jsonl(&diagnostic);
-        let summary = validate_jsonl(&text).expect("shard rows must validate");
-        assert_eq!(summary.kinds["shard"], 4);
-        let shipped: u64 = diagnostic.totals.shards.iter().map(|r| r.requests).sum();
-        assert_eq!(shipped, 300, "every request resolves on exactly one shard");
-    }
-
-    #[test]
     fn validator_rejects_broken_documents() {
         let report = traced_report();
         let good = jsonl(&report);
@@ -1653,11 +1574,13 @@ mod tests {
             .unwrap_err()
             .contains("schema_version"));
 
-        // Unknown kind.
-        let unknown = format!("{good}{{\"kind\":\"mystery\"}}\n");
-        assert!(validate_jsonl(&unknown)
-            .unwrap_err()
-            .contains("unknown record kind"));
+        // Unknown kind (`shard` is no longer one the validator knows).
+        for kind in ["mystery", "shard"] {
+            let unknown = format!("{good}{{\"kind\":\"{kind}\"}}\n");
+            assert!(validate_jsonl(&unknown)
+                .unwrap_err()
+                .contains("unknown record kind"));
+        }
 
         // Duplicate totals.
         let dup = format!("{good}{}\n", good.lines().nth(1).expect("totals line"));

@@ -50,4 +50,4 @@ mod manager;
 
 pub use entry::CacheEntry;
 pub use lru::LruList;
-pub use manager::{CacheConfig, CacheManager, CacheStats, ClassChange, IndexDelta};
+pub use manager::{CacheConfig, CacheManager, CacheStats, ClassChange};

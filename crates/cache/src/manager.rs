@@ -81,39 +81,6 @@ pub struct ClassChange {
     pub to: ObjectClass,
 }
 
-/// One index mutation, as recorded by the opt-in changelog
-/// ([`CacheManager::set_changelog`]). The sharded request engine drains
-/// these after each commit batch to keep its per-shard index mirrors
-/// exact at request barriers without rescanning the index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexDelta {
-    /// The key is now present (or present with a new shape).
-    Upsert {
-        /// The mutated key.
-        key: ObjectKey,
-        /// Its current size.
-        size: ByteSize,
-        /// Its current class.
-        class: ObjectClass,
-        /// Its current dirty flag.
-        dirty: bool,
-    },
-    /// The key left the index.
-    Remove {
-        /// The removed key.
-        key: ObjectKey,
-    },
-}
-
-impl IndexDelta {
-    /// The key this delta mutates.
-    pub fn key(&self) -> ObjectKey {
-        match *self {
-            IndexDelta::Upsert { key, .. } | IndexDelta::Remove { key } => key,
-        }
-    }
-}
-
 /// The object cache manager (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct CacheManager {
@@ -128,9 +95,6 @@ pub struct CacheManager {
     /// periodic threshold sweep sorts every clean entry, and reusing the
     /// buffer keeps that sweep allocation-free at steady state.
     hot_scan: Vec<(f64, u64, ObjectKey)>,
-    /// Opt-in mutation log ([`Self::set_changelog`]); `None` (the
-    /// default) keeps every mutation path log-free.
-    changelog: Option<Vec<IndexDelta>>,
 }
 
 impl CacheManager {
@@ -158,50 +122,6 @@ impl CacheManager {
             h_hot: f64::INFINITY,
             stats: CacheStats::default(),
             hot_scan: Vec::new(),
-            changelog: None,
-        }
-    }
-
-    /// Enables (or disables) the index-mutation changelog. Enabling
-    /// starts from an empty log; disabling drops any pending deltas.
-    pub fn set_changelog(&mut self, enabled: bool) {
-        self.changelog = enabled.then(Vec::new);
-    }
-
-    /// Drains pending changelog deltas into `out` (appending), leaving
-    /// the internal buffer empty but with its capacity intact. A no-op
-    /// when the changelog is disabled.
-    pub fn take_changes(&mut self, out: &mut Vec<IndexDelta>) {
-        if let Some(log) = self.changelog.as_mut() {
-            out.append(log);
-        }
-    }
-
-    /// The whole index as `Upsert` deltas, in unspecified order — seeds
-    /// a fresh mirror before incremental changelog updates take over.
-    pub fn index_deltas(&self) -> impl Iterator<Item = IndexDelta> + '_ {
-        self.entries.iter().map(|(k, e)| IndexDelta::Upsert {
-            key: *k,
-            size: e.size(),
-            class: e.class(),
-            dirty: e.is_dirty(),
-        })
-    }
-
-    fn log_upsert(
-        changelog: &mut Option<Vec<IndexDelta>>,
-        key: ObjectKey,
-        size: ByteSize,
-        class: ObjectClass,
-        dirty: bool,
-    ) {
-        if let Some(log) = changelog.as_mut() {
-            log.push(IndexDelta::Upsert {
-                key,
-                size,
-                class,
-                dirty,
-            });
         }
     }
 
@@ -345,13 +265,6 @@ impl CacheManager {
                 if updated.is_dirty() {
                     self.dirty_used += size;
                 }
-                Self::log_upsert(
-                    &mut self.changelog,
-                    key,
-                    size,
-                    updated.class(),
-                    updated.is_dirty(),
-                );
                 *existing = updated;
                 self.stats.refreshes += 1;
             }
@@ -367,13 +280,6 @@ impl CacheManager {
                 if dirty {
                     self.dirty_used += size;
                 }
-                Self::log_upsert(
-                    &mut self.changelog,
-                    key,
-                    size,
-                    entry.class(),
-                    entry.is_dirty(),
-                );
                 self.entries.insert(key, entry);
                 self.used += size;
                 self.stats.admissions += 1;
@@ -420,10 +326,7 @@ impl CacheManager {
         }
         e.mark_dirty();
         let hot = Self::is_hot(&config, e, h);
-        let class = e.reclassify_as(hot);
-        let size = e.size();
-        Self::log_upsert(&mut self.changelog, key, size, class, true);
-        Some(class)
+        Some(e.reclassify_as(hot))
     }
 
     /// Marks a cached object clean (flushed). Returns the entry's new
@@ -437,10 +340,7 @@ impl CacheManager {
         }
         e.mark_clean();
         let hot = Self::is_hot(&config, e, h);
-        let class = e.reclassify_as(hot);
-        let size = e.size();
-        Self::log_upsert(&mut self.changelog, key, size, class, false);
-        Some(class)
+        Some(e.reclassify_as(hot))
     }
 
     /// Removes an object from the index; returns its entry if present.
@@ -452,9 +352,6 @@ impl CacheManager {
         if e.is_dirty() {
             self.dirty_used = self.dirty_used.saturating_sub(e.size());
         }
-        if let Some(log) = self.changelog.as_mut() {
-            log.push(IndexDelta::Remove { key });
-        }
         Some(e)
     }
 
@@ -465,9 +362,8 @@ impl CacheManager {
 
     /// The least-recently-used key other than `protect`, optionally
     /// skipping dirty entries (eviction while the backend is down must
-    /// not drop unflushed writes). One index probe per scanned key — the
-    /// engine's victim picker, hoisted here so batched admission can
-    /// amortize the scan without cloning keys.
+    /// not drop unflushed writes). One index probe per scanned key, no
+    /// key cloning.
     pub fn pick_victim(&self, protect: Option<ObjectKey>, skip_dirty: bool) -> Option<ObjectKey> {
         self.lru.iter().find(|&k| {
             Some(k) != protect
@@ -558,14 +454,6 @@ impl CacheManager {
                     self.stats.promotions += 1;
                 } else if from == ObjectClass::HotClean {
                     self.stats.demotions += 1;
-                }
-                if let Some(log) = self.changelog.as_mut() {
-                    log.push(IndexDelta::Upsert {
-                        key: *key,
-                        size: e.size(),
-                        class: to,
-                        dirty: e.is_dirty(),
-                    });
                 }
                 changes.push(ClassChange {
                     key: *key,
@@ -752,67 +640,6 @@ mod tests {
             hot_parity_overhead: 0.5,
             size_aware_hotness: true,
         });
-    }
-
-    #[test]
-    fn changelog_mirrors_every_mutation() {
-        let mut m = mgr(64, 0.5);
-        m.insert(k(1), ByteSize::from_mib(1), false, false);
-        let mut log = Vec::new();
-        m.take_changes(&mut log);
-        assert!(log.is_empty(), "changelog is off by default");
-
-        m.set_changelog(true);
-        m.insert(k(2), ByteSize::from_mib(2), false, false);
-        m.mark_dirty(k(2));
-        m.mark_clean(k(2));
-        m.remove(k(1));
-        m.take_changes(&mut log);
-        assert_eq!(log.len(), 4);
-        assert!(matches!(
-            log[0],
-            IndexDelta::Upsert { key, dirty: false, .. } if key == k(2)
-        ));
-        assert!(matches!(
-            log[1],
-            IndexDelta::Upsert { key, dirty: true, class: ObjectClass::Dirty, .. } if key == k(2)
-        ));
-        assert!(matches!(
-            log[2],
-            IndexDelta::Upsert { key, dirty: false, .. } if key == k(2)
-        ));
-        assert_eq!(log[3], IndexDelta::Remove { key: k(1) });
-
-        // Replaying the drained deltas over a seed of the pre-changelog
-        // index reproduces the live index exactly.
-        log.clear();
-        m.take_changes(&mut log);
-        assert!(log.is_empty(), "drain leaves the log empty");
-        let live: Vec<IndexDelta> = {
-            let mut v: Vec<IndexDelta> = m.index_deltas().collect();
-            v.sort_by_key(IndexDelta::key);
-            v
-        };
-        assert_eq!(live.len(), 1);
-        assert!(matches!(live[0], IndexDelta::Upsert { key, .. } if key == k(2)));
-    }
-
-    #[test]
-    fn changelog_records_reclassifications() {
-        let mut m = mgr(30, 0.5);
-        m.set_changelog(true);
-        m.insert(k(1), ByteSize::from_mib(1), false, false);
-        m.record_access(k(1));
-        let changes = m.refresh_classification();
-        assert_eq!(changes.len(), 1);
-        let mut log = Vec::new();
-        m.take_changes(&mut log);
-        // One insert upsert plus one reclassification upsert.
-        assert_eq!(log.len(), 2);
-        assert!(matches!(
-            log[1],
-            IndexDelta::Upsert { key, class: ObjectClass::HotClean, .. } if key == k(1)
-        ));
     }
 
     #[test]

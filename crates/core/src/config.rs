@@ -156,19 +156,6 @@ pub struct SystemConfig {
     /// array and backend) is idle the throttle adaptively opens to the
     /// full device rate regardless of the cap.
     pub rebuild_bandwidth_pct: u32,
-    /// Shard count of the concurrent request engine: the object
-    /// namespace is hash-partitioned across this many actor-style shard
-    /// loops that resolve index lookups in parallel ahead of the serial
-    /// commit. `1` (the default) keeps the engine inline with no shard
-    /// threads. Overridable at runtime via `REO_SHARDS` (see
-    /// [`crate::engine_shards`]). Results are byte-identical across
-    /// shard counts — commits replay in request order regardless.
-    pub shards: usize,
-    /// Maximum requests one shard loop drains per turn (the admission
-    /// batch that amortizes classifier and victim-picker work). Also the
-    /// batch size the runner feeds the sharded engine between event and
-    /// sample boundaries.
-    pub shard_batch: usize,
 }
 
 impl SystemConfig {
@@ -208,8 +195,6 @@ impl SystemConfig {
             fsync_interval: 32,
             checkpoint_period: 10_000,
             rebuild_bandwidth_pct: 0,
-            shards: 1,
-            shard_batch: 64,
         }
     }
 

@@ -56,7 +56,6 @@ mod cluster;
 mod config;
 mod metrics;
 mod runner;
-mod shard;
 mod system;
 
 pub use cluster::{
@@ -65,15 +64,14 @@ pub use cluster::{
 };
 pub use config::{SchemeConfig, SystemConfig};
 pub use metrics::{
-    ClassSnapshot, Metrics, MetricsSnapshot, RequestSample, ShardMetricsRow, SloSnapshot,
-    TargetMetricsRow, CLASS_LABELS, SLO_AVAILABILITY_TARGET_PCT, SLO_FAST_WINDOW_SECS,
-    SLO_LATENCY_TARGET_PCT, SLO_LATENCY_THRESHOLDS_MS, SLO_SLOW_WINDOW_SECS,
+    ClassSnapshot, Metrics, MetricsSnapshot, RequestSample, SloSnapshot, TargetMetricsRow,
+    CLASS_LABELS, SLO_AVAILABILITY_TARGET_PCT, SLO_FAST_WINDOW_SECS, SLO_LATENCY_TARGET_PCT,
+    SLO_LATENCY_THRESHOLDS_MS, SLO_SLOW_WINDOW_SECS,
 };
 pub use runner::{
-    engine_shards, parallel_map_ordered, sweep_threads, EventOutcome, ExperimentPlan,
-    ExperimentResult, ExperimentRunner, PlannedEvent, TimeSeriesPoint,
+    parallel_map_ordered, sweep_threads, EventOutcome, ExperimentPlan, ExperimentResult,
+    ExperimentRunner, PlannedEvent, TimeSeriesPoint,
 };
-pub use shard::{shard_of, ShardedSystem};
 pub use system::{CacheSystem, HealthState, RequestOutcome, ResilienceSnapshot, SystemRecovery};
 
 pub use reo_flashsim::{DeviceId, DeviceReport};

@@ -185,34 +185,6 @@ impl TargetMetricsRow {
     }
 }
 
-/// One per-shard row of the sharded request engine's diagnostic
-/// snapshot: queue pressure, batch amortization, and index-mirror
-/// occupancy for one shard loop. Serial (1-shard inline) runs and the
-/// canonical export path leave [`MetricsSnapshot::shards`] empty.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardMetricsRow {
-    /// The shard's index in `0..shards`.
-    pub shard: usize,
-    /// Requests whose keys hashed to this shard.
-    pub requests: u64,
-    /// Resolve batches this shard's loop processed.
-    pub batches: u64,
-    /// Largest number of requests drained in one loop turn.
-    pub max_batch: u64,
-    /// Messages queued on the shard's channel at snapshot time.
-    pub queue_depth: u64,
-    /// Resolve probes that found the key in the shard's index mirror.
-    pub mirror_hits: u64,
-    /// Objects in the shard's index mirror at snapshot time.
-    pub mirror_objects: u64,
-    /// User bytes in the shard's index mirror at snapshot time.
-    pub mirror_bytes: u64,
-    /// Resolve hints the serial commit later contradicted (same-batch
-    /// dependencies — counted, never an error: the commit is
-    /// authoritative and recomputes the truth).
-    pub stale_hints: u64,
-}
-
 /// Default per-class latency SLO thresholds, aligned with the service
 /// models: metadata is replicated and tiny, dirty writes absorb parity,
 /// cold-clean reads may touch the backend, uncached requests always do.
@@ -531,13 +503,6 @@ pub struct MetricsSnapshot {
     /// [`Metrics::totals`] (window/sample snapshots leave it empty —
     /// the burn-rate windows already slide on their own).
     pub slos: Vec<SloSnapshot>,
-    /// Per-shard breakdown of the sharded request engine (queue depth,
-    /// batch sizes, mirror occupancy). Always empty in the canonical
-    /// run report — the rows are definitionally shard-count-dependent,
-    /// and the canonical export surface must stay byte-identical across
-    /// shard counts — and filled only by the engine's diagnostic
-    /// snapshot path (`ShardedSystem::totals_with_shards`).
-    pub shards: Vec<ShardMetricsRow>,
 }
 
 impl MetricsSnapshot {
@@ -810,7 +775,6 @@ impl Accum {
                 .collect(),
             targets: Vec::new(),
             slos: Vec::new(),
-            shards: Vec::new(),
         }
     }
 }

@@ -4,7 +4,6 @@ use reo_flashsim::DeviceId;
 use reo_workload::Trace;
 
 use crate::metrics::MetricsSnapshot;
-use crate::shard::ShardedSystem;
 use crate::system::CacheSystem;
 
 /// An event injected at a request index (the paper injects failures "at
@@ -362,128 +361,6 @@ impl ExperimentRunner {
             series,
         }
     }
-
-    /// Runs `trace` through a sharded `engine` under `plan` — the same
-    /// semantics as [`ExperimentRunner::run`], batch by batch.
-    ///
-    /// Batch boundaries never move an observable: a batch is cut at the
-    /// next planned event (events fire *between* batches, exactly where
-    /// the serial loop fires them), at the next sample index (samples
-    /// land at exact `sample_every` multiples), and at the engine's
-    /// batch cap. The commit inside each batch is serial and
-    /// authoritative, so the returned result is byte-identical to the
-    /// serial runner for any shard count — the determinism tests and
-    /// the CI shard matrix assert this on exported JSONL.
-    ///
-    /// # Panics
-    ///
-    /// Panics if event indices are not sorted in non-decreasing order.
-    pub fn run_sharded(
-        engine: &mut ShardedSystem,
-        trace: &Trace,
-        plan: &ExperimentPlan,
-    ) -> ExperimentResult {
-        assert!(
-            plan.events.windows(2).all(|w| w[0].0 <= w[1].0),
-            "event indices must be non-decreasing"
-        );
-        engine.system_mut().populate(trace.objects());
-
-        let was_tracing = engine.system().tracer().is_enabled();
-        engine.system().tracer().set_enabled(false);
-        for _ in 0..plan.warmup_passes {
-            engine.handle_batch(trace.requests());
-        }
-        engine.system().tracer().set_enabled(was_tracing);
-        let now = engine.system().clock().now();
-        engine.system_mut().metrics_mut().reset_all(now);
-        engine.system().tracer().reset();
-        engine.system().flight().reset();
-
-        let mut events = plan.events.iter().peekable();
-        let mut outcomes = Vec::new();
-        let mut failed: usize = 0;
-        let mut series = Vec::new();
-
-        let requests = trace.requests();
-        let n = requests.len();
-        let batch = engine.batch();
-        let mut i = 0usize;
-        while i < n {
-            while let Some(&&(at, event)) = events.peek() {
-                if at > i {
-                    break;
-                }
-                events.next();
-                let system = engine.system_mut();
-                let now = system.clock().now();
-                let window_before = system.metrics_mut().roll_window(now);
-                apply_event(system, event, &mut failed);
-                outcomes.push(EventOutcome {
-                    at_request: i,
-                    event,
-                    window_before,
-                    failed_devices_after: failed,
-                });
-            }
-            // Cut the batch before the next event / sample boundary.
-            let mut end = (i + batch).min(n);
-            if let Some(&&(at, _)) = events.peek() {
-                end = end.min(at);
-            }
-            if let Some(windows) = i.checked_div(plan.sample_every) {
-                end = end.min((windows + 1) * plan.sample_every);
-            }
-            engine.handle_batch(&requests[i..end]);
-            if plan.sample_every > 0 && end.is_multiple_of(plan.sample_every) {
-                let system = engine.system_mut();
-                let now = system.clock().now();
-                series.push(TimeSeriesPoint {
-                    at_request: end,
-                    time: now,
-                    window: system.metrics_mut().roll_sample(now),
-                });
-            }
-            i = end;
-        }
-        // Events scheduled past the end of the trace still fire.
-        for &(at, event) in events {
-            let system = engine.system_mut();
-            let now = system.clock().now();
-            let window_before = system.metrics_mut().roll_window(now);
-            apply_event(system, event, &mut failed);
-            outcomes.push(EventOutcome {
-                at_request: at,
-                event,
-                window_before,
-                failed_devices_after: failed,
-            });
-        }
-
-        let system = engine.system();
-        ExperimentResult {
-            totals: system.metrics().totals(),
-            events: outcomes,
-            final_window: system.metrics().window(),
-            space_efficiency: system.space_efficiency(),
-            dirty_data_lost: system.dirty_data_lost(),
-            series,
-        }
-    }
-}
-
-/// The shard count the request engine should use.
-///
-/// Defaults to the configured count; the `REO_SHARDS` environment
-/// variable overrides it (the CI shard matrix sets it, and so can a
-/// user bisecting a determinism report). Never returns zero.
-pub fn engine_shards(configured: usize) -> usize {
-    if let Ok(v) = std::env::var("REO_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    configured.max(1)
 }
 
 /// Number of worker threads experiment sweeps should use.

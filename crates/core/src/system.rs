@@ -328,18 +328,6 @@ impl CacheSystem {
         self.cache.stats()
     }
 
-    /// The cache manager (crate-internal: the sharded request engine
-    /// seeds index mirrors from it and drains its changelog).
-    pub(crate) fn cache_manager(&self) -> &CacheManager {
-        &self.cache
-    }
-
-    /// Mutable cache manager (crate-internal; see
-    /// [`CacheSystem::cache_manager`]).
-    pub(crate) fn cache_manager_mut(&mut self) -> &mut CacheManager {
-        &mut self.cache
-    }
-
     /// Per-device rows of the flash array (the exporter's device table).
     pub fn device_stats(&self) -> Vec<reo_flashsim::DeviceReport> {
         self.target.array().device_stats()

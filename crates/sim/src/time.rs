@@ -280,19 +280,6 @@ impl SimClock {
         SimTime(prev + d.0)
     }
 
-    /// Creates an *independent* clock positioned at this clock's current
-    /// instant.
-    ///
-    /// Unlike [`Clone`] (which shares the underlying counter), a fork
-    /// advances on its own — the pattern the sharded request engine uses
-    /// for per-shard virtual clocks that drift during a batch and are
-    /// merged back with [`SimClock::advance_to`] at request barriers.
-    pub fn fork(&self) -> SimClock {
-        SimClock {
-            now_nanos: Arc::new(AtomicU64::new(self.now_nanos.load(Ordering::Relaxed))),
-        }
-    }
-
     /// Moves the clock forward to `t` if `t` is later than now; otherwise
     /// leaves the clock unchanged. Returns the (possibly unchanged) current
     /// instant.
@@ -373,24 +360,6 @@ mod tests {
         clock.advance(SimDuration::from_nanos(7));
         other.advance(SimDuration::from_nanos(5));
         assert_eq!(clock.now(), SimTime::from_nanos(12));
-    }
-
-    #[test]
-    fn clock_fork_is_independent() {
-        let clock = SimClock::new();
-        clock.advance(SimDuration::from_nanos(10));
-        let forked = clock.fork();
-        assert_eq!(forked.now(), clock.now());
-        forked.advance(SimDuration::from_nanos(5));
-        assert_eq!(clock.now(), SimTime::from_nanos(10));
-        assert_eq!(forked.now(), SimTime::from_nanos(15));
-        // Merging at a barrier: the fork only ever catches *up* to the
-        // authoritative clock, never drags it forward.
-        forked.advance_to(clock.now());
-        assert_eq!(forked.now(), SimTime::from_nanos(15));
-        clock.advance(SimDuration::from_nanos(20));
-        forked.advance_to(clock.now());
-        assert_eq!(forked.now(), SimTime::from_nanos(30));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! manager, flash array, and backend.
 
 use reo_repro::core::{
-    CacheSystem, DeviceId, ExperimentPlan, ExperimentRunner, SchemeConfig, SystemConfig,
+    CacheSystem, DeviceId, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig,
+    SystemConfig,
 };
 use reo_repro::sim::ByteSize;
 use reo_repro::workload::{Locality, Operation, Request, Trace, WorkloadSpec};
@@ -46,23 +47,27 @@ fn all_six_schemes_run_the_same_trace() {
 #[test]
 fn runs_are_deterministic_across_repetitions() {
     let t = trace(800, 0.2, 7);
-    let run = || {
-        let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t, 0.12);
-        let plan = ExperimentPlan::staggered_failures(200, 2);
-        let result = ExperimentRunner::run(&mut sys, &t, &plan);
-        (
-            result.totals.read_hits,
-            result.totals.requested_bytes,
-            result.totals.elapsed,
-            result.events[1].window_before.read_hits,
-            result.space_efficiency.to_bits(),
-        )
-    };
-    assert_eq!(
-        run(),
-        run(),
-        "same seed and plan must give identical metrics"
-    );
+    // The second plan is the eventful one: a warm-up pass, a device
+    // failure answered by a spare, and periodic sampling.
+    let plans = [
+        ExperimentPlan::staggered_failures(200, 2),
+        ExperimentPlan::staggered_failures(200, 1)
+            .with_event(400, PlannedEvent::InsertSpare(DeviceId(0)))
+            .with_sampling(150),
+    ];
+    for plan in &plans {
+        // The whole result — totals, events, final window, series —
+        // through its `Debug` form, which prints floats round-trip exact.
+        let run = || {
+            let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t, 0.12);
+            format!("{:?}", ExperimentRunner::run(&mut sys, &t, plan))
+        };
+        assert_eq!(
+            run(),
+            run(),
+            "same seed and plan must give identical results"
+        );
+    }
 }
 
 #[test]
