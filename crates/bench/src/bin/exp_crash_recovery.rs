@@ -6,7 +6,7 @@
 //! journal's staging buffer at a fault-model-chosen byte offset, and is
 //! immediately followed by checkpoint+journal replay, consistency
 //! verification, and cache rebuild from the recovered inventory. The table
-//! below reports the recovery counters the schema-v2 JSONL export carries
+//! below reports the recovery counters the JSONL export carries
 //! (`journal_appends`, `checkpoint_count`, `replayed_records`,
 //! `torn_tail_detected`, `recovery_duration_us`), and the Reo-20% run is
 //! written to `results/exp_crash_recovery.jsonl` for `validate_jsonl`.

@@ -29,8 +29,8 @@
 //! injected divergences; and the whole pipeline is byte-identical per
 //! seed (both flagship JSONLs are produced twice and compared).
 //!
-//! The 2-way single-outage run exports the full JSONL report (schema
-//! v8, with a `replication` record) to `results/exp_replication.jsonl`;
+//! The 2-way single-outage run exports the full JSONL report
+//! (with a `replication` record) to `results/exp_replication.jsonl`;
 //! the parity single-outage run exports its report (with a
 //! `parity_group` record) to `results/exp_replication_parity.jsonl`.
 //!

@@ -18,8 +18,8 @@
 //! runs at 4 targets: their hit ratios and sense-code mixes must be
 //! identical — an outage on one target is invisible to the rest.
 //!
-//! The largest swept size exports the full JSONL report (schema v5,
-//! with one `placement` record per target) to `results/exp_scaleout.jsonl`.
+//! The largest swept size exports the full JSONL report (with one
+//! `placement` record per target) to `results/exp_scaleout.jsonl`.
 //!
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_scaleout [-- --quick|--smoke]

@@ -9,13 +9,14 @@
 //!
 //! * [`jsonl`] — machine-readable JSON lines, one record per line, each
 //!   tagged with a `kind` field (`meta`, `totals`, `class`, `layer`,
-//!   `device`, `cache`, `resilience`, `perf`, `placement`, `series`,
-//!   `slo`, `trace`, `postmortem`). The
-//!   first line is always the `meta` record carrying [`SCHEMA_VERSION`];
-//!   [`validate_jsonl`] checks a document against this schema — accepting
-//!   [`MIN_SCHEMA_VERSION`] through current, and flagging unknown fields
-//!   with a line number — (the CI smoke jobs run it on
-//!   real experiment outputs and the committed perf baseline).
+//!   `device`, `cache`, `resilience`, `placement`, `perf`, `series`,
+//!   `slo`, `trace`, `postmortem`, `replication`, `parity_group`). The
+//!   first line is always the `meta` record carrying [`SCHEMA_VERSION`].
+//!   Every record kind's fields are declared once, in a field table the
+//!   emitter walks and [`validate_jsonl`] checks against: a record is
+//!   valid when its keys are exactly its table's names with its table's
+//!   types (CI runs the validator on real experiment outputs, the
+//!   committed `results/*.jsonl`, and the committed perf baseline).
 //! * [`render_summary`] — the aligned human tables the binaries print.
 //!
 //! Latencies are exported in milliseconds, byte volumes in MiB; raw
@@ -28,61 +29,14 @@ use reo_core::{
     CacheSystem, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport, ExperimentResult,
     MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
 };
-use reo_sim::{Layer, Postmortem, TraceBreakdown, TraceTree};
+use reo_sim::{Layer, LayerBreakdown, Postmortem, SimDuration, TraceBreakdown, TraceTree};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Version stamp of the JSON-lines schema; bumped whenever a record kind
-/// gains, loses, or renames a field. v2 added the crash-consistency
-/// counters (`journal_appends`, `checkpoint_count`, `replayed_records`,
-/// `torn_tail_detected`, `recovery_duration_us`) to `totals`/`series`.
-/// v3 added the singleton `resilience` record (health machine, degraded
-/// service counters, rebuild-throttle activity, per-class
-/// time-to-restored-redundancy). v4 added the optional repeated `perf`
-/// record (one microbenchmark measurement per line, emitted by the
-/// `perfbench` binary). v5 added the optional repeated `placement`
-/// record (one per cluster target, emitted by scale-out runs) plus the
-/// `internal_errors` counter and `rejected_events_by_reason` breakdown
-/// on `resilience`. v6 added the observability records: repeated `slo`
-/// (one per redundancy class with multi-window burn rates), repeated
-/// `trace` (one retained exemplar trace tree per line, spans nested as
-/// an id-keyed map), and repeated `postmortem` (one flight-recorder
-/// dump per line, events keyed by sequence number). v7 added the
-/// optional singleton `replication` record (cross-target replication
-/// policy and counters, emitted by cluster runs with a replication
-/// policy), `served_by_replica` on `totals`, and `replica_serves` on
-/// `placement` rows. v8 added the optional singleton `parity_group`
-/// record (erasure-coded cross-target protection: group geometry,
-/// degraded-serve / repair counters, per-class time-to-restored-
-/// redundancy, and the flash overhead split), `served_by_parity` on
-/// `totals`, and `parity_serves` on `placement` rows. v9 added a
-/// diagnostic `shard` record kind that was later removed with the code
-/// that emitted it; the number is not reused, so v9 is v8's record
-/// set.
-pub const SCHEMA_VERSION: u64 = 9;
-
-/// Oldest schema version [`validate_jsonl`] still accepts: v5 through
-/// v9 only add record kinds and fields, so v4 documents (e.g. the
-/// committed perf baseline) remain valid.
-pub const MIN_SCHEMA_VERSION: u64 = 4;
-
-/// The record kinds a JSON-lines document may contain.
-pub const RECORD_KINDS: [&str; 15] = [
-    "meta",
-    "totals",
-    "class",
-    "layer",
-    "device",
-    "cache",
-    "resilience",
-    "perf",
-    "placement",
-    "series",
-    "slo",
-    "trace",
-    "postmortem",
-    "replication",
-    "parity_group",
-];
+/// Version stamp of the JSON-lines schema. There is one version: any
+/// change to a field table bumps it (numbers are never reused) and
+/// regenerates the committed `results/*.jsonl` in the same change, and
+/// [`validate_jsonl`] accepts exactly this number.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Everything one run exports (see the module docs).
 #[derive(Clone, Debug)]
@@ -114,16 +68,16 @@ pub struct RunReport {
     pub postmortems: Vec<reo_sim::Postmortem>,
     /// Cross-target replication counters (`None` on single-target runs
     /// and clusters without a replication policy — the record is then
-    /// omitted entirely, keeping pre-v7 documents byte-identical).
+    /// omitted entirely).
     pub replication: Option<ReplicationReport>,
     /// Cross-target parity-group counters (`None` on single-target
     /// runs and clusters without a parity policy — the record is then
-    /// omitted entirely, keeping pre-v8 documents byte-identical).
+    /// omitted entirely).
     pub parity: Option<ParityGroupReport>,
 }
 
-/// The schema-v7 `replication` record: the active policy plus the
-/// cluster's replication counters.
+/// The `replication` record: the active policy plus the cluster's
+/// replication counters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplicationReport {
     /// Largest per-class copy count of the policy.
@@ -134,8 +88,8 @@ pub struct ReplicationReport {
     pub counters: reo_core::ReplicationSnapshot,
 }
 
-/// The schema-v8 `parity_group` record: the active group geometry, the
-/// cluster's parity counters, and the end-of-run flash overhead split.
+/// The `parity_group` record: the active group geometry, the cluster's
+/// parity counters, and the end-of-run flash overhead split.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParityGroupReport {
     /// Data shards per group (`k`).
@@ -208,14 +162,12 @@ pub fn collect_cluster_report(
         write_throughs: 0,
         bypassed_fills: 0,
         rejected_events: result.rejected_events,
-        rejected_events_by_reason: Vec::new(),
+        rejected_events_by_reason: result.rejected_events_by_reason.clone(),
         internal_errors: 0,
         throttle_stalls: result.migration_stalls,
         rebuild_throttle_bytes: result.migration_throttle_bytes,
         ttr_us: [-1; 4],
     };
-    let mut by_reason: BTreeMap<String, u64> =
-        result.rejected_events_by_reason.iter().cloned().collect();
     let mut efficiency = 0.0;
     for t in 0..cluster.targets_created() {
         let node = cluster.node(t);
@@ -223,33 +175,10 @@ pub fn collect_cluster_report(
             d.id = DeviceId(per_node * t + d.id.0);
             devices.push(d);
         }
-        let c = node.cache_stats();
-        cache.admissions += c.admissions;
-        cache.refreshes += c.refreshes;
-        cache.removals += c.removals;
-        cache.promotions += c.promotions;
-        cache.demotions += c.demotions;
-        cache.write_throughs += c.write_throughs;
-        cache.bypassed_fills += c.bypassed_fills;
-        cache.replica_refreshes += c.replica_refreshes;
-        let r = node.resilience();
-        resilience.health_transitions += r.health_transitions;
-        resilience.shed_requests += r.shed_requests;
-        resilience.write_throughs += r.write_throughs;
-        resilience.bypassed_fills += r.bypassed_fills;
-        resilience.rejected_events += r.rejected_events;
-        resilience.internal_errors += r.internal_errors;
-        resilience.throttle_stalls += r.throttle_stalls;
-        resilience.rebuild_throttle_bytes += r.rebuild_throttle_bytes;
-        for (reason, count) in r.rejected_events_by_reason {
-            *by_reason.entry(reason).or_default() += count;
-        }
-        for (slot, us) in resilience.ttr_us.iter_mut().zip(r.ttr_us) {
-            *slot = (*slot).max(us);
-        }
+        cache.merge(&node.cache_stats());
+        resilience.merge(&node.resilience());
         efficiency += node.space_efficiency();
     }
-    resilience.rejected_events_by_reason = by_reason.into_iter().collect();
     RunReport {
         experiment: experiment.to_string(),
         scheme: scheme.to_string(),
@@ -278,7 +207,7 @@ pub fn collect_cluster_report(
         },
         parity: {
             let policy = cluster.parity_policy();
-            policy.enabled().then(|| ParityGroupReport {
+            policy.enabled().then_some(ParityGroupReport {
                 data_shards: policy.data as u64,
                 parity_shards: policy.parity as u64,
                 counters: result.parity,
@@ -288,10 +217,406 @@ pub fn collect_cluster_report(
     }
 }
 
-// ---- value plumbing ----------------------------------------------------
+// ---- the schema: one field table per record kind -------------------------
 
-/// A raw value tree; lets the exporter hand-build records (a `kind`
-/// discriminator plus flat fields) without a struct per record kind.
+/// The JSON type of a field, as the validator sees it. `Obj` is a
+/// nested object (label → count maps, span and event trees), of which
+/// the validator checks only that it is one.
+#[derive(Clone, Copy, Debug)]
+enum Ty {
+    Num,
+    Bool,
+    Str,
+    Obj,
+}
+use Ty::{Bool, Num, Obj, Str};
+
+impl Ty {
+    fn admits(self, v: &Value) -> bool {
+        matches!(
+            (self, v),
+            (Num, Value::U(_) | Value::I(_) | Value::F(_))
+                | (Bool, Value::Bool(_))
+                | (Str, Value::Str(_))
+                | (Obj, Value::Map(_))
+        )
+    }
+}
+
+/// One field of a record read off a source `T`: `(name, type, getter)`.
+type Field<T> = (&'static str, Ty, fn(&T) -> Value);
+
+/// One record kind: its `kind` tag and its fields in emission order.
+/// [`records`] emits by walking the table and [`validate_jsonl`] checks
+/// against the same table ([`schema`]), so a field is written down in
+/// exactly one place and everything emitted is required.
+struct Table<T: 'static> {
+    kind: &'static str,
+    fields: &'static [Field<T>],
+}
+
+/// A record as ordered `(key, value)` entries.
+type Record = Vec<(String, Value)>;
+
+/// A record kind's validator view: its tag and `(field, type)` rows.
+type Shape = (&'static str, Vec<(&'static str, Ty)>);
+
+impl<T> Table<T> {
+    fn fields_of<'a>(&'a self, src: &'a T) -> impl Iterator<Item = (String, Value)> + 'a {
+        self.fields
+            .iter()
+            .map(move |(name, _, get)| (name.to_string(), get(src)))
+    }
+
+    fn record(&self, src: &T) -> Record {
+        let mut record = vec![("kind".to_string(), s(self.kind))];
+        record.extend(self.fields_of(src));
+        record
+    }
+
+    fn shape(&self) -> Shape {
+        let fields = self.fields.iter().map(|(name, ty, _)| (*name, *ty));
+        (self.kind, fields.collect())
+    }
+}
+
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
+/// `(label, count)` rows as a nested `label → count` object.
+fn counts(rows: &[(String, u64)]) -> Value {
+    Value::Map(
+        rows.iter()
+            .map(|(label, count)| (label.clone(), u(*count)))
+            .collect(),
+    )
+}
+
+static META: Table<RunReport> = Table {
+    kind: "meta",
+    fields: &[
+        ("schema_version", Num, |_| u(SCHEMA_VERSION)),
+        ("experiment", Str, |r| s(&r.experiment)),
+        ("scheme", Str, |r| s(&r.scheme)),
+        ("requests", Num, |r| u(r.totals.requests)),
+        ("traced_requests", Num, |r| u(r.breakdown.requests)),
+        ("space_efficiency_pct", Num, |r| {
+            f(100.0 * r.space_efficiency)
+        }),
+    ],
+};
+
+static TOTALS: Table<MetricsSnapshot> = Table {
+    kind: "totals",
+    fields: &[
+        ("requests", Num, |s| u(s.requests)),
+        ("reads", Num, |s| u(s.reads)),
+        ("read_hits", Num, |s| u(s.read_hits)),
+        ("hit_ratio_pct", Num, |s| f(s.hit_ratio_pct())),
+        ("writes", Num, |s| u(s.writes)),
+        ("degraded_reads", Num, |s| u(s.degraded_reads)),
+        ("requested_mib", Num, |s| f(s.requested_bytes.as_mib_f64())),
+        ("device_mib", Num, |s| f(s.device_bytes.as_mib_f64())),
+        ("backend_mib", Num, |s| f(s.backend_bytes.as_mib_f64())),
+        ("amplification", Num, |s| f(s.amplification())),
+        ("write_amplification", Num, |s| f(s.write_amplification())),
+        ("read_amplification", Num, |s| f(s.read_amplification())),
+        ("bandwidth_mib_s", Num, |s| f(s.bandwidth_mib_s())),
+        ("mean_latency_ms", Num, |s| f(s.mean_latency_ms())),
+        ("p99_latency_ms", Num, |s| f(s.p99_latency.as_millis_f64())),
+        ("medium_errors", Num, |s| u(s.medium_errors)),
+        ("repairs", Num, |s| u(s.repairs)),
+        ("scrub_passes", Num, |s| u(s.scrub_passes)),
+        ("unrecoverable_fallbacks", Num, |s| {
+            u(s.unrecoverable_fallbacks)
+        }),
+        ("journal_appends", Num, |s| u(s.journal_appends)),
+        ("checkpoint_count", Num, |s| u(s.checkpoint_count)),
+        ("replayed_records", Num, |s| u(s.replayed_records)),
+        ("torn_tail_detected", Num, |s| u(s.torn_tail_detected)),
+        ("recovery_duration_us", Num, |s| u(s.recovery_duration_us)),
+        ("served_by_replica", Num, |s| u(s.served_by_replica)),
+        ("served_by_parity", Num, |s| u(s.served_by_parity)),
+    ],
+};
+
+static CLASS: Table<reo_core::ClassSnapshot> = Table {
+    kind: "class",
+    fields: &[
+        ("class", Str, |c| s(c.label)),
+        ("requests", Num, |c| u(c.requests)),
+        ("reads", Num, |c| u(c.reads)),
+        ("read_hits", Num, |c| u(c.read_hits)),
+        ("hit_ratio_pct", Num, |c| f(c.hit_ratio_pct())),
+        ("writes", Num, |c| u(c.writes)),
+        ("degraded_reads", Num, |c| u(c.degraded_reads)),
+        ("requested_mib", Num, |c| f(c.requested_bytes.as_mib_f64())),
+        ("mean_latency_ms", Num, |c| {
+            f(c.mean_latency.as_millis_f64())
+        }),
+        ("p99_latency_ms", Num, |c| f(c.p99_latency.as_millis_f64())),
+    ],
+};
+
+/// A `layer` row's source: the layer's breakdown plus its exclusive
+/// time, which only the whole [`TraceBreakdown`] can compute.
+static LAYER: Table<(LayerBreakdown, SimDuration)> = Table {
+    kind: "layer",
+    fields: &[
+        ("layer", Str, |(l, _)| s(l.layer.as_str())),
+        ("spans", Num, |(l, _)| u(l.spans)),
+        ("total_ms", Num, |(l, _)| f(l.total.as_millis_f64())),
+        ("exclusive_ms", Num, |(_, exclusive)| {
+            f(exclusive.as_millis_f64())
+        }),
+        ("mean_ms", Num, |(l, _)| f(l.mean.as_millis_f64())),
+        ("p99_ms", Num, |(l, _)| f(l.p99.as_millis_f64())),
+    ],
+};
+
+static DEVICE: Table<DeviceReport> = Table {
+    kind: "device",
+    fields: &[
+        ("device", Num, |d| u(d.id.0 as u64)),
+        ("healthy", Bool, |d| Value::Bool(d.healthy)),
+        ("wear_pct", Num, |d| f(100.0 * d.wear)),
+        ("used_mib", Num, |d| f(d.used.as_mib_f64())),
+        ("reads", Num, |d| u(d.stats.reads)),
+        ("writes", Num, |d| u(d.stats.writes)),
+        ("read_mib", Num, |d| f(mib(d.stats.bytes_read))),
+        ("written_mib", Num, |d| f(mib(d.stats.bytes_written))),
+        ("erases", Num, |d| u(d.stats.erases_estimated)),
+        ("mean_queue_delay_ms", Num, |d| {
+            f(d.stats.mean_queue_delay().as_millis_f64())
+        }),
+        ("mean_service_time_ms", Num, |d| {
+            f(d.stats.mean_service_time().as_millis_f64())
+        }),
+        ("transient_timeouts", Num, |d| u(d.stats.transient_timeouts)),
+    ],
+};
+
+static CACHE: Table<reo_cache::CacheStats> = Table {
+    kind: "cache",
+    fields: &[
+        ("admissions", Num, |c| u(c.admissions)),
+        ("refreshes", Num, |c| u(c.refreshes)),
+        ("removals", Num, |c| u(c.removals)),
+        ("promotions", Num, |c| u(c.promotions)),
+        ("demotions", Num, |c| u(c.demotions)),
+        ("replica_refreshes", Num, |c| u(c.replica_refreshes)),
+    ],
+};
+
+static RESILIENCE: Table<reo_core::ResilienceSnapshot> = Table {
+    kind: "resilience",
+    fields: &[
+        ("health", Str, |r| s(&r.health)),
+        ("health_transitions", Num, |r| u(r.health_transitions)),
+        ("shed_requests", Num, |r| u(r.shed_requests)),
+        ("write_throughs", Num, |r| u(r.write_throughs)),
+        ("bypassed_fills", Num, |r| u(r.bypassed_fills)),
+        ("rejected_events", Num, |r| u(r.rejected_events)),
+        ("throttle_stalls", Num, |r| u(r.throttle_stalls)),
+        ("rebuild_throttle_bytes", Num, |r| {
+            u(r.rebuild_throttle_bytes)
+        }),
+        ("ttr_metadata_us", Num, |r| i(r.ttr_us[0])),
+        ("ttr_dirty_us", Num, |r| i(r.ttr_us[1])),
+        ("ttr_hot_clean_us", Num, |r| i(r.ttr_us[2])),
+        ("ttr_cold_clean_us", Num, |r| i(r.ttr_us[3])),
+        ("internal_errors", Num, |r| u(r.internal_errors)),
+        ("rejected_events_by_reason", Obj, |r| {
+            counts(&r.rejected_events_by_reason)
+        }),
+    ],
+};
+
+static PLACEMENT: Table<TargetMetricsRow> = Table {
+    kind: "placement",
+    fields: &[
+        ("target", Num, |row| u(row.target as u64)),
+        ("health", Str, |row| s(&row.health)),
+        ("requests", Num, |row| u(row.requests)),
+        ("reads", Num, |row| u(row.reads)),
+        ("read_hits", Num, |row| u(row.read_hits)),
+        ("hit_ratio_pct", Num, |row| f(row.hit_ratio_pct())),
+        ("degraded_reads", Num, |row| u(row.degraded_reads)),
+        ("shed_requests", Num, |row| u(row.shed_requests)),
+        ("outages", Num, |row| u(row.outages)),
+        ("rebuild_window_us", Num, |row| i(row.rebuild_window_us)),
+        ("migrated_in", Num, |row| u(row.migrated_in)),
+        ("migrated_out", Num, |row| u(row.migrated_out)),
+        ("replica_serves", Num, |row| u(row.replica_serves)),
+        ("parity_serves", Num, |row| u(row.parity_serves)),
+        ("sense_mix", Obj, |row| counts(&row.sense_mix)),
+    ],
+};
+
+static PERF: Table<PerfPoint> = Table {
+    kind: "perf",
+    fields: &[
+        ("bench", Str, |p| s(&p.bench)),
+        ("value", Num, |p| f(p.value)),
+        ("unit", Str, |p| s(&p.unit)),
+    ],
+};
+
+/// A `series` record is these two fields followed by the [`TOTALS`]
+/// fields of the point's sampling window.
+static SERIES: Table<TimeSeriesPoint> = Table {
+    kind: "series",
+    fields: &[
+        ("at_request", Num, |p| u(p.at_request as u64)),
+        ("time_ms", Num, |p| f(p.time.as_secs_f64() * 1e3)),
+    ],
+};
+
+static SLO: Table<SloSnapshot> = Table {
+    kind: "slo",
+    fields: &[
+        ("class", Str, |row| s(row.class)),
+        ("requests", Num, |row| u(row.requests)),
+        ("latency_threshold_ms", Num, |row| {
+            f(row.latency_threshold.as_millis_f64())
+        }),
+        ("latency_target_pct", Num, |row| f(row.latency_target_pct)),
+        ("availability_target_pct", Num, |row| {
+            f(row.availability_target_pct)
+        }),
+        ("latency_compliance_pct", Num, |row| {
+            f(row.latency_compliance_pct())
+        }),
+        ("availability_pct", Num, |row| f(row.availability_pct())),
+        ("latency_burn_fast", Num, |row| f(row.latency_burn_fast())),
+        ("latency_burn_slow", Num, |row| f(row.latency_burn_slow())),
+        ("availability_burn_fast", Num, |row| {
+            f(row.availability_burn_fast())
+        }),
+        ("availability_burn_slow", Num, |row| {
+            f(row.availability_burn_slow())
+        }),
+        ("latency_breaches", Num, |row| u(row.latency_breaches)),
+        ("errors", Num, |row| u(row.errors)),
+    ],
+};
+
+static TRACE: Table<TraceTree> = Table {
+    kind: "trace",
+    fields: &[
+        ("trace_id", Num, |tree| u(tree.trace_id)),
+        ("reason", Str, |tree| s(tree.reason)),
+        ("sense", Str, |tree| s(tree.sense.unwrap_or("success"))),
+        ("latency_ms", Num, |tree| f(tree.latency.as_millis_f64())),
+        ("span_count", Num, |tree| u(tree.spans.len() as u64)),
+        ("truncated_spans", Num, |tree| u(tree.truncated_spans)),
+        ("spans", Obj, trace_spans),
+        ("annotations", Obj, trace_annotations),
+    ],
+};
+
+static POSTMORTEM: Table<Postmortem> = Table {
+    kind: "postmortem",
+    fields: &[
+        ("at_ms", Num, |pm| f(pm.at.as_secs_f64() * 1e3)),
+        ("target", Num, |pm| i(pm.target)),
+        ("trigger", Str, |pm| s(&pm.trigger)),
+        ("dropped_events", Num, |pm| u(pm.dropped_events)),
+        ("event_count", Num, |pm| u(pm.events.len() as u64)),
+        ("events", Obj, postmortem_events),
+    ],
+};
+
+static REPLICATION: Table<ReplicationReport> = Table {
+    kind: "replication",
+    fields: &[
+        ("max_factor", Num, |r| u(r.max_factor)),
+        ("factor_metadata", Num, |r| u(r.factors[0])),
+        ("factor_dirty", Num, |r| u(r.factors[1])),
+        ("factor_hot_clean", Num, |r| u(r.factors[2])),
+        ("factor_cold_clean", Num, |r| u(r.factors[3])),
+        ("replica_serves", Num, |r| u(r.counters.replica_serves)),
+        ("fanout_writes", Num, |r| u(r.counters.fanout_writes)),
+        ("fanout_refreshes", Num, |r| u(r.counters.fanout_refreshes)),
+        ("divergences_injected", Num, |r| {
+            u(r.counters.divergences_injected)
+        }),
+        ("divergences_detected", Num, |r| {
+            u(r.counters.divergences_detected)
+        }),
+        ("divergences_repaired", Num, |r| {
+            u(r.counters.divergences_repaired)
+        }),
+        ("anti_entropy_passes", Num, |r| {
+            u(r.counters.anti_entropy_passes)
+        }),
+        ("failbacks_completed", Num, |r| {
+            u(r.counters.failbacks_completed)
+        }),
+    ],
+};
+
+static PARITY_GROUP: Table<ParityGroupReport> = Table {
+    kind: "parity_group",
+    fields: &[
+        ("data_shards", Num, |pg| u(pg.data_shards)),
+        ("parity_shards", Num, |pg| u(pg.parity_shards)),
+        ("parity_serves", Num, |pg| u(pg.counters.parity_serves)),
+        ("stripe_updates", Num, |pg| u(pg.counters.stripe_updates)),
+        ("coverage_invalidations", Num, |pg| {
+            u(pg.counters.coverage_invalidations)
+        }),
+        ("reconstructed_mib", Num, |pg| {
+            f(mib(pg.counters.reconstructed_bytes))
+        }),
+        ("repair_warms", Num, |pg| u(pg.counters.repair_warms)),
+        ("repairs_completed", Num, |pg| {
+            u(pg.counters.repairs_completed)
+        }),
+        ("beyond_tolerance_serves", Num, |pg| {
+            u(pg.counters.beyond_tolerance_serves)
+        }),
+        ("ttr_metadata_us", Num, |pg| i(pg.counters.ttr_us[0])),
+        ("ttr_dirty_us", Num, |pg| i(pg.counters.ttr_us[1])),
+        ("ttr_hot_clean_us", Num, |pg| i(pg.counters.ttr_us[2])),
+        ("ttr_cold_clean_us", Num, |pg| i(pg.counters.ttr_us[3])),
+        ("primary_mib", Num, |pg| f(mib(pg.overhead.primary_bytes))),
+        ("replica_mib", Num, |pg| f(mib(pg.overhead.replica_bytes))),
+        ("parity_mib", Num, |pg| f(mib(pg.overhead.parity_bytes))),
+        ("overhead_pct", Num, |pg| {
+            f(100.0 * pg.overhead.overhead_fraction())
+        }),
+    ],
+};
+
+/// Every record kind a document may contain, as the validator sees it.
+fn schema() -> Vec<Shape> {
+    let mut series = SERIES.shape();
+    series.1.extend(TOTALS.shape().1);
+    vec![
+        META.shape(),
+        TOTALS.shape(),
+        CLASS.shape(),
+        LAYER.shape(),
+        DEVICE.shape(),
+        CACHE.shape(),
+        RESILIENCE.shape(),
+        PLACEMENT.shape(),
+        PERF.shape(),
+        series,
+        SLO.shape(),
+        TRACE.shape(),
+        POSTMORTEM.shape(),
+        REPLICATION.shape(),
+        PARITY_GROUP.shape(),
+    ]
+}
+
+// ---- JSON-lines rendering ----------------------------------------------
+
+/// A raw value tree; lets the exporter serialize hand-built records
+/// without a struct per record kind.
 struct Raw(Value);
 
 impl Serialize for Raw {
@@ -304,12 +629,6 @@ impl Deserialize for Raw {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(Raw(v.clone()))
     }
-}
-
-fn rec(kind: &str, fields: Vec<(&str, Value)>) -> Value {
-    let mut entries = vec![("kind".to_string(), Value::Str(kind.to_string()))];
-    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Value::Map(entries)
 }
 
 fn u(v: u64) -> Value {
@@ -328,94 +647,11 @@ fn s(v: &str) -> Value {
     Value::Str(v.to_string())
 }
 
-// ---- JSON-lines rendering ----------------------------------------------
-
-fn totals_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, Value)> {
-    vec![
-        ("requests", u(snap.requests)),
-        ("reads", u(snap.reads)),
-        ("read_hits", u(snap.read_hits)),
-        ("hit_ratio_pct", f(snap.hit_ratio_pct())),
-        ("writes", u(snap.writes)),
-        ("degraded_reads", u(snap.degraded_reads)),
-        ("requested_mib", f(snap.requested_bytes.as_mib_f64())),
-        ("device_mib", f(snap.device_bytes.as_mib_f64())),
-        ("backend_mib", f(snap.backend_bytes.as_mib_f64())),
-        ("amplification", f(snap.amplification())),
-        ("write_amplification", f(snap.write_amplification())),
-        ("read_amplification", f(snap.read_amplification())),
-        ("bandwidth_mib_s", f(snap.bandwidth_mib_s())),
-        ("mean_latency_ms", f(snap.mean_latency_ms())),
-        ("p99_latency_ms", f(snap.p99_latency.as_millis_f64())),
-        ("medium_errors", u(snap.medium_errors)),
-        ("repairs", u(snap.repairs)),
-        ("scrub_passes", u(snap.scrub_passes)),
-        ("unrecoverable_fallbacks", u(snap.unrecoverable_fallbacks)),
-        ("journal_appends", u(snap.journal_appends)),
-        ("checkpoint_count", u(snap.checkpoint_count)),
-        ("replayed_records", u(snap.replayed_records)),
-        ("torn_tail_detected", u(snap.torn_tail_detected)),
-        ("recovery_duration_us", u(snap.recovery_duration_us)),
-        ("served_by_replica", u(snap.served_by_replica)),
-        ("served_by_parity", u(snap.served_by_parity)),
-    ]
-}
-
-fn placement_fields(row: &TargetMetricsRow) -> Vec<(&'static str, Value)> {
-    vec![
-        ("target", u(row.target as u64)),
-        ("health", s(&row.health)),
-        ("requests", u(row.requests)),
-        ("reads", u(row.reads)),
-        ("read_hits", u(row.read_hits)),
-        ("hit_ratio_pct", f(row.hit_ratio_pct())),
-        ("degraded_reads", u(row.degraded_reads)),
-        ("shed_requests", u(row.shed_requests)),
-        ("outages", u(row.outages)),
-        ("rebuild_window_us", i(row.rebuild_window_us)),
-        ("migrated_in", u(row.migrated_in)),
-        ("migrated_out", u(row.migrated_out)),
-        ("replica_serves", u(row.replica_serves)),
-        ("parity_serves", u(row.parity_serves)),
-        (
-            "sense_mix",
-            Value::Map(
-                row.sense_mix
-                    .iter()
-                    .map(|(label, count)| (label.clone(), u(*count)))
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
-fn slo_fields(row: &SloSnapshot) -> Vec<(&'static str, Value)> {
-    vec![
-        ("class", s(row.class)),
-        ("requests", u(row.requests)),
-        (
-            "latency_threshold_ms",
-            f(row.latency_threshold.as_millis_f64()),
-        ),
-        ("latency_target_pct", f(row.latency_target_pct)),
-        ("availability_target_pct", f(row.availability_target_pct)),
-        ("latency_compliance_pct", f(row.latency_compliance_pct())),
-        ("availability_pct", f(row.availability_pct())),
-        ("latency_burn_fast", f(row.latency_burn_fast())),
-        ("latency_burn_slow", f(row.latency_burn_slow())),
-        ("availability_burn_fast", f(row.availability_burn_fast())),
-        ("availability_burn_slow", f(row.availability_burn_slow())),
-        ("latency_breaches", u(row.latency_breaches)),
-        ("errors", u(row.errors)),
-    ]
-}
-
-/// One exemplar trace tree as a `trace` record. The vendored JSON value
-/// tree has no array type, so spans nest as a map keyed by the (1-based,
-/// zero-padded) span id — key order is span order — and annotations by
-/// their index.
-fn trace_record(tree: &TraceTree) -> Value {
-    let spans = Value::Map(
+/// The spans of an exemplar trace tree. The vendored JSON value tree has
+/// no array type, so spans nest as a map keyed by the (1-based,
+/// zero-padded) span id — key order is span order.
+fn trace_spans(tree: &TraceTree) -> Value {
+    Value::Map(
         tree.spans
             .iter()
             .map(|span| {
@@ -431,8 +667,12 @@ fn trace_record(tree: &TraceTree) -> Value {
                 )
             })
             .collect(),
-    );
-    let annotations = Value::Map(
+    )
+}
+
+/// The annotations of an exemplar trace tree, keyed by their index.
+fn trace_annotations(tree: &TraceTree) -> Value {
+    Value::Map(
         tree.annotations
             .iter()
             .enumerate()
@@ -446,26 +686,13 @@ fn trace_record(tree: &TraceTree) -> Value {
                 )
             })
             .collect(),
-    );
-    rec(
-        "trace",
-        vec![
-            ("trace_id", u(tree.trace_id)),
-            ("reason", s(tree.reason)),
-            ("sense", s(tree.sense.unwrap_or("success"))),
-            ("latency_ms", f(tree.latency.as_millis_f64())),
-            ("span_count", u(tree.spans.len() as u64)),
-            ("truncated_spans", u(tree.truncated_spans)),
-            ("spans", spans),
-            ("annotations", annotations),
-        ],
     )
 }
 
-/// One flight-recorder dump as a `postmortem` record; events nest as a
-/// map keyed by their (zero-padded) sequence number, oldest first.
-fn postmortem_record(pm: &Postmortem) -> Value {
-    let events = Value::Map(
+/// The events of a flight-recorder dump, keyed by their (zero-padded)
+/// sequence number, oldest first.
+fn postmortem_events(pm: &Postmortem) -> Value {
+    Value::Map(
         pm.events
             .iter()
             .map(|e| {
@@ -480,214 +707,31 @@ fn postmortem_record(pm: &Postmortem) -> Value {
                 )
             })
             .collect(),
-    );
-    rec(
-        "postmortem",
-        vec![
-            ("at_ms", f(pm.at.as_secs_f64() * 1e3)),
-            ("target", i(pm.target)),
-            ("trigger", s(&pm.trigger)),
-            ("dropped_events", u(pm.dropped_events)),
-            ("event_count", u(pm.events.len() as u64)),
-            ("events", events),
-        ],
     )
 }
 
-fn records(report: &RunReport) -> Vec<Value> {
-    let mut out = Vec::new();
-    out.push(rec(
-        "meta",
-        vec![
-            ("schema_version", u(SCHEMA_VERSION)),
-            ("experiment", s(&report.experiment)),
-            ("scheme", s(&report.scheme)),
-            ("requests", u(report.totals.requests)),
-            ("traced_requests", u(report.breakdown.requests)),
-            ("space_efficiency_pct", f(100.0 * report.space_efficiency)),
-        ],
-    ));
-    out.push(rec("totals", totals_fields(&report.totals)));
-    for class in &report.totals.classes {
-        out.push(rec(
-            "class",
-            vec![
-                ("class", s(class.label)),
-                ("requests", u(class.requests)),
-                ("reads", u(class.reads)),
-                ("read_hits", u(class.read_hits)),
-                ("hit_ratio_pct", f(class.hit_ratio_pct())),
-                ("writes", u(class.writes)),
-                ("degraded_reads", u(class.degraded_reads)),
-                ("requested_mib", f(class.requested_bytes.as_mib_f64())),
-                ("mean_latency_ms", f(class.mean_latency.as_millis_f64())),
-                ("p99_latency_ms", f(class.p99_latency.as_millis_f64())),
-            ],
-        ));
-    }
+fn records(report: &RunReport) -> Vec<Record> {
+    let mut out = vec![META.record(report), TOTALS.record(&report.totals)];
+    out.extend(report.totals.classes.iter().map(|c| CLASS.record(c)));
     for layer in &report.breakdown.layers {
-        out.push(rec(
-            "layer",
-            vec![
-                ("layer", s(layer.layer.as_str())),
-                ("spans", u(layer.spans)),
-                ("total_ms", f(layer.total.as_millis_f64())),
-                (
-                    "exclusive_ms",
-                    f(report.breakdown.exclusive(layer.layer).as_millis_f64()),
-                ),
-                ("mean_ms", f(layer.mean.as_millis_f64())),
-                ("p99_ms", f(layer.p99.as_millis_f64())),
-            ],
-        ));
+        let exclusive = report.breakdown.exclusive(layer.layer);
+        out.push(LAYER.record(&(layer.clone(), exclusive)));
     }
-    for d in &report.devices {
-        out.push(rec(
-            "device",
-            vec![
-                ("device", u(d.id.0 as u64)),
-                ("healthy", Value::Bool(d.healthy)),
-                ("wear_pct", f(100.0 * d.wear)),
-                ("used_mib", f(d.used.as_mib_f64())),
-                ("reads", u(d.stats.reads)),
-                ("writes", u(d.stats.writes)),
-                ("read_mib", f(d.stats.bytes_read as f64 / (1024.0 * 1024.0))),
-                (
-                    "written_mib",
-                    f(d.stats.bytes_written as f64 / (1024.0 * 1024.0)),
-                ),
-                ("erases", u(d.stats.erases_estimated)),
-                (
-                    "mean_queue_delay_ms",
-                    f(d.stats.mean_queue_delay().as_millis_f64()),
-                ),
-                (
-                    "mean_service_time_ms",
-                    f(d.stats.mean_service_time().as_millis_f64()),
-                ),
-                ("transient_timeouts", u(d.stats.transient_timeouts)),
-            ],
-        ));
-    }
-    out.push(rec(
-        "cache",
-        vec![
-            ("admissions", u(report.cache.admissions)),
-            ("refreshes", u(report.cache.refreshes)),
-            ("removals", u(report.cache.removals)),
-            ("promotions", u(report.cache.promotions)),
-            ("demotions", u(report.cache.demotions)),
-            ("replica_refreshes", u(report.cache.replica_refreshes)),
-        ],
-    ));
-    let r = &report.resilience;
-    out.push(rec(
-        "resilience",
-        vec![
-            ("health", s(&r.health)),
-            ("health_transitions", u(r.health_transitions)),
-            ("shed_requests", u(r.shed_requests)),
-            ("write_throughs", u(r.write_throughs)),
-            ("bypassed_fills", u(r.bypassed_fills)),
-            ("rejected_events", u(r.rejected_events)),
-            ("throttle_stalls", u(r.throttle_stalls)),
-            ("rebuild_throttle_bytes", u(r.rebuild_throttle_bytes)),
-            ("ttr_metadata_us", i(r.ttr_us[0])),
-            ("ttr_dirty_us", i(r.ttr_us[1])),
-            ("ttr_hot_clean_us", i(r.ttr_us[2])),
-            ("ttr_cold_clean_us", i(r.ttr_us[3])),
-            ("internal_errors", u(r.internal_errors)),
-            (
-                "rejected_events_by_reason",
-                Value::Map(
-                    r.rejected_events_by_reason
-                        .iter()
-                        .map(|(reason, count)| (reason.clone(), u(*count)))
-                        .collect(),
-                ),
-            ),
-        ],
-    ));
-    for row in &report.totals.targets {
-        out.push(rec("placement", placement_fields(row)));
-    }
-    for p in &report.perf {
-        out.push(rec(
-            "perf",
-            vec![
-                ("bench", s(&p.bench)),
-                ("value", f(p.value)),
-                ("unit", s(&p.unit)),
-            ],
-        ));
-    }
+    out.extend(report.devices.iter().map(|d| DEVICE.record(d)));
+    out.push(CACHE.record(&report.cache));
+    out.push(RESILIENCE.record(&report.resilience));
+    out.extend(report.totals.targets.iter().map(|t| PLACEMENT.record(t)));
+    out.extend(report.perf.iter().map(|p| PERF.record(p)));
     for point in &report.series {
-        let mut fields = vec![
-            ("at_request", u(point.at_request as u64)),
-            ("time_ms", f(point.time.as_secs_f64() * 1e3)),
-        ];
-        fields.extend(totals_fields(&point.window));
-        out.push(rec("series", fields));
+        let mut record = SERIES.record(point);
+        record.extend(TOTALS.fields_of(&point.window));
+        out.push(record);
     }
-    for row in &report.totals.slos {
-        out.push(rec("slo", slo_fields(row)));
-    }
-    for tree in &report.exemplars {
-        out.push(trace_record(tree));
-    }
-    for pm in &report.postmortems {
-        out.push(postmortem_record(pm));
-    }
-    if let Some(repl) = &report.replication {
-        let c = &repl.counters;
-        out.push(rec(
-            "replication",
-            vec![
-                ("max_factor", u(repl.max_factor)),
-                ("factor_metadata", u(repl.factors[0])),
-                ("factor_dirty", u(repl.factors[1])),
-                ("factor_hot_clean", u(repl.factors[2])),
-                ("factor_cold_clean", u(repl.factors[3])),
-                ("replica_serves", u(c.replica_serves)),
-                ("fanout_writes", u(c.fanout_writes)),
-                ("fanout_refreshes", u(c.fanout_refreshes)),
-                ("divergences_injected", u(c.divergences_injected)),
-                ("divergences_detected", u(c.divergences_detected)),
-                ("divergences_repaired", u(c.divergences_repaired)),
-                ("anti_entropy_passes", u(c.anti_entropy_passes)),
-                ("failbacks_completed", u(c.failbacks_completed)),
-            ],
-        ));
-    }
-    if let Some(pg) = &report.parity {
-        let c = &pg.counters;
-        let o = &pg.overhead;
-        out.push(rec(
-            "parity_group",
-            vec![
-                ("data_shards", u(pg.data_shards)),
-                ("parity_shards", u(pg.parity_shards)),
-                ("parity_serves", u(c.parity_serves)),
-                ("stripe_updates", u(c.stripe_updates)),
-                ("coverage_invalidations", u(c.coverage_invalidations)),
-                (
-                    "reconstructed_mib",
-                    f(c.reconstructed_bytes as f64 / (1024.0 * 1024.0)),
-                ),
-                ("repair_warms", u(c.repair_warms)),
-                ("repairs_completed", u(c.repairs_completed)),
-                ("beyond_tolerance_serves", u(c.beyond_tolerance_serves)),
-                ("ttr_metadata_us", i(c.ttr_us[0])),
-                ("ttr_dirty_us", i(c.ttr_us[1])),
-                ("ttr_hot_clean_us", i(c.ttr_us[2])),
-                ("ttr_cold_clean_us", i(c.ttr_us[3])),
-                ("primary_mib", f(o.primary_bytes as f64 / (1024.0 * 1024.0))),
-                ("replica_mib", f(o.replica_bytes as f64 / (1024.0 * 1024.0))),
-                ("parity_mib", f(o.parity_bytes as f64 / (1024.0 * 1024.0))),
-                ("overhead_pct", f(100.0 * o.overhead_fraction())),
-            ],
-        ));
-    }
+    out.extend(report.totals.slos.iter().map(|row| SLO.record(row)));
+    out.extend(report.exemplars.iter().map(|tree| TRACE.record(tree)));
+    out.extend(report.postmortems.iter().map(|pm| POSTMORTEM.record(pm)));
+    out.extend(report.replication.iter().map(|r| REPLICATION.record(r)));
+    out.extend(report.parity.iter().map(|pg| PARITY_GROUP.record(pg)));
     out
 }
 
@@ -696,7 +740,8 @@ fn records(report: &RunReport) -> Vec<Value> {
 pub fn jsonl(report: &RunReport) -> String {
     let mut out = String::new();
     for record in records(report) {
-        out.push_str(&serde_json::to_string(&Raw(record)).expect("jsonl serialize"));
+        let line = serde_json::to_string(&Raw(Value::Map(record))).expect("jsonl serialize");
+        out.push_str(&line);
         out.push('\n');
     }
     out
@@ -736,354 +781,19 @@ fn get<'a>(map: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn require_number(map: &[(String, Value)], key: &str, line: usize) -> Result<(), String> {
-    match get(map, key) {
-        Some(Value::U(_) | Value::I(_) | Value::F(_)) => Ok(()),
-        Some(other) => Err(format!(
-            "line {line}: field `{key}` is not a number ({other:?})"
-        )),
-        None => Err(format!("line {line}: missing field `{key}`")),
-    }
-}
-
-fn require_string(map: &[(String, Value)], key: &str, line: usize) -> Result<(), String> {
-    match get(map, key) {
-        Some(Value::Str(_)) => Ok(()),
-        Some(_) => Err(format!("line {line}: field `{key}` is not a string")),
-        None => Err(format!("line {line}: missing field `{key}`")),
-    }
-}
-
-/// Numeric fields every record of a kind must carry (strings checked
-/// separately).
-fn required_numbers(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "meta" => &["schema_version", "requests", "space_efficiency_pct"],
-        "totals" | "series" => &[
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "requested_mib",
-            "device_mib",
-            "amplification",
-            "write_amplification",
-            "mean_latency_ms",
-            "p99_latency_ms",
-            "journal_appends",
-            "checkpoint_count",
-            "replayed_records",
-            "torn_tail_detected",
-            "recovery_duration_us",
-        ],
-        "class" => &["requests", "reads", "hit_ratio_pct", "p99_latency_ms"],
-        "layer" => &["spans", "total_ms", "exclusive_ms", "mean_ms", "p99_ms"],
-        "device" => &["device", "wear_pct", "reads", "writes", "erases"],
-        "cache" => &[
-            "admissions",
-            "refreshes",
-            "removals",
-            "promotions",
-            "demotions",
-        ],
-        "resilience" => &[
-            "health_transitions",
-            "shed_requests",
-            "write_throughs",
-            "bypassed_fills",
-            "rejected_events",
-            "throttle_stalls",
-            "rebuild_throttle_bytes",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-        ],
-        "perf" => &["value"],
-        "placement" => &[
-            "target",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "degraded_reads",
-            "shed_requests",
-            "outages",
-            "rebuild_window_us",
-            "migrated_in",
-            "migrated_out",
-        ],
-        "slo" => &[
-            "requests",
-            "latency_threshold_ms",
-            "latency_target_pct",
-            "availability_target_pct",
-            "latency_compliance_pct",
-            "availability_pct",
-            "latency_burn_fast",
-            "latency_burn_slow",
-            "availability_burn_fast",
-            "availability_burn_slow",
-            "latency_breaches",
-            "errors",
-        ],
-        "trace" => &["trace_id", "latency_ms", "span_count", "truncated_spans"],
-        "postmortem" => &["at_ms", "target", "dropped_events", "event_count"],
-        "replication" => &[
-            "max_factor",
-            "factor_metadata",
-            "factor_dirty",
-            "factor_hot_clean",
-            "factor_cold_clean",
-            "replica_serves",
-            "fanout_writes",
-            "fanout_refreshes",
-            "divergences_injected",
-            "divergences_detected",
-            "divergences_repaired",
-            "anti_entropy_passes",
-            "failbacks_completed",
-        ],
-        "parity_group" => &[
-            "data_shards",
-            "parity_shards",
-            "parity_serves",
-            "stripe_updates",
-            "coverage_invalidations",
-            "reconstructed_mib",
-            "repair_warms",
-            "repairs_completed",
-            "beyond_tolerance_serves",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "primary_mib",
-            "parity_mib",
-            "overhead_pct",
-        ],
-        _ => &[],
-    }
-}
-
-/// Every field a record of `kind` may carry. [`validate_jsonl`] flags
-/// anything else as schema drift with a line number. The lists are
-/// supersets of every schema version back to [`MIN_SCHEMA_VERSION`]
-/// (older versions only ever *lack* fields).
-fn allowed_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "meta" => &[
-            "kind",
-            "schema_version",
-            "experiment",
-            "scheme",
-            "requests",
-            "traced_requests",
-            "space_efficiency_pct",
-        ],
-        "totals" | "series" => &[
-            "kind",
-            "at_request",
-            "time_ms",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "writes",
-            "degraded_reads",
-            "requested_mib",
-            "device_mib",
-            "backend_mib",
-            "amplification",
-            "write_amplification",
-            "read_amplification",
-            "bandwidth_mib_s",
-            "mean_latency_ms",
-            "p99_latency_ms",
-            "medium_errors",
-            "repairs",
-            "scrub_passes",
-            "unrecoverable_fallbacks",
-            "journal_appends",
-            "checkpoint_count",
-            "replayed_records",
-            "torn_tail_detected",
-            "recovery_duration_us",
-            "served_by_replica",
-            "served_by_parity",
-        ],
-        "class" => &[
-            "kind",
-            "class",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "writes",
-            "degraded_reads",
-            "requested_mib",
-            "mean_latency_ms",
-            "p99_latency_ms",
-        ],
-        "layer" => &[
-            "kind",
-            "layer",
-            "spans",
-            "total_ms",
-            "exclusive_ms",
-            "mean_ms",
-            "p99_ms",
-        ],
-        "device" => &[
-            "kind",
-            "device",
-            "healthy",
-            "wear_pct",
-            "used_mib",
-            "reads",
-            "writes",
-            "read_mib",
-            "written_mib",
-            "erases",
-            "mean_queue_delay_ms",
-            "mean_service_time_ms",
-            "transient_timeouts",
-        ],
-        "cache" => &[
-            "kind",
-            "admissions",
-            "refreshes",
-            "removals",
-            "promotions",
-            "demotions",
-            "replica_refreshes",
-        ],
-        "resilience" => &[
-            "kind",
-            "health",
-            "health_transitions",
-            "shed_requests",
-            "write_throughs",
-            "bypassed_fills",
-            "rejected_events",
-            "throttle_stalls",
-            "rebuild_throttle_bytes",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "internal_errors",
-            "rejected_events_by_reason",
-        ],
-        "perf" => &["kind", "bench", "value", "unit"],
-        "placement" => &[
-            "kind",
-            "target",
-            "health",
-            "requests",
-            "reads",
-            "read_hits",
-            "hit_ratio_pct",
-            "degraded_reads",
-            "shed_requests",
-            "outages",
-            "rebuild_window_us",
-            "migrated_in",
-            "migrated_out",
-            "replica_serves",
-            "parity_serves",
-            "sense_mix",
-        ],
-        "slo" => &[
-            "kind",
-            "class",
-            "requests",
-            "latency_threshold_ms",
-            "latency_target_pct",
-            "availability_target_pct",
-            "latency_compliance_pct",
-            "availability_pct",
-            "latency_burn_fast",
-            "latency_burn_slow",
-            "availability_burn_fast",
-            "availability_burn_slow",
-            "latency_breaches",
-            "errors",
-        ],
-        "trace" => &[
-            "kind",
-            "trace_id",
-            "reason",
-            "sense",
-            "latency_ms",
-            "span_count",
-            "truncated_spans",
-            "spans",
-            "annotations",
-        ],
-        "postmortem" => &[
-            "kind",
-            "at_ms",
-            "target",
-            "trigger",
-            "dropped_events",
-            "event_count",
-            "events",
-        ],
-        "replication" => &[
-            "kind",
-            "max_factor",
-            "factor_metadata",
-            "factor_dirty",
-            "factor_hot_clean",
-            "factor_cold_clean",
-            "replica_serves",
-            "fanout_writes",
-            "fanout_refreshes",
-            "divergences_injected",
-            "divergences_detected",
-            "divergences_repaired",
-            "anti_entropy_passes",
-            "failbacks_completed",
-        ],
-        "parity_group" => &[
-            "kind",
-            "data_shards",
-            "parity_shards",
-            "parity_serves",
-            "stripe_updates",
-            "coverage_invalidations",
-            "reconstructed_mib",
-            "repair_warms",
-            "repairs_completed",
-            "beyond_tolerance_serves",
-            "ttr_metadata_us",
-            "ttr_dirty_us",
-            "ttr_hot_clean_us",
-            "ttr_cold_clean_us",
-            "primary_mib",
-            "replica_mib",
-            "parity_mib",
-            "overhead_pct",
-        ],
-        _ => &[],
-    }
-}
-
-/// Validates a JSON-lines document against the exporter schema:
-/// every line parses as an object with a known `kind`, the first record
-/// is `meta` with a supported schema version
-/// ([`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`]), `totals`, `cache`,
-/// and `resilience` appear exactly once, each record carries its kind's
-/// required fields, and no record carries a field outside its kind's
-/// allowed set (unknown fields are reported with the offending
-/// line number — they mean the document came from a *newer* exporter
-/// than this validator).
+/// Validates a JSON-lines document against the exporter schema: every
+/// line parses as an object whose `kind` names a field table and whose
+/// other keys are exactly that table's fields with that table's types
+/// (a missing, mistyped, or unknown field is reported with its line
+/// number); the first record is `meta` carrying [`SCHEMA_VERSION`] —
+/// no other version is accepted — and `totals`, `cache`, and
+/// `resilience` appear exactly once.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first offending line.
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
+    let schema = schema();
     let mut summary = JsonlSummary::default();
     for (i, raw_line) in text.lines().enumerate() {
         let line = i + 1;
@@ -1098,9 +808,9 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
             Some(Value::Str(kind)) => kind.clone(),
             _ => return Err(format!("line {line}: missing string field `kind`")),
         };
-        if !RECORD_KINDS.contains(&kind.as_str()) {
+        let Some((_, fields)) = schema.iter().find(|(k, _)| *k == kind) else {
             return Err(format!("line {line}: unknown record kind `{kind}`"));
-        }
+        };
         if summary.records == 0 {
             if kind != "meta" {
                 return Err(format!(
@@ -1108,15 +818,13 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                 ));
             }
             match get(map, "schema_version") {
-                Some(Value::U(v))
-                    if (MIN_SCHEMA_VERSION as u128..=SCHEMA_VERSION as u128).contains(v) =>
-                {
-                    summary.schema_version = *v as u64;
+                Some(Value::U(v)) if *v == SCHEMA_VERSION as u128 => {
+                    summary.schema_version = SCHEMA_VERSION;
                 }
                 Some(Value::U(v)) => {
                     return Err(format!(
-                        "line {line}: schema_version {v} (this validator knows \
-                         {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+                        "line {line}: schema_version {v} (this validator accepts only \
+                         {SCHEMA_VERSION}; regenerate the document)"
                     ));
                 }
                 _ => return Err(format!("line {line}: missing numeric `schema_version`")),
@@ -1124,37 +832,24 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
         } else if kind == "meta" {
             return Err(format!("line {line}: duplicate `meta` record"));
         }
-        match kind.as_str() {
-            "meta" => {
-                require_string(map, "experiment", line)?;
-                require_string(map, "scheme", line)?;
+        for (name, ty) in fields {
+            match get(map, name) {
+                Some(v) if ty.admits(v) => {}
+                Some(other) => {
+                    return Err(format!(
+                        "line {line}: field `{name}` must be {ty:?}, found {other:?}"
+                    ));
+                }
+                None => return Err(format!("line {line}: missing field `{name}`")),
             }
-            "class" => require_string(map, "class", line)?,
-            "layer" => require_string(map, "layer", line)?,
-            "resilience" => require_string(map, "health", line)?,
-            "placement" => require_string(map, "health", line)?,
-            "perf" => {
-                require_string(map, "bench", line)?;
-                require_string(map, "unit", line)?;
-            }
-            "slo" => require_string(map, "class", line)?,
-            "trace" => {
-                require_string(map, "reason", line)?;
-                require_string(map, "sense", line)?;
-            }
-            "postmortem" => require_string(map, "trigger", line)?,
-            _ => {}
         }
-        for field in required_numbers(&kind) {
-            require_number(map, field, line)?;
-        }
-        let allowed = allowed_fields(&kind);
-        for (key, _) in map {
-            if !allowed.contains(&key.as_str()) {
-                return Err(format!(
-                    "line {line}: unknown field `{key}` on `{kind}` record"
-                ));
-            }
+        if let Some((key, _)) = map
+            .iter()
+            .find(|(key, _)| key != "kind" && !fields.iter().any(|(name, _)| name == key))
+        {
+            return Err(format!(
+                "line {line}: unknown field `{key}` on `{kind}` record"
+            ));
         }
         summary.records += 1;
         *summary.kinds.entry(kind).or_default() += 1;
@@ -1502,6 +1197,7 @@ mod tests {
     use reo_core::{ExperimentPlan, ExperimentRunner, SchemeConfig};
     use reo_sim::ByteSize;
     use reo_workload::WorkloadSpec;
+    use std::collections::BTreeSet;
 
     fn traced_report() -> RunReport {
         let trace = WorkloadSpec::medium()
@@ -1564,15 +1260,17 @@ mod tests {
             .contains("first record must be `meta`"));
         assert!(validate_jsonl("not json\n").unwrap_err().contains("line 1"));
 
-        // Wrong schema version.
-        let bumped = good.replacen(
-            &format!("\"schema_version\":{SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{}", SCHEMA_VERSION + 1),
-            1,
-        );
-        assert!(validate_jsonl(&bumped)
-            .unwrap_err()
-            .contains("schema_version"));
+        // Any other schema version, newer or older, named in the message.
+        for version in [SCHEMA_VERSION + 1, SCHEMA_VERSION - 1] {
+            let other = good.replacen(
+                &format!("\"schema_version\":{SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{version}"),
+                1,
+            );
+            assert!(validate_jsonl(&other)
+                .unwrap_err()
+                .contains(&format!("schema_version {version}")));
+        }
 
         // Unknown kind (`shard` is no longer one the validator knows).
         for kind in ["mystery", "shard"] {
@@ -1608,8 +1306,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resilience_record_reports_faults_when_they_happen() {
+    fn cascade_report() -> RunReport {
         let trace = WorkloadSpec::medium()
             .with_objects(60)
             .with_requests(600)
@@ -1622,40 +1319,20 @@ mod tests {
         );
         let plan = ExperimentPlan::second_failure_during_rebuild(100, 200, 300);
         let result = ExperimentRunner::run(&mut system, &trace, &plan);
-        let report = collect_run_report("cascade_unit", "Reo-20%", &system, &result);
+        collect_run_report("cascade_unit", "Reo-20%", &system, &result)
+    }
+
+    #[test]
+    fn resilience_record_reports_faults_when_they_happen() {
+        let report = cascade_report();
         assert!(report.resilience.health_transitions > 0);
         let text = jsonl(&report);
         validate_jsonl(&text).expect("faulted run still validates");
         assert!(text.contains("\"kind\":\"resilience\""));
     }
 
-    #[test]
-    fn perf_records_round_trip_through_the_validator() {
-        let mut report = traced_report();
-        report.perf = vec![
-            PerfPoint {
-                bench: "erasure_encode".to_string(),
-                value: 3.25,
-                unit: "GiB/s".to_string(),
-            },
-            PerfPoint {
-                bench: "requests".to_string(),
-                value: 120_000.0,
-                unit: "req/s".to_string(),
-            },
-        ];
-        let text = jsonl(&report);
-        let summary = validate_jsonl(&text).expect("perf records must validate");
-        assert_eq!(summary.kinds["perf"], 2);
-        assert!(text.contains("\"bench\":\"erasure_encode\""));
-
-        // A perf record without its unit is schema drift, not a new point.
-        let broken = text.replace("\"unit\":\"GiB/s\"", "\"units\":\"GiB/s\"");
-        assert!(validate_jsonl(&broken).unwrap_err().contains("unit"));
-    }
-
     fn scaleout_jsonl() -> String {
-        use reo_core::{ClusterSystem, PlannedEvent};
+        use reo_core::{ClusterSystem, PlannedEvent, ReplicationPolicy};
         let trace = WorkloadSpec::medium()
             .with_objects(80)
             .with_requests(600)
@@ -1664,7 +1341,8 @@ mod tests {
             SchemeConfig::Reo { reserve: 0.20 },
             trace.summary().data_set_bytes.scale(0.25),
         );
-        let mut cluster = ClusterSystem::new(config, 4);
+        let mut cluster =
+            ClusterSystem::new(config, 4).with_replication_policy(ReplicationPolicy::two_way());
         let plan = ExperimentPlan {
             warmup_passes: 1,
             ..Default::default()
@@ -1722,10 +1400,6 @@ mod tests {
         assert!(text.contains("\"served_by_parity\""));
         assert!(text.contains("\"parity_serves\""));
         assert!(text.contains("\"overhead_pct\""));
-
-        // A parity record missing its geometry is schema drift.
-        let broken = text.replace("\"data_shards\":3", "\"shards\":3");
-        assert!(validate_jsonl(&broken).unwrap_err().contains("data_shards"));
     }
 
     #[test]
@@ -1744,19 +1418,6 @@ mod tests {
             scaleout_jsonl(),
             "same seed must replay a byte-identical cluster export"
         );
-    }
-
-    #[test]
-    fn validator_accepts_the_previous_schema_version() {
-        let report = traced_report();
-        let good = jsonl(&report);
-        let old = good.replacen(
-            &format!("\"schema_version\":{SCHEMA_VERSION}"),
-            &format!("\"schema_version\":{MIN_SCHEMA_VERSION}"),
-            1,
-        );
-        let summary = validate_jsonl(&old).expect("v4 documents must stay valid");
-        assert_eq!(summary.schema_version, MIN_SCHEMA_VERSION);
     }
 
     #[test]
@@ -1796,19 +1457,7 @@ mod tests {
 
     #[test]
     fn postmortem_records_round_trip_through_the_validator() {
-        let trace = WorkloadSpec::medium()
-            .with_objects(60)
-            .with_requests(600)
-            .generate(9);
-        let mut system = crate::build_system(
-            SchemeConfig::Reo { reserve: 0.20 },
-            &trace,
-            0.2,
-            ByteSize::from_kib(32),
-        );
-        let plan = ExperimentPlan::second_failure_during_rebuild(100, 200, 300);
-        let result = ExperimentRunner::run(&mut system, &trace, &plan);
-        let report = collect_run_report("cascade_unit", "Reo-20%", &system, &result);
+        let report = cascade_report();
         assert!(
             !report.postmortems.is_empty(),
             "leaving Healthy dumps the flight recorder"
@@ -1823,25 +1472,64 @@ mod tests {
         assert!(rendered.contains("fault-injected"));
     }
 
-    #[test]
-    fn validator_reports_unknown_fields_with_a_line_number() {
-        let report = traced_report();
-        let good = jsonl(&report);
+    /// Re-serializes `lines` with line `at` replaced by `record`.
+    fn with_line(lines: &[Record], at: usize, record: Record) -> String {
+        let mut out = String::new();
+        for (i, original) in lines.iter().enumerate() {
+            let record = if i == at { &record } else { original };
+            let line = serde_json::to_string(&Raw(Value::Map(record.clone()))).expect("serialize");
+            out.push_str(&line);
+            out.push('\n');
+        }
+        out
+    }
 
-        // An extra field on the cache record is schema drift from a
-        // newer exporter: named, with the offending line.
-        let cache_line = good
-            .lines()
-            .position(|l| l.contains("\"kind\":\"cache\""))
-            .expect("cache record")
-            + 1;
-        let drifted = good.replace("\"kind\":\"cache\"", "\"kind\":\"cache\",\"evictions\":3");
-        let err = validate_jsonl(&drifted).unwrap_err();
-        assert!(
-            err.contains("unknown field `evictions` on `cache` record"),
-            "got: {err}"
-        );
-        assert!(err.contains(&format!("line {cache_line}")), "got: {err}");
+    #[test]
+    fn every_field_of_every_record_kind_is_required_and_typed() {
+        let mut traced = traced_report();
+        traced.perf = vec![PerfPoint {
+            bench: "erasure_encode".to_string(),
+            value: 3.25,
+            unit: "GiB/s".to_string(),
+        }];
+        let documents = [jsonl(&traced), scaleout_jsonl(), parity_jsonl()];
+
+        let mut seen = BTreeSet::new();
+        for text in &documents {
+            let summary = validate_jsonl(text).expect("own output must validate");
+            seen.extend(summary.kinds.into_keys());
+            let lines: Vec<Record> = text
+                .lines()
+                .map(|l| match serde_json::from_str(l).expect("parse") {
+                    Raw(Value::Map(record)) => record,
+                    Raw(other) => panic!("not an object: {other:?}"),
+                })
+                .collect();
+            assert_eq!(&with_line(&lines, 0, lines[0].clone()), text, "round trip");
+
+            let rejected = |at: usize, record: Record, field: &str, what: &str| {
+                let err = validate_jsonl(&with_line(&lines, at, record))
+                    .expect_err(&format!("line {}: {what} `{field}` must fail", at + 1));
+                assert!(err.starts_with(&format!("line {}: ", at + 1)), "{err}");
+                assert!(err.contains(&format!("`{field}`")), "{what}: {err}");
+            };
+            for (at, record) in lines.iter().enumerate() {
+                for (k, (field, value)) in record.iter().enumerate() {
+                    let mut without = record.clone();
+                    without.remove(k);
+                    rejected(at, without, field, "deleting");
+                    let number = matches!(value, Value::U(_) | Value::I(_) | Value::F(_));
+                    let mut mistyped = record.clone();
+                    mistyped[k].1 = if number { s("7") } else { u(7) };
+                    rejected(at, mistyped, field, "mistyping");
+                }
+                let mut extra = record.clone();
+                extra.push(("bogus".to_string(), u(3)));
+                rejected(at, extra, "bogus", "adding");
+            }
+        }
+        let kinds: BTreeSet<String> = schema().iter().map(|(kind, _)| kind.to_string()).collect();
+        assert_eq!(seen, kinds, "the three documents hold every record kind");
     }
 
     #[test]

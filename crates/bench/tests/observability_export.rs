@@ -133,5 +133,5 @@ fn chaos_schedule_postmortems_replay_byte_identically() {
         postmortems >= 2,
         "two outages must dump at least two postmortems, got {postmortems}"
     );
-    export::validate_jsonl(&first).expect("chaos export validates against schema v6");
+    export::validate_jsonl(&first).expect("chaos export validates against the schema");
 }

@@ -69,6 +69,21 @@ pub struct CacheStats {
     pub replica_refreshes: u64,
 }
 
+impl CacheStats {
+    /// Folds another node's counters into this one (cluster-level
+    /// aggregation).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.admissions += other.admissions;
+        self.refreshes += other.refreshes;
+        self.removals += other.removals;
+        self.promotions += other.promotions;
+        self.demotions += other.demotions;
+        self.write_throughs += other.write_throughs;
+        self.bypassed_fills += other.bypassed_fills;
+        self.replica_refreshes += other.replica_refreshes;
+    }
+}
+
 /// A class change the manager wants shipped to the object storage as a
 /// `#SETID#` control message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -48,7 +48,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use reo_backend::{BackendError, BackendStore};
+use reo_backend::BackendStore;
 use reo_erasure::ReedSolomon;
 use reo_flashsim::{DeviceId, FaultPlan};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
@@ -61,7 +61,7 @@ use reo_workload::{Operation, Request, Trace, WorkloadObject};
 use crate::config::SystemConfig;
 use crate::metrics::{MetricsSnapshot, RequestSample, SloSnapshot, TargetMetricsRow, CLASS_LABELS};
 use crate::runner::{ExperimentPlan, PlannedEvent};
-use crate::system::{CacheSystem, RequestOutcome};
+use crate::system::{backend_sense, CacheSystem, RequestOutcome};
 
 /// Requests between piggybacked anti-entropy steps (the cluster-level
 /// analog of the scrubber cursor's cadence).
@@ -161,8 +161,8 @@ impl Default for ReplicationPolicy {
     }
 }
 
-/// Cumulative replication counters, exported as the schema-v7
-/// `replication` record.
+/// Cumulative replication counters, exported as the `replication`
+/// record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicationSnapshot {
     /// Requests for a down target's range served at full speed from a
@@ -296,8 +296,8 @@ impl Default for ParityGroupPolicy {
     }
 }
 
-/// Cumulative parity-group counters, exported as the schema-v8
-/// `parity_group` record.
+/// Cumulative parity-group counters, exported as the `parity_group`
+/// record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParityGroupSnapshot {
     /// Reads of a down target's range answered by degraded erasure
@@ -392,12 +392,6 @@ enum MigrationKind {
     Repair,
 }
 
-/// A stable lowercase label for a sense code, used in per-target
-/// sense-mix rows and JSONL export.
-pub(crate) fn sense_label(sense: SenseCode) -> &'static str {
-    sense.label()
-}
-
 /// Cluster-level lifecycle state of one target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TargetState {
@@ -430,12 +424,6 @@ struct TargetStats {
     read_hits: u64,
     degraded_reads: u64,
     shed: u64,
-    /// The subset of the above served by the cluster's backend-first
-    /// outage path (recorded into the node's metrics as external
-    /// samples so availability burn rates stay honest).
-    outage_requests: u64,
-    outage_reads: u64,
-    outage_degraded_reads: u64,
     /// The subset of `requests` served at full speed from a replica
     /// holder's cache while this (owning) target was down.
     replica_serves: u64,
@@ -1364,16 +1352,6 @@ impl ClusterSystem {
         self.ring.replicas_of(key, factor).contains(&TargetId(t))
     }
 
-    /// Maps a backend error onto the sense code reported to the client
-    /// (same table as the single-node path).
-    fn backend_sense(e: &BackendError) -> SenseCode {
-        match e {
-            BackendError::Unavailable => SenseCode::NotReady,
-            BackendError::UnknownObject(_) => SenseCode::MediumError,
-            _ => SenseCode::Failure,
-        }
-    }
-
     /// Serves one request of a downed target's range backend-first:
     /// reads come from the origin store as honest recovered errors,
     /// writes are acknowledged by the origin store and tracked for
@@ -1383,26 +1361,18 @@ impl ClusterSystem {
         let (sense, degraded) = match request.op {
             Operation::Read => match self.origin.read(request.key) {
                 Ok(_) => (SenseCode::RecoveredError, true),
-                Err(e) => (Self::backend_sense(&e), false),
+                Err(e) => (backend_sense(&e), false),
             },
             Operation::Write => match self.origin.write(request.key, request.size, None) {
                 Ok(_) => {
                     self.nodes[t].written_while_down.insert(request.key);
                     (SenseCode::Success, false)
                 }
-                Err(e) => (Self::backend_sense(&e), false),
+                Err(e) => (backend_sense(&e), false),
             },
         };
         let completed_at = self.origin_clock.now();
         let latency = completed_at.saturating_since(start);
-        let stats = &mut self.nodes[t].stats;
-        stats.outage_requests += 1;
-        if request.op == Operation::Read {
-            stats.outage_reads += 1;
-            if degraded {
-                stats.outage_degraded_reads += 1;
-            }
-        }
         // Record the serve into the owner's metrics as an external
         // sample (class unknown — the node never saw the request), so
         // cluster aggregates stay exact sums over node metrics and the
@@ -1723,10 +1693,7 @@ impl ClusterSystem {
         if outcome.sense == SenseCode::NotReady {
             stats.shed += 1;
         }
-        *stats
-            .sense_mix
-            .entry(sense_label(outcome.sense))
-            .or_insert(0) += 1;
+        *stats.sense_mix.entry(outcome.sense.label()).or_insert(0) += 1;
         if outcome.degraded || outcome.sense.is_error() || outcome.sense == SenseCode::NotReady {
             self.degraded_keys.insert(request.key);
         }

@@ -582,86 +582,65 @@ pub struct Metrics {
     slo: SloMonitor,
 }
 
+/// Per-class accumulator: the counters live in the [`ClassSnapshot`]
+/// they are reported as; only mean/p99 are derived (from `latency`) at
+/// snapshot time.
 #[derive(Clone, Debug)]
 struct ClassAccum {
-    requests: u64,
-    reads: u64,
-    read_hits: u64,
-    writes: u64,
-    degraded_reads: u64,
-    requested_bytes: ByteSize,
+    counters: ClassSnapshot,
     latency: Histogram,
 }
 
 impl ClassAccum {
-    fn new() -> Self {
+    fn new(label: &'static str) -> Self {
         ClassAccum {
-            requests: 0,
-            reads: 0,
-            read_hits: 0,
-            writes: 0,
-            degraded_reads: 0,
-            requested_bytes: ByteSize::ZERO,
+            counters: ClassSnapshot {
+                label,
+                ..ClassSnapshot::default()
+            },
             latency: Histogram::new(),
         }
     }
 
     fn record(&mut self, sample: &RequestSample) {
-        self.requests += 1;
+        let c = &mut self.counters;
+        c.requests += 1;
         if sample.is_read {
-            self.reads += 1;
+            c.reads += 1;
             if sample.hit {
-                self.read_hits += 1;
+                c.read_hits += 1;
             }
             if sample.degraded {
-                self.degraded_reads += 1;
+                c.degraded_reads += 1;
             }
         } else {
-            self.writes += 1;
+            c.writes += 1;
         }
-        self.requested_bytes += sample.requested;
+        c.requested_bytes += sample.requested;
         self.latency.record(sample.latency);
     }
 
-    fn snapshot(&self, label: &'static str) -> ClassSnapshot {
+    fn snapshot(&self) -> ClassSnapshot {
         ClassSnapshot {
-            label,
-            requests: self.requests,
-            reads: self.reads,
-            read_hits: self.read_hits,
-            writes: self.writes,
-            degraded_reads: self.degraded_reads,
-            requested_bytes: self.requested_bytes,
             mean_latency: self.latency.mean().unwrap_or(SimDuration::ZERO),
             p99_latency: self.latency.percentile(99.0).unwrap_or(SimDuration::ZERO),
+            ..self.counters.clone()
         }
     }
 }
 
+/// One interval's accumulator: the counters live in the
+/// [`MetricsSnapshot`] they are reported as, so a new counter is a
+/// snapshot field plus its increment. Only `elapsed`, mean/p99 latency
+/// and `classes` are derived at snapshot time; `served_by_replica`,
+/// `served_by_parity`, `targets` and `slos` stay empty here (the cluster
+/// layer and [`Metrics::totals`] fill them in).
 #[derive(Clone, Debug)]
 struct Accum {
     started_at: SimTime,
     last_seen: SimTime,
-    requests: u64,
-    reads: u64,
-    read_hits: u64,
-    writes: u64,
-    degraded_reads: u64,
-    requested_bytes: ByteSize,
-    requested_write_bytes: ByteSize,
-    device_bytes: ByteSize,
-    device_write_bytes: ByteSize,
-    backend_bytes: ByteSize,
+    counters: MetricsSnapshot,
     latency: Histogram,
-    medium_errors: u64,
-    repairs: u64,
-    scrub_passes: u64,
-    unrecoverable_fallbacks: u64,
-    journal_appends: u64,
-    checkpoint_count: u64,
-    replayed_records: u64,
-    torn_tail_detected: u64,
-    recovery_duration_us: u64,
     /// One slot per [`CLASS_LABELS`] entry, allocated on first use.
     classes: [Option<Box<ClassAccum>>; 5],
 }
@@ -671,110 +650,69 @@ impl Accum {
         Accum {
             started_at: now,
             last_seen: now,
-            requests: 0,
-            reads: 0,
-            read_hits: 0,
-            writes: 0,
-            degraded_reads: 0,
-            requested_bytes: ByteSize::ZERO,
-            requested_write_bytes: ByteSize::ZERO,
-            device_bytes: ByteSize::ZERO,
-            device_write_bytes: ByteSize::ZERO,
-            backend_bytes: ByteSize::ZERO,
+            counters: MetricsSnapshot::default(),
             latency: Histogram::new(),
-            medium_errors: 0,
-            repairs: 0,
-            scrub_passes: 0,
-            unrecoverable_fallbacks: 0,
-            journal_appends: 0,
-            checkpoint_count: 0,
-            replayed_records: 0,
-            torn_tail_detected: 0,
-            recovery_duration_us: 0,
             classes: [None, None, None, None, None],
         }
     }
 
     fn note_faults(&mut self, medium_errors: u64, repairs: u64, scrub_passes: u64, fallbacks: u64) {
-        self.medium_errors += medium_errors;
-        self.repairs += repairs;
-        self.scrub_passes += scrub_passes;
-        self.unrecoverable_fallbacks += fallbacks;
+        self.counters.medium_errors += medium_errors;
+        self.counters.repairs += repairs;
+        self.counters.scrub_passes += scrub_passes;
+        self.counters.unrecoverable_fallbacks += fallbacks;
     }
 
     fn note_journal(&mut self, appends: u64, checkpoints: u64) {
-        self.journal_appends += appends;
-        self.checkpoint_count += checkpoints;
+        self.counters.journal_appends += appends;
+        self.counters.checkpoint_count += checkpoints;
     }
 
     fn note_recovery(&mut self, replayed: u64, torn_tail: bool, duration_us: u64) {
-        self.replayed_records += replayed;
-        self.torn_tail_detected += u64::from(torn_tail);
-        self.recovery_duration_us += duration_us;
+        self.counters.replayed_records += replayed;
+        self.counters.torn_tail_detected += u64::from(torn_tail);
+        self.counters.recovery_duration_us += duration_us;
     }
 
     fn record(&mut self, sample: &RequestSample) {
-        self.requests += 1;
+        let c = &mut self.counters;
+        c.requests += 1;
         if sample.is_read {
-            self.reads += 1;
+            c.reads += 1;
             if sample.hit {
-                self.read_hits += 1;
+                c.read_hits += 1;
             }
             if sample.degraded {
-                self.degraded_reads += 1;
+                c.degraded_reads += 1;
             }
         } else {
-            self.writes += 1;
-            self.requested_write_bytes += sample.requested;
+            c.writes += 1;
+            c.requested_write_bytes += sample.requested;
         }
-        self.requested_bytes += sample.requested;
-        self.device_bytes += sample.device_bytes;
-        self.device_write_bytes += sample.device_write_bytes;
-        self.backend_bytes += sample.backend_bytes;
+        c.requested_bytes += sample.requested;
+        c.device_bytes += sample.device_bytes;
+        c.device_write_bytes += sample.device_write_bytes;
+        c.backend_bytes += sample.backend_bytes;
         self.latency.record(sample.latency);
         self.last_seen = sample.completed_at;
-        self.classes[class_slot(sample.class)]
-            .get_or_insert_with(|| Box::new(ClassAccum::new()))
+        let slot = class_slot(sample.class);
+        self.classes[slot]
+            .get_or_insert_with(|| Box::new(ClassAccum::new(CLASS_LABELS[slot])))
             .record(sample);
     }
 
     fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            requests: self.requests,
-            reads: self.reads,
-            read_hits: self.read_hits,
-            writes: self.writes,
-            degraded_reads: self.degraded_reads,
-            requested_bytes: self.requested_bytes,
-            requested_write_bytes: self.requested_write_bytes,
-            device_bytes: self.device_bytes,
-            device_write_bytes: self.device_write_bytes,
-            backend_bytes: self.backend_bytes,
             elapsed: self.last_seen.saturating_since(self.started_at),
             mean_latency: self.latency.mean().unwrap_or(SimDuration::ZERO),
             p99_latency: self.latency.percentile(99.0).unwrap_or(SimDuration::ZERO),
-            medium_errors: self.medium_errors,
-            repairs: self.repairs,
-            scrub_passes: self.scrub_passes,
-            unrecoverable_fallbacks: self.unrecoverable_fallbacks,
-            journal_appends: self.journal_appends,
-            checkpoint_count: self.checkpoint_count,
-            replayed_records: self.replayed_records,
-            torn_tail_detected: self.torn_tail_detected,
-            recovery_duration_us: self.recovery_duration_us,
-            // Replica and parity serves are routed by the cluster layer;
-            // single-node metrics never observe them. The cluster fills
-            // these in.
-            served_by_replica: 0,
-            served_by_parity: 0,
             classes: self
                 .classes
                 .iter()
-                .zip(CLASS_LABELS)
-                .filter_map(|(slot, label)| slot.as_ref().map(|c| c.snapshot(label)))
+                .flatten()
+                .map(|c| c.snapshot())
                 .collect(),
-            targets: Vec::new(),
-            slos: Vec::new(),
+            ..self.counters.clone()
         }
     }
 }

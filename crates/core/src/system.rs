@@ -115,6 +115,45 @@ pub struct ResilienceSnapshot {
     pub ttr_us: [i64; 4],
 }
 
+impl ResilienceSnapshot {
+    /// Folds another node's counters into this one (cluster-level
+    /// aggregation): counters add, rejection reasons add per label
+    /// (rows stay sorted), and each class keeps the worst
+    /// time-to-restored-redundancy. `health` is the caller's to set — a
+    /// cluster has its own health label.
+    pub fn merge(&mut self, other: &ResilienceSnapshot) {
+        self.health_transitions += other.health_transitions;
+        self.shed_requests += other.shed_requests;
+        self.write_throughs += other.write_throughs;
+        self.bypassed_fills += other.bypassed_fills;
+        self.rejected_events += other.rejected_events;
+        self.internal_errors += other.internal_errors;
+        self.throttle_stalls += other.throttle_stalls;
+        self.rebuild_throttle_bytes += other.rebuild_throttle_bytes;
+        let rows = &mut self.rejected_events_by_reason;
+        for (reason, count) in &other.rejected_events_by_reason {
+            match rows.binary_search_by(|(r, _)| r.cmp(reason)) {
+                Ok(i) => rows[i].1 += count,
+                Err(i) => rows.insert(i, (reason.clone(), *count)),
+            }
+        }
+        for (slot, us) in self.ttr_us.iter_mut().zip(other.ttr_us) {
+            *slot = (*slot).max(us);
+        }
+    }
+}
+
+/// Maps a backend error onto the T10 sense code the initiator reports:
+/// an outage is "not ready", a missing object is a medium error (its
+/// last copy is gone), anything else a generic failure.
+pub(crate) fn backend_sense(e: &BackendError) -> SenseCode {
+    match e {
+        BackendError::Unavailable => SenseCode::NotReady,
+        BackendError::UnknownObject(_) => SenseCode::MediumError,
+        _ => SenseCode::Failure,
+    }
+}
+
 /// What one restart recovery ([`CacheSystem::recover`]) did.
 #[derive(Clone, Debug)]
 pub struct SystemRecovery {
@@ -971,17 +1010,6 @@ impl CacheSystem {
         }
     }
 
-    /// Maps a backend error onto the T10 sense code the initiator reports:
-    /// an outage is "not ready", a missing object is a medium error (its
-    /// last copy is gone), anything else a generic failure.
-    fn backend_sense(e: &BackendError) -> SenseCode {
-        match e {
-            BackendError::Unavailable => SenseCode::NotReady,
-            BackendError::UnknownObject(_) => SenseCode::MediumError,
-            _ => SenseCode::Failure,
-        }
-    }
-
     /// Attributes flash-array and backend byte-counter movement since the
     /// last call (all traffic, housekeeping included) to the sample being
     /// recorded, so amplification totals stay exact.
@@ -1016,7 +1044,7 @@ impl CacheSystem {
                 Ok(_) => (false, false, None, SenseCode::MediumError),
                 Err(e) => {
                     self.shed_requests += 1;
-                    (false, false, None, Self::backend_sense(&e))
+                    (false, false, None, backend_sense(&e))
                 }
             };
         }
@@ -1052,7 +1080,7 @@ impl CacheSystem {
             Ok(f) => f,
             Err(e) => {
                 self.shed_requests += 1;
-                return (false, false, None, Self::backend_sense(&e));
+                return (false, false, None, backend_sense(&e));
             }
         };
         if self.target.recovery_pending() > 0 {
@@ -1082,7 +1110,7 @@ impl CacheSystem {
                 Err(e) => {
                     // Neither tier can take the write: shed, unacked.
                     self.shed_requests += 1;
-                    (None, Self::backend_sense(&e))
+                    (None, backend_sense(&e))
                 }
             };
         }
@@ -1104,7 +1132,7 @@ impl CacheSystem {
                 }
                 Err(e) => {
                     self.shed_requests += 1;
-                    (None, Self::backend_sense(&e))
+                    (None, backend_sense(&e))
                 }
             };
         }
@@ -1141,7 +1169,7 @@ impl CacheSystem {
                     Ok(_) => (None, SenseCode::Success),
                     Err(e) => {
                         self.shed_requests += 1;
-                        (None, Self::backend_sense(&e))
+                        (None, backend_sense(&e))
                     }
                 };
             }
@@ -1178,7 +1206,7 @@ impl CacheSystem {
                 Ok(_) => SenseCode::Success,
                 Err(e) => {
                     self.shed_requests += 1;
-                    Self::backend_sense(&e)
+                    backend_sense(&e)
                 }
             }
         } else {
@@ -1198,12 +1226,7 @@ impl CacheSystem {
     /// fits. Returns `false` if it can never fit.
     fn create_with_eviction(&mut self, key: ObjectKey, size: ByteSize, class: ObjectClass) -> bool {
         let needed = self.target.physical_bytes_needed(size, class);
-        let total = self
-            .target
-            .usage()
-            .total()
-            .saturating_sub(ByteSize::ZERO) // shape only
-            + self.target.free_capacity();
+        let total = self.target.usage().total() + self.target.free_capacity();
         if needed > total {
             return false;
         }

@@ -780,8 +780,8 @@ mod tests {
             }
             let mut buf = vec![0u8; len];
             for (b, slot) in buf.iter_mut().enumerate() {
-                for d in 0..rs.data {
-                    let byte = out[d].as_ref().unwrap()[b];
+                for (d, shard) in out.iter().enumerate().take(rs.data) {
+                    let byte = shard.as_ref().unwrap()[b];
                     *slot ^= gf256::mul(rs.encode_matrix.get(rs.data + p, d), byte);
                 }
             }

@@ -5,8 +5,8 @@
 //! cluster, flight-recorder postmortems, and per-class SLO burn rates.
 
 use reo_repro::core::{
-    CacheSystem, ClusterSystem, ExperimentPlan, PlannedEvent, SchemeConfig, SystemConfig,
-    CLASS_LABELS,
+    CacheSystem, ClusterSystem, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig,
+    SystemConfig, CLASS_LABELS,
 };
 use reo_repro::sim::{ByteSize, Layer, TraceTree};
 use reo_repro::workload::{Locality, Trace, WorkloadSpec};
@@ -308,4 +308,24 @@ fn slo_snapshot_tracks_burn_rates_per_class() {
         slo_requests, totals.requests,
         "every request lands in exactly one SLO class"
     );
+}
+
+/// The exporter's emitter and validator walk the same field tables; this
+/// is the tier-1 guard that they still agree on a real traced run.
+#[test]
+fn traced_run_exports_jsonl_the_validator_accepts() {
+    use reo_bench::export;
+    let t = trace(600, 0.2, 27);
+    let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t, 0.15);
+    sys.enable_tracing();
+    let plan = ExperimentPlan::normal_run().with_sampling(200);
+    let result = ExperimentRunner::run(&mut sys, &t, &plan);
+    let report = export::collect_run_report("tier1", "Reo-20%", &sys, &result);
+    let text = export::jsonl(&report);
+    let summary = export::validate_jsonl(&text).expect("own output must validate");
+    assert_eq!(summary.schema_version, export::SCHEMA_VERSION);
+    assert_eq!(summary.records, text.lines().count());
+    for kind in ["class", "layer", "device", "series", "slo", "trace"] {
+        assert!(summary.kinds.contains_key(kind), "no `{kind}` record");
+    }
 }
