@@ -41,13 +41,12 @@
 //! # Ok::<(), reo_backend::BackendError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use bytes::Bytes;
 use reo_osd::ObjectKey;
-use reo_sim::{ByteSize, Layer, ServiceModel, SimClock, SimDuration, SimTime, Tracer};
+use reo_sim::{ByteSize, FastMap, Layer, ServiceModel, SimClock, SimDuration, SimTime, Tracer};
 
 /// Service-time parameters of the backend server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,7 +199,7 @@ struct StoredObject {
 pub struct BackendStore {
     config: BackendConfig,
     clock: SimClock,
-    objects: HashMap<ObjectKey, StoredObject>,
+    objects: FastMap<ObjectKey, StoredObject>,
     busy_until: SimTime,
     stats: BackendStats,
     fault: BackendFault,
@@ -213,7 +212,7 @@ impl BackendStore {
         BackendStore {
             config,
             clock,
-            objects: HashMap::new(),
+            objects: FastMap::default(),
             busy_until: SimTime::ZERO,
             stats: BackendStats::default(),
             fault: BackendFault::default(),

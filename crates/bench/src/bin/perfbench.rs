@@ -1,8 +1,8 @@
-//! Performance baseline: erasure-kernel throughput, sweep wall-clock,
-//! tracing overhead, and end-to-end request rate, exported as `perf`
-//! records of the current exporter schema.
+//! Performance baseline: erasure-kernel throughput, journal append and
+//! checksum throughput, sweep wall-clock, tracing overhead, and end-to-end
+//! request rate, exported as `perf` records of the current exporter schema.
 //!
-//! Four groups of measurements:
+//! Five groups of measurements:
 //!
 //! 1. **Erasure kernels** — encode / reconstruct / delta-update GiB/s at
 //!    the paper-default stripe geometry (4 data + 1 parity, 64 KiB
@@ -10,16 +10,20 @@
 //!    codec's own coefficients. The `encode_speedup_x` point is the
 //!    fused-kernel-over-per-byte ratio the ISSUE's acceptance criterion
 //!    tracks (≥ 5x).
-//! 2. **Sweep wall-clock** — a miniature `run_once` sweep timed twice
+//! 2. **Metadata journal** — `Journal::append` MiB/s of encoded record
+//!    bytes for layout records of 1.4 KB (a `read_medium` object's ~70
+//!    chunks) and 4 KB, at the paper-default `fsync_interval` of 32, and
+//!    `crc32` GiB/s over a 64 KiB buffer.
+//! 3. **Sweep wall-clock** — a miniature `run_once` sweep timed twice
 //!    through `parallel_map_ordered`: once forced serial, once at
 //!    `sweep_threads()`. On a multi-core box the speedup point shows the
 //!    pool's scaling; on one core the two passes run the same serial
 //!    loop, so the parallel and speedup rows carry a unit that says they
 //!    are not a scaling measurement.
-//! 3. **Tracing overhead** — paired off/on runs; the most favorable
+//! 4. **Tracing overhead** — paired off/on runs; the most favorable
 //!    pair ratio estimates the enabled tracer's intrinsic cost (the
 //!    `exp_observability` binary gates the same number at ≤ 2%).
-//! 4. **End-to-end request rate** — one timed Reo-20% run through
+//! 5. **End-to-end request rate** — one timed Reo-20% run through
 //!    `ExperimentRunner::run`, reported as requests per second.
 //!
 //! The full run report (with the `perf` records appended) is validated
@@ -35,6 +39,8 @@ use reo_core::{
     parallel_map_ordered, sweep_threads, ExperimentPlan, ExperimentRunner, SchemeConfig,
 };
 use reo_erasure::{delta, gf256, ReedSolomon};
+use reo_journal::{crc32, Journal, JournalRecord};
+use reo_osd::{ObjectClass, ObjectId, ObjectKey, PartitionId};
 use reo_sim::ByteSize;
 use reo_workload::WorkloadSpec;
 use std::time::Instant;
@@ -160,6 +166,48 @@ fn kernel_benches(min_secs: f64, points: &mut Vec<PerfPoint>) {
     points.push(PerfPoint {
         bench: "erasure_delta_update".to_string(),
         value: delta,
+        unit: "GiB/s".to_string(),
+    });
+}
+
+fn journal_benches(min_secs: f64, points: &mut Vec<PerfPoint>) {
+    /// `SystemConfig::paper_defaults`' appends per automatic flush.
+    const FSYNC_INTERVAL: u32 = 32;
+    /// Appends between checkpoints, which empty the log and so bound it.
+    const CHECKPOINT_EVERY: u64 = 4096;
+    for (bench, meta_len) in [
+        ("journal_append_1400b_mib_s", 1400),
+        ("journal_append_4096b_mib_s", 4096),
+    ] {
+        let record = JournalRecord::Create {
+            key: ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x2_0000)),
+            class: ObjectClass::ColdClean,
+            meta: shard(meta_len)[..meta_len].to_vec(),
+        };
+        let mut journal = Journal::format(FSYNC_INTERVAL);
+        journal.append(&record);
+        let record_bytes = journal.stats().appended_bytes as usize;
+        let gib_s = throughput_gib_s(record_bytes, min_secs, || {
+            if journal.append(&record).is_multiple_of(CHECKPOINT_EVERY) {
+                journal.checkpoint(&[]);
+            }
+        });
+        points.push(PerfPoint {
+            bench: bench.to_string(),
+            value: gib_s * 1024.0,
+            unit: "MiB/s".to_string(),
+        });
+    }
+
+    let buffer = shard(5);
+    let mut sum = 0u32;
+    let crc = throughput_gib_s(CHUNK, min_secs, || {
+        sum ^= crc32(std::hint::black_box(&buffer));
+    });
+    std::hint::black_box(sum);
+    points.push(PerfPoint {
+        bench: "crc32_gib_s".to_string(),
+        value: crc,
         unit: "GiB/s".to_string(),
     });
 }
@@ -303,8 +351,11 @@ fn main() {
     };
     let mut points = Vec::new();
 
-    println!("### perfbench — erasure kernels, sweep pool, tracing overhead, end-to-end rate");
+    println!(
+        "### perfbench — erasure kernels, journal, sweep pool, tracing overhead, end-to-end rate"
+    );
     kernel_benches(min_secs, &mut points);
+    journal_benches(min_secs, &mut points);
     sweep_benches(scale, &mut points);
     tracing_benches(scale, &mut points);
 

@@ -1,8 +1,9 @@
 //! Object-granularity LRU ordering.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use reo_osd::ObjectKey;
+use reo_sim::FastMap;
 
 /// A recency-ordered set of object keys.
 ///
@@ -27,7 +28,7 @@ use reo_osd::ObjectKey;
 #[derive(Clone, Debug, Default)]
 pub struct LruList {
     by_seq: BTreeMap<u64, ObjectKey>,
-    seq_of: HashMap<ObjectKey, u64>,
+    seq_of: FastMap<ObjectKey, u64>,
     next_seq: u64,
 }
 

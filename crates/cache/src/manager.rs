@@ -1,9 +1,7 @@
 //! The cache manager: policy over the cached-object index.
 
-use std::collections::HashMap;
-
 use reo_osd::{ObjectClass, ObjectKey};
-use reo_sim::ByteSize;
+use reo_sim::{ByteSize, FastMap};
 
 use crate::entry::CacheEntry;
 use crate::lru::LruList;
@@ -100,7 +98,7 @@ pub struct ClassChange {
 #[derive(Clone, Debug)]
 pub struct CacheManager {
     config: CacheConfig,
-    entries: HashMap<ObjectKey, CacheEntry>,
+    entries: FastMap<ObjectKey, CacheEntry>,
     lru: LruList,
     used: ByteSize,
     dirty_used: ByteSize,
@@ -130,7 +128,7 @@ impl CacheManager {
         );
         CacheManager {
             config,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             lru: LruList::new(),
             used: ByteSize::ZERO,
             dirty_used: ByteSize::ZERO,

@@ -1,11 +1,11 @@
 //! A single simulated flash SSD.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::error::Error;
 use std::fmt;
 
 use reo_sim::rng::DetRng;
-use reo_sim::{ByteSize, ServiceModel, SimDuration, SimTime};
+use reo_sim::{ByteSize, FastMap, ServiceModel, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::chunk::{ChunkHandle, StoredChunk};
@@ -222,7 +222,11 @@ pub struct FlashDevice {
     id: DeviceId,
     config: DeviceConfig,
     state: DeviceState,
-    chunks: HashMap<ChunkHandle, ChunkSlot>,
+    chunks: FastMap<ChunkHandle, ChunkSlot>,
+    /// Entries of `chunks` that are not [`ChunkSlot::Intact`]. While it is
+    /// zero on a healthy device, every chunk ever placed here and not yet
+    /// removed is intact, and callers can skip per-chunk probes.
+    damaged: usize,
     used: ByteSize,
     busy_until: SimTime,
     stats: DeviceStats,
@@ -245,6 +249,11 @@ enum ChunkSlot {
     /// The chunk's bytes were lost in a device failure; length retained
     /// for accounting until the owner deletes or rewrites it.
     Lost(ByteSize),
+    /// The chunk lived on the device a spare replaced. To every caller the
+    /// handle is unknown, exactly as if the entry were gone; it is kept
+    /// (until its owner rewrites or removes it) only so that `damaged`
+    /// stays an exact count of chunks that need a rebuild.
+    Absent,
 }
 
 impl FlashDevice {
@@ -254,7 +263,8 @@ impl FlashDevice {
             id,
             config,
             state: DeviceState::Healthy,
-            chunks: HashMap::new(),
+            chunks: FastMap::default(),
+            damaged: 0,
             used: ByteSize::ZERO,
             busy_until: SimTime::ZERO,
             stats: DeviceStats::default(),
@@ -372,6 +382,7 @@ impl FlashDevice {
                 *slot = ChunkSlot::Lost(chunk.len());
             }
         }
+        self.damaged = self.chunks.len();
     }
 
     /// Replaces the device with a fresh spare: healthy, empty, zero wear.
@@ -380,7 +391,10 @@ impl FlashDevice {
     /// are expected to run their rebuild path.
     pub fn replace_with_spare(&mut self) {
         self.state = DeviceState::Healthy;
-        self.chunks.clear();
+        for slot in self.chunks.values_mut() {
+            *slot = ChunkSlot::Absent;
+        }
+        self.damaged = self.chunks.len();
         self.used = ByteSize::ZERO;
         self.stats = DeviceStats::default();
         // A fresh spare has nominal speed and no injected media faults.
@@ -410,10 +424,14 @@ impl FlashDevice {
             return Err(FlashError::DeviceFailed(self.id));
         }
         let len = chunk.len();
-        let released = match self.chunks.get(&handle) {
-            Some(ChunkSlot::Intact(old)) => old.len(),
-            Some(ChunkSlot::Lost(old_len)) => *old_len,
-            None => ByteSize::ZERO,
+        let entry = self.chunks.entry(handle);
+        let released = match &entry {
+            Entry::Occupied(e) => match e.get() {
+                ChunkSlot::Intact(old) => old.len(),
+                ChunkSlot::Lost(old_len) => *old_len,
+                ChunkSlot::Absent => ByteSize::ZERO,
+            },
+            Entry::Vacant(_) => ByteSize::ZERO,
         };
         let effective_used = self.used.saturating_sub(released);
         if effective_used + len > self.config.capacity {
@@ -433,7 +451,16 @@ impl FlashDevice {
         let physical = ByteSize::from_bytes((len.as_bytes() as f64 * factor) as u64);
 
         self.used = effective_used + len;
-        self.chunks.insert(handle, ChunkSlot::Intact(chunk));
+        match entry {
+            Entry::Occupied(mut e) => {
+                if !matches!(e.insert(ChunkSlot::Intact(chunk)), ChunkSlot::Intact(_)) {
+                    self.damaged -= 1;
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(ChunkSlot::Intact(chunk));
+            }
+        }
 
         self.stats.writes += 1;
         self.stats.bytes_written += physical.as_bytes();
@@ -464,7 +491,7 @@ impl FlashDevice {
             return Err(FlashError::DeviceFailed(self.id));
         }
         let chunk = match self.chunks.get(&handle) {
-            None => return Err(FlashError::UnknownChunk(handle)),
+            None | Some(ChunkSlot::Absent) => return Err(FlashError::UnknownChunk(handle)),
             Some(ChunkSlot::Lost(_)) => return Err(FlashError::Corrupted(handle)),
             Some(ChunkSlot::Intact(c)) => c.clone(),
         };
@@ -493,6 +520,27 @@ impl FlashDevice {
         self.is_healthy() && matches!(self.chunks.get(&handle), Some(ChunkSlot::Intact(_)))
     }
 
+    /// `true` when the device is healthy and no chunk placed on it awaits
+    /// a rebuild: none was corrupted or lost in a failure, and none went
+    /// with a device this one replaced. [`FlashDevice::chunk_is_intact`]
+    /// then holds for every handle the owner placed here and has not
+    /// removed, without looking any of them up.
+    pub fn all_chunks_intact(&self) -> bool {
+        self.is_healthy() && self.damaged == 0
+    }
+
+    /// Records that the owner's metadata places `handle` on this device
+    /// (stripe metadata reinstalled from a journal): a handle the device
+    /// has no entry for is entered as awaiting rebuild, which keeps
+    /// [`FlashDevice::all_chunks_intact`] honest about it. Reads of it
+    /// still report [`FlashError::UnknownChunk`].
+    pub fn note_referenced(&mut self, handle: ChunkHandle) {
+        if let Entry::Vacant(e) = self.chunks.entry(handle) {
+            e.insert(ChunkSlot::Absent);
+            self.damaged += 1;
+        }
+    }
+
     /// Corrupts a single chunk in place — the paper's "partial data loss"
     /// failure mode (a worn-out flash block) as opposed to a whole-device
     /// failure. The device stays healthy; reads of this chunk return
@@ -503,6 +551,7 @@ impl FlashDevice {
         if let Some(slot) = self.chunks.get_mut(&handle) {
             if let ChunkSlot::Intact(chunk) = slot {
                 *slot = ChunkSlot::Lost(chunk.len());
+                self.damaged += 1;
             }
         }
     }
@@ -541,7 +590,14 @@ impl FlashDevice {
         if let Some(slot) = self.chunks.remove(&handle) {
             let len = match slot {
                 ChunkSlot::Intact(c) => c.len(),
-                ChunkSlot::Lost(len) => len,
+                ChunkSlot::Lost(len) => {
+                    self.damaged -= 1;
+                    len
+                }
+                ChunkSlot::Absent => {
+                    self.damaged -= 1;
+                    ByteSize::ZERO
+                }
             };
             self.used = self.used.saturating_sub(len);
         }
@@ -549,14 +605,22 @@ impl FlashDevice {
 
     /// Number of chunks tracked (intact or lost).
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.chunks
+            .values()
+            .filter(|slot| !matches!(slot, ChunkSlot::Absent))
+            .count()
     }
 
     /// Handles of every chunk present on the device — intact or lost — in
     /// sorted order. Recovery walks this list to find orphan chunks whose
     /// metadata never reached the journal.
     pub fn chunk_handles(&self) -> Vec<ChunkHandle> {
-        let mut handles: Vec<ChunkHandle> = self.chunks.keys().copied().collect();
+        let mut handles: Vec<ChunkHandle> = self
+            .chunks
+            .iter()
+            .filter(|(_, slot)| !matches!(slot, ChunkSlot::Absent))
+            .map(|(h, _)| *h)
+            .collect();
         handles.sort_unstable();
         handles
     }

@@ -23,6 +23,7 @@ enum Op {
     Read { handle: u64 },
     Remove { handle: u64 },
     Corrupt { handle: u64 },
+    NoteReferenced { handle: u64 },
     Fail,
     Spare,
 }
@@ -33,6 +34,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..12).prop_map(|handle| Op::Read { handle }),
         (0u64..12).prop_map(|handle| Op::Remove { handle }),
         (0u64..12).prop_map(|handle| Op::Corrupt { handle }),
+        (0u64..12).prop_map(|handle| Op::NoteReferenced { handle }),
         Just(Op::Fail),
         Just(Op::Spare),
     ]
@@ -53,6 +55,9 @@ proptest! {
         // Shadow model: what should be intact, and its size.
         let mut shadow: std::collections::HashMap<u64, (u64, bool)> =
             std::collections::HashMap::new();
+        // Every handle placed and not since removed — what an owner's
+        // metadata would still reference, spare or no spare.
+        let mut placed = std::collections::BTreeSet::new();
         let mut now = SimTime::ZERO;
 
         for op in ops {
@@ -64,6 +69,7 @@ proptest! {
                             prop_assert!(done > now, "writes take time");
                             now = done;
                             shadow.insert(handle, (kib, true));
+                            placed.insert(handle);
                         }
                         Err(FlashError::DeviceFull { .. }) => {}
                         Err(FlashError::DeviceFailed(_)) => {
@@ -94,12 +100,18 @@ proptest! {
                 Op::Remove { handle } => {
                     d.remove_chunk(ChunkHandle::new(handle));
                     shadow.remove(&handle);
+                    placed.remove(&handle);
                 }
                 Op::Corrupt { handle } => {
                     d.corrupt_chunk(ChunkHandle::new(handle));
                     if let Some(e) = shadow.get_mut(&handle) {
                         e.1 = false;
                     }
+                }
+                Op::NoteReferenced { handle } => {
+                    // Changes nothing a reader or the accounting can see.
+                    d.note_referenced(ChunkHandle::new(handle));
+                    placed.insert(handle);
                 }
                 Op::Fail => {
                     d.fail();
@@ -118,6 +130,16 @@ proptest! {
             prop_assert_eq!(d.used().as_bytes(), expected_used, "space drifted");
             prop_assert!(d.used() <= d.config().capacity);
             prop_assert_eq!(d.chunk_count(), shadow.len());
+            let mut handles: Vec<u64> = shadow.keys().copied().collect();
+            handles.sort_unstable();
+            let tracked: Vec<u64> = d.chunk_handles().iter().map(|h| h.as_u64()).collect();
+            prop_assert_eq!(tracked, handles);
+            // The summary answers what probing every placed handle would.
+            prop_assert_eq!(
+                d.all_chunks_intact(),
+                d.is_healthy() && placed.iter().all(|&h| d.chunk_is_intact(ChunkHandle::new(h))),
+                "damage summary drifted"
+            );
             prop_assert!(d.wear_fraction() >= 0.0);
             prop_assert!(d.busy_until() >= SimTime::ZERO);
         }

@@ -50,10 +50,13 @@ const SUPERBLOCK_LEN: usize = 8 + 1 + 8 + 4 + 8 + 4;
 /// lengths out of a torn header.
 const MAX_PAYLOAD: usize = 1 << 24;
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slice-by-8 lookup tables for the IEEE polynomial: `CRC_TABLES[0]` is
+/// the classic byte-at-a-time table, and `CRC_TABLES[t][i]` is the CRC
+/// state after byte `i` followed by `t` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -66,20 +69,61 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+/// Initial (and final XOR) value of the CRC-32 register.
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `bytes` into the raw CRC register `c`, eight bytes per step.
+/// Streaming: `crc32_update(crc32_update(c, a), b)` equals
+/// `crc32_update(c, a ‖ b)`.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
 /// IEEE CRC-32 over `bytes` (the checksum used by record headers,
 /// superblocks, and checkpoint images).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    crc32_update(CRC_INIT, bytes) ^ CRC_INIT
+}
+
+/// The checksum a record header carries: CRC-32 over `seq ‖ len ‖
+/// payload`, where `framed` is one whole encoded record (header and
+/// payload) — the magic and the CRC field itself are skipped.
+fn record_crc(framed: &[u8]) -> u32 {
+    let c = crc32_update(CRC_INIT, &framed[4..16]);
+    crc32_update(c, &framed[HEADER_LEN..]) ^ CRC_INIT
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -88,6 +132,11 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_key(out: &mut Vec<u8>, key: ObjectKey) {
+    put_u64(out, key.pid().as_u64());
+    put_u64(out, key.oid().as_u64());
 }
 
 fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
@@ -189,57 +238,50 @@ impl JournalRecord {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        fn put_key(out: &mut Vec<u8>, key: ObjectKey) {
-            put_u64(out, key.pid().as_u64());
-            put_u64(out, key.oid().as_u64());
-        }
-        fn put_meta(out: &mut Vec<u8>, meta: &[u8]) {
-            put_u32(out, meta.len() as u32);
-            out.extend_from_slice(meta);
-        }
-        let mut out = Vec::new();
-        match self {
-            JournalRecord::Create { key, class, meta } => {
-                out.push(1);
-                put_key(&mut out, *key);
-                out.push(class.id());
-                put_meta(&mut out, meta);
-            }
-            JournalRecord::SetClass { key, class, meta } => {
-                out.push(2);
-                put_key(&mut out, *key);
-                out.push(class.id());
-                put_meta(&mut out, meta);
-            }
+    /// Appends the record's payload encoding to `out`.
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
+        let (head, meta) = match *self {
+            JournalRecord::Create {
+                key,
+                class,
+                ref meta,
+            } => (LayoutRecord::Create { key, class }, meta),
+            JournalRecord::SetClass {
+                key,
+                class,
+                ref meta,
+            } => (LayoutRecord::SetClass { key, class }, meta),
             JournalRecord::DirtyWrite {
                 key,
                 offset,
                 length,
+                ref meta,
+            } => (
+                LayoutRecord::DirtyWrite {
+                    key,
+                    offset,
+                    length,
+                },
                 meta,
-            } => {
-                out.push(3);
-                put_key(&mut out, *key);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *length);
-                put_meta(&mut out, meta);
-            }
+            ),
             JournalRecord::Remove { key } => {
                 out.push(4);
-                put_key(&mut out, *key);
+                put_key(out, key);
+                return;
             }
             JournalRecord::ScrubCursor { cursor } => {
                 out.push(5);
                 match cursor {
                     Some(key) => {
                         out.push(1);
-                        put_key(&mut out, *key);
+                        put_key(out, key);
                     }
                     None => out.push(0),
                 }
+                return;
             }
-        }
-        out
+        };
+        head.encode_payload_into(out, |out| out.extend_from_slice(meta));
     }
 
     fn decode_payload(bytes: &[u8]) -> Option<JournalRecord> {
@@ -302,6 +344,74 @@ impl JournalRecord {
             }
             _ => None,
         }
+    }
+}
+
+/// The fixed fields of a layout-carrying record ([`JournalRecord::Create`],
+/// [`JournalRecord::SetClass`], [`JournalRecord::DirtyWrite`]) without the
+/// `meta` blob: [`Journal::append_layout`] has the caller write the blob
+/// straight into the journal's staging buffer instead of handing over a
+/// `Vec` to copy from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayoutRecord {
+    /// Head of a [`JournalRecord::Create`].
+    Create {
+        /// The object's `(PID, OID)` address.
+        key: ObjectKey,
+        /// The semantic class the object was stored under.
+        class: ObjectClass,
+    },
+    /// Head of a [`JournalRecord::SetClass`].
+    SetClass {
+        /// The object's `(PID, OID)` address.
+        key: ObjectKey,
+        /// The class after the change.
+        class: ObjectClass,
+    },
+    /// Head of a [`JournalRecord::DirtyWrite`].
+    DirtyWrite {
+        /// The object's `(PID, OID)` address.
+        key: ObjectKey,
+        /// Byte offset of the overwrite.
+        offset: u64,
+        /// Length of the overwrite in bytes.
+        length: u64,
+    },
+}
+
+impl LayoutRecord {
+    /// The key of the object whose layout the record carries.
+    pub fn key(&self) -> ObjectKey {
+        match *self {
+            LayoutRecord::Create { key, .. }
+            | LayoutRecord::SetClass { key, .. }
+            | LayoutRecord::DirtyWrite { key, .. } => key,
+        }
+    }
+
+    /// Appends the payload encoding to `out`: the fixed fields, then the
+    /// blob `write_meta` appends, with its length back-patched in front.
+    fn encode_payload_into(self, out: &mut Vec<u8>, write_meta: impl FnOnce(&mut Vec<u8>)) {
+        out.push(match self {
+            LayoutRecord::Create { .. } => 1,
+            LayoutRecord::SetClass { .. } => 2,
+            LayoutRecord::DirtyWrite { .. } => 3,
+        });
+        put_key(out, self.key());
+        match self {
+            LayoutRecord::Create { class, .. } | LayoutRecord::SetClass { class, .. } => {
+                out.push(class.id());
+            }
+            LayoutRecord::DirtyWrite { offset, length, .. } => {
+                put_u64(out, offset);
+                put_u64(out, length);
+            }
+        }
+        let len_at = out.len();
+        put_u32(out, 0);
+        write_meta(out);
+        let meta_len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&meta_len.to_le_bytes());
     }
 }
 
@@ -435,11 +545,7 @@ impl JournalMedia {
             let Some(payload) = self.log.get(at + HEADER_LEN..at + HEADER_LEN + len) else {
                 break;
             };
-            let mut checked = Vec::with_capacity(12 + len);
-            put_u64(&mut checked, seq);
-            put_u32(&mut checked, len as u32);
-            checked.extend_from_slice(payload);
-            if crc32(&checked) != crc {
+            if record_crc(&self.log[at..at + HEADER_LEN + len]) != crc {
                 break;
             }
             if seq != base_seq + records.len() as u64 {
@@ -582,22 +688,41 @@ impl Journal {
     /// Appends a record to the staging buffer, returning its sequence
     /// number. Auto-flushes once `fsync_interval` records are staged.
     pub fn append(&mut self, record: &JournalRecord) -> u64 {
+        self.append_encoded(|out| record.encode_payload_into(out))
+    }
+
+    /// Appends a layout-carrying record whose `meta` blob `write_meta`
+    /// appends to the buffer it is given (it must only append). The bytes
+    /// staged are exactly those of [`Journal::append`] on the equivalent
+    /// [`JournalRecord`].
+    pub fn append_layout(
+        &mut self,
+        head: LayoutRecord,
+        write_meta: impl FnOnce(&mut Vec<u8>),
+    ) -> u64 {
+        self.append_encoded(|out| head.encode_payload_into(out, write_meta))
+    }
+
+    /// Single-pass append: reserves the header in `staging`, lets
+    /// `encode` write the payload straight behind it, then back-patches
+    /// magic, sequence, length and the CRC over `seq ‖ len ‖ payload`.
+    fn append_encoded(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let payload = record.encode_payload();
-        let mut checked = Vec::with_capacity(12 + payload.len());
-        put_u64(&mut checked, seq);
-        put_u32(&mut checked, payload.len() as u32);
-        checked.extend_from_slice(&payload);
-        let crc = crc32(&checked);
-        put_u32(&mut self.staging, RECORD_MAGIC);
-        self.staging.extend_from_slice(&checked[..12]);
-        put_u32(&mut self.staging, crc);
-        self.staging.extend_from_slice(&payload);
+        let at = self.staging.len();
+        self.staging.resize(at + HEADER_LEN, 0);
+        encode(&mut self.staging);
+        let framed = &mut self.staging[at..];
+        let payload_len = framed.len() - HEADER_LEN;
+        framed[..4].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
+        framed[4..12].copy_from_slice(&seq.to_le_bytes());
+        framed[12..16].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let crc = record_crc(framed);
+        framed[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
         self.staged_records += 1;
         self.appends_since_flush += 1;
         self.stats.appends += 1;
-        self.stats.appended_bytes += (HEADER_LEN + payload.len()) as u64;
+        self.stats.appended_bytes += (HEADER_LEN + payload_len) as u64;
         if self.appends_since_flush >= self.fsync_interval.max(1) {
             self.flush();
         }
@@ -748,6 +873,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(i: u64) -> ObjectKey {
         ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x2_0000 + i))
@@ -783,7 +909,8 @@ mod tests {
             JournalRecord::ScrubCursor { cursor: None },
         ];
         for rec in samples {
-            let payload = rec.encode_payload();
+            let mut payload = Vec::new();
+            rec.encode_payload_into(&mut payload);
             assert_eq!(JournalRecord::decode_payload(&payload), Some(rec));
         }
     }
@@ -879,7 +1006,9 @@ mod tests {
     fn record_boundary_tear_is_not_a_torn_tail() {
         let mut j = Journal::format(100);
         let rec = create(0);
-        let encoded_len = HEADER_LEN + rec.encode_payload().len();
+        let mut payload = Vec::new();
+        rec.encode_payload_into(&mut payload);
+        let encoded_len = HEADER_LEN + payload.len();
         j.append(&rec);
         j.append(&create(1));
         // The in-flight write persists exactly the first staged record:
@@ -952,5 +1081,195 @@ mod tests {
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time table CRC the slice-by-8 loop replaced.
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_equals_bytewise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=4096),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_reference(&bytes));
+        }
+    }
+
+    #[test]
+    fn crc32_update_streams_across_every_split() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc32_update(CRC_INIT, &bytes);
+        for split in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(crc32_update(crc32_update(CRC_INIT, a), b), whole, "{split}");
+        }
+        assert_eq!(whole ^ CRC_INIT, crc32_reference(&bytes));
+    }
+
+    /// The three-copy record encoder `Journal::append` used before it
+    /// became single-pass: payload `Vec`, `checked` copy, bytewise CRC.
+    fn legacy_encode(seq: u64, record: &JournalRecord) -> Vec<u8> {
+        fn put_meta(out: &mut Vec<u8>, meta: &[u8]) {
+            put_u32(out, meta.len() as u32);
+            out.extend_from_slice(meta);
+        }
+        let mut payload = Vec::new();
+        match record {
+            JournalRecord::Create { key, class, meta }
+            | JournalRecord::SetClass { key, class, meta } => {
+                payload.push(if matches!(record, JournalRecord::Create { .. }) {
+                    1
+                } else {
+                    2
+                });
+                put_key(&mut payload, *key);
+                payload.push(class.id());
+                put_meta(&mut payload, meta);
+            }
+            JournalRecord::DirtyWrite {
+                key,
+                offset,
+                length,
+                meta,
+            } => {
+                payload.push(3);
+                put_key(&mut payload, *key);
+                put_u64(&mut payload, *offset);
+                put_u64(&mut payload, *length);
+                put_meta(&mut payload, meta);
+            }
+            JournalRecord::Remove { key } => {
+                payload.push(4);
+                put_key(&mut payload, *key);
+            }
+            JournalRecord::ScrubCursor { cursor } => {
+                payload.push(5);
+                match cursor {
+                    Some(key) => {
+                        payload.push(1);
+                        put_key(&mut payload, *key);
+                    }
+                    None => payload.push(0),
+                }
+            }
+        }
+        let mut checked = Vec::with_capacity(12 + payload.len());
+        put_u64(&mut checked, seq);
+        put_u32(&mut checked, payload.len() as u32);
+        checked.extend_from_slice(&payload);
+        let crc = crc32_reference(&checked);
+        let mut out = Vec::new();
+        put_u32(&mut out, RECORD_MAGIC);
+        out.extend_from_slice(&checked[..12]);
+        put_u32(&mut out, crc);
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// All five record kinds, with a layout-sized and an empty `meta`.
+    fn golden_records() -> Vec<JournalRecord> {
+        let big: Vec<u8> = (0..1400u32).map(|i| (i * 131 + 17) as u8).collect();
+        vec![
+            JournalRecord::Create {
+                key: key(1),
+                class: ObjectClass::Dirty,
+                meta: big.clone(),
+            },
+            JournalRecord::SetClass {
+                key: key(1),
+                class: ObjectClass::HotClean,
+                meta: vec![],
+            },
+            JournalRecord::DirtyWrite {
+                key: key(2),
+                offset: 65_536,
+                length: 4096,
+                meta: big,
+            },
+            JournalRecord::Remove { key: key(1) },
+            JournalRecord::ScrubCursor {
+                cursor: Some(key(2)),
+            },
+            JournalRecord::ScrubCursor { cursor: None },
+            create(7),
+        ]
+    }
+
+    #[test]
+    fn media_bytes_match_the_three_copy_encoder() {
+        let records = golden_records();
+        let expected: Vec<u8> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(seq, r)| legacy_encode(seq as u64, r))
+            .collect();
+
+        let mut owned = Journal::format(3);
+        let mut streamed = Journal::format(3);
+        for r in &records {
+            owned.append(r);
+            // The streaming form of the layout-carrying kinds stages the
+            // same bytes as the owned-`meta` form.
+            fn write(meta: &[u8]) -> impl FnOnce(&mut Vec<u8>) + '_ {
+                move |out| out.extend_from_slice(meta)
+            }
+            match r {
+                JournalRecord::Create { key, class, meta } => streamed.append_layout(
+                    LayoutRecord::Create {
+                        key: *key,
+                        class: *class,
+                    },
+                    write(meta),
+                ),
+                JournalRecord::SetClass { key, class, meta } => streamed.append_layout(
+                    LayoutRecord::SetClass {
+                        key: *key,
+                        class: *class,
+                    },
+                    write(meta),
+                ),
+                JournalRecord::DirtyWrite {
+                    key,
+                    offset,
+                    length,
+                    meta,
+                } => streamed.append_layout(
+                    LayoutRecord::DirtyWrite {
+                        key: *key,
+                        offset: *offset,
+                        length: *length,
+                    },
+                    write(meta),
+                ),
+                other => streamed.append(other),
+            };
+        }
+        owned.flush();
+        streamed.flush();
+        assert_eq!(owned.media().log, expected);
+        assert_eq!(streamed.media().log, expected);
+        assert_eq!(owned.stats().appended_bytes, expected.len() as u64);
+        assert_eq!(owned.stats(), streamed.stats());
+        // fsync_interval 3 over 7 appends: two automatic flushes + ours.
+        assert_eq!(owned.stats().flushes, 3);
+        assert_eq!(owned.replay().unwrap().records, records);
+
+        // A tear at every byte of the last record replays the prefix.
+        let last = legacy_encode(6, &records[6]).len();
+        for torn in 1..=last {
+            let mut media = owned.media().clone();
+            assert_eq!(media.tear_log_tail(torn), torn);
+            let (recovered, out) = Journal::recover(media, 3).unwrap();
+            assert_eq!(out.records, records[..6], "torn {torn}");
+            assert_eq!(out.torn_tail, torn < last);
+            assert_eq!(out.torn_bytes, last - torn);
+            assert_eq!(recovered.next_seq(), 6);
+        }
     }
 }

@@ -4,12 +4,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 
-use reo_journal::{CrashOutcome, Journal, JournalError, JournalRecord, JournalStats};
+use reo_journal::{CrashOutcome, Journal, JournalError, JournalRecord, JournalStats, LayoutRecord};
 use reo_osd::attr::{AttributeId, AttributeSet, AttributeValue};
 use reo_osd::command::{CommandStatus, OsdCommand};
 use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
-use reo_sim::{ByteSize, Layer, SimTime, Tracer};
+use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 use reo_stripe::{
     ObjectLayout, ObjectStatus, ReadOutcome, SpaceUsage, StripeError, StripeId, StripeManager,
 };
@@ -193,7 +193,7 @@ impl ObjectRecord {
 pub struct OsdTarget {
     stripes: StripeManager,
     policy: ProtectionPolicy,
-    index: HashMap<ObjectKey, ObjectRecord>,
+    index: FastMap<ObjectKey, ObjectRecord>,
     /// Collection objects (Table I): named groups of user objects for
     /// fast indexing. The membership sets are metadata; each collection
     /// is also backed by a small replicated class-0 object.
@@ -262,7 +262,7 @@ impl OsdTarget {
         OsdTarget {
             stripes,
             policy,
-            index: HashMap::new(),
+            index: FastMap::default(),
             collections: HashMap::new(),
             recovery: RecoveryEngine::new(),
             next_owner: 0,
@@ -392,12 +392,30 @@ impl OsdTarget {
         }
     }
 
-    /// Exports the current stripe metadata of an indexed object for a
-    /// journal record.
-    fn export_meta(&self, key: ObjectKey) -> Vec<u8> {
+    /// Appends a layout-carrying record for an indexed object to the
+    /// attached journal, if any: the object's current stripe metadata is
+    /// serialized straight into the journal's staging buffer.
+    fn journal_append_layout(&mut self, head: LayoutRecord) {
+        let started = self.trace_begin();
+        let OsdTarget {
+            journal: Some(journal),
+            stripes,
+            index,
+            ..
+        } = self
+        else {
+            return;
+        };
+        let layout = &index[&head.key()].layout;
+        journal.append_layout(head, |out| {
+            stripes
+                .export_object_meta_into(layout, out)
+                .expect("indexed layouts always reference live stripes")
+        });
+        let end = self.clock().now();
         self.stripes
-            .export_object_meta(&self.index[&key].layout)
-            .expect("indexed layouts always reference live stripes")
+            .tracer()
+            .record(Layer::Journal, "append", started, end);
     }
 
     /// Number of indexed objects.
@@ -506,14 +524,11 @@ impl OsdTarget {
         // WAL ordering: the metadata record is journaled only after the
         // chunks are on flash, so a crash in between leaves orphan chunks
         // (collected by recovery's GC), never metadata without data.
-        if self.journal.is_some() {
-            let meta = self.export_meta(key);
-            self.journal_append(JournalRecord::Create { key, class, meta });
-            // Replicated classes (system metadata and dirty data) are the
-            // ones a crash must not lose: force their records durable now.
-            if class.is_replicated() {
-                self.journal_flush();
-            }
+        self.journal_append_layout(LayoutRecord::Create { key, class });
+        // Replicated classes (system metadata and dirty data) are the
+        // ones a crash must not lose: force their records durable now.
+        if class.is_replicated() {
+            self.journal_flush();
         }
         self.trace_end("create", t0);
         Ok(done)
@@ -529,34 +544,31 @@ impl OsdTarget {
     pub fn read_object(&mut self, key: ObjectKey) -> Result<ReadOutcome, TargetError> {
         self.check_ready()?;
         let t0 = self.trace_begin();
-        let layout = self
-            .index
-            .get(&key)
-            .ok_or(TargetError::UnknownObject(key))?
-            .layout
-            .clone();
-        let outcome = self.stripes.read_object(&layout).map_err(|e| match e {
+        let OsdTarget {
+            index,
+            stripes,
+            stats,
+            ..
+        } = self;
+        let record = index.get_mut(&key).ok_or(TargetError::UnknownObject(key))?;
+        let outcome = stripes.read_object(&record.layout).map_err(|e| match e {
             StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
             other => TargetError::Stripe(other),
         })?;
-        self.stats.reads += 1;
+        stats.reads += 1;
         if outcome.degraded {
-            self.stats.degraded_reads += 1;
-            self.stats.medium_errors += 1;
+            stats.degraded_reads += 1;
+            stats.medium_errors += 1;
             // Read-repair: when the damage is chunk-level corruption (no
             // device is down), rewrite the reconstructed chunks now so the
             // next read is clean. With a failed device the rebuild belongs
             // to the recovery engine, not the read path.
-            if self.stripes.array().failed_count() == 0
-                && self.stripes.rebuild_object(&layout).is_ok()
+            if stripes.array().failed_count() == 0 && stripes.rebuild_object(&record.layout).is_ok()
             {
-                self.stats.repairs += 1;
+                stats.repairs += 1;
             }
         }
-        let completed = outcome.completed_at;
-        if let Some(record) = self.index.get_mut(&key) {
-            record.touch(completed);
-        }
+        record.touch(outcome.completed_at);
         self.trace_end("read", t0);
         Ok(outcome)
     }
@@ -684,25 +696,22 @@ impl OsdTarget {
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?;
         let old_class = record.class;
-        let layout = record.layout.clone();
 
         if !self.policy.requires_reencode(old_class, class) {
             let record = self.index.get_mut(&key).expect("checked above");
             record.class = class;
             record.attrs.set_class(class);
-            if self.journal.is_some() {
-                let meta = self.export_meta(key);
-                self.journal_append(JournalRecord::SetClass { key, class, meta });
-                if class.is_replicated() {
-                    self.journal_flush();
-                }
+            self.journal_append_layout(LayoutRecord::SetClass { key, class });
+            if class.is_replicated() {
+                self.journal_flush();
             }
             return Ok(self.stripes.array().clock().now());
         }
 
         // Re-encode: read (possibly degraded), then replace.
         let t0 = self.trace_begin();
-        let outcome = self.stripes.read_object(&layout).map_err(|e| match e {
+        let layout = &record.layout;
+        let outcome = self.stripes.read_object(layout).map_err(|e| match e {
             StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
             other => TargetError::Stripe(other),
         })?;
@@ -710,7 +719,7 @@ impl OsdTarget {
         let new_scheme = self.policy.scheme_for(class);
         let old_scheme = self.policy.scheme_for(old_class);
         let size = layout.size();
-        self.stripes.remove_object(&layout);
+        self.stripes.remove_object(layout);
         let owner = self.next_owner;
         self.next_owner += 1;
         let new_layout =
@@ -740,15 +749,9 @@ impl OsdTarget {
                             // unconditionally — the old chunks were freed,
                             // so the durable log must not keep pointing at
                             // them past this call.
-                            if self.journal.is_some() {
-                                let meta = self.export_meta(key);
-                                self.journal_append(JournalRecord::SetClass {
-                                    key,
-                                    class: old_class,
-                                    meta,
-                                });
-                                self.journal_flush();
-                            }
+                            let class = old_class;
+                            self.journal_append_layout(LayoutRecord::SetClass { key, class });
+                            self.journal_flush();
                             return Err(match first_err {
                                 StripeError::Flash(reo_flashsim::FlashError::DeviceFull {
                                     requested,
@@ -782,11 +785,8 @@ impl OsdTarget {
         // the old chunks, and a lazily-staged record would leave the
         // durable log pointing at chunks that no longer exist — a crash
         // would then replay the stale placement and count the object lost.
-        if self.journal.is_some() {
-            let meta = self.export_meta(key);
-            self.journal_append(JournalRecord::SetClass { key, class, meta });
-            self.journal_flush();
-        }
+        self.journal_append_layout(LayoutRecord::SetClass { key, class });
+        self.journal_flush();
         self.trace_end("reencode", t0);
         Ok(done)
     }
@@ -817,7 +817,7 @@ impl OsdTarget {
             .index
             .get(&key)
             .ok_or(TargetError::UnknownObject(key))?;
-        let layout = record.layout.clone();
+        let layout = &record.layout;
         let size = layout.size().as_bytes();
         if length == 0 || offset.saturating_add(length) > size {
             return Err(TargetError::Stripe(StripeError::PayloadSizeMismatch {
@@ -829,31 +829,23 @@ impl OsdTarget {
         let first = offset / chunk;
         let last = (offset + length - 1) / chunk;
         let t0 = self.trace_begin();
-        let mut done = self.stripes.array().clock().now();
-        for ci in first..=last {
-            let (_, t) = self
-                .stripes
-                .overwrite_chunk(&layout, ci, None)
-                .map_err(|e| match e {
-                    StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
-                    other => TargetError::Stripe(other),
-                })?;
-            done = t;
-        }
+        let done = self
+            .stripes
+            .overwrite_chunks(layout, first..=last)
+            .map_err(|e| match e {
+                StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
+                other => TargetError::Stripe(other),
+            })?;
         // The dirty-write durability point: the write is acknowledged
         // (returns Ok) only after its journal record — including the
         // object's current chunk placement — has been flushed to durable
         // media, so no acknowledged dirty write can be lost to a crash.
-        if self.journal.is_some() {
-            let meta = self.export_meta(key);
-            self.journal_append(JournalRecord::DirtyWrite {
-                key,
-                offset,
-                length,
-                meta,
-            });
-            self.journal_flush();
-        }
+        self.journal_append_layout(LayoutRecord::DirtyWrite {
+            key,
+            offset,
+            length,
+        });
+        self.journal_flush();
         self.trace_end("write_range", t0);
         Ok(done)
     }
@@ -1265,6 +1257,12 @@ impl OsdTarget {
     /// The attached journal's cumulative counters, if one is attached.
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|j| j.stats())
+    }
+
+    /// Bytes the attached journal occupies on its durable media
+    /// (superblocks, checkpoints and log), if one is attached.
+    pub fn journal_durable_bytes(&self) -> Option<usize> {
+        self.journal.as_ref().map(|j| j.media().durable_bytes())
     }
 
     /// The attached journal's configured flush interval, if any.

@@ -25,6 +25,8 @@
 //!   per-request [`TraceTree`] exemplar capture.
 //! * [`FlightRecorder`] — a black-box ring of structured control-plane
 //!   events with deterministic [`Postmortem`] dumps.
+//! * [`FastMap`] — a `HashMap` over a deterministic multiply-rotate
+//!   [`FastHasher`], for maps keyed by identifiers the simulator issues.
 //!
 //! Nothing in this crate (or its dependents) reads the wall clock; simulated
 //! time only moves when a model says it does.
@@ -43,6 +45,7 @@
 //! ```
 
 mod flight;
+mod hash;
 mod qos;
 pub mod rng;
 mod service;
@@ -52,6 +55,7 @@ mod time;
 mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder, Postmortem};
+pub use hash::{FastHasher, FastMap};
 pub use qos::TokenBucket;
 pub use service::ServiceModel;
 pub use size::ByteSize;

@@ -7,7 +7,7 @@ use std::fmt;
 use bytes::Bytes;
 use reo_erasure::{CodecError, ReedSolomon};
 use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, FlashArray, FlashError, StoredChunk};
-use reo_sim::{ByteSize, Layer, SimDuration, SimTime, Tracer};
+use reo_sim::{ByteSize, FastMap, Layer, SimDuration, SimTime, Tracer};
 
 use crate::layout::{ChunkRole, PlacementPolicy, StripeLayout};
 use crate::scheme::RedundancyScheme;
@@ -256,9 +256,11 @@ impl CodecCache {
     }
 }
 
-/// Reusable encode buffers. Stripe operations clear and refill these,
-/// leaving capacity behind for the next request — the write path performs
-/// no heap allocation once buffer capacities reach steady state.
+/// Reusable encode buffers for stripes that hold real payloads. Stripe
+/// operations clear and refill these, leaving capacity behind for the next
+/// request, so encoding allocates nothing once capacities reach steady
+/// state. Size-only (synthetic) stripes carry no bytes and never touch
+/// them.
 #[derive(Clone, Debug, Default)]
 struct StripeScratch {
     /// Padded data shards fed to the encoder (also old/new chunk images on
@@ -298,12 +300,16 @@ pub struct StripeManager {
     placement: PlacementPolicy,
     next_handle: u64,
     next_stripe: u64,
-    stripes: HashMap<StripeId, StripeMeta>,
+    stripes: FastMap<StripeId, StripeMeta>,
     usage: SpaceUsage,
     transient_retries: u64,
     codecs: CodecCache,
     scratch: StripeScratch,
 }
+
+/// Serialized size of one chunk row in an exported layout blob: role tag,
+/// role index, device, handle, length, real flag.
+const CHUNK_META_LEN: usize = 1 + 4 + 4 + 8 + 8 + 1;
 
 /// Retries per chunk read before a transient timeout is escalated.
 const TRANSIENT_RETRY_LIMIT: u32 = 3;
@@ -339,7 +345,7 @@ impl StripeManager {
             placement,
             next_handle: 0,
             next_stripe: 0,
-            stripes: HashMap::new(),
+            stripes: FastMap::default(),
             usage: SpaceUsage::default(),
             transient_retries: 0,
             codecs: CodecCache::default(),
@@ -349,7 +355,7 @@ impl StripeManager {
 
     /// Splits the manager into its I/O half and the stripe map, so request
     /// paths can mutate devices/buffers while borrowing metadata in place.
-    fn split_io(&mut self) -> (StripeIo<'_>, &HashMap<StripeId, StripeMeta>) {
+    fn split_io(&mut self) -> (StripeIo<'_>, &FastMap<StripeId, StripeMeta>) {
         (
             StripeIo {
                 array: &mut self.array,
@@ -843,24 +849,46 @@ impl StripeManager {
         chunk_index: u64,
         new_payload: Option<&[u8]>,
     ) -> Result<(ParityUpdate, SimTime), StripeError> {
-        // Locate the stripe holding this data chunk.
-        let mut remaining = chunk_index;
-        let mut found: Option<(StripeId, usize)> = None;
-        for &sid in &layout.stripes {
-            let meta = self.stripe(sid)?;
-            let data_chunks = meta.chunks.iter().filter(|c| c.role.is_user_data()).count() as u64;
-            if remaining < data_chunks {
-                found = Some((sid, remaining as usize));
-                break;
-            }
-            remaining -= data_chunks;
+        let (sid, local_j) = ChunkCursor::default().seek(self, layout, chunk_index)?;
+        self.overwrite_located(sid, local_j, new_payload)
+    }
+
+    /// Overwrites the data chunks `chunks` of an object (object order,
+    /// inclusive) size-only, one [`StripeManager::overwrite_chunk`] after
+    /// another — chunk *i + 1* starts at the clock chunk *i* left — while
+    /// walking the layout's stripes once for the whole range. Returns the
+    /// completion instant of the last chunk (the current instant for an
+    /// empty range).
+    ///
+    /// # Errors
+    ///
+    /// As [`StripeManager::overwrite_chunk`]; chunks before the failing one
+    /// stay overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range reaches past the layout's last data chunk.
+    pub fn overwrite_chunks(
+        &mut self,
+        layout: &ObjectLayout,
+        chunks: std::ops::RangeInclusive<u64>,
+    ) -> Result<SimTime, StripeError> {
+        let mut cursor = ChunkCursor::default();
+        let mut done = self.array.clock().now();
+        for chunk_index in chunks {
+            let (sid, local_j) = cursor.seek(self, layout, chunk_index)?;
+            (_, done) = self.overwrite_located(sid, local_j, None)?;
         }
-        let (sid, local_j) = found.unwrap_or_else(|| {
-            panic!(
-                "chunk index {chunk_index} out of range for object {}",
-                layout.owner
-            )
-        });
+        Ok(done)
+    }
+
+    /// Overwrites the `local_j`-th data chunk of stripe `sid`.
+    fn overwrite_located(
+        &mut self,
+        sid: StripeId,
+        local_j: usize,
+        new_payload: Option<&[u8]>,
+    ) -> Result<(ParityUpdate, SimTime), StripeError> {
         let now = self.array.clock().now();
         let mut completions: Vec<SimTime> = Vec::new();
 
@@ -1056,6 +1084,22 @@ impl StripeManager {
     /// [`StripeError::UnknownStripe`] if the layout references a stripe
     /// this manager no longer knows.
     pub fn export_object_meta(&self, layout: &ObjectLayout) -> Result<Vec<u8>, StripeError> {
+        let mut out = Vec::new();
+        self.export_object_meta_into(layout, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`StripeManager::export_object_meta`], appended to `out` (the
+    /// journal's staging buffer) instead of returned in a fresh `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// [`StripeError::UnknownStripe`], leaving `out` with a partial blob.
+    pub fn export_object_meta_into(
+        &self,
+        layout: &ObjectLayout,
+        out: &mut Vec<u8>,
+    ) -> Result<(), StripeError> {
         fn put_u32(out: &mut Vec<u8>, v: u32) {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -1063,43 +1107,40 @@ impl StripeManager {
             out.extend_from_slice(&v.to_le_bytes());
         }
         fn put_scheme(out: &mut Vec<u8>, scheme: RedundancyScheme) {
-            match scheme {
-                RedundancyScheme::Parity(k) => {
-                    out.push(0);
-                    out.push(k);
-                }
-                RedundancyScheme::Replication => {
-                    out.push(1);
-                    out.push(0);
-                }
-            }
+            let (tag, k) = match scheme {
+                RedundancyScheme::Parity(k) => (0, k),
+                RedundancyScheme::Replication => (1, 0),
+            };
+            out.extend_from_slice(&[tag, k]);
         }
-        let mut out = Vec::new();
-        put_u64(&mut out, layout.owner);
-        put_u64(&mut out, layout.size.as_bytes());
-        put_scheme(&mut out, layout.scheme);
-        put_u32(&mut out, layout.stripes.len() as u32);
+        put_u64(out, layout.owner);
+        put_u64(out, layout.size.as_bytes());
+        put_scheme(out, layout.scheme);
+        put_u32(out, layout.stripes.len() as u32);
         for &sid in &layout.stripes {
             let meta = self.stripe(sid)?;
-            put_u64(&mut out, sid.as_u64());
-            put_scheme(&mut out, meta.scheme);
-            put_u32(&mut out, meta.encode_m as u32);
-            put_u32(&mut out, meta.chunks.len() as u32);
+            put_u64(out, sid.as_u64());
+            put_scheme(out, meta.scheme);
+            put_u32(out, meta.encode_m as u32);
+            put_u32(out, meta.chunks.len() as u32);
+            out.reserve(meta.chunks.len() * CHUNK_META_LEN);
             for c in &meta.chunks {
                 let (tag, idx) = match c.role {
                     ChunkRole::Data(i) => (0u8, i),
                     ChunkRole::Parity(i) => (1u8, i),
                     ChunkRole::Replica(i) => (2u8, i),
                 };
-                out.push(tag);
-                put_u32(&mut out, idx as u32);
-                put_u32(&mut out, c.device.0 as u32);
-                put_u64(&mut out, c.handle.as_u64());
-                put_u64(&mut out, c.len.as_bytes());
-                out.push(c.real as u8);
+                let mut row = [0u8; CHUNK_META_LEN];
+                row[0] = tag;
+                row[1..5].copy_from_slice(&(idx as u32).to_le_bytes());
+                row[5..9].copy_from_slice(&(c.device.0 as u32).to_le_bytes());
+                row[9..17].copy_from_slice(&c.handle.as_u64().to_le_bytes());
+                row[17..25].copy_from_slice(&c.len.as_bytes().to_le_bytes());
+                row[25] = c.real as u8;
+                out.extend_from_slice(&row);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Re-registers an object from a blob produced by
@@ -1227,6 +1268,7 @@ impl StripeManager {
             for c in &meta.chunks {
                 self.charge_usage(c, true);
                 self.next_handle = self.next_handle.max(c.handle.as_u64() + 1);
+                self.array.device_mut(c.device).note_referenced(c.handle);
             }
             self.next_stripe = self.next_stripe.max(sid.as_u64() + 1);
             self.stripes.insert(sid, meta);
@@ -1316,6 +1358,41 @@ impl StripeManager {
             }
         }
         removed
+    }
+}
+
+/// Maps ascending object-order data-chunk indices to `(stripe, index
+/// within the stripe)`, visiting each stripe of the layout once.
+#[derive(Default)]
+struct ChunkCursor {
+    /// Position in the layout's stripe list.
+    stripe_pos: usize,
+    /// Object-order index of that stripe's first data chunk.
+    first_chunk: u64,
+}
+
+impl ChunkCursor {
+    /// Advances to the stripe holding `chunk_index`, which must not be
+    /// below an index already sought.
+    fn seek(
+        &mut self,
+        manager: &StripeManager,
+        layout: &ObjectLayout,
+        chunk_index: u64,
+    ) -> Result<(StripeId, usize), StripeError> {
+        while let Some(&sid) = layout.stripes.get(self.stripe_pos) {
+            let meta = manager.stripe(sid)?;
+            let data_chunks = meta.chunks.iter().filter(|c| c.role.is_user_data()).count() as u64;
+            if chunk_index < self.first_chunk + data_chunks {
+                return Ok((sid, (chunk_index - self.first_chunk) as usize));
+            }
+            self.first_chunk += data_chunks;
+            self.stripe_pos += 1;
+        }
+        panic!(
+            "chunk index {chunk_index} out of range for object {}",
+            layout.owner
+        );
     }
 }
 
@@ -1411,17 +1488,16 @@ impl StripeIo<'_> {
 
         // Build the shard array in codec order: data shards (padded to the
         // encode-time `m` with phantom zero shards for short stripes),
-        // then parity shards.
+        // then parity shards. Size-only stripes carry no bytes: they are
+        // charged the same chunk reads below and build nothing.
         let codec_m = meta.encode_m;
-
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; codec_m + parity_count];
-        let mut reads_done = 0usize;
         let real = meta.chunks.first().map(|c| c.real).unwrap_or(false);
-
-        // Phantom zero shards (short stripes) are always "present".
-        for shard in shards.iter_mut().take(codec_m).skip(m_actual) {
-            *shard = Some(vec![0u8; parity_len.as_bytes() as usize]);
-        }
+        let mut shards = if real {
+            shard_slots(codec_m, m_actual, parity_count, parity_len)
+        } else {
+            Vec::new()
+        };
+        let mut reads_done = 0usize;
 
         let mut missing_real = 0usize;
         for c in &meta.chunks {
@@ -1442,14 +1518,9 @@ impl StripeIo<'_> {
                     )?;
                     completions.push(done);
                     reads_done += 1;
-                    shards[idx] = Some(match chunk.payload().as_bytes() {
-                        Some(b) => {
-                            let mut v = b.to_vec();
-                            v.resize(parity_len.as_bytes() as usize, 0);
-                            v
-                        }
-                        None => vec![0u8; parity_len.as_bytes() as usize],
-                    });
+                    if real {
+                        shards[idx] = Some(padded_shard(&chunk, parity_len));
+                    }
                 }
             } else {
                 missing_real += 1;
@@ -1486,8 +1557,10 @@ impl StripeIo<'_> {
     /// The parity-maintaining overwrite: picks delta vs direct by read
     /// count, reads what it needs, recomputes parity, writes back.
     ///
-    /// All encode inputs and outputs live in the manager's scratch pool,
-    /// so the steady-state write path allocates nothing.
+    /// On real-payload stripes all encode inputs and outputs live in the
+    /// manager's scratch pool, whose capacity carries over between calls;
+    /// the `Bytes` of each chunk written are still allocated. Size-only
+    /// stripes are charged the same reads and writes and touch no buffer.
     fn overwrite_with_parity(
         &mut self,
         meta: &StripeMeta,
@@ -1518,8 +1591,10 @@ impl StripeIo<'_> {
             // Read the old chunk and all parity chunks, padding each into
             // scratch; patch parity in place with the fused delta kernel.
             // scratch.shards[0] holds the old image, [1] the new one.
-            reset_buffers(&mut self.scratch.shards, 2, plen);
-            reset_buffers(&mut self.scratch.parity, k, plen);
+            if real {
+                reset_buffers(&mut self.scratch.shards, 2, plen);
+                reset_buffers(&mut self.scratch.parity, k, plen);
+            }
             let (old_chunk, done) = read_chunk_retrying(
                 self.array,
                 self.transient_retries,
@@ -1563,11 +1638,13 @@ impl StripeIo<'_> {
             // Read the sibling data chunks and re-encode from scratch.
             // Rows past `m_actual` stay zero — the phantom shards of a
             // short stripe.
-            reset_buffers(&mut self.scratch.shards, meta.encode_m, plen);
-            self.scratch.parity.resize_with(k, Vec::new);
+            if real {
+                reset_buffers(&mut self.scratch.shards, meta.encode_m, plen);
+                self.scratch.parity.resize_with(k, Vec::new);
+            }
             for (j, c) in meta.chunks.iter().filter(is_data).enumerate() {
                 if j == local_j {
-                    if let Some(p) = new_payload {
+                    if let (true, Some(p)) = (real, new_payload) {
                         self.scratch.shards[j][..p.len()].copy_from_slice(p);
                     }
                     continue;
@@ -1680,10 +1757,11 @@ impl StripeIo<'_> {
             .count();
         let m_actual = meta.chunks.len() - parity_count;
 
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; codec_m + parity_count];
-        for shard in shards.iter_mut().take(codec_m).skip(m_actual) {
-            *shard = Some(vec![0u8; parity_len.as_bytes() as usize]);
-        }
+        let mut shards = if real {
+            shard_slots(codec_m, m_actual, parity_count, parity_len)
+        } else {
+            Vec::new()
+        };
         let mut survivors_read = 0usize;
         for c in &meta.chunks {
             if !chunk_intact_on(self.array, c) {
@@ -1701,14 +1779,9 @@ impl StripeIo<'_> {
                 read_chunk_retrying(self.array, self.transient_retries, c.device, c.handle, now)?;
             completions.push(done);
             survivors_read += 1;
-            shards[idx] = Some(match chunk.payload().as_bytes() {
-                Some(b) => {
-                    let mut v = b.to_vec();
-                    v.resize(parity_len.as_bytes() as usize, 0);
-                    v
-                }
-                None => vec![0u8; parity_len.as_bytes() as usize],
-            });
+            if real {
+                shards[idx] = Some(padded_shard(&chunk, parity_len));
+            }
         }
 
         if real {
@@ -1779,11 +1852,48 @@ fn read_chunk_retrying(
     }
 }
 
+/// The codec's shard slots for reconstructing a real-payload stripe:
+/// every real shard missing until read, the phantom zero shards of a short
+/// stripe (data rows `m_actual..codec_m`) always present.
+fn shard_slots(
+    codec_m: usize,
+    m_actual: usize,
+    parity_count: usize,
+    parity_len: ByteSize,
+) -> Vec<Option<Vec<u8>>> {
+    let mut shards = vec![None; codec_m + parity_count];
+    for shard in shards.iter_mut().take(codec_m).skip(m_actual) {
+        *shard = Some(vec![0u8; parity_len.as_bytes() as usize]);
+    }
+    shards
+}
+
+/// A surviving chunk's bytes, zero-padded to the stripe's shard length (a
+/// chunk overwritten size-only inside a real stripe reads as zeros).
+fn padded_shard(chunk: &StoredChunk, parity_len: ByteSize) -> Vec<u8> {
+    let mut v = chunk
+        .payload()
+        .as_bytes()
+        .map_or(Vec::new(), |b| b.to_vec());
+    v.resize(parity_len.as_bytes() as usize, 0);
+    v
+}
+
 fn chunk_intact_on(array: &FlashArray, c: &StripeChunk) -> bool {
     array.device(c.device).chunk_is_intact(c.handle)
 }
 
 fn stripe_health_on(array: &FlashArray, meta: &StripeMeta) -> StripeHealth {
+    // A healthy device with nothing awaiting rebuild vouches for every
+    // chunk placed on it, so the common case needs no per-chunk probe.
+    if meta
+        .chunks
+        .iter()
+        .all(|c| array.device(c.device).all_chunks_intact())
+    {
+        debug_assert!(meta.chunks.iter().all(|c| chunk_intact_on(array, c)));
+        return StripeHealth::Intact;
+    }
     let lost = meta
         .chunks
         .iter()
@@ -1830,7 +1940,7 @@ fn stripe_offset(stripe_no: usize, m: usize, role: ChunkRole, chunk_size: ByteSi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reo_flashsim::DeviceConfig;
+    use reo_flashsim::{DeviceConfig, FaultPlan};
     use reo_sim::{ServiceModel, SimClock, SimDuration};
 
     fn test_array(n: usize, capacity_mib: u64) -> FlashArray {
@@ -2259,6 +2369,173 @@ mod tests {
             tolerated: 2,
         };
         assert!(e2.to_string().contains("stripe#9"));
+    }
+
+    /// A 4+2 stripe set driven through overwrite, one- and two-device
+    /// degraded reads, and rebuild, under armed transient faults. Returns
+    /// the completion instants in call order.
+    fn degraded_scenario(m: &mut StripeManager, real: bool) -> Vec<u64> {
+        // Two full stripes and a short one (2 of 4 data chunks), then a
+        // one-stripe object.
+        let (a_len, b_len) = (4096 * 10, 4096 * 3 + 100);
+        let (a_data, b_data) = (payload(a_len), payload(b_len));
+        let mut a_now = a_data.clone();
+        let store = |m: &mut StripeManager, owner, data: &Vec<u8>| {
+            m.store_object(
+                owner,
+                ByteSize::from_bytes(data.len() as u64),
+                RedundancyScheme::parity(2),
+                real.then_some(&data[..]),
+            )
+            .unwrap()
+        };
+        let a = store(m, 1, &a_data);
+        let b = store(m, 2, &b_data);
+        let mut plan = FaultPlan::new(7);
+        m.arm_transient_faults(&mut plan, 0.2);
+
+        let mut times = Vec::new();
+        // Delta update on a full stripe, direct re-encode on the short one.
+        let patch: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        for (ci, method) in [(1, ParityUpdate::Delta), (9, ParityUpdate::Direct)] {
+            let (used, done) = m
+                .overwrite_chunk(&a, ci, real.then_some(&patch[..]))
+                .unwrap();
+            assert_eq!(used, method);
+            a_now[ci as usize * 4096..][..4096].copy_from_slice(&patch);
+            times.push(done.as_nanos());
+        }
+        let read = |m: &mut StripeManager, layout, degraded, expect: &Vec<u8>| {
+            let out = m.read_object(layout).unwrap();
+            assert_eq!(out.degraded, degraded);
+            assert_eq!(out.bytes.is_some(), real);
+            if let Some(bytes) = out.bytes {
+                assert_eq!(&bytes, expect, "reconstructed bytes differ");
+            }
+            out.completed_at.as_nanos()
+        };
+        m.fail_device(DeviceId(0));
+        times.push(read(m, &a, true, &a_now));
+        m.fail_device(DeviceId(3));
+        times.push(read(m, &a, true, &a_now));
+        times.push(read(m, &b, true, &b_data));
+        m.replace_device(DeviceId(0));
+        m.replace_device(DeviceId(3));
+        times.push(m.rebuild_object(&a).unwrap().as_nanos());
+        times.push(m.rebuild_object(&b).unwrap().as_nanos());
+        times.push(read(m, &a, false, &a_now));
+        times.push(read(m, &b, false, &b_data));
+        times
+    }
+
+    #[test]
+    fn size_only_degraded_paths_keep_their_timing_and_build_no_buffers() {
+        let mut m = mgr(6);
+        let times = degraded_scenario(&mut m, false);
+        let stats: Vec<_> = (0..6)
+            .map(|d| {
+                let s = m.array().device(DeviceId(d)).stats();
+                (
+                    s.reads,
+                    s.writes,
+                    s.queued_nanos,
+                    s.busy_nanos,
+                    s.transient_timeouts,
+                )
+            })
+            .collect();
+        // Pinned from the code before size-only chunks stopped building
+        // buffers: the simulated clock and the device counters cannot move.
+        assert_eq!(
+            times,
+            [
+                1_645_774, 1_853_403, 3_568_661, 5_391_548, 5_999_177, 6_714_435, 8_314_621,
+                8_637_508, 8_745_137
+            ]
+        );
+        assert_eq!(
+            stats,
+            [
+                (2, 3, 207_629, 838_145, 0),
+                (9, 4, 1_030_516, 1_799_177, 2),
+                (9, 5, 838_145, 1_977_034, 2),
+                (2, 4, 730_516, 1_045_774, 0),
+                (15, 4, 4_699_177, 2_444_951, 3),
+                (15, 5, 3_199_177, 2_652_580, 2),
+            ]
+        );
+        assert_eq!(m.transient_retries(), 11);
+        // No byte of a size-only stripe exists, so none was buffered.
+        let pooled: usize = m
+            .scratch
+            .shards
+            .iter()
+            .chain(&m.scratch.parity)
+            .map(Vec::capacity)
+            .sum();
+        assert_eq!(
+            pooled + m.scratch.shards.capacity() + m.scratch.parity.capacity(),
+            0
+        );
+    }
+
+    #[test]
+    fn real_payload_twin_still_reconstructs_every_byte() {
+        let mut m = mgr(6);
+        degraded_scenario(&mut m, true);
+        assert!(m.scratch.shards.iter().any(|b| b.capacity() > 0));
+    }
+
+    #[test]
+    fn reinstalled_metadata_naming_a_missing_chunk_reads_as_degraded() {
+        // A journal can outlive a chunk it names (re-encode freed it, the
+        // crash beat the new record): the device never failed or lost
+        // anything, yet the stripe must not pass for intact.
+        let mut m = mgr(5);
+        let data = payload(12_000);
+        let layout = m
+            .store_object(
+                1,
+                ByteSize::from_bytes(12_000),
+                RedundancyScheme::parity(1),
+                Some(&data),
+            )
+            .unwrap();
+        let blob = m.export_object_meta(&layout).unwrap();
+        let gone = m.stripes[&layout.stripes[0]].chunks[0];
+        m.simulate_crash();
+        m.array.device_mut(gone.device).remove_chunk(gone.handle);
+        let restored = m.install_object_meta(&blob).unwrap();
+        assert_eq!(m.object_status(&restored).unwrap(), ObjectStatus::Degraded);
+        let out = m.read_object(&restored).unwrap();
+        assert!(out.degraded);
+        assert_eq!(out.bytes.unwrap(), data);
+        m.rebuild_object(&restored).unwrap();
+        assert_eq!(m.object_status(&restored).unwrap(), ObjectStatus::Intact);
+        assert!(m.array.device(gone.device).all_chunks_intact());
+    }
+
+    #[test]
+    fn overwrite_chunks_is_the_per_chunk_loop() {
+        // One stripe per chunk (replication) and multi-chunk stripes, from
+        // a mid-object start: same clock, same device counters.
+        for scheme in [RedundancyScheme::Replication, RedundancyScheme::parity(1)] {
+            let (mut looped, mut ranged) = (mgr(5), mgr(5));
+            let size = ByteSize::from_bytes(4096 * 11 + 5);
+            let a = looped.store_object(1, size, scheme, None).unwrap();
+            let b = ranged.store_object(1, size, scheme, None).unwrap();
+            let mut done = SimTime::ZERO;
+            for ci in 3..=11 {
+                (_, done) = looped.overwrite_chunk(&a, ci, None).unwrap();
+            }
+            assert_eq!(ranged.overwrite_chunks(&b, 3..=11).unwrap(), done);
+            for d in 0..5 {
+                assert_eq!(
+                    looped.array().device(DeviceId(d)).stats(),
+                    ranged.array().device(DeviceId(d)).stats()
+                );
+            }
+        }
     }
 }
 

@@ -1,0 +1,27 @@
+#!/bin/sh
+# Appends one summary line to BENCH_trajectory.jsonl from the benchmark
+# driver's stdout:
+#
+#   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+#       all --seed 42 | scripts/bench_trajectory.sh [commit-label]
+#
+# The label defaults to the checked-out commit. Only the untraced runs'
+# host-time and allocation rows are kept, plus the traced runs' core count.
+set -eu
+commit=${1:-$(git rev-parse --short HEAD)}
+awk -v commit="$commit" '
+    /^# [a-z0-9_]+ seed [0-9]+ seconds [0-9]+ trace [01]:/ {
+        workload = $2; seed = $4; seconds = $6; untraced = ($8 == "0:")
+        if (untraced) order[++n] = workload
+    }
+    untraced && /^(host_req_per_s|host_us_per_req_p50|allocs_per_req|alloc_bytes_per_req) / {
+        row[workload] = row[workload] (row[workload] == "" ? "" : ", ") "\"" $1 "\": " $2
+    }
+    /^bench\.available_cores / { cores = $2 + 0 }
+    END {
+        if (n == 0) { print "no untraced run in the input" > "/dev/stderr"; exit 1 }
+        printf "{\"commit\": \"%s\", \"seed\": %d, \"seconds\": %d, \"available_cores\": %d, \"workloads\": {", commit, seed, seconds, cores
+        for (i = 1; i <= n; i++) printf "%s\"%s\": {%s}", (i > 1 ? ", " : ""), order[i], row[order[i]]
+        print "}}"
+    }
+' >> "$(dirname "$0")/../BENCH_trajectory.jsonl"

@@ -57,10 +57,14 @@ fn runs_are_deterministic_across_repetitions() {
     ];
     for plan in &plans {
         // The whole result — totals, events, final window, series —
-        // through its `Debug` form, which prints floats round-trip exact.
+        // through its `Debug` form, which prints floats round-trip exact,
+        // and what the run left in the metadata journal.
         let run = || {
             let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t, 0.12);
-            format!("{:?}", ExperimentRunner::run(&mut sys, &t, plan))
+            let result = format!("{:?}", ExperimentRunner::run(&mut sys, &t, plan));
+            let journal = sys.target().journal_stats().expect("journal attached");
+            assert!(journal.appends > 0 && journal.flushes > 0);
+            (result, journal, sys.target().journal_durable_bytes())
         };
         assert_eq!(
             run(),
