@@ -122,11 +122,21 @@ impl FlashArray {
 
     /// IDs of currently healthy devices, in array order.
     pub fn healthy_devices(&self) -> Vec<DeviceId> {
-        self.devices
-            .iter()
-            .filter(|d| d.is_healthy())
-            .map(|d| d.id())
-            .collect()
+        self.healthy().map(|d| d.id()).collect()
+    }
+
+    /// The currently healthy devices, in array order — the
+    /// non-allocating form of [`FlashArray::healthy_devices`] for callers
+    /// that only count them or sum over them.
+    pub fn healthy(&self) -> impl Iterator<Item = &FlashDevice> {
+        self.devices.iter().filter(|d| d.is_healthy())
+    }
+
+    /// `true` when every device is healthy and none holds a chunk awaiting
+    /// rebuild ([`FlashDevice::all_chunks_intact`] on each): every chunk
+    /// placed on the array and not yet removed is intact.
+    pub fn all_chunks_intact(&self) -> bool {
+        self.devices.iter().all(|d| d.all_chunks_intact())
     }
 
     /// Number of currently failed devices.
@@ -162,11 +172,7 @@ impl FlashArray {
 
     /// Total capacity across healthy devices.
     pub fn healthy_capacity(&self) -> ByteSize {
-        self.devices
-            .iter()
-            .filter(|d| d.is_healthy())
-            .map(|d| d.config().capacity)
-            .sum()
+        self.healthy().map(|d| d.config().capacity).sum()
     }
 
     /// Aggregate statistics.

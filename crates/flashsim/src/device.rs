@@ -256,6 +256,17 @@ enum ChunkSlot {
     Absent,
 }
 
+impl ChunkSlot {
+    /// Bytes of the device's capacity the entry holds.
+    fn occupied(&self) -> ByteSize {
+        match self {
+            ChunkSlot::Intact(chunk) => chunk.len(),
+            ChunkSlot::Lost(len) => *len,
+            ChunkSlot::Absent => ByteSize::ZERO,
+        }
+    }
+}
+
 impl FlashDevice {
     /// Creates a healthy, empty device.
     pub fn new(id: DeviceId, config: DeviceConfig) -> Self {
@@ -426,11 +437,7 @@ impl FlashDevice {
         let len = chunk.len();
         let entry = self.chunks.entry(handle);
         let released = match &entry {
-            Entry::Occupied(e) => match e.get() {
-                ChunkSlot::Intact(old) => old.len(),
-                ChunkSlot::Lost(old_len) => *old_len,
-                ChunkSlot::Absent => ByteSize::ZERO,
-            },
+            Entry::Occupied(e) => e.get().occupied(),
             Entry::Vacant(_) => ByteSize::ZERO,
         };
         let effective_used = self.used.saturating_sub(released);
@@ -529,6 +536,126 @@ impl FlashDevice {
         self.is_healthy() && self.damaged == 0
     }
 
+    /// `true` while a read of any chunk the owner placed here is pure
+    /// arithmetic: [`FlashDevice::all_chunks_intact`] vouches for the
+    /// chunk, and no armed transient fault can time the read out. Such
+    /// reads of size-only chunks may be charged through
+    /// [`FlashDevice::read_run`].
+    pub fn serves_read_runs(&self) -> bool {
+        self.all_chunks_intact() && self.transient.is_none()
+    }
+
+    /// `true` when `handle` names an intact size-only chunk of exactly
+    /// `len` bytes — what [`FlashDevice::read_run`] takes on trust, and
+    /// what its callers re-check in debug builds.
+    pub fn holds_size_only(&self, handle: ChunkHandle, len: ByteSize) -> bool {
+        self.is_healthy()
+            && matches!(
+                self.chunks.get(&handle),
+                Some(ChunkSlot::Intact(c)) if c.len() == len && c.payload().is_synthetic()
+            )
+    }
+
+    /// Charges `count` reads of `len`-byte size-only chunks, all issued at
+    /// `now`, exactly as `count` calls of [`FlashDevice::read_chunk`] would
+    /// — the same counters, queueing and `busy_until` to the nanosecond —
+    /// without looking any chunk up. Returns the completion instant of the
+    /// last read (`now` for an empty run).
+    ///
+    /// The caller vouches that the chunks exist and are size-only; that
+    /// holds for every chunk it placed here while
+    /// [`FlashDevice::serves_read_runs`] is `true`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device does not serve read runs.
+    pub fn read_run(&mut self, count: u64, len: ByteSize, now: SimTime) -> SimTime {
+        assert!(
+            self.serves_read_runs(),
+            "{} cannot vouch for its chunks",
+            self.id
+        );
+        if count == 0 {
+            return now;
+        }
+        // Read i starts when read i-1 completes: `each * i` after `start`.
+        let each = self.scaled(self.config.read.service_time(len));
+        let start = self.busy_until.max(now);
+        let done = start + each * count;
+        self.stats.reads += count;
+        self.stats.bytes_read += len.as_bytes() * count;
+        self.stats.queued_nanos += start.saturating_since(now).as_nanos() * count
+            + each.as_nanos() * (count * (count - 1) / 2);
+        self.stats.busy_nanos += each.as_nanos() * count;
+        self.busy_until = done;
+        done
+    }
+
+    /// Writes a run of size-only chunks, all issued at `now`, exactly as
+    /// one [`FlashDevice::write_chunk`] per chunk in run order would, and
+    /// returns the completion instant of the last (`now` for an empty
+    /// run). One map insert per chunk remains; the capacity check, the
+    /// counters and the service-time arithmetic are done once per run.
+    ///
+    /// With a write-amplification model attached (every write moves the
+    /// factor of the next), or when the run might not fit (it must stop at
+    /// exactly the chunk that does not), the run is the per-chunk loop.
+    ///
+    /// # Errors
+    ///
+    /// As [`FlashDevice::write_chunk`]; chunks before the rejected one
+    /// stay written.
+    pub fn write_run<I>(&mut self, run: I, now: SimTime) -> Result<SimTime, FlashError>
+    where
+        I: Iterator<Item = (ChunkHandle, ByteSize)> + Clone,
+    {
+        if !self.is_healthy() {
+            return Err(FlashError::DeviceFailed(self.id));
+        }
+        let total: ByteSize = run.clone().map(|(_, len)| len).sum();
+        if self.write_amplification.is_some() || self.used + total > self.config.capacity {
+            let mut done = now;
+            for (handle, len) in run {
+                done = self.write_chunk(handle, StoredChunk::synthetic(len), now)?;
+            }
+            return Ok(done);
+        }
+        let start = self.busy_until.max(now);
+        let mut at = start;
+        let mut queued = 0;
+        let mut count = 0;
+        let (mut each, mut each_len) = (SimDuration::ZERO, ByteSize::ZERO);
+        for (handle, len) in run {
+            if len != each_len {
+                (each, each_len) = (self.scaled(self.config.write.service_time(len)), len);
+            }
+            // A handle already here gives its space back first, which only
+            // makes more room than the check above counted on.
+            let fresh = ChunkSlot::Intact(StoredChunk::synthetic(len));
+            if let Some(old) = self.chunks.insert(handle, fresh) {
+                self.used = self.used.saturating_sub(old.occupied());
+                if !matches!(old, ChunkSlot::Intact(_)) {
+                    self.damaged -= 1;
+                }
+            }
+            queued += at.saturating_since(now).as_nanos();
+            at += each;
+            count += 1;
+        }
+        if count == 0 {
+            // Nothing was issued: the device's horizon stays where it was.
+            return Ok(now);
+        }
+        self.used += total;
+        self.stats.writes += count;
+        self.stats.bytes_written += total.as_bytes();
+        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
+        self.stats.queued_nanos += queued;
+        self.stats.busy_nanos += at.saturating_since(start).as_nanos();
+        self.busy_until = at;
+        Ok(at)
+    }
+
     /// Records that the owner's metadata places `handle` on this device
     /// (stripe metadata reinstalled from a journal): a handle the device
     /// has no entry for is entered as awaiting rebuild, which keeps
@@ -588,18 +715,10 @@ impl FlashDevice {
     /// (idempotent delete). No service time is charged (TRIM-like).
     pub fn remove_chunk(&mut self, handle: ChunkHandle) {
         if let Some(slot) = self.chunks.remove(&handle) {
-            let len = match slot {
-                ChunkSlot::Intact(c) => c.len(),
-                ChunkSlot::Lost(len) => {
-                    self.damaged -= 1;
-                    len
-                }
-                ChunkSlot::Absent => {
-                    self.damaged -= 1;
-                    ByteSize::ZERO
-                }
-            };
-            self.used = self.used.saturating_sub(len);
+            if !matches!(slot, ChunkSlot::Intact(_)) {
+                self.damaged -= 1;
+            }
+            self.used = self.used.saturating_sub(slot.occupied());
         }
     }
 
@@ -965,6 +1084,116 @@ mod tests {
         // Already-lost chunks are skipped by a second pass's walk.
         let intact_before = a.intact_handles().len();
         assert_eq!(intact_before, 32 - hit_a);
+    }
+
+    /// Two devices in the same state: slowed down, one chunk already
+    /// written, so the horizon is ahead of instant zero.
+    fn run_twins() -> (FlashDevice, FlashDevice) {
+        let mut d = dev();
+        d.set_slowdown(1.7);
+        d.write_chunk(
+            ChunkHandle::new(0),
+            StoredChunk::synthetic(ByteSize::from_kib(8)),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        (d.clone(), d)
+    }
+
+    fn assert_same_device(a: &FlashDevice, b: &FlashDevice) {
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.busy_until(), b.busy_until());
+        assert_eq!(a.used(), b.used());
+        assert_eq!(a.chunk_handles(), b.chunk_handles());
+        assert_eq!(a.intact_handles(), b.intact_handles());
+        assert_eq!(a.all_chunks_intact(), b.all_chunks_intact());
+    }
+
+    #[test]
+    fn read_run_charges_what_the_reads_one_by_one_would() {
+        let (mut one_by_one, mut run) = run_twins();
+        let h = ChunkHandle::new(0);
+        // Behind the horizon (the reads queue) and past it (they do not).
+        for now in [SimTime::ZERO, SimTime::from_nanos(10_000_000)] {
+            let mut done = now;
+            for _ in 0..7 {
+                (_, done) = one_by_one.read_chunk(h, now).unwrap();
+            }
+            assert!(run.holds_size_only(h, ByteSize::from_kib(8)));
+            assert_eq!(run.read_run(7, ByteSize::from_kib(8), now), done);
+            assert_same_device(&one_by_one, &run);
+        }
+        // An empty run issues nothing: the horizon stays in the past.
+        let later = SimTime::from_nanos(50_000_000);
+        assert_eq!(run.read_run(0, ByteSize::from_kib(8), later), later);
+        assert_same_device(&one_by_one, &run);
+    }
+
+    #[test]
+    fn devices_that_cannot_vouch_for_their_chunks_serve_no_read_runs() {
+        let (mut d, _) = run_twins();
+        assert!(d.serves_read_runs());
+        d.arm_transient_faults(0.1, DetRng::from_seed(1));
+        assert!(!d.serves_read_runs());
+        d.arm_transient_faults(0.0, DetRng::from_seed(1));
+        d.corrupt_chunk(ChunkHandle::new(0));
+        assert!(!d.serves_read_runs());
+        assert!(!d.holds_size_only(ChunkHandle::new(0), ByteSize::from_kib(8)));
+        d.fail();
+        d.replace_with_spare();
+        assert!(!d.serves_read_runs(), "the spare awaits a rebuild");
+        d.remove_chunk(ChunkHandle::new(0));
+        assert!(d.serves_read_runs());
+    }
+
+    #[test]
+    fn write_run_is_the_writes_one_by_one() {
+        let lens = [16, 16, 16, 5, 16, 700].map(ByteSize::from_kib);
+        let run_of = |first: u64| (first..).map(ChunkHandle::new).zip(lens);
+        let check = |one_by_one: &mut FlashDevice, run: &mut FlashDevice, first, now| {
+            let mut expected = Ok(now);
+            for (handle, len) in run_of(first) {
+                expected = one_by_one.write_chunk(handle, StoredChunk::synthetic(len), now);
+                if expected.is_err() {
+                    break;
+                }
+            }
+            assert_eq!(run.write_run(run_of(first), now), expected);
+            assert_same_device(one_by_one, run);
+            expected
+        };
+        for amplified in [false, true] {
+            let (mut one_by_one, mut run) = run_twins();
+            if amplified {
+                for d in [&mut one_by_one, &mut run] {
+                    d.set_write_amplification(Some(WriteAmplification::new(0.07)));
+                }
+            }
+            // Fresh handles, queued behind the horizon.
+            check(&mut one_by_one, &mut run, 10, SimTime::ZERO).unwrap();
+            // The same handles again, one of them corrupted meanwhile, past
+            // the horizon: each gives its old space back.
+            for d in [&mut one_by_one, &mut run] {
+                d.corrupt_chunk(ChunkHandle::new(12));
+            }
+            let later = SimTime::from_nanos(90_000_000);
+            check(&mut one_by_one, &mut run, 10, later).unwrap();
+            // A second set does not fit the 1 MiB device: both stop at the
+            // same chunk with the same error and the same chunks written.
+            let full = check(&mut one_by_one, &mut run, 20, later);
+            assert!(matches!(full, Err(FlashError::DeviceFull { .. })));
+            assert_eq!(run.chunk_count(), 1 + 6 + 5);
+            // An empty run issues nothing.
+            let idle = SimTime::from_nanos(900_000_000);
+            assert_eq!(run.write_run(std::iter::empty(), idle), Ok(idle));
+            assert_same_device(&one_by_one, &run);
+            // A failed device takes no run.
+            run.fail();
+            assert_eq!(
+                run.write_run(run_of(30), idle),
+                Err(FlashError::DeviceFailed(DeviceId(0)))
+            );
+        }
     }
 
     #[test]

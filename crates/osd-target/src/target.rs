@@ -1524,7 +1524,7 @@ impl OsdTarget {
         }
         let mut owner_of: BTreeMap<StripeId, ObjectKey> = BTreeMap::new();
         for key in self.keys() {
-            for &sid in self.index[&key].layout.stripes() {
+            for sid in self.index[&key].layout.stripes() {
                 if let Some(prev) = owner_of.insert(sid, key) {
                     violations.push(format!("{sid} is claimed by both {prev} and {key}"));
                 }

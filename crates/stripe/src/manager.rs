@@ -173,7 +173,8 @@ impl SpaceUsage {
     }
 }
 
-/// Where an object lives: the stripes that hold it.
+/// Where an object lives: the run of consecutively numbered stripes that
+/// holds it.
 ///
 /// Layouts are handed back from [`StripeManager::store_object`] and passed
 /// to the read/status/rebuild/remove operations. They are intentionally
@@ -183,7 +184,8 @@ pub struct ObjectLayout {
     owner: u64,
     size: ByteSize,
     scheme: RedundancyScheme,
-    stripes: Vec<StripeId>,
+    first_stripe: StripeId,
+    stripe_count: u32,
 }
 
 impl ObjectLayout {
@@ -202,39 +204,153 @@ impl ObjectLayout {
         self.scheme
     }
 
-    /// The stripes holding the object.
-    pub fn stripes(&self) -> &[StripeId] {
-        &self.stripes
+    /// The stripes holding the object, in object order.
+    pub fn stripes(&self) -> impl Iterator<Item = StripeId> + Clone {
+        let first = self.first_stripe.0;
+        (first..first + u64::from(self.stripe_count)).map(StripeId)
     }
 }
 
+/// One stored chunk. Its role is its position: a stripe's data chunks (or
+/// its primary replica) come first, in object order, then its parity
+/// chunks (or its other replicas).
 #[derive(Clone, Copy, Debug)]
 struct StripeChunk {
-    role: ChunkRole,
     device: DeviceId,
     handle: ChunkHandle,
     len: ByteSize,
-    /// Real payload retained at encode time? (Payload itself lives on the
-    /// device; this only records whether the stripe is in real-data mode.)
-    real: bool,
 }
 
+/// Everything the manager keeps about one stored object: the chunks of
+/// all its stripes in one exactly-sized run, stripe after stripe. Every
+/// stripe but the last is `width` chunks wide; the last holds the
+/// remaining data chunks and a full set of redundancy chunks.
 #[derive(Clone, Debug)]
-struct StripeMeta {
+struct Extent {
     /// Effective scheme after clamping to the healthy-device count at
     /// store time.
     scheme: RedundancyScheme,
-    /// The data-shard count `m` the encoder used (store-time healthy
-    /// width minus parity). Short stripes hold fewer real data chunks and
-    /// were padded to `m` with phantom zero shards; decode must reuse the
-    /// same geometry.
-    encode_m: usize,
+    /// Healthy devices at store time: the chunks of a full stripe.
+    width: usize,
+    /// Stored with a real payload? (The payload itself lives on the
+    /// devices; this only records that the chunks carry bytes.)
+    real: bool,
     chunks: Vec<StripeChunk>,
 }
 
-impl StripeMeta {
-    fn tolerated(&self, width: usize) -> usize {
-        self.scheme.failures_tolerated(width)
+impl Extent {
+    /// The data-shard count `m` the encoder used. Short stripes hold fewer
+    /// real data chunks and were padded to `m` with phantom zero shards;
+    /// decode must reuse the same geometry.
+    fn encode_m(&self) -> usize {
+        self.scheme.data_chunks_per_stripe(self.width)
+    }
+
+    fn stripe_count(&self) -> usize {
+        self.chunks.len().div_ceil(self.width)
+    }
+
+    /// The stripe numbered `id` over its `chunks` of the extent.
+    fn stripe<'a>(&'a self, id: StripeId, chunks: &'a [StripeChunk]) -> Stripe<'a> {
+        let encode_m = self.encode_m();
+        let (data, redundancy) = chunks.split_at(chunks.len() - (self.width - encode_m));
+        Stripe {
+            id,
+            scheme: self.scheme,
+            encode_m,
+            real: self.real,
+            data,
+            redundancy,
+        }
+    }
+
+    /// The extent's stripes, numbered from `first`.
+    fn stripes(&self, first: StripeId) -> impl Iterator<Item = Stripe<'_>> {
+        self.chunks
+            .chunks(self.width)
+            .zip(first.0..)
+            .map(|(chunks, id)| self.stripe(StripeId(id), chunks))
+    }
+
+    /// The stripe holding the object's `chunk_index`-th data chunk, and
+    /// the chunk's index within it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the object has no such chunk.
+    fn locate(&self, layout: &ObjectLayout, chunk_index: u64) -> (Stripe<'_>, usize) {
+        let m = self.encode_m() as u64;
+        let (stripe_no, local_j) = (chunk_index / m, (chunk_index % m) as usize);
+        self.stripes(layout.first_stripe)
+            .nth(usize::try_from(stripe_no).unwrap_or(usize::MAX))
+            .filter(|stripe| local_j < stripe.data.len())
+            .map(|stripe| (stripe, local_j))
+            .unwrap_or_else(|| {
+                panic!(
+                    "chunk index {chunk_index} out of range for object {}",
+                    layout.owner
+                )
+            })
+    }
+
+    /// The bytes the extent occupies, split into user data and redundancy.
+    fn usage(&self) -> SpaceUsage {
+        let mut usage = SpaceUsage::default();
+        for stripe in self.stripes(StripeId(0)) {
+            usage.user_bytes += stripe.data.iter().map(|c| c.len).sum();
+            usage.redundancy_bytes += stripe.redundancy.iter().map(|c| c.len).sum();
+        }
+        usage
+    }
+}
+
+/// One stripe of an [`Extent`], borrowed from it.
+#[derive(Clone, Copy, Debug)]
+struct Stripe<'a> {
+    id: StripeId,
+    scheme: RedundancyScheme,
+    encode_m: usize,
+    real: bool,
+    /// Data chunks in object order; the primary replica under replication.
+    data: &'a [StripeChunk],
+    /// Parity chunks in codec order; the other replicas under replication.
+    redundancy: &'a [StripeChunk],
+}
+
+impl<'a> Stripe<'a> {
+    fn chunks(&self) -> impl Iterator<Item = &'a StripeChunk> + Clone {
+        self.data.iter().chain(self.redundancy)
+    }
+
+    fn width(&self) -> usize {
+        self.data.len() + self.redundancy.len()
+    }
+
+    fn tolerated(&self) -> usize {
+        self.scheme.failures_tolerated(self.width())
+    }
+
+    /// The codec's shard length: the stripe's longest chunk.
+    fn shard_len(&self) -> ByteSize {
+        self.chunks()
+            .map(|c| c.len)
+            .fold(ByteSize::ZERO, ByteSize::max)
+    }
+
+    /// Every chunk with its codec shard index: data shards first (a short
+    /// stripe's phantom shards take the indices up to `encode_m`), then
+    /// parity.
+    fn codec_order(&self) -> impl Iterator<Item = (usize, &'a StripeChunk)> {
+        let parity = (self.encode_m..).zip(self.redundancy);
+        self.data.iter().enumerate().chain(parity)
+    }
+
+    fn object_lost(&self, lost: usize) -> StripeError {
+        StripeError::ObjectLost {
+            stripe: self.id,
+            lost,
+            tolerated: self.tolerated(),
+        }
     }
 }
 
@@ -280,14 +396,45 @@ fn reset_buffers(pool: &mut Vec<Vec<u8>>, count: usize, len: usize) {
     }
 }
 
+/// Size-only reads one operation has issued to one device and not yet
+/// charged: `count` chunks of `len` bytes, back to back.
+#[derive(Clone, Copy, Debug, Default)]
+struct ReadRun {
+    len: ByteSize,
+    count: u64,
+}
+
+/// Per-device state of the operation in flight, indexed by device; kept
+/// between operations only for its capacity.
+#[derive(Clone, Debug, Default)]
+struct DeviceRuns {
+    reads: Vec<ReadRun>,
+    /// Bytes the extent being stored places on each device.
+    write_bytes: Vec<ByteSize>,
+    /// The healthy devices the extent being stored is placed over.
+    healthy: Vec<DeviceId>,
+}
+
 /// The mutable halves of a [`StripeManager`] that stripe I/O needs,
-/// borrowed disjointly from the `stripes` map so per-request paths can
-/// hold `&StripeMeta` straight out of the map instead of cloning it.
+/// borrowed disjointly from the extent map so per-request paths can hold
+/// an `&Extent` straight out of the map, plus the timeline of the
+/// operation in flight: every chunk operation is issued at `now`, and the
+/// operation completes with the `latest` of them.
+///
+/// A size-only read on a device that vouches for its chunks
+/// ([`reo_flashsim::FlashDevice::serves_read_runs`]) is only counted into
+/// that device's [`ReadRun`]; the run is charged in closed form when a
+/// chunk of another length joins it, before any per-chunk operation on
+/// the device, and in [`StripeIo::finish`] — so each device sees its
+/// operations in the order they were issued.
 struct StripeIo<'a> {
     array: &'a mut FlashArray,
     transient_retries: &'a mut u64,
     codecs: &'a mut CodecCache,
     scratch: &'a mut StripeScratch,
+    read_runs: &'a mut [ReadRun],
+    now: SimTime,
+    latest: SimTime,
 }
 
 /// Stores objects as variable-redundancy stripes on a [`FlashArray`].
@@ -300,11 +447,13 @@ pub struct StripeManager {
     placement: PlacementPolicy,
     next_handle: u64,
     next_stripe: u64,
-    stripes: FastMap<StripeId, StripeMeta>,
+    /// One extent per stored object, keyed by its first stripe.
+    extents: FastMap<StripeId, Extent>,
     usage: SpaceUsage,
     transient_retries: u64,
     codecs: CodecCache,
     scratch: StripeScratch,
+    runs: DeviceRuns,
 }
 
 /// Serialized size of one chunk row in an exported layout blob: role tag,
@@ -339,31 +488,41 @@ impl StripeManager {
         placement: PlacementPolicy,
     ) -> Self {
         assert!(!chunk_size.is_zero(), "chunk size must be non-zero");
+        let runs = DeviceRuns {
+            reads: vec![ReadRun::default(); array.device_count()],
+            ..DeviceRuns::default()
+        };
         StripeManager {
             array,
             chunk_size,
             placement,
             next_handle: 0,
             next_stripe: 0,
-            stripes: FastMap::default(),
+            extents: FastMap::default(),
             usage: SpaceUsage::default(),
             transient_retries: 0,
             codecs: CodecCache::default(),
             scratch: StripeScratch::default(),
+            runs,
         }
     }
 
-    /// Splits the manager into its I/O half and the stripe map, so request
-    /// paths can mutate devices/buffers while borrowing metadata in place.
-    fn split_io(&mut self) -> (StripeIo<'_>, &FastMap<StripeId, StripeMeta>) {
+    /// Splits the manager into the I/O half of an operation issued now and
+    /// the extent map, so request paths can mutate devices/buffers while
+    /// borrowing metadata in place.
+    fn split_io(&mut self) -> (StripeIo<'_>, &FastMap<StripeId, Extent>) {
+        let now = self.array.clock().now();
         (
             StripeIo {
                 array: &mut self.array,
                 transient_retries: &mut self.transient_retries,
                 codecs: &mut self.codecs,
                 scratch: &mut self.scratch,
+                read_runs: &mut self.runs.reads,
+                now,
+                latest: now,
             },
-            &self.stripes,
+            &self.extents,
         )
     }
 
@@ -423,11 +582,7 @@ impl StripeManager {
 
     /// Total free bytes across healthy devices.
     pub fn free_capacity(&self) -> ByteSize {
-        self.array
-            .healthy_devices()
-            .into_iter()
-            .map(|d| self.array.device(d).available())
-            .sum()
+        self.array.healthy().map(|d| d.available()).sum()
     }
 
     /// Physical bytes an object of `size` will occupy under `scheme`,
@@ -437,7 +592,7 @@ impl StripeManager {
     /// The estimate uses the current healthy-device count, matching what
     /// [`StripeManager::store_object`] would do right now.
     pub fn physical_bytes_needed(&self, size: ByteSize, scheme: RedundancyScheme) -> ByteSize {
-        let healthy = self.array.healthy_devices().len();
+        let healthy = self.array.healthy().count();
         if healthy == 0 || size.is_zero() {
             return ByteSize::ZERO;
         }
@@ -477,25 +632,6 @@ impl StripeManager {
         self.array.replace_device(id);
     }
 
-    fn alloc_handle(&mut self) -> ChunkHandle {
-        let h = ChunkHandle::new(self.next_handle);
-        self.next_handle += 1;
-        h
-    }
-
-    /// Splits a payload (or a size) into per-chunk lengths.
-    fn chunk_lengths(&self, size: ByteSize) -> Vec<ByteSize> {
-        let mut out = Vec::new();
-        let mut remaining = size.as_bytes();
-        let c = self.chunk_size.as_bytes();
-        while remaining > 0 {
-            let l = remaining.min(c);
-            out.push(ByteSize::from_bytes(l));
-            remaining -= l;
-        }
-        out
-    }
-
     /// Stores an object and returns its layout.
     ///
     /// `owner` is an opaque tag echoed back in [`ObjectLayout::owner`];
@@ -533,192 +669,130 @@ impl StripeManager {
                 });
             }
         }
-        let healthy = self.array.healthy_devices();
+        let DeviceRuns {
+            healthy,
+            write_bytes,
+            ..
+        } = &mut self.runs;
+        healthy.clear();
+        healthy.extend(self.array.healthy().map(|d| d.id()));
         if healthy.is_empty() {
             return Err(StripeError::NoHealthyDevices);
         }
         let scheme = clamp_scheme(scheme, healthy.len());
-
-        let lens = self.chunk_lengths(size);
         let m = scheme.data_chunks_per_stripe(healthy.len());
+        let redundancy = scheme.parity_chunks(healthy.len());
+        let data_chunks = size.div_ceil(self.chunk_size);
+        let stripe_count = data_chunks.div_ceil(m as u64);
+        let (first_stripe, first_handle) = (self.next_stripe, self.next_handle);
 
-        let mut stripe_ids = Vec::new();
-        let mut written: Vec<(DeviceId, ChunkHandle)> = Vec::new();
-        let mut completions: Vec<SimTime> = Vec::new();
-        let now = self.array.clock().now();
-        let usage_before = self.usage;
-
-        let result = (|this: &mut Self| -> Result<(), StripeError> {
-            for (stripe_no, group) in lens.chunks(m).enumerate() {
-                let stripe_index = this.next_stripe;
-                this.next_stripe += 1;
-                let id = StripeId(stripe_index);
-                let layout = StripeLayout::with_placement(
-                    stripe_index,
-                    scheme,
-                    healthy.len(),
-                    this.placement,
-                );
-
-                let mut chunks: Vec<StripeChunk> = Vec::new();
-                let parity_len = group.iter().copied().fold(ByteSize::ZERO, ByteSize::max);
-
-                // Data chunks (or primary replicas).
-                for (j, &len) in group.iter().enumerate() {
-                    let role = if scheme.is_replication() {
-                        ChunkRole::Replica(0)
-                    } else {
-                        ChunkRole::Data(j)
-                    };
-                    let slot = if scheme.is_replication() { 0 } else { j };
-                    let device = healthy[layout.data_device(slot).0];
-                    let handle = this.alloc_handle();
-                    let stored = match payload {
-                        Some(p) => {
-                            let off = (stripe_no * m + j) as u64 * this.chunk_size.as_bytes();
-                            let chunk_bytes = &p[off as usize..(off + len.as_bytes()) as usize];
-                            StoredChunk::real(Bytes::copy_from_slice(chunk_bytes))
-                        }
-                        None => StoredChunk::synthetic(len),
-                    };
-                    let done = this
-                        .array
-                        .device_mut(device)
-                        .write_chunk(handle, stored, now)?;
-                    completions.push(done);
-                    written.push((device, handle));
-                    chunks.push(StripeChunk {
-                        role,
-                        device,
-                        handle,
-                        len,
-                        real: payload.is_some(),
-                    });
-                    this.usage.user_bytes += len;
-                }
-
-                // Redundancy chunks.
-                match scheme {
-                    RedundancyScheme::Parity(0) => {}
-                    RedundancyScheme::Parity(k) => {
-                        if let Some(p) = payload {
-                            // Pad each data chunk to parity_len in the
-                            // scratch pool and encode into reusable parity
-                            // buffers. The codec wants exactly m data
-                            // shards; rows past the stripe's real chunks
-                            // stay zero (phantom tail shards).
-                            let plen = parity_len.as_bytes() as usize;
-                            reset_buffers(&mut this.scratch.shards, m, plen);
-                            this.scratch.parity.resize_with(k as usize, Vec::new);
-                            for (j, c) in chunks.iter().enumerate() {
-                                let off = stripe_offset(stripe_no, m, c.role, this.chunk_size);
-                                this.scratch.shards[j][..c.len.as_bytes() as usize]
-                                    .copy_from_slice(
-                                        &p[off as usize..(off + c.len.as_bytes()) as usize],
-                                    );
-                            }
-                            let rs = this.codecs.get(m, k as usize)?;
-                            rs.encode_into(&this.scratch.shards, &mut this.scratch.parity)?;
-                        }
-                        for p in 0..k as usize {
-                            let device = healthy[layout.parity_device(p).0];
-                            let handle = this.alloc_handle();
-                            let stored = match payload {
-                                Some(_) => StoredChunk::real(Bytes::copy_from_slice(
-                                    &this.scratch.parity[p],
-                                )),
-                                None => StoredChunk::synthetic(parity_len),
-                            };
-                            let done = this
-                                .array
-                                .device_mut(device)
-                                .write_chunk(handle, stored, now)?;
-                            completions.push(done);
-                            written.push((device, handle));
-                            chunks.push(StripeChunk {
-                                role: ChunkRole::Parity(p),
-                                device,
-                                handle,
-                                len: parity_len,
-                                real: payload.is_some(),
-                            });
-                            this.usage.redundancy_bytes += parity_len;
-                        }
-                    }
-                    RedundancyScheme::Replication => {
-                        // One data chunk per stripe (m == 1); replicate it.
-                        let len = group[0];
-                        for r in 0..layout.redundancy_slots() {
-                            let device = healthy[layout.parity_device(r).0];
-                            let handle = this.alloc_handle();
-                            let stored = match payload {
-                                Some(p) => {
-                                    let off = stripe_no as u64 * this.chunk_size.as_bytes();
-                                    StoredChunk::real(Bytes::copy_from_slice(
-                                        &p[off as usize..(off + len.as_bytes()) as usize],
-                                    ))
-                                }
-                                None => StoredChunk::synthetic(len),
-                            };
-                            let done = this
-                                .array
-                                .device_mut(device)
-                                .write_chunk(handle, stored, now)?;
-                            completions.push(done);
-                            written.push((device, handle));
-                            chunks.push(StripeChunk {
-                                role: ChunkRole::Replica(r + 1),
-                                device,
-                                handle,
-                                len,
-                                real: payload.is_some(),
-                            });
-                            this.usage.redundancy_bytes += len;
-                        }
-                    }
-                }
-
-                this.stripes.insert(
-                    id,
-                    StripeMeta {
-                        scheme,
-                        encode_m: m,
-                        chunks,
-                    },
-                );
-                stripe_ids.push(id);
+        // Place every chunk: stripe after stripe, data before redundancy,
+        // handles in the same order.
+        let mut chunks =
+            Vec::with_capacity((data_chunks + stripe_count * redundancy as u64) as usize);
+        write_bytes.clear();
+        write_bytes.resize(self.array.device_count(), ByteSize::ZERO);
+        let mut place = |device: DeviceId, len: ByteSize| {
+            write_bytes[device.0] += len;
+            chunks.push(StripeChunk {
+                device,
+                handle: ChunkHandle::new(first_handle + chunks.len() as u64),
+                len,
+            });
+        };
+        for stripe_no in 0..stripe_count {
+            let layout = StripeLayout::with_placement(
+                first_stripe + stripe_no,
+                scheme,
+                healthy.len(),
+                self.placement,
+            );
+            let first_chunk = stripe_no * m as u64;
+            let len_of = |j: usize| {
+                let before = (first_chunk + j as u64) * self.chunk_size.as_bytes();
+                ByteSize::from_bytes(size.as_bytes() - before).min(self.chunk_size)
+            };
+            for j in 0..(data_chunks - first_chunk).min(m as u64) as usize {
+                place(healthy[layout.data_device(j).0], len_of(j));
             }
-            Ok(())
-        })(self);
-
-        if let Err(e) = result {
-            // Roll back anything written — chunks, stripe metadata, and
-            // accounting (including chunks of the stripe that was being
-            // assembled when the error hit).
-            for (device, handle) in written {
-                self.array.device_mut(device).remove_chunk(handle);
+            // Only an object's last chunk is short, so a stripe's first
+            // data chunk is its longest: the length of its parity chunks,
+            // and under replication the one chunk every replica copies.
+            for p in 0..redundancy {
+                place(healthy[layout.parity_device(p).0], len_of(0));
             }
-            for id in stripe_ids {
-                self.stripes.remove(&id);
-            }
-            self.usage = usage_before;
-            return Err(e);
         }
+        let extent = Extent {
+            scheme,
+            width: healthy.len(),
+            real: payload.is_some(),
+            chunks,
+        };
+        self.next_stripe += stripe_count;
+        self.next_handle += extent.chunks.len() as u64;
 
-        let completed_at = self.array.complete_batch(completions);
+        // A size-only extent whose every device has room for its share goes
+        // out as one run per device: no write can be rejected, so the order
+        // between devices cannot show. Otherwise chunk by chunk in extent
+        // order, which stops at exactly the chunk that does not fit.
+        let now = self.array.clock().now();
+        let in_runs = !extent.real
+            && healthy
+                .iter()
+                .all(|&d| self.array.device(d).available() >= write_bytes[d.0]);
+        let completed_at = if in_runs {
+            let mut latest = now;
+            for &d in healthy.iter() {
+                let run = extent.chunks.iter().filter(|c| c.device == d);
+                let done = self
+                    .array
+                    .device_mut(d)
+                    .write_run(run.map(|c| (c.handle, c.len)), now)
+                    .expect("a healthy device with room for the run");
+                latest = latest.max(done);
+            }
+            self.array.complete_batch([latest])
+        } else {
+            let (mut io, _) = self.split_io();
+            let mut written = 0;
+            let result = io.write_extent(&extent, StripeId(first_stripe), payload, &mut written);
+            let latest = io.finish();
+            if let Err(e) = result {
+                // Roll back the chunks written; the stripe being assembled
+                // and the handle being written stay consumed.
+                for c in &extent.chunks[..written] {
+                    self.array.device_mut(c.device).remove_chunk(c.handle);
+                }
+                self.next_stripe = first_stripe + (written / extent.width) as u64 + 1;
+                self.next_handle = first_handle + written as u64 + 1;
+                return Err(e);
+            }
+            self.array.complete_batch([latest])
+        };
         self.array
             .tracer()
             .record_span(Layer::Stripe, "store", now, completed_at);
+
+        self.charge_usage(&extent);
+        self.extents.insert(StripeId(first_stripe), extent);
         Ok(ObjectLayout {
             owner,
             size,
             scheme,
-            stripes: stripe_ids,
+            first_stripe: StripeId(first_stripe),
+            stripe_count: u32::try_from(stripe_count).expect("a stored object's stripes fit a u32"),
         })
     }
 
-    fn stripe(&self, id: StripeId) -> Result<&StripeMeta, StripeError> {
-        self.stripes.get(&id).ok_or(StripeError::UnknownStripe(id))
+    fn extent<'a>(
+        extents: &'a FastMap<StripeId, Extent>,
+        layout: &ObjectLayout,
+    ) -> Result<&'a Extent, StripeError> {
+        let extent = extents
+            .get(&layout.first_stripe)
+            .ok_or(StripeError::UnknownStripe(layout.first_stripe))?;
+        debug_assert_eq!(extent.stripe_count(), layout.stripe_count as usize);
+        Ok(extent)
     }
 
     /// The object's health, computed from chunk intactness. Free — no
@@ -729,10 +803,10 @@ impl StripeManager {
     /// [`StripeError::UnknownStripe`] if the layout references a removed
     /// stripe.
     pub fn object_status(&self, layout: &ObjectLayout) -> Result<ObjectStatus, StripeError> {
+        let extent = Self::extent(&self.extents, layout)?;
         let mut degraded = false;
-        for &sid in &layout.stripes {
-            let meta = self.stripe(sid)?;
-            match self.stripe_health(meta) {
+        for stripe in extent.stripes(layout.first_stripe) {
+            match stripe_health_on(&self.array, &stripe) {
                 StripeHealth::Intact => {}
                 StripeHealth::Degraded(_) => degraded = true,
                 StripeHealth::Lost(_) => return Ok(ObjectStatus::Lost),
@@ -745,10 +819,6 @@ impl StripeManager {
         })
     }
 
-    fn stripe_health(&self, meta: &StripeMeta) -> StripeHealth {
-        stripe_health_on(&self.array, meta)
-    }
-
     /// Reads an object, reconstructing lost chunks on the fly when needed
     /// (the paper's on-demand degraded read, Section IV-D).
     ///
@@ -759,42 +829,15 @@ impl StripeManager {
     /// * [`StripeError::UnknownStripe`] — stale layout.
     /// * [`StripeError::Flash`] — unexpected device error.
     pub fn read_object(&mut self, layout: &ObjectLayout) -> Result<ReadOutcome, StripeError> {
-        let now = self.array.clock().now();
         let retries_before = self.transient_retries;
-        let mut completions: Vec<SimTime> = Vec::new();
-        let mut degraded = false;
-        let mut assembled: Option<Vec<Vec<u8>>> = None;
+        let (mut io, extents) = self.split_io();
+        let now = io.now;
+        let result = Self::extent(extents, layout)
+            .and_then(|extent| io.read_extent(extent, layout.first_stripe));
+        let latest = io.finish();
+        let (mut bytes, degraded) = result?;
 
-        let (mut io, stripes) = self.split_io();
-        for &sid in &layout.stripes {
-            let meta = stripes.get(&sid).ok_or(StripeError::UnknownStripe(sid))?;
-            match stripe_health_on(io.array, meta) {
-                StripeHealth::Lost(lost) => {
-                    let tolerated = meta.tolerated(meta.chunks.len());
-                    return Err(StripeError::ObjectLost {
-                        stripe: sid,
-                        lost,
-                        tolerated,
-                    });
-                }
-                StripeHealth::Intact => {
-                    // Plain read of data chunks / primary replica.
-                    let stripe_bytes = io.read_stripe_data(meta, now, &mut completions)?;
-                    if let Some(b) = stripe_bytes {
-                        assembled.get_or_insert_with(Vec::new).push(b);
-                    }
-                }
-                StripeHealth::Degraded(_) => {
-                    degraded = true;
-                    let stripe_bytes = io.degraded_read_stripe(meta, now, &mut completions)?;
-                    if let Some(b) = stripe_bytes {
-                        assembled.get_or_insert_with(Vec::new).push(b);
-                    }
-                }
-            }
-        }
-
-        let completed_at = self.array.complete_batch(completions);
+        let completed_at = self.array.complete_batch([latest]);
         self.array
             .tracer()
             .record_span(Layer::Stripe, "read", now, completed_at);
@@ -806,11 +849,9 @@ impl StripeManager {
         if self.transient_retries > retries_before {
             self.array.tracer().annotate("retry", completed_at);
         }
-        let bytes = assembled.map(|per_stripe| {
-            let mut out: Vec<u8> = per_stripe.into_iter().flatten().collect();
-            out.truncate(layout.size.as_bytes() as usize);
-            out
-        });
+        if let Some(bytes) = &mut bytes {
+            bytes.truncate(layout.size.as_bytes() as usize);
+        }
         Ok(ReadOutcome {
             bytes,
             degraded,
@@ -849,15 +890,26 @@ impl StripeManager {
         chunk_index: u64,
         new_payload: Option<&[u8]>,
     ) -> Result<(ParityUpdate, SimTime), StripeError> {
-        let (sid, local_j) = ChunkCursor::default().seek(self, layout, chunk_index)?;
-        self.overwrite_located(sid, local_j, new_payload)
+        let (mut io, extents) = self.split_io();
+        let now = io.now;
+        let result = Self::extent(extents, layout).and_then(|extent| {
+            let (stripe, local_j) = extent.locate(layout, chunk_index);
+            io.overwrite(&stripe, local_j, new_payload)
+        });
+        let latest = io.finish();
+        let method = result?;
+
+        let completed_at = self.array.complete_batch([latest]);
+        self.array
+            .tracer()
+            .record_span(Layer::Stripe, "overwrite", now, completed_at);
+        Ok((method, completed_at))
     }
 
     /// Overwrites the data chunks `chunks` of an object (object order,
     /// inclusive) size-only, one [`StripeManager::overwrite_chunk`] after
-    /// another — chunk *i + 1* starts at the clock chunk *i* left — while
-    /// walking the layout's stripes once for the whole range. Returns the
-    /// completion instant of the last chunk (the current instant for an
+    /// another — chunk *i + 1* starts at the clock chunk *i* left. Returns
+    /// the completion instant of the last chunk (the current instant for an
     /// empty range).
     ///
     /// # Errors
@@ -873,99 +925,11 @@ impl StripeManager {
         layout: &ObjectLayout,
         chunks: std::ops::RangeInclusive<u64>,
     ) -> Result<SimTime, StripeError> {
-        let mut cursor = ChunkCursor::default();
         let mut done = self.array.clock().now();
         for chunk_index in chunks {
-            let (sid, local_j) = cursor.seek(self, layout, chunk_index)?;
-            (_, done) = self.overwrite_located(sid, local_j, None)?;
+            (_, done) = self.overwrite_chunk(layout, chunk_index, None)?;
         }
         Ok(done)
-    }
-
-    /// Overwrites the `local_j`-th data chunk of stripe `sid`.
-    fn overwrite_located(
-        &mut self,
-        sid: StripeId,
-        local_j: usize,
-        new_payload: Option<&[u8]>,
-    ) -> Result<(ParityUpdate, SimTime), StripeError> {
-        let now = self.array.clock().now();
-        let mut completions: Vec<SimTime> = Vec::new();
-
-        let (mut io, stripes) = self.split_io();
-        let meta = stripes.get(&sid).ok_or(StripeError::UnknownStripe(sid))?;
-
-        // Overwrites need the stripe intact: reconstructing *and*
-        // updating in one step is the rebuild path's job.
-        if let StripeHealth::Degraded(lost) | StripeHealth::Lost(lost) =
-            stripe_health_on(io.array, meta)
-        {
-            return Err(StripeError::ObjectLost {
-                stripe: sid,
-                lost,
-                tolerated: meta.tolerated(meta.chunks.len()),
-            });
-        }
-
-        let target_chunk = *meta
-            .chunks
-            .iter()
-            .filter(|c| c.role.is_user_data())
-            .nth(local_j)
-            .expect("local index within stripe");
-        if let Some(p) = new_payload {
-            if p.len() as u64 != target_chunk.len.as_bytes() {
-                return Err(StripeError::PayloadSizeMismatch {
-                    declared: target_chunk.len.as_bytes(),
-                    payload: p.len() as u64,
-                });
-            }
-        }
-
-        let method = match meta.scheme {
-            RedundancyScheme::Replication => {
-                // Rewrite every replica with the new contents.
-                for c in &meta.chunks {
-                    let stored = match new_payload {
-                        Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
-                        None => StoredChunk::synthetic(c.len),
-                    };
-                    let done = io
-                        .array
-                        .device_mut(c.device)
-                        .write_chunk(c.handle, stored, now)?;
-                    completions.push(done);
-                }
-                ParityUpdate::Rewrite
-            }
-            RedundancyScheme::Parity(0) => {
-                let stored = match new_payload {
-                    Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
-                    None => StoredChunk::synthetic(target_chunk.len),
-                };
-                let done = io.array.device_mut(target_chunk.device).write_chunk(
-                    target_chunk.handle,
-                    stored,
-                    now,
-                )?;
-                completions.push(done);
-                ParityUpdate::Rewrite
-            }
-            RedundancyScheme::Parity(_) => io.overwrite_with_parity(
-                meta,
-                &target_chunk,
-                local_j,
-                new_payload,
-                now,
-                &mut completions,
-            )?,
-        };
-
-        let completed_at = self.array.complete_batch(completions);
-        self.array
-            .tracer()
-            .record_span(Layer::Stripe, "overwrite", now, completed_at);
-        Ok((method, completed_at))
     }
 
     /// Rebuilds every lost chunk of an object back onto its (replaced)
@@ -981,26 +945,22 @@ impl StripeManager {
     /// * [`StripeError::Flash`] — the rebuild target device rejected a
     ///   write (e.g. it is still failed).
     pub fn rebuild_object(&mut self, layout: &ObjectLayout) -> Result<SimTime, StripeError> {
-        let now = self.array.clock().now();
-        let mut completions: Vec<SimTime> = Vec::new();
-
-        let (mut io, stripes) = self.split_io();
-        for &sid in &layout.stripes {
-            let meta = stripes.get(&sid).ok_or(StripeError::UnknownStripe(sid))?;
-            match stripe_health_on(io.array, meta) {
-                StripeHealth::Intact => continue,
-                StripeHealth::Lost(lost) => {
-                    return Err(StripeError::ObjectLost {
-                        stripe: sid,
-                        lost,
-                        tolerated: meta.tolerated(meta.chunks.len()),
-                    });
+        let (mut io, extents) = self.split_io();
+        let now = io.now;
+        let result = Self::extent(extents, layout).and_then(|extent| {
+            for stripe in extent.stripes(layout.first_stripe) {
+                match stripe_health_on(io.array, &stripe) {
+                    StripeHealth::Intact => {}
+                    StripeHealth::Lost(lost) => return Err(stripe.object_lost(lost)),
+                    StripeHealth::Degraded(_) => io.rebuild_stripe(&stripe)?,
                 }
-                StripeHealth::Degraded(_) => {}
             }
-            io.rebuild_stripe(meta, now, &mut completions)?;
-        }
-        let completed_at = self.array.complete_batch(completions);
+            Ok(())
+        });
+        let latest = io.finish();
+        result?;
+
+        let completed_at = self.array.complete_batch([latest]);
         self.array
             .tracer()
             .record_span(Layer::Stripe, "rebuild", now, completed_at);
@@ -1024,26 +984,12 @@ impl StripeManager {
         layout: &ObjectLayout,
         chunk_index: u64,
     ) -> Result<(), StripeError> {
-        let mut remaining = chunk_index;
-        for &sid in &layout.stripes {
-            let meta = self.stripe(sid)?;
-            let data: Vec<(DeviceId, ChunkHandle)> = meta
-                .chunks
-                .iter()
-                .filter(|c| c.role.is_user_data())
-                .map(|c| (c.device, c.handle))
-                .collect();
-            if (remaining as usize) < data.len() {
-                let (device, handle) = data[remaining as usize];
-                self.array.device_mut(device).corrupt_chunk(handle);
-                return Ok(());
-            }
-            remaining -= data.len() as u64;
-        }
-        panic!(
-            "chunk index {chunk_index} out of range for object {}",
-            layout.owner
-        );
+        let (stripe, local_j) = Self::extent(&self.extents, layout)?.locate(layout, chunk_index);
+        let chunk = stripe.data[local_j];
+        self.array
+            .device_mut(chunk.device)
+            .corrupt_chunk(chunk.handle);
+        Ok(())
     }
 
     /// Removes an object, releasing all its chunks and accounting. Chunks
@@ -1051,27 +997,32 @@ impl StripeManager {
     ///
     /// Stale layouts (already removed) are a no-op.
     pub fn remove_object(&mut self, layout: &ObjectLayout) {
-        for &sid in &layout.stripes {
-            if let Some(meta) = self.stripes.remove(&sid) {
-                for c in meta.chunks {
-                    self.array.device_mut(c.device).remove_chunk(c.handle);
-                    match c.role {
-                        ChunkRole::Data(_) | ChunkRole::Replica(0) => {
-                            self.usage.user_bytes = self.usage.user_bytes.saturating_sub(c.len)
-                        }
-                        _ => {
-                            self.usage.redundancy_bytes =
-                                self.usage.redundancy_bytes.saturating_sub(c.len)
-                        }
-                    }
-                }
+        if let Some(extent) = self.extents.remove(&layout.first_stripe) {
+            for c in &extent.chunks {
+                self.array.device_mut(c.device).remove_chunk(c.handle);
             }
+            self.release_usage(&extent);
         }
+    }
+
+    fn charge_usage(&mut self, extent: &Extent) {
+        let stored = extent.usage();
+        self.usage.user_bytes += stored.user_bytes;
+        self.usage.redundancy_bytes += stored.redundancy_bytes;
+    }
+
+    fn release_usage(&mut self, extent: &Extent) {
+        let freed = extent.usage();
+        self.usage.user_bytes = self.usage.user_bytes.saturating_sub(freed.user_bytes);
+        self.usage.redundancy_bytes = self
+            .usage
+            .redundancy_bytes
+            .saturating_sub(freed.redundancy_bytes);
     }
 
     /// Number of live stripes.
     pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
+        self.extents.values().map(Extent::stripe_count).sum()
     }
 
     /// Serializes an object's layout *and* the metadata of every stripe it
@@ -1094,7 +1045,7 @@ impl StripeManager {
     ///
     /// # Errors
     ///
-    /// [`StripeError::UnknownStripe`], leaving `out` with a partial blob.
+    /// [`StripeError::UnknownStripe`], leaving `out` untouched.
     pub fn export_object_meta_into(
         &self,
         layout: &ObjectLayout,
@@ -1113,30 +1064,26 @@ impl StripeManager {
             };
             out.extend_from_slice(&[tag, k]);
         }
+        let extent = Self::extent(&self.extents, layout)?;
         put_u64(out, layout.owner);
         put_u64(out, layout.size.as_bytes());
         put_scheme(out, layout.scheme);
-        put_u32(out, layout.stripes.len() as u32);
-        for &sid in &layout.stripes {
-            let meta = self.stripe(sid)?;
-            put_u64(out, sid.as_u64());
-            put_scheme(out, meta.scheme);
-            put_u32(out, meta.encode_m as u32);
-            put_u32(out, meta.chunks.len() as u32);
-            out.reserve(meta.chunks.len() * CHUNK_META_LEN);
-            for c in &meta.chunks {
-                let (tag, idx) = match c.role {
-                    ChunkRole::Data(i) => (0u8, i),
-                    ChunkRole::Parity(i) => (1u8, i),
-                    ChunkRole::Replica(i) => (2u8, i),
-                };
+        put_u32(out, layout.stripe_count);
+        out.reserve(extent.chunks.len() * CHUNK_META_LEN);
+        for stripe in extent.stripes(layout.first_stripe) {
+            put_u64(out, stripe.id.as_u64());
+            put_scheme(out, stripe.scheme);
+            put_u32(out, stripe.encode_m as u32);
+            put_u32(out, stripe.width() as u32);
+            for (i, c) in stripe.chunks().enumerate() {
+                let (tag, idx) = role_tag(role_at(stripe.scheme, stripe.data.len(), i));
                 let mut row = [0u8; CHUNK_META_LEN];
                 row[0] = tag;
                 row[1..5].copy_from_slice(&(idx as u32).to_le_bytes());
                 row[5..9].copy_from_slice(&(c.device.0 as u32).to_le_bytes());
                 row[9..17].copy_from_slice(&c.handle.as_u64().to_le_bytes());
                 row[17..25].copy_from_slice(&c.len.as_bytes().to_le_bytes());
-                row[25] = c.real as u8;
+                row[25] = stripe.real as u8;
                 out.extend_from_slice(&row);
             }
         }
@@ -1144,19 +1091,24 @@ impl StripeManager {
     }
 
     /// Re-registers an object from a blob produced by
-    /// [`StripeManager::export_object_meta`]: reinstalls every stripe's
-    /// metadata, folds the chunks back into the byte accounting, bumps the
-    /// handle/stripe allocators past every installed identifier, and
-    /// returns the reconstructed layout. Chunk *contents* are not touched —
-    /// they either survived on the array or are found missing by the
-    /// post-recovery audit.
+    /// [`StripeManager::export_object_meta`]: reinstalls its extent, folds
+    /// the chunks back into the byte accounting, bumps the handle/stripe
+    /// allocators past every installed identifier, and returns the
+    /// reconstructed layout. Chunk *contents* are not touched — they either
+    /// survived on the array or are found missing by the post-recovery
+    /// audit.
     ///
-    /// Installing a stripe id that is already registered replaces its
-    /// metadata (last write wins, matching journal replay order).
+    /// Installing an object whose first stripe is already registered
+    /// replaces that object's metadata (last write wins, matching journal
+    /// replay order).
     ///
     /// # Errors
     ///
-    /// [`StripeError::CorruptMetadata`] if the blob does not parse.
+    /// [`StripeError::CorruptMetadata`] if the blob does not parse, or
+    /// describes anything [`StripeManager::store_object`] does not lay out:
+    /// no stripes, stripes not numbered consecutively or of different
+    /// geometry, a short stripe before the last, chunk roles out of
+    /// position, empty chunks, or a mix of real and size-only chunks.
     pub fn install_object_meta(&mut self, bytes: &[u8]) -> Result<ObjectLayout, StripeError> {
         struct Cursor<'a> {
             bytes: &'a [u8],
@@ -1197,122 +1149,131 @@ impl StripeManager {
                 }
             }
         }
+        fn require(ok: bool) -> Result<(), StripeError> {
+            ok.then_some(()).ok_or(StripeError::CorruptMetadata)
+        }
         let mut cur = Cursor { bytes, at: 0 };
         let owner = cur.u64()?;
         let size = ByteSize::from_bytes(cur.u64()?);
         let scheme = cur.scheme()?;
-        let stripe_count = cur.u32()? as usize;
-        if stripe_count > bytes.len() {
-            return Err(StripeError::CorruptMetadata);
-        }
+        let stripe_count = cur.u32()?;
+        require(stripe_count > 0 && stripe_count as usize <= bytes.len())?;
         let device_count = self.array.device_count();
-        let mut stripes = Vec::with_capacity(stripe_count);
-        let mut metas = Vec::with_capacity(stripe_count);
-        for _ in 0..stripe_count {
-            let sid = StripeId(cur.u64()?);
+        let mut first_stripe = 0;
+        let mut parsed: Option<Extent> = None;
+        for stripe_no in 0..stripe_count {
+            let sid = cur.u64()?;
             let stripe_scheme = cur.scheme()?;
             let encode_m = cur.u32()? as usize;
             let chunk_count = cur.u32()? as usize;
-            if chunk_count > bytes.len() {
-                return Err(StripeError::CorruptMetadata);
+            require(chunk_count <= bytes.len())?;
+            if let Some(extent) = &parsed {
+                require(
+                    sid == first_stripe + u64::from(stripe_no)
+                        && stripe_scheme == extent.scheme
+                        && encode_m == extent.encode_m()
+                        // Only the last stripe may be short.
+                        && extent.chunks.len() == extent.width * stripe_no as usize,
+                )?;
+            } else {
+                first_stripe = sid;
+                let redundancy = match stripe_scheme {
+                    RedundancyScheme::Parity(k) => usize::from(k),
+                    RedundancyScheme::Replication => chunk_count.saturating_sub(1),
+                };
+                require(
+                    encode_m > 0
+                        && (encode_m == 1 || !stripe_scheme.is_replication())
+                        && sid.checked_add(u64::from(stripe_count)).is_some(),
+                )?;
+                parsed = Some(Extent {
+                    scheme: stripe_scheme,
+                    width: encode_m + redundancy,
+                    real: false,
+                    chunks: Vec::with_capacity((bytes.len() - cur.at) / CHUNK_META_LEN),
+                });
             }
-            let mut chunks = Vec::with_capacity(chunk_count);
-            for _ in 0..chunk_count {
+            let extent = parsed.as_mut().expect("set by the first stripe");
+            let redundancy = extent.width - encode_m;
+            require(chunk_count > redundancy && chunk_count <= extent.width)?;
+            let data = chunk_count - redundancy;
+            for i in 0..chunk_count {
                 let tag = cur.u8()?;
                 let idx = cur.u32()? as usize;
-                let role = match tag {
-                    0 => ChunkRole::Data(idx),
-                    1 => ChunkRole::Parity(idx),
-                    2 => ChunkRole::Replica(idx),
-                    _ => return Err(StripeError::CorruptMetadata),
-                };
+                require((tag, idx) == role_tag(role_at(extent.scheme, data, i)))?;
                 let device = DeviceId(cur.u32()? as usize);
-                if device.0 >= device_count {
-                    return Err(StripeError::CorruptMetadata);
-                }
+                require(device.0 < device_count)?;
                 let handle = ChunkHandle::new(cur.u64()?);
                 let len = ByteSize::from_bytes(cur.u64()?);
+                require(!len.is_zero())?;
                 let real = match cur.u8()? {
                     0 => false,
                     1 => true,
                     _ => return Err(StripeError::CorruptMetadata),
                 };
-                chunks.push(StripeChunk {
-                    role,
+                if extent.chunks.is_empty() {
+                    extent.real = real;
+                }
+                require(real == extent.real)?;
+                extent.chunks.push(StripeChunk {
                     device,
                     handle,
                     len,
-                    real,
                 });
             }
-            stripes.push(sid);
-            metas.push((
-                sid,
-                StripeMeta {
-                    scheme: stripe_scheme,
-                    encode_m,
-                    chunks,
-                },
-            ));
         }
-        if cur.at != bytes.len() {
-            return Err(StripeError::CorruptMetadata);
-        }
+        require(cur.at == bytes.len())?;
+        let mut extent = parsed.expect("at least one stripe");
+        extent.chunks.shrink_to_fit();
         // Parse succeeded in full: commit.
-        for (sid, meta) in metas {
-            if let Some(old) = self.stripes.remove(&sid) {
-                for c in &old.chunks {
-                    self.charge_usage(c, false);
-                }
-            }
-            for c in &meta.chunks {
-                self.charge_usage(c, true);
-                self.next_handle = self.next_handle.max(c.handle.as_u64() + 1);
-                self.array.device_mut(c.device).note_referenced(c.handle);
-            }
-            self.next_stripe = self.next_stripe.max(sid.as_u64() + 1);
-            self.stripes.insert(sid, meta);
+        let first_stripe = StripeId(first_stripe);
+        if let Some(old) = self.extents.remove(&first_stripe) {
+            self.release_usage(&old);
         }
+        self.charge_usage(&extent);
+        for c in &extent.chunks {
+            self.next_handle = self.next_handle.max(c.handle.as_u64() + 1);
+            self.array.device_mut(c.device).note_referenced(c.handle);
+        }
+        self.next_stripe = self
+            .next_stripe
+            .max(first_stripe.0 + u64::from(stripe_count));
+        self.extents.insert(first_stripe, extent);
         Ok(ObjectLayout {
             owner,
             size,
             scheme,
-            stripes,
+            first_stripe,
+            stripe_count,
         })
     }
 
-    fn charge_usage(&mut self, c: &StripeChunk, add: bool) {
-        let slot = if c.role.is_user_data() {
-            &mut self.usage.user_bytes
-        } else {
-            &mut self.usage.redundancy_bytes
-        };
-        *slot = if add {
-            *slot + c.len
-        } else {
-            slot.saturating_sub(c.len)
-        };
-    }
-
     /// Simulates the DRAM side of a power loss: every piece of in-memory
-    /// stripe metadata (stripe tables, byte accounting, allocator cursors)
+    /// stripe metadata (extents, byte accounting, allocator cursors)
     /// vanishes. The flash array — the durable medium — is untouched.
     pub fn simulate_crash(&mut self) {
-        self.stripes.clear();
+        self.extents.clear();
         self.usage = SpaceUsage::default();
         self.next_handle = 0;
         self.next_stripe = 0;
     }
 
+    /// Every `(device, handle)` pair live stripe metadata references,
+    /// sorted, duplicates kept.
+    fn chunk_refs(&self) -> Vec<(DeviceId, ChunkHandle)> {
+        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
+            .extents
+            .values()
+            .flat_map(|e| e.chunks.iter().map(|c| (c.device, c.handle)))
+            .collect();
+        refs.sort_unstable_by_key(|(d, h)| (d.0, h.as_u64()));
+        refs
+    }
+
     /// Every `(device, handle)` pair referenced by live stripe metadata,
     /// sorted and deduplicated.
     pub fn referenced_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
-            .stripes
-            .values()
-            .flat_map(|m| m.chunks.iter().map(|c| (c.device, c.handle)))
-            .collect();
-        refs.sort_unstable_by_key(|(d, h)| (d.0, h.as_u64()));
+        let mut refs = self.chunk_refs();
         refs.dedup();
         refs
     }
@@ -1321,12 +1282,7 @@ impl StripeManager {
     /// violation of the no-double-allocated-chunk invariant. Empty on a
     /// consistent manager.
     pub fn double_allocated_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
-            .stripes
-            .values()
-            .flat_map(|m| m.chunks.iter().map(|c| (c.device, c.handle)))
-            .collect();
-        refs.sort_unstable_by_key(|(d, h)| (d.0, h.as_u64()));
+        let refs = self.chunk_refs();
         let mut dup = Vec::new();
         for w in refs.windows(2) {
             if w[0] == w[1] && dup.last() != Some(&w[0]) {
@@ -1361,197 +1317,333 @@ impl StripeManager {
     }
 }
 
-/// Maps ascending object-order data-chunk indices to `(stripe, index
-/// within the stripe)`, visiting each stripe of the layout once.
-#[derive(Default)]
-struct ChunkCursor {
-    /// Position in the layout's stripe list.
-    stripe_pos: usize,
-    /// Object-order index of that stripe's first data chunk.
-    first_chunk: u64,
+/// The role of the `i`-th chunk of a stripe with `data` data chunks.
+fn role_at(scheme: RedundancyScheme, data: usize, i: usize) -> ChunkRole {
+    match (scheme.is_replication(), i < data) {
+        (true, _) => ChunkRole::Replica(i),
+        (false, true) => ChunkRole::Data(i),
+        (false, false) => ChunkRole::Parity(i - data),
+    }
 }
 
-impl ChunkCursor {
-    /// Advances to the stripe holding `chunk_index`, which must not be
-    /// below an index already sought.
-    fn seek(
-        &mut self,
-        manager: &StripeManager,
-        layout: &ObjectLayout,
-        chunk_index: u64,
-    ) -> Result<(StripeId, usize), StripeError> {
-        while let Some(&sid) = layout.stripes.get(self.stripe_pos) {
-            let meta = manager.stripe(sid)?;
-            let data_chunks = meta.chunks.iter().filter(|c| c.role.is_user_data()).count() as u64;
-            if chunk_index < self.first_chunk + data_chunks {
-                return Ok((sid, (chunk_index - self.first_chunk) as usize));
-            }
-            self.first_chunk += data_chunks;
-            self.stripe_pos += 1;
-        }
-        panic!(
-            "chunk index {chunk_index} out of range for object {}",
-            layout.owner
-        );
+/// A role's tag and index in an exported layout blob.
+fn role_tag(role: ChunkRole) -> (u8, usize) {
+    match role {
+        ChunkRole::Data(i) => (0, i),
+        ChunkRole::Parity(i) => (1, i),
+        ChunkRole::Replica(i) => (2, i),
     }
 }
 
 impl StripeIo<'_> {
-    /// Reads the data chunks of an intact stripe. Returns assembled bytes
-    /// if the stripe holds real payloads.
-    fn read_stripe_data(
-        &mut self,
-        meta: &StripeMeta,
-        now: SimTime,
-        completions: &mut Vec<SimTime>,
-    ) -> Result<Option<Vec<u8>>, StripeError> {
-        if meta.scheme.is_replication() {
-            // Primary replica only.
-            let primary = meta
-                .chunks
-                .iter()
-                .find(|c| matches!(c.role, ChunkRole::Replica(0)))
-                .expect("replicated stripe has a primary");
-            let (chunk, done) = read_chunk_retrying(
-                self.array,
-                self.transient_retries,
-                primary.device,
-                primary.handle,
-                now,
-            )?;
-            completions.push(done);
-            return Ok(chunk.payload().as_bytes().map(|b| b.to_vec()));
+    fn completes(&mut self, done: SimTime) {
+        self.latest = self.latest.max(done);
+    }
+
+    /// Charges the reads gathered for `device`, if any.
+    fn flush_reads(&mut self, device: DeviceId) {
+        let run = &mut self.read_runs[device.0];
+        if run.count > 0 {
+            let done = self
+                .array
+                .device_mut(device)
+                .read_run(run.count, run.len, self.now);
+            run.count = 0;
+            self.completes(done);
         }
-        let mut parts: Vec<(usize, Option<Vec<u8>>)> = Vec::new();
-        for c in &meta.chunks {
-            if let ChunkRole::Data(j) = c.role {
-                let (chunk, done) = read_chunk_retrying(
-                    self.array,
-                    self.transient_retries,
-                    c.device,
-                    c.handle,
-                    now,
-                )?;
-                completions.push(done);
-                parts.push((j, chunk.payload().as_bytes().map(|b| b.to_vec())));
+    }
+
+    /// Charges every gathered read and returns the instant the operation
+    /// completes. Runs on the error path too: a failed operation leaves
+    /// the devices exactly as its chunk operations, issued one by one up
+    /// to the failure, would.
+    fn finish(mut self) -> SimTime {
+        for device in 0..self.read_runs.len() {
+            self.flush_reads(DeviceId(device));
+        }
+        self.latest
+    }
+
+    /// Reads a chunk of a size-only stripe: counted into its device's run
+    /// while the device vouches for its chunks, else a per-chunk read.
+    fn read_sized(&mut self, c: &StripeChunk) -> Result<(), FlashError> {
+        let device = self.array.device(c.device);
+        if !device.serves_read_runs() {
+            return self.read_chunk(c).map(drop);
+        }
+        debug_assert!(
+            device.holds_size_only(c.handle, c.len),
+            "{} does not hold {} as {} size-only bytes",
+            c.device,
+            c.handle,
+            c.len
+        );
+        if self.read_runs[c.device.0].len != c.len {
+            self.flush_reads(c.device);
+            self.read_runs[c.device.0].len = c.len;
+        }
+        self.read_runs[c.device.0].count += 1;
+        Ok(())
+    }
+
+    /// Reads a chunk through the device's per-chunk path, absorbing
+    /// transient timeouts.
+    fn read_chunk(&mut self, c: &StripeChunk) -> Result<StoredChunk, FlashError> {
+        self.flush_reads(c.device);
+        let (chunk, done) = read_chunk_retrying(
+            self.array,
+            self.transient_retries,
+            c.device,
+            c.handle,
+            self.now,
+        )?;
+        self.completes(done);
+        Ok(chunk)
+    }
+
+    /// Reads a chunk of a stripe: its contents when the stripe is `real`.
+    fn read(&mut self, real: bool, c: &StripeChunk) -> Result<Option<StoredChunk>, FlashError> {
+        if real {
+            self.read_chunk(c).map(Some)
+        } else {
+            self.read_sized(c).map(|()| None)
+        }
+    }
+
+    fn write_chunk(&mut self, c: &StripeChunk, stored: StoredChunk) -> Result<(), FlashError> {
+        self.flush_reads(c.device);
+        let done = self
+            .array
+            .device_mut(c.device)
+            .write_chunk(c.handle, stored, self.now)?;
+        self.completes(done);
+        Ok(())
+    }
+
+    /// Writes every chunk of a fresh extent one by one in extent order,
+    /// encoding parity from `payload` when there is one. `written` counts
+    /// the chunks on flash, for the caller's rollback.
+    fn write_extent(
+        &mut self,
+        extent: &Extent,
+        first: StripeId,
+        payload: Option<&[u8]>,
+        written: &mut usize,
+    ) -> Result<(), StripeError> {
+        let image = |c: &StripeChunk, bytes: Option<&[u8]>| match bytes {
+            Some(b) => StoredChunk::real(Bytes::copy_from_slice(&b[..c.len.as_bytes() as usize])),
+            None => StoredChunk::synthetic(c.len),
+        };
+        // Where the next data chunk's bytes start in the payload.
+        let mut at = 0;
+        for stripe in extent.stripes(first) {
+            let stripe_bytes = payload.map(|p| &p[at..]);
+            for c in stripe.data {
+                self.write_chunk(c, image(c, payload.map(|p| &p[at..])))?;
+                *written += 1;
+                at += c.len.as_bytes() as usize;
+            }
+            if let (Some(bytes), RedundancyScheme::Parity(1..=u8::MAX)) =
+                (stripe_bytes, stripe.scheme)
+            {
+                let k = stripe.redundancy.len();
+                // Pad each data chunk to the shard length in the scratch
+                // pool and encode into reusable parity buffers. The codec
+                // wants exactly m data shards; rows past the stripe's real
+                // chunks stay zero (phantom tail shards).
+                let plen = stripe.shard_len().as_bytes() as usize;
+                reset_buffers(&mut self.scratch.shards, stripe.encode_m, plen);
+                self.scratch.parity.resize_with(k, Vec::new);
+                let mut rest = bytes;
+                for (shard, c) in self.scratch.shards.iter_mut().zip(stripe.data) {
+                    let (piece, tail) = rest.split_at(c.len.as_bytes() as usize);
+                    shard[..piece.len()].copy_from_slice(piece);
+                    rest = tail;
+                }
+                let rs = self.codecs.get(stripe.encode_m, k)?;
+                rs.encode_into(&self.scratch.shards, &mut self.scratch.parity)?;
+            }
+            for (p, c) in stripe.redundancy.iter().enumerate() {
+                let stored = match stripe_bytes {
+                    // A replica copies the stripe's one data chunk.
+                    Some(bytes) if stripe.scheme.is_replication() => image(c, Some(bytes)),
+                    Some(_) => StoredChunk::real(Bytes::copy_from_slice(&self.scratch.parity[p])),
+                    None => image(c, None),
+                };
+                self.write_chunk(c, stored)?;
+                *written += 1;
             }
         }
-        parts.sort_by_key(|(j, _)| *j);
-        if parts.iter().all(|(_, b)| b.is_some()) && !parts.is_empty() {
-            Ok(Some(
-                parts.into_iter().flat_map(|(_, b)| b.unwrap()).collect(),
-            ))
-        } else {
-            Ok(None)
+        Ok(())
+    }
+
+    /// Reads every stripe of an extent, degraded ones by reconstruction.
+    /// Returns the assembled bytes of a real extent and whether any stripe
+    /// was degraded.
+    fn read_extent(
+        &mut self,
+        extent: &Extent,
+        first: StripeId,
+    ) -> Result<(Option<Vec<u8>>, bool), StripeError> {
+        let mut degraded = false;
+        // Bytes of the stripes that yielded any; `None` until one does.
+        let mut assembled: Option<Vec<u8>> = None;
+        // No device anywhere holds a chunk awaiting rebuild: no stripe
+        // needs a health probe.
+        let array_intact = self.array.all_chunks_intact();
+        for stripe in extent.stripes(first) {
+            let health = if array_intact {
+                debug_assert!(stripe.chunks().all(|c| chunk_intact_on(self.array, c)));
+                StripeHealth::Intact
+            } else {
+                stripe_health_on(self.array, &stripe)
+            };
+            match health {
+                StripeHealth::Lost(lost) => return Err(stripe.object_lost(lost)),
+                StripeHealth::Intact => self.read_stripe_data(&stripe, &mut assembled)?,
+                StripeHealth::Degraded(_) => {
+                    degraded = true;
+                    self.degraded_read_stripe(&stripe, &mut assembled)?;
+                }
+            }
         }
+        Ok((assembled, degraded))
+    }
+
+    /// Reads the data chunks (or the primary replica) of an intact stripe,
+    /// appending their bytes to `assembled` if all of them carry bytes.
+    fn read_stripe_data(
+        &mut self,
+        stripe: &Stripe<'_>,
+        assembled: &mut Option<Vec<u8>>,
+    ) -> Result<(), StripeError> {
+        if !stripe.real {
+            for c in stripe.data {
+                self.read_sized(c)?;
+            }
+            return Ok(());
+        }
+        let mut bytes = Vec::new();
+        let mut whole = true;
+        for c in stripe.data {
+            // A chunk overwritten size-only inside a real stripe has no
+            // bytes, and then the stripe yields none.
+            match self.read_chunk(c)?.payload().as_bytes() {
+                Some(b) => bytes.extend_from_slice(b),
+                None => whole = false,
+            }
+        }
+        if whole {
+            assembled.get_or_insert_with(Vec::new).append(&mut bytes);
+        }
+        Ok(())
     }
 
     /// Degraded read: read enough surviving chunks to reconstruct the
     /// stripe's data, decode if payloads are real.
     fn degraded_read_stripe(
         &mut self,
-        meta: &StripeMeta,
-        now: SimTime,
-        completions: &mut Vec<SimTime>,
-    ) -> Result<Option<Vec<u8>>, StripeError> {
-        if meta.scheme.is_replication() {
+        stripe: &Stripe<'_>,
+        assembled: &mut Option<Vec<u8>>,
+    ) -> Result<(), StripeError> {
+        if stripe.scheme.is_replication() {
             // Any surviving replica serves the read.
-            let replica = meta
-                .chunks
-                .iter()
+            let replica = stripe
+                .chunks()
                 .find(|c| chunk_intact_on(self.array, c))
                 .expect("degraded (not lost) stripe has a survivor");
-            let (chunk, done) = read_chunk_retrying(
-                self.array,
-                self.transient_retries,
-                replica.device,
-                replica.handle,
-                now,
-            )?;
-            completions.push(done);
-            return Ok(chunk.payload().as_bytes().map(|b| b.to_vec()));
+            if let Some(chunk) = self.read(stripe.real, replica)? {
+                if let Some(b) = chunk.payload().as_bytes() {
+                    assembled.get_or_insert_with(Vec::new).extend_from_slice(b);
+                }
+            }
+            return Ok(());
         }
 
-        // Parity stripe: collect survivors (data + parity), read the first
-        // `m` of them, reconstruct.
-        let m_actual = meta
-            .chunks
-            .iter()
-            .filter(|c| matches!(c.role, ChunkRole::Data(_)))
-            .count();
-        let parity_count = meta.chunks.len() - m_actual;
-        let parity_len = meta
-            .chunks
-            .iter()
-            .map(|c| c.len)
-            .fold(ByteSize::ZERO, ByteSize::max);
-
-        // Build the shard array in codec order: data shards (padded to the
-        // encode-time `m` with phantom zero shards for short stripes),
-        // then parity shards. Size-only stripes carry no bytes: they are
-        // charged the same chunk reads below and build nothing.
-        let codec_m = meta.encode_m;
-        let real = meta.chunks.first().map(|c| c.real).unwrap_or(false);
-        let mut shards = if real {
+        // Parity stripe: walk the chunks in codec order, read the first
+        // `m` survivors (a short stripe's phantom zero shards count as
+        // read), reconstruct. Size-only stripes carry no bytes: they are
+        // charged the same chunk reads and build nothing.
+        let (codec_m, m_actual) = (stripe.encode_m, stripe.data.len());
+        let parity_count = stripe.redundancy.len();
+        let parity_len = stripe.shard_len();
+        let mut shards = if stripe.real {
             shard_slots(codec_m, m_actual, parity_count, parity_len)
         } else {
             Vec::new()
         };
         let mut reads_done = 0usize;
-
         let mut missing_real = 0usize;
-        for c in &meta.chunks {
-            let idx = match c.role {
-                ChunkRole::Data(j) => j,
-                ChunkRole::Parity(p) => codec_m + p,
-                ChunkRole::Replica(_) => unreachable!("parity stripe"),
-            };
-            if chunk_intact_on(self.array, c) {
-                // Only read up to m shards total (phantoms are free).
-                if reads_done + (codec_m - m_actual) < codec_m {
-                    let (chunk, done) = read_chunk_retrying(
-                        self.array,
-                        self.transient_retries,
-                        c.device,
-                        c.handle,
-                        now,
-                    )?;
-                    completions.push(done);
-                    reads_done += 1;
-                    if real {
-                        shards[idx] = Some(padded_shard(&chunk, parity_len));
-                    }
-                }
-            } else {
+        for (idx, c) in stripe.codec_order() {
+            if !chunk_intact_on(self.array, c) {
                 missing_real += 1;
+            } else if reads_done + (codec_m - m_actual) < codec_m {
+                reads_done += 1;
+                if let Some(chunk) = self.read(stripe.real, c)? {
+                    shards[idx] = Some(padded_shard(&chunk, parity_len));
+                }
             }
         }
         debug_assert!(missing_real <= parity_count);
 
-        if !real {
+        if !stripe.real {
             // Synthetic mode: timing already charged; nothing to decode.
-            return Ok(None);
+            return Ok(());
         }
 
         let rs = self.codecs.get(codec_m, parity_count)?;
         rs.reconstruct(&mut shards)?;
 
         // Assemble data bytes in order, trimming to recorded lengths.
-        let mut out = Vec::new();
-        let mut lens: Vec<(usize, ByteSize)> = meta
-            .chunks
-            .iter()
-            .filter_map(|c| match c.role {
-                ChunkRole::Data(j) => Some((j, c.len)),
-                _ => None,
-            })
-            .collect();
-        lens.sort_by_key(|(j, _)| *j);
-        for (j, len) in lens {
-            let shard = shards[j].as_ref().expect("reconstructed");
-            out.extend_from_slice(&shard[..len.as_bytes() as usize]);
+        let out = assembled.get_or_insert_with(Vec::new);
+        for (shard, c) in shards.iter().zip(stripe.data) {
+            let shard = shard.as_ref().expect("reconstructed");
+            out.extend_from_slice(&shard[..c.len.as_bytes() as usize]);
         }
-        Ok(Some(out))
+        Ok(())
+    }
+
+    /// Overwrites the `local_j`-th data chunk of an intact stripe.
+    fn overwrite(
+        &mut self,
+        stripe: &Stripe<'_>,
+        local_j: usize,
+        new_payload: Option<&[u8]>,
+    ) -> Result<ParityUpdate, StripeError> {
+        // Overwrites need the stripe intact: reconstructing *and*
+        // updating in one step is the rebuild path's job.
+        if let StripeHealth::Degraded(lost) | StripeHealth::Lost(lost) =
+            stripe_health_on(self.array, stripe)
+        {
+            return Err(stripe.object_lost(lost));
+        }
+        let target = &stripe.data[local_j];
+        if let Some(p) = new_payload {
+            if p.len() as u64 != target.len.as_bytes() {
+                return Err(StripeError::PayloadSizeMismatch {
+                    declared: target.len.as_bytes(),
+                    payload: p.len() as u64,
+                });
+            }
+        }
+        let image = |c: &StripeChunk| match new_payload {
+            Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
+            None => StoredChunk::synthetic(c.len),
+        };
+        match stripe.scheme {
+            RedundancyScheme::Replication => {
+                // Rewrite every replica with the new contents.
+                for c in stripe.chunks() {
+                    self.write_chunk(c, image(c))?;
+                }
+                Ok(ParityUpdate::Rewrite)
+            }
+            RedundancyScheme::Parity(0) => {
+                self.write_chunk(target, image(target))?;
+                Ok(ParityUpdate::Rewrite)
+            }
+            RedundancyScheme::Parity(_) => self.overwrite_with_parity(stripe, local_j, new_payload),
+        }
     }
 
     /// The parity-maintaining overwrite: picks delta vs direct by read
@@ -1563,24 +1655,15 @@ impl StripeIo<'_> {
     /// stripes are charged the same reads and writes and touch no buffer.
     fn overwrite_with_parity(
         &mut self,
-        meta: &StripeMeta,
-        target: &StripeChunk,
+        stripe: &Stripe<'_>,
         local_j: usize,
         new_payload: Option<&[u8]>,
-        now: SimTime,
-        completions: &mut Vec<SimTime>,
     ) -> Result<ParityUpdate, StripeError> {
-        let is_parity = |c: &&StripeChunk| matches!(c.role, ChunkRole::Parity(_));
-        let is_data = |c: &&StripeChunk| matches!(c.role, ChunkRole::Data(_));
-        let k = meta.chunks.iter().filter(is_parity).count();
-        let m_actual = meta.chunks.iter().filter(is_data).count();
-        let parity_len = meta
-            .chunks
-            .iter()
-            .map(|c| c.len)
-            .fold(ByteSize::ZERO, ByteSize::max);
-        let plen = parity_len.as_bytes() as usize;
-        let real = target.real;
+        let target = &stripe.data[local_j];
+        let k = stripe.redundancy.len();
+        let m_actual = stripe.data.len();
+        let plen = stripe.shard_len().as_bytes() as usize;
+        let real = stripe.real;
 
         // Section II-B's rule: the method with the fewest chunk reads.
         let delta_reads = 1 + k;
@@ -1595,36 +1678,20 @@ impl StripeIo<'_> {
                 reset_buffers(&mut self.scratch.shards, 2, plen);
                 reset_buffers(&mut self.scratch.parity, k, plen);
             }
-            let (old_chunk, done) = read_chunk_retrying(
-                self.array,
-                self.transient_retries,
-                target.device,
-                target.handle,
-                now,
-            )?;
-            completions.push(done);
-            if real {
+            if let Some(old_chunk) = self.read(real, target)? {
                 let b = old_chunk.payload().as_bytes().expect("real stripe");
                 self.scratch.shards[0][..b.len()].copy_from_slice(b);
                 let new = new_payload.expect("real stripes get real payloads");
                 self.scratch.shards[1][..new.len()].copy_from_slice(new);
             }
-            for (p, c) in meta.chunks.iter().filter(is_parity).enumerate() {
-                let (chunk, done) = read_chunk_retrying(
-                    self.array,
-                    self.transient_retries,
-                    c.device,
-                    c.handle,
-                    now,
-                )?;
-                completions.push(done);
-                if real {
+            for (p, c) in stripe.redundancy.iter().enumerate() {
+                if let Some(chunk) = self.read(real, c)? {
                     let b = chunk.payload().as_bytes().expect("real stripe");
                     self.scratch.parity[p][..b.len()].copy_from_slice(b);
                 }
             }
             if real {
-                let rs = self.codecs.get(meta.encode_m, k)?;
+                let rs = self.codecs.get(stripe.encode_m, k)?;
                 let (old, new) = (&self.scratch.shards[0], &self.scratch.shards[1]);
                 reo_erasure::delta::apply_delta_update(
                     rs,
@@ -1639,32 +1706,24 @@ impl StripeIo<'_> {
             // Rows past `m_actual` stay zero — the phantom shards of a
             // short stripe.
             if real {
-                reset_buffers(&mut self.scratch.shards, meta.encode_m, plen);
+                reset_buffers(&mut self.scratch.shards, stripe.encode_m, plen);
                 self.scratch.parity.resize_with(k, Vec::new);
             }
-            for (j, c) in meta.chunks.iter().filter(is_data).enumerate() {
+            for (j, c) in stripe.data.iter().enumerate() {
                 if j == local_j {
                     if let (true, Some(p)) = (real, new_payload) {
                         self.scratch.shards[j][..p.len()].copy_from_slice(p);
                     }
                     continue;
                 }
-                let (chunk, done) = read_chunk_retrying(
-                    self.array,
-                    self.transient_retries,
-                    c.device,
-                    c.handle,
-                    now,
-                )?;
-                completions.push(done);
-                if real {
+                if let Some(chunk) = self.read(real, c)? {
                     if let Some(b) = chunk.payload().as_bytes() {
                         self.scratch.shards[j][..b.len()].copy_from_slice(b);
                     }
                 }
             }
             if real {
-                let rs = self.codecs.get(meta.encode_m, k)?;
+                let rs = self.codecs.get(stripe.encode_m, k)?;
                 rs.encode_into(&self.scratch.shards, &mut self.scratch.parity)?;
             }
         }
@@ -1674,22 +1733,14 @@ impl StripeIo<'_> {
             Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
             None => StoredChunk::synthetic(target.len),
         };
-        let done = self
-            .array
-            .device_mut(target.device)
-            .write_chunk(target.handle, stored, now)?;
-        completions.push(done);
-        for (p, c) in meta.chunks.iter().filter(is_parity).enumerate() {
+        self.write_chunk(target, stored)?;
+        for (p, c) in stripe.redundancy.iter().enumerate() {
             let stored = if real {
                 StoredChunk::real(Bytes::copy_from_slice(&self.scratch.parity[p]))
             } else {
                 StoredChunk::synthetic(c.len)
             };
-            let done = self
-                .array
-                .device_mut(c.device)
-                .write_chunk(c.handle, stored, now)?;
-            completions.push(done);
+            self.write_chunk(c, stored)?;
         }
 
         Ok(if use_delta {
@@ -1701,117 +1752,69 @@ impl StripeIo<'_> {
 
     /// Rebuilds the lost chunks of one degraded stripe back onto their
     /// (replaced) devices.
-    fn rebuild_stripe(
-        &mut self,
-        meta: &StripeMeta,
-        now: SimTime,
-        completions: &mut Vec<SimTime>,
-    ) -> Result<(), StripeError> {
-        if meta.scheme.is_replication() {
+    fn rebuild_stripe(&mut self, stripe: &Stripe<'_>) -> Result<(), StripeError> {
+        if stripe.scheme.is_replication() {
             // Copy a surviving replica onto each lost slot.
-            let survivor = *meta
-                .chunks
-                .iter()
+            let survivor = stripe
+                .chunks()
                 .find(|c| chunk_intact_on(self.array, c))
                 .expect("degraded stripe has a survivor");
-            let (src, done) = read_chunk_retrying(
-                self.array,
-                self.transient_retries,
-                survivor.device,
-                survivor.handle,
-                now,
-            )?;
-            completions.push(done);
-            let lost: Vec<StripeChunk> = meta
-                .chunks
-                .iter()
-                .filter(|c| !chunk_intact_on(self.array, c))
-                .copied()
-                .collect();
-            for c in lost {
-                let stored = match src.payload().as_bytes() {
-                    Some(b) => StoredChunk::real(b.clone()),
-                    None => StoredChunk::synthetic(c.len),
-                };
-                let done = self
-                    .array
-                    .device_mut(c.device)
-                    .write_chunk(c.handle, stored, now)?;
-                completions.push(done);
+            let src = self.read(stripe.real, survivor)?;
+            let src = src.as_ref().and_then(|chunk| chunk.payload().as_bytes());
+            for c in stripe.chunks() {
+                if !chunk_intact_on(self.array, c) {
+                    let stored = match src {
+                        Some(b) => StoredChunk::real(b.clone()),
+                        None => StoredChunk::synthetic(c.len),
+                    };
+                    self.write_chunk(c, stored)?;
+                }
             }
             return Ok(());
         }
 
-        // Parity stripe: reconstruct all shards, write back lost.
-        let parity_len = meta
-            .chunks
-            .iter()
-            .map(|c| c.len)
-            .fold(ByteSize::ZERO, ByteSize::max);
-        let codec_m = meta.encode_m;
-        let real = meta.chunks.first().map(|c| c.real).unwrap_or(false);
-        let parity_count = meta
-            .chunks
-            .iter()
-            .filter(|c| matches!(c.role, ChunkRole::Parity(_)))
-            .count();
-        let m_actual = meta.chunks.len() - parity_count;
-
-        let mut shards = if real {
+        // Parity stripe: read the first `m` survivors in codec order,
+        // reconstruct all shards, write back the lost ones.
+        let (codec_m, m_actual) = (stripe.encode_m, stripe.data.len());
+        let parity_count = stripe.redundancy.len();
+        let parity_len = stripe.shard_len();
+        let mut shards = if stripe.real {
             shard_slots(codec_m, m_actual, parity_count, parity_len)
         } else {
             Vec::new()
         };
         let mut survivors_read = 0usize;
-        for c in &meta.chunks {
+        for (idx, c) in stripe.codec_order() {
             if !chunk_intact_on(self.array, c) {
                 continue;
             }
             if survivors_read + (codec_m - m_actual) >= codec_m {
                 break;
             }
-            let idx = match c.role {
-                ChunkRole::Data(j) => j,
-                ChunkRole::Parity(p) => codec_m + p,
-                ChunkRole::Replica(_) => unreachable!(),
-            };
-            let (chunk, done) =
-                read_chunk_retrying(self.array, self.transient_retries, c.device, c.handle, now)?;
-            completions.push(done);
             survivors_read += 1;
-            if real {
+            if let Some(chunk) = self.read(stripe.real, c)? {
                 shards[idx] = Some(padded_shard(&chunk, parity_len));
             }
         }
 
-        if real {
+        if stripe.real {
             let rs = self.codecs.get(codec_m, parity_count)?;
             rs.reconstruct(&mut shards)?;
         }
 
-        let lost: Vec<StripeChunk> = meta
-            .chunks
-            .iter()
-            .filter(|c| !chunk_intact_on(self.array, c))
-            .copied()
-            .collect();
-        for c in lost {
-            let idx = match c.role {
-                ChunkRole::Data(j) => j,
-                ChunkRole::Parity(p) => codec_m + p,
-                ChunkRole::Replica(_) => unreachable!(),
-            };
-            let stored = if real {
+        // A chunk written here is intact from then on, so each lost chunk
+        // is met exactly once.
+        for (idx, c) in stripe.codec_order() {
+            if chunk_intact_on(self.array, c) {
+                continue;
+            }
+            let stored = if stripe.real {
                 let shard = shards[idx].as_ref().expect("reconstructed");
                 StoredChunk::real(Bytes::copy_from_slice(&shard[..c.len.as_bytes() as usize]))
             } else {
                 StoredChunk::synthetic(c.len)
             };
-            let done = self
-                .array
-                .device_mut(c.device)
-                .write_chunk(c.handle, stored, now)?;
-            completions.push(done);
+            self.write_chunk(c, stored)?;
         }
         Ok(())
     }
@@ -1883,39 +1886,34 @@ fn chunk_intact_on(array: &FlashArray, c: &StripeChunk) -> bool {
     array.device(c.device).chunk_is_intact(c.handle)
 }
 
-fn stripe_health_on(array: &FlashArray, meta: &StripeMeta) -> StripeHealth {
+fn stripe_health_on(array: &FlashArray, stripe: &Stripe<'_>) -> StripeHealth {
     // A healthy device with nothing awaiting rebuild vouches for every
     // chunk placed on it, so the common case needs no per-chunk probe.
-    if meta
-        .chunks
-        .iter()
+    if stripe
+        .chunks()
         .all(|c| array.device(c.device).all_chunks_intact())
     {
-        debug_assert!(meta.chunks.iter().all(|c| chunk_intact_on(array, c)));
+        debug_assert!(stripe.chunks().all(|c| chunk_intact_on(array, c)));
         return StripeHealth::Intact;
     }
-    let lost = meta
-        .chunks
-        .iter()
+    let lost = stripe
+        .chunks()
         .filter(|c| !chunk_intact_on(array, c))
         .count();
     if lost == 0 {
         return StripeHealth::Intact;
     }
-    if meta.scheme.is_replication() {
+    if stripe.scheme.is_replication() {
         // Recoverable while any replica survives.
-        if lost == meta.chunks.len() {
+        if lost == stripe.width() {
             StripeHealth::Lost(lost)
         } else {
             StripeHealth::Degraded(lost)
         }
+    } else if lost <= stripe.tolerated() {
+        StripeHealth::Degraded(lost)
     } else {
-        let width = meta.chunks.len();
-        if lost <= meta.tolerated(width) {
-            StripeHealth::Degraded(lost)
-        } else {
-            StripeHealth::Lost(lost)
-        }
+        StripeHealth::Lost(lost)
     }
 }
 
@@ -1926,15 +1924,6 @@ fn clamp_scheme(scheme: RedundancyScheme, healthy: usize) -> RedundancyScheme {
         }
         RedundancyScheme::Replication => RedundancyScheme::Replication,
     }
-}
-
-fn stripe_offset(stripe_no: usize, m: usize, role: ChunkRole, chunk_size: ByteSize) -> u64 {
-    let j = match role {
-        ChunkRole::Data(j) => j,
-        ChunkRole::Replica(0) => 0,
-        _ => 0,
-    };
-    (stripe_no * m + j) as u64 * chunk_size.as_bytes()
 }
 
 #[cfg(test)]
@@ -2298,7 +2287,7 @@ mod tests {
         let restored = m.install_object_meta(&blob).unwrap();
         assert_eq!(restored.owner(), 7);
         assert_eq!(restored.size().as_bytes(), data.len() as u64);
-        assert_eq!(restored.stripes(), layout.stripes());
+        assert!(restored.stripes().eq(layout.stripes()));
         assert_eq!(m.usage(), usage_before);
         assert!(m.double_allocated_chunks().is_empty());
         // Chunk contents survived on the array: the object reads back.
@@ -2311,8 +2300,7 @@ mod tests {
         assert!(m.double_allocated_chunks().is_empty());
         assert!(second
             .stripes()
-            .iter()
-            .all(|s| !layout.stripes().contains(s)));
+            .all(|s| layout.stripes().all(|old| old != s)));
     }
 
     #[test]
@@ -2321,14 +2309,13 @@ mod tests {
         let keep = m
             .store_object(1, ByteSize::from_kib(16), RedundancyScheme::parity(1), None)
             .unwrap();
-        let orphaned = m
-            .store_object(2, ByteSize::from_kib(16), RedundancyScheme::parity(1), None)
+        m.store_object(2, ByteSize::from_kib(16), RedundancyScheme::parity(1), None)
             .unwrap();
         let blob = m.export_object_meta(&keep).unwrap();
         m.simulate_crash();
         m.install_object_meta(&blob).unwrap();
-        // Only `keep`'s metadata was journaled: `orphaned`'s chunks are
-        // unreferenced and must be garbage collected.
+        // Only `keep`'s metadata was journaled: the other object's chunks
+        // are unreferenced and must be garbage collected.
         let removed = m.remove_unreferenced_chunks();
         assert!(removed > 0);
         let total_chunks: usize = (0..m.array().device_count())
@@ -2336,7 +2323,6 @@ mod tests {
             .sum();
         assert_eq!(total_chunks, m.referenced_chunks().len());
         assert!(m.read_object(&keep).is_ok());
-        drop(orphaned);
     }
 
     #[test]
@@ -2480,6 +2466,81 @@ mod tests {
     }
 
     #[test]
+    fn pristine_store_read_remove_keeps_its_timing() {
+        // The legs that never leave the run shortcuts: 2-parity with a
+        // short tail, replication, and a one-chunk object, on a fresh
+        // array. Numbers pinned from the per-chunk code these replaced.
+        let mut m = mgr(6);
+        let mut times = Vec::new();
+        let objects = [
+            (4096 * 10 + 77, RedundancyScheme::parity(2)),
+            (4096 * 3, RedundancyScheme::Replication),
+            (100, RedundancyScheme::parity(1)),
+        ];
+        let layouts: Vec<ObjectLayout> = (0..)
+            .zip(objects)
+            .map(|(owner, (size, scheme))| {
+                let layout = m
+                    .store_object(owner, ByteSize::from_bytes(size), scheme, None)
+                    .unwrap();
+                times.push(m.array().clock().now().as_nanos());
+                layout
+            })
+            .collect();
+        for layout in &layouts {
+            times.push(m.read_object(layout).unwrap().completed_at.as_nanos());
+        }
+        for layout in &layouts {
+            m.remove_object(layout);
+        }
+        let stats: Vec<_> = (0..6)
+            .map(|d| {
+                let device = m.array().device(DeviceId(d));
+                let s = device.stats();
+                (
+                    (s.reads, s.writes, s.bytes_read, s.bytes_written),
+                    (s.queued_nanos, s.busy_nanos),
+                    device.busy_until().as_nanos(),
+                    device.used(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            times,
+            [622_887, 1_245_774, 1_445_960, 1_768_847, 1_876_476, 1_976_662]
+        );
+        let free = ByteSize::ZERO;
+        assert_eq!(
+            stats,
+            [
+                ((2, 7, 4173, 20657), (1_353_403, 1_646_246), 1_653_732, free),
+                ((1, 6, 100, 20580), (830_516, 1_338_517), 1_976_662, free),
+                ((1, 6, 4096, 24576), (1_245_774, 1_353_403), 1_553_589, free),
+                (
+                    (3, 6, 12288, 24576),
+                    (1_353_403, 1_568_661),
+                    1_876_476,
+                    free
+                ),
+                (
+                    (4, 6, 16384, 24576),
+                    (1_568_661, 1_676_290),
+                    1_876_476,
+                    free
+                ),
+                (
+                    (4, 6, 16384, 24576),
+                    (1_568_661, 1_676_290),
+                    1_876_476,
+                    free
+                ),
+            ]
+        );
+        assert_eq!(m.usage().total(), ByteSize::ZERO);
+        assert_eq!(m.stripe_count(), 0);
+    }
+
+    #[test]
     fn real_payload_twin_still_reconstructs_every_byte() {
         let mut m = mgr(6);
         degraded_scenario(&mut m, true);
@@ -2502,7 +2563,7 @@ mod tests {
             )
             .unwrap();
         let blob = m.export_object_meta(&layout).unwrap();
-        let gone = m.stripes[&layout.stripes[0]].chunks[0];
+        let gone = m.extents[&layout.first_stripe].chunks[0];
         m.simulate_crash();
         m.array.device_mut(gone.device).remove_chunk(gone.handle);
         let restored = m.install_object_meta(&blob).unwrap();

@@ -55,6 +55,7 @@ fn runs_are_deterministic_across_repetitions() {
             .with_event(400, PlannedEvent::InsertSpare(DeviceId(0)))
             .with_sampling(150),
     ];
+    let mut devices = Vec::new();
     for plan in &plans {
         // The whole result — totals, events, final window, series —
         // through its `Debug` form, which prints floats round-trip exact,
@@ -64,14 +65,60 @@ fn runs_are_deterministic_across_repetitions() {
             let result = format!("{:?}", ExperimentRunner::run(&mut sys, &t, plan));
             let journal = sys.target().journal_stats().expect("journal attached");
             assert!(journal.appends > 0 && journal.flushes > 0);
-            (result, journal, sys.target().journal_durable_bytes())
+            (
+                result,
+                journal,
+                sys.target().journal_durable_bytes(),
+                sys.device_stats(),
+            )
         };
+        let first = run();
         assert_eq!(
-            run(),
+            first,
             run(),
             "same seed and plan must give identical results"
         );
+        devices.push(first.3);
     }
+    // What every device did, counter by counter, pinned from the code
+    // that charged each chunk through its own device call: the per-device
+    // run arithmetic must land on the same nanosecond.
+    let counters = |plan: usize| -> Vec<[u64; 6]> {
+        devices[plan]
+            .iter()
+            .map(|d| {
+                let s = d.stats;
+                [
+                    s.reads,
+                    s.writes,
+                    s.bytes_read,
+                    s.bytes_written,
+                    s.queued_nanos,
+                    s.busy_nanos,
+                ]
+            })
+            .collect()
+    };
+    assert_eq!(
+        counters(0),
+        [
+            [722, 3210, 21312683, 98569587, 3542834970, 1010272831],
+            [849, 3875, 25805850, 119703550, 4247299085, 1219125799],
+            [1193, 5491, 36156038, 169115485, 5730916530, 1724848716],
+            [1167, 5486, 35413717, 169197160, 5699561072, 1720213033],
+            [1185, 5498, 36027112, 168975493, 5715973656, 1725148199],
+        ]
+    );
+    assert_eq!(
+        counters(1),
+        [
+            [229, 1471, 7144228, 45301009, 1662214070, 449251854],
+            [1116, 5327, 34177035, 164761664, 5869343132, 1669375016],
+            [1087, 5315, 32731825, 164100157, 5865795175, 1660132262],
+            [1042, 5328, 31813258, 164430520, 5854729200, 1657927963],
+            [1076, 5340, 32224711, 164312414, 5874734869, 1664142888],
+        ]
+    );
 }
 
 #[test]
