@@ -10,7 +10,7 @@
 //! * [`jsonl`] — machine-readable JSON lines, one record per line, each
 //!   tagged with a `kind` field (`meta`, `totals`, `class`, `layer`,
 //!   `device`, `cache`, `resilience`, `placement`, `perf`, `series`,
-//!   `slo`, `trace`, `postmortem`, `replication`, `parity_group`). The
+//!   `slo`, `trace`, `postmortem`, `redundancy`). The
 //!   first line is always the `meta` record carrying [`SCHEMA_VERSION`].
 //!   Every record kind's fields are declared once, in a field table the
 //!   emitter walks and [`validate_jsonl`] checks against: a record is
@@ -66,38 +66,20 @@ pub struct RunReport {
     pub exemplars: Vec<reo_sim::TraceTree>,
     /// Flight-recorder post-mortem dumps (empty on clean runs).
     pub postmortems: Vec<reo_sim::Postmortem>,
-    /// Cross-target replication counters (`None` on single-target runs
-    /// and clusters without a replication policy — the record is then
+    /// Cross-target redundancy counters (`None` on single-target runs
+    /// and clusters without a redundancy policy — the record is then
     /// omitted entirely).
-    pub replication: Option<ReplicationReport>,
-    /// Cross-target parity-group counters (`None` on single-target
-    /// runs and clusters without a parity policy — the record is then
-    /// omitted entirely).
-    pub parity: Option<ParityGroupReport>,
+    pub redundancy: Option<RedundancyReport>,
 }
 
-/// The `replication` record: the active policy plus the cluster's
-/// replication counters.
+/// The `redundancy` record: the active policy, the cluster's redundancy
+/// counters, and the end-of-run flash overhead split.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ReplicationReport {
-    /// Largest per-class copy count of the policy.
-    pub max_factor: u64,
-    /// Per-class copy counts `[metadata, dirty, hot_clean, cold_clean]`.
-    pub factors: [u64; 4],
-    /// The cluster's cumulative replication counters.
-    pub counters: reo_core::ReplicationSnapshot,
-}
-
-/// The `parity_group` record: the active group geometry, the cluster's
-/// parity counters, and the end-of-run flash overhead split.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParityGroupReport {
-    /// Data shards per group (`k`).
-    pub data_shards: u64,
-    /// Parity shards per group (`m` — the outage tolerance).
-    pub parity_shards: u64,
-    /// The cluster's cumulative parity counters.
-    pub counters: reo_core::ParityGroupSnapshot,
+pub struct RedundancyReport {
+    /// The geometry `k + m` and its class mask.
+    pub policy: reo_core::Redundancy,
+    /// The cluster's cumulative redundancy counters.
+    pub counters: reo_core::RedundancySnapshot,
     /// End-of-run flash usage split (primary / replica / parity bytes).
     pub overhead: reo_core::FlashOverheadReport,
 }
@@ -134,8 +116,7 @@ pub fn collect_run_report(
         perf: Vec::new(),
         exemplars: system.tracer().exemplars(),
         postmortems: system.flight().postmortems(),
-        replication: None,
-        parity: None,
+        redundancy: None,
     }
 }
 
@@ -192,28 +173,11 @@ pub fn collect_cluster_report(
         perf: Vec::new(),
         exemplars: cluster.tracer().exemplars(),
         postmortems: cluster.flight().postmortems(),
-        replication: {
-            let policy = cluster.replication_policy();
-            policy.enabled().then(|| ReplicationReport {
-                max_factor: policy.max_factor() as u64,
-                factors: [
-                    policy.metadata as u64,
-                    policy.dirty as u64,
-                    policy.hot_clean as u64,
-                    policy.cold_clean as u64,
-                ],
-                counters: result.replication,
-            })
-        },
-        parity: {
-            let policy = cluster.parity_policy();
-            policy.enabled().then_some(ParityGroupReport {
-                data_shards: policy.data as u64,
-                parity_shards: policy.parity as u64,
-                counters: result.parity,
-                overhead: result.flash_overhead,
-            })
-        },
+        redundancy: cluster.redundancy().enabled().then(|| RedundancyReport {
+            policy: cluster.redundancy(),
+            counters: result.redundancy,
+            overhead: result.flash_overhead,
+        }),
     }
 }
 
@@ -528,17 +492,32 @@ static POSTMORTEM: Table<Postmortem> = Table {
     ],
 };
 
-static REPLICATION: Table<ReplicationReport> = Table {
-    kind: "replication",
+static REDUNDANCY: Table<RedundancyReport> = Table {
+    kind: "redundancy",
     fields: &[
-        ("max_factor", Num, |r| u(r.max_factor)),
-        ("factor_metadata", Num, |r| u(r.factors[0])),
-        ("factor_dirty", Num, |r| u(r.factors[1])),
-        ("factor_hot_clean", Num, |r| u(r.factors[2])),
-        ("factor_cold_clean", Num, |r| u(r.factors[3])),
-        ("replica_serves", Num, |r| u(r.counters.replica_serves)),
-        ("fanout_writes", Num, |r| u(r.counters.fanout_writes)),
-        ("fanout_refreshes", Num, |r| u(r.counters.fanout_refreshes)),
+        ("data_shards", Num, |r| u(r.policy.data as u64)),
+        ("parity_shards", Num, |r| u(r.policy.parity as u64)),
+        ("protects_metadata", Bool, |r| {
+            Value::Bool(r.policy.protects[0])
+        }),
+        ("protects_dirty", Bool, |r| {
+            Value::Bool(r.policy.protects[1])
+        }),
+        ("protects_hot_clean", Bool, |r| {
+            Value::Bool(r.policy.protects[2])
+        }),
+        ("protects_cold_clean", Bool, |r| {
+            Value::Bool(r.policy.protects[3])
+        }),
+        ("failover_serves", Num, |r| u(r.counters.failover_serves)),
+        ("protected_writes", Num, |r| u(r.counters.protected_writes)),
+        ("copies_refreshed", Num, |r| u(r.counters.copies_refreshed)),
+        ("coverage_invalidations", Num, |r| {
+            u(r.counters.coverage_invalidations)
+        }),
+        ("reconstructed_mib", Num, |r| {
+            f(mib(r.counters.reconstructed_bytes))
+        }),
         ("divergences_injected", Num, |r| {
             u(r.counters.divergences_injected)
         }),
@@ -551,41 +530,22 @@ static REPLICATION: Table<ReplicationReport> = Table {
         ("anti_entropy_passes", Num, |r| {
             u(r.counters.anti_entropy_passes)
         }),
-        ("failbacks_completed", Num, |r| {
-            u(r.counters.failbacks_completed)
+        ("repair_moves", Num, |r| u(r.counters.repair_moves)),
+        ("repairs_completed", Num, |r| {
+            u(r.counters.repairs_completed)
         }),
-    ],
-};
-
-static PARITY_GROUP: Table<ParityGroupReport> = Table {
-    kind: "parity_group",
-    fields: &[
-        ("data_shards", Num, |pg| u(pg.data_shards)),
-        ("parity_shards", Num, |pg| u(pg.parity_shards)),
-        ("parity_serves", Num, |pg| u(pg.counters.parity_serves)),
-        ("stripe_updates", Num, |pg| u(pg.counters.stripe_updates)),
-        ("coverage_invalidations", Num, |pg| {
-            u(pg.counters.coverage_invalidations)
+        ("beyond_tolerance_serves", Num, |r| {
+            u(r.counters.beyond_tolerance_serves)
         }),
-        ("reconstructed_mib", Num, |pg| {
-            f(mib(pg.counters.reconstructed_bytes))
-        }),
-        ("repair_warms", Num, |pg| u(pg.counters.repair_warms)),
-        ("repairs_completed", Num, |pg| {
-            u(pg.counters.repairs_completed)
-        }),
-        ("beyond_tolerance_serves", Num, |pg| {
-            u(pg.counters.beyond_tolerance_serves)
-        }),
-        ("ttr_metadata_us", Num, |pg| i(pg.counters.ttr_us[0])),
-        ("ttr_dirty_us", Num, |pg| i(pg.counters.ttr_us[1])),
-        ("ttr_hot_clean_us", Num, |pg| i(pg.counters.ttr_us[2])),
-        ("ttr_cold_clean_us", Num, |pg| i(pg.counters.ttr_us[3])),
-        ("primary_mib", Num, |pg| f(mib(pg.overhead.primary_bytes))),
-        ("replica_mib", Num, |pg| f(mib(pg.overhead.replica_bytes))),
-        ("parity_mib", Num, |pg| f(mib(pg.overhead.parity_bytes))),
-        ("overhead_pct", Num, |pg| {
-            f(100.0 * pg.overhead.overhead_fraction())
+        ("ttr_metadata_us", Num, |r| i(r.counters.ttr_us[0])),
+        ("ttr_dirty_us", Num, |r| i(r.counters.ttr_us[1])),
+        ("ttr_hot_clean_us", Num, |r| i(r.counters.ttr_us[2])),
+        ("ttr_cold_clean_us", Num, |r| i(r.counters.ttr_us[3])),
+        ("primary_mib", Num, |r| f(mib(r.overhead.primary_bytes))),
+        ("replica_mib", Num, |r| f(mib(r.overhead.replica_bytes))),
+        ("parity_mib", Num, |r| f(mib(r.overhead.parity_bytes))),
+        ("overhead_pct", Num, |r| {
+            f(100.0 * r.overhead.overhead_fraction())
         }),
     ],
 };
@@ -608,8 +568,7 @@ fn schema() -> Vec<Shape> {
         SLO.shape(),
         TRACE.shape(),
         POSTMORTEM.shape(),
-        REPLICATION.shape(),
-        PARITY_GROUP.shape(),
+        REDUNDANCY.shape(),
     ]
 }
 
@@ -730,8 +689,7 @@ fn records(report: &RunReport) -> Vec<Record> {
     out.extend(report.totals.slos.iter().map(|row| SLO.record(row)));
     out.extend(report.exemplars.iter().map(|tree| TRACE.record(tree)));
     out.extend(report.postmortems.iter().map(|pm| POSTMORTEM.record(pm)));
-    out.extend(report.replication.iter().map(|r| REPLICATION.record(r)));
-    out.extend(report.parity.iter().map(|pg| PARITY_GROUP.record(pg)));
+    out.extend(report.redundancy.iter().map(|r| REDUNDANCY.record(r)));
     out
 }
 
@@ -1272,8 +1230,9 @@ mod tests {
                 .contains(&format!("schema_version {version}")));
         }
 
-        // Unknown kind (`shard` is no longer one the validator knows).
-        for kind in ["mystery", "shard"] {
+        // Unknown kind (`shard`, `replication` and `parity_group` are no
+        // longer ones the validator knows).
+        for kind in ["mystery", "shard", "replication", "parity_group"] {
             let unknown = format!("{good}{{\"kind\":\"{kind}\"}}\n");
             assert!(validate_jsonl(&unknown)
                 .unwrap_err()
@@ -1332,7 +1291,7 @@ mod tests {
     }
 
     fn scaleout_jsonl() -> String {
-        use reo_core::{ClusterSystem, PlannedEvent, ReplicationPolicy};
+        use reo_core::{ClusterSystem, PlannedEvent, Redundancy};
         let trace = WorkloadSpec::medium()
             .with_objects(80)
             .with_requests(600)
@@ -1341,8 +1300,7 @@ mod tests {
             SchemeConfig::Reo { reserve: 0.20 },
             trace.summary().data_set_bytes.scale(0.25),
         );
-        let mut cluster =
-            ClusterSystem::new(config, 4).with_replication_policy(ReplicationPolicy::two_way());
+        let mut cluster = ClusterSystem::new(config, 4).with_redundancy(Redundancy::two_way());
         let plan = ExperimentPlan {
             warmup_passes: 1,
             ..Default::default()
@@ -1367,7 +1325,7 @@ mod tests {
     }
 
     fn parity_jsonl() -> String {
-        use reo_core::{ClusterSystem, ParityGroupPolicy, PlannedEvent};
+        use reo_core::{ClusterSystem, PlannedEvent, Redundancy};
         let trace = WorkloadSpec::medium()
             .with_objects(80)
             .with_requests(600)
@@ -1376,8 +1334,7 @@ mod tests {
             SchemeConfig::Reo { reserve: 0.20 },
             trace.summary().data_set_bytes.scale(0.25),
         );
-        let mut cluster =
-            ClusterSystem::new(config, 4).with_parity_policy(ParityGroupPolicy::reo(3, 1));
+        let mut cluster = ClusterSystem::new(config, 4).with_redundancy(Redundancy::reo(3, 1));
         let plan = ExperimentPlan {
             warmup_passes: 1,
             ..Default::default()
@@ -1390,13 +1347,16 @@ mod tests {
     }
 
     #[test]
-    fn parity_group_record_round_trips_through_the_validator() {
+    fn redundancy_record_round_trips_through_the_validator() {
+        let replicated = validate_jsonl(&scaleout_jsonl()).expect("2-way report validates");
+        assert_eq!(replicated.kinds["redundancy"], 1, "singleton record");
         let text = parity_jsonl();
         let summary = validate_jsonl(&text).expect("parity report must validate");
         assert_eq!(summary.schema_version, SCHEMA_VERSION);
-        assert_eq!(summary.kinds["parity_group"], 1, "singleton parity record");
+        assert_eq!(summary.kinds["redundancy"], 1, "singleton record");
         assert!(text.contains("\"data_shards\":3"));
         assert!(text.contains("\"parity_shards\":1"));
+        assert!(text.contains("\"protects_cold_clean\":false"));
         assert!(text.contains("\"served_by_parity\""));
         assert!(text.contains("\"parity_serves\""));
         assert!(text.contains("\"overhead_pct\""));

@@ -1,0 +1,327 @@
+//! What a cluster reports: health, per-target rows, aggregated
+//! measurements, and the result of one experiment run.
+
+use reo_placement::TargetId;
+use reo_sim::SimDuration;
+
+use super::redundancy::RedundancySnapshot;
+use super::{ClusterSystem, TargetState};
+use crate::metrics::{MetricsSnapshot, SloSnapshot, TargetMetricsRow, CLASS_LABELS};
+
+/// The cluster-level health view derived from per-target
+/// [`crate::HealthState`] machines and lifecycle states.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ClusterHealth {
+    /// Current ring members.
+    pub members: usize,
+    /// Members serving at full fidelity.
+    pub up: usize,
+    /// Members down (their ranges served by failover or backend-first).
+    pub down: usize,
+    /// Fraction of the known namespace currently mapped to a down
+    /// target — the *live* blast radius.
+    pub degraded_fraction: f64,
+    /// A stable label: `"healthy"`, `"recovering"`, or
+    /// `"degraded(<down>/<members>)"`.
+    pub label: String,
+}
+
+/// Flash-capacity accounting across the cluster's up members, split
+/// into primary bytes (owner-cached user objects) and the two
+/// redundancy flavors — what the equal-budget sweep reports.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FlashOverheadReport {
+    /// Cached user bytes held by their ring owner.
+    pub primary_bytes: u64,
+    /// Cached user bytes held as replica copies (`k = 1`).
+    pub replica_bytes: u64,
+    /// Parity-shard bytes held for covered stripes (`size × m / k` per
+    /// covered, owner-cached object; `k > 1`).
+    pub parity_bytes: u64,
+}
+
+impl FlashOverheadReport {
+    /// Redundancy bytes (replica + parity) per primary byte — `0` when
+    /// nothing is cached.
+    pub fn overhead_fraction(&self) -> f64 {
+        if self.primary_bytes == 0 {
+            0.0
+        } else {
+            (self.replica_bytes + self.parity_bytes) as f64 / self.primary_bytes as f64
+        }
+    }
+}
+
+/// Everything one cluster experiment run produced.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ClusterRunResult {
+    /// Aggregated measurements with per-target rows filled in
+    /// ([`MetricsSnapshot::targets`]).
+    pub totals: MetricsSnapshot,
+    /// Simulated span of the measured pass (max over per-target
+    /// clocks, which are merged at request barriers).
+    pub elapsed: SimDuration,
+    /// Aggregate requests per simulated second.
+    pub aggregate_req_per_sec: f64,
+    /// Fraction of the namespace that *ever saw* a degraded response
+    /// (degraded read, backend-first serve, medium error, or shed)
+    /// during the run.
+    pub observed_degraded_fraction: f64,
+    /// Fraction of the namespace that was *ever mapped* to a down
+    /// target during the run — ring balance makes this ≈ `k/N` for `k`
+    /// concurrently failed targets.
+    pub mapped_degraded_fraction: f64,
+    /// Dirty objects permanently lost, summed over nodes (0 unless
+    /// redundancy was exhausted inside a node).
+    pub dirty_data_lost: u64,
+    /// Objects moved by ring-delta rebalancing.
+    pub migrated_objects: u64,
+    /// Migration batches stalled by an empty QoS token bucket.
+    pub migration_stalls: u64,
+    /// Bytes of migration traffic charged against the throttle.
+    pub migration_throttle_bytes: u64,
+    /// Cluster-level planned events rejected as no-ops.
+    pub rejected_events: u64,
+    /// Per-reason breakdown of the rejections.
+    pub rejected_events_by_reason: Vec<(String, u64)>,
+    /// Cluster health label at the end of the run.
+    pub health: String,
+    /// Redundancy counters (all cold when the policy is
+    /// [`crate::Redundancy::none`]).
+    pub redundancy: RedundancySnapshot,
+    /// End-of-run flash-capacity split (primary vs. redundancy bytes).
+    pub flash_overhead: FlashOverheadReport,
+}
+
+impl ClusterSystem {
+    /// Cluster-level planned events rejected so far.
+    pub fn rejected_events(&self) -> u64 {
+        self.rejected_events
+    }
+
+    /// Per-reason breakdown of rejected cluster events.
+    pub fn rejected_events_by_reason(&self) -> Vec<(String, u64)> {
+        self.rejected_by_reason
+            .iter()
+            .map(|(&r, &n)| (r.to_string(), n))
+            .collect()
+    }
+
+    /// Dirty objects permanently lost, summed over all nodes.
+    pub fn dirty_data_lost(&self) -> u64 {
+        self.nodes.iter().map(|n| n.system.dirty_data_lost()).sum()
+    }
+
+    /// `keys` as a fraction of the known namespace.
+    fn namespace_fraction(&self, keys: usize) -> f64 {
+        if self.objects.is_empty() {
+            0.0
+        } else {
+            keys as f64 / self.objects.len() as f64
+        }
+    }
+
+    /// Fraction of the known namespace that ever received a degraded
+    /// response.
+    pub fn observed_degraded_fraction(&self) -> f64 {
+        self.namespace_fraction(self.degraded_keys.len())
+    }
+
+    /// Fraction of the known namespace ever mapped to a down target.
+    pub fn mapped_degraded_fraction(&self) -> f64 {
+        self.namespace_fraction(self.mapped_degraded.len())
+    }
+
+    /// The cluster-level health view.
+    pub fn health(&self) -> ClusterHealth {
+        let members = self.ring.len();
+        let down = self
+            .nodes
+            .iter()
+            .filter(|n| n.state == TargetState::Down)
+            .count();
+        let mapped_down = if down == 0 {
+            0
+        } else {
+            self.objects
+                .keys()
+                .filter(|&&k| {
+                    self.ring
+                        .target_of(k)
+                        .is_some_and(|t| self.nodes[t.0].state == TargetState::Down)
+                })
+                .count()
+        };
+        let label = if down > 0 {
+            format!("degraded({down}/{members})")
+        } else if self
+            .nodes
+            .iter()
+            .filter(|n| n.state == TargetState::Up)
+            .any(|n| n.system.health() != crate::HealthState::Healthy)
+            || !self.migrations.is_empty()
+        {
+            "recovering".to_string()
+        } else {
+            "healthy".to_string()
+        };
+        ClusterHealth {
+            members,
+            up: members - down,
+            down,
+            degraded_fraction: self.namespace_fraction(mapped_down),
+            label,
+        }
+    }
+
+    /// Current flash-capacity split across up members: primary bytes
+    /// (owner-cached user objects), replica bytes (non-owner cached
+    /// copies), and parity bytes (`size × m / k` per covered,
+    /// owner-cached stripe) — the equal-budget sweep's overhead ledger.
+    pub fn flash_overhead(&self) -> FlashOverheadReport {
+        // Parity shards are virtual; real copies are counted where
+        // they are cached.
+        let parity_per_byte = if self.policy.stripes() {
+            self.policy.overhead()
+        } else {
+            0.0
+        };
+        let mut report = FlashOverheadReport::default();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.state != TargetState::Up {
+                continue;
+            }
+            for (key, size) in node.system.cached_user_entries() {
+                let bytes = size.as_bytes();
+                if self.ring.target_of(key) != Some(TargetId(i)) {
+                    report.replica_bytes += bytes;
+                    continue;
+                }
+                report.primary_bytes += bytes;
+                if self.ledger.contains_key(&key) {
+                    report.parity_bytes += (bytes as f64 * parity_per_byte).round() as u64;
+                }
+            }
+        }
+        report
+    }
+
+    /// Resets all measurement state (end of warm-up): per-target
+    /// request counters, degraded-namespace ledgers, every node's
+    /// metrics, and the cluster's own counters. Membership, caches,
+    /// outage history, and pending migrations are untouched.
+    pub fn reset_stats(&mut self) {
+        let now = self.merge_clocks();
+        for node in &mut self.nodes {
+            let row = &mut node.row;
+            *row = TargetMetricsRow {
+                target: row.target,
+                outages: row.outages,
+                rebuild_window_us: row.rebuild_window_us,
+                migrated_in: row.migrated_in,
+                migrated_out: row.migrated_out,
+                ..TargetMetricsRow::default()
+            };
+            node.system.metrics_mut().reset_all(now);
+        }
+        self.degraded_keys.clear();
+        self.mapped_degraded.clear();
+        self.migration_stalls = 0;
+        self.migration_throttle_bytes = 0;
+        self.migrated_objects = 0;
+        self.stats = RedundancySnapshot::default();
+        self.measure_started = now;
+        // Observability state restarts with measurement: warm-up spans,
+        // exemplars, flight events, and postmortems would otherwise leak
+        // into the measured pass.
+        self.tracer.reset();
+        self.flight.reset();
+    }
+
+    /// One row per created target: the blast-radius view
+    /// ([`TargetMetricsRow`]).
+    pub fn target_rows(&self) -> Vec<TargetMetricsRow> {
+        self.nodes
+            .iter()
+            .map(|node| TargetMetricsRow {
+                health: match node.state {
+                    TargetState::Up => node.system.health().label(),
+                    other => other.label().to_string(),
+                },
+                ..node.row.clone()
+            })
+            .collect()
+    }
+
+    /// Aggregated measurements across the cluster with per-target rows
+    /// filled in. Counters are exact sums over node metrics (outage
+    /// serves are recorded into the owning node as external samples, so
+    /// the sums cover them and the SLO monitor saw them too); the mean
+    /// latency is request-weighted and the p99 is the max over nodes
+    /// (an upper bound, since per-node histograms cannot be merged
+    /// exactly).
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let mut agg = MetricsSnapshot::default();
+        let mut weighted_mean_nanos = 0u128;
+        for node in &self.nodes {
+            let s = node.system.metrics().totals();
+            agg.requests += s.requests;
+            agg.reads += s.reads;
+            agg.read_hits += s.read_hits;
+            agg.writes += s.writes;
+            agg.degraded_reads += s.degraded_reads;
+            agg.requested_bytes += s.requested_bytes;
+            agg.requested_write_bytes += s.requested_write_bytes;
+            agg.device_bytes += s.device_bytes;
+            agg.device_write_bytes += s.device_write_bytes;
+            agg.backend_bytes += s.backend_bytes;
+            agg.medium_errors += s.medium_errors;
+            agg.repairs += s.repairs;
+            agg.scrub_passes += s.scrub_passes;
+            agg.unrecoverable_fallbacks += s.unrecoverable_fallbacks;
+            agg.journal_appends += s.journal_appends;
+            agg.checkpoint_count += s.checkpoint_count;
+            agg.replayed_records += s.replayed_records;
+            agg.torn_tail_detected += s.torn_tail_detected;
+            agg.recovery_duration_us += s.recovery_duration_us;
+            agg.elapsed = agg.elapsed.max(s.elapsed);
+            agg.p99_latency = agg.p99_latency.max(s.p99_latency);
+            weighted_mean_nanos += s.mean_latency.as_nanos() as u128 * s.requests as u128;
+        }
+        // One failover counter; the snapshot keeps a column per
+        // mechanism, and the policy says which one served.
+        if self.policy.data == 1 {
+            agg.served_by_replica = self.stats.failover_serves;
+        } else {
+            agg.served_by_parity = self.stats.failover_serves;
+        }
+        if agg.requests > 0 {
+            agg.mean_latency =
+                SimDuration::from_nanos((weighted_mean_nanos / agg.requests as u128) as u64);
+        }
+        agg.slos = self.merged_slos();
+        agg.targets = self.target_rows();
+        agg
+    }
+
+    /// Folds every node's per-class SLO rows into cluster rows: raw
+    /// counters add exactly ([`SloSnapshot::merge`]), and the derived
+    /// burn rates are recomputed from the merged counters. Rows keep
+    /// [`CLASS_LABELS`] order.
+    fn merged_slos(&self) -> Vec<SloSnapshot> {
+        let mut merged: Vec<Option<SloSnapshot>> = vec![None; CLASS_LABELS.len()];
+        for node in &self.nodes {
+            for row in node.system.metrics().totals().slos {
+                let slot = CLASS_LABELS
+                    .iter()
+                    .position(|&l| l == row.class)
+                    .expect("SLO row uses a known class label");
+                match &mut merged[slot] {
+                    Some(agg) => agg.merge(&row),
+                    slot @ None => *slot = Some(row),
+                }
+            }
+        }
+        merged.into_iter().flatten().collect()
+    }
+}

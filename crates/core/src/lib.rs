@@ -59,9 +59,15 @@ mod runner;
 mod system;
 
 pub use cluster::{
-    ClusterHealth, ClusterRunResult, ClusterSystem, FlashOverheadReport, ParityGroupPolicy,
-    ParityGroupSnapshot, ReplicationPolicy, ReplicationSnapshot, TargetState,
+    ClusterHealth, ClusterRunResult, ClusterSystem, FlashOverheadReport, Redundancy,
+    RedundancySnapshot, TargetState,
 };
+// Compat names for the frozen `benchmark/` workspace (ROADMAP item 2
+// deletes them with `ClusterSystem::with_{replication,parity}_policy`).
+#[doc(hidden)]
+pub type ReplicationPolicy = Redundancy;
+#[doc(hidden)]
+pub type ParityGroupPolicy = Redundancy;
 pub use config::{SchemeConfig, SystemConfig};
 pub use metrics::{
     ClassSnapshot, Metrics, MetricsSnapshot, RequestSample, SloSnapshot, TargetMetricsRow,

@@ -86,7 +86,7 @@ impl RequestSample {
 /// served (misses, write-throughs, offline).
 pub const CLASS_LABELS: [&str; 5] = ["metadata", "dirty", "hot_clean", "cold_clean", "uncached"];
 
-fn class_slot(class: Option<ObjectClass>) -> usize {
+pub(crate) fn class_slot(class: Option<ObjectClass>) -> usize {
     match class {
         Some(ObjectClass::Metadata) => 0,
         Some(ObjectClass::Dirty) => 1,

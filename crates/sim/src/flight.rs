@@ -6,10 +6,10 @@
 //! things went wrong". Every rare, state-changing event — health
 //! transitions, fault injections, rejected events, journal replays,
 //! rebalance batches, replica-divergence detections
-//! (`replica-divergence`, `divergence-injected`), and failback
-//! milestones (`target-restored`, `failback-complete`) — is recorded
-//! into a bounded ring, so a postmortem shows the full
-//! outage → failover → repair → failback arc. When a trigger fires (a
+//! (`replica-divergence`, `divergence-injected`), and repair
+//! milestones (`target-restored`, `repair-queued`, `repair-complete`)
+//! — is recorded into a bounded ring, so a postmortem shows the full
+//! outage → failover → repair arc. When a trigger fires (a
 //! target leaves `Healthy`, an internal error is detected), the
 //! recorder snapshots the ring into a [`Postmortem`]: the last N events
 //! leading up to the trigger, in order, stamped with simulated time.

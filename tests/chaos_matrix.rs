@@ -45,19 +45,27 @@
 //! zero beyond-tolerance serves), a second outage landing while the
 //! first target's group-aware repair is still draining, and a
 //! cluster-wide crash mid-repair — each replayed for byte-identical
-//! fingerprints (outcome sequence, per-target rows, and parity
+//! fingerprints (outcome sequence, per-target rows, and redundancy
 //! counters), with zero acked dirty-write loss after quiesce.
+//!
+//! The three cluster families share one driver and one run; they differ
+//! in their `Redundancy` policy, their schedule table, and the
+//! assertions only their mechanism can state. Because a replay only
+//! compares a run with itself, `cluster_chaos_fingerprints_are_pinned`
+//! additionally pins a hash of every cluster schedule's observable
+//! behaviour across commits.
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 use reo_repro::core::DeviceId;
 use reo_repro::core::{
-    CacheSystem, ClusterSystem, HealthState, ParityGroupPolicy, PlannedEvent, ReplicationPolicy,
-    SchemeConfig, SystemConfig, TargetState,
+    CacheSystem, ClusterSystem, HealthState, PlannedEvent, Redundancy, SchemeConfig, SystemConfig,
+    TargetState,
 };
 use reo_repro::osd::{ObjectKey, SenseCode};
 use reo_repro::sim::rng::DetRng;
-use reo_repro::sim::ByteSize;
+use reo_repro::sim::{ByteSize, FastHasher};
 use reo_repro::workload::{Locality, Operation, Request, Trace, WorkloadSpec};
 
 const SCHEDULES: u64 = 8;
@@ -276,7 +284,7 @@ fn chaos_matrix_seed_1234() {
 
 /// The three node-level schedules, as `(request index, event)` lists.
 /// Device ids are global (`devices_per_node * target + local`).
-fn node_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)>) {
+fn node_schedule(which: usize, n: usize) -> Schedule {
     match which {
         // Target outage mid-rebuild: target 1 loses a device, its spare
         // rebuild starts, then the whole node crashes while the rebuild
@@ -315,145 +323,11 @@ fn node_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)>) 
     }
 }
 
-/// One deterministic cluster drive: every request routed with the
-/// schedule's events applied at their indices, the full outcome
-/// sequence recorded as the replay fingerprint, acked writes tracked.
-struct ClusterDrive {
-    cluster: ClusterSystem,
-    fingerprint: Vec<(SenseCode, bool, bool)>,
-    acked: BTreeMap<ObjectKey, ByteSize>,
-}
-
-fn drive_cluster(t: &Trace, which: usize, label: &str) -> ClusterDrive {
-    let cache = t.summary().data_set_bytes.scale(0.10);
-    let mut config = SystemConfig::paper_defaults(SchemeConfig::Reo { reserve: 0.20 }, cache);
-    config.chunk_size = ByteSize::from_kib(16);
-    config.checkpoint_period = 300;
-    // Keep acknowledged dirty writes resident so the no-loss invariant
-    // is tested against live dirty state, not flushed copies.
-    config.dirty_flush_watermark = 1.0;
-    let n = t.requests().len();
-    let (targets, events) = node_schedule(which, n);
-    let mut cluster = ClusterSystem::new(config, targets);
-    cluster.populate(t.objects());
-
-    let mut fingerprint = Vec::with_capacity(n);
-    let mut acked: BTreeMap<ObjectKey, ByteSize> = BTreeMap::new();
-    let mut next = 0usize;
-    for (i, r) in t.requests().iter().enumerate() {
-        while next < events.len() && events[next].0 == i {
-            cluster.apply_event(events[next].1);
-            next += 1;
-        }
-        let outcome = cluster.handle(r);
-        assert_ne!(
-            outcome.sense,
-            SenseCode::Failure,
-            "{label}: request {i} returned an opaque failure"
-        );
-        fingerprint.push((outcome.sense, outcome.hit, outcome.degraded));
-        if r.op == Operation::Write
-            && matches!(
-                outcome.sense,
-                SenseCode::Success | SenseCode::RecoveredError
-            )
-        {
-            acked.insert(r.key, r.size);
-        }
-    }
-    assert_eq!(next, events.len(), "{label}: every event must fire");
-    ClusterDrive {
-        cluster,
-        fingerprint,
-        acked,
-    }
-}
-
-fn node_chaos_run(seed: u64, which: usize) {
-    let label = format!("seed {seed} node-schedule {which}");
-    let t = trace(seed);
-
-    // Determinism: the same seed and schedule replay an identical
-    // outcome sequence and identical per-target rows.
-    let mut drive = drive_cluster(&t, which, &label);
-    let replay = drive_cluster(&t, which, &label);
-    assert_eq!(
-        drive.fingerprint, replay.fingerprint,
-        "{label}: replay diverged"
-    );
-    assert_eq!(
-        drive.cluster.target_rows(),
-        replay.cluster.target_rows(),
-        "{label}: per-target rows diverged"
-    );
-
-    // Quiesce: restore anything still down, drain rebuilds and the
-    // rebalance queue, and require the cluster to heal.
-    let cluster = &mut drive.cluster;
-    for target in 0..cluster.targets_created() {
-        if cluster.target_state(target) == TargetState::Down {
-            cluster.apply_event(PlannedEvent::RestoreTarget(target));
-        }
-    }
-    assert!(
-        cluster.drain_recovery(1_000_000),
-        "{label}: rebuild/rebalance queues must drain"
-    );
-    let health = cluster.health();
-    assert_eq!(health.down, 0, "{label}: {health:?}");
-    assert_eq!(health.label, "healthy", "{label}: {health:?}");
-    assert_eq!(
-        cluster.dirty_data_lost(),
-        0,
-        "{label}: acknowledged dirty data lost"
-    );
-
-    // Every acknowledged write still serves through the ring — from the
-    // owner's cache, a degraded path, or the backend; never a failure.
-    for (&key, &size) in &drive.acked {
-        let read = Request {
-            key,
-            op: Operation::Read,
-            size,
-        };
-        let outcome = cluster.handle(&read);
-        assert!(
-            matches!(
-                outcome.sense,
-                SenseCode::Success | SenseCode::RecoveredError | SenseCode::MediumError
-            ),
-            "{label}: acked write {key:?} unreadable after quiesce ({:?})",
-            outcome.sense
-        );
-    }
-}
-
-fn node_chaos_matrix(seed: u64) {
-    for which in 0..3 {
-        node_chaos_run(seed, which);
-    }
-}
-
-#[test]
-fn node_chaos_matrix_seed_11() {
-    node_chaos_matrix(11);
-}
-
-#[test]
-fn node_chaos_matrix_seed_42() {
-    node_chaos_matrix(42);
-}
-
-#[test]
-fn node_chaos_matrix_seed_1234() {
-    node_chaos_matrix(1234);
-}
-
 // ---- replica-level (cross-target replication) chaos ----------------------
 
 /// The three replica-level schedules, driven under a 2-way replication
 /// policy on four targets.
-fn replica_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)>) {
+fn replica_schedule(which: usize, n: usize) -> Schedule {
     match which {
         // Outage landing during the replica flush window: divergence is
         // injected while acked writes are still fanning out, then the
@@ -500,175 +374,11 @@ fn replica_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)
     }
 }
 
-fn drive_replica_cluster(t: &Trace, which: usize, label: &str) -> ClusterDrive {
-    let cache = t.summary().data_set_bytes.scale(0.10);
-    let mut config = SystemConfig::paper_defaults(SchemeConfig::Reo { reserve: 0.20 }, cache);
-    config.chunk_size = ByteSize::from_kib(16);
-    config.checkpoint_period = 300;
-    config.dirty_flush_watermark = 1.0;
-    let n = t.requests().len();
-    let (targets, events) = replica_schedule(which, n);
-    let mut cluster =
-        ClusterSystem::new(config, targets).with_replication_policy(ReplicationPolicy::two_way());
-    cluster.populate(t.objects());
-
-    let mut fingerprint = Vec::with_capacity(n);
-    let mut acked: BTreeMap<ObjectKey, ByteSize> = BTreeMap::new();
-    let mut next = 0usize;
-    for (i, r) in t.requests().iter().enumerate() {
-        while next < events.len() && events[next].0 == i {
-            cluster.apply_event(events[next].1);
-            next += 1;
-        }
-        let outcome = cluster.handle(r);
-        assert_ne!(
-            outcome.sense,
-            SenseCode::Failure,
-            "{label}: request {i} returned an opaque failure"
-        );
-        fingerprint.push((outcome.sense, outcome.hit, outcome.degraded));
-        if r.op == Operation::Write
-            && matches!(
-                outcome.sense,
-                SenseCode::Success | SenseCode::RecoveredError
-            )
-        {
-            acked.insert(r.key, r.size);
-        }
-    }
-    assert_eq!(next, events.len(), "{label}: every event must fire");
-    ClusterDrive {
-        cluster,
-        fingerprint,
-        acked,
-    }
-}
-
-fn replica_chaos_run(seed: u64, which: usize) {
-    let label = format!("seed {seed} replica-schedule {which}");
-    let t = trace(seed);
-
-    // Determinism: the same seed and schedule replay an identical
-    // outcome sequence, identical per-target rows, and identical
-    // replication counters.
-    let mut drive = drive_replica_cluster(&t, which, &label);
-    let replay = drive_replica_cluster(&t, which, &label);
-    assert_eq!(
-        drive.fingerprint, replay.fingerprint,
-        "{label}: replay diverged"
-    );
-    assert_eq!(
-        drive.cluster.target_rows(),
-        replay.cluster.target_rows(),
-        "{label}: per-target rows diverged"
-    );
-    assert_eq!(
-        drive.cluster.replication_snapshot(),
-        replay.cluster.replication_snapshot(),
-        "{label}: replication counters diverged"
-    );
-
-    let cluster = &mut drive.cluster;
-    let mid_run = cluster.replication_snapshot();
-    assert!(
-        mid_run.fanout_writes > 0,
-        "{label}: the 2-way policy must fan acked writes out"
-    );
-    if which == 0 {
-        assert!(
-            mid_run.divergences_injected > 0,
-            "{label}: the seeded injection must diverge something"
-        );
-        assert!(
-            mid_run.replica_serves > 0,
-            "{label}: the failed range must be served from replica holders"
-        );
-    }
-    if which == 1 {
-        assert!(
-            cluster.observed_degraded_fraction() > 0.0,
-            "{label}: a double outage beyond the factor must degrade honestly"
-        );
-    }
-
-    // Quiesce: restore anything still down, drain rebuilds/failback,
-    // then run a complete anti-entropy pass and require the divergence
-    // ledger to balance — every injected divergence detected and
-    // repaired, nothing ever served silently stale.
-    for target in 0..cluster.targets_created() {
-        if cluster.target_state(target) == TargetState::Down {
-            cluster.apply_event(PlannedEvent::RestoreTarget(target));
-        }
-    }
-    assert!(
-        cluster.drain_recovery(1_000_000),
-        "{label}: rebuild/failback queues must drain"
-    );
-    cluster.run_anti_entropy_pass();
-    let snap = cluster.replication_snapshot();
-    assert_eq!(
-        snap.divergences_detected, snap.divergences_injected,
-        "{label}: anti-entropy missed injected divergences ({snap:?})"
-    );
-    assert_eq!(
-        snap.divergences_repaired, snap.divergences_detected,
-        "{label}: detected divergences left unrepaired ({snap:?})"
-    );
-
-    let health = cluster.health();
-    assert_eq!(health.down, 0, "{label}: {health:?}");
-    assert_eq!(health.label, "healthy", "{label}: {health:?}");
-    assert_eq!(
-        cluster.dirty_data_lost(),
-        0,
-        "{label}: acknowledged dirty data lost"
-    );
-
-    // Every acknowledged write still serves through the ring.
-    for (&key, &size) in &drive.acked {
-        let read = Request {
-            key,
-            op: Operation::Read,
-            size,
-        };
-        let outcome = cluster.handle(&read);
-        assert!(
-            matches!(
-                outcome.sense,
-                SenseCode::Success | SenseCode::RecoveredError | SenseCode::MediumError
-            ),
-            "{label}: acked write {key:?} unreadable after quiesce ({:?})",
-            outcome.sense
-        );
-    }
-}
-
-fn replica_chaos_matrix(seed: u64) {
-    for which in 0..3 {
-        replica_chaos_run(seed, which);
-    }
-}
-
-#[test]
-fn replica_chaos_matrix_seed_11() {
-    replica_chaos_matrix(11);
-}
-
-#[test]
-fn replica_chaos_matrix_seed_42() {
-    replica_chaos_matrix(42);
-}
-
-#[test]
-fn replica_chaos_matrix_seed_1234() {
-    replica_chaos_matrix(1234);
-}
-
 // ---- parity-level (cross-target parity group) chaos ----------------------
 
 /// The four parity-level schedules, driven under a `k=4, m=2` parity
 /// group spanning six targets (one group, tolerance 2).
-fn parity_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)>) {
+fn parity_schedule(which: usize, n: usize) -> Schedule {
     match which {
         // Single outage: the downed member's covered range is served by
         // degraded reconstruction from the surviving five shards until
@@ -719,19 +429,70 @@ fn parity_schedule(which: usize, n: usize) -> (usize, Vec<(usize, PlannedEvent)>
     }
 }
 
-fn drive_parity_cluster(t: &Trace, which: usize, label: &str) -> ClusterDrive {
+// ---- the one cluster driver -------------------------------------------------
+
+/// `(targets, events at request indices)`.
+type Schedule = (usize, Vec<(usize, PlannedEvent)>);
+
+/// A chaos family of cluster schedules.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Family {
+    Node,
+    Replica,
+    Parity,
+}
+
+impl Family {
+    fn policy(self) -> Redundancy {
+        match self {
+            Family::Node => Redundancy::none(),
+            Family::Replica => Redundancy::two_way(),
+            Family::Parity => Redundancy::reo(4, 2),
+        }
+    }
+
+    fn schedules(self) -> usize {
+        match self {
+            Family::Node | Family::Replica => 3,
+            Family::Parity => 4,
+        }
+    }
+
+    fn schedule(self, which: usize, n: usize) -> Schedule {
+        match self {
+            Family::Node => node_schedule(which, n),
+            Family::Replica => replica_schedule(which, n),
+            Family::Parity => parity_schedule(which, n),
+        }
+    }
+}
+
+/// One deterministic cluster drive: every request routed with the
+/// schedule's events applied at their indices, the full outcome
+/// sequence recorded as the replay fingerprint, acked writes tracked.
+struct ClusterDrive {
+    cluster: ClusterSystem,
+    fingerprint: Vec<(SenseCode, bool, bool)>,
+    acked: BTreeMap<ObjectKey, ByteSize>,
+}
+
+fn drive_cluster(
+    t: &Trace,
+    (targets, events): Schedule,
+    policy: Redundancy,
+    label: &str,
+) -> ClusterDrive {
     let cache = t.summary().data_set_bytes.scale(0.10);
     let mut config = SystemConfig::paper_defaults(SchemeConfig::Reo { reserve: 0.20 }, cache);
     config.chunk_size = ByteSize::from_kib(16);
     config.checkpoint_period = 300;
+    // Keep acknowledged dirty writes resident so the no-loss invariant
+    // is tested against live dirty state, not flushed copies.
     config.dirty_flush_watermark = 1.0;
-    let n = t.requests().len();
-    let (targets, events) = parity_schedule(which, n);
-    let mut cluster =
-        ClusterSystem::new(config, targets).with_parity_policy(ParityGroupPolicy::reo(4, 2));
+    let mut cluster = ClusterSystem::new(config, targets).with_redundancy(policy);
     cluster.populate(t.objects());
 
-    let mut fingerprint = Vec::with_capacity(n);
+    let mut fingerprint = Vec::with_capacity(t.requests().len());
     let mut acked: BTreeMap<ObjectKey, ByteSize> = BTreeMap::new();
     let mut next = 0usize;
     for (i, r) in t.requests().iter().enumerate() {
@@ -763,15 +524,17 @@ fn drive_parity_cluster(t: &Trace, which: usize, label: &str) -> ClusterDrive {
     }
 }
 
-fn parity_chaos_run(seed: u64, which: usize) {
-    let label = format!("seed {seed} parity-schedule {which}");
+fn cluster_chaos_run(family: Family, seed: u64, which: usize) {
+    let name = format!("{family:?}").to_lowercase();
+    let label = format!("seed {seed} {name}-schedule {which}");
     let t = trace(seed);
+    let n = t.requests().len();
 
     // Determinism: the same seed and schedule replay an identical
     // outcome sequence, identical per-target rows, and identical
-    // parity counters.
-    let mut drive = drive_parity_cluster(&t, which, &label);
-    let replay = drive_parity_cluster(&t, which, &label);
+    // redundancy counters.
+    let mut drive = drive_cluster(&t, family.schedule(which, n), family.policy(), &label);
+    let replay = drive_cluster(&t, family.schedule(which, n), family.policy(), &label);
     assert_eq!(
         drive.fingerprint, replay.fingerprint,
         "{label}: replay diverged"
@@ -782,33 +545,59 @@ fn parity_chaos_run(seed: u64, which: usize) {
         "{label}: per-target rows diverged"
     );
     assert_eq!(
-        drive.cluster.parity_snapshot(),
-        replay.cluster.parity_snapshot(),
-        "{label}: parity counters diverged"
+        drive.cluster.redundancy_snapshot(),
+        replay.cluster.redundancy_snapshot(),
+        "{label}: redundancy counters diverged"
     );
 
     let cluster = &mut drive.cluster;
-    let mid_run = cluster.parity_snapshot();
-    assert!(
-        mid_run.stripe_updates > 0,
-        "{label}: acked writes must keep encoding stripes"
-    );
-    assert!(
-        mid_run.parity_serves > 0,
-        "{label}: the downed range must be served by degraded reconstruction"
-    );
-    if which <= 1 {
-        // Single and double outage both sit inside the m=2 tolerance:
-        // no covered read may fall back beyond it.
-        assert_eq!(
-            mid_run.beyond_tolerance_serves, 0,
-            "{label}: outages within tolerance must never exceed it"
-        );
+    let mid_run = cluster.redundancy_snapshot();
+    match family {
+        Family::Node => {}
+        Family::Replica => {
+            assert!(
+                mid_run.protected_writes > 0,
+                "{label}: the 2-way policy must fan acked writes out"
+            );
+            if which == 0 {
+                assert!(
+                    mid_run.divergences_injected > 0,
+                    "{label}: the seeded injection must diverge something"
+                );
+                assert!(
+                    mid_run.failover_serves > 0,
+                    "{label}: the failed range must be served from replica holders"
+                );
+            }
+            if which == 1 {
+                assert!(
+                    cluster.observed_degraded_fraction() > 0.0,
+                    "{label}: a double outage beyond the factor must degrade honestly"
+                );
+            }
+        }
+        Family::Parity => {
+            assert!(
+                mid_run.protected_writes > 0,
+                "{label}: acked writes must keep encoding stripes"
+            );
+            assert!(
+                mid_run.failover_serves > 0,
+                "{label}: the downed range must be served by degraded reconstruction"
+            );
+            if which <= 1 {
+                // Single and double outage both sit inside the m=2 tolerance:
+                // no covered read may fall back beyond it.
+                assert_eq!(
+                    mid_run.beyond_tolerance_serves, 0,
+                    "{label}: outages within tolerance must never exceed it"
+                );
+            }
+        }
     }
 
     // Quiesce: restore anything still down, drain rebuilds and the
-    // group-aware repair queue, and require the cluster to heal with
-    // every queued repair completed.
+    // rebalance/repair queue, and require the cluster to heal.
     for target in 0..cluster.targets_created() {
         if cluster.target_state(target) == TargetState::Down {
             cluster.apply_event(PlannedEvent::RestoreTarget(target));
@@ -816,13 +605,33 @@ fn parity_chaos_run(seed: u64, which: usize) {
     }
     assert!(
         cluster.drain_recovery(1_000_000),
-        "{label}: rebuild/repair queues must drain"
+        "{label}: rebuild/rebalance/repair queues must drain"
     );
-    let snap = cluster.parity_snapshot();
-    assert!(
-        snap.repairs_completed >= 1,
-        "{label}: every restore must complete its group repair ({snap:?})"
-    );
+    match family {
+        Family::Node => {}
+        Family::Replica => {
+            // A complete anti-entropy pass must balance the divergence
+            // ledger — every injected divergence detected and
+            // repaired, nothing ever served silently stale.
+            cluster.run_anti_entropy_pass();
+            let snap = cluster.redundancy_snapshot();
+            assert_eq!(
+                snap.divergences_detected, snap.divergences_injected,
+                "{label}: anti-entropy missed injected divergences ({snap:?})"
+            );
+            assert_eq!(
+                snap.divergences_repaired, snap.divergences_detected,
+                "{label}: detected divergences left unrepaired ({snap:?})"
+            );
+        }
+        Family::Parity => {
+            let snap = cluster.redundancy_snapshot();
+            assert!(
+                snap.repairs_completed >= 1,
+                "{label}: every restore must complete its group repair ({snap:?})"
+            );
+        }
+    }
 
     let health = cluster.health();
     assert_eq!(health.down, 0, "{label}: {health:?}");
@@ -833,8 +642,8 @@ fn parity_chaos_run(seed: u64, which: usize) {
         "{label}: acknowledged dirty data lost"
     );
 
-    // Every acknowledged write still serves through the ring — from
-    // the owner's cache, a reconstruction, or the backend.
+    // Every acknowledged write still serves through the ring — from the
+    // owner's cache, a degraded path, or the backend; never a failure.
     for (&key, &size) in &drive.acked {
         let read = Request {
             key,
@@ -853,25 +662,139 @@ fn parity_chaos_run(seed: u64, which: usize) {
     }
 }
 
-fn parity_chaos_matrix(seed: u64) {
-    for which in 0..4 {
-        parity_chaos_run(seed, which);
+fn cluster_chaos_matrix(family: Family, seed: u64) {
+    for which in 0..family.schedules() {
+        cluster_chaos_run(family, seed, which);
     }
 }
 
 #[test]
+fn node_chaos_matrix_seed_11() {
+    cluster_chaos_matrix(Family::Node, 11);
+}
+
+#[test]
+fn node_chaos_matrix_seed_42() {
+    cluster_chaos_matrix(Family::Node, 42);
+}
+
+#[test]
+fn node_chaos_matrix_seed_1234() {
+    cluster_chaos_matrix(Family::Node, 1234);
+}
+
+#[test]
+fn replica_chaos_matrix_seed_11() {
+    cluster_chaos_matrix(Family::Replica, 11);
+}
+
+#[test]
+fn replica_chaos_matrix_seed_42() {
+    cluster_chaos_matrix(Family::Replica, 42);
+}
+
+#[test]
+fn replica_chaos_matrix_seed_1234() {
+    cluster_chaos_matrix(Family::Replica, 1234);
+}
+
+#[test]
 fn parity_chaos_matrix_seed_11() {
-    parity_chaos_matrix(11);
+    cluster_chaos_matrix(Family::Parity, 11);
 }
 
 #[test]
 fn parity_chaos_matrix_seed_42() {
-    parity_chaos_matrix(42);
+    cluster_chaos_matrix(Family::Parity, 42);
 }
 
 #[test]
 fn parity_chaos_matrix_seed_1234() {
-    parity_chaos_matrix(1234);
+    cluster_chaos_matrix(Family::Parity, 1234);
+}
+
+/// Hashes, per `(seed, family, schedule)`, of what one drive returned
+/// and measured *before* quiesce: the `(sense, hit, degraded)` sequence,
+/// `target_rows()` and `metrics_snapshot()`. The matrix above compares a
+/// run only with its own replay; this table pins behaviour across
+/// commits. Recorded at the last commit before the redundancy models
+/// were merged (PR 17); a change that moves a hash changed what the
+/// cluster computes and must say why.
+const PINNED_FINGERPRINTS: [(u64, [u64; 10]); 3] = [
+    (
+        11,
+        [
+            0x8b9f35d79175b183,
+            0x2a0b23bdc9a0acae,
+            0x3aea34795522dab0,
+            0xe891b5ef6b36946d,
+            0x03a38b79141a8414,
+            0x10195e1b893cfafe,
+            0x410b5f46dc4c0503,
+            0x6bcf8cd57a770900,
+            0xef00d259360e2c24,
+            0x9651fdd77f94aee1,
+        ],
+    ),
+    (
+        42,
+        [
+            0x6e51099d1bd99694,
+            0xbd13f9c1c60899eb,
+            0x524e6ea43fcc7c7e,
+            0x878d6617dc85921a,
+            0x2a58f4bca1d6c936,
+            0x9ce893477d878056,
+            0xbe7f2679d07010e3,
+            0xb56c2728caae7ccb,
+            0x575ded4225fc1ab3,
+            0xac56d66b3c3b2211,
+        ],
+    ),
+    (
+        1234,
+        [
+            0x5a993f05a3db9b9e,
+            0x01aedb3fbdc041d5,
+            0x035ebd7777c1e5d9,
+            0xb5611af66b99dcbf,
+            0xc4be05fa7b6b38c7,
+            0xd456be8ecd23eb2e,
+            0xeb168d789cc0b0df,
+            0x906109d2e6363cb9,
+            0x059f67549718febb,
+            0x96dba0069f1dc4f5,
+        ],
+    ),
+];
+
+#[test]
+fn cluster_chaos_fingerprints_are_pinned() {
+    for (seed, pinned) in PINNED_FINGERPRINTS {
+        let t = trace(seed);
+        let n = t.requests().len();
+        let mut hashes = Vec::new();
+        for family in [Family::Node, Family::Replica, Family::Parity] {
+            for which in 0..family.schedules() {
+                let drive = drive_cluster(&t, family.schedule(which, n), family.policy(), "pin");
+                let observed = format!(
+                    "{:?}",
+                    (
+                        &drive.fingerprint,
+                        drive.cluster.target_rows(),
+                        drive.cluster.metrics_snapshot()
+                    )
+                );
+                let mut hasher = FastHasher::default();
+                hasher.write(observed.as_bytes());
+                hashes.push(hasher.finish());
+            }
+        }
+        assert_eq!(
+            hashes, pinned,
+            "seed {seed}: cluster behaviour moved; observed {hashes:#018x?}"
+        );
+    }
 }
 
 /// A second device failure landing mid-rebuild, inside Reo's Dirty-class
