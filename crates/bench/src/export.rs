@@ -29,7 +29,7 @@ use reo_core::{
     CacheSystem, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport, ExperimentResult,
     MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
 };
-use reo_sim::{Layer, LayerBreakdown, Postmortem, SimDuration, TraceBreakdown, TraceTree};
+use reo_sim::{LayerBreakdown, Postmortem, SimDuration, TraceBreakdown, TraceTree};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Version stamp of the JSON-lines schema. There is one version: any
@@ -830,216 +830,64 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
 
 // ---- human summary -----------------------------------------------------
 
-/// Renders the aligned human tables (per-layer breakdown, per-class
-/// rows, per-device table, cache counters) the binaries print.
+/// Renders the report as the text the binaries print, from the records
+/// [`jsonl`] emits: every field of every record kind appears under its
+/// JSONL name, so the text has no column list of its own. Kinds with one
+/// record per document print one `name value` pair per line, the others
+/// a header of names over one line per record; `trace` and `postmortem`
+/// records are hierarchies and have their own renderers
+/// ([`render_trace_trees`], [`render_postmortems`]).
 pub fn render_summary(report: &RunReport) -> String {
     use std::fmt::Write as _;
 
-    let mut out = String::new();
-    let t = &report.totals;
-    let _ = writeln!(
-        out,
-        "\n== run report: {} / {} ==",
+    let mut out = format!(
+        "\n== run report: {} / {} ==\n",
         report.experiment, report.scheme
     );
-    let _ = writeln!(
-        out,
-        "requests {}  hit {:.1}%  bw {:.1} MB/s  mean {:.2} ms  p99 {:.2} ms  eff {:.1}%",
-        t.requests,
-        t.hit_ratio_pct(),
-        t.bandwidth_mib_s(),
-        t.mean_latency_ms(),
-        t.p99_latency.as_millis_f64(),
-        100.0 * report.space_efficiency,
-    );
-    let _ = writeln!(
-        out,
-        "amplification: total {:.2}x  write {:.2}x  read {:.2}x  (requested {:.1} MiB, device {:.1} MiB, backend {:.1} MiB)",
-        t.amplification(),
-        t.write_amplification(),
-        t.read_amplification(),
-        t.requested_bytes.as_mib_f64(),
-        t.device_bytes.as_mib_f64(),
-        t.backend_bytes.as_mib_f64(),
-    );
-
-    if !report.breakdown.layers.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<10}{:>10}{:>12}{:>14}{:>10}{:>10}",
-            "layer", "spans", "total ms", "exclusive ms", "mean ms", "p99 ms"
-        );
-        for layer in Layer::ALL {
-            let Some(row) = report.breakdown.layer(layer) else {
-                continue;
-            };
-            let _ = writeln!(
-                out,
-                "{:<10}{:>10}{:>12.2}{:>14.2}{:>10.3}{:>10.3}",
-                layer.as_str(),
-                row.spans,
-                row.total.as_millis_f64(),
-                report.breakdown.exclusive(layer).as_millis_f64(),
-                row.mean.as_millis_f64(),
-                row.p99.as_millis_f64(),
-            );
+    let one_record = [
+        META.kind,
+        TOTALS.kind,
+        CACHE.kind,
+        RESILIENCE.kind,
+        REDUNDANCY.kind,
+    ];
+    for group in records(report).chunk_by(|a, b| a[0].1 == b[0].1) {
+        let kind = cell(&group[0][0].1);
+        if kind == TRACE.kind || kind == POSTMORTEM.kind {
+            continue;
         }
-    }
-
-    if !t.classes.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<12}{:>9}{:>8}{:>8}{:>10}{:>10}{:>10}",
-            "class", "reqs", "reads", "hit %", "degraded", "mean ms", "p99 ms"
-        );
-        for class in &t.classes {
-            let _ = writeln!(
-                out,
-                "{:<12}{:>9}{:>8}{:>8.1}{:>10}{:>10.2}{:>10.2}",
-                class.label,
-                class.requests,
-                class.reads,
-                class.hit_ratio_pct(),
-                class.degraded_reads,
-                class.mean_latency.as_millis_f64(),
-                class.p99_latency.as_millis_f64(),
-            );
-        }
-    }
-
-    if !t.targets.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<8}{:<12}{:>9}{:>8}{:>8}{:>10}{:>7}{:>9}{:>12}{:>8}{:>8}",
-            "target",
-            "health",
-            "reqs",
-            "reads",
-            "hit %",
-            "degraded",
-            "shed",
-            "outages",
-            "rebuild ms",
-            "mig in",
-            "mig out"
-        );
-        for row in &t.targets {
-            let rebuild = if row.rebuild_window_us < 0 {
-                "-".to_string()
-            } else {
-                format!("{:.1}", row.rebuild_window_us as f64 / 1e3)
-            };
-            let _ = writeln!(
-                out,
-                "{:<8}{:<12}{:>9}{:>8}{:>8.1}{:>10}{:>7}{:>9}{:>12}{:>8}{:>8}",
-                row.target,
-                row.health,
-                row.requests,
-                row.reads,
-                row.hit_ratio_pct(),
-                row.degraded_reads,
-                row.shed_requests,
-                row.outages,
-                rebuild,
-                row.migrated_in,
-                row.migrated_out,
-            );
-        }
-    }
-
-    if !report.devices.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<8}{:>9}{:>8}{:>10}{:>9}{:>9}{:>11}{:>11}{:>10}",
-            "device",
-            "healthy",
-            "wear %",
-            "used MiB",
-            "reads",
-            "writes",
-            "queue ms",
-            "service ms",
-            "timeouts"
-        );
-        for d in &report.devices {
-            let _ = writeln!(
-                out,
-                "{:<8}{:>9}{:>8.2}{:>10.1}{:>9}{:>9}{:>11.3}{:>11.3}{:>10}",
-                d.id.0,
-                if d.healthy { "yes" } else { "no" },
-                100.0 * d.wear,
-                d.used.as_mib_f64(),
-                d.stats.reads,
-                d.stats.writes,
-                d.stats.mean_queue_delay().as_millis_f64(),
-                d.stats.mean_service_time().as_millis_f64(),
-                d.stats.transient_timeouts,
-            );
-        }
-    }
-
-    let c = &report.cache;
-    let _ = writeln!(
-        out,
-        "\ncache policy: admissions {}  refreshes {}  removals {}  promotions {}  demotions {}",
-        c.admissions, c.refreshes, c.removals, c.promotions, c.demotions,
-    );
-
-    let r = &report.resilience;
-    let ttr = |us: i64| -> String {
-        if us < 0 {
-            "-".to_string()
+        let names = group[0][1..].iter().map(|(name, _)| name.clone());
+        let values = |record: &Record| -> Vec<String> {
+            record[1..].iter().map(|(_, value)| cell(value)).collect()
+        };
+        let grid: Vec<Vec<String>> = if one_record.contains(&kind.as_str()) {
+            let pairs = names.zip(values(&group[0]));
+            pairs.map(|(name, value)| vec![name, value]).collect()
         } else {
-            format!("{:.1}ms", us as f64 / 1e3)
-        }
-    };
-    let _ = writeln!(
-        out,
-        "resilience: health {}  transitions {}  shed {}  write-through {}  bypassed fills {}  rejected events {}",
-        r.health, r.health_transitions, r.shed_requests, r.write_throughs, r.bypassed_fills, r.rejected_events,
-    );
-    let _ = writeln!(
-        out,
-        "rebuild QoS: stalls {}  throttled {:.1} MiB  ttr meta {} / dirty {} / hot {} / cold {}",
-        r.throttle_stalls,
-        r.rebuild_throttle_bytes as f64 / (1024.0 * 1024.0),
-        ttr(r.ttr_us[0]),
-        ttr(r.ttr_us[1]),
-        ttr(r.ttr_us[2]),
-        ttr(r.ttr_us[3]),
-    );
-
-    if !t.slos.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<12}{:>9}{:>9}{:>11}{:>9}{:>12}{:>12}{:>12}{:>12}",
-            "slo class",
-            "reqs",
-            "thresh",
-            "lat ok %",
-            "avail %",
-            "lat burn 5s",
-            "lat burn 1m",
-            "av burn 5s",
-            "av burn 1m"
-        );
-        for slo in &t.slos {
-            let _ = writeln!(
-                out,
-                "{:<12}{:>9}{:>7.0}ms{:>11.2}{:>9.2}{:>12.2}{:>12.2}{:>12.2}{:>12.2}",
-                slo.class,
-                slo.requests,
-                slo.latency_threshold.as_millis_f64(),
-                slo.latency_compliance_pct(),
-                slo.availability_pct(),
-                slo.latency_burn_fast(),
-                slo.latency_burn_slow(),
-                slo.availability_burn_fast(),
-                slo.availability_burn_slow(),
-            );
+            let header = std::iter::once(names.collect());
+            header.chain(group.iter().map(values)).collect()
+        };
+        let width = |column: usize| grid.iter().map(|line| line[column].len()).max();
+        let widths: Vec<usize> = (0..grid[0].len()).filter_map(width).collect();
+        let _ = writeln!(out, "\n{kind}");
+        for line in &grid {
+            for (text, width) in line.iter().zip(&widths) {
+                let _ = write!(out, "  {text:>width$}");
+            }
+            out.push('\n');
         }
     }
     out
+}
+
+/// A value as summary text: floats to three decimals, strings bare,
+/// everything else as its JSON.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::F(v) => format!("{v:.3}"),
+        Value::Str(v) => v.clone(),
+        other => serde_json::to_string(&Raw(other.clone())).expect("summary cell serialize"),
+    }
 }
 
 /// Renders exemplar trace trees as indented span hierarchies — the
@@ -1250,18 +1098,24 @@ mod tests {
     fn summary_renders_every_section() {
         let report = traced_report();
         let text = render_summary(&report);
-        for needle in [
-            "run report: unit_test / Reo-20%",
-            "amplification:",
-            "layer",
-            "flash",
-            "class",
-            "device",
-            "cache policy:",
-            "resilience: health healthy",
-            "rebuild QoS:",
-        ] {
-            assert!(text.contains(needle), "summary missing `{needle}`:\n{text}");
+        assert!(text.contains("run report: unit_test / Reo-20%"), "{text}");
+        // Every field of every emitted record is in the text under its
+        // JSONL name (trace trees have their own renderer).
+        for record in records(&report) {
+            let kind = cell(&record[0].1);
+            if kind == TRACE.kind {
+                continue;
+            }
+            let section = text
+                .split("\n\n")
+                .find(|section| section.starts_with(&kind))
+                .unwrap_or_else(|| panic!("summary has no `{kind}` section:\n{text}"));
+            for (field, value) in &record[1..] {
+                assert!(
+                    section.contains(field.as_str()) && section.contains(&cell(value)),
+                    "`{kind}` section misses `{field}` = {value:?}:\n{section}"
+                );
+            }
         }
     }
 

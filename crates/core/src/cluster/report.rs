@@ -1,6 +1,8 @@
 //! What a cluster reports: health, per-target rows, aggregated
 //! measurements, and the result of one experiment run.
 
+use std::ops::Add;
+
 use reo_placement::TargetId;
 use reo_sim::SimDuration;
 
@@ -257,33 +259,16 @@ impl ClusterSystem {
     /// filled in. Counters are exact sums over node metrics (outage
     /// serves are recorded into the owning node as external samples, so
     /// the sums cover them and the SLO monitor saw them too); the mean
-    /// latency is request-weighted and the p99 is the max over nodes
-    /// (an upper bound, since per-node histograms cannot be merged
-    /// exactly).
+    /// latency is request-weighted and the p99 is the max over nodes — a
+    /// kept upper bound: per-node histograms *can* be merged exactly
+    /// ([`reo_sim::Histogram::merge`]), and doing so moves every cluster
+    /// artifact, so it lands alone (ROADMAP item 6(d)).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut agg = MetricsSnapshot::default();
         let mut weighted_mean_nanos = 0u128;
         for node in &self.nodes {
             let s = node.system.metrics().totals();
-            agg.requests += s.requests;
-            agg.reads += s.reads;
-            agg.read_hits += s.read_hits;
-            agg.writes += s.writes;
-            agg.degraded_reads += s.degraded_reads;
-            agg.requested_bytes += s.requested_bytes;
-            agg.requested_write_bytes += s.requested_write_bytes;
-            agg.device_bytes += s.device_bytes;
-            agg.device_write_bytes += s.device_write_bytes;
-            agg.backend_bytes += s.backend_bytes;
-            agg.medium_errors += s.medium_errors;
-            agg.repairs += s.repairs;
-            agg.scrub_passes += s.scrub_passes;
-            agg.unrecoverable_fallbacks += s.unrecoverable_fallbacks;
-            agg.journal_appends += s.journal_appends;
-            agg.checkpoint_count += s.checkpoint_count;
-            agg.replayed_records += s.replayed_records;
-            agg.torn_tail_detected += s.torn_tail_detected;
-            agg.recovery_duration_us += s.recovery_duration_us;
+            agg.combine(&s, u64::add);
             agg.elapsed = agg.elapsed.max(s.elapsed);
             agg.p99_latency = agg.p99_latency.max(s.p99_latency);
             weighted_mean_nanos += s.mean_latency.as_nanos() as u128 * s.requests as u128;
@@ -311,7 +296,7 @@ impl ClusterSystem {
     fn merged_slos(&self) -> Vec<SloSnapshot> {
         let mut merged: Vec<Option<SloSnapshot>> = vec![None; CLASS_LABELS.len()];
         for node in &self.nodes {
-            for row in node.system.metrics().totals().slos {
+            for row in node.system.metrics().slos() {
                 let slot = CLASS_LABELS
                     .iter()
                     .position(|&l| l == row.class)

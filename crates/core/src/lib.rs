@@ -71,8 +71,8 @@ pub type ParityGroupPolicy = Redundancy;
 pub use config::{SchemeConfig, SystemConfig};
 pub use metrics::{
     ClassSnapshot, Metrics, MetricsSnapshot, RequestSample, SloSnapshot, TargetMetricsRow,
-    CLASS_LABELS, SLO_AVAILABILITY_TARGET_PCT, SLO_FAST_WINDOW_SECS, SLO_LATENCY_TARGET_PCT,
-    SLO_LATENCY_THRESHOLDS_MS, SLO_SLOW_WINDOW_SECS,
+    CLASS_LABELS, LAYER_COUNTERS, SLO_AVAILABILITY_TARGET_PCT, SLO_FAST_WINDOW_SECS,
+    SLO_LATENCY_TARGET_PCT, SLO_LATENCY_THRESHOLDS_MS, SLO_SLOW_WINDOW_SECS,
 };
 pub use runner::{
     parallel_map_ordered, sweep_threads, EventOutcome, ExperimentPlan, ExperimentResult,

@@ -3,16 +3,15 @@
 //! reports: per-redundancy-class counters, requested-vs-device byte
 //! accounting (amplification), and a periodic time-series window.
 
+use std::ops::{Add, Sub};
+
 use reo_osd::ObjectClass;
 use reo_sim::{ByteSize, Histogram, SimDuration, SimTime};
 
-/// One completed request, as the system reports it to [`Metrics::record`].
-///
-/// `requested` is what the client asked for; the `device_*`/`backend_bytes`
-/// fields are the bytes the sample *attributes* to this request — typically
-/// the flash-array and backend counter deltas since the previous request,
-/// which also folds housekeeping traffic (flushes, scrubs, rebuilds) into
-/// the amplification totals.
+/// One completed request, as the system reports it to [`Metrics::record`]:
+/// what the request itself decided. What the layers under it counted
+/// meanwhile (device and backend bytes, faults, journal activity) arrives
+/// separately, through [`Metrics::note_layers`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestSample {
     /// `true` for reads, `false` for writes.
@@ -26,12 +25,6 @@ pub struct RequestSample {
     pub class: Option<ObjectClass>,
     /// Bytes the client requested.
     pub requested: ByteSize,
-    /// Flash-array bytes moved (reads + writes, parity included).
-    pub device_bytes: ByteSize,
-    /// The write portion of [`RequestSample::device_bytes`].
-    pub device_write_bytes: ByteSize,
-    /// Backend bytes moved (miss fills and write-back flushes).
-    pub backend_bytes: ByteSize,
     /// End-to-end request latency.
     pub latency: SimDuration,
     /// Completion instant.
@@ -43,8 +36,8 @@ pub struct RequestSample {
 }
 
 impl RequestSample {
-    /// A sample with only the request-level fields set (no byte
-    /// attribution) — enough for the paper's four headline metrics.
+    /// An available request served by no class — enough for the paper's
+    /// four headline metrics.
     pub fn basic(
         is_read: bool,
         hit: bool,
@@ -59,9 +52,6 @@ impl RequestSample {
             degraded,
             class: None,
             requested,
-            device_bytes: ByteSize::ZERO,
-            device_write_bytes: ByteSize::ZERO,
-            backend_bytes: ByteSize::ZERO,
             latency,
             completed_at,
             ok: true,
@@ -561,6 +551,43 @@ impl MetricsSnapshot {
     pub fn class(&self, label: &str) -> Option<&ClassSnapshot> {
         self.classes.iter().find(|c| c.label == label)
     }
+
+    /// Folds `other` into `self`, counter by counter: `self.x = op(self.x,
+    /// other.x)`. This is the one list of the snapshot's additive fields —
+    /// an interval is a subtraction over it, the run-wide row and the
+    /// cluster's are sums over it — so a new additive counter is named
+    /// here and nowhere else. `elapsed`, mean/p99 latency and the row
+    /// vectors are not additive and stay the caller's.
+    pub(crate) fn combine(&mut self, other: &MetricsSnapshot, op: fn(u64, u64) -> u64) {
+        let count = |mine: &mut u64, theirs: u64| *mine = op(*mine, theirs);
+        count(&mut self.requests, other.requests);
+        count(&mut self.reads, other.reads);
+        count(&mut self.read_hits, other.read_hits);
+        count(&mut self.writes, other.writes);
+        count(&mut self.degraded_reads, other.degraded_reads);
+        count(&mut self.medium_errors, other.medium_errors);
+        count(&mut self.repairs, other.repairs);
+        count(&mut self.scrub_passes, other.scrub_passes);
+        count(
+            &mut self.unrecoverable_fallbacks,
+            other.unrecoverable_fallbacks,
+        );
+        count(&mut self.journal_appends, other.journal_appends);
+        count(&mut self.checkpoint_count, other.checkpoint_count);
+        count(&mut self.replayed_records, other.replayed_records);
+        count(&mut self.torn_tail_detected, other.torn_tail_detected);
+        count(&mut self.recovery_duration_us, other.recovery_duration_us);
+        count(&mut self.served_by_replica, other.served_by_replica);
+        count(&mut self.served_by_parity, other.served_by_parity);
+        let bytes = |mine: &mut ByteSize, theirs: ByteSize| {
+            *mine = ByteSize::from_bytes(op(mine.as_bytes(), theirs.as_bytes()));
+        };
+        bytes(&mut self.requested_bytes, other.requested_bytes);
+        bytes(&mut self.requested_write_bytes, other.requested_write_bytes);
+        bytes(&mut self.device_bytes, other.device_bytes);
+        bytes(&mut self.device_write_bytes, other.device_write_bytes);
+        bytes(&mut self.backend_bytes, other.backend_bytes);
+    }
 }
 
 fn ratio(num: ByteSize, den: ByteSize) -> f64 {
@@ -571,76 +598,43 @@ fn ratio(num: ByteSize, den: ByteSize) -> f64 {
     }
 }
 
-/// Accumulates measurements with running totals, a resettable window (the
-/// failure experiments report per-window values between injection points),
-/// and an independent sampling window for the time-series recorder.
+/// Accumulates measurements: one running accumulator every request is
+/// recorded into once, and two *marks* — copies of it taken at the last
+/// [`Metrics::roll_window`] (the failure experiments report per-window
+/// values between injection points) and the last [`Metrics::roll_sample`]
+/// (the time-series recorder's independent interval). Every counter is a
+/// sum and a [`Histogram`] is a vector of bucket counts, so an interval is
+/// exactly the accumulator now minus the accumulator at its mark.
 #[derive(Clone, Debug)]
 pub struct Metrics {
-    totals: Accum,
-    window: Accum,
-    sample: Accum,
+    running: Accum,
+    /// `None` until the first roll (the interval then starts where
+    /// `running` does), so a run that never rolls never copies.
+    window: Option<Box<Accum>>,
+    sample: Option<Box<Accum>>,
     slo: SloMonitor,
 }
 
-/// Per-class accumulator: the counters live in the [`ClassSnapshot`]
-/// they are reported as; only mean/p99 are derived (from `latency`) at
-/// snapshot time.
-#[derive(Clone, Debug)]
+/// One class row's running state: its counters, held in the
+/// [`MetricsSnapshot`] fields they sum into, and its latency histogram.
+#[derive(Clone, Debug, Default)]
 struct ClassAccum {
-    counters: ClassSnapshot,
+    counters: MetricsSnapshot,
     latency: Histogram,
 }
 
-impl ClassAccum {
-    fn new(label: &'static str) -> Self {
-        ClassAccum {
-            counters: ClassSnapshot {
-                label,
-                ..ClassSnapshot::default()
-            },
-            latency: Histogram::new(),
-        }
-    }
-
-    fn record(&mut self, sample: &RequestSample) {
-        let c = &mut self.counters;
-        c.requests += 1;
-        if sample.is_read {
-            c.reads += 1;
-            if sample.hit {
-                c.read_hits += 1;
-            }
-            if sample.degraded {
-                c.degraded_reads += 1;
-            }
-        } else {
-            c.writes += 1;
-        }
-        c.requested_bytes += sample.requested;
-        self.latency.record(sample.latency);
-    }
-
-    fn snapshot(&self) -> ClassSnapshot {
-        ClassSnapshot {
-            mean_latency: self.latency.mean().unwrap_or(SimDuration::ZERO),
-            p99_latency: self.latency.percentile(99.0).unwrap_or(SimDuration::ZERO),
-            ..self.counters.clone()
-        }
-    }
-}
-
-/// One interval's accumulator: the counters live in the
-/// [`MetricsSnapshot`] they are reported as, so a new counter is a
-/// snapshot field plus its increment. Only `elapsed`, mean/p99 latency
-/// and `classes` are derived at snapshot time; `served_by_replica`,
-/// `served_by_parity`, `targets` and `slos` stay empty here (the cluster
-/// layer and [`Metrics::totals`] fill them in).
+/// Cumulative measurements since `started_at`. A request is counted in
+/// exactly one class slot; the run-wide request counters and latencies
+/// exist only as the sum and merge over the slots, taken at snapshot
+/// time. `served_by_replica`, `served_by_parity`, `targets` and `slos`
+/// stay empty here (the cluster layer and [`Metrics::totals`] fill them).
 #[derive(Clone, Debug)]
 struct Accum {
     started_at: SimTime,
     last_seen: SimTime,
-    counters: MetricsSnapshot,
-    latency: Histogram,
+    /// The counters no class owns: what [`Metrics::note_layers`],
+    /// [`Metrics::note_fallback`] and [`Metrics::note_recovery`] report.
+    layers: MetricsSnapshot,
     /// One slot per [`CLASS_LABELS`] entry, allocated on first use.
     classes: [Option<Box<ClassAccum>>; 5],
 }
@@ -650,32 +644,14 @@ impl Accum {
         Accum {
             started_at: now,
             last_seen: now,
-            counters: MetricsSnapshot::default(),
-            latency: Histogram::new(),
+            layers: MetricsSnapshot::default(),
             classes: [None, None, None, None, None],
         }
     }
 
-    fn note_faults(&mut self, medium_errors: u64, repairs: u64, scrub_passes: u64, fallbacks: u64) {
-        self.counters.medium_errors += medium_errors;
-        self.counters.repairs += repairs;
-        self.counters.scrub_passes += scrub_passes;
-        self.counters.unrecoverable_fallbacks += fallbacks;
-    }
-
-    fn note_journal(&mut self, appends: u64, checkpoints: u64) {
-        self.counters.journal_appends += appends;
-        self.counters.checkpoint_count += checkpoints;
-    }
-
-    fn note_recovery(&mut self, replayed: u64, torn_tail: bool, duration_us: u64) {
-        self.counters.replayed_records += replayed;
-        self.counters.torn_tail_detected += u64::from(torn_tail);
-        self.counters.recovery_duration_us += duration_us;
-    }
-
     fn record(&mut self, sample: &RequestSample) {
-        let c = &mut self.counters;
+        let class = self.classes[class_slot(sample.class)].get_or_insert_with(Box::default);
+        let c = &mut class.counters;
         c.requests += 1;
         if sample.is_read {
             c.reads += 1;
@@ -690,106 +666,152 @@ impl Accum {
             c.requested_write_bytes += sample.requested;
         }
         c.requested_bytes += sample.requested;
-        c.device_bytes += sample.device_bytes;
-        c.device_write_bytes += sample.device_write_bytes;
-        c.backend_bytes += sample.backend_bytes;
-        self.latency.record(sample.latency);
+        class.latency.record(sample.latency);
         self.last_seen = sample.completed_at;
-        let slot = class_slot(sample.class);
-        self.classes[slot]
-            .get_or_insert_with(|| Box::new(ClassAccum::new(CLASS_LABELS[slot])))
-            .record(sample);
     }
 
-    fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            elapsed: self.last_seen.saturating_since(self.started_at),
-            mean_latency: self.latency.mean().unwrap_or(SimDuration::ZERO),
-            p99_latency: self.latency.percentile(99.0).unwrap_or(SimDuration::ZERO),
-            classes: self
-                .classes
-                .iter()
-                .flatten()
-                .map(|c| c.snapshot())
-                .collect(),
-            ..self.counters.clone()
+    /// The interval from `mark` (an earlier copy of this accumulator; from
+    /// `started_at` without one) to now. `classes` lists exactly the
+    /// slots a request landed in during the interval, and `elapsed` runs
+    /// from the interval's start to its last completion — zero when it
+    /// saw no request.
+    fn since(&self, mark: Option<&Accum>) -> MetricsSnapshot {
+        let mut snap = self.layers.clone();
+        if let Some(mark) = mark {
+            snap.combine(&mark.layers, u64::sub);
         }
+        let mut latency = Histogram::new();
+        for (slot, class) in self.classes.iter().enumerate() {
+            let Some(class) = class else { continue };
+            let mut c = class.counters.clone();
+            let interval;
+            let class_latency = match mark.and_then(|m| m.classes[slot].as_deref()) {
+                Some(earlier) => {
+                    c.combine(&earlier.counters, u64::sub);
+                    interval = class.latency.since(&earlier.latency);
+                    &interval
+                }
+                None => &class.latency,
+            };
+            if c.requests == 0 {
+                continue;
+            }
+            snap.combine(&c, u64::add);
+            latency.merge(class_latency);
+            snap.classes.push(ClassSnapshot {
+                label: CLASS_LABELS[slot],
+                requests: c.requests,
+                reads: c.reads,
+                read_hits: c.read_hits,
+                writes: c.writes,
+                degraded_reads: c.degraded_reads,
+                requested_bytes: c.requested_bytes,
+                mean_latency: class_latency.mean().unwrap_or(SimDuration::ZERO),
+                p99_latency: class_latency.percentile(99.0).unwrap_or(SimDuration::ZERO),
+            });
+        }
+        if snap.requests > 0 {
+            let started_at = mark.map_or(self.started_at, |m| m.started_at);
+            snap.elapsed = self.last_seen.saturating_since(started_at);
+        }
+        snap.mean_latency = latency.mean().unwrap_or(SimDuration::ZERO);
+        snap.p99_latency = latency.percentile(99.0).unwrap_or(SimDuration::ZERO);
+        snap
+    }
+
+    /// Closes the interval `mark` opened, returning its snapshot, and
+    /// re-marks: the next interval starts at `now` from a copy of this
+    /// accumulator.
+    fn roll(&self, mark: &mut Option<Box<Accum>>, now: SimTime) -> MetricsSnapshot {
+        let snap = self.since(mark.as_deref());
+        *mark = Some(Box::new(Accum {
+            started_at: now,
+            ..self.clone()
+        }));
+        snap
     }
 }
+
+/// Width of a [`Metrics::note_layers`] reading.
+pub const LAYER_COUNTERS: usize = 8;
 
 impl Metrics {
     /// Creates metrics anchored at `now`.
     pub fn new(now: SimTime) -> Self {
         Metrics {
-            totals: Accum::new(now),
-            window: Accum::new(now),
-            sample: Accum::new(now),
+            running: Accum::new(now),
+            window: None,
+            sample: None,
             slo: SloMonitor::default(),
         }
     }
 
-    /// Records one completed request into the totals, the window, the
-    /// sampling window, and the SLO monitor.
+    /// Records one completed request into its class slot and the SLO
+    /// monitor.
     pub fn record(&mut self, sample: RequestSample) {
-        self.totals.record(&sample);
-        self.window.record(&sample);
-        self.sample.record(&sample);
+        self.running.record(&sample);
         self.slo.record(&sample);
     }
 
-    /// Adds fault-path deltas (medium errors, repairs, scrub passes,
-    /// backend fallbacks after unrecoverable damage) to the totals, the
-    /// window, and the sampling window.
-    pub fn note_faults(
-        &mut self,
-        medium_errors: u64,
-        repairs: u64,
-        scrub_passes: u64,
-        fallbacks: u64,
-    ) {
-        self.totals
-            .note_faults(medium_errors, repairs, scrub_passes, fallbacks);
-        self.window
-            .note_faults(medium_errors, repairs, scrub_passes, fallbacks);
-        self.sample
-            .note_faults(medium_errors, repairs, scrub_passes, fallbacks);
+    /// Adds what the layers under the cache manager counted since they
+    /// were last read — all their traffic, housekeeping (flushes, scrubs,
+    /// rebuilds) included, so the amplification totals stay exact. In
+    /// order: flash bytes read, flash bytes written, backend bytes moved
+    /// (miss fills and write-back flushes), medium errors, in-place
+    /// repairs, completed scrub passes, journal records appended, journal
+    /// checkpoints taken.
+    pub fn note_layers(&mut self, delta: [u64; LAYER_COUNTERS]) {
+        let [flash_read, flash_written, backend, rest @ ..] = delta;
+        let [medium_errors, repairs, scrub_passes, journal_appends, checkpoints] = rest;
+        let c = &mut self.running.layers;
+        c.device_bytes += ByteSize::from_bytes(flash_read + flash_written);
+        c.device_write_bytes += ByteSize::from_bytes(flash_written);
+        c.backend_bytes += ByteSize::from_bytes(backend);
+        c.medium_errors += medium_errors;
+        c.repairs += repairs;
+        c.scrub_passes += scrub_passes;
+        c.journal_appends += journal_appends;
+        c.checkpoint_count += checkpoints;
     }
 
-    /// Adds journal-activity deltas (records appended, checkpoints taken)
-    /// to the totals, the window, and the sampling window.
-    pub fn note_journal(&mut self, appends: u64, checkpoints: u64) {
-        self.totals.note_journal(appends, checkpoints);
-        self.window.note_journal(appends, checkpoints);
-        self.sample.note_journal(appends, checkpoints);
+    /// Counts one read whose cache copy was damaged beyond repair and was
+    /// served from the backend instead.
+    pub fn note_fallback(&mut self) {
+        self.running.layers.unrecoverable_fallbacks += 1;
     }
 
     /// Records one completed restart recovery: records replayed, whether a
     /// torn log tail was detected, and the recovery's simulated duration.
     pub fn note_recovery(&mut self, replayed: u64, torn_tail: bool, duration_us: u64) {
-        self.totals.note_recovery(replayed, torn_tail, duration_us);
-        self.window.note_recovery(replayed, torn_tail, duration_us);
-        self.sample.note_recovery(replayed, torn_tail, duration_us);
+        let c = &mut self.running.layers;
+        c.replayed_records += replayed;
+        c.torn_tail_detected += u64::from(torn_tail);
+        c.recovery_duration_us += duration_us;
     }
 
     /// Snapshot since construction (or [`Metrics::reset_all`]),
     /// including the per-class SLO rows.
     pub fn totals(&self) -> MetricsSnapshot {
-        let mut snap = self.totals.snapshot();
-        snap.slos = self.slo.snapshot();
+        let mut snap = self.running.since(None);
+        snap.slos = self.slos();
         snap
+    }
+
+    /// The per-class SLO rows alone (what [`Metrics::totals`] carries in
+    /// [`MetricsSnapshot::slos`]).
+    pub fn slos(&self) -> Vec<SloSnapshot> {
+        self.slo.snapshot()
     }
 
     /// Snapshot since the last [`Metrics::roll_window`].
     pub fn window(&self) -> MetricsSnapshot {
-        self.window.snapshot()
+        self.running.since(self.window.as_deref())
     }
 
     /// Closes the current window, returning its snapshot, and starts a new
     /// one at `now`.
     pub fn roll_window(&mut self, now: SimTime) -> MetricsSnapshot {
-        let snap = self.window.snapshot();
-        self.window = Accum::new(now);
-        snap
+        self.running.roll(&mut self.window, now)
     }
 
     /// Closes the current *sampling* window (the time-series recorder's
@@ -797,23 +819,19 @@ impl Metrics {
     /// failure experiments own), returning its snapshot, and starts a new
     /// one at `now`.
     pub fn roll_sample(&mut self, now: SimTime) -> MetricsSnapshot {
-        let snap = self.sample.snapshot();
-        self.sample = Accum::new(now);
-        snap
+        self.running.roll(&mut self.sample, now)
     }
 
     /// Clears everything (end of warm-up).
     pub fn reset_all(&mut self, now: SimTime) {
-        self.totals = Accum::new(now);
-        self.window = Accum::new(now);
-        self.sample = Accum::new(now);
-        self.slo = SloMonitor::default();
+        *self = Metrics::new(now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -835,6 +853,89 @@ mod tests {
             SimDuration::from_millis(lat_ms),
             t(at_ms),
         )
+    }
+
+    const CLASSES: [Option<ObjectClass>; 5] = [
+        Some(ObjectClass::Metadata),
+        Some(ObjectClass::Dirty),
+        Some(ObjectClass::HotClean),
+        Some(ObjectClass::ColdClean),
+        None,
+    ];
+
+    /// What an interval's snapshot must equal: the totals of a `Metrics`
+    /// of its own, minus the SLO rows only totals carry.
+    fn interval_of(reference: &Metrics) -> MetricsSnapshot {
+        MetricsSnapshot {
+            slos: Vec::new(),
+            ..reference.totals()
+        }
+    }
+
+    proptest! {
+        /// Windows and samples are subtractions from one accumulator;
+        /// each must report exactly what an accumulator of its own —
+        /// anchored at its roll instant, fed only its interval's inputs —
+        /// would, through any interleaving of inputs, rolls and resets.
+        /// A roll's instant lies up to 30 ms either side of the last
+        /// completion, so intervals can be empty, and their samples can
+        /// all complete before they start.
+        #[test]
+        fn every_interval_equals_an_accumulator_of_its_own(
+            steps in proptest::collection::vec(
+                (0u32..12, 0usize..5, 0u32..64, 0u64..2_000_000_000, 0u64..60,
+                 proptest::collection::vec(0u64..100_000, LAYER_COUNTERS)),
+                1..120,
+            ),
+        ) {
+            let mut now = 0;
+            // The metrics under test, then one reference per interval:
+            // totals, window, sample.
+            let mut all = [(); 4].map(|()| Metrics::new(t(now)));
+            for (kind, class, bits, nanos, ms, columns) in steps {
+                let flag = |bit: u32| bits >> bit & 1 == 1;
+                let at = t((now + ms).saturating_sub(30));
+                match kind {
+                    0..=3 => {
+                        now += ms;
+                        let sample = RequestSample {
+                            is_read: flag(0),
+                            hit: flag(0) && flag(1),
+                            degraded: flag(0) && flag(2),
+                            class: CLASSES[class],
+                            requested: ByteSize::from_bytes(nanos % 4_000_000),
+                            latency: SimDuration::from_nanos(nanos),
+                            completed_at: t(now),
+                            ok: flag(3) || flag(4),
+                        };
+                        all.iter_mut().for_each(|m| m.record(sample));
+                    }
+                    4 | 5 => {
+                        let delta = columns.try_into().expect("one value per column");
+                        all.iter_mut().for_each(|m| m.note_layers(delta));
+                    }
+                    6 => all.iter_mut().for_each(Metrics::note_fallback),
+                    7 => all
+                        .iter_mut()
+                        .for_each(|m| m.note_recovery(columns[0], flag(0), columns[1])),
+                    8 => {
+                        prop_assert_eq!(all[0].roll_window(at), interval_of(&all[2]));
+                        all[2] = Metrics::new(at);
+                    }
+                    9 | 10 => {
+                        prop_assert_eq!(all[0].roll_sample(at), interval_of(&all[3]));
+                        all[3] = Metrics::new(at);
+                    }
+                    _ => {
+                        all[0].reset_all(t(now));
+                        all[1..].fill(Metrics::new(t(now)));
+                    }
+                }
+                prop_assert_eq!(all[0].totals(), all[1].totals());
+                prop_assert_eq!(all[0].window(), interval_of(&all[2]));
+            }
+            prop_assert_eq!(all[0].roll_sample(t(now)), interval_of(&all[3]));
+        }
     }
 
     #[test]
@@ -918,7 +1019,8 @@ mod tests {
     #[test]
     fn fault_counters_roll_with_the_window() {
         let mut m = Metrics::new(SimTime::ZERO);
-        m.note_faults(3, 2, 1, 1);
+        m.note_layers([0, 0, 0, 3, 2, 1, 0, 0]);
+        m.note_fallback();
         assert_eq!(m.totals().medium_errors, 3);
         assert_eq!(m.window().repairs, 2);
         let w = m.roll_window(t(1));
@@ -931,8 +1033,8 @@ mod tests {
     #[test]
     fn journal_and_recovery_counters_accumulate() {
         let mut m = Metrics::new(SimTime::ZERO);
-        m.note_journal(10, 1);
-        m.note_journal(5, 0);
+        m.note_layers([0, 0, 0, 0, 0, 0, 10, 1]);
+        m.note_layers([0, 0, 0, 0, 0, 0, 5, 0]);
         m.note_recovery(7, true, 1_500);
         m.note_recovery(3, false, 500);
         let s = m.totals();
@@ -950,11 +1052,9 @@ mod tests {
     #[test]
     fn amplification_derives_from_byte_split() {
         let mut m = Metrics::new(SimTime::ZERO);
-        let mut s = sample(false, false, false, 1, 1, 1);
         // A 1 MiB write that moved 3 MiB on flash (3-replication).
-        s.device_bytes = ByteSize::from_mib(3);
-        s.device_write_bytes = ByteSize::from_mib(3);
-        m.record(s);
+        m.note_layers([0, 3 << 20, 0, 0, 0, 0, 0, 0]);
+        m.record(sample(false, false, false, 1, 1, 1));
         let snap = m.totals();
         assert_eq!(snap.requested_bytes, ByteSize::from_mib(1));
         assert_eq!(snap.requested_write_bytes, ByteSize::from_mib(1));

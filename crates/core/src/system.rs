@@ -16,7 +16,7 @@ use reo_stripe::StripeManager;
 use reo_workload::{Operation, Request, WorkloadObject};
 
 use crate::config::SystemConfig;
-use crate::metrics::{Metrics, RequestSample};
+use crate::metrics::{Metrics, RequestSample, LAYER_COUNTERS};
 
 /// What happened to one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,9 +183,9 @@ pub struct CacheSystem {
     dirty_data_lost: u64,
     offline: bool,
     faults: FaultPlan,
-    /// Target fault counters already folded into the metrics
-    /// (medium errors, repairs, scrub passes) — the delta base.
-    fault_stats_seen: (u64, u64, u64),
+    /// The layer counters already folded into the metrics, in
+    /// [`Metrics::note_layers`] order — the one delta base.
+    layers_seen: [u64; LAYER_COUNTERS],
     /// The shared `reo-trace` handle (disabled unless
     /// [`CacheSystem::enable_tracing`] is called).
     tracer: Tracer,
@@ -194,15 +194,6 @@ pub struct CacheSystem {
     /// or an internal error fires. The cluster layer replaces it with a
     /// target-tagged handle to one shared ring.
     flight: FlightRecorder,
-    /// Flash-array byte counters already attributed to requests
-    /// (`bytes_read`, `bytes_written`) — the delta base.
-    flash_bytes_seen: (u64, u64),
-    /// Backend byte counters already attributed to requests
-    /// (`bytes_read`, `bytes_written`) — the delta base.
-    backend_bytes_seen: (u64, u64),
-    /// Journal counters (`appends`, `checkpoints`) already folded into the
-    /// metrics — the delta base.
-    journal_stats_seen: (u64, u64),
     /// The derived health state as of the last reconciliation.
     health: HealthState,
     /// Health-state transitions observed.
@@ -283,12 +274,9 @@ impl CacheSystem {
             dirty_data_lost: 0,
             offline: false,
             faults,
-            fault_stats_seen: (0, 0, 0),
+            layers_seen: [0; LAYER_COUNTERS],
             tracer,
             flight: FlightRecorder::new(),
-            flash_bytes_seen: (0, 0),
-            backend_bytes_seen: (0, 0),
-            journal_stats_seen: (0, 0),
             health: HealthState::Healthy,
             health_transitions: 0,
             shed_requests: 0,
@@ -939,7 +927,9 @@ impl CacheSystem {
         if degraded {
             self.tracer.annotate("degraded-path", completed_at);
         }
-        let (device_bytes, device_write_bytes, backend_bytes) = self.attribute_byte_deltas();
+        // The byte counters are read here and the rest after housekeeping:
+        // the traffic housekeeping moves is charged to the next request.
+        let bytes_moved = self.byte_counters();
 
         // Housekeeping happens after the request completes: it consumes
         // device time but is not part of this request's latency.
@@ -974,8 +964,7 @@ impl CacheSystem {
         {
             self.target.take_checkpoint();
         }
-        self.sync_fault_metrics();
-        self.sync_journal_metrics();
+        self.note_layers(bytes_moved);
         self.reconcile_health();
 
         // A detected internal-invariant violation overrides the outcome's
@@ -989,9 +978,6 @@ impl CacheSystem {
             degraded,
             class,
             requested: request.size,
-            device_bytes,
-            device_write_bytes,
-            backend_bytes,
             latency,
             completed_at,
             ok: sense.is_available(),
@@ -1010,28 +996,45 @@ impl CacheSystem {
         }
     }
 
-    /// Attributes flash-array and backend byte-counter movement since the
-    /// last call (all traffic, housekeeping included) to the sample being
-    /// recorded, so amplification totals stay exact.
-    fn attribute_byte_deltas(&mut self) -> (ByteSize, ByteSize, ByteSize) {
-        let astats = self.target.array().stats();
-        let (seen_r, seen_w) = self.flash_bytes_seen;
+    /// The cumulative byte counters of the flash array (read, written)
+    /// and the backend (both directions) — the first three columns of a
+    /// [`Metrics::note_layers`] reading.
+    fn byte_counters(&self) -> [u64; 3] {
+        let flash = self.target.array().stats();
+        let backend = self.backend.stats();
+        [
+            flash.bytes_read,
+            flash.bytes_written,
+            backend.bytes_read + backend.bytes_written,
+        ]
+    }
+
+    /// Completes a layer-counter reading — the byte counters as read when
+    /// the request completed, plus the target's fault counters and the
+    /// journal's as of now — and folds its movement since the previous
+    /// reading into the metrics.
+    fn note_layers(&mut self, [flash_read, flash_written, backend]: [u64; 3]) {
+        let faults = self.target.stats();
+        let journal = self
+            .target
+            .journal_stats()
+            .expect("CacheSystem always attaches a journal");
+        let now = [
+            flash_read,
+            flash_written,
+            backend,
+            faults.medium_errors,
+            faults.repairs,
+            faults.scrub_passes,
+            journal.appends,
+            journal.checkpoints,
+        ];
         // Saturating: replacing a failed device with a blank spare resets
-        // its per-device counters, so the aggregate can move backwards.
-        let d_read = astats.bytes_read.saturating_sub(seen_r);
-        let d_write = astats.bytes_written.saturating_sub(seen_w);
-        self.flash_bytes_seen = (astats.bytes_read, astats.bytes_written);
-
-        let bstats = self.backend.stats();
-        let (bseen_r, bseen_w) = self.backend_bytes_seen;
-        let d_backend = (bstats.bytes_read - bseen_r) + (bstats.bytes_written - bseen_w);
-        self.backend_bytes_seen = (bstats.bytes_read, bstats.bytes_written);
-
-        (
-            ByteSize::from_bytes(d_read + d_write),
-            ByteSize::from_bytes(d_write),
-            ByteSize::from_bytes(d_backend),
-        )
+        // its per-device counters, so the flash aggregate can move
+        // backwards; the base re-anchors there.
+        let seen = std::mem::replace(&mut self.layers_seen, now);
+        self.metrics
+            .note_layers(std::array::from_fn(|i| now[i].saturating_sub(seen[i])));
     }
 
     fn handle_read(&mut self, request: &Request) -> (bool, bool, Option<ObjectClass>, SenseCode) {
@@ -1067,7 +1070,7 @@ impl CacheSystem {
                     // possible only for clean data, which is why cold
                     // clean objects may go unprotected at all. The client
                     // still gets correct bytes; only performance degrades.
-                    self.metrics.note_faults(0, 0, 0, 1);
+                    self.metrics.note_fallback();
                     self.evict_lost(key);
                     cache_copy_lost = true;
                 }
@@ -1381,20 +1384,6 @@ impl CacheSystem {
         }
     }
 
-    /// Folds the target's fault counters (medium errors, repairs, scrub
-    /// passes) into the metrics as deltas since the last call.
-    fn sync_fault_metrics(&mut self) {
-        let stats = self.target.stats();
-        let (seen_me, seen_rp, seen_sp) = self.fault_stats_seen;
-        let d_me = stats.medium_errors - seen_me;
-        let d_rp = stats.repairs - seen_rp;
-        let d_sp = stats.scrub_passes - seen_sp;
-        if d_me != 0 || d_rp != 0 || d_sp != 0 {
-            self.metrics.note_faults(d_me, d_rp, d_sp, 0);
-            self.fault_stats_seen = (stats.medium_errors, stats.repairs, stats.scrub_passes);
-        }
-    }
-
     /// Runs a bounded batch of background rebuilds (between requests, per
     /// Section IV-D's on-demand-first rule). With a configured
     /// [`SystemConfig::rebuild_bandwidth_pct`], rebuild traffic is metered
@@ -1477,20 +1466,6 @@ impl CacheSystem {
         }
     }
 
-    /// Folds the journal's append/checkpoint counters into the metrics as
-    /// deltas since the last call.
-    fn sync_journal_metrics(&mut self) {
-        if let Some(stats) = self.target.journal_stats() {
-            let (seen_a, seen_c) = self.journal_stats_seen;
-            let d_a = stats.appends.saturating_sub(seen_a);
-            let d_c = stats.checkpoints.saturating_sub(seen_c);
-            if d_a != 0 || d_c != 0 {
-                self.metrics.note_journal(d_a, d_c);
-                self.journal_stats_seen = (stats.appends, stats.checkpoints);
-            }
-        }
-    }
-
     /// Simulates a sudden power loss: every piece of DRAM state — the
     /// target's object map and allocation tables, the cache manager's
     /// index, the journal's staging buffer — vanishes; only the flash
@@ -1532,9 +1507,6 @@ impl CacheSystem {
     /// replayed metadata is corrupt.
     pub fn recover(&mut self) -> Result<SystemRecovery, TargetError> {
         let report = self.target.recover_from_journal()?;
-        // `Journal::recover` starts a fresh stats ledger; re-base the
-        // delta fold so the recovery checkpoint is counted exactly once.
-        self.journal_stats_seen = (0, 0);
         let mut restored = 0usize;
         for (key, class, size, freq) in self.target.inventory() {
             if key.is_system_metadata() {
@@ -1568,7 +1540,18 @@ impl CacheSystem {
         );
         self.metrics
             .note_recovery(replayed, report.torn_tail, duration.as_nanos() / 1_000);
-        self.sync_journal_metrics();
+        // `Journal::recover` starts a fresh stats ledger, so what it holds
+        // is this recovery's own activity: count it now and re-base the two
+        // journal columns on it, so the recovery checkpoint is counted
+        // exactly once. The other columns wait for the next request.
+        let journal = self
+            .target
+            .journal_stats()
+            .expect("CacheSystem always attaches a journal");
+        let [.., appends, checkpoints] = &mut self.layers_seen;
+        (*appends, *checkpoints) = (journal.appends, journal.checkpoints);
+        self.metrics
+            .note_layers([0, 0, 0, 0, 0, 0, journal.appends, journal.checkpoints]);
         self.reconcile_health();
         Ok(SystemRecovery {
             target: report,

@@ -857,35 +857,12 @@ impl OsdTarget {
     ///
     /// This is the background integrity pass that catches the paper's
     /// "partial data loss" wear-out failures before a second fault makes
-    /// them permanent.
+    /// them permanent: one [`OsdTarget::scrub_step`] from the first key
+    /// with no budget.
     pub fn scrub(&mut self) -> (Vec<ObjectKey>, Vec<ObjectKey>) {
-        let mut repaired = Vec::new();
-        let mut lost = Vec::new();
-        if self.warming {
-            return (repaired, lost);
-        }
-        for key in self.keys() {
-            let layout = self.index[&key].layout.clone();
-            match self.stripes.object_status(&layout) {
-                Ok(ObjectStatus::Intact) => {}
-                Ok(ObjectStatus::Degraded) => {
-                    self.stats.medium_errors += 1;
-                    match self.stripes.rebuild_object(&layout) {
-                        Ok(_) => {
-                            self.stats.rebuilds += 1;
-                            self.stats.repairs += 1;
-                            repaired.push(key);
-                        }
-                        Err(_) => lost.push(key),
-                    }
-                }
-                Ok(ObjectStatus::Lost) | Err(_) => lost.push(key),
-            }
-        }
         self.scrub_cursor = None;
-        self.stats.scrub_passes += 1;
-        self.journal_append(JournalRecord::ScrubCursor { cursor: None });
-        (repaired, lost)
+        let report = self.scrub_step(usize::MAX);
+        (report.repaired, report.lost)
     }
 
     /// One bounded step of the background scrubber: verifies the chunk

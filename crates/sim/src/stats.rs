@@ -251,6 +251,19 @@ impl Histogram {
         self.total += other.total;
         self.sum_nanos += other.sum_nanos;
     }
+
+    /// The observations recorded since `earlier`, an older copy of this
+    /// same histogram: bucket counts, total and sum subtract exactly, so
+    /// the result equals a fresh histogram fed only the later
+    /// observations (the inverse of [`Histogram::merge`]).
+    pub fn since(&self, earlier: &Histogram) -> Histogram {
+        let counts = self.counts.iter().zip(&earlier.counts);
+        Histogram {
+            counts: counts.map(|(now, then)| now - then).collect(),
+            total: self.total - earlier.total,
+            sum_nanos: self.sum_nanos - earlier.sum_nanos,
+        }
+    }
 }
 
 impl Default for Histogram {
@@ -460,6 +473,33 @@ mod tests {
         b.record(SimDuration::from_micros(20));
         a.merge(&b);
         assert_eq!(a.count(), 2);
+    }
+
+    proptest::proptest! {
+        /// Subtracting a prefix leaves exactly the suffix, bucket for
+        /// bucket, and merging the prefix back restores the whole.
+        #[test]
+        fn histogram_since_is_the_suffix_and_inverts_merge(
+            nanos in proptest::collection::vec(0u64..20_000_000_000, 0..200),
+            cut in 0usize..200,
+        ) {
+            let fed = |observations: &[u64]| {
+                let mut h = Histogram::new();
+                for &n in observations {
+                    h.record(SimDuration::from_nanos(n));
+                }
+                h
+            };
+            let same = |a: &Histogram, b: &Histogram| {
+                a.counts == b.counts && a.total == b.total && a.sum_nanos == b.sum_nanos
+            };
+            let cut = cut.min(nanos.len());
+            let (whole, prefix) = (fed(&nanos), fed(&nanos[..cut]));
+            let mut suffix = whole.since(&prefix);
+            proptest::prop_assert!(same(&suffix, &fed(&nanos[cut..])));
+            suffix.merge(&prefix);
+            proptest::prop_assert!(same(&suffix, &whole));
+        }
     }
 
     #[test]

@@ -329,3 +329,33 @@ fn traced_run_exports_jsonl_the_validator_accepts() {
         assert!(summary.kinds.contains_key(kind), "no `{kind}` record");
     }
 }
+
+/// What a planned run *measures*, pinned: totals, every event window and
+/// every sampling point of one small run that crosses each kind of
+/// interval boundary (failures, a spare, a crash with journal replay,
+/// corruption under a running scrubber). The hash was recorded before
+/// windows and samples became subtractions from one accumulator; a moved
+/// hash means an interval reports something else.
+#[test]
+fn planned_run_windows_and_series_are_pinned() {
+    use reo_repro::flashsim::DeviceId;
+    use std::hash::Hasher as _;
+
+    let t = trace(1_200, 0.3, 29);
+    let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t, 0.15);
+    let plan = ExperimentPlan::staggered_failures(300, 2)
+        .with_event(0, PlannedEvent::StartScrub)
+        .with_event(150, PlannedEvent::CorruptChunks { ppm: 40_000 })
+        .with_event(450, PlannedEvent::InsertSpare(DeviceId(0)))
+        .with_event(750, PlannedEvent::Crash)
+        .with_sampling(100);
+    let result = ExperimentRunner::run(&mut sys, &t, &plan);
+    assert_eq!((result.windows().len(), result.series.len()), (7, 12));
+    assert!(result.totals.scrub_passes > 0 && result.totals.replayed_records > 0);
+
+    let observed = format!("{:?}", (&result.totals, result.windows(), &result.series));
+    let mut hasher = reo_repro::sim::FastHasher::default();
+    hasher.write(observed.as_bytes());
+    let hash = hasher.finish();
+    assert_eq!(hash, 0x7cd3b9390a8d3186, "observed {hash:#018x}");
+}
