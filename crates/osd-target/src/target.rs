@@ -1281,10 +1281,6 @@ impl OsdTarget {
         out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
         for key in keys {
             let record = &self.index[&key];
-            let meta = self
-                .stripes
-                .export_object_meta(&record.layout)
-                .expect("indexed layouts always reference live stripes");
             out.extend_from_slice(&key.pid().as_u64().to_le_bytes());
             out.extend_from_slice(&key.oid().as_u64().to_le_bytes());
             out.push(record.class.id());
@@ -1294,8 +1290,15 @@ impl OsdTarget {
                 .and_then(AttributeValue::as_u64)
                 .unwrap_or(0);
             out.extend_from_slice(&freq.to_le_bytes());
-            out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-            out.extend_from_slice(&meta);
+            // The layout blob goes straight into the image, its length
+            // patched in front once it is known.
+            let len_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            self.stripes
+                .export_object_meta_into(&record.layout, &mut out)
+                .expect("indexed layouts always reference live stripes");
+            let meta_len = (out.len() - len_at - 4) as u32;
+            out[len_at..len_at + 4].copy_from_slice(&meta_len.to_le_bytes());
         }
         out
     }
@@ -1518,8 +1521,10 @@ impl OsdTarget {
     }
 }
 
-/// Version tag of the checkpoint image format.
-const CHECKPOINT_VERSION: u32 = 1;
+/// Version tag of the checkpoint image format. Version 1 embedded the
+/// per-chunk layout blob; since version 2 the blob records how the object
+/// was placed ([`StripeManager::export_object_meta`]).
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Final durable state of one object after folding checkpoint + log.
 struct ReplayEntry {
@@ -2493,6 +2498,42 @@ mod tests {
         assert_eq!(t.object_count(), 11 + 5, "10 + 1 user + 5 reserved");
         let stats = t.journal_stats().unwrap();
         assert_eq!(stats.appends, 0, "recovery hands back a fresh journal");
+    }
+
+    #[test]
+    fn a_layout_record_is_as_long_for_a_thousand_chunks_as_for_one() {
+        let mut t = journaled_target();
+        let mut appended = |key, chunks: u64| {
+            let before = t.journal_stats().unwrap().appended_bytes;
+            t.create_object(
+                key,
+                ByteSize::from_kib(4 * chunks),
+                ObjectClass::HotClean,
+                None,
+            )
+            .unwrap();
+            t.journal_stats().unwrap().appended_bytes - before
+        };
+        let one = appended(k(1), 1);
+        assert_eq!(appended(k(2), 1_000), one);
+        assert!(one < 128, "a staged record fits the 128-byte tear: {one}");
+    }
+
+    #[test]
+    fn a_version_1_checkpoint_image_is_refused_not_misparsed() {
+        let mut t = journaled_target();
+        t.create_object(k(1), ByteSize::from_kib(8), ObjectClass::Dirty, None)
+            .unwrap();
+        // Same framing, but the embedded layout blobs of version 1 listed
+        // every chunk: an image that claims it must not reach the parser.
+        let mut image = t.checkpoint_blob();
+        image[..4].copy_from_slice(&1u32.to_le_bytes());
+        t.journal.as_mut().unwrap().checkpoint(&image);
+        t.simulate_crash(0).unwrap();
+        assert!(matches!(
+            t.recover_from_journal(),
+            Err(TargetError::Stripe(StripeError::CorruptMetadata))
+        ));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! verbatim (public rustdoc, the crash-recovery garbage collection and the
 //! accessors the test does not call dropped) as the reference
 //! `prop_stripe.rs` holds the extent path to: same clock, same device
-//! counters, same metadata bytes, same errors.
+//! counters, same chunks referenced, same errors. Its layout blob is the
+//! per-chunk one (a row per chunk) the extent path no longer writes.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -941,6 +942,17 @@ impl StripeManager {
         } else {
             slot.saturating_sub(c.len)
         };
+    }
+
+    pub fn referenced_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
+        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
+            .stripes
+            .values()
+            .flat_map(|meta| meta.chunks.iter().map(|c| (c.device, c.handle)))
+            .collect();
+        refs.sort_unstable();
+        refs.dedup();
+        refs
     }
 
     pub fn simulate_crash(&mut self) {

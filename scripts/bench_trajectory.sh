@@ -5,10 +5,12 @@
 #   cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
 #       all --seed 42 | scripts/bench_trajectory.sh [commit-label]
 #
-# The label defaults to the checked-out commit. Of the untraced runs the
-# host-time and allocation rows are kept, and the six sim_* rows: they
-# repeat exactly per seed, so two lines that differ in them differ in what
-# was simulated, not only in how fast. Plus the traced runs' core count.
+# The label defaults to the checked-out commit. Of the untraced runs all
+# thirteen end-to-end rows are kept: set-up time, host rate, p50 and p95,
+# allocations, peak RSS, and the six sim_* rows — those repeat exactly per
+# seed, so two lines that differ in them differ in what was simulated, not
+# only in how fast. Plus the traced runs' core count. (Lines before PR 19
+# lack setup_s, host_us_per_req_p95 and peak_rss_mib.)
 set -eu
 commit=${1:-$(git rev-parse --short HEAD)}
 awk -v commit="$commit" '
@@ -16,7 +18,7 @@ awk -v commit="$commit" '
         workload = $2; seed = $4; seconds = $6; untraced = ($8 == "0:")
         if (untraced) order[++n] = workload
     }
-    untraced && /^(host_req_per_s|host_us_per_req_p50|allocs_per_req|alloc_bytes_per_req|sim_[a-z0-9_]+) / {
+    untraced && /^(setup_s|host_req_per_s|host_us_per_req_p(50|95)|allocs_per_req|alloc_bytes_per_req|peak_rss_mib|sim_[a-z0-9_]+) / {
         row[workload] = row[workload] (row[workload] == "" ? "" : ", ") "\"" $1 "\": " $2
     }
     /^bench\.available_cores / { cores = $2 + 0 }

@@ -720,20 +720,27 @@ fn parity_chaos_matrix_seed_1234() {
 /// commits. Recorded at the last commit before the redundancy models
 /// were merged (PR 17); a change that moves a hash changed what the
 /// cluster computes and must say why.
+///
+/// Entries 3, 6, 9 and 10 of each seed were re-recorded when a layout
+/// record shrank to ~90 bytes (PR 19): a crash lets at most 128 bytes of
+/// the journal's staging buffer reach the media, which now often holds a
+/// whole staged `Create`, so those crashes keep one more clean object.
+/// With the tear forced to 0 bytes the two commits agree on all thirty
+/// (EXPERIMENTS.md, "What the crash tear retains").
 const PINNED_FINGERPRINTS: [(u64, [u64; 10]); 3] = [
     (
         11,
         [
             0x8b9f35d79175b183,
             0x2a0b23bdc9a0acae,
-            0x3aea34795522dab0,
+            0xba5b6bb2900cd9fb,
             0xe891b5ef6b36946d,
             0x03a38b79141a8414,
-            0x10195e1b893cfafe,
+            0xab46570941f8dafc,
             0x410b5f46dc4c0503,
             0x6bcf8cd57a770900,
-            0xef00d259360e2c24,
-            0x9651fdd77f94aee1,
+            0xa1fd59e89230777b,
+            0x7dd8ac93b6a93c23,
         ],
     ),
     (
@@ -741,14 +748,14 @@ const PINNED_FINGERPRINTS: [(u64, [u64; 10]); 3] = [
         [
             0x6e51099d1bd99694,
             0xbd13f9c1c60899eb,
-            0x524e6ea43fcc7c7e,
+            0x9b5f1353613f3f12,
             0x878d6617dc85921a,
             0x2a58f4bca1d6c936,
-            0x9ce893477d878056,
+            0x6f89af58f5a140d0,
             0xbe7f2679d07010e3,
             0xb56c2728caae7ccb,
-            0x575ded4225fc1ab3,
-            0xac56d66b3c3b2211,
+            0x67350532c8378336,
+            0xf90cb35c176341c8,
         ],
     ),
     (
@@ -756,14 +763,14 @@ const PINNED_FINGERPRINTS: [(u64, [u64; 10]); 3] = [
         [
             0x5a993f05a3db9b9e,
             0x01aedb3fbdc041d5,
-            0x035ebd7777c1e5d9,
+            0xb1e683553b3383da,
             0xb5611af66b99dcbf,
             0xc4be05fa7b6b38c7,
-            0xd456be8ecd23eb2e,
+            0x2d837fc5a92f7bc3,
             0xeb168d789cc0b0df,
             0x906109d2e6363cb9,
-            0x059f67549718febb,
-            0x96dba0069f1dc4f5,
+            0xf33099704bff12b1,
+            0x1e5d315d4177019e,
         ],
     ),
 ];
