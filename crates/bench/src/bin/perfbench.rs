@@ -21,8 +21,10 @@
 //!    loop, so the parallel and speedup rows carry a unit that says they
 //!    are not a scaling measurement.
 //! 4. **Tracing overhead** — paired off/on runs; the most favorable
-//!    pair ratio estimates the enabled tracer's intrinsic cost (the
-//!    `exp_observability` binary gates the same number at ≤ 2%).
+//!    pair ratio estimates the enabled tracer's intrinsic cost (reported,
+//!    not gated; the `exp_observability` binary gates the tracer's cost
+//!    in nanoseconds per request instead, because a ratio moves with the
+//!    untraced path).
 //! 5. **End-to-end request rate** — one timed Reo-20% run through
 //!    `ExperimentRunner::run`, reported as requests per second.
 //!
@@ -327,7 +329,8 @@ fn tracing_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
     // One discarded warm-up run (page cache, clock ramp), then paired
     // runs, untraced first. Pairs share a load regime; noise only
     // inflates a pair, so the minimum ratio is the tight estimate of
-    // the tracer's cost — the same estimator `exp_observability` gates.
+    // the tracer's cost relative to this run. (`exp_observability` gates
+    // the cost itself, in nanoseconds per request.)
     timed(false);
     let overhead_pct = (0..3)
         .map(|_| {

@@ -5,12 +5,17 @@ use std::fmt;
 use bytes::Bytes;
 use reo_sim::ByteSize;
 
-/// An opaque, array-unique identifier for a stored chunk.
+/// An opaque identifier for a chunk stored on one device.
 ///
-/// Handles are allocated by the layer that owns placement (the stripe
-/// manager) and are stable across device failures: after a failure the
-/// handle still names the chunk, but reads return
-/// [`FlashError::Corrupted`](crate::FlashError::Corrupted).
+/// The namespace is per device: a handle names a chunk only together with
+/// the device that holds it, and two devices may use the same handle for
+/// different chunks (the stripe manager gives every chunk of a stripe the
+/// stripe's id). Handles are chosen by the layer that owns placement and
+/// are stable across device failures: after a failure the handle still
+/// names the chunk, but reads return
+/// [`FlashError::Corrupted`](crate::FlashError::Corrupted). Consecutive
+/// handles holding size-only chunks of one length are kept by the device
+/// as one run ([`FlashDevice::write_run`](crate::FlashDevice::write_run)).
 ///
 /// # Examples
 ///

@@ -1,5 +1,6 @@
 //! A single simulated flash SSD.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::error::Error;
 use std::fmt;
@@ -222,11 +223,26 @@ pub struct FlashDevice {
     id: DeviceId,
     config: DeviceConfig,
     state: DeviceState,
+    /// The chunks no run holds: single chunks, odd lengths, real payloads.
     chunks: FastMap<ChunkHandle, ChunkSlot>,
-    /// Entries of `chunks` that are not [`ChunkSlot::Intact`]. While it is
-    /// zero on a healthy device, every chunk ever placed here and not yet
-    /// removed is intact, and callers can skip per-chunk probes.
-    damaged: usize,
+    /// Consecutively numbered size-only chunks of one length and one state,
+    /// one entry per run: strictly ascending by `first`, disjoint from each
+    /// other and from `chunks`. Handles only grow, so a store pushes at the
+    /// tail; a removed run stays behind as a tombstone (`count == 0`, never
+    /// inside a live run) until [`FlashDevice::compact_runs`].
+    runs: Vec<Run>,
+    /// Tombstones among `runs`.
+    dead_runs: usize,
+    /// Where the last run lookup hit: a run is mostly probed chunk after
+    /// chunk.
+    run_hint: Cell<usize>,
+    /// One past the highest handle either table has ever held: a handle
+    /// from here on is in neither, without looking.
+    top: u64,
+    /// Chunks, in either table, that are not intact. While it is zero on a
+    /// healthy device, every chunk ever placed here and not yet removed is
+    /// intact, and callers can skip per-chunk probes.
+    damaged: u64,
     used: ByteSize,
     busy_until: SimTime,
     stats: DeviceStats,
@@ -241,6 +257,54 @@ pub struct FlashDevice {
 struct TransientFaults {
     rate: f64,
     rng: DetRng,
+}
+
+/// What a chunk's entry says of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ChunkState {
+    Intact,
+    /// Lost in a device failure or corrupted in place; the bytes stay
+    /// accounted until the owner deletes or rewrites the chunk.
+    Lost,
+    /// Went with the device a spare replaced, or is named by reinstalled
+    /// metadata and not here: unknown to every reader, kept only so that
+    /// `damaged` counts it as awaiting rebuild.
+    Absent,
+}
+
+impl ChunkState {
+    /// `true` for a chunk the device holds, readable or not.
+    fn is_present(self) -> bool {
+        self != ChunkState::Absent
+    }
+}
+
+/// `count` size-only chunks of `len` bytes each, handles `first ..`, all in
+/// one `state`: one entry where `chunks` would hold `count`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    first: u64,
+    count: u64,
+    len: ByteSize,
+    state: ChunkState,
+}
+
+impl Run {
+    fn end(&self) -> u64 {
+        self.first + self.count
+    }
+
+    fn holds(&self, handle: u64) -> bool {
+        handle.wrapping_sub(self.first) < self.count
+    }
+
+    /// Bytes of the device's capacity each chunk of the run holds.
+    fn occupied(&self) -> ByteSize {
+        match self.state {
+            ChunkState::Absent => ByteSize::ZERO,
+            ChunkState::Intact | ChunkState::Lost => self.len,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -265,6 +329,14 @@ impl ChunkSlot {
             ChunkSlot::Absent => ByteSize::ZERO,
         }
     }
+
+    fn state(&self) -> ChunkState {
+        match self {
+            ChunkSlot::Intact(_) => ChunkState::Intact,
+            ChunkSlot::Lost(_) => ChunkState::Lost,
+            ChunkSlot::Absent => ChunkState::Absent,
+        }
+    }
 }
 
 impl FlashDevice {
@@ -275,6 +347,10 @@ impl FlashDevice {
             config,
             state: DeviceState::Healthy,
             chunks: FastMap::default(),
+            runs: Vec::new(),
+            dead_runs: 0,
+            run_hint: Cell::new(0),
+            top: 0,
             damaged: 0,
             used: ByteSize::ZERO,
             busy_until: SimTime::ZERO,
@@ -393,7 +469,18 @@ impl FlashDevice {
                 *slot = ChunkSlot::Lost(chunk.len());
             }
         }
-        self.damaged = self.chunks.len();
+        for run in &mut self.runs {
+            if run.state == ChunkState::Intact {
+                run.state = ChunkState::Lost;
+            }
+        }
+        self.damaged = self.entry_count();
+        self.check_tables();
+    }
+
+    /// Chunks either table has an entry for, whatever their state.
+    fn entry_count(&self) -> u64 {
+        self.chunks.len() as u64 + self.runs.iter().map(|r| r.count).sum::<u64>()
     }
 
     /// Replaces the device with a fresh spare: healthy, empty, zero wear.
@@ -405,7 +492,10 @@ impl FlashDevice {
         for slot in self.chunks.values_mut() {
             *slot = ChunkSlot::Absent;
         }
-        self.damaged = self.chunks.len();
+        for run in &mut self.runs {
+            run.state = ChunkState::Absent;
+        }
+        self.damaged = self.entry_count();
         self.used = ByteSize::ZERO;
         self.stats = DeviceStats::default();
         // A fresh spare has nominal speed and no injected media faults.
@@ -413,6 +503,119 @@ impl FlashDevice {
         self.slowdown = 1.0;
         // busy_until is preserved: the new device cannot retroactively have
         // been idle in the past.
+        self.check_tables();
+    }
+
+    /// Index of the live run that holds `handle`.
+    fn run_index(&self, handle: u64) -> Option<usize> {
+        if handle >= self.top || self.runs.is_empty() {
+            return None;
+        }
+        let hinted = self.run_hint.get();
+        if self.runs.get(hinted).is_some_and(|r| r.holds(handle)) {
+            return Some(hinted);
+        }
+        // No tombstone lies inside a live run, so the last entry starting
+        // at or before the handle is the only one that can hold it.
+        let at = self.runs.partition_point(|r| r.first <= handle);
+        let at = at
+            .checked_sub(1)
+            .filter(|&at| self.runs[at].holds(handle))?;
+        self.run_hint.set(at);
+        Some(at)
+    }
+
+    fn run_of(&self, handle: ChunkHandle) -> Option<&Run> {
+        self.run_index(handle.as_u64()).map(|at| &self.runs[at])
+    }
+
+    /// The first handle past `handle` that a live run holds.
+    fn next_run_after(&self, handle: u64) -> u64 {
+        let at = self.runs.partition_point(|r| r.first <= handle);
+        let next = self.runs[at..].iter().find(|r| r.count > 0);
+        next.map_or(u64::MAX, |r| r.first)
+    }
+
+    /// Takes chunks `lo..hi` out of run `at`, which holds them all: off
+    /// either end, or out of the middle, which leaves two runs. Taking all
+    /// of it leaves a tombstone. The accounting is the caller's.
+    fn cut(&mut self, at: usize, lo: u64, hi: u64) {
+        let run = self.runs[at];
+        debug_assert!(run.first <= lo && lo < hi && hi <= run.end());
+        if lo == run.first {
+            self.runs[at].count = run.end() - hi;
+            if hi == run.end() {
+                self.dead_runs += 1;
+            } else {
+                self.runs[at].first = hi;
+            }
+        } else {
+            self.runs[at].count = lo - run.first;
+            if hi < run.end() {
+                let rest = Run {
+                    first: hi,
+                    count: run.end() - hi,
+                    ..run
+                };
+                self.runs.insert(at + 1, rest);
+            }
+        }
+    }
+
+    /// Enters a run over handles no live entry holds: at the tail when it
+    /// starts past every entry, else in order, over the tombstones inside
+    /// it.
+    fn insert_run(&mut self, run: Run) {
+        self.top = self.top.max(run.end());
+        if self.runs.last().is_none_or(|last| last.first < run.first) {
+            self.runs.push(run);
+        } else {
+            let lo = self.runs.partition_point(|r| r.first < run.first);
+            let hi = lo + self.runs[lo..].partition_point(|r| r.first < run.end());
+            debug_assert!(self.runs[lo..hi].iter().all(|r| r.count == 0));
+            self.dead_runs -= hi - lo;
+            self.runs.splice(lo..hi, [run]);
+        }
+    }
+
+    /// Drops the tombstones once they outnumber the live runs.
+    fn compact_runs(&mut self) {
+        if self.dead_runs > 16 && self.dead_runs * 2 > self.runs.len() {
+            self.runs.retain(|r| r.count > 0);
+            self.dead_runs = 0;
+        }
+    }
+
+    /// Forgets a chunk entry: its bytes are free, and it no longer awaits
+    /// a rebuild.
+    fn release(&mut self, state: ChunkState, occupied: ByteSize, count: u64) {
+        self.used = self.used.saturating_sub(occupied * count);
+        if state != ChunkState::Intact {
+            self.damaged -= count;
+        }
+    }
+
+    /// Removes every entry for handles `from..end`, stepping over a run in
+    /// one move; what lies between runs is looked up chunk by chunk.
+    fn clear(&mut self, from: u64, end: u64) {
+        let (mut at, end) = (from, end.min(self.top));
+        while at < end {
+            at = if let Some(i) = self.run_index(at) {
+                let run = self.runs[i];
+                let stop = end.min(run.end());
+                self.release(run.state, run.occupied(), stop - at);
+                self.cut(i, at, stop);
+                stop
+            } else {
+                let stop = end.min(self.next_run_after(at));
+                for handle in (at..stop).map(ChunkHandle::new) {
+                    if let Some(slot) = self.chunks.remove(&handle) {
+                        self.release(slot.state(), slot.occupied(), 1);
+                    }
+                }
+                stop
+            };
+        }
     }
 
     /// Writes a chunk, returning the completion instant.
@@ -435,19 +638,51 @@ impl FlashDevice {
             return Err(FlashError::DeviceFailed(self.id));
         }
         let len = chunk.len();
-        let entry = self.chunks.entry(handle);
-        let released = match &entry {
-            Entry::Occupied(e) => e.get().occupied(),
-            Entry::Vacant(_) => ByteSize::ZERO,
+        let (device, capacity) = (self.id, self.config.capacity);
+        let fits = |effective_used: ByteSize| {
+            if effective_used + len > capacity {
+                return Err(FlashError::DeviceFull {
+                    device,
+                    requested: len,
+                    available: capacity.saturating_sub(effective_used),
+                });
+            }
+            Ok(effective_used)
         };
-        let effective_used = self.used.saturating_sub(released);
-        if effective_used + len > self.config.capacity {
-            return Err(FlashError::DeviceFull {
-                device: self.id,
-                requested: len,
-                available: self.config.capacity.saturating_sub(effective_used),
-            });
-        }
+        let effective_used = if let Some(at) = self.run_index(handle.as_u64()) {
+            let run = self.runs[at];
+            let effective_used = fits(self.used.saturating_sub(run.occupied()))?;
+            // Rewritten as what it is, the chunk stays in its run; as
+            // anything else it becomes an entry of its own.
+            let same = run.state == ChunkState::Intact && run.len == len;
+            if !(same && chunk.payload().is_synthetic()) {
+                if run.state != ChunkState::Intact {
+                    self.damaged -= 1;
+                }
+                self.cut(at, handle.as_u64(), handle.as_u64() + 1);
+                self.chunks.insert(handle, ChunkSlot::Intact(chunk));
+            }
+            effective_used
+        } else {
+            let entry = self.chunks.entry(handle);
+            let released = match &entry {
+                Entry::Occupied(e) => e.get().occupied(),
+                Entry::Vacant(_) => ByteSize::ZERO,
+            };
+            let effective_used = fits(self.used.saturating_sub(released))?;
+            match entry {
+                Entry::Occupied(mut e) => {
+                    if !matches!(e.insert(ChunkSlot::Intact(chunk)), ChunkSlot::Intact(_)) {
+                        self.damaged -= 1;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(ChunkSlot::Intact(chunk));
+                    self.top = self.top.max(handle.as_u64() + 1);
+                }
+            }
+            effective_used
+        };
         // Garbage-collection write amplification: the fuller the device,
         // the more physical bytes one logical write programs.
         let utilization = effective_used.as_bytes() as f64 / self.config.capacity.as_bytes() as f64;
@@ -458,17 +693,6 @@ impl FlashDevice {
         let physical = ByteSize::from_bytes((len.as_bytes() as f64 * factor) as u64);
 
         self.used = effective_used + len;
-        match entry {
-            Entry::Occupied(mut e) => {
-                if !matches!(e.insert(ChunkSlot::Intact(chunk)), ChunkSlot::Intact(_)) {
-                    self.damaged -= 1;
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(ChunkSlot::Intact(chunk));
-            }
-        }
-
         self.stats.writes += 1;
         self.stats.bytes_written += physical.as_bytes();
         self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
@@ -478,6 +702,7 @@ impl FlashDevice {
         self.stats.queued_nanos += start.saturating_since(now).as_nanos();
         self.stats.busy_nanos += done.saturating_since(start).as_nanos();
         self.busy_until = done;
+        self.check_tables();
         Ok(done)
     }
 
@@ -497,10 +722,15 @@ impl FlashDevice {
         if !self.is_healthy() {
             return Err(FlashError::DeviceFailed(self.id));
         }
-        let chunk = match self.chunks.get(&handle) {
-            None | Some(ChunkSlot::Absent) => return Err(FlashError::UnknownChunk(handle)),
-            Some(ChunkSlot::Lost(_)) => return Err(FlashError::Corrupted(handle)),
-            Some(ChunkSlot::Intact(c)) => c.clone(),
+        let chunk = match self.run_of(handle).map(|run| (run.state, run.len)) {
+            Some((ChunkState::Intact, len)) => StoredChunk::synthetic(len),
+            Some((ChunkState::Lost, _)) => return Err(FlashError::Corrupted(handle)),
+            Some((ChunkState::Absent, _)) => return Err(FlashError::UnknownChunk(handle)),
+            None => match self.chunks.get(&handle) {
+                None | Some(ChunkSlot::Absent) => return Err(FlashError::UnknownChunk(handle)),
+                Some(ChunkSlot::Lost(_)) => return Err(FlashError::Corrupted(handle)),
+                Some(ChunkSlot::Intact(c)) => c.clone(),
+            },
         };
         if let Some(t) = &mut self.transient {
             if t.rng.chance(t.rate) {
@@ -524,7 +754,11 @@ impl FlashDevice {
     /// Checks whether a chunk is present and intact, without charging any
     /// service time (a metadata operation).
     pub fn chunk_is_intact(&self, handle: ChunkHandle) -> bool {
-        self.is_healthy() && matches!(self.chunks.get(&handle), Some(ChunkSlot::Intact(_)))
+        self.is_healthy()
+            && match self.run_of(handle) {
+                Some(run) => run.state == ChunkState::Intact,
+                None => matches!(self.chunks.get(&handle), Some(ChunkSlot::Intact(_))),
+            }
     }
 
     /// `true` when the device is healthy and no chunk placed on it awaits
@@ -550,10 +784,13 @@ impl FlashDevice {
     /// what its callers re-check in debug builds.
     pub fn holds_size_only(&self, handle: ChunkHandle, len: ByteSize) -> bool {
         self.is_healthy()
-            && matches!(
-                self.chunks.get(&handle),
-                Some(ChunkSlot::Intact(c)) if c.len() == len && c.payload().is_synthetic()
-            )
+            && match self.run_of(handle) {
+                Some(run) => run.state == ChunkState::Intact && run.len == len,
+                None => matches!(
+                    self.chunks.get(&handle),
+                    Some(ChunkSlot::Intact(c)) if c.len() == len && c.payload().is_synthetic()
+                ),
+            }
     }
 
     /// Charges `count` reads of `len`-byte size-only chunks, all issued at
@@ -594,8 +831,10 @@ impl FlashDevice {
     /// Writes a run of size-only chunks, all issued at `now`, exactly as
     /// one [`FlashDevice::write_chunk`] per chunk in run order would, and
     /// returns the completion instant of the last (`now` for an empty
-    /// run). One map insert per chunk remains; the capacity check, the
-    /// counters and the service-time arithmetic are done once per run.
+    /// run). Consecutive handles of one length become one run entry, and a
+    /// run that starts past every handle the device has seen is entered
+    /// without a lookup; the capacity check, the counters and the
+    /// service-time arithmetic are done once per call.
     ///
     /// With a write-amplification model attached (every write moves the
     /// factor of the next), or when the run might not fit (it must stop at
@@ -625,19 +864,21 @@ impl FlashDevice {
         let mut queued = 0;
         let mut count = 0;
         let (mut each, mut each_len) = (SimDuration::ZERO, ByteSize::ZERO);
+        // The entry being gathered: `gathered` chunks of `each_len` bytes
+        // from handle `first` on.
+        let (mut first, mut gathered) = (0, 0);
         for (handle, len) in run {
+            if gathered > 0 && (len != each_len || handle.as_u64() != first + gathered) {
+                self.store_run(first, gathered, each_len);
+                gathered = 0;
+            }
+            if gathered == 0 {
+                first = handle.as_u64();
+            }
             if len != each_len {
                 (each, each_len) = (self.scaled(self.config.write.service_time(len)), len);
             }
-            // A handle already here gives its space back first, which only
-            // makes more room than the check above counted on.
-            let fresh = ChunkSlot::Intact(StoredChunk::synthetic(len));
-            if let Some(old) = self.chunks.insert(handle, fresh) {
-                self.used = self.used.saturating_sub(old.occupied());
-                if !matches!(old, ChunkSlot::Intact(_)) {
-                    self.damaged -= 1;
-                }
-            }
+            gathered += 1;
             queued += at.saturating_since(now).as_nanos();
             at += each;
             count += 1;
@@ -646,6 +887,7 @@ impl FlashDevice {
             // Nothing was issued: the device's horizon stays where it was.
             return Ok(now);
         }
+        self.store_run(first, gathered, each_len);
         self.used += total;
         self.stats.writes += count;
         self.stats.bytes_written += total.as_bytes();
@@ -653,7 +895,32 @@ impl FlashDevice {
         self.stats.queued_nanos += queued;
         self.stats.busy_nanos += at.saturating_since(start).as_nanos();
         self.busy_until = at;
+        self.check_tables();
         Ok(at)
+    }
+
+    /// Enters `count` intact size-only chunks of `len` bytes, handles
+    /// `first ..`, in place of whatever those handles held, whose space
+    /// they give back first (which only makes more room than
+    /// [`FlashDevice::write_run`]'s check counted on). The new chunks'
+    /// bytes are the caller's to charge.
+    fn store_run(&mut self, first: u64, count: u64, len: ByteSize) {
+        if first < self.top {
+            self.clear(first, first + count);
+        }
+        if count == 1 {
+            let chunk = ChunkSlot::Intact(StoredChunk::synthetic(len));
+            self.chunks.insert(ChunkHandle::new(first), chunk);
+            self.top = self.top.max(first + 1);
+        } else {
+            assert!(!len.is_zero(), "chunks must be non-empty");
+            self.insert_run(Run {
+                first,
+                count,
+                len,
+                state: ChunkState::Intact,
+            });
+        }
     }
 
     /// Records that the owner's metadata places `handle` on this device
@@ -662,9 +929,51 @@ impl FlashDevice {
     /// [`FlashDevice::all_chunks_intact`] honest about it. Reads of it
     /// still report [`FlashError::UnknownChunk`].
     pub fn note_referenced(&mut self, handle: ChunkHandle) {
-        if let Entry::Vacant(e) = self.chunks.entry(handle) {
-            e.insert(ChunkSlot::Absent);
-            self.damaged += 1;
+        self.note_referenced_run(handle, 1);
+    }
+
+    /// [`FlashDevice::note_referenced`] for the `count` handles from
+    /// `first` on, stepping over a run in one move; consecutive handles
+    /// with no entry become one absent run.
+    pub fn note_referenced_run(&mut self, first: ChunkHandle, count: u64) {
+        let (mut at, end) = (first.as_u64(), first.as_u64().saturating_add(count));
+        while at < end {
+            at = if let Some(i) = self.run_index(at) {
+                end.min(self.runs[i].end())
+            } else {
+                // Up to the next run, what `chunks` does not hold either;
+                // from `top` on it holds nothing.
+                let stop = end.min(self.next_run_after(at));
+                let mut missing = at;
+                for handle in at..stop.min(self.top) {
+                    if self.chunks.contains_key(&ChunkHandle::new(handle)) {
+                        self.enter_absent(missing, handle - missing);
+                        missing = handle + 1;
+                    }
+                }
+                self.enter_absent(missing, stop - missing);
+                stop
+            };
+        }
+        self.check_tables();
+    }
+
+    /// Enters handles no table holds as awaiting rebuild.
+    fn enter_absent(&mut self, first: u64, count: u64) {
+        self.damaged += count;
+        match count {
+            0 => {}
+            1 => {
+                self.chunks
+                    .insert(ChunkHandle::new(first), ChunkSlot::Absent);
+                self.top = self.top.max(first + 1);
+            }
+            _ => self.insert_run(Run {
+                first,
+                count,
+                len: ByteSize::ZERO,
+                state: ChunkState::Absent,
+            }),
         }
     }
 
@@ -675,25 +984,42 @@ impl FlashDevice {
     ///
     /// Unknown handles are ignored.
     pub fn corrupt_chunk(&mut self, handle: ChunkHandle) {
-        if let Some(slot) = self.chunks.get_mut(&handle) {
+        if let Some(at) = self.run_index(handle.as_u64()) {
+            // The one chunk leaves its run; the rest of the run stays one.
+            let run = self.runs[at];
+            if run.state == ChunkState::Intact {
+                self.cut(at, handle.as_u64(), handle.as_u64() + 1);
+                self.chunks.insert(handle, ChunkSlot::Lost(run.len));
+                self.damaged += 1;
+            }
+        } else if let Some(slot) = self.chunks.get_mut(&handle) {
             if let ChunkSlot::Intact(chunk) = slot {
                 *slot = ChunkSlot::Lost(chunk.len());
                 self.damaged += 1;
             }
         }
+        self.check_tables();
+    }
+
+    /// Handles, sorted, of the chunks whose state `keep` accepts.
+    fn handles_where(&self, keep: impl Fn(ChunkState) -> bool) -> Vec<ChunkHandle> {
+        let singles = self.chunks.iter().filter(|(_, slot)| keep(slot.state()));
+        let runs = self.runs.iter().filter(|run| keep(run.state));
+        let mut handles: Vec<ChunkHandle> = singles
+            .map(|(h, _)| *h)
+            .chain(
+                runs.flat_map(|run| run.first..run.end())
+                    .map(ChunkHandle::new),
+            )
+            .collect();
+        handles.sort_unstable();
+        handles
     }
 
     /// Handles of intact chunks in sorted order — the deterministic
     /// iteration order fault injection walks.
     pub fn intact_handles(&self) -> Vec<ChunkHandle> {
-        let mut handles: Vec<ChunkHandle> = self
-            .chunks
-            .iter()
-            .filter(|(_, slot)| matches!(slot, ChunkSlot::Intact(_)))
-            .map(|(h, _)| *h)
-            .collect();
-        handles.sort_unstable();
-        handles
+        self.handles_where(|state| state == ChunkState::Intact)
     }
 
     /// Latent (UER-style) corruption: each intact chunk is independently
@@ -715,33 +1041,83 @@ impl FlashDevice {
     /// (idempotent delete). No service time is charged (TRIM-like).
     pub fn remove_chunk(&mut self, handle: ChunkHandle) {
         if let Some(slot) = self.chunks.remove(&handle) {
-            if !matches!(slot, ChunkSlot::Intact(_)) {
-                self.damaged -= 1;
-            }
-            self.used = self.used.saturating_sub(slot.occupied());
+            self.release(slot.state(), slot.occupied(), 1);
+        } else {
+            self.remove_run(handle, 1);
         }
+    }
+
+    /// [`FlashDevice::remove_chunk`] for the `count` handles from `first`
+    /// on, stepping over a run in one move: a run the range covers goes as
+    /// one entry, one it covers part of is trimmed or split around it.
+    pub fn remove_run(&mut self, first: ChunkHandle, count: u64) {
+        self.clear(first.as_u64(), first.as_u64().saturating_add(count));
+        self.compact_runs();
+        self.check_tables();
     }
 
     /// Number of chunks tracked (intact or lost).
     pub fn chunk_count(&self) -> usize {
-        self.chunks
-            .values()
-            .filter(|slot| !matches!(slot, ChunkSlot::Absent))
-            .count()
+        let singles = self.chunks.values().filter(|s| s.state().is_present());
+        let runs = self.runs.iter().filter(|r| r.state.is_present());
+        singles.count() + runs.map(|r| r.count).sum::<u64>() as usize
     }
 
     /// Handles of every chunk present on the device — intact or lost — in
-    /// sorted order. Recovery walks this list to find orphan chunks whose
-    /// metadata never reached the journal.
+    /// sorted order.
     pub fn chunk_handles(&self) -> Vec<ChunkHandle> {
-        let mut handles: Vec<ChunkHandle> = self
-            .chunks
-            .iter()
-            .filter(|(_, slot)| !matches!(slot, ChunkSlot::Absent))
-            .map(|(h, _)| *h)
+        self.handles_where(ChunkState::is_present)
+    }
+
+    /// Every chunk present on the device — intact or lost — as sorted
+    /// `(first handle, count)` ranges, one per table entry: a run is one
+    /// range however many chunks it holds. Recovery subtracts what the
+    /// metadata references from this list to find orphan chunks whose
+    /// metadata never reached the journal.
+    pub fn chunk_runs(&self) -> Vec<(ChunkHandle, u64)> {
+        let singles = self.chunks.iter().filter(|(_, s)| s.state().is_present());
+        let runs = self.runs.iter();
+        let runs = runs.filter(|r| r.count > 0 && r.state.is_present());
+        let mut ranges: Vec<(ChunkHandle, u64)> = singles
+            .map(|(h, _)| (*h, 1))
+            .chain(runs.map(|r| (ChunkHandle::new(r.first), r.count)))
             .collect();
-        handles.sort_unstable();
-        handles
+        ranges.sort_unstable();
+        ranges
+    }
+
+    /// Debug builds re-derive the summaries from the entries after every
+    /// mutation, while the tables are small enough for that to stay cheap
+    /// (every unit and property test's are).
+    fn check_tables(&self) {
+        if !cfg!(debug_assertions) || self.runs.len() + self.chunks.len() > 64 {
+            return;
+        }
+        for w in self.runs.windows(2) {
+            assert!(w[0].first + w[0].count.max(1) <= w[1].first, "{w:?}");
+        }
+        let live = || self.runs.iter().filter(|r| r.count > 0);
+        assert_eq!(self.runs.len() - live().count(), self.dead_runs);
+        assert!(live().all(|r| r.end() <= self.top));
+        assert!(live().all(|r| r.state == ChunkState::Absent || !r.len.is_zero()));
+        for handle in self.chunks.keys() {
+            assert!(handle.as_u64() < self.top);
+            assert!(live().all(|r| !r.holds(handle.as_u64())), "{handle}");
+        }
+        let singles = || self.chunks.values();
+        let damaged = singles()
+            .filter(|s| s.state() != ChunkState::Intact)
+            .count() as u64
+            + live()
+                .filter(|r| r.state != ChunkState::Intact)
+                .map(|r| r.count)
+                .sum::<u64>();
+        assert_eq!(self.damaged, damaged);
+        let used: ByteSize = singles()
+            .map(ChunkSlot::occupied)
+            .chain(live().map(|r| r.occupied() * r.count))
+            .sum();
+        assert_eq!(self.used, used);
     }
 }
 
@@ -1194,6 +1570,98 @@ mod tests {
                 Err(FlashError::DeviceFailed(DeviceId(0)))
             );
         }
+    }
+
+    #[test]
+    fn the_run_table_stays_a_small_multiple_of_the_live_runs() {
+        // 10,000 multi-stripe objects come and go, a few hundred live at a
+        // time, removed in no particular order: each is one entry while it
+        // lives, and the tombstones it leaves are compacted away.
+        let mut d = FlashDevice::new(DeviceId(0), DeviceConfig::intel_540s());
+        let len = ByteSize::from_kib(64);
+        let mut rng = DetRng::from_seed(3);
+        let mut live: Vec<(ChunkHandle, u64)> = Vec::new();
+        let mut next = 0;
+        let mut largest = 0;
+        for _ in 0..10_000 {
+            let count = 2 + rng.below(30);
+            let run = (next..next + count).map(|h| (ChunkHandle::new(h), len));
+            d.write_run(run, SimTime::ZERO).unwrap();
+            live.push((ChunkHandle::new(next), count));
+            // Stripes that put nothing on this device lie between.
+            next += count + rng.below(3);
+            if live.len() > 300 {
+                let (first, count) = live.swap_remove(rng.below(300) as usize);
+                d.remove_run(first, count);
+            }
+            assert!(d.runs.len() <= 2 * live.len() + 17, "{}", d.runs.len());
+            largest = largest.max(d.runs.len());
+            assert!(d.chunks.is_empty(), "a run is never entered per chunk");
+            assert_eq!(d.chunk_runs().len(), live.len());
+        }
+        assert!(largest > 300, "tombstones do accumulate: {largest}");
+        for (first, count) in live {
+            d.remove_run(first, count);
+        }
+        assert!(d.runs.iter().all(|run| run.count == 0));
+        assert!(d.runs.len() <= 17);
+        assert_eq!((d.used(), d.chunk_count()), (ByteSize::ZERO, 0));
+    }
+
+    #[test]
+    fn a_per_chunk_mutation_splits_a_run_around_that_one_chunk() {
+        let len = ByteSize::from_kib(4);
+        let stored = || {
+            let mut d = dev();
+            let run = (10..20).map(|h| (ChunkHandle::new(h), len));
+            d.write_run(run, SimTime::ZERO).unwrap();
+            assert_eq!(d.chunk_runs(), [(ChunkHandle::new(10), 10)]);
+            d
+        };
+        let ranges = |d: &FlashDevice| -> Vec<(u64, u64)> {
+            let ranges = d.chunk_runs();
+            ranges.iter().map(|(h, n)| (h.as_u64(), *n)).collect()
+        };
+        let h = ChunkHandle::new;
+        // Inside: the chunk becomes an entry of its own between two runs.
+        let mut d = stored();
+        d.corrupt_chunk(h(14));
+        assert_eq!(ranges(&d), [(10, 4), (14, 1), (15, 5)]);
+        assert_eq!(d.intact_handles().len(), 9);
+        // Rewritten as the size-only chunk it was, it does not rejoin...
+        d.write_chunk(h(14), StoredChunk::synthetic(len), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(ranges(&d), [(10, 4), (14, 1), (15, 5)]);
+        // ...and a chunk of a run rewritten as what it is never left.
+        d.write_chunk(h(16), StoredChunk::synthetic(len), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(ranges(&d), [(10, 4), (14, 1), (15, 5)]);
+        assert_eq!(d.used(), len * 10);
+        // At either end the run is trimmed, not split.
+        let mut d = stored();
+        d.remove_chunk(h(10));
+        d.write_chunk(
+            h(19),
+            StoredChunk::real(Bytes::from_static(b"odd")),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert_eq!(ranges(&d), [(11, 8), (19, 1)]);
+        d.remove_chunk(h(15));
+        assert_eq!(ranges(&d), [(11, 4), (16, 3), (19, 1)]);
+        // A failure and a spare flip what is left run by run; rebuilding
+        // part of an absent run splits it, all of it flips it back.
+        d.fail();
+        d.replace_with_spare();
+        assert_eq!((d.chunk_runs(), d.all_chunks_intact()), (vec![], false));
+        d.write_run((16..18).map(|x| (h(x), len)), SimTime::ZERO)
+            .unwrap();
+        d.write_run((11..15).map(|x| (h(x), len)), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(ranges(&d), [(11, 4), (16, 2)]);
+        assert!(!d.all_chunks_intact(), "18 and 19 still await a rebuild");
+        d.remove_run(h(18), 2);
+        assert!(d.all_chunks_intact());
     }
 
     #[test]

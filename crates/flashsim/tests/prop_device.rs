@@ -1,6 +1,8 @@
 //! Property tests for the flash device model: random operation sequences
-//! keep accounting, state, and the time horizon consistent.
+//! keep accounting, state, and the time horizon consistent, and the run
+//! table answers everything the per-chunk table does.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use reo_flashsim::{
     ChunkHandle, DeviceConfig, DeviceId, FlashDevice, FlashError, StoredChunk, WriteAmplification,
@@ -144,4 +146,170 @@ proptest! {
             prop_assert!(d.busy_until() >= SimTime::ZERO);
         }
     }
+
+    /// One operation sequence drives two devices: `runs` through
+    /// `write_run` / `remove_run` / `note_referenced_run`, `singles` chunk
+    /// by chunk (which never forms a run). Per-chunk writes, corruptions
+    /// and removals land inside, at the front and at the back of runs;
+    /// failures and spares flip them whole; later runs rebuild parts of
+    /// them; the device is small enough to reject writes. After every
+    /// operation nothing a caller can ask tells the two apart.
+    #[test]
+    fn the_run_table_is_the_per_chunk_table(
+        ops in proptest::collection::vec(arb_twin_op(), 1..80),
+        with_wa: bool,
+    ) {
+        let mut runs = FlashDevice::new(DeviceId(0), config());
+        let mut singles = runs.clone();
+        if with_wa {
+            for d in [&mut runs, &mut singles] {
+                d.set_write_amplification(Some(WriteAmplification::new(0.07)));
+            }
+        }
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            // Issue times trail the horizon some of the time.
+            now += SimDuration::from_micros(150);
+            match op {
+                TwinOp::WriteRun { first, lens } => {
+                    let run = (first..).map(ChunkHandle::new).zip(lens.iter().copied().map(twin_len));
+                    // A failed device refuses even an empty run.
+                    let mut one_by_one = if singles.is_healthy() {
+                        Ok(now)
+                    } else {
+                        Err(FlashError::DeviceFailed(DeviceId(0)))
+                    };
+                    for (handle, len) in run.clone() {
+                        one_by_one = singles.write_chunk(handle, StoredChunk::synthetic(len), now);
+                        if one_by_one.is_err() {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(runs.write_run(run, now), one_by_one);
+                }
+                TwinOp::RemoveRun { first, count } => {
+                    runs.remove_run(ChunkHandle::new(first), count);
+                    for handle in first..first + count {
+                        singles.remove_chunk(ChunkHandle::new(handle));
+                    }
+                }
+                TwinOp::NoteRun { first, count } => {
+                    runs.note_referenced_run(ChunkHandle::new(first), count);
+                    for handle in first..first + count {
+                        singles.note_referenced(ChunkHandle::new(handle));
+                    }
+                }
+                TwinOp::Write { handle, len, real } => {
+                    let len = twin_len(len);
+                    let chunk = if real {
+                        StoredChunk::real(Bytes::from(vec![7; len.as_bytes() as usize]))
+                    } else {
+                        StoredChunk::synthetic(len)
+                    };
+                    let handle = ChunkHandle::new(handle);
+                    prop_assert_eq!(
+                        runs.write_chunk(handle, chunk.clone(), now),
+                        singles.write_chunk(handle, chunk, now)
+                    );
+                }
+                TwinOp::Read { handle } => {
+                    let handle = ChunkHandle::new(handle);
+                    prop_assert_eq!(runs.read_chunk(handle, now), singles.read_chunk(handle, now));
+                }
+                TwinOp::Remove { handle } => {
+                    runs.remove_chunk(ChunkHandle::new(handle));
+                    singles.remove_chunk(ChunkHandle::new(handle));
+                }
+                TwinOp::Corrupt { handle } => {
+                    runs.corrupt_chunk(ChunkHandle::new(handle));
+                    singles.corrupt_chunk(ChunkHandle::new(handle));
+                }
+                TwinOp::Fail => {
+                    runs.fail();
+                    singles.fail();
+                }
+                TwinOp::Spare => {
+                    runs.replace_with_spare();
+                    singles.replace_with_spare();
+                }
+            }
+
+            prop_assert_eq!(runs.stats(), singles.stats());
+            prop_assert_eq!(runs.busy_until(), singles.busy_until());
+            prop_assert_eq!(runs.used(), singles.used());
+            prop_assert_eq!(runs.chunk_handles(), singles.chunk_handles());
+            prop_assert_eq!(runs.intact_handles(), singles.intact_handles());
+            prop_assert_eq!(runs.all_chunks_intact(), singles.all_chunks_intact());
+            prop_assert_eq!(runs.chunk_count(), singles.chunk_count());
+            for handle in (0..TWIN_HANDLES + 16).map(ChunkHandle::new) {
+                prop_assert_eq!(runs.chunk_is_intact(handle), singles.chunk_is_intact(handle));
+                prop_assert_eq!(
+                    runs.clone().read_chunk(handle, now),
+                    singles.clone().read_chunk(handle, now),
+                    "{}", handle
+                );
+            }
+            // The ranges are the handles, however they are cut.
+            for d in [&runs, &singles] {
+                let ranges = d.chunk_runs();
+                prop_assert!(ranges.windows(2).all(|w| w[0].0.as_u64() + w[0].1 <= w[1].0.as_u64()));
+                let expanded: Vec<ChunkHandle> = ranges
+                    .iter()
+                    .flat_map(|&(first, count)| first.as_u64()..first.as_u64() + count)
+                    .map(ChunkHandle::new)
+                    .collect();
+                prop_assert_eq!(expanded, d.chunk_handles());
+            }
+        }
+    }
+}
+
+/// Handles the twin test's operations name.
+const TWIN_HANDLES: u64 = 48;
+
+/// Mostly one chunk length, so consecutive writes form runs; sometimes an
+/// odd one, which does not join them.
+fn twin_len(code: u8) -> ByteSize {
+    ByteSize::from_kib(if code < 3 { 16 } else { 5 })
+}
+
+#[derive(Clone, Debug)]
+enum TwinOp {
+    WriteRun { first: u64, lens: Vec<u8> },
+    RemoveRun { first: u64, count: u64 },
+    NoteRun { first: u64, count: u64 },
+    Write { handle: u64, len: u8, real: bool },
+    Read { handle: u64 },
+    Remove { handle: u64 },
+    Corrupt { handle: u64 },
+    Fail,
+    Spare,
+}
+
+fn arb_twin_op() -> impl Strategy<Value = TwinOp> {
+    let handle = || 0..TWIN_HANDLES;
+    let write_run = || {
+        (handle(), proptest::collection::vec(0u8..4, 0..16))
+            .prop_map(|(first, lens)| TwinOp::WriteRun { first, lens })
+    };
+    prop_oneof![
+        write_run(),
+        write_run(),
+        write_run(),
+        (handle(), 0u64..16).prop_map(|(first, count)| TwinOp::RemoveRun { first, count }),
+        (handle(), 0u64..16).prop_map(|(first, count)| TwinOp::NoteRun { first, count }),
+        (handle(), 0u8..4, any::<bool>()).prop_map(|(handle, len, real)| TwinOp::Write {
+            handle,
+            len,
+            real
+        }),
+        handle().prop_map(|handle| TwinOp::Read { handle }),
+        handle().prop_map(|handle| TwinOp::Remove { handle }),
+        handle().prop_map(|handle| TwinOp::Remove { handle }),
+        handle().prop_map(|handle| TwinOp::Corrupt { handle }),
+        handle().prop_map(|handle| TwinOp::Corrupt { handle }),
+        Just(TwinOp::Fail),
+        Just(TwinOp::Spare),
+        Just(TwinOp::Spare),
+    ]
 }

@@ -1502,23 +1502,76 @@ impl OsdTarget {
                 doubles.len()
             ));
         }
-        let mut owner_of: BTreeMap<StripeId, ObjectKey> = BTreeMap::new();
-        for key in self.keys() {
-            for sid in self.index[&key].layout.stripes() {
-                if let Some(prev) = owner_of.insert(sid, key) {
-                    violations.push(format!("{sid} is claimed by both {prev} and {key}"));
-                }
-            }
+        let layouts = self
+            .index
+            .iter()
+            .map(|(key, record)| (*key, &record.layout));
+        let (referenced, claims) = stripe_claims(layouts);
+        for (key, sid, prev) in claims {
+            violations.push(format!("{sid} is claimed by both {prev} and {key}"));
         }
-        let table = self.stripes.stripe_count();
-        if owner_of.len() != table {
+        let table = self.stripes.stripe_count() as u64;
+        if referenced != table {
             violations.push(format!(
-                "stripe table holds {table} stripes but object layouts reference {}",
-                owner_of.len()
+                "stripe table holds {table} stripes but object layouts reference {referenced}"
             ));
         }
         violations
     }
+}
+
+/// How many distinct stripes `layouts` reference, and every stripe more
+/// than one of them claims as `(claimant, stripe, the claimant before it in
+/// key order)`, sorted — the order a walk over the objects by key meets
+/// them in.
+///
+/// An object's stripes are one span of consecutive ids, so the spans are
+/// sorted, not the stripes: a stripe has two claimants only where a span
+/// starts before an earlier one has ended, and only such spans are looked
+/// at stripe by stripe.
+fn stripe_claims<'a>(
+    layouts: impl Iterator<Item = (ObjectKey, &'a ObjectLayout)>,
+) -> (u64, Vec<(ObjectKey, StripeId, ObjectKey)>) {
+    let mut spans: Vec<(u64, u64, ObjectKey, &ObjectLayout)> = layouts
+        .map(|(key, layout)| {
+            let mut stripes = layout.stripes().map(StripeId::as_u64);
+            let first = stripes.next().expect("a layout has a stripe");
+            (first, stripes.next_back().unwrap_or(first) + 1, key, layout)
+        })
+        .collect();
+    spans.sort_unstable_by_key(|&(first, end, key, _)| (first, end, key));
+    let (mut referenced, mut claims) = (0, Vec::new());
+    let mut rest = &spans[..];
+    while let Some(&(first, mut end, ..)) = rest.first() {
+        // The spans that overlap this one, directly or through another.
+        let mut overlapping = 1;
+        while let Some(next) = rest.get(overlapping).filter(|next| next.0 < end) {
+            end = end.max(next.1);
+            overlapping += 1;
+        }
+        let (group, after) = rest.split_at(overlapping);
+        rest = after;
+        if overlapping == 1 {
+            referenced += end - first;
+            continue;
+        }
+        let mut claimed: Vec<(StripeId, ObjectKey)> = group
+            .iter()
+            .flat_map(|&(_, _, key, layout)| layout.stripes().map(move |sid| (sid, key)))
+            .collect();
+        claimed.sort_unstable();
+        referenced += 1;
+        for pair in claimed.windows(2) {
+            let ((sid, prev), (next, key)) = (pair[0], pair[1]);
+            if sid == next {
+                claims.push((key, sid, prev));
+            } else {
+                referenced += 1;
+            }
+        }
+    }
+    claims.sort_unstable();
+    (referenced, claims)
 }
 
 /// Version tag of the checkpoint image format. Version 1 embedded the
@@ -2479,6 +2532,57 @@ mod tests {
         let report = t.recover_from_journal().unwrap();
         assert!(!t.contains(k(1)), "a removed object must stay removed");
         assert!(report.violations.is_empty());
+    }
+
+    #[test]
+    fn span_sweep_reports_what_the_stripe_by_stripe_walk_reported() {
+        // Layouts from managers that each number their stripes from zero
+        // claim the same stripes: singly, twice, three deep, one span
+        // inside another, and two spans joined only through a third.
+        let sizes_kib = [
+            [40, 4, 120, 8],
+            [4, 90, 16, 60],
+            [200, 4, 4, 30],
+            [12, 12, 12, 12],
+        ];
+        let mut layouts = Vec::new();
+        for (m, sizes) in (0..).zip(sizes_kib) {
+            let mut t = reo_target();
+            for (i, kib) in (0..).zip(sizes) {
+                t.create_object(k(i), ByteSize::from_kib(kib), ObjectClass::ColdClean, None)
+                    .unwrap();
+                layouts.push((m, t.index[&k(i)].layout.clone()));
+            }
+        }
+        // Every subset of the four managers, in both key orders.
+        for keep in 1..16u64 {
+            for reverse in [false, true] {
+                let chosen = layouts.iter().filter(|(m, _)| keep >> m & 1 == 1);
+                let rekeyed: Vec<(ObjectKey, &ObjectLayout)> = (0..)
+                    .zip(chosen)
+                    .map(|(i, (_, layout))| (k(if reverse { 99 - i } else { i }), layout))
+                    .collect();
+
+                // The walk the sweep replaced: objects by key, one map
+                // entry per stripe.
+                let mut by_key = rekeyed.clone();
+                by_key.sort_unstable_by_key(|&(key, _)| key);
+                let mut owner_of = BTreeMap::new();
+                let mut expected = Vec::new();
+                for (key, layout) in by_key {
+                    for sid in layout.stripes() {
+                        if let Some(prev) = owner_of.insert(sid, key) {
+                            expected.push((key, sid, prev));
+                        }
+                    }
+                }
+
+                let (referenced, claims) = stripe_claims(rekeyed.into_iter());
+                assert_eq!(claims, expected, "{keep:#b} {reverse}");
+                assert_eq!(referenced, owner_of.len() as u64, "{keep:#b} {reverse}");
+                assert_eq!(claims.is_empty(), keep.count_ones() == 1);
+            }
+        }
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl ObjectLayout {
     }
 
     /// The stripes holding the object, in object order.
-    pub fn stripes(&self) -> impl Iterator<Item = StripeId> + Clone {
+    pub fn stripes(&self) -> impl DoubleEndedIterator<Item = StripeId> + Clone {
         let first = self.first_stripe.0;
         (first..first + u64::from(self.stripe_count)).map(StripeId)
     }
@@ -226,9 +226,13 @@ struct StripeChunk {
 /// stripe but the last is `width` chunks wide; the last holds the
 /// remaining data chunks and a full set of redundancy chunks.
 ///
+/// A chunk's handle is its stripe's id: handles are per device, and a
+/// device holds one chunk of a stripe at most, so what an extent puts on
+/// one device is the consecutive handles from its first stripe on.
+///
 /// `chunks` is [`StripeManager::place`] of the other fields and the
-/// object's size, first stripe and first handle — which is all a layout
-/// blob records of it.
+/// object's size and first stripe — which is all a layout blob records of
+/// it.
 #[derive(Clone, Debug)]
 struct Extent {
     /// Effective scheme after clamping to the healthy-device count at
@@ -258,6 +262,20 @@ impl Extent {
 
     fn stripe_count(&self) -> usize {
         self.chunks.len().div_ceil(self.width())
+    }
+
+    /// The devices the extent is placed over.
+    fn devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
+        let devices = 0..u64::BITS as usize;
+        devices.filter(|d| self.healthy >> d & 1 == 1).map(DeviceId)
+    }
+
+    /// How many of the extent's stripes come before the last — each of the
+    /// extent's devices holds one chunk of every one of them — and the last
+    /// stripe's chunks.
+    fn split_last(&self) -> (u64, &[StripeChunk]) {
+        let full = self.stripe_count() - 1;
+        (full as u64, &self.chunks[full * self.width()..])
     }
 
     /// The stripe numbered `id` over its `chunks` of the extent.
@@ -446,11 +464,21 @@ struct ReadRun {
     count: u64,
 }
 
+/// Size-only writes one operation has issued to one device and not yet
+/// made: `count` chunks of `len` bytes, handles `first ..`.
+#[derive(Clone, Copy, Debug, Default)]
+struct WriteRun {
+    first: u64,
+    len: ByteSize,
+    count: u64,
+}
+
 /// Per-device state of the operation in flight, indexed by device; kept
 /// between operations only for its capacity.
 #[derive(Clone, Debug, Default)]
 struct DeviceRuns {
     reads: Vec<ReadRun>,
+    writes: Vec<WriteRun>,
     /// Bytes the extent being stored places on each device.
     write_bytes: Vec<ByteSize>,
     /// The healthy devices the extent being stored is placed over.
@@ -479,6 +507,24 @@ struct StripeIo<'a> {
     latest: SimTime,
 }
 
+/// A rebuild in flight: its stripe I/O, and the size-only writes it has
+/// issued and not yet made, gathered per device the way [`StripeIo`]
+/// gathers reads, so that what a spare holds of an object is rewritten as
+/// one run. A write is gathered only while its device is sure to take it
+/// (healthy, with room for the whole run), so a gathered write cannot be
+/// rejected later. A device has reads or writes gathered, never both: the
+/// one kind is made before a chunk of the other joins, and every gathered
+/// write is made before any per-chunk operation on its device and in
+/// [`Rebuild::finish`] — so each device sees its operations in the order
+/// they were issued. Reads and overwrites never come here, and pay
+/// nothing for it.
+struct Rebuild<'a> {
+    io: StripeIo<'a>,
+    write_runs: &'a mut [WriteRun],
+    /// The devices with writes gathered, bit `d` for device `d`.
+    writing: u64,
+}
+
 /// Stores objects as variable-redundancy stripes on a [`FlashArray`].
 ///
 /// See the crate docs for the model. One manager owns one array.
@@ -487,7 +533,6 @@ pub struct StripeManager {
     array: FlashArray,
     chunk_size: ByteSize,
     placement: PlacementPolicy,
-    next_handle: u64,
     next_stripe: u64,
     /// One extent per stored object, keyed by its first stripe.
     extents: FastMap<StripeId, Extent>,
@@ -499,7 +544,8 @@ pub struct StripeManager {
 }
 
 /// Serialized size of a layout blob: owner, size, requested scheme,
-/// effective scheme, first stripe, first handle, healthy set, real flag.
+/// effective scheme, first stripe, first handle (the first stripe again),
+/// healthy set, real flag.
 const LAYOUT_META_LEN: usize = 8 + 8 + 2 + 2 + 8 + 8 + 8 + 1;
 
 /// Retries per chunk read before a transient timeout is escalated.
@@ -539,13 +585,13 @@ impl StripeManager {
         );
         let runs = DeviceRuns {
             reads: vec![ReadRun::default(); array.device_count()],
+            writes: vec![WriteRun::default(); array.device_count()],
             ..DeviceRuns::default()
         };
         StripeManager {
             array,
             chunk_size,
             placement,
-            next_handle: 0,
             next_stripe: 0,
             extents: FastMap::default(),
             usage: SpaceUsage::default(),
@@ -556,10 +602,10 @@ impl StripeManager {
         }
     }
 
-    /// Splits the manager into the I/O half of an operation issued now and
-    /// the extent map, so request paths can mutate devices/buffers while
-    /// borrowing metadata in place.
-    fn split_io(&mut self) -> (StripeIo<'_>, &FastMap<StripeId, Extent>) {
+    /// Splits the manager into the I/O half of an operation issued now,
+    /// the extent map — so request paths can mutate devices/buffers while
+    /// borrowing metadata in place — and the write runs a rebuild gathers.
+    fn split_io(&mut self) -> (StripeIo<'_>, &FastMap<StripeId, Extent>, &mut [WriteRun]) {
         let now = self.array.clock().now();
         (
             StripeIo {
@@ -572,6 +618,7 @@ impl StripeManager {
                 latest: now,
             },
             &self.extents,
+            &mut self.runs.writes,
         )
     }
 
@@ -726,16 +773,15 @@ impl StripeManager {
             return Err(StripeError::NoHealthyDevices);
         }
         let scheme = clamp_scheme(scheme, healthy.count_ones() as usize);
-        let (first_stripe, first_handle) = (self.next_stripe, self.next_handle);
+        let first_stripe = self.next_stripe;
         let extent = Extent {
             scheme,
             healthy,
             real: payload.is_some(),
-            chunks: self.place(size, scheme, healthy, first_stripe, first_handle),
+            chunks: self.place(size, scheme, healthy, first_stripe),
         };
         let stripe_count = extent.stripe_count() as u64;
         self.next_stripe += stripe_count;
-        self.next_handle += extent.chunks.len() as u64;
         let DeviceRuns {
             healthy,
             write_bytes,
@@ -764,18 +810,17 @@ impl StripeManager {
             }
             self.array.complete_batch([latest])
         } else {
-            let (mut io, _) = self.split_io();
+            let (mut io, ..) = self.split_io();
             let mut written = 0;
             let result = io.write_extent(&extent, StripeId(first_stripe), payload, &mut written);
             let latest = io.finish();
             if let Err(e) = result {
                 // Roll back the chunks written; the stripe being assembled
-                // and the handle being written stay consumed.
+                // stays consumed.
                 for c in &extent.chunks[..written] {
                     self.array.device_mut(c.device).remove_chunk(c.handle);
                 }
                 self.next_stripe = first_stripe + (written / extent.width()) as u64 + 1;
-                self.next_handle = first_handle + written as u64 + 1;
                 return Err(e);
             }
             self.array.complete_batch([latest])
@@ -799,16 +844,15 @@ impl StripeManager {
     /// placed, so an extent reinstalled from a layout blob is the extent
     /// that was stored: `size` bytes under the effective `scheme`, stripe
     /// after stripe from `first_stripe`, data before redundancy, over the
-    /// devices of the `healthy` set, handles counting up from
-    /// `first_handle`. Leaves those devices in `runs.healthy` and the
-    /// bytes each of them receives in `runs.write_bytes`.
+    /// devices of the `healthy` set, every chunk under its stripe's id as
+    /// its handle. Leaves those devices in `runs.healthy` and the bytes
+    /// each of them receives in `runs.write_bytes`.
     fn place(
         &mut self,
         size: ByteSize,
         scheme: RedundancyScheme,
         healthy: u64,
         first_stripe: u64,
-        first_handle: u64,
     ) -> Vec<StripeChunk> {
         let DeviceRuns {
             healthy: devices,
@@ -826,15 +870,16 @@ impl StripeManager {
         let mut chunks = Vec::with_capacity(shape.chunks() as usize);
         write_bytes.clear();
         write_bytes.resize(self.array.device_count(), ByteSize::ZERO);
-        let mut place = |device: DeviceId, len: ByteSize| {
-            write_bytes[device.0] += len;
-            chunks.push(StripeChunk {
-                device,
-                handle: ChunkHandle::new(first_handle + chunks.len() as u64),
-                len,
-            });
-        };
         for stripe_no in 0..shape.stripes {
+            let handle = ChunkHandle::new(first_stripe + stripe_no);
+            let mut place = |device: DeviceId, len: ByteSize| {
+                write_bytes[device.0] += len;
+                chunks.push(StripeChunk {
+                    device,
+                    handle,
+                    len,
+                });
+            };
             let layout = StripeLayout::with_placement(
                 first_stripe + stripe_no,
                 scheme,
@@ -905,7 +950,7 @@ impl StripeManager {
     /// * [`StripeError::Flash`] — unexpected device error.
     pub fn read_object(&mut self, layout: &ObjectLayout) -> Result<ReadOutcome, StripeError> {
         let retries_before = self.transient_retries;
-        let (mut io, extents) = self.split_io();
+        let (mut io, extents, _) = self.split_io();
         let now = io.now;
         let result = Self::extent(extents, layout)
             .and_then(|extent| io.read_extent(extent, layout.first_stripe));
@@ -965,7 +1010,7 @@ impl StripeManager {
         chunk_index: u64,
         new_payload: Option<&[u8]>,
     ) -> Result<(ParityUpdate, SimTime), StripeError> {
-        let (mut io, extents) = self.split_io();
+        let (mut io, extents, _) = self.split_io();
         let now = io.now;
         let result = Self::extent(extents, layout).and_then(|extent| {
             let (stripe, local_j) = extent.locate(layout, chunk_index);
@@ -1020,19 +1065,24 @@ impl StripeManager {
     /// * [`StripeError::Flash`] — the rebuild target device rejected a
     ///   write (e.g. it is still failed).
     pub fn rebuild_object(&mut self, layout: &ObjectLayout) -> Result<SimTime, StripeError> {
-        let (mut io, extents) = self.split_io();
+        let (io, extents, write_runs) = self.split_io();
         let now = io.now;
+        let mut rebuild = Rebuild {
+            io,
+            write_runs,
+            writing: 0,
+        };
         let result = Self::extent(extents, layout).and_then(|extent| {
             for stripe in extent.stripes(layout.first_stripe) {
-                match stripe_health_on(io.array, &stripe) {
+                match stripe_health_on(rebuild.io.array, &stripe) {
                     StripeHealth::Intact => {}
                     StripeHealth::Lost(lost) => return Err(stripe.object_lost(lost)),
-                    StripeHealth::Degraded(_) => io.rebuild_stripe(&stripe)?,
+                    StripeHealth::Degraded(_) => rebuild.stripe(&stripe)?,
                 }
             }
             Ok(())
         });
-        let latest = io.finish();
+        let latest = rebuild.finish();
         result?;
 
         let completed_at = self.array.complete_batch([latest]);
@@ -1073,7 +1123,14 @@ impl StripeManager {
     /// Stale layouts (already removed) are a no-op.
     pub fn remove_object(&mut self, layout: &ObjectLayout) {
         if let Some(extent) = self.extents.remove(&layout.first_stripe) {
-            for c in &extent.chunks {
+            let (full, last) = extent.split_last();
+            if full > 0 {
+                let first = ChunkHandle::new(layout.first_stripe.0);
+                for d in extent.devices() {
+                    self.array.device_mut(d).remove_run(first, full);
+                }
+            }
+            for c in last {
                 self.array.device_mut(c.device).remove_chunk(c.handle);
             }
             self.release_usage(&extent);
@@ -1102,7 +1159,8 @@ impl StripeManager {
 
     /// Serializes how an object was placed into an opaque blob for the
     /// metadata journal: owner, size, requested and effective scheme, first
-    /// stripe, first chunk handle, the devices healthy at store time and
+    /// stripe, first chunk handle (a chunk's handle is its stripe's id, so
+    /// the first stripe again), the devices healthy at store time and
     /// whether the chunks carry bytes. The extent is a function of these
     /// ([`StripeManager::install_object_meta`] recomputes it), so the blob
     /// is the same few bytes whatever the object's size.
@@ -1150,9 +1208,9 @@ impl StripeManager {
 
     /// Re-registers an object from a blob produced by
     /// [`StripeManager::export_object_meta`]: places its extent again,
-    /// folds the chunks back into the byte accounting, bumps the
-    /// handle/stripe allocators past every installed identifier, and
-    /// returns the reconstructed layout. Chunk *contents* are not touched —
+    /// folds the chunks back into the byte accounting, bumps the stripe
+    /// allocator past every installed identifier, and returns the
+    /// reconstructed layout. Chunk *contents* are not touched —
     /// they either survived on the array or are found missing by the
     /// post-recovery audit.
     ///
@@ -1166,8 +1224,9 @@ impl StripeManager {
     /// names a placement [`StripeManager::store_object`] cannot have made
     /// on this array: an empty object, no healthy device or one the array
     /// lacks, an effective scheme that is not the requested one clamped to
-    /// the healthy set, identifiers that overflow, or more full stripes
-    /// than the array has room for.
+    /// the healthy set, a first handle that is not the first stripe,
+    /// identifiers that overflow, or more full stripes than the array has
+    /// room for.
     pub fn install_object_meta(&mut self, bytes: &[u8]) -> Result<ObjectLayout, StripeError> {
         use StripeError::CorruptMetadata as Corrupt;
         fn require(ok: bool) -> Result<(), StripeError> {
@@ -1183,7 +1242,8 @@ impl StripeManager {
         let owner = u64_at(0);
         let size = ByteSize::from_bytes(u64_at(8));
         let (requested, scheme) = (scheme_at(16)?, scheme_at(18)?);
-        let (first_stripe, first_handle) = (u64_at(20), u64_at(28));
+        let first_stripe = u64_at(20);
+        require(u64_at(28) == first_stripe)?;
         let healthy = u64_at(36);
         require(blob[44] <= 1)?;
         let real = blob[44] == 1;
@@ -1203,23 +1263,26 @@ impl StripeManager {
         require(full_stripes * u128::from(self.chunk_size.as_bytes()) <= capacity)?;
         let stripe_count = u32::try_from(shape.stripes).map_err(|_| Corrupt)?;
         let next_stripe = first_stripe.checked_add(shape.stripes).ok_or(Corrupt)?;
-        let next_handle = first_handle.checked_add(shape.chunks()).ok_or(Corrupt)?;
 
         let extent = Extent {
             scheme,
             healthy,
             real,
-            chunks: self.place(size, scheme, healthy, first_stripe, first_handle),
+            chunks: self.place(size, scheme, healthy, first_stripe),
         };
+        let (full, last) = extent.split_last();
+        for d in extent.devices() {
+            let first = ChunkHandle::new(first_stripe);
+            self.array.device_mut(d).note_referenced_run(first, full);
+        }
+        for c in last {
+            self.array.device_mut(c.device).note_referenced(c.handle);
+        }
         let first_stripe = StripeId(first_stripe);
         if let Some(old) = self.extents.remove(&first_stripe) {
             self.release_usage(&old);
         }
         self.charge_usage(&extent);
-        for c in &extent.chunks {
-            self.array.device_mut(c.device).note_referenced(c.handle);
-        }
-        self.next_handle = self.next_handle.max(next_handle);
         self.next_stripe = self.next_stripe.max(next_stripe);
         self.extents.insert(first_stripe, extent);
         Ok(ObjectLayout {
@@ -1232,31 +1295,40 @@ impl StripeManager {
     }
 
     /// Simulates the DRAM side of a power loss: every piece of in-memory
-    /// stripe metadata (extents, byte accounting, allocator cursors)
+    /// stripe metadata (extents, byte accounting, the allocator cursor)
     /// vanishes. The flash array — the durable medium — is untouched.
     pub fn simulate_crash(&mut self) {
         self.extents.clear();
         self.usage = SpaceUsage::default();
-        self.next_handle = 0;
         self.next_stripe = 0;
     }
 
-    /// Every `(device, handle)` pair live stripe metadata references,
-    /// sorted, duplicates kept.
-    fn chunk_refs(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
-            .extents
-            .values()
-            .flat_map(|e| e.chunks.iter().map(|c| (c.device, c.handle)))
-            .collect();
-        refs.sort_unstable_by_key(|(d, h)| (d.0, h.as_u64()));
+    /// Every `(device, first handle, count)` range live stripe metadata
+    /// references — one per extent and device — sorted, overlaps kept.
+    fn chunk_refs(&self) -> Vec<(DeviceId, u64, u64)> {
+        let mut refs = Vec::with_capacity(self.extents.len() * self.array.device_count());
+        for (first, extent) in &self.extents {
+            let (full, last) = extent.split_last();
+            refs.extend(extent.devices().filter_map(|d| {
+                let count = full + u64::from(last.iter().any(|c| c.device == d));
+                (count > 0).then_some((d, first.0, count))
+            }));
+        }
+        refs.sort_unstable();
         refs
     }
 
     /// Every `(device, handle)` pair referenced by live stripe metadata,
     /// sorted and deduplicated.
     pub fn referenced_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        let mut refs = self.chunk_refs();
+        let mut refs: Vec<(DeviceId, ChunkHandle)> = self
+            .chunk_refs()
+            .into_iter()
+            .flat_map(|(d, first, count)| {
+                (first..first + count).map(move |h| (d, ChunkHandle::new(h)))
+            })
+            .collect();
+        refs.sort_unstable();
         refs.dedup();
         refs
     }
@@ -1265,12 +1337,20 @@ impl StripeManager {
     /// violation of the no-double-allocated-chunk invariant. Empty on a
     /// consistent manager.
     pub fn double_allocated_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        let refs = self.chunk_refs();
+        // The ranges are sorted by device and start, so a handle is claimed
+        // twice where a range starts before an earlier one on its device
+        // has ended; `told` keeps each such handle to one mention.
         let mut dup = Vec::new();
-        for w in refs.windows(2) {
-            if w[0] == w[1] && dup.last() != Some(&w[0]) {
-                dup.push(w[0]);
+        let (mut on, mut covered, mut told) = (None, 0, 0);
+        for (d, first, count) in self.chunk_refs() {
+            if on != Some(d) {
+                (on, covered, told) = (Some(d), 0, 0);
             }
+            let end = first + count;
+            let twice = first.max(told)..end.min(covered);
+            dup.extend(twice.clone().map(|h| (d, ChunkHandle::new(h))));
+            told = told.max(twice.end);
+            covered = covered.max(end);
         }
         dup
     }
@@ -1280,18 +1360,34 @@ impl StripeManager {
     /// journal before a crash, or by removals whose chunk frees raced the
     /// crash. Returns how many chunks were collected.
     pub fn remove_unreferenced_chunks(&mut self) -> usize {
-        // Both sides are sorted: one pass over each device's chunks with a
-        // cursor into the references.
+        // Both sides are sorted ranges: one pass over each device's chunks
+        // with a cursor into the references, freeing what lies between.
         let referenced = self.chunk_refs();
         let mut refs = referenced.iter().peekable();
         let mut removed = 0;
         for id in (0..self.array.device_count()).map(DeviceId) {
             let device = self.array.device_mut(id);
-            for handle in device.chunk_handles() {
-                while refs.next_if(|&&r| r < (id, handle)).is_some() {}
-                if refs.peek() != Some(&&(id, handle)) {
-                    device.remove_chunk(handle);
-                    removed += 1;
+            for (first, count) in device.chunk_runs() {
+                let (mut at, end) = (first.as_u64(), first.as_u64() + count);
+                while at < end {
+                    while refs
+                        .next_if(|&&(d, first, count)| (d, first + count) <= (id, at))
+                        .is_some()
+                    {}
+                    at = match refs.peek() {
+                        Some(&&(d, first, count)) if d == id && first <= at => {
+                            end.min(first + count)
+                        }
+                        next => {
+                            let referenced_from = match next {
+                                Some(&&(d, first, _)) if d == id => end.min(first),
+                                _ => end,
+                            };
+                            device.remove_run(ChunkHandle::new(at), referenced_from - at);
+                            removed += (referenced_from - at) as usize;
+                            referenced_from
+                        }
+                    };
                 }
             }
         }
@@ -1713,25 +1809,84 @@ impl StripeIo<'_> {
             ParityUpdate::Direct
         })
     }
+}
+
+impl Rebuild<'_> {
+    /// Makes the writes gathered for `device`, if any.
+    fn flush_writes(&mut self, device: DeviceId) {
+        if self.writing >> device.0 & 1 == 1 {
+            self.writing &= !(1 << device.0);
+            let run = std::mem::take(&mut self.write_runs[device.0]);
+            let handles = (run.first..run.first + run.count).map(ChunkHandle::new);
+            let done = self
+                .io
+                .array
+                .device_mut(device)
+                .write_run(handles.zip(std::iter::repeat(run.len)), self.io.now)
+                .expect("a healthy device with room for the run");
+            self.io.completes(done);
+        }
+    }
+
+    /// Makes every gathered write, charges every gathered read, and
+    /// returns the instant the rebuild completes — on the error path too,
+    /// as [`StripeIo::finish`].
+    fn finish(mut self) -> SimTime {
+        while self.writing != 0 {
+            self.flush_writes(DeviceId(self.writing.trailing_zeros() as usize));
+        }
+        self.io.finish()
+    }
+
+    fn read(&mut self, real: bool, c: &StripeChunk) -> Result<Option<StoredChunk>, FlashError> {
+        self.flush_writes(c.device);
+        self.io.read(real, c)
+    }
+
+    fn write_chunk(&mut self, c: &StripeChunk, stored: StoredChunk) -> Result<(), FlashError> {
+        self.flush_writes(c.device);
+        self.io.write_chunk(c, stored)
+    }
+
+    /// Writes a size-only chunk: gathered into its device's run while the
+    /// device is sure to take it, else written at once.
+    fn write_sized(&mut self, c: &StripeChunk) -> Result<(), FlashError> {
+        let run = self.write_runs[c.device.0];
+        if run.len != c.len || run.first + run.count != c.handle.as_u64() {
+            self.flush_writes(c.device);
+        }
+        let gathered = self.write_runs[c.device.0].count;
+        let device = self.io.array.device(c.device);
+        if !device.is_healthy() || device.available() < c.len * (gathered + 1) {
+            return self.write_chunk(c, StoredChunk::synthetic(c.len));
+        }
+        self.io.flush_reads(c.device);
+        self.writing |= 1 << c.device.0;
+        self.write_runs[c.device.0] = WriteRun {
+            first: c.handle.as_u64() - gathered,
+            len: c.len,
+            count: gathered + 1,
+        };
+        Ok(())
+    }
 
     /// Rebuilds the lost chunks of one degraded stripe back onto their
     /// (replaced) devices.
-    fn rebuild_stripe(&mut self, stripe: &Stripe<'_>) -> Result<(), StripeError> {
+    fn stripe(&mut self, stripe: &Stripe<'_>) -> Result<(), StripeError> {
         if stripe.scheme.is_replication() {
             // Copy a surviving replica onto each lost slot.
             let survivor = stripe
                 .chunks()
-                .find(|c| chunk_intact_on(self.array, c))
+                .find(|c| chunk_intact_on(self.io.array, c))
                 .expect("degraded stripe has a survivor");
             let src = self.read(stripe.real, survivor)?;
             let src = src.as_ref().and_then(|chunk| chunk.payload().as_bytes());
             for c in stripe.chunks() {
-                if !chunk_intact_on(self.array, c) {
-                    let stored = match src {
-                        Some(b) => StoredChunk::real(b.clone()),
-                        None => StoredChunk::synthetic(c.len),
-                    };
-                    self.write_chunk(c, stored)?;
+                if !chunk_intact_on(self.io.array, c) {
+                    match src {
+                        Some(b) => self.write_chunk(c, StoredChunk::real(b.clone()))?,
+                        None => self.write_sized(c)?,
+                    }
                 }
             }
             return Ok(());
@@ -1749,7 +1904,7 @@ impl StripeIo<'_> {
         };
         let mut survivors_read = 0usize;
         for (idx, c) in stripe.codec_order() {
-            if !chunk_intact_on(self.array, c) {
+            if !chunk_intact_on(self.io.array, c) {
                 continue;
             }
             if survivors_read + (codec_m - m_actual) >= codec_m {
@@ -1762,23 +1917,23 @@ impl StripeIo<'_> {
         }
 
         if stripe.real {
-            let rs = self.codecs.get(codec_m, parity_count)?;
+            let rs = self.io.codecs.get(codec_m, parity_count)?;
             rs.reconstruct(&mut shards)?;
         }
 
-        // A chunk written here is intact from then on, so each lost chunk
-        // is met exactly once.
+        // A stripe has one chunk on a device, so a write gathered here is
+        // not probed again: each lost chunk is met exactly once.
         for (idx, c) in stripe.codec_order() {
-            if chunk_intact_on(self.array, c) {
+            if chunk_intact_on(self.io.array, c) {
                 continue;
             }
-            let stored = if stripe.real {
+            if stripe.real {
                 let shard = shards[idx].as_ref().expect("reconstructed");
-                StoredChunk::real(Bytes::copy_from_slice(&shard[..c.len.as_bytes() as usize]))
+                let bytes = Bytes::copy_from_slice(&shard[..c.len.as_bytes() as usize]);
+                self.write_chunk(c, StoredChunk::real(bytes))?;
             } else {
-                StoredChunk::synthetic(c.len)
-            };
-            self.write_chunk(c, stored)?;
+                self.write_sized(c)?;
+            }
         }
         Ok(())
     }
@@ -1847,7 +2002,9 @@ fn padded_shard(chunk: &StoredChunk, parity_len: ByteSize) -> Vec<u8> {
 }
 
 fn chunk_intact_on(array: &FlashArray, c: &StripeChunk) -> bool {
-    array.device(c.device).chunk_is_intact(c.handle)
+    // Only a device with something awaiting rebuild needs the probe.
+    let device = array.device(c.device);
+    device.all_chunks_intact() || device.chunk_is_intact(c.handle)
 }
 
 fn stripe_health_on(array: &FlashArray, stripe: &Stripe<'_>) -> StripeHealth {
@@ -2318,11 +2475,20 @@ mod tests {
             0, 3,                               // the layout's scheme
             0, 3,                               // the extent's scheme
             1, 0, 0, 0, 0, 0, 0, 0,             // first stripe
-            1, 0, 0, 0, 0, 0, 0, 0,             // first handle
+            1, 0, 0, 0, 0, 0, 0, 0,             // first handle: the same
             0b11101, 0, 0, 0, 0, 0, 0, 0,       // healthy devices
             1,                                  // real payload
         ];
         assert_eq!(m.export_object_meta(&layout).unwrap(), golden);
+        // A chunk's handle is its stripe's id: a blob that says otherwise
+        // was not written by this code.
+        let mut renumbered = golden;
+        renumbered[28] = 2;
+        assert_eq!(
+            m.clone().install_object_meta(&renumbered).unwrap_err(),
+            StripeError::CorruptMetadata
+        );
+        m.clone().install_object_meta(&golden).unwrap();
         let replicated = m
             .store_object(
                 8,
@@ -2335,6 +2501,179 @@ mod tests {
         assert_eq!(blob.len(), golden.len(), "size does not show in the length");
         assert_eq!(blob[16..20], [1, 0, 1, 0]);
         assert_eq!(blob[44], 0);
+    }
+
+    #[test]
+    fn an_object_is_one_entry_per_device_through_failure_spare_and_rebuild() {
+        // 1,000 stripes, the last one short: each device holds the full
+        // stripes as one run, and at most one odd chunk beside it.
+        let mut m = StripeManager::new(test_array(5, 64), ByteSize::from_kib(4));
+        let size = ByteSize::from_bytes(4096 * 3 * 999 + 5000);
+        let layout = m
+            .store_object(1, size, RedundancyScheme::parity(2), None)
+            .unwrap();
+        assert_eq!(layout.stripes().count(), 1000);
+        let entries = |m: &StripeManager| -> Vec<usize> {
+            let devices = (0..5).map(|d| m.array().device(DeviceId(d)));
+            devices.map(|d| d.chunk_runs().len()).collect()
+        };
+        let stored = entries(&m);
+        assert!(stored.iter().all(|&n| (1..=2).contains(&n)), "{stored:?}");
+        let chunks = m.referenced_chunks().len();
+        assert_eq!(chunks, 999 * 5 + 4);
+
+        // A failure flips the runs, a spare empties them, and a rebuild
+        // writes each back as the run it was: nothing is ever exploded
+        // into per-chunk entries.
+        m.fail_device(DeviceId(2));
+        assert_eq!(entries(&m), stored);
+        m.replace_device(DeviceId(2));
+        assert_eq!(entries(&m)[2], 0, "absent chunks are not present");
+        m.rebuild_object(&layout).unwrap();
+        assert_eq!(entries(&m), stored);
+        assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Intact);
+        assert!(m.array().all_chunks_intact());
+
+        // One corrupted chunk splits its run around itself — three
+        // entries where one was — and the rebuild leaves them so.
+        m.corrupt_data_chunk(&layout, 3 * 500).unwrap();
+        let split: usize = entries(&m).iter().sum();
+        assert_eq!(split, stored.iter().sum::<usize>() + 2);
+        m.rebuild_object(&layout).unwrap();
+        assert_eq!(entries(&m).iter().sum::<usize>(), split);
+        assert!(m.array().all_chunks_intact());
+
+        m.remove_object(&layout);
+        assert_eq!(entries(&m), [0; 5]);
+        assert_eq!(m.free_capacity(), ByteSize::from_mib(64 * 5));
+    }
+
+    /// Every `(device, handle)` pair the extents name, sorted, duplicates
+    /// kept: what the recovery sweeps walked before they walked ranges.
+    fn expanded_refs(m: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
+        let mut refs: Vec<(DeviceId, ChunkHandle)> = m
+            .extents
+            .values()
+            .flat_map(|e| e.chunks.iter().map(|c| (c.device, c.handle)))
+            .collect();
+        refs.sort_unstable();
+        refs
+    }
+
+    /// The double-allocation sweep over expanded pairs.
+    fn expanded_doubles(m: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
+        let refs = expanded_refs(m);
+        let mut dup = Vec::new();
+        for w in refs.windows(2) {
+            if w[0] == w[1] && dup.last() != Some(&w[0]) {
+                dup.push(w[0]);
+            }
+        }
+        dup
+    }
+
+    /// The orphan sweep over expanded pairs: what it would remove.
+    fn expanded_orphans(m: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
+        let refs = expanded_refs(m);
+        let mut orphans = present_chunks(m);
+        orphans.retain(|pair| refs.binary_search(pair).is_err());
+        orphans
+    }
+
+    fn present_chunks(m: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
+        let devices = (0..m.array().device_count()).map(DeviceId);
+        devices
+            .flat_map(|d| {
+                let present = m.array().device(d).chunk_handles();
+                present.into_iter().map(move |h| (d, h))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn range_sweeps_agree_with_the_expanded_pair_sweeps() {
+        // Objects of every shape, some stored on a degraded array; then a
+        // crash after which some blobs are missing (their chunks are
+        // orphans), some chunks are missing, and some blobs come back
+        // renumbered onto stripes other objects hold — overlapping one
+        // neighbour, two, or lying inside a larger one.
+        let mut m = StripeManager::new(test_array(5, 64), ByteSize::from_kib(4));
+        let shapes = [
+            (4096 * 40, RedundancyScheme::parity(2)),
+            (100, RedundancyScheme::parity(1)),
+            (4096 * 9 + 1, RedundancyScheme::Replication),
+            (4096 * 4 * 6, RedundancyScheme::parity(1)),
+            (4096 * 17, RedundancyScheme::parity(0)),
+            (4096 * 3, RedundancyScheme::parity(2)),
+        ];
+        let mut blobs = Vec::new();
+        for (owner, (size, scheme)) in (0..).zip(shapes.into_iter().cycle().take(18)) {
+            if owner == 9 {
+                m.fail_device(DeviceId(3));
+            }
+            let layout = m
+                .store_object(owner, ByteSize::from_bytes(size), scheme, None)
+                .unwrap();
+            blobs.push(m.export_object_meta(&layout).unwrap());
+        }
+        let renumbered = |blob: &[u8], first: u64| {
+            let mut blob = blob.to_vec();
+            blob[20..28].copy_from_slice(&first.to_le_bytes());
+            blob[28..36].copy_from_slice(&first.to_le_bytes());
+            blob
+        };
+        let first_of = |blob: &[u8]| u64::from_le_bytes(blob[20..28].try_into().unwrap());
+        let mut checked_doubles = 0;
+        for case in 0..40u64 {
+            let mut crashed = m.clone();
+            crashed.simulate_crash();
+            for (i, blob) in (0..).zip(&blobs) {
+                // Which blobs survive, and where they claim to start.
+                match (i * 7 + case) % 5 {
+                    0 => {}
+                    1 if case % 2 == 1 => {
+                        let first = first_of(blob).saturating_sub(case % 13);
+                        crashed
+                            .install_object_meta(&renumbered(blob, first))
+                            .unwrap();
+                    }
+                    _ => {
+                        crashed.install_object_meta(blob).unwrap();
+                    }
+                }
+            }
+            if case % 4 == 3 {
+                // Three deep: the fourteen-stripe object twice more, a
+                // stripe apart, over whatever starts at `case`.
+                for first in [case + 1, case + 2] {
+                    crashed
+                        .install_object_meta(&renumbered(&blobs[0], first))
+                        .unwrap();
+                }
+            }
+            // A chunk the metadata names is gone; the sweeps still agree.
+            if let Some(&(device, handle)) = expanded_refs(&crashed).get(case as usize * 3) {
+                crashed.array.device_mut(device).remove_chunk(handle);
+            }
+            let doubles = expanded_doubles(&crashed);
+            assert_eq!(crashed.double_allocated_chunks(), doubles, "case {case}");
+            checked_doubles += doubles.len();
+            let mut refs = expanded_refs(&crashed);
+            refs.dedup();
+            assert_eq!(crashed.referenced_chunks(), refs, "case {case}");
+
+            let orphans = expanded_orphans(&crashed);
+            let mut kept = present_chunks(&crashed);
+            kept.retain(|pair| orphans.binary_search(pair).is_err());
+            assert_eq!(
+                crashed.remove_unreferenced_chunks(),
+                orphans.len(),
+                "case {case}"
+            );
+            assert_eq!(present_chunks(&crashed), kept, "case {case}");
+            assert_eq!(crashed.remove_unreferenced_chunks(), 0);
+        }
+        assert!(checked_doubles > 100, "{checked_doubles}");
     }
 
     #[test]

@@ -4,8 +4,12 @@
 
 mod reference;
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use reo_flashsim::{DeviceConfig, DeviceId, FaultPlan, FlashArray, WriteAmplification};
+use reo_flashsim::{
+    ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, WriteAmplification,
+};
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
 use reo_stripe::{ObjectLayout, ObjectStatus, RedundancyScheme, StripeError, StripeManager};
 
@@ -49,6 +53,74 @@ fn scheme_of(code: u8) -> RedundancyScheme {
         2 => RedundancyScheme::parity(2),
         _ => RedundancyScheme::Replication,
     }
+}
+
+/// Every chunk present on the manager's devices, in device and handle
+/// order.
+fn present_chunks(mgr: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
+    let devices = (0..mgr.array().device_count()).map(DeviceId);
+    devices
+        .flat_map(|d| {
+            let present = mgr.array().device(d).chunk_handles();
+            present.into_iter().map(move |h| (d, h))
+        })
+        .collect()
+}
+
+/// Holds the recovery sweeps, which subtract and intersect sorted ranges,
+/// to what walking the expanded `(device, handle)` pairs finds: after a
+/// crash that journaled every other live object the orphan sweep frees
+/// exactly the chunks no reinstalled extent names, and when one object
+/// comes back a second time one stripe further along, the chunks claimed
+/// twice are exactly those both claimants name.
+fn recovery_sweeps_match_the_expanded_pairs(
+    mgr: &StripeManager,
+    live: &[ObjectLayout],
+) -> Result<(), TestCaseError> {
+    let blobs: Vec<Vec<u8>> = live
+        .iter()
+        .map(|layout| mgr.export_object_meta(layout).expect("live layout"))
+        .collect();
+    let journaled = || blobs.iter().step_by(2);
+    // A blob's first stripe, and its first handle after it.
+    let first_of = |blob: &[u8]| u64::from_le_bytes(blob[20..28].try_into().expect("8 bytes"));
+    let mut blank = mgr.clone();
+    blank.simulate_crash();
+    let mut crashed = blank.clone();
+    for blob in journaled() {
+        crashed.install_object_meta(blob).expect("own export");
+    }
+    prop_assert!(crashed.double_allocated_chunks().is_empty());
+
+    if let Some(blob) = blobs.first() {
+        let first = first_of(blob) + 1;
+        let mut shifted = blob.clone();
+        shifted[20..28].copy_from_slice(&first.to_le_bytes());
+        shifted[28..36].copy_from_slice(&first.to_le_bytes());
+        // Installed over an extent that starts where it does, it replaces
+        // that extent; every other extent keeps its claim.
+        let (mut others, mut alone, mut both) = (blank.clone(), blank.clone(), crashed.clone());
+        for blob in journaled().filter(|blob| first_of(blob) != first) {
+            others.install_object_meta(blob).expect("own export");
+        }
+        alone
+            .install_object_meta(&shifted)
+            .expect("a legal placement");
+        both.install_object_meta(&shifted)
+            .expect("a legal placement");
+        let claimed: BTreeSet<_> = others.referenced_chunks().into_iter().collect();
+        let mut twice = alone.referenced_chunks();
+        twice.retain(|pair| claimed.contains(pair));
+        prop_assert_eq!(both.double_allocated_chunks(), twice);
+    }
+
+    let referenced: BTreeSet<_> = crashed.referenced_chunks().into_iter().collect();
+    let mut kept = present_chunks(&crashed);
+    let present = kept.len();
+    kept.retain(|pair| referenced.contains(pair));
+    prop_assert_eq!(crashed.remove_unreferenced_chunks(), present - kept.len());
+    prop_assert_eq!(present_chunks(&crashed), kept);
+    Ok(())
 }
 
 /// One step of the differential workload.
@@ -366,8 +438,9 @@ proptest! {
 
     /// Whatever happens — stores, removals, failures, spares, rebuilds,
     /// overwrites — the manager's byte accounting never goes negative,
-    /// its status reports never panic, simulated time never rewinds, and
-    /// removing everything at the end returns the accounting to zero.
+    /// its status reports never panic, simulated time never rewinds, a
+    /// crash at any step is swept as the expanded pairs say, and removing
+    /// everything at the end returns the accounting to zero.
     #[test]
     fn random_ops_preserve_invariants(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut mgr = StripeManager::new(test_array(5), ByteSize::from_kib(16));
@@ -467,6 +540,7 @@ proptest! {
                 // Status must be computable for every live object.
                 prop_assert!(mgr.object_status(layout).is_ok());
             }
+            recovery_sweeps_match_the_expanded_pairs(&mgr, &live)?;
         }
 
         // Drain: all accounting returns to zero.

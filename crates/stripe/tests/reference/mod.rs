@@ -5,7 +5,10 @@
 //! accessors the test does not call dropped) as the reference
 //! `prop_stripe.rs` holds the extent path to: same clock, same device
 //! counters, same chunks referenced, same errors. Its layout blob is the
-//! per-chunk one (a row per chunk) the extent path no longer writes.
+//! per-chunk one (a row per chunk) the extent path no longer writes. It
+//! writes and frees chunk by chunk, so its devices never form a run: what
+//! the comparison holds the devices' run tables to is their per-chunk
+//! tables.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -181,7 +184,6 @@ pub struct StripeManager {
     array: FlashArray,
     chunk_size: ByteSize,
     placement: PlacementPolicy,
-    next_handle: u64,
     next_stripe: u64,
     stripes: FastMap<StripeId, StripeMeta>,
     usage: SpaceUsage,
@@ -210,7 +212,6 @@ impl StripeManager {
             array,
             chunk_size,
             placement,
-            next_handle: 0,
             next_stripe: 0,
             stripes: FastMap::default(),
             usage: SpaceUsage::default(),
@@ -272,10 +273,10 @@ impl StripeManager {
         self.array.replace_device(id);
     }
 
+    /// A chunk's handle is the id of its stripe, the one being assembled
+    /// (the one change since the freeze: it used to count chunks).
     fn alloc_handle(&mut self) -> ChunkHandle {
-        let h = ChunkHandle::new(self.next_handle);
-        self.next_handle += 1;
-        h
+        ChunkHandle::new(self.next_stripe - 1)
     }
 
     fn chunk_lengths(&self, size: ByteSize) -> Vec<ByteSize> {
@@ -917,7 +918,6 @@ impl StripeManager {
             }
             for c in &meta.chunks {
                 self.charge_usage(c, true);
-                self.next_handle = self.next_handle.max(c.handle.as_u64() + 1);
                 self.array.device_mut(c.device).note_referenced(c.handle);
             }
             self.next_stripe = self.next_stripe.max(sid.as_u64() + 1);
@@ -958,7 +958,6 @@ impl StripeManager {
     pub fn simulate_crash(&mut self) {
         self.stripes.clear();
         self.usage = SpaceUsage::default();
-        self.next_handle = 0;
         self.next_stripe = 0;
     }
 }
