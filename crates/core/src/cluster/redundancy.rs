@@ -269,7 +269,8 @@ impl ClusterSystem {
     }
 
     /// The `benchmark/` workspace is frozen outside benchmark PRs and
-    /// still builds its clusters through this name (ROADMAP item 2).
+    /// still builds its clusters through this name (until ROADMAP's
+    /// single-perf-harness item).
     #[doc(hidden)]
     pub fn with_replication_policy(self, policy: Redundancy) -> Self {
         self.with_redundancy(policy)

@@ -262,7 +262,7 @@ impl ClusterSystem {
     /// latency is request-weighted and the p99 is the max over nodes — a
     /// kept upper bound: per-node histograms *can* be merged exactly
     /// ([`reo_sim::Histogram::merge`]), and doing so moves every cluster
-    /// artifact, so it lands alone (ROADMAP item 6(d)).
+    /// artifact, so it lands alone (ROADMAP, "exact cluster p99").
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut agg = MetricsSnapshot::default();
         let mut weighted_mean_nanos = 0u128;

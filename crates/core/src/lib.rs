@@ -62,8 +62,9 @@ pub use cluster::{
     ClusterHealth, ClusterRunResult, ClusterSystem, FlashOverheadReport, Redundancy,
     RedundancySnapshot, TargetState,
 };
-// Compat names for the frozen `benchmark/` workspace (ROADMAP item 2
-// deletes them with `ClusterSystem::with_{replication,parity}_policy`).
+// Compat names for the frozen `benchmark/` workspace (ROADMAP's
+// single-perf-harness item deletes them with
+// `ClusterSystem::with_{replication,parity}_policy`).
 #[doc(hidden)]
 pub type ReplicationPolicy = Redundancy;
 #[doc(hidden)]

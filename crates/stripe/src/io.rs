@@ -1,0 +1,571 @@
+//! Stripe I/O: what reading, writing, degraded-reading and overwriting a
+//! stripe issue to the devices, on the timeline of one operation.
+
+use std::collections::HashMap;
+
+use bytes::Bytes;
+use reo_erasure::{CodecError, ReedSolomon};
+use reo_flashsim::{DeviceId, FlashArray, FlashError, StoredChunk};
+use reo_sim::{ByteSize, SimDuration, SimTime};
+
+use crate::extent::{PlacedExtent, Stripe, StripeChunk};
+use crate::manager::{ParityUpdate, StripeError};
+use crate::scheme::RedundancyScheme;
+
+/// Cache of constructed codecs keyed by `(data, parity)` geometry.
+///
+/// Building a codec inverts a Vandermonde block and precomputes all
+/// per-coefficient multiply kernels — far too expensive to repeat per
+/// stripe operation, and an array only ever uses a handful of geometries.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CodecCache(HashMap<(usize, usize), ReedSolomon>);
+
+impl CodecCache {
+    pub(crate) fn get(&mut self, m: usize, k: usize) -> Result<&ReedSolomon, CodecError> {
+        use std::collections::hash_map::Entry;
+        match self.0.entry((m, k)) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => Ok(e.insert(ReedSolomon::new(m, k)?)),
+        }
+    }
+}
+
+/// Reusable encode buffers for stripes that hold real payloads. Stripe
+/// operations clear and refill these, leaving capacity behind for the next
+/// request, so encoding allocates nothing once capacities reach steady
+/// state. Size-only (synthetic) stripes carry no bytes and never touch
+/// them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct StripeScratch {
+    /// Padded data shards fed to the encoder (also old/new chunk images on
+    /// the delta path).
+    pub(crate) shards: Vec<Vec<u8>>,
+    /// Encoded parity rows.
+    pub(crate) parity: Vec<Vec<u8>>,
+}
+
+/// Sizes `pool` to exactly `count` buffers of `len` zero bytes, reusing
+/// whatever capacity previous requests left behind.
+fn reset_buffers(pool: &mut Vec<Vec<u8>>, count: usize, len: usize) {
+    pool.resize_with(count, Vec::new);
+    for b in pool.iter_mut() {
+        b.clear();
+        b.resize(len, 0);
+    }
+}
+
+/// Size-only reads one operation has issued to one device and not yet
+/// charged: `count` chunks of `len` bytes, back to back.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ReadRun {
+    len: ByteSize,
+    count: u64,
+}
+
+/// The mutable halves of a [`crate::StripeManager`] that stripe I/O needs,
+/// plus the timeline of the operation in flight: every chunk operation is
+/// issued at `now`, and the operation completes with the `latest` of them.
+///
+/// A size-only read on a device that vouches for its chunks
+/// ([`reo_flashsim::FlashDevice::serves_read_runs`]) is only counted into
+/// that device's [`ReadRun`]; the run is charged in closed form when a
+/// chunk of another length joins it, before any per-chunk operation on
+/// the device, and in [`StripeIo::finish`] — so each device sees its
+/// operations in the order they were issued.
+pub(crate) struct StripeIo<'a> {
+    pub(crate) array: &'a mut FlashArray,
+    pub(crate) transient_retries: &'a mut u64,
+    pub(crate) codecs: &'a mut CodecCache,
+    pub(crate) scratch: &'a mut StripeScratch,
+    pub(crate) read_runs: &'a mut [ReadRun],
+    pub(crate) now: SimTime,
+    pub(crate) latest: SimTime,
+}
+
+/// Retries per chunk read before a transient timeout is escalated.
+const TRANSIENT_RETRY_LIMIT: u32 = 3;
+/// Backoff before the first retry; doubles on each subsequent one.
+const TRANSIENT_BACKOFF: SimDuration = SimDuration::from_micros(500);
+
+impl StripeIo<'_> {
+    pub(crate) fn completes(&mut self, done: SimTime) {
+        self.latest = self.latest.max(done);
+    }
+
+    /// Charges the reads gathered for `device`, if any.
+    pub(crate) fn flush_reads(&mut self, device: DeviceId) {
+        let run = &mut self.read_runs[device.0];
+        if run.count > 0 {
+            let done = self
+                .array
+                .device_mut(device)
+                .read_run(run.count, run.len, self.now);
+            run.count = 0;
+            self.completes(done);
+        }
+    }
+
+    /// Charges every gathered read and returns the instant the operation
+    /// completes. Runs on the error path too: a failed operation leaves
+    /// the devices exactly as its chunk operations, issued one by one up
+    /// to the failure, would.
+    pub(crate) fn finish(mut self) -> SimTime {
+        for device in 0..self.read_runs.len() {
+            self.flush_reads(DeviceId(device));
+        }
+        self.latest
+    }
+
+    /// Reads a chunk of a size-only stripe: counted into its device's run
+    /// while the device vouches for its chunks, else a per-chunk read.
+    fn read_sized(&mut self, c: &StripeChunk) -> Result<(), FlashError> {
+        let device = self.array.device(c.device);
+        if !device.serves_read_runs() {
+            return self.read_chunk(c).map(drop);
+        }
+        debug_assert!(
+            device.holds_size_only(c.handle, c.len),
+            "{} does not hold {} as {} size-only bytes",
+            c.device,
+            c.handle,
+            c.len
+        );
+        if self.read_runs[c.device.0].len != c.len {
+            self.flush_reads(c.device);
+            self.read_runs[c.device.0].len = c.len;
+        }
+        self.read_runs[c.device.0].count += 1;
+        Ok(())
+    }
+
+    /// Reads a chunk through the device's per-chunk path, absorbing
+    /// transient timeouts: waits out a doubling backoff and retries up to
+    /// [`TRANSIENT_RETRY_LIMIT`] times before letting the error escalate.
+    /// The backoff is charged to the operation's timeline (the retried read
+    /// starts later), so transient faults surface as latency, not data
+    /// loss.
+    fn read_chunk(&mut self, c: &StripeChunk) -> Result<StoredChunk, FlashError> {
+        self.flush_reads(c.device);
+        let mut at = self.now;
+        let mut backoff = TRANSIENT_BACKOFF;
+        let mut attempts = 0;
+        loop {
+            match self.array.device_mut(c.device).read_chunk(c.handle, at) {
+                Err(FlashError::TransientTimeout { .. }) if attempts < TRANSIENT_RETRY_LIMIT => {
+                    attempts += 1;
+                    *self.transient_retries += 1;
+                    at += backoff;
+                    backoff = backoff * 2;
+                }
+                other => {
+                    let (chunk, done) = other?;
+                    self.completes(done);
+                    return Ok(chunk);
+                }
+            }
+        }
+    }
+
+    /// Reads a chunk of a stripe: its contents when the stripe is `real`.
+    pub(crate) fn read(
+        &mut self,
+        real: bool,
+        c: &StripeChunk,
+    ) -> Result<Option<StoredChunk>, FlashError> {
+        if real {
+            self.read_chunk(c).map(Some)
+        } else {
+            self.read_sized(c).map(|()| None)
+        }
+    }
+
+    pub(crate) fn write_chunk(
+        &mut self,
+        c: &StripeChunk,
+        stored: StoredChunk,
+    ) -> Result<(), FlashError> {
+        self.flush_reads(c.device);
+        let done = self
+            .array
+            .device_mut(c.device)
+            .write_chunk(c.handle, stored, self.now)?;
+        self.completes(done);
+        Ok(())
+    }
+
+    /// Writes every chunk of a fresh extent one by one in extent order,
+    /// encoding parity from `payload` when there is one. `written` counts
+    /// the chunks on flash, for the caller's rollback.
+    pub(crate) fn write_extent(
+        &mut self,
+        extent: &PlacedExtent,
+        payload: Option<&[u8]>,
+        written: &mut usize,
+    ) -> Result<(), StripeError> {
+        let image = |c: &StripeChunk, bytes: Option<&[u8]>| match bytes {
+            Some(b) => StoredChunk::real(Bytes::copy_from_slice(&b[..c.len.as_bytes() as usize])),
+            None => StoredChunk::synthetic(c.len),
+        };
+        // Where the next data chunk's bytes start in the payload.
+        let mut at = 0;
+        for stripe in extent.stripes() {
+            let stripe_bytes = payload.map(|p| &p[at..]);
+            for c in stripe.data() {
+                self.write_chunk(&c, image(&c, payload.map(|p| &p[at..])))?;
+                *written += 1;
+                at += c.len.as_bytes() as usize;
+            }
+            if let (Some(bytes), RedundancyScheme::Parity(1..=u8::MAX)) =
+                (stripe_bytes, stripe.scheme)
+            {
+                let k = stripe.redundancy_on.len();
+                // Pad each data chunk to the shard length in the scratch
+                // pool and encode into reusable parity buffers. The codec
+                // wants exactly m data shards; rows past the stripe's real
+                // chunks stay zero (phantom tail shards).
+                let plen = stripe.shard_len().as_bytes() as usize;
+                reset_buffers(&mut self.scratch.shards, stripe.encode_m, plen);
+                self.scratch.parity.resize_with(k, Vec::new);
+                let mut rest = bytes;
+                for (shard, c) in self.scratch.shards.iter_mut().zip(stripe.data()) {
+                    let (piece, tail) = rest.split_at(c.len.as_bytes() as usize);
+                    shard[..piece.len()].copy_from_slice(piece);
+                    rest = tail;
+                }
+                let rs = self.codecs.get(stripe.encode_m, k)?;
+                rs.encode_into(&self.scratch.shards, &mut self.scratch.parity)?;
+            }
+            for (p, c) in stripe.redundancy().enumerate() {
+                let stored = match stripe_bytes {
+                    // A replica copies the stripe's one data chunk.
+                    Some(bytes) if stripe.scheme.is_replication() => image(&c, Some(bytes)),
+                    Some(_) => StoredChunk::real(Bytes::copy_from_slice(&self.scratch.parity[p])),
+                    None => image(&c, None),
+                };
+                self.write_chunk(&c, stored)?;
+                *written += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads every stripe of an extent, degraded ones by reconstruction.
+    /// Returns the assembled bytes of a real extent and whether any stripe
+    /// was degraded.
+    pub(crate) fn read_extent(
+        &mut self,
+        extent: &PlacedExtent,
+    ) -> Result<(Option<Vec<u8>>, bool), StripeError> {
+        let mut degraded = false;
+        // Bytes of the stripes that yielded any; `None` until one does.
+        let mut assembled: Option<Vec<u8>> = None;
+        // No device anywhere holds a chunk awaiting rebuild: no stripe
+        // needs a health probe.
+        let array_intact = self.array.all_chunks_intact();
+        for stripe in extent.stripes() {
+            let health = if array_intact {
+                debug_assert!(stripe.chunks().all(|c| chunk_intact_on(self.array, &c)));
+                StripeHealth::Intact
+            } else {
+                stripe_health_on(self.array, &stripe)
+            };
+            match health {
+                StripeHealth::Lost(lost) => return Err(stripe.object_lost(lost)),
+                StripeHealth::Intact => self.read_stripe_data(&stripe, &mut assembled)?,
+                StripeHealth::Degraded(_) => {
+                    degraded = true;
+                    self.degraded_read_stripe(&stripe, &mut assembled)?;
+                }
+            }
+        }
+        Ok((assembled, degraded))
+    }
+
+    /// Reads the data chunks (or the primary replica) of an intact stripe,
+    /// appending their bytes to `assembled` if all of them carry bytes.
+    fn read_stripe_data(
+        &mut self,
+        stripe: &Stripe<'_>,
+        assembled: &mut Option<Vec<u8>>,
+    ) -> Result<(), StripeError> {
+        if !stripe.real {
+            for c in stripe.data() {
+                self.read_sized(&c)?;
+            }
+            return Ok(());
+        }
+        let mut bytes = Vec::new();
+        let mut whole = true;
+        for c in stripe.data() {
+            // A chunk overwritten size-only inside a real stripe has no
+            // bytes, and then the stripe yields none.
+            match self.read_chunk(&c)?.payload().as_bytes() {
+                Some(b) => bytes.extend_from_slice(b),
+                None => whole = false,
+            }
+        }
+        if whole {
+            assembled.get_or_insert_with(Vec::new).append(&mut bytes);
+        }
+        Ok(())
+    }
+
+    /// Degraded read: read enough surviving chunks to reconstruct the
+    /// stripe's data, decode if payloads are real.
+    fn degraded_read_stripe(
+        &mut self,
+        stripe: &Stripe<'_>,
+        assembled: &mut Option<Vec<u8>>,
+    ) -> Result<(), StripeError> {
+        if stripe.scheme.is_replication() {
+            // Any surviving replica serves the read.
+            let replica = stripe
+                .chunks()
+                .find(|c| chunk_intact_on(self.array, c))
+                .expect("degraded (not lost) stripe has a survivor");
+            if let Some(chunk) = self.read(stripe.real, &replica)? {
+                if let Some(b) = chunk.payload().as_bytes() {
+                    assembled.get_or_insert_with(Vec::new).extend_from_slice(b);
+                }
+            }
+            return Ok(());
+        }
+
+        let shards = self.reconstruct(stripe, |_, _| {})?;
+        if stripe.real {
+            // Assemble data bytes in order, trimming to recorded lengths.
+            let out = assembled.get_or_insert_with(Vec::new);
+            for (shard, c) in shards.iter().zip(stripe.data()) {
+                let shard = shard.as_ref().expect("reconstructed");
+                out.extend_from_slice(&shard[..c.len.as_bytes() as usize]);
+            }
+        }
+        Ok(())
+    }
+
+    /// What degraded read and rebuild share on a degraded parity stripe:
+    /// walks the chunks in codec order, reads the first `m` survivors (a
+    /// short stripe's phantom zero shards count as read) and reconstructs
+    /// the rest. Returns every shard of a real stripe; a size-only stripe
+    /// carries no bytes: it is charged the same chunk reads and builds
+    /// nothing. `before_read` runs ahead of each read with the device about
+    /// to be read — where a rebuild makes the writes it has gathered there.
+    pub(crate) fn reconstruct(
+        &mut self,
+        stripe: &Stripe<'_>,
+        mut before_read: impl FnMut(&mut Self, DeviceId),
+    ) -> Result<Vec<Option<Vec<u8>>>, StripeError> {
+        let (codec_m, parity_count) = (stripe.encode_m, stripe.redundancy_on.len());
+        let parity_len = stripe.shard_len().as_bytes() as usize;
+        // The shard slots of a real stripe: every real shard missing until
+        // read, the phantom zero shards of a short one always present.
+        let mut shards = Vec::new();
+        if stripe.real {
+            shards.resize(codec_m + parity_count, None);
+            shards[stripe.data_on.len()..codec_m].fill(Some(vec![0u8; parity_len]));
+        }
+        let mut to_read = stripe.data_on.len();
+        for (idx, c) in stripe.codec_order() {
+            if to_read == 0 {
+                break;
+            }
+            if !chunk_intact_on(self.array, &c) {
+                continue;
+            }
+            to_read -= 1;
+            before_read(self, c.device);
+            if let Some(chunk) = self.read(stripe.real, &c)? {
+                // Zero-padded to the shard length; a chunk overwritten
+                // size-only inside a real stripe reads as zeros.
+                let mut shard = chunk
+                    .payload()
+                    .as_bytes()
+                    .map_or(Vec::new(), |b| b.to_vec());
+                shard.resize(parity_len, 0);
+                shards[idx] = Some(shard);
+            }
+        }
+        if stripe.real {
+            let rs = self.codecs.get(codec_m, parity_count)?;
+            rs.reconstruct(&mut shards)?;
+        }
+        Ok(shards)
+    }
+
+    /// Overwrites the `local_j`-th data chunk of an intact stripe.
+    pub(crate) fn overwrite(
+        &mut self,
+        stripe: &Stripe<'_>,
+        local_j: usize,
+        new_payload: Option<&[u8]>,
+    ) -> Result<ParityUpdate, StripeError> {
+        // Overwrites need the stripe intact: reconstructing *and*
+        // updating in one step is the rebuild path's job.
+        if let StripeHealth::Degraded(lost) | StripeHealth::Lost(lost) =
+            stripe_health_on(self.array, stripe)
+        {
+            return Err(stripe.object_lost(lost));
+        }
+        let target = &stripe.data_chunk(local_j);
+        if let Some(p) = new_payload {
+            if p.len() as u64 != target.len.as_bytes() {
+                return Err(StripeError::PayloadSizeMismatch {
+                    declared: target.len.as_bytes(),
+                    payload: p.len() as u64,
+                });
+            }
+        }
+        let image = |c: &StripeChunk| match new_payload {
+            Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
+            None => StoredChunk::synthetic(c.len),
+        };
+        match stripe.scheme {
+            RedundancyScheme::Replication => {
+                // Rewrite every replica with the new contents.
+                for c in stripe.chunks() {
+                    self.write_chunk(&c, image(&c))?;
+                }
+                Ok(ParityUpdate::Rewrite)
+            }
+            RedundancyScheme::Parity(0) => {
+                self.write_chunk(target, image(target))?;
+                Ok(ParityUpdate::Rewrite)
+            }
+            RedundancyScheme::Parity(_) => self.overwrite_with_parity(stripe, local_j, new_payload),
+        }
+    }
+
+    /// The parity-maintaining overwrite: picks delta vs direct by read
+    /// count, reads what it needs, recomputes parity, writes back.
+    ///
+    /// On real-payload stripes all encode inputs and outputs live in the
+    /// manager's scratch pool, whose capacity carries over between calls;
+    /// the `Bytes` of each chunk written are still allocated. Size-only
+    /// stripes are charged the same reads and writes and touch no buffer.
+    fn overwrite_with_parity(
+        &mut self,
+        stripe: &Stripe<'_>,
+        local_j: usize,
+        new_payload: Option<&[u8]>,
+    ) -> Result<ParityUpdate, StripeError> {
+        let target = &stripe.data_chunk(local_j);
+        let k = stripe.redundancy_on.len();
+        let m_actual = stripe.data_on.len();
+        let plen = stripe.shard_len().as_bytes() as usize;
+        let real = stripe.real;
+
+        // Section II-B's rule: the method with the fewest chunk reads.
+        let delta_reads = 1 + k;
+        let direct_reads = m_actual.saturating_sub(1);
+        let use_delta = delta_reads <= direct_reads;
+
+        if use_delta {
+            // Read the old chunk and all parity chunks, padding each into
+            // scratch; patch parity in place with the fused delta kernel.
+            // scratch.shards[0] holds the old image, [1] the new one.
+            if real {
+                reset_buffers(&mut self.scratch.shards, 2, plen);
+                reset_buffers(&mut self.scratch.parity, k, plen);
+            }
+            if let Some(old_chunk) = self.read(real, target)? {
+                let b = old_chunk.payload().as_bytes().expect("real stripe");
+                self.scratch.shards[0][..b.len()].copy_from_slice(b);
+                let new = new_payload.expect("real stripes get real payloads");
+                self.scratch.shards[1][..new.len()].copy_from_slice(new);
+            }
+            for (p, c) in stripe.redundancy().enumerate() {
+                if let Some(chunk) = self.read(real, &c)? {
+                    let b = chunk.payload().as_bytes().expect("real stripe");
+                    self.scratch.parity[p][..b.len()].copy_from_slice(b);
+                }
+            }
+            if real {
+                let rs = self.codecs.get(stripe.encode_m, k)?;
+                let (old, new) = (&self.scratch.shards[0], &self.scratch.shards[1]);
+                reo_erasure::delta::apply_delta_update(
+                    rs,
+                    local_j,
+                    old,
+                    new,
+                    &mut self.scratch.parity,
+                )?;
+            }
+        } else {
+            // Read the sibling data chunks and re-encode from scratch.
+            // Rows past `m_actual` stay zero — the phantom shards of a
+            // short stripe.
+            if real {
+                reset_buffers(&mut self.scratch.shards, stripe.encode_m, plen);
+                self.scratch.parity.resize_with(k, Vec::new);
+            }
+            for (j, c) in stripe.data().enumerate() {
+                if j == local_j {
+                    if let (true, Some(p)) = (real, new_payload) {
+                        self.scratch.shards[j][..p.len()].copy_from_slice(p);
+                    }
+                    continue;
+                }
+                if let Some(chunk) = self.read(real, &c)? {
+                    if let Some(b) = chunk.payload().as_bytes() {
+                        self.scratch.shards[j][..b.len()].copy_from_slice(b);
+                    }
+                }
+            }
+            if real {
+                let rs = self.codecs.get(stripe.encode_m, k)?;
+                rs.encode_into(&self.scratch.shards, &mut self.scratch.parity)?;
+            }
+        }
+
+        // Write the new data chunk and the refreshed parity chunks.
+        let stored = match new_payload {
+            Some(p) => StoredChunk::real(Bytes::copy_from_slice(p)),
+            None => StoredChunk::synthetic(target.len),
+        };
+        self.write_chunk(target, stored)?;
+        for (p, c) in stripe.redundancy().enumerate() {
+            let stored = if real {
+                StoredChunk::real(Bytes::copy_from_slice(&self.scratch.parity[p]))
+            } else {
+                StoredChunk::synthetic(c.len)
+            };
+            self.write_chunk(&c, stored)?;
+        }
+
+        Ok(if use_delta {
+            ParityUpdate::Delta
+        } else {
+            ParityUpdate::Direct
+        })
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StripeHealth {
+    Intact,
+    Degraded(usize),
+    Lost(usize),
+}
+
+pub(crate) fn chunk_intact_on(array: &FlashArray, c: &StripeChunk) -> bool {
+    // Only a device with something awaiting rebuild needs the probe: a
+    // healthy one with nothing awaiting it vouches for every chunk placed
+    // on it (debug builds probe behind the shortcut all the same).
+    let device = array.device(c.device);
+    let vouched = device.all_chunks_intact();
+    debug_assert!(!vouched || device.chunk_is_intact(c.handle));
+    vouched || device.chunk_is_intact(c.handle)
+}
+
+pub(crate) fn stripe_health_on(array: &FlashArray, stripe: &Stripe<'_>) -> StripeHealth {
+    let lost = stripe
+        .chunks()
+        .filter(|c| !chunk_intact_on(array, c))
+        .count();
+    match lost {
+        0 => StripeHealth::Intact,
+        // Under replication: recoverable while any replica survives.
+        _ if lost <= stripe.tolerated() => StripeHealth::Degraded(lost),
+        _ => StripeHealth::Lost(lost),
+    }
+}

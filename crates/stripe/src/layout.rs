@@ -64,6 +64,9 @@ pub struct StripeLayout {
     scheme: RedundancyScheme,
     devices: usize,
     placement: PlacementPolicy,
+    /// How far the stripe's chunks are rotated along the devices: `s mod n`
+    /// round-robin, nothing under the fixed policy.
+    rotation: usize,
 }
 
 impl StripeLayout {
@@ -90,12 +93,53 @@ impl StripeLayout {
     ) -> Self {
         // Validate geometry eagerly.
         let _ = scheme.data_chunks_per_stripe(devices);
+        let rotation = match placement {
+            PlacementPolicy::RoundRobin => (stripe_index % devices as u64) as usize,
+            PlacementPolicy::Fixed => 0,
+        };
         StripeLayout {
             stripe_index,
             scheme,
             devices,
             placement,
+            rotation,
         }
+    }
+
+    /// The layout of the stripe numbered one higher: the rotation steps on
+    /// by one device and wraps, so walking an object's consecutive stripes
+    /// divides once.
+    pub(crate) fn next(self) -> Self {
+        let rotation = match self.placement {
+            PlacementPolicy::RoundRobin => self.wrapped(self.rotation + 1),
+            PlacementPolicy::Fixed => 0,
+        };
+        StripeLayout {
+            stripe_index: self.stripe_index + 1,
+            rotation,
+            ..self
+        }
+    }
+
+    /// `rank`, which is below `2 * devices`, wrapped onto the array.
+    fn wrapped(&self, rank: usize) -> usize {
+        if rank < self.devices {
+            rank
+        } else {
+            rank - self.devices
+        }
+    }
+
+    /// The positions along the array of the stripe's first data chunk and
+    /// of its first parity chunk (or extra replica). The `j`-th chunk of
+    /// either kind is `j` devices further on, wrapping at the end of the
+    /// array: whoever walks a stripe's chunks takes these once and steps.
+    pub(crate) fn first_ranks(&self) -> (usize, usize) {
+        let (data, redundancy) = match self.scheme {
+            RedundancyScheme::Parity(k) => (self.rotation + k as usize, self.rotation),
+            RedundancyScheme::Replication => (self.rotation, self.rotation + 1),
+        };
+        (self.wrapped(data), self.wrapped(redundancy))
     }
 
     /// The scheme this layout was built with.
@@ -113,13 +157,6 @@ impl StripeLayout {
         self.scheme.parity_chunks(self.devices)
     }
 
-    fn rotation(&self) -> usize {
-        match self.placement {
-            PlacementPolicy::RoundRobin => (self.stripe_index % self.devices as u64) as usize,
-            PlacementPolicy::Fixed => 0,
-        }
-    }
-
     /// Device holding the `j`-th data chunk.
     ///
     /// # Panics
@@ -127,12 +164,7 @@ impl StripeLayout {
     /// Panics if `j` is out of range for the scheme.
     pub fn data_device(&self, j: usize) -> DeviceId {
         assert!(j < self.data_slots(), "data slot {j} out of range");
-        match self.scheme {
-            RedundancyScheme::Parity(k) => {
-                DeviceId((self.rotation() + k as usize + j) % self.devices)
-            }
-            RedundancyScheme::Replication => DeviceId(self.rotation()),
-        }
+        DeviceId(self.wrapped(self.first_ranks().0 + j))
     }
 
     /// Device holding the `p`-th parity chunk (or `r`-th extra replica for
@@ -143,10 +175,7 @@ impl StripeLayout {
     /// Panics if `p` is out of range for the scheme.
     pub fn parity_device(&self, p: usize) -> DeviceId {
         assert!(p < self.redundancy_slots(), "parity slot {p} out of range");
-        match self.scheme {
-            RedundancyScheme::Parity(_) => DeviceId((self.rotation() + p) % self.devices),
-            RedundancyScheme::Replication => DeviceId((self.rotation() + 1 + p) % self.devices),
-        }
+        DeviceId(self.wrapped(self.first_ranks().1 + p))
     }
 
     /// Every `(role, device)` pair of the stripe, data chunks first.

@@ -37,13 +37,20 @@
 //! # Ok::<(), reo_stripe::StripeError>(())
 //! ```
 
+mod extent;
+mod io;
 mod layout;
 mod manager;
+mod rebuild;
+mod recovery;
 mod scheme;
 
+pub use extent::{ObjectLayout, StripeId};
 pub use layout::{ChunkRole, PlacementPolicy, StripeLayout};
 pub use manager::{
-    ObjectLayout, ObjectStatus, ParityUpdate, ReadOutcome, SpaceUsage, StripeError, StripeId,
-    StripeManager,
+    ObjectStatus, ParityUpdate, ReadOutcome, SpaceUsage, StripeError, StripeManager,
 };
 pub use scheme::RedundancyScheme;
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,376 @@
+//! Degraded reads and overwrites: bytes, strategies and pinned timing.
+
+use reo_flashsim::{DeviceId, FaultPlan};
+use reo_sim::{ByteSize, SimTime};
+
+use super::{mgr, payload, test_array};
+use crate::{ObjectStatus, ParityUpdate, RedundancyScheme, StripeError, StripeManager};
+
+#[test]
+fn degraded_read_reconstructs_real_bytes() {
+    let mut m = mgr(5);
+    let data = payload(20_000);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(20_000),
+            RedundancyScheme::parity(2),
+            Some(&data),
+        )
+        .unwrap();
+    // Fail two devices: 2-parity must still serve every byte.
+    m.fail_device(DeviceId(0));
+    m.fail_device(DeviceId(3));
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Degraded);
+    let out = m.read_object(&layout).unwrap();
+    assert!(out.degraded);
+    assert_eq!(out.bytes.as_deref(), Some(&data[..]));
+}
+
+#[test]
+fn degraded_read_costs_more_time_than_intact() {
+    // Compare two identical managers; one suffers a failure.
+    let data = payload(64 * 1024);
+    let mk = || {
+        let mut m = StripeManager::new(test_array(5, 64), ByteSize::from_kib(16));
+        let l = m
+            .store_object(
+                1,
+                ByteSize::from_bytes(data.len() as u64),
+                RedundancyScheme::parity(2),
+                Some(&data),
+            )
+            .unwrap();
+        (m, l)
+    };
+    let (mut intact, l1) = mk();
+    let t0 = intact.array().clock().now();
+    intact.read_object(&l1).unwrap();
+    let intact_cost = intact.array().clock().now().saturating_since(t0);
+
+    let (mut broken, l2) = mk();
+    broken.fail_device(DeviceId(1));
+    let t0 = broken.array().clock().now();
+    let out = broken.read_object(&l2).unwrap();
+    assert!(out.degraded);
+    let degraded_cost = broken.array().clock().now().saturating_since(t0);
+    assert!(
+        degraded_cost >= intact_cost,
+        "degraded {degraded_cost} < intact {intact_cost}"
+    );
+}
+
+/// A 4+2 stripe set driven through overwrite, one- and two-device
+/// degraded reads, and rebuild, under armed transient faults. Returns
+/// the completion instants in call order.
+fn degraded_scenario(m: &mut StripeManager, real: bool) -> Vec<u64> {
+    // Two full stripes and a short one (2 of 4 data chunks), then a
+    // one-stripe object.
+    let (a_len, b_len) = (4096 * 10, 4096 * 3 + 100);
+    let (a_data, b_data) = (payload(a_len), payload(b_len));
+    let mut a_now = a_data.clone();
+    let store = |m: &mut StripeManager, owner, data: &Vec<u8>| {
+        m.store_object(
+            owner,
+            ByteSize::from_bytes(data.len() as u64),
+            RedundancyScheme::parity(2),
+            real.then_some(&data[..]),
+        )
+        .unwrap()
+    };
+    let a = store(m, 1, &a_data);
+    let b = store(m, 2, &b_data);
+    let mut plan = FaultPlan::new(7);
+    m.arm_transient_faults(&mut plan, 0.2);
+
+    let mut times = Vec::new();
+    // Delta update on a full stripe, direct re-encode on the short one.
+    let patch: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+    for (ci, method) in [(1, ParityUpdate::Delta), (9, ParityUpdate::Direct)] {
+        let (used, done) = m
+            .overwrite_chunk(&a, ci, real.then_some(&patch[..]))
+            .unwrap();
+        assert_eq!(used, method);
+        a_now[ci as usize * 4096..][..4096].copy_from_slice(&patch);
+        times.push(done.as_nanos());
+    }
+    let read = |m: &mut StripeManager, layout, degraded, expect: &Vec<u8>| {
+        let out = m.read_object(layout).unwrap();
+        assert_eq!(out.degraded, degraded);
+        assert_eq!(out.bytes.is_some(), real);
+        if let Some(bytes) = out.bytes {
+            assert_eq!(&bytes, expect, "reconstructed bytes differ");
+        }
+        out.completed_at.as_nanos()
+    };
+    m.fail_device(DeviceId(0));
+    times.push(read(m, &a, true, &a_now));
+    m.fail_device(DeviceId(3));
+    times.push(read(m, &a, true, &a_now));
+    times.push(read(m, &b, true, &b_data));
+    m.replace_device(DeviceId(0));
+    m.replace_device(DeviceId(3));
+    times.push(m.rebuild_object(&a).unwrap().as_nanos());
+    times.push(m.rebuild_object(&b).unwrap().as_nanos());
+    times.push(read(m, &a, false, &a_now));
+    times.push(read(m, &b, false, &b_data));
+    times
+}
+
+#[test]
+fn size_only_degraded_paths_keep_their_timing_and_build_no_buffers() {
+    let mut m = mgr(6);
+    let times = degraded_scenario(&mut m, false);
+    let stats: Vec<_> = (0..6)
+        .map(|d| {
+            let s = m.array().device(DeviceId(d)).stats();
+            (
+                s.reads,
+                s.writes,
+                s.queued_nanos,
+                s.busy_nanos,
+                s.transient_timeouts,
+            )
+        })
+        .collect();
+    // Pinned from the code before size-only chunks stopped building
+    // buffers: the simulated clock and the device counters cannot move.
+    assert_eq!(
+        times,
+        [
+            1_645_774, 1_853_403, 3_568_661, 5_391_548, 5_999_177, 6_714_435, 8_314_621, 8_637_508,
+            8_745_137
+        ]
+    );
+    assert_eq!(
+        stats,
+        [
+            (2, 3, 207_629, 838_145, 0),
+            (9, 4, 1_030_516, 1_799_177, 2),
+            (9, 5, 838_145, 1_977_034, 2),
+            (2, 4, 730_516, 1_045_774, 0),
+            (15, 4, 4_699_177, 2_444_951, 3),
+            (15, 5, 3_199_177, 2_652_580, 2),
+        ]
+    );
+    assert_eq!(m.transient_retries(), 11);
+    // No byte of a size-only stripe exists, so none was buffered.
+    let pooled: usize = m
+        .scratch
+        .shards
+        .iter()
+        .chain(&m.scratch.parity)
+        .map(Vec::capacity)
+        .sum();
+    assert_eq!(
+        pooled + m.scratch.shards.capacity() + m.scratch.parity.capacity(),
+        0
+    );
+}
+
+#[test]
+fn real_payload_twin_still_reconstructs_every_byte() {
+    let mut m = mgr(6);
+    degraded_scenario(&mut m, true);
+    assert!(m.scratch.shards.iter().any(|b| b.capacity() > 0));
+}
+
+#[test]
+fn overwrite_chunks_is_the_per_chunk_loop() {
+    // One stripe per chunk (replication) and multi-chunk stripes, from
+    // a mid-object start: same clock, same device counters.
+    for scheme in [RedundancyScheme::Replication, RedundancyScheme::parity(1)] {
+        let (mut looped, mut ranged) = (mgr(5), mgr(5));
+        let size = ByteSize::from_bytes(4096 * 11 + 5);
+        let a = looped.store_object(1, size, scheme, None).unwrap();
+        let b = ranged.store_object(1, size, scheme, None).unwrap();
+        let mut done = SimTime::ZERO;
+        for ci in 3..=11 {
+            (_, done) = looped.overwrite_chunk(&a, ci, None).unwrap();
+        }
+        assert_eq!(ranged.overwrite_chunks(&b, 3..=11).unwrap(), done);
+        for d in 0..5 {
+            assert_eq!(
+                looped.array().device(DeviceId(d)).stats(),
+                ranged.array().device(DeviceId(d)).stats()
+            );
+        }
+    }
+}
+
+fn seeded(len: usize, seed: u8) -> Vec<u8> {
+    (0..len)
+        .map(|i| (i as u8).wrapping_mul(7).wrapping_add(seed))
+        .collect()
+}
+
+/// Overwrite each chunk in turn and verify the object reads back with
+/// the patch applied and parity still consistent (degraded read after
+/// a failure must succeed).
+#[test]
+fn overwrite_keeps_parity_consistent_for_all_chunks() {
+    let chunk = ByteSize::from_kib(4);
+    for k in 1..=2u8 {
+        let mut m = StripeManager::new(test_array(5, 64), chunk);
+        let mut data = seeded(20_000, k);
+        let layout = m
+            .store_object(
+                1,
+                ByteSize::from_bytes(data.len() as u64),
+                RedundancyScheme::parity(k),
+                Some(&data),
+            )
+            .unwrap();
+        let chunks = (data.len() as u64).div_ceil(chunk.as_bytes());
+        for ci in 0..chunks {
+            let start = (ci * chunk.as_bytes()) as usize;
+            let end = (start + chunk.as_bytes() as usize).min(data.len());
+            let new_chunk = seeded(end - start, k.wrapping_add(ci as u8 + 1));
+            data[start..end].copy_from_slice(&new_chunk);
+            m.overwrite_chunk(&layout, ci, Some(&new_chunk)).unwrap();
+
+            // Parity must still reconstruct the patched data.
+            let direct = m.read_object(&layout).unwrap();
+            assert_eq!(direct.bytes.as_deref(), Some(&data[..]), "k={k} chunk={ci}");
+        }
+        // Now check degraded consistency: fail a device and re-read.
+        m.fail_device(DeviceId(2));
+        let degraded = m.read_object(&layout).unwrap();
+        assert_eq!(degraded.bytes.as_deref(), Some(&data[..]), "k={k} degraded");
+    }
+}
+
+#[test]
+fn strategy_follows_read_cost_rule() {
+    // 5 devices, 1 parity: m = 4 data chunks per stripe. Delta reads
+    // 1 + 1 = 2; direct reads m - 1 = 3 -> delta.
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(5, 64), chunk);
+    let data = seeded(16_384, 1);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(data.len() as u64),
+            RedundancyScheme::parity(1),
+            Some(&data),
+        )
+        .unwrap();
+    let (method, _) = m
+        .overwrite_chunk(&layout, 0, Some(&seeded(4096, 9)))
+        .unwrap();
+    assert_eq!(method, ParityUpdate::Delta);
+
+    // 3 devices, 2 parity: m = 1 data chunk. Delta reads 3; direct
+    // reads 0 -> direct.
+    let mut m3 = StripeManager::new(test_array(3, 64), chunk);
+    let data3 = seeded(4_096, 2);
+    let layout3 = m3
+        .store_object(
+            1,
+            ByteSize::from_bytes(data3.len() as u64),
+            RedundancyScheme::parity(2),
+            Some(&data3),
+        )
+        .unwrap();
+    let (method3, _) = m3
+        .overwrite_chunk(&layout3, 0, Some(&seeded(4096, 5)))
+        .unwrap();
+    assert_eq!(method3, ParityUpdate::Direct);
+}
+
+#[test]
+fn replication_overwrite_rewrites_all_replicas() {
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(4, 64), chunk);
+    let data = seeded(4_000, 3);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(data.len() as u64),
+            RedundancyScheme::Replication,
+            Some(&data),
+        )
+        .unwrap();
+    let new_data = seeded(4_000, 8);
+    let (method, _) = m.overwrite_chunk(&layout, 0, Some(&new_data)).unwrap();
+    assert_eq!(method, ParityUpdate::Rewrite);
+    // Every replica carries the new bytes: any 3 failures still serve.
+    for d in 0..3 {
+        m.fail_device(DeviceId(d));
+    }
+    let out = m.read_object(&layout).unwrap();
+    assert_eq!(out.bytes.as_deref(), Some(&new_data[..]));
+}
+
+#[test]
+fn zero_parity_overwrite_touches_one_chunk() {
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(5, 64), chunk);
+    let data = seeded(12_000, 4);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(data.len() as u64),
+            RedundancyScheme::parity(0),
+            Some(&data),
+        )
+        .unwrap();
+    let reads_before = m.array().stats().reads;
+    let (method, _) = m
+        .overwrite_chunk(&layout, 1, Some(&seeded(4096, 6)))
+        .unwrap();
+    assert_eq!(method, ParityUpdate::Rewrite);
+    assert_eq!(m.array().stats().reads, reads_before, "no reads needed");
+}
+
+#[test]
+fn overwrite_validates_inputs() {
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(5, 64), chunk);
+    let data = seeded(8_192, 5);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(data.len() as u64),
+            RedundancyScheme::parity(1),
+            Some(&data),
+        )
+        .unwrap();
+    // Wrong payload size.
+    assert!(matches!(
+        m.overwrite_chunk(&layout, 0, Some(&[1, 2, 3])),
+        Err(StripeError::PayloadSizeMismatch { .. })
+    ));
+    // Degraded stripe refuses overwrite.
+    m.fail_device(DeviceId(0));
+    let degraded_any = (0..2).any(|ci| {
+        matches!(
+            m.overwrite_chunk(&layout, ci, Some(&seeded(4096, 1))),
+            Err(StripeError::ObjectLost { .. })
+        )
+    });
+    assert!(degraded_any, "some chunk must be on the failed device");
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn overwrite_bad_index_panics() {
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(5, 64), chunk);
+    let layout = m
+        .store_object(1, ByteSize::from_kib(8), RedundancyScheme::parity(0), None)
+        .unwrap();
+    let _ = m.overwrite_chunk(&layout, 99, None);
+}
+
+#[test]
+fn synthetic_overwrite_charges_time() {
+    let chunk = ByteSize::from_kib(4);
+    let mut m = StripeManager::new(test_array(5, 64), chunk);
+    let layout = m
+        .store_object(1, ByteSize::from_kib(16), RedundancyScheme::parity(2), None)
+        .unwrap();
+    let before = m.array().clock().now();
+    let (_, done) = m.overwrite_chunk(&layout, 0, None).unwrap();
+    assert!(done > before);
+}

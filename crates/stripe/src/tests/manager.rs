@@ -1,0 +1,365 @@
+//! Stores, reads, removals and accounting on live objects.
+
+use reo_flashsim::{DeviceId, FlashError};
+use reo_sim::ByteSize;
+
+use super::{mgr, payload, test_array};
+use crate::{
+    ObjectLayout, ObjectStatus, RedundancyScheme, SpaceUsage, StripeError, StripeId, StripeManager,
+};
+
+#[test]
+fn store_and_read_real_payload() {
+    let mut m = mgr(5);
+    let data = payload(10_000); // 3 chunks of 4KiB: 4096+4096+1808
+    let layout = m
+        .store_object(
+            7,
+            ByteSize::from_bytes(10_000),
+            RedundancyScheme::parity(2),
+            Some(&data),
+        )
+        .unwrap();
+    assert_eq!(layout.owner(), 7);
+    let out = m.read_object(&layout).unwrap();
+    assert!(!out.degraded);
+    assert_eq!(out.bytes.as_deref(), Some(&data[..]));
+}
+
+#[test]
+fn three_failures_exceed_two_parity() {
+    let mut m = mgr(5);
+    let data = payload(20_000);
+    let layout = m
+        .store_object(
+            1,
+            ByteSize::from_bytes(20_000),
+            RedundancyScheme::parity(2),
+            Some(&data),
+        )
+        .unwrap();
+    m.fail_device(DeviceId(0));
+    m.fail_device(DeviceId(1));
+    m.fail_device(DeviceId(2));
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Lost);
+    assert!(matches!(
+        m.read_object(&layout),
+        Err(StripeError::ObjectLost { .. })
+    ));
+}
+
+#[test]
+fn replication_survives_all_but_one() {
+    let mut m = mgr(5);
+    let data = payload(6_000);
+    let layout = m
+        .store_object(
+            2,
+            ByteSize::from_bytes(6_000),
+            RedundancyScheme::Replication,
+            Some(&data),
+        )
+        .unwrap();
+    for d in 0..4 {
+        m.fail_device(DeviceId(d));
+    }
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Degraded);
+    let out = m.read_object(&layout).unwrap();
+    assert_eq!(out.bytes.as_deref(), Some(&data[..]));
+    m.fail_device(DeviceId(4));
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Lost);
+}
+
+#[test]
+fn zero_parity_loss_is_fatal() {
+    let mut m = mgr(5);
+    let layout = m
+        .store_object(3, ByteSize::from_kib(40), RedundancyScheme::parity(0), None)
+        .unwrap();
+    // 40 KiB / 4 KiB = 10 chunks across 5 devices: every device holds some.
+    m.fail_device(DeviceId(2));
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Lost);
+}
+
+#[test]
+fn synthetic_objects_track_space_and_timing() {
+    let mut m = mgr(5);
+    let layout = m
+        .store_object(6, ByteSize::from_kib(12), RedundancyScheme::parity(1), None)
+        .unwrap();
+    // 3 data chunks + 1 parity chunk (one stripe of m=4).
+    let usage = m.usage();
+    assert_eq!(usage.user_bytes, ByteSize::from_kib(12));
+    assert_eq!(usage.redundancy_bytes, ByteSize::from_kib(4));
+    let out = m.read_object(&layout).unwrap();
+    assert!(out.bytes.is_none());
+    assert!(out.completed_at.as_nanos() > 0);
+}
+
+#[test]
+fn space_efficiency_matches_scheme_for_large_objects() {
+    let mut m = mgr(5);
+    // 2-parity on 5 devices: 60% ideal. A 12-chunk object fills 4
+    // stripes of m=3 exactly.
+    m.store_object(1, ByteSize::from_kib(48), RedundancyScheme::parity(2), None)
+        .unwrap();
+    let eff = m.usage().space_efficiency();
+    assert!((eff - 0.6).abs() < 1e-9, "eff = {eff}");
+}
+
+#[test]
+fn remove_object_releases_everything() {
+    let mut m = mgr(5);
+    let layout = m
+        .store_object(9, ByteSize::from_kib(40), RedundancyScheme::parity(2), None)
+        .unwrap();
+    assert!(m.stripe_count() > 0);
+    m.remove_object(&layout);
+    assert_eq!(m.stripe_count(), 0);
+    assert_eq!(m.usage().total(), ByteSize::ZERO);
+    assert!(matches!(
+        m.read_object(&layout),
+        Err(StripeError::UnknownStripe(_))
+    ));
+    // Idempotent.
+    m.remove_object(&layout);
+}
+
+#[test]
+fn store_after_failures_uses_survivors() {
+    let mut m = mgr(5);
+    m.fail_device(DeviceId(0));
+    m.fail_device(DeviceId(1));
+    // 2-parity clamps to the 3 healthy devices (k=2 still fits).
+    let layout = m
+        .store_object(1, ByteSize::from_kib(8), RedundancyScheme::parity(2), None)
+        .unwrap();
+    let out = m.read_object(&layout).unwrap();
+    assert!(!out.degraded);
+    // With only 2 healthy devices, parity clamps to 1.
+    m.fail_device(DeviceId(2));
+    let layout2 = m
+        .store_object(2, ByteSize::from_kib(8), RedundancyScheme::parity(2), None)
+        .unwrap();
+    assert_eq!(layout2.scheme(), RedundancyScheme::parity(1));
+    // With zero healthy devices, storing fails.
+    m.fail_device(DeviceId(3));
+    m.fail_device(DeviceId(4));
+    assert!(matches!(
+        m.store_object(3, ByteSize::from_kib(4), RedundancyScheme::parity(0), None),
+        Err(StripeError::NoHealthyDevices)
+    ));
+}
+
+#[test]
+fn full_array_rolls_back_cleanly() {
+    let mut m = StripeManager::new(test_array(2, 1), ByteSize::from_kib(64));
+    // Fill device space (2 MiB total, replication doubles usage).
+    let r1 = m.store_object(
+        1,
+        ByteSize::from_kib(900),
+        RedundancyScheme::Replication,
+        None,
+    );
+    assert!(r1.is_ok());
+    let before = m.usage();
+    let count_before = m.stripe_count();
+    let r2 = m.store_object(
+        2,
+        ByteSize::from_kib(900),
+        RedundancyScheme::Replication,
+        None,
+    );
+    assert!(matches!(
+        r2,
+        Err(StripeError::Flash(FlashError::DeviceFull { .. }))
+    ));
+    assert_eq!(m.usage(), before, "failed store must not leak accounting");
+    assert_eq!(
+        m.stripe_count(),
+        count_before,
+        "failed store must not leak stripes"
+    );
+}
+
+#[test]
+fn input_validation() {
+    let mut m = mgr(3);
+    assert!(matches!(
+        m.store_object(1, ByteSize::ZERO, RedundancyScheme::parity(0), None),
+        Err(StripeError::EmptyObject)
+    ));
+    assert!(matches!(
+        m.store_object(
+            1,
+            ByteSize::from_kib(4),
+            RedundancyScheme::parity(0),
+            Some(&[1, 2])
+        ),
+        Err(StripeError::PayloadSizeMismatch { .. })
+    ));
+}
+
+#[test]
+fn physical_bytes_needed_estimates() {
+    let m = mgr(5);
+    // 0-parity: exactly the size.
+    assert_eq!(
+        m.physical_bytes_needed(ByteSize::from_kib(10), RedundancyScheme::parity(0)),
+        ByteSize::from_kib(10)
+    );
+    // Replication on 5 devices: 5x.
+    assert_eq!(
+        m.physical_bytes_needed(ByteSize::from_kib(10), RedundancyScheme::Replication),
+        ByteSize::from_kib(50)
+    );
+    // 2-parity, 12 KiB = 3 chunks = 1 stripe => + 2 parity chunks.
+    assert_eq!(
+        m.physical_bytes_needed(ByteSize::from_kib(12), RedundancyScheme::parity(2)),
+        ByteSize::from_kib(12 + 8)
+    );
+}
+
+#[test]
+fn usage_space_efficiency_empty_is_one() {
+    assert_eq!(SpaceUsage::default().space_efficiency(), 1.0);
+}
+
+#[test]
+fn an_object_is_one_entry_per_device_through_failure_spare_and_rebuild() {
+    // 1,000 stripes, the last one short: each device holds the full
+    // stripes as one run, and at most one odd chunk beside it.
+    let mut m = StripeManager::new(test_array(5, 64), ByteSize::from_kib(4));
+    let size = ByteSize::from_bytes(4096 * 3 * 999 + 5000);
+    let layout = m
+        .store_object(1, size, RedundancyScheme::parity(2), None)
+        .unwrap();
+    assert_eq!(layout.stripes().count(), 1000);
+    let entries = |m: &StripeManager| -> Vec<usize> {
+        let devices = (0..5).map(|d| m.array().device(DeviceId(d)));
+        devices.map(|d| d.chunk_runs().len()).collect()
+    };
+    let stored = entries(&m);
+    assert!(stored.iter().all(|&n| (1..=2).contains(&n)), "{stored:?}");
+    let chunks = m.referenced_chunks().len();
+    assert_eq!(chunks, 999 * 5 + 4);
+
+    // A failure flips the runs, a spare empties them, and a rebuild
+    // writes each back as the run it was: nothing is ever exploded
+    // into per-chunk entries.
+    m.fail_device(DeviceId(2));
+    assert_eq!(entries(&m), stored);
+    m.replace_device(DeviceId(2));
+    assert_eq!(entries(&m)[2], 0, "absent chunks are not present");
+    m.rebuild_object(&layout).unwrap();
+    assert_eq!(entries(&m), stored);
+    assert_eq!(m.object_status(&layout).unwrap(), ObjectStatus::Intact);
+    assert!(m.array().all_chunks_intact());
+
+    // One corrupted chunk splits its run around itself — three
+    // entries where one was — and the rebuild leaves them so.
+    m.corrupt_data_chunk(&layout, 3 * 500).unwrap();
+    let split: usize = entries(&m).iter().sum();
+    assert_eq!(split, stored.iter().sum::<usize>() + 2);
+    m.rebuild_object(&layout).unwrap();
+    assert_eq!(entries(&m).iter().sum::<usize>(), split);
+    assert!(m.array().all_chunks_intact());
+
+    m.remove_object(&layout);
+    assert_eq!(entries(&m), [0; 5]);
+    assert_eq!(m.free_capacity(), ByteSize::from_mib(64 * 5));
+}
+
+#[test]
+#[should_panic(expected = "at most 64 devices")]
+fn an_array_the_healthy_set_cannot_name_is_refused_at_construction() {
+    StripeManager::new(test_array(65, 1), ByteSize::from_kib(4));
+}
+
+#[test]
+fn errors_have_sources_and_display() {
+    let e = StripeError::Flash(FlashError::DeviceFailed(DeviceId(3)));
+    assert!(std::error::Error::source(&e).is_some());
+    assert!(e.to_string().contains("ssd3"));
+    let e2 = StripeError::ObjectLost {
+        stripe: StripeId(9),
+        lost: 3,
+        tolerated: 2,
+    };
+    assert!(e2.to_string().contains("stripe#9"));
+}
+
+#[test]
+fn pristine_store_read_remove_keeps_its_timing() {
+    // The legs that never leave the run shortcuts: 2-parity with a
+    // short tail, replication, and a one-chunk object, on a fresh
+    // array. Numbers pinned from the per-chunk code these replaced.
+    let mut m = mgr(6);
+    let mut times = Vec::new();
+    let objects = [
+        (4096 * 10 + 77, RedundancyScheme::parity(2)),
+        (4096 * 3, RedundancyScheme::Replication),
+        (100, RedundancyScheme::parity(1)),
+    ];
+    let layouts: Vec<ObjectLayout> = (0..)
+        .zip(objects)
+        .map(|(owner, (size, scheme))| {
+            let layout = m
+                .store_object(owner, ByteSize::from_bytes(size), scheme, None)
+                .unwrap();
+            times.push(m.array().clock().now().as_nanos());
+            layout
+        })
+        .collect();
+    for layout in &layouts {
+        times.push(m.read_object(layout).unwrap().completed_at.as_nanos());
+    }
+    for layout in &layouts {
+        m.remove_object(layout);
+    }
+    let stats: Vec<_> = (0..6)
+        .map(|d| {
+            let device = m.array().device(DeviceId(d));
+            let s = device.stats();
+            (
+                (s.reads, s.writes, s.bytes_read, s.bytes_written),
+                (s.queued_nanos, s.busy_nanos),
+                device.busy_until().as_nanos(),
+                device.used(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        times,
+        [622_887, 1_245_774, 1_445_960, 1_768_847, 1_876_476, 1_976_662]
+    );
+    let free = ByteSize::ZERO;
+    assert_eq!(
+        stats,
+        [
+            ((2, 7, 4173, 20657), (1_353_403, 1_646_246), 1_653_732, free),
+            ((1, 6, 100, 20580), (830_516, 1_338_517), 1_976_662, free),
+            ((1, 6, 4096, 24576), (1_245_774, 1_353_403), 1_553_589, free),
+            (
+                (3, 6, 12288, 24576),
+                (1_353_403, 1_568_661),
+                1_876_476,
+                free
+            ),
+            (
+                (4, 6, 16384, 24576),
+                (1_568_661, 1_676_290),
+                1_876_476,
+                free
+            ),
+            (
+                (4, 6, 16384, 24576),
+                (1_568_661, 1_676_290),
+                1_876_476,
+                free
+            ),
+        ]
+    );
+    assert_eq!(m.usage().total(), ByteSize::ZERO);
+    assert_eq!(m.stripe_count(), 0);
+}

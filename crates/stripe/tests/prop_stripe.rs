@@ -2,6 +2,9 @@
 //! must preserve its invariants, and must leave the simulation exactly
 //! where the per-chunk manager it replaced ([`reference`]) leaves it.
 
+// Frozen, so what the twins stopped calling (`new`: they pick the placement)
+// stays in it.
+#[allow(dead_code)]
 mod reference;
 
 use std::collections::BTreeSet;
@@ -11,7 +14,9 @@ use reo_flashsim::{
     ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, WriteAmplification,
 };
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
-use reo_stripe::{ObjectLayout, ObjectStatus, RedundancyScheme, StripeError, StripeManager};
+use reo_stripe::{
+    ObjectLayout, ObjectStatus, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
+};
 
 fn test_array(n: usize) -> FlashArray {
     let cfg = DeviceConfig {
@@ -126,7 +131,7 @@ fn recovery_sweeps_match_the_expanded_pairs(
 /// One step of the differential workload.
 #[derive(Clone, Debug)]
 enum Step {
-    Store { size: u64, scheme: u8 },
+    Store { size: u64, scheme: u8, real: bool },
     Read { slot: usize },
     Overwrite { slot: usize, first: u64, span: u64 },
     Remove { slot: usize },
@@ -140,9 +145,16 @@ enum Step {
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
-    // Up to ~40 chunks of 16 KiB, rarely chunk-aligned.
-    let store =
-        || (1u64..640 * 1024, 0u8..4).prop_map(|(size, scheme)| Step::Store { size, scheme });
+    // Up to ~40 chunks of 16 KiB, rarely chunk-aligned; one in four with a
+    // real payload, so real and size-only objects share the array and the
+    // devices' runs split around real chunks.
+    let store = || {
+        (1u64..640 * 1024, 0u8..4, 0u8..4).prop_map(|(size, scheme, real)| Step::Store {
+            size,
+            scheme,
+            real: real == 0,
+        })
+    };
     let read = || (0usize..12).prop_map(|slot| Step::Read { slot });
     // Stores and reads are listed more than once so they make up most of a
     // sequence, and half the failures name no device, so stretches of it
@@ -151,9 +163,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
         store(),
         store(),
         store(),
-        (1u64..8, 0u8..4).prop_map(|(chunks, scheme)| Step::Store {
+        (1u64..8, 0u8..4, 0u8..4).prop_map(|(chunks, scheme, real)| Step::Store {
             size: chunks * 16 * 1024,
-            scheme
+            scheme,
+            real: real == 0,
         }),
         read(),
         read(),
@@ -165,12 +178,12 @@ fn arb_step() -> impl Strategy<Value = Step> {
             span
         }),
         (0usize..12).prop_map(|slot| Step::Remove { slot }),
-        (0usize..10).prop_map(|device| Step::Fail { device }),
-        (0usize..5).prop_map(|device| Step::Spare { device }),
+        (0usize..16).prop_map(|device| Step::Fail { device }),
+        (0usize..8).prop_map(|device| Step::Spare { device }),
         (0usize..12, 0u64..40).prop_map(|(slot, chunk)| Step::Corrupt { slot, chunk }),
         Just(Step::LatentCorruption),
         (0u32..40).prop_map(|rate_pct| Step::ArmTransient { rate_pct }),
-        (0usize..5, 5u32..40).prop_map(|(device, tenths)| Step::Slow { device, tenths }),
+        (0usize..8, 5u32..40).prop_map(|(device, tenths)| Step::Slow { device, tenths }),
         Just(Step::CrashAndReplay),
     ]
 }
@@ -184,11 +197,13 @@ struct Twins {
     old_plan: FaultPlan,
     live: Vec<(ObjectLayout, reference::ObjectLayout)>,
     owner: u64,
+    /// Owners of the objects stored with a real payload.
+    real: BTreeSet<u64>,
 }
 
-/// Small devices (so stores meet `DeviceFull` and roll back), optionally
-/// under the write-amplification model.
-fn twin_array(write_amplification: bool) -> FlashArray {
+/// `width` small devices (so stores meet `DeviceFull` and roll back),
+/// optionally under the write-amplification model.
+fn twin_array(width: usize, write_amplification: bool) -> FlashArray {
     let cfg = DeviceConfig {
         capacity: ByteSize::from_mib(2),
         read: ServiceModel::new(SimDuration::from_micros(90), 520 * 1024 * 1024),
@@ -196,7 +211,7 @@ fn twin_array(write_amplification: bool) -> FlashArray {
         erase_block: ByteSize::from_kib(128),
         pe_cycle_limit: 3000,
     };
-    let mut array = FlashArray::new(5, cfg, SimClock::new());
+    let mut array = FlashArray::new(width, cfg, SimClock::new());
     if write_amplification {
         array.enable_write_amplification(Some(WriteAmplification::new(0.07)));
     }
@@ -210,15 +225,17 @@ fn shown<T: std::fmt::Debug, E: std::fmt::Debug>(r: &Result<T, E>) -> String {
 }
 
 impl Twins {
-    fn new(seed: u64, write_amplification: bool) -> Self {
+    fn new(seed: u64, write_amplification: bool, width: usize, placement: PlacementPolicy) -> Self {
         let chunk = ByteSize::from_kib(16);
+        let array = || twin_array(width, write_amplification);
         Twins {
-            new: StripeManager::new(twin_array(write_amplification), chunk),
-            old: reference::StripeManager::new(twin_array(write_amplification), chunk),
+            new: StripeManager::with_placement(array(), chunk, placement),
+            old: reference::StripeManager::with_placement(array(), chunk, placement),
             new_plan: FaultPlan::new(seed),
             old_plan: FaultPlan::new(seed),
             live: Vec::new(),
             owner: 0,
+            real: BTreeSet::new(),
         }
     }
 
@@ -262,11 +279,21 @@ impl Twins {
 
     fn step(&mut self, step: Step) -> Result<(), TestCaseError> {
         match step {
-            Step::Store { size, scheme } => {
+            Step::Store { size, scheme, real } => {
                 self.owner += 1;
+                // Bytes seeded by the owner, the same on both sides.
+                let payload: Option<Vec<u8>> = real.then(|| {
+                    let byte =
+                        |i: u64| (self.owner.wrapping_add(i).wrapping_mul(2654435761) >> 24) as u8;
+                    (0..size).map(byte).collect()
+                });
                 let (size, scheme) = (ByteSize::from_bytes(size), scheme_of(scheme));
-                let n = self.new.store_object(self.owner, size, scheme, None);
-                let o = self.old.store_object(self.owner, size, scheme, None);
+                let n = self
+                    .new
+                    .store_object(self.owner, size, scheme, payload.as_deref());
+                let o = self
+                    .old
+                    .store_object(self.owner, size, scheme, payload.as_deref());
                 prop_assert_eq!(n.is_ok(), o.is_ok());
                 match (n, o) {
                     (Ok(n), Ok(o)) => {
@@ -278,6 +305,9 @@ impl Twins {
                         if self.live.len() == 12 {
                             self.remove(0);
                         }
+                        if real {
+                            self.real.insert(self.owner);
+                        }
                         self.live.push((n, o));
                     }
                     (n, o) => prop_assert_eq!(shown(&n), shown(&o)),
@@ -285,19 +315,22 @@ impl Twins {
             }
             Step::Read { slot } => {
                 if let Some((n, o)) = self.live.get(slot) {
-                    let n = self
-                        .new
-                        .read_object(n)
-                        .map(|r| (r.degraded, r.completed_at));
-                    let o = self
-                        .old
-                        .read_object(o)
-                        .map(|r| (r.degraded, r.completed_at));
-                    prop_assert_eq!(shown(&n), shown(&o));
+                    let n = self.new.read_object(n);
+                    let o = self.old.read_object(o);
+                    let n = n.map(|r| (r.degraded, r.completed_at, r.bytes));
+                    let o = o.map(|r| (r.degraded, r.completed_at, r.bytes));
+                    prop_assert_eq!(n.is_ok(), o.is_ok());
+                    match (n, o) {
+                        (Ok(n), Ok(o)) => prop_assert_eq!(n, o),
+                        (n, o) => prop_assert_eq!(shown(&n), shown(&o)),
+                    }
                 }
             }
             Step::Overwrite { slot, first, span } => {
-                if let Some((n, o)) = self.live.get(slot) {
+                // Size-only, so on size-only objects only: a real stripe
+                // takes real payloads.
+                let sized = |(n, _): &&(ObjectLayout, _)| !self.real.contains(&n.owner());
+                if let Some((n, o)) = self.live.get(slot).filter(sized) {
                     let chunks = n.size().div_ceil(self.new.chunk_size());
                     let last = (first + span).min(chunks - 1);
                     if first <= last {
@@ -319,6 +352,7 @@ impl Twins {
                 }
             }
             Step::Spare { device } => {
+                let device = device % self.new.array().device_count();
                 self.new.replace_device(DeviceId(device));
                 self.old.replace_device(DeviceId(device));
                 // Rebuild what can be rebuilt; drop what cannot.
@@ -365,6 +399,7 @@ impl Twins {
                 self.old.arm_transient_faults(&mut self.old_plan, rate);
             }
             Step::Slow { device, tenths } => {
+                let device = device % self.new.array().device_count();
                 let factor = f64::from(tenths) / 10.0;
                 self.new
                     .slow_device(&mut self.new_plan, DeviceId(device), factor);
@@ -406,21 +441,26 @@ impl Twins {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The same seeded sequence of stores, reads, overwrites, removals,
-    /// device failures, spares and rebuilds, corruptions, transient faults,
-    /// slow devices and crash replays — with and without the
-    /// write-amplification model — leaves the extent-and-run manager and
-    /// the per-chunk reference in the same simulation after every step:
-    /// every completion instant and error, every device's counters,
-    /// horizon and chunks, the byte accounting, the retry count and the
-    /// chunks the stripe metadata references.
+    /// The same seeded sequence of stores (size-only and with real
+    /// payloads, on one array), reads, overwrites, removals, device
+    /// failures, spares and rebuilds, corruptions, transient faults, slow
+    /// devices and crash replays — on one to eight devices, under either
+    /// placement policy, with and without the write-amplification model —
+    /// leaves the extent-and-run manager and the per-chunk reference in the
+    /// same simulation after every step: every completion instant, error
+    /// and byte read, every device's counters, horizon and chunks, the byte
+    /// accounting, the retry count and the chunks the stripe metadata
+    /// references.
     #[test]
     fn extent_runs_match_the_per_chunk_reference(
         steps in proptest::collection::vec(arb_step(), 1..120),
         seed: u64,
         write_amplification: bool,
+        width in 1usize..=8,
+        fixed: bool,
     ) {
-        let mut twins = Twins::new(seed, write_amplification);
+        let placement = if fixed { PlacementPolicy::Fixed } else { PlacementPolicy::RoundRobin };
+        let mut twins = Twins::new(seed, write_amplification, width, placement);
         for (i, step) in steps.iter().enumerate() {
             if let Err(e) = twins.step(step.clone()) {
                 let from = i.saturating_sub(8);
