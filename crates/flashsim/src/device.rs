@@ -828,13 +828,90 @@ impl FlashDevice {
         done
     }
 
+    /// How long this device takes to write a `len`-byte chunk while no
+    /// write-amplification model is attached: the stride callers of
+    /// [`FlashDevice::rewrite_run`] take the maximum of over their devices.
+    pub fn write_time(&self, len: ByteSize) -> SimDuration {
+        self.scaled(self.config.write.service_time(len))
+    }
+
+    /// `true` while a same-size size-only rewrite of any chunk the owner
+    /// placed here is pure arithmetic: [`FlashDevice::all_chunks_intact`]
+    /// vouches for the chunk, so the rewrite changes no table, and no
+    /// write-amplification model makes one write's cost depend on the
+    /// last. Such rewrites may be charged through
+    /// [`FlashDevice::rewrite_run`].
+    pub fn serves_rewrite_runs(&self) -> bool {
+        self.all_chunks_intact() && self.write_amplification.is_none()
+    }
+
+    /// Charges `count` rewrites of the `len`-byte size-only chunks from
+    /// handle `first` on, the *i*-th issued at `start + i * stride` — one
+    /// stride apart, not all at once as [`FlashDevice::write_run`]'s are —
+    /// exactly as `count` calls of [`FlashDevice::write_chunk`] would: the
+    /// same counters and `busy_until` to the nanosecond, nothing queued,
+    /// and no table touched, since rewriting an intact size-only chunk as
+    /// what it is leaves its entry as it was. Returns the completion
+    /// instant of the last rewrite (`start` for an empty run).
+    ///
+    /// The caller vouches that the chunks exist, intact and size-only, at
+    /// that length; debug builds look each of them up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device does not serve rewrite runs, is still busy at
+    /// `start`, or takes longer than `stride` to write one chunk (the next
+    /// rewrite would queue behind it).
+    pub fn rewrite_run(
+        &mut self,
+        first: ChunkHandle,
+        count: u64,
+        len: ByteSize,
+        start: SimTime,
+        stride: SimDuration,
+    ) -> SimTime {
+        assert!(
+            self.serves_rewrite_runs(),
+            "{} cannot vouch for its chunks",
+            self.id
+        );
+        let each = self.write_time(len);
+        assert!(
+            self.busy_until <= start,
+            "{} is busy past the run's start",
+            self.id
+        );
+        assert!(
+            each <= stride,
+            "{} writes a chunk in {each}, over the stride {stride}",
+            self.id
+        );
+        debug_assert!(
+            (0..count).all(|i| self.holds_size_only(ChunkHandle::new(first.as_u64() + i), len)),
+            "{} does not hold {count} chunks from {first} as {len} size-only bytes",
+            self.id
+        );
+        if count == 0 {
+            return start;
+        }
+        let done = start + stride * (count - 1) + each;
+        self.stats.writes += count;
+        self.stats.bytes_written += len.as_bytes() * count;
+        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
+        self.stats.busy_nanos += each.as_nanos() * count;
+        self.busy_until = done;
+        done
+    }
+
     /// Writes a run of size-only chunks, all issued at `now`, exactly as
     /// one [`FlashDevice::write_chunk`] per chunk in run order would, and
     /// returns the completion instant of the last (`now` for an empty
     /// run). Consecutive handles of one length become one run entry, and a
     /// run that starts past every handle the device has seen is entered
     /// without a lookup; the capacity check, the counters and the
-    /// service-time arithmetic are done once per call.
+    /// service-time arithmetic are done once per call, but the iterator it
+    /// is handed is walked chunk by chunk (the handles and lengths are the
+    /// caller's to choose).
     ///
     /// With a write-amplification model attached (every write moves the
     /// factor of the next), or when the run might not fit (it must stop at
@@ -1570,6 +1647,69 @@ mod tests {
                 Err(FlashError::DeviceFailed(DeviceId(0)))
             );
         }
+    }
+
+    #[test]
+    fn rewrite_run_is_the_rewrites_one_by_one() {
+        let (mut one_by_one, mut run) = run_twins();
+        let len = ByteSize::from_kib(16);
+        for d in [&mut one_by_one, &mut run] {
+            d.set_slowdown(2.5);
+            // Handles 10..16 are one run entry, 20 an entry of its own.
+            let six = (10..16).map(|h| (ChunkHandle::new(h), len));
+            d.write_run(six, SimTime::ZERO).unwrap();
+            d.write_chunk(
+                ChunkHandle::new(20),
+                StoredChunk::synthetic(len),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        // 200 us + 16 KiB at 1 GiB/s, slowed 2.5 times.
+        let each = SimDuration::from_nanos(538_145);
+        assert_eq!(run.write_time(len), each);
+        let stride = SimDuration::from_micros(600);
+        // Inside the run entry, the single entry, the whole run entry; from
+        // the instant the device falls idle and from later ones.
+        for (first, count, idle_for) in [(11, 4, 0), (20, 1, 1_000), (10, 6, 77)] {
+            let start = run.busy_until() + SimDuration::from_nanos(idle_for);
+            let mut done = start;
+            for i in 0..count {
+                let chunk = StoredChunk::synthetic(len);
+                done = one_by_one
+                    .write_chunk(ChunkHandle::new(first + i), chunk, start + stride * i)
+                    .unwrap();
+            }
+            assert_eq!(done, start + stride * (count - 1) + each);
+            let first = ChunkHandle::new(first);
+            assert_eq!(run.rewrite_run(first, count, len, start, stride), done);
+            assert_same_device(&one_by_one, &run);
+            assert_eq!(run.chunk_runs(), one_by_one.chunk_runs());
+        }
+        // Nothing waited: the horizon is where the queueing counter stopped.
+        assert_eq!(run.stats().queued_nanos, one_by_one.stats().queued_nanos);
+        // An empty run issues nothing.
+        let idle = run.busy_until() + stride;
+        let first = ChunkHandle::new(10);
+        assert_eq!(run.rewrite_run(first, 0, len, idle, stride), idle);
+        assert_same_device(&one_by_one, &run);
+
+        // Refused: before the device is idle, at a stride the device cannot
+        // keep, and on a device that cannot vouch for its chunks.
+        let refused = |d: &FlashDevice, start, stride| {
+            let mut d = d.clone();
+            std::panic::catch_unwind(move || d.rewrite_run(first, 2, len, start, stride)).is_err()
+        };
+        assert!(!refused(&run, idle, stride));
+        assert!(refused(&run, SimTime::ZERO, stride));
+        assert!(refused(&run, idle, SimDuration::from_micros(500)));
+        let mut amplified = run.clone();
+        amplified.set_write_amplification(Some(WriteAmplification::new(0.07)));
+        assert!(!amplified.serves_rewrite_runs());
+        assert!(refused(&amplified, idle, stride));
+        run.corrupt_chunk(ChunkHandle::new(20));
+        assert!(!run.serves_rewrite_runs());
+        assert!(refused(&run, idle, stride));
     }
 
     #[test]

@@ -148,12 +148,12 @@ proptest! {
     }
 
     /// One operation sequence drives two devices: `runs` through
-    /// `write_run` / `remove_run` / `note_referenced_run`, `singles` chunk
-    /// by chunk (which never forms a run). Per-chunk writes, corruptions
-    /// and removals land inside, at the front and at the back of runs;
-    /// failures and spares flip them whole; later runs rebuild parts of
-    /// them; the device is small enough to reject writes. After every
-    /// operation nothing a caller can ask tells the two apart.
+    /// `write_run` / `rewrite_run` / `remove_run` / `note_referenced_run`,
+    /// `singles` chunk by chunk (which never forms a run). Per-chunk
+    /// writes, corruptions and removals land inside, at the front and at
+    /// the back of runs; failures and spares flip them whole; later runs
+    /// rebuild parts of them; the device is small enough to reject writes.
+    /// After every operation nothing a caller can ask tells the two apart.
     #[test]
     fn the_run_table_is_the_per_chunk_table(
         ops in proptest::collection::vec(arb_twin_op(), 1..80),
@@ -186,6 +186,31 @@ proptest! {
                         }
                     }
                     prop_assert_eq!(runs.write_run(run, now), one_by_one);
+                }
+                TwinOp::RewriteRun { first, count, idle_for, slack } => {
+                    // Only what the caller of a rewrite run vouches for:
+                    // whole size-only chunks on a device that serves them.
+                    let len = twin_len(0);
+                    let held = |d: &FlashDevice| {
+                        let handles = (first..first + count).map(ChunkHandle::new);
+                        handles.take_while(|&h| d.holds_size_only(h, len)).count() as u64
+                    };
+                    let count = held(&runs);
+                    if runs.serves_rewrite_runs() {
+                        prop_assert!(singles.serves_rewrite_runs());
+                        prop_assert_eq!(held(&singles), count);
+                        let start = runs.busy_until().max(now) + SimDuration::from_nanos(idle_for);
+                        let stride = runs.write_time(len) + SimDuration::from_nanos(slack);
+                        let mut one_by_one = start;
+                        for i in 0..count {
+                            let chunk = StoredChunk::synthetic(len);
+                            one_by_one = singles
+                                .write_chunk(ChunkHandle::new(first + i), chunk, start + stride * i)
+                                .expect("a rewrite in place");
+                        }
+                        let first = ChunkHandle::new(first);
+                        prop_assert_eq!(runs.rewrite_run(first, count, len, start, stride), one_by_one);
+                    }
                 }
                 TwinOp::RemoveRun { first, count } => {
                     runs.remove_run(ChunkHandle::new(first), count);
@@ -275,13 +300,38 @@ fn twin_len(code: u8) -> ByteSize {
 
 #[derive(Clone, Debug)]
 enum TwinOp {
-    WriteRun { first: u64, lens: Vec<u8> },
-    RemoveRun { first: u64, count: u64 },
-    NoteRun { first: u64, count: u64 },
-    Write { handle: u64, len: u8, real: bool },
-    Read { handle: u64 },
-    Remove { handle: u64 },
-    Corrupt { handle: u64 },
+    WriteRun {
+        first: u64,
+        lens: Vec<u8>,
+    },
+    RewriteRun {
+        first: u64,
+        count: u64,
+        idle_for: u64,
+        slack: u64,
+    },
+    RemoveRun {
+        first: u64,
+        count: u64,
+    },
+    NoteRun {
+        first: u64,
+        count: u64,
+    },
+    Write {
+        handle: u64,
+        len: u8,
+        real: bool,
+    },
+    Read {
+        handle: u64,
+    },
+    Remove {
+        handle: u64,
+    },
+    Corrupt {
+        handle: u64,
+    },
     Fail,
     Spare,
 }
@@ -292,10 +342,24 @@ fn arb_twin_op() -> impl Strategy<Value = TwinOp> {
         (handle(), proptest::collection::vec(0u8..4, 0..16))
             .prop_map(|(first, lens)| TwinOp::WriteRun { first, lens })
     };
+    // Trimmed to the whole size-only chunks it finds; from the instant the
+    // device falls idle or later, at its own pace or slower.
+    let rewrite_run = || {
+        (handle(), 0u64..12, 0u64..2, 0u64..1000).prop_map(|(first, count, idle, slack)| {
+            TwinOp::RewriteRun {
+                first,
+                count,
+                idle_for: idle * 12_345,
+                slack,
+            }
+        })
+    };
     prop_oneof![
         write_run(),
         write_run(),
         write_run(),
+        rewrite_run(),
+        rewrite_run(),
         (handle(), 0u64..16).prop_map(|(first, count)| TwinOp::RemoveRun { first, count }),
         (handle(), 0u64..16).prop_map(|(first, count)| TwinOp::NoteRun { first, count }),
         (handle(), 0u8..4, any::<bool>()).prop_map(|(handle, len, real)| TwinOp::Write {

@@ -191,8 +191,8 @@ impl ExtentShape {
 pub(crate) struct PlacedExtent {
     pub(crate) extent: Extent,
     pub(crate) shape: ExtentShape,
-    first_stripe: u64,
-    chunk_size: ByteSize,
+    pub(crate) first_stripe: u64,
+    pub(crate) chunk_size: ByteSize,
     placement: PlacementPolicy,
     /// The extent's devices in rank order (lowest first), twice over.
     devices: [u8; 2 * u64::BITS as usize],
@@ -211,7 +211,7 @@ impl PlacedExtent {
 
     /// The extent's stripes in object order from the `from`-th on. The
     /// rotation is taken once and stepped from stripe to stripe.
-    fn stripes_from(&self, from: u64) -> impl Iterator<Item = Stripe<'_>> {
+    pub(crate) fn stripes_from(&self, from: u64) -> impl Iterator<Item = Stripe<'_>> {
         let ExtentShape { m, data_chunks, .. } = self.shape;
         let (extent, first_stripe) = (self.extent, self.first_stripe + from);
         let mut layout = StripeLayout::with_placement(
@@ -263,6 +263,25 @@ impl PlacedExtent {
         let untouched = devices_of(self.extent.healthy & !touched);
         let touched = last.chunks().map(|c| (c.device, Some(c.len)));
         touched.chain(untouched.map(|d| (DeviceId(d as usize), None)))
+    }
+
+    /// The extent's devices in rank order: lowest first.
+    pub(crate) fn devices(&self) -> impl Iterator<Item = DeviceId> + Clone + '_ {
+        let ranked = &self.devices[..self.extent.width()];
+        ranked.iter().map(|&d| DeviceId(d as usize))
+    }
+
+    /// Each of the extent's devices with how many data chunks any `width`
+    /// consecutive stripes before the last put on it — whole chunks all.
+    pub(crate) fn data_chunks_per_period(&self) -> impl Iterator<Item = (DeviceId, u64)> + '_ {
+        let layout = StripeLayout::with_placement(
+            self.first_stripe,
+            self.extent.scheme,
+            self.extent.width(),
+            self.placement,
+        );
+        let ranked = self.devices().enumerate();
+        ranked.map(move |(rank, d)| (d, layout.data_chunks_per_period(rank)))
     }
 
     /// The stripe holding the object's `chunk_index`-th data chunk, and

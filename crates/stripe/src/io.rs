@@ -130,12 +130,18 @@ impl StripeIo<'_> {
             c.handle,
             c.len
         );
-        if self.read_runs[c.device.0].len != c.len {
-            self.flush_reads(c.device);
-            self.read_runs[c.device.0].len = c.len;
-        }
-        self.read_runs[c.device.0].count += 1;
+        self.count_reads(c.device, c.len, 1);
         Ok(())
+    }
+
+    /// Counts `count` reads of `len`-byte size-only chunks into `device`'s
+    /// run, charging first what it holds of another length.
+    fn count_reads(&mut self, device: DeviceId, len: ByteSize, count: u64) {
+        if self.read_runs[device.0].len != len {
+            self.flush_reads(device);
+            self.read_runs[device.0].len = len;
+        }
+        self.read_runs[device.0].count += count;
     }
 
     /// Reads a chunk through the device's per-chunk path, absorbing
@@ -193,22 +199,25 @@ impl StripeIo<'_> {
         Ok(())
     }
 
-    /// Writes every chunk of a fresh extent one by one in extent order,
-    /// encoding parity from `payload` when there is one. `written` counts
-    /// the chunks on flash, for the caller's rollback.
+    /// Writes the chunks of a fresh extent's stripes from the `from`-th on
+    /// one by one in extent order, encoding parity from `payload` when
+    /// there is one (a real extent is written from its first stripe).
+    /// `written` counts the chunks on flash, for the caller's rollback.
     pub(crate) fn write_extent(
         &mut self,
         extent: &PlacedExtent,
+        from: u64,
         payload: Option<&[u8]>,
         written: &mut usize,
     ) -> Result<(), StripeError> {
+        debug_assert!(from == 0 || payload.is_none());
         let image = |c: &StripeChunk, bytes: Option<&[u8]>| match bytes {
             Some(b) => StoredChunk::real(Bytes::copy_from_slice(&b[..c.len.as_bytes() as usize])),
             None => StoredChunk::synthetic(c.len),
         };
         // Where the next data chunk's bytes start in the payload.
         let mut at = 0;
-        for stripe in extent.stripes() {
+        for stripe in extent.stripes_from(from) {
             let stripe_bytes = payload.map(|p| &p[at..]);
             for c in stripe.data() {
                 self.write_chunk(&c, image(&c, payload.map(|p| &p[at..])))?;
@@ -252,6 +261,14 @@ impl StripeIo<'_> {
     /// Reads every stripe of an extent, degraded ones by reconstruction.
     /// Returns the assembled bytes of a real extent and whether any stripe
     /// was degraded.
+    ///
+    /// A size-only extent on an intact array whose devices all serve read
+    /// runs is counted, not walked: the placement repeats every `width`
+    /// stripes, so the whole periods among the stripes before the last add
+    /// their data chunks to each device's [`ReadRun`] in one step
+    /// ([`crate::StripeLayout::data_chunks_per_period`]), and only the
+    /// fewer than `width` stripes after them and the last stripe are
+    /// walked.
     pub(crate) fn read_extent(
         &mut self,
         extent: &PlacedExtent,
@@ -262,7 +279,12 @@ impl StripeIo<'_> {
         // No device anywhere holds a chunk awaiting rebuild: no stripe
         // needs a health probe.
         let array_intact = self.array.all_chunks_intact();
-        for stripe in extent.stripes() {
+        let counted = if array_intact {
+            self.count_whole_periods(extent)
+        } else {
+            0
+        };
+        for stripe in extent.stripes_from(counted) {
             let health = if array_intact {
                 debug_assert!(stripe.chunks().all(|c| chunk_intact_on(self.array, &c)));
                 StripeHealth::Intact
@@ -279,6 +301,27 @@ impl StripeIo<'_> {
             }
         }
         Ok((assembled, degraded))
+    }
+
+    /// Counts the data-chunk reads of the whole periods of a size-only
+    /// extent on an intact array into its devices' runs, if those all serve
+    /// read runs, and returns how many stripes that covers: the most whole
+    /// multiples of the extent's width among the stripes before the last,
+    /// whose data chunks are all whole.
+    fn count_whole_periods(&mut self, extent: &PlacedExtent) -> u64 {
+        let (full, width) = (extent.full_stripes(), extent.extent.width() as u64);
+        let served = |d| self.array.device(d).serves_read_runs();
+        if extent.extent.real || full < width || !extent.devices().all(served) {
+            return 0;
+        }
+        let periods = full / width;
+        debug_assert!(extent.stripes().take((periods * width) as usize).all(|s| s
+            .data()
+            .all(|c| self.array.device(c.device).holds_size_only(c.handle, c.len))));
+        for (d, per_period) in extent.data_chunks_per_period() {
+            self.count_reads(d, extent.chunk_size, periods * per_period);
+        }
+        periods * width
     }
 
     /// Reads the data chunks (or the primary replica) of an intact stripe,

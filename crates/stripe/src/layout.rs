@@ -142,6 +142,28 @@ impl StripeLayout {
         (self.wrapped(data), self.wrapped(redundancy))
     }
 
+    /// How many data chunks (primary replicas, under replication) any
+    /// `devices` consecutive stripes put on the device at `rank`. The
+    /// rotation repeats every `devices` stripes, so the count is the same
+    /// whichever stripe the period starts at: round-robin every rank is a
+    /// data rank in as many stripes of a period as a stripe has data
+    /// chunks; under the fixed policy the data ranks take one each stripe
+    /// and the others none.
+    pub(crate) fn data_chunks_per_period(&self, rank: usize) -> u64 {
+        match self.placement {
+            PlacementPolicy::RoundRobin => self.data_slots() as u64,
+            PlacementPolicy::Fixed => {
+                let first = self.first_ranks().0;
+                let is_data_rank = (first..first + self.data_slots()).contains(&rank);
+                if is_data_rank {
+                    self.devices as u64
+                } else {
+                    0
+                }
+            }
+        }
+    }
+
     /// The scheme this layout was built with.
     pub fn scheme(&self) -> RedundancyScheme {
         self.scheme
@@ -305,6 +327,44 @@ mod tests {
             counts[l.parity_device(0).0] += 1;
         }
         assert_eq!(counts, [100, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn data_chunks_per_period_is_what_walking_a_period_counts() {
+        let schemes = [
+            RedundancyScheme::parity(0),
+            RedundancyScheme::parity(1),
+            RedundancyScheme::parity(2),
+            RedundancyScheme::Replication,
+        ];
+        for width in 1..=8usize {
+            for scheme in schemes {
+                if matches!(scheme, RedundancyScheme::Parity(k) if k as usize >= width) {
+                    continue;
+                }
+                for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
+                    // A period from every residue, and from far along.
+                    for first in (0..width as u64).chain([1_000_003]) {
+                        let mut walked = vec![0u64; width];
+                        for s in first..first + width as u64 {
+                            let l = StripeLayout::with_placement(s, scheme, width, placement);
+                            for j in 0..l.data_slots() {
+                                walked[l.data_device(j).0] += 1;
+                            }
+                        }
+                        let l = StripeLayout::with_placement(first, scheme, width, placement);
+                        let counted: Vec<u64> =
+                            (0..width).map(|r| l.data_chunks_per_period(r)).collect();
+                        assert_eq!(
+                            counted, walked,
+                            "{scheme} {placement:?} on {width} from {first}"
+                        );
+                        let per_stripe = scheme.data_chunks_per_stripe(width);
+                        assert_eq!(counted.iter().sum::<u64>(), (per_stripe * width) as u64);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -168,6 +168,10 @@ pub struct StripeManager {
     pub(crate) chunk_size: ByteSize,
     pub(crate) placement: PlacementPolicy,
     pub(crate) next_stripe: u64,
+    /// Where `next_stripe` stood when a crash last rewound it, at its
+    /// highest: chunks the crash orphaned may sit under handles below this
+    /// until the sweep, and none from here on.
+    pub(crate) rewound_from: u64,
     /// One extent per stored object, keyed by its first stripe.
     pub(crate) extents: FastMap<StripeId, Extent>,
     pub(crate) usage: SpaceUsage,
@@ -217,6 +221,7 @@ impl StripeManager {
             chunk_size,
             placement,
             next_stripe: 0,
+            rewound_from: 0,
             extents: FastMap::default(),
             usage: SpaceUsage::default(),
             transient_retries: 0,
@@ -362,7 +367,8 @@ impl StripeManager {
     /// * [`StripeError::PayloadSizeMismatch`] — payload length ≠ `size`.
     /// * [`StripeError::NoHealthyDevices`] — the whole array is down.
     /// * [`StripeError::Flash`] — a device rejected a write (e.g. full);
-    ///   partially written chunks are rolled back.
+    ///   nothing of the object stays written, and the stripes up to the
+    ///   one holding the rejected chunk stay consumed.
     pub fn store_object(
         &mut self,
         owner: u64,
@@ -404,23 +410,42 @@ impl StripeManager {
         // every stripe before the last under the handles from the first
         // stripe on, then the last stripe's chunk there, if it has one.
         let (full, chunk_size) = (placed.full_stripes(), self.chunk_size);
-
-        // A size-only extent whose every device has room for its share goes
-        // out as one run per device: no write can be rejected, so the order
-        // between devices cannot show. Otherwise chunk by chunk in extent
-        // order, which stops at exactly the chunk that does not fit.
-        let now = self.array.clock().now();
         let tails = placed.tails();
-        let in_runs = !extent.real
-            && tails.clone().all(|(d, tail)| {
+
+        // A size-only extent goes out as one run per device as far as every
+        // device has room for its chunk of every stripe: none of those
+        // writes can be rejected, so the order between devices cannot show.
+        // That is all of an extent that fits. Of one that does not it is
+        // the stripes before the one with the chunk that is rejected: a
+        // device short of its share takes the whole chunks it has room for,
+        // one per stripe before the last. The stripes after the runs are
+        // written chunk by chunk in extent order, which stops at exactly
+        // that chunk — as is every stripe of a real extent, and of one under
+        // handles a crash took back, where chunks it orphaned may still
+        // sit: writing over one frees room that no count of free bytes
+        // shows.
+        let now = self.array.clock().now();
+        let in_runs = if extent.real || first_stripe < self.rewound_from {
+            0
+        } else {
+            let fitting = tails.clone().map(|(d, tail)| {
                 let share = chunk_size * full + tail.unwrap_or(ByteSize::ZERO);
-                self.array.device(d).available() >= share
+                let free = self.array.device(d).available();
+                if free >= share {
+                    stripe_count
+                } else {
+                    full.min(free / chunk_size)
+                }
             });
-        let latest = if in_runs {
-            let mut latest = now;
-            for (d, tail) in tails {
-                let whole = (first_stripe..first_stripe + full).map(ChunkHandle::new);
-                let tail = tail.map(|len| (ChunkHandle::new(first_stripe + full), len));
+            fitting.min().expect("an extent has a device")
+        };
+        let mut latest = now;
+        if in_runs > 0 {
+            for (d, tail) in tails.clone() {
+                let whole = (first_stripe..first_stripe + in_runs.min(full)).map(ChunkHandle::new);
+                let tail = tail
+                    .filter(|_| in_runs == stripe_count)
+                    .map(|len| (ChunkHandle::new(first_stripe + full), len));
                 let done = self
                     .array
                     .device_mut(d)
@@ -428,23 +453,28 @@ impl StripeManager {
                     .expect("a healthy device with room for the run");
                 latest = latest.max(done);
             }
-            latest
-        } else {
+        }
+        if in_runs < stripe_count {
             let (mut io, _) = self.split_io();
             let mut written = 0;
-            let result = io.write_extent(&placed, payload, &mut written);
-            let latest = io.finish();
+            let result = io.write_extent(&placed, in_runs, payload, &mut written);
+            latest = latest.max(io.finish());
             if let Err(e) = result {
-                // Roll back the chunks written; the stripe being assembled
-                // stays consumed.
-                for c in placed.stripes().flat_map(|s| s.chunks()).take(written) {
+                // Roll back the runs and the chunks written after them; the
+                // stripe being assembled stays consumed.
+                for (d, _) in tails {
+                    let device = self.array.device_mut(d);
+                    device.remove_run(ChunkHandle::new(first_stripe), in_runs);
+                }
+                let chunks = placed.stripes_from(in_runs).flat_map(|s| s.chunks());
+                for c in chunks.take(written) {
                     self.array.device_mut(c.device).remove_chunk(c.handle);
                 }
-                self.next_stripe = first_stripe + (written / extent.width()) as u64 + 1;
+                let reached = in_runs + (written / extent.width()) as u64;
+                self.next_stripe = first_stripe + reached + 1;
                 return Err(e);
             }
-            latest
-        };
+        }
         self.completed("store", now, latest);
 
         self.charge_usage(&placed);
@@ -587,10 +617,21 @@ impl StripeManager {
     }
 
     /// Overwrites the data chunks `chunks` of an object (object order,
-    /// inclusive) size-only, one [`StripeManager::overwrite_chunk`] after
-    /// another — chunk *i + 1* starts at the clock chunk *i* left. Returns
-    /// the completion instant of the last chunk (the current instant for an
-    /// empty range).
+    /// inclusive) size-only, leaving every instant and counter where one
+    /// [`StripeManager::overwrite_chunk`] after another does — chunk
+    /// *i + 1* starts at the clock chunk *i* left. Returns the completion
+    /// instant of the last chunk (the current instant for an empty range).
+    ///
+    /// The first chunk is that call: it absorbs whatever queue the devices
+    /// had. After it every device of a replicated stripe is idle at the
+    /// clock, so the whole chunks that follow run in lockstep, one every
+    /// write time of the slowest device, and rewriting an intact size-only
+    /// chunk as what it is changes no table: on a size-only replicated
+    /// object whose devices all
+    /// [serve rewrite runs](reo_flashsim::FlashDevice::serves_rewrite_runs)
+    /// they are charged as one run per device, however many they are. The
+    /// object's short last chunk, parity schemes, objects with real
+    /// payloads and devices that cannot vouch go chunk by chunk.
     ///
     /// # Errors
     ///
@@ -605,11 +646,64 @@ impl StripeManager {
         layout: &ObjectLayout,
         chunks: std::ops::RangeInclusive<u64>,
     ) -> Result<SimTime, StripeError> {
+        let (first, last) = (*chunks.start(), *chunks.end());
         let mut done = self.array.clock().now();
-        for chunk_index in chunks {
+        if first > last {
+            return Ok(done);
+        }
+        (_, done) = self.overwrite_chunk(layout, first, None)?;
+        let mut next = first + 1;
+        if next <= last {
+            let placed = self.placed(layout)?;
+            // Where the whole chunks of the range end: only the object's
+            // last chunk can be short.
+            let whole_end = last.saturating_add(1).min(layout.size / self.chunk_size);
+            let vouched = |d| self.array.device(d).serves_rewrite_runs();
+            if next < whole_end
+                && !placed.extent.real
+                && placed.extent.scheme.is_replication()
+                && placed.devices().all(vouched)
+            {
+                done = self.rewrite_in_lockstep(&placed, next..whole_end, done);
+                next = whole_end;
+            }
+        }
+        for chunk_index in next..=last {
             (_, done) = self.overwrite_chunk(layout, chunk_index, None)?;
         }
         Ok(done)
+    }
+
+    /// Charges the size-only overwrites of the whole data chunks `chunks`
+    /// of a replicated extent, one after another from `start`, where every
+    /// device of the extent is idle and serves rewrite runs: each chunk is
+    /// a stripe of its own under its id, with a replica on every device,
+    /// and takes the slowest device's write time. Returns the completion
+    /// instant of the last, where the clock then stands.
+    fn rewrite_in_lockstep(
+        &mut self,
+        placed: &PlacedExtent,
+        chunks: std::ops::Range<u64>,
+        start: SimTime,
+    ) -> SimTime {
+        let (chunk_size, count) = (placed.chunk_size, chunks.end - chunks.start);
+        let write_times = placed
+            .devices()
+            .map(|d| self.array.device(d).write_time(chunk_size));
+        let stride = write_times.max().expect("an extent has a device");
+        let first = ChunkHandle::new(placed.first_stripe + chunks.start);
+        for d in placed.devices() {
+            let device = self.array.device_mut(d);
+            device.rewrite_run(first, count, chunk_size, start, stride);
+        }
+        // Each chunk is an operation of its own, with its own spans.
+        if self.array.tracer().is_enabled() {
+            for i in 0..count - 1 {
+                self.completed("overwrite", start + stride * i, start + stride * (i + 1));
+            }
+        }
+        let last = start + stride * (count - 1);
+        self.completed("overwrite", last, last + stride)
     }
 
     /// Rebuilds every lost chunk of an object back onto its (replaced)

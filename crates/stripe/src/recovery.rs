@@ -114,6 +114,7 @@ impl StripeManager {
     pub fn simulate_crash(&mut self) {
         self.extents.clear();
         self.usage = SpaceUsage::default();
+        self.rewound_from = self.rewound_from.max(self.next_stripe);
         self.next_stripe = 0;
     }
 
@@ -179,6 +180,8 @@ impl StripeManager {
         let referenced = self.chunk_refs();
         let mut refs = referenced.iter().peekable();
         let mut removed = 0;
+        // What is left is referenced, so under handles already handed out.
+        self.rewound_from = 0;
         for id in (0..self.array.device_count()).map(DeviceId) {
             let device = self.array.device_mut(id);
             for (first, count) in device.chunk_runs() {

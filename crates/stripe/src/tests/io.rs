@@ -1,7 +1,7 @@
 //! Degraded reads and overwrites: bytes, strategies and pinned timing.
 
-use reo_flashsim::{DeviceId, FaultPlan};
-use reo_sim::{ByteSize, SimTime};
+use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, StoredChunk};
+use reo_sim::{ByteSize, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
 use crate::{ObjectStatus, ParityUpdate, RedundancyScheme, StripeError, StripeManager};
@@ -195,6 +195,60 @@ fn overwrite_chunks_is_the_per_chunk_loop() {
                 ranged.array().device(DeviceId(d)).stats()
             );
         }
+    }
+
+    // A 200-chunk replicated object, its last chunk short, on an array
+    // with one device slowed and another busy past the clock when the
+    // overwrite starts — which the range charges as its first chunk, one
+    // run per device and its last chunk. Traced and untraced.
+    for traced in [false, true] {
+        let twin = || {
+            let mut m = mgr(5);
+            let tracer = Tracer::new();
+            tracer.set_enabled(traced);
+            m.set_tracer(tracer.clone());
+            let size = ByteSize::from_bytes(4096 * 199 + 1000);
+            let layout = m
+                .store_object(1, size, RedundancyScheme::Replication, None)
+                .unwrap();
+            m.slow_device(&mut FaultPlan::new(1), DeviceId(3), 2.5);
+            let now = m.array.clock().now();
+            let stray = StoredChunk::synthetic(ByteSize::from_kib(512));
+            let busy_until =
+                m.array
+                    .device_mut(DeviceId(1))
+                    .write_chunk(ChunkHandle::new(9_000), stray, now);
+            assert!(busy_until.unwrap() > now);
+            (m, layout, tracer)
+        };
+        let ((mut looped, a, looped_spans), (mut ranged, b, ranged_spans)) = (twin(), twin());
+        for range in [0..=199, 17..=100, 198..=199, 5..=5] {
+            let mut done = SimTime::ZERO;
+            for ci in range.clone() {
+                (_, done) = looped.overwrite_chunk(&a, ci, None).unwrap();
+            }
+            let writes = ranged.array().stats().writes;
+            assert_eq!(ranged.overwrite_chunks(&b, range.clone()).unwrap(), done);
+            let chunks = range.end() - range.start() + 1;
+            assert_eq!(ranged.array().stats().writes - writes, chunks * 5);
+            assert_eq!(ranged.array().clock().now(), looped.array().clock().now());
+            for d in (0..5).map(DeviceId) {
+                let (l, r) = (looped.array().device(d), ranged.array().device(d));
+                assert_eq!(l.stats(), r.stats(), "{d} over {range:?}");
+                assert_eq!(l.busy_until(), r.busy_until(), "{d} over {range:?}");
+                assert_eq!(l.chunk_runs(), r.chunk_runs(), "{d} over {range:?}");
+            }
+            assert_eq!(looped_spans.recent_spans(), ranged_spans.recent_spans());
+            assert_eq!(looped_spans.breakdown(), ranged_spans.breakdown());
+        }
+        assert_eq!(ranged_spans.recent_spans().is_empty(), !traced);
+        // The slowed device sets the pace: 200 us + 4 KiB at 512 MiB/s is
+        // 207,629 ns a chunk, 519,073 ns there, and the last range was one
+        // chunk from an idle array.
+        let paced = ranged.array().device(DeviceId(3)).busy_until();
+        assert_eq!(paced, ranged.array().clock().now());
+        let idle = ranged.array().device(DeviceId(0)).busy_until();
+        assert_eq!(paced.saturating_since(idle).as_nanos(), 519_073 - 207_629);
     }
 }
 

@@ -1,9 +1,10 @@
 //! Stores, reads, removals and accounting on live objects.
 
-use reo_flashsim::{DeviceId, FlashError};
-use reo_sim::ByteSize;
+use reo_flashsim::{ChunkHandle, DeviceId, FlashError, StoredChunk};
+use reo_sim::{ByteSize, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
+use crate::extent::Extent;
 use crate::{
     ObjectLayout, ObjectStatus, RedundancyScheme, SpaceUsage, StripeError, StripeId, StripeManager,
 };
@@ -180,6 +181,161 @@ fn full_array_rolls_back_cleanly() {
         count_before,
         "failed store must not leak stripes"
     );
+}
+
+/// A five-device array of 1 MiB devices under a 4 KiB-chunk manager,
+/// device `d` left with `free[d]` bytes by a chunk the manager knows
+/// nothing of.
+fn nearly_full(free: [u64; 5]) -> StripeManager {
+    let mut m = StripeManager::new(test_array(5, 1), ByteSize::from_kib(4));
+    for (d, free) in free.into_iter().enumerate() {
+        let filler = StoredChunk::synthetic(ByteSize::from_mib(1) - ByteSize::from_bytes(free));
+        m.array
+            .device_mut(DeviceId(d))
+            .write_chunk(ChunkHandle::new(1 << 40), filler, SimTime::ZERO)
+            .unwrap();
+    }
+    m
+}
+
+/// What storing `size` size-only bytes under `scheme` from stripe `first`
+/// does to the devices chunk by chunk: every chunk written in extent order
+/// at the clock until one is rejected, and then each removed again.
+fn store_chunk_by_chunk(
+    m: &mut StripeManager,
+    first: u64,
+    size: ByteSize,
+    scheme: RedundancyScheme,
+) -> Result<(), (FlashError, u64)> {
+    let extent = Extent {
+        size,
+        healthy: 0b11111,
+        scheme,
+        real: false,
+    };
+    let placed = extent.placed(StripeId(first), m.chunk_size, m.placement);
+    let now = m.array.clock().now();
+    let chunks = || placed.stripes().flat_map(|s| s.chunks());
+    for (written, c) in chunks().enumerate() {
+        let stored = StoredChunk::synthetic(c.len);
+        if let Err(e) = m
+            .array
+            .device_mut(c.device)
+            .write_chunk(c.handle, stored, now)
+        {
+            for c in chunks().take(written) {
+                m.array.device_mut(c.device).remove_chunk(c.handle);
+            }
+            return Err((e, written as u64 / 5));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn a_store_that_does_not_fit_charges_and_frees_what_chunk_by_chunk_did() {
+    let kib = |n: u64| n * 1024;
+    let parity = RedundancyScheme::parity(1);
+    let lacking = |requested, available| FlashError::DeviceFull {
+        device: DeviceId(2),
+        requested: ByteSize::from_bytes(requested),
+        available: ByteSize::from_bytes(available),
+    };
+    // Device 2 is the one short of room. Ten stripes of four data chunks,
+    // rejected in the first and in the fourth; four stripes and a fifth of
+    // two data chunks, rejected there on a whole chunk and on the object's
+    // 100-byte tail.
+    let cases = [
+        (
+            kib(160),
+            [kib(64), kib(64), 4000, kib(64), kib(64)],
+            0,
+            lacking(4096, 4000),
+        ),
+        (
+            kib(160),
+            [kib(64), kib(64), kib(12) + 9, kib(64), kib(64)],
+            3,
+            lacking(4096, 9),
+        ),
+        (
+            kib(72),
+            [kib(64), kib(64), kib(18), kib(64), kib(64)],
+            4,
+            lacking(4096, kib(2)),
+        ),
+        (
+            kib(68) + 100,
+            [kib(64), kib(64), kib(16) + 99, kib(64), kib(64)],
+            4,
+            lacking(100, 99),
+        ),
+    ];
+    for (size, free, stripe, error) in cases {
+        let size = ByteSize::from_bytes(size);
+        let mut m = nearly_full(free);
+        let tracer = Tracer::new();
+        tracer.set_enabled(true);
+        m.set_tracer(tracer.clone());
+        // An object before it, so that the attempt starts mid-rotation,
+        // and a twin to make the attempt chunk by chunk.
+        let kept = m
+            .store_object(1, ByteSize::from_kib(3), RedundancyScheme::parity(0), None)
+            .unwrap();
+        let (first, now) = (m.next_stripe, m.array.clock().now());
+        let mut twin = m.clone();
+        let stored = tracer.breakdown();
+        let before: Vec<_> = (0..5)
+            .map(|d| m.array.device(DeviceId(d)).clone())
+            .collect();
+
+        let rejected = m.store_object(2, size, parity, None).unwrap_err();
+        assert_eq!(rejected, StripeError::Flash(error.clone()), "{size}");
+        assert_eq!(
+            store_chunk_by_chunk(&mut twin, first, size, parity),
+            Err((error, stripe))
+        );
+        assert_eq!(m.next_stripe, first + stripe + 1, "{size}");
+        assert_eq!(m.array.clock().now(), now, "a rejected store takes no time");
+        assert_eq!(tracer.breakdown(), stored, "and leaves no span");
+        for (d, before) in before.iter().enumerate() {
+            let (device, twin) = (m.array.device(DeviceId(d)), twin.array.device(DeviceId(d)));
+            assert_eq!(device.used(), before.used(), "ssd{d} of {size}");
+            assert_eq!(device.chunk_runs(), before.chunk_runs(), "ssd{d} of {size}");
+            assert_eq!(device.stats(), twin.stats(), "ssd{d} of {size}");
+            assert_eq!(device.busy_until(), twin.busy_until(), "ssd{d} of {size}");
+            let written = device.stats().writes - before.stats().writes;
+            assert!(
+                written >= stripe && written <= stripe + 1,
+                "ssd{d} of {size}"
+            );
+        }
+        assert_eq!(m.usage().total(), ByteSize::from_kib(3));
+        assert_eq!(m.object_status(&kept).unwrap(), ObjectStatus::Intact);
+    }
+
+    // After a crash the handles start over, under chunks the crash
+    // orphaned: writing over those frees their room, so the same object
+    // fits again where the free bytes say nothing does.
+    let size = ByteSize::from_kib(160);
+    let mut m = nearly_full([kib(64), kib(64), kib(40), kib(64), kib(64)]);
+    m.store_object(1, size, parity, None).unwrap();
+    assert_eq!(m.array.device(DeviceId(2)).available(), ByteSize::ZERO);
+    m.simulate_crash();
+    let mut twin = m.clone();
+    assert_eq!(store_chunk_by_chunk(&mut twin, 0, size, parity), Ok(()));
+    m.store_object(1, size, parity, None).unwrap();
+    for d in (0..5).map(DeviceId) {
+        assert_eq!(m.array.device(d).stats(), twin.array.device(d).stats());
+        assert_eq!(
+            m.array.device(d).chunk_handles(),
+            twin.array.device(d).chunk_handles()
+        );
+    }
+    // Once the sweep has run nothing is orphaned, and a store that does
+    // not fit is arithmetic again.
+    m.remove_unreferenced_chunks();
+    assert_eq!(m.rewound_from, 0);
 }
 
 #[test]

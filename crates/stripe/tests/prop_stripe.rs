@@ -8,10 +8,11 @@
 mod reference;
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use reo_flashsim::{
-    ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, WriteAmplification,
+    ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, FlashDevice, WriteAmplification,
 };
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
 use reo_stripe::{
@@ -147,15 +148,25 @@ enum Step {
 fn arb_step() -> impl Strategy<Value = Step> {
     // Up to ~40 chunks of 16 KiB, rarely chunk-aligned; one in four with a
     // real payload, so real and size-only objects share the array and the
-    // devices' runs split around real chunks.
+    // devices' runs split around real chunks. Two schemes in five are
+    // replication, the scheme of every dirty object.
     let store = || {
-        (1u64..640 * 1024, 0u8..4, 0u8..4).prop_map(|(size, scheme, real)| Step::Store {
+        (1u64..640 * 1024, 0u8..5, 0u8..4).prop_map(|(size, scheme, real)| Step::Store {
             size,
             scheme,
             real: real == 0,
         })
     };
     let read = || (0usize..12).prop_map(|slot| Step::Read { slot });
+    // From the object's first few chunks to its last, mostly: what a write
+    // hit on a dirty object is.
+    let whole_overwrite = || {
+        (0usize..12, 0u64..3, 30u64..40).prop_map(|(slot, first, span)| Step::Overwrite {
+            slot,
+            first,
+            span,
+        })
+    };
     // Stores and reads are listed more than once so they make up most of a
     // sequence, and half the failures name no device, so stretches of it
     // run on a healthy array.
@@ -172,11 +183,13 @@ fn arb_step() -> impl Strategy<Value = Step> {
         read(),
         read(),
         read(),
-        (0usize..12, 0u64..40, 0u64..4).prop_map(|(slot, first, span)| Step::Overwrite {
+        (0usize..12, 0u64..40, 0u64..40).prop_map(|(slot, first, span)| Step::Overwrite {
             slot,
             first,
             span
         }),
+        whole_overwrite(),
+        whole_overwrite(),
         (0usize..12).prop_map(|slot| Step::Remove { slot }),
         (0usize..16).prop_map(|device| Step::Fail { device }),
         (0usize..8).prop_map(|device| Step::Spare { device }),
@@ -187,6 +200,25 @@ fn arb_step() -> impl Strategy<Value = Step> {
         Just(Step::CrashAndReplay),
     ]
 }
+
+/// The requests the manager answers by arithmetic per device where the
+/// reference walks the object's chunks.
+#[derive(Clone, Copy)]
+enum ClosedForm {
+    /// A size-only store rejected after at least one whole stripe fitted.
+    RejectedStore,
+    /// A size-only overwrite of three or more whole chunks of a replicated
+    /// object on devices that serve rewrite runs.
+    LockstepOverwrite,
+    /// A read of a size-only object with a whole period of stripes before
+    /// its last, on an intact array that serves read runs.
+    CountedRead,
+}
+
+/// Steps of one whole run of the differential test that met each closed
+/// form's precondition (a row per form) under round-robin placement, under
+/// fixed placement, and with a slowed device in the array.
+static MET: [[AtomicU64; 3]; 3] = [const { [const { AtomicU64::new(0) }; 3] }; 3];
 
 /// The extent-and-run manager and the per-chunk reference, each over its
 /// own array and fault plan built from the same seed.
@@ -199,6 +231,7 @@ struct Twins {
     owner: u64,
     /// Owners of the objects stored with a real payload.
     real: BTreeSet<u64>,
+    placement: PlacementPolicy,
 }
 
 /// `width` small devices (so stores meet `DeviceFull` and roll back),
@@ -236,6 +269,21 @@ impl Twins {
             live: Vec::new(),
             owner: 0,
             real: BTreeSet::new(),
+            placement,
+        }
+    }
+
+    fn devices(&self) -> impl Iterator<Item = &FlashDevice> {
+        let array = self.new.array();
+        (0..array.device_count()).map(|d| array.device(DeviceId(d)))
+    }
+
+    /// Counts a step that met `form`'s precondition.
+    fn met(&self, form: ClosedForm) {
+        let row = &MET[form as usize];
+        row[(self.placement == PlacementPolicy::Fixed) as usize].fetch_add(1, Ordering::Relaxed);
+        if self.devices().any(|d| d.slowdown() != 1.0) {
+            row[2].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -288,9 +336,17 @@ impl Twins {
                     (0..size).map(byte).collect()
                 });
                 let (size, scheme) = (ByteSize::from_bytes(size), scheme_of(scheme));
+                let (width, writes) = (
+                    self.new.array().healthy().count(),
+                    self.new.array().stats().writes,
+                );
                 let n = self
                     .new
                     .store_object(self.owner, size, scheme, payload.as_deref());
+                // A rejected store wrote a whole stripe only if one fitted.
+                if n.is_err() && !real && self.new.array().stats().writes - writes >= width as u64 {
+                    self.met(ClosedForm::RejectedStore);
+                }
                 let o = self
                     .old
                     .store_object(self.owner, size, scheme, payload.as_deref());
@@ -315,6 +371,15 @@ impl Twins {
             }
             Step::Read { slot } => {
                 if let Some((n, o)) = self.live.get(slot) {
+                    // More stripes before the last than the array has
+                    // devices are more than the extent is wide.
+                    let periodic = n.stripes().count() > self.new.array().device_count();
+                    if periodic
+                        && !self.real.contains(&n.owner())
+                        && self.devices().all(|d| d.serves_read_runs())
+                    {
+                        self.met(ClosedForm::CountedRead);
+                    }
                     let n = self.new.read_object(n);
                     let o = self.old.read_object(o);
                     let n = n.map(|r| (r.degraded, r.completed_at, r.bytes));
@@ -334,6 +399,13 @@ impl Twins {
                     let chunks = n.size().div_ceil(self.new.chunk_size());
                     let last = (first + span).min(chunks - 1);
                     if first <= last {
+                        let whole = (last + 1).min(n.size() / self.new.chunk_size());
+                        if whole >= first + 3
+                            && n.scheme().is_replication()
+                            && self.devices().all(|d| d.serves_rewrite_runs())
+                        {
+                            self.met(ClosedForm::LockstepOverwrite);
+                        }
                         let n = self.new.overwrite_chunks(n, first..=last);
                         let o = self.old.overwrite_chunks(o, first..=last);
                         prop_assert_eq!(shown(&n), shown(&o));
@@ -438,43 +510,59 @@ impl Twins {
     }
 }
 
+/// The same seeded sequence of stores (size-only and with real payloads, on
+/// one array), reads, overwrites, removals, device failures, spares and
+/// rebuilds, corruptions, transient faults, slow devices and crash replays
+/// — on one to eight devices, under either placement policy, with and
+/// without the write-amplification model — leaves the extent-and-run
+/// manager and the per-chunk reference in the same simulation after every
+/// step: every completion instant, error and byte read, every device's
+/// counters, horizon and chunks, the byte accounting, the retry count and
+/// the chunks the stripe metadata references. And the run reaches what it
+/// guards: each closed form's precondition was met under both placement
+/// policies and with a slowed device.
+#[test]
+fn extent_runs_match_the_per_chunk_reference() {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        fn sequences(
+            steps in proptest::collection::vec(arb_step(), 1..120),
+            seed: u64,
+            write_amplification: bool,
+            width in 1usize..=8,
+            fixed: bool,
+        ) {
+            let placement = if fixed { PlacementPolicy::Fixed } else { PlacementPolicy::RoundRobin };
+            let mut twins = Twins::new(seed, write_amplification, width, placement);
+            for (i, step) in steps.iter().enumerate() {
+                if let Err(e) = twins.step(step.clone()) {
+                    let from = i.saturating_sub(8);
+                    return Err(TestCaseError::fail(format!(
+                        "{e:?} after step {i} of {:?}", &steps[from..=i]
+                    )));
+                }
+            }
+            while !twins.live.is_empty() {
+                twins.remove(0);
+            }
+            twins.assert_same_state()?;
+            prop_assert_eq!(twins.new.usage().total(), ByteSize::ZERO);
+        }
+    }
+    sequences();
+    let met = MET
+        .each_ref()
+        .map(|row| row.each_ref().map(|n| n.load(Ordering::Relaxed)));
+    println!("closed forms met (round-robin, fixed, slowed): {met:?}");
+    assert!(
+        met.iter().flatten().all(|&n| n > 0),
+        "a closed form was never reached: {met:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The same seeded sequence of stores (size-only and with real
-    /// payloads, on one array), reads, overwrites, removals, device
-    /// failures, spares and rebuilds, corruptions, transient faults, slow
-    /// devices and crash replays — on one to eight devices, under either
-    /// placement policy, with and without the write-amplification model —
-    /// leaves the extent-and-run manager and the per-chunk reference in the
-    /// same simulation after every step: every completion instant, error
-    /// and byte read, every device's counters, horizon and chunks, the byte
-    /// accounting, the retry count and the chunks the stripe metadata
-    /// references.
-    #[test]
-    fn extent_runs_match_the_per_chunk_reference(
-        steps in proptest::collection::vec(arb_step(), 1..120),
-        seed: u64,
-        write_amplification: bool,
-        width in 1usize..=8,
-        fixed: bool,
-    ) {
-        let placement = if fixed { PlacementPolicy::Fixed } else { PlacementPolicy::RoundRobin };
-        let mut twins = Twins::new(seed, write_amplification, width, placement);
-        for (i, step) in steps.iter().enumerate() {
-            if let Err(e) = twins.step(step.clone()) {
-                let from = i.saturating_sub(8);
-                return Err(TestCaseError::fail(format!(
-                    "{e:?} after step {i} of {:?}", &steps[from..=i]
-                )));
-            }
-        }
-        while !twins.live.is_empty() {
-            twins.remove(0);
-        }
-        twins.assert_same_state()?;
-        prop_assert_eq!(twins.new.usage().total(), ByteSize::ZERO);
-    }
 
     /// Whatever happens — stores, removals, failures, spares, rebuilds,
     /// overwrites — the manager's byte accounting never goes negative,
