@@ -88,6 +88,11 @@ impl CacheEntry {
         self.freq += 1;
     }
 
+    /// Starts the entry at the access count of the one it replaces.
+    pub(crate) fn carry_freq(&mut self, freq: u64) {
+        self.freq = freq;
+    }
+
     /// Marks the entry dirty (a write landed in cache).
     pub fn mark_dirty(&mut self) {
         self.dirty = true;

@@ -5,7 +5,7 @@ use std::collections::hash_map::Entry;
 use reo_osd::ObjectKey;
 use reo_sim::FastMap;
 
-/// A recency-ordered set of object keys.
+/// A recency-ordered set of object keys, some of them marked.
 ///
 /// Touching a key moves it to the most-recently-used position; the
 /// least-recently-used key is the eviction victim. One doubly-linked list
@@ -13,6 +13,13 @@ use reo_sim::FastMap;
 /// `touch`, `remove` and `pop_least_recent` are `O(1)` with one map probe,
 /// and the slab's freed slots are reused, so a list at steady size
 /// allocates nothing.
+///
+/// The marked keys (the cache manager marks the dirty ones) are threaded
+/// on a second pair of links in the same nodes, always in the order the
+/// list has them, so the least-recently-used *marked* key is that list's
+/// head — no scan. A touch moves a marked key to both tails; marking a key
+/// steps from it toward the recent end to the next marked key, which is
+/// no step at all for the key touched last.
 ///
 /// # Examples
 ///
@@ -24,19 +31,23 @@ use reo_sim::FastMap;
 /// let mut lru = LruList::new();
 /// lru.touch(k(1));
 /// lru.touch(k(2));
+/// lru.touch(k(3));
 /// lru.touch(k(1)); // 1 becomes most recent
 /// assert_eq!(lru.least_recent(), Some(k(2)));
+/// lru.mark(k(1));
+/// lru.mark(k(3));
+/// assert_eq!(lru.first_marked(), Some(k(3)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LruList {
-    /// List nodes and freed slots; a freed slot's `next` chains the free
-    /// list.
+    /// List nodes and freed slots; a freed slot's `all.next` chains the
+    /// free list.
     nodes: Vec<Node>,
     slot_of: FastMap<ObjectKey, u32>,
-    /// Least recently used node.
-    head: u32,
-    /// Most recently used node.
-    tail: u32,
+    /// Every key, least recently used first.
+    all: Ends,
+    /// The marked keys, a sub-sequence of `all`.
+    marked: Ends,
     /// First freed slot.
     free: u32,
 }
@@ -44,22 +55,68 @@ pub struct LruList {
 #[derive(Clone, Copy, Debug)]
 struct Node {
     key: ObjectKey,
+    all: Links,
+    /// The node's place among the marked ones, if it is one.
+    marked: Option<Links>,
+}
+
+/// A node's neighbours on one list.
+#[derive(Clone, Copy, Debug)]
+struct Links {
     prev: u32,
     next: u32,
 }
 
+/// A list's least and most recently used nodes.
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
 /// The null slot.
 const NIL: u32 = u32::MAX;
+
+const UNLINKED: Links = Links {
+    prev: NIL,
+    next: NIL,
+};
+
+const EMPTY: Ends = Ends {
+    head: NIL,
+    tail: NIL,
+};
 
 impl Default for LruList {
     fn default() -> Self {
         LruList {
             nodes: Vec::new(),
             slot_of: FastMap::default(),
-            head: NIL,
-            tail: NIL,
+            all: EMPTY,
+            marked: EMPTY,
             free: NIL,
         }
+    }
+}
+
+/// One of the two lists threaded through the nodes: where a node keeps
+/// its links on it.
+trait Thread {
+    fn links(node: &mut Node) -> &mut Links;
+}
+
+struct All;
+struct Marked;
+
+impl Thread for All {
+    fn links(node: &mut Node) -> &mut Links {
+        &mut node.all
+    }
+}
+
+impl Thread for Marked {
+    fn links(node: &mut Node) -> &mut Links {
+        node.marked.as_mut().expect("a marked node")
     }
 }
 
@@ -84,19 +141,24 @@ impl LruList {
         self.slot_of.contains_key(&key)
     }
 
-    /// Inserts `key` at (or moves it to) the most-recently-used position.
+    /// Inserts `key` at (or moves it to) the most-recently-used position;
+    /// a marked key stays marked.
     pub fn touch(&mut self, key: ObjectKey) {
         let slot = match self.slot_of.entry(key) {
             Entry::Occupied(e) => {
                 let slot = *e.get();
-                unlink(&mut self.nodes, &mut self.head, &mut self.tail, slot);
+                unlink::<All>(&mut self.nodes, &mut self.all, slot);
+                if self.nodes[slot as usize].marked.is_some() {
+                    unlink::<Marked>(&mut self.nodes, &mut self.marked, slot);
+                    link_before::<Marked>(&mut self.nodes, &mut self.marked, slot, NIL);
+                }
                 slot
             }
             Entry::Vacant(e) => {
                 let node = Node {
                     key,
-                    prev: NIL,
-                    next: NIL,
+                    all: UNLINKED,
+                    marked: None,
                 };
                 let slot = if self.free == NIL {
                     let slot = u32::try_from(self.nodes.len())
@@ -107,21 +169,14 @@ impl LruList {
                     slot
                 } else {
                     let slot = self.free;
-                    self.free = self.nodes[slot as usize].next;
+                    self.free = self.nodes[slot as usize].all.next;
                     self.nodes[slot as usize] = node;
                     slot
                 };
                 *e.insert(slot)
             }
         };
-        // Link in behind the tail.
-        self.nodes[slot as usize].prev = self.tail;
-        self.nodes[slot as usize].next = NIL;
-        match self.tail {
-            NIL => self.head = slot,
-            tail => self.nodes[tail as usize].next = slot,
-        }
-        self.tail = slot;
+        link_before::<All>(&mut self.nodes, &mut self.all, slot, NIL);
     }
 
     /// Removes `key`; returns `true` if it was present.
@@ -137,7 +192,7 @@ impl LruList {
 
     /// The least-recently-used key, if any.
     pub fn least_recent(&self) -> Option<ObjectKey> {
-        self.nodes.get(self.head as usize).map(|node| node.key)
+        self.nodes.get(self.all.head as usize).map(|node| node.key)
     }
 
     /// Removes and returns the least-recently-used key.
@@ -150,33 +205,97 @@ impl LruList {
 
     /// Keys from least to most recently used.
     pub fn iter(&self) -> impl Iterator<Item = ObjectKey> + '_ {
-        let mut at = self.head;
+        let mut at = self.all.head;
         std::iter::from_fn(move || {
             let node = self.nodes.get(at as usize)?;
-            at = node.next;
+            at = node.all.next;
             Some(node.key)
         })
     }
 
+    /// Marks `key` where it stands; a key that is not tracked, or is
+    /// marked already, stays as it is. Costs one step per unmarked key
+    /// between this one and the next marked one toward the recent end:
+    /// none for the key touched last.
+    pub fn mark(&mut self, key: ObjectKey) {
+        let Some(slot) = self.slot(key) else {
+            return;
+        };
+        if self.nodes[slot as usize].marked.is_some() {
+            return;
+        }
+        let mut next = self.nodes[slot as usize].all.next;
+        while let Some(node) = self.nodes.get(next as usize) {
+            if node.marked.is_some() {
+                break;
+            }
+            next = node.all.next;
+        }
+        self.nodes[slot as usize].marked = Some(UNLINKED);
+        link_before::<Marked>(&mut self.nodes, &mut self.marked, slot, next);
+    }
+
+    /// Takes the mark off `key`, if it has one.
+    pub fn unmark(&mut self, key: ObjectKey) {
+        let Some(slot) = self.slot(key) else {
+            return;
+        };
+        if self.nodes[slot as usize].marked.is_some() {
+            unlink::<Marked>(&mut self.nodes, &mut self.marked, slot);
+            self.nodes[slot as usize].marked = None;
+        }
+    }
+
+    /// The least-recently-used marked key, if any.
+    pub fn first_marked(&self) -> Option<ObjectKey> {
+        let first = self.nodes.get(self.marked.head as usize);
+        first.map(|node| node.key)
+    }
+
+    /// The slot of `key`, without a probe for the key touched last.
+    fn slot(&self, key: ObjectKey) -> Option<u32> {
+        match self.nodes.get(self.all.tail as usize) {
+            Some(last) if last.key == key => Some(self.all.tail),
+            _ => self.slot_of.get(&key).copied(),
+        }
+    }
+
     /// Unlinks `slot` and puts it on the free list.
     fn release(&mut self, slot: u32) {
-        unlink(&mut self.nodes, &mut self.head, &mut self.tail, slot);
-        self.nodes[slot as usize].next = self.free;
+        unlink::<All>(&mut self.nodes, &mut self.all, slot);
+        if self.nodes[slot as usize].marked.is_some() {
+            unlink::<Marked>(&mut self.nodes, &mut self.marked, slot);
+        }
+        self.nodes[slot as usize].all.next = self.free;
         self.free = slot;
     }
 }
 
-/// Takes `slot` out of the list, joining its neighbours.
-fn unlink(nodes: &mut [Node], head: &mut u32, tail: &mut u32, slot: u32) {
-    let Node { prev, next, .. } = nodes[slot as usize];
+/// Takes `slot` out of a list, joining its neighbours.
+fn unlink<T: Thread>(nodes: &mut [Node], ends: &mut Ends, slot: u32) {
+    let Links { prev, next } = *T::links(&mut nodes[slot as usize]);
     match prev {
-        NIL => *head = next,
-        prev => nodes[prev as usize].next = next,
+        NIL => ends.head = next,
+        prev => T::links(&mut nodes[prev as usize]).next = next,
     }
     match next {
-        NIL => *tail = prev,
-        next => nodes[next as usize].prev = prev,
+        NIL => ends.tail = prev,
+        next => T::links(&mut nodes[next as usize]).prev = prev,
     }
+}
+
+/// Puts `slot` on a list in front of `next`, which is on it; behind the
+/// tail if `next` is `NIL`.
+fn link_before<T: Thread>(nodes: &mut [Node], ends: &mut Ends, slot: u32, next: u32) {
+    let prev = match next {
+        NIL => std::mem::replace(&mut ends.tail, slot),
+        next => std::mem::replace(&mut T::links(&mut nodes[next as usize]).prev, slot),
+    };
+    match prev {
+        NIL => ends.head = slot,
+        prev => T::links(&mut nodes[prev as usize]).next = slot,
+    }
+    *T::links(&mut nodes[slot as usize]) = Links { prev, next };
 }
 
 #[cfg(test)]
@@ -184,7 +303,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use reo_osd::{ObjectId, PartitionId};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn k(i: u64) -> ObjectKey {
         ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x20000 + i))
@@ -192,12 +311,14 @@ mod tests {
 
     /// The list this one replaced: a sequence counter, a `BTreeMap` from
     /// sequence to key and a map back. Its victim order is the definition
-    /// the slab list is held to.
+    /// the slab list is held to; the marked order is that order, filtered
+    /// by a set of marks.
     #[derive(Default)]
     struct SeqLru {
         by_seq: BTreeMap<u64, ObjectKey>,
         seq_of: FastMap<ObjectKey, u64>,
         next_seq: u64,
+        marks: BTreeSet<ObjectKey>,
     }
 
     impl SeqLru {
@@ -212,6 +333,7 @@ mod tests {
         }
 
         fn remove(&mut self, key: ObjectKey) -> bool {
+            self.marks.remove(&key);
             match self.seq_of.remove(&key) {
                 Some(seq) => {
                     self.by_seq.remove(&seq);
@@ -229,11 +351,41 @@ mod tests {
             let (&seq, &key) = self.by_seq.iter().next()?;
             self.by_seq.remove(&seq);
             self.seq_of.remove(&key);
+            self.marks.remove(&key);
             Some(key)
         }
 
         fn iter(&self) -> impl Iterator<Item = ObjectKey> + '_ {
             self.by_seq.values().copied()
+        }
+
+        fn mark(&mut self, key: ObjectKey) {
+            if self.seq_of.contains_key(&key) {
+                self.marks.insert(key);
+            }
+        }
+
+        fn marked(&self) -> impl Iterator<Item = ObjectKey> + '_ {
+            self.iter().filter(|key| self.marks.contains(key))
+        }
+    }
+
+    impl LruList {
+        /// The marked keys by their own links, from the head on and from
+        /// the tail back.
+        fn marked_both_ways(&self) -> (Vec<ObjectKey>, Vec<ObjectKey>) {
+            let walk = |from: u32, step: fn(Links) -> u32| {
+                let mut at = from;
+                let keys = std::iter::from_fn(move || {
+                    let node = self.nodes.get(at as usize)?;
+                    at = step(node.marked.expect("a marked node"));
+                    Some(node.key)
+                });
+                keys.collect()
+            };
+            let forward = walk(self.marked.head, |links| links.next);
+            let backward = walk(self.marked.tail, |links| links.prev);
+            (forward, backward)
         }
     }
 
@@ -242,15 +394,21 @@ mod tests {
         Touch(u64),
         Remove(u64),
         Pop,
+        Mark(u64),
+        Unmark(u64),
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
-        // Few keys, so sequences re-touch, remove and re-insert them.
+        // Few keys, so sequences re-touch, remove and re-insert them, and
+        // marks land on keys touched long ago, just now and never.
         prop_oneof![
             (0u64..24).prop_map(Op::Touch),
             (0u64..24).prop_map(Op::Touch),
             (0u64..24).prop_map(Op::Remove),
             Just(Op::Pop),
+            (0u64..24).prop_map(Op::Mark),
+            (0u64..24).prop_map(Op::Mark),
+            (0u64..24).prop_map(Op::Unmark),
         ]
     }
 
@@ -272,7 +430,23 @@ mod tests {
                     Op::Pop => {
                         prop_assert_eq!(lru.pop_least_recent(), reference.pop_least_recent())
                     }
+                    Op::Mark(i) => {
+                        lru.mark(k(i));
+                        reference.mark(k(i));
+                    }
+                    Op::Unmark(i) => {
+                        lru.unmark(k(i));
+                        reference.marks.remove(&k(i));
+                    }
                 }
+                // The marked keys are the marked sub-sequence of the order,
+                // whichever way their links are followed.
+                let marked: Vec<ObjectKey> = reference.marked().collect();
+                prop_assert_eq!(lru.first_marked(), marked.first().copied());
+                let (forward, mut backward) = lru.marked_both_ways();
+                backward.reverse();
+                prop_assert_eq!(&forward, &marked);
+                prop_assert_eq!(&backward, &marked);
                 prop_assert_eq!(lru.least_recent(), reference.least_recent());
                 prop_assert_eq!(lru.len(), reference.seq_of.len());
                 prop_assert!(lru.iter().eq(reference.iter()));
@@ -315,6 +489,42 @@ mod tests {
         assert!(!lru.remove(k(1)));
         assert!(lru.is_empty());
         assert_eq!(lru.least_recent(), None);
+    }
+
+    #[test]
+    fn a_mark_stays_where_the_key_stands_until_a_touch_moves_both() {
+        let mut lru = LruList::new();
+        for i in 0..5 {
+            lru.touch(k(i));
+        }
+        // Marks without touches, in no particular order.
+        lru.mark(k(3));
+        lru.mark(k(1));
+        lru.mark(k(4));
+        lru.mark(k(9)); // not tracked
+        assert_eq!(lru.marked_both_ways().0, [k(1), k(3), k(4)]);
+        // A touch of an unmarked key moves no mark; of a marked one, its own.
+        lru.touch(k(0));
+        assert_eq!(lru.first_marked(), Some(k(1)));
+        lru.touch(k(1));
+        assert_eq!(lru.marked_both_ways().0, [k(3), k(4), k(1)]);
+        lru.mark(k(0)); // between 4 and 1
+        assert_eq!(lru.marked_both_ways().0, [k(3), k(4), k(0), k(1)]);
+        // The marked head goes: unmarked, removed, popped.
+        lru.unmark(k(3));
+        assert_eq!(lru.first_marked(), Some(k(4)));
+        assert!(lru.contains(k(3)));
+        assert!(lru.remove(k(4)));
+        assert_eq!(lru.first_marked(), Some(k(0)));
+        assert_eq!(lru.pop_least_recent(), Some(k(2)));
+        assert_eq!(lru.pop_least_recent(), Some(k(3)));
+        assert_eq!(lru.pop_least_recent(), Some(k(0)));
+        assert_eq!(lru.first_marked(), Some(k(1)));
+        // A reused slot starts unmarked.
+        lru.touch(k(7));
+        assert_eq!(lru.marked_both_ways().0, [k(1)]);
+        lru.unmark(k(1));
+        assert_eq!(lru.first_marked(), None);
     }
 
     #[test]

@@ -263,9 +263,7 @@ impl CacheManager {
                     self.dirty_used = self.dirty_used.saturating_sub(existing.size());
                 }
                 let mut updated = CacheEntry::new(key, size, dirty, metadata);
-                for _ in 0..existing.freq() {
-                    updated.touch();
-                }
+                updated.carry_freq(existing.freq());
                 if existing.is_dirty() || dirty {
                     updated.mark_dirty();
                 }
@@ -299,6 +297,10 @@ impl CacheManager {
             }
         }
         self.lru.touch(key);
+        // A re-insert never cleans an entry, so a mark only ever goes on.
+        if dirty {
+            self.lru.mark(key);
+        }
     }
 
     /// Records a hit: bumps the frequency counter and the LRU position.
@@ -329,13 +331,17 @@ impl CacheManager {
     }
 
     /// Marks a cached object dirty (a write hit). Returns the entry's new
-    /// class, or `None` if not cached.
+    /// class, or `None` if not cached. The entry keeps its LRU position,
+    /// and finding its place among the dirty ones costs a step per clean
+    /// entry between it and the next dirty one toward the recent end — none
+    /// right after [`CacheManager::record_access`].
     pub fn mark_dirty(&mut self, key: ObjectKey) -> Option<ObjectClass> {
         let h = self.h_hot;
         let config = self.config;
         let e = self.entries.get_mut(&key)?;
         if !e.is_dirty() {
             self.dirty_used += e.size();
+            self.lru.mark(key);
         }
         e.mark_dirty();
         let hot = Self::is_hot(&config, e, h);
@@ -350,6 +356,7 @@ impl CacheManager {
         let e = self.entries.get_mut(&key)?;
         if e.is_dirty() {
             self.dirty_used = self.dirty_used.saturating_sub(e.size());
+            self.lru.unmark(key);
         }
         e.mark_clean();
         let hot = Self::is_hot(&config, e, h);
@@ -390,14 +397,11 @@ impl CacheManager {
     }
 
     /// The least-recently-used *dirty* key — the write-back flusher's
-    /// next victim (oldest dirty data first, the paper's flush order).
+    /// next victim (oldest dirty data first, the paper's flush order). The
+    /// dirty keys are the marked ones of the LRU list, so this reads a
+    /// head.
     pub fn first_dirty(&self) -> Option<ObjectKey> {
-        self.lru.iter().find(|&k| {
-            self.entries
-                .get(&k)
-                .map(CacheEntry::is_dirty)
-                .unwrap_or(false)
-        })
+        self.lru.first_marked()
     }
 
     /// Keys from least to most recently used (for multi-object eviction).
@@ -546,6 +550,16 @@ mod tests {
         assert!(e.is_dirty(), "dirtiness must not be lost by a resize");
         assert_eq!(m.used_bytes(), ByteSize::from_mib(8));
         assert_eq!(m.len(), 1);
+        // The count is carried over, not counted up to: a frequency no
+        // loop would reach comes back at once.
+        for freq in [1_000_000, 1 << 60] {
+            m.entries.get_mut(&k(1)).unwrap().carry_freq(freq);
+            m.insert(k(1), ByteSize::from_mib(8), false, false);
+            let e = m.entry(k(1)).unwrap();
+            assert_eq!(e.freq(), freq + 1);
+            assert!(e.is_dirty());
+        }
+        assert_eq!(m.first_dirty(), Some(k(1)));
     }
 
     #[test]

@@ -68,9 +68,12 @@ fn check_invariants(m: &CacheManager) -> Result<(), TestCaseError> {
     // LRU agrees with the index.
     let lru: Vec<ObjectKey> = m.lru_iter().collect();
     prop_assert_eq!(lru.len(), count, "LRU membership drifted");
-    for k in lru {
+    for &k in &lru {
         prop_assert!(m.contains(k));
     }
+    // The flusher's next victim is the one a scan from the cold end finds.
+    let is_dirty = |k: &&ObjectKey| m.entry(**k).expect("listed").is_dirty();
+    prop_assert_eq!(m.first_dirty(), lru.iter().find(is_dirty).copied());
     // Dirty entries are exactly class 1 (unless metadata).
     for (k, class) in m.classes() {
         let e = m.entry(k).expect("live");

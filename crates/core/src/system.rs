@@ -1142,8 +1142,10 @@ impl CacheSystem {
         if self.cache.contains(key) {
             // Whole-object overwrite of a cached object: rewrite it in
             // cache under the dirty class.
-            self.cache.mark_dirty(key);
+            // Accessed first: dirtying the entry touched last costs no
+            // search for its place among the dirty ones.
             self.cache.record_access(key);
+            self.cache.mark_dirty(key);
             if self.target.class_of(key) == Some(ObjectClass::Dirty)
                 && self
                     .target
@@ -1288,6 +1290,9 @@ impl CacheSystem {
     /// objects when a promotion needs parity space.
     fn refresh_classification(&mut self) {
         let changes = self.cache.refresh_classification();
+        // One buffer for every message of the burst; its length is the
+        // longest control message's, or this does not compile.
+        let mut wire = [0; 40];
         for change in changes {
             // A promotion grows the object's footprint; make room first.
             let entry_size = match self.cache.entry(change.key) {
@@ -1315,7 +1320,7 @@ impl CacheSystem {
                 key: change.key,
                 class: change.to,
             };
-            match self.target.handle_control_write(&msg.encode()) {
+            match self.target.handle_control_write(msg.encode_into(&mut wire)) {
                 Ok(SenseCode::Corrupted) => {
                     // Irrecoverable (or dropped during a failed restore):
                     // the object is no longer in cache.

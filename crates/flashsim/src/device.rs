@@ -903,15 +903,19 @@ impl FlashDevice {
         done
     }
 
-    /// Writes a run of size-only chunks, all issued at `now`, exactly as
-    /// one [`FlashDevice::write_chunk`] per chunk in run order would, and
+    /// Writes a run of size-only chunks, all issued at `now` — `count`
+    /// chunks of `len` bytes under the handles from `first` on, then the
+    /// `tail` chunk, if any, whose handle lies outside those — exactly as
+    /// one [`FlashDevice::write_chunk`] per chunk in that order would, and
     /// returns the completion instant of the last (`now` for an empty
-    /// run). Consecutive handles of one length become one run entry, and a
-    /// run that starts past every handle the device has seen is entered
-    /// without a lookup; the capacity check, the counters and the
-    /// service-time arithmetic are done once per call, but the iterator it
-    /// is handed is walked chunk by chunk (the handles and lengths are the
-    /// caller's to choose).
+    /// run). Like [`FlashDevice::read_run`] it charges in closed form:
+    /// write *i* starts when write *i - 1* completes, so the `count` whole
+    /// chunks wait `count` times for the device to fall idle and
+    /// `0 + 1 + ... + (count - 1)` service times for each other, and the
+    /// tail waits behind them all. The whole chunks become one run entry,
+    /// which a tail of their length under the next handle joins; a run that
+    /// starts past every handle the device has seen is entered without a
+    /// lookup.
     ///
     /// With a write-amplification model attached (every write moves the
     /// factor of the next), or when the run might not fit (it must stop at
@@ -921,59 +925,63 @@ impl FlashDevice {
     ///
     /// As [`FlashDevice::write_chunk`]; chunks before the rejected one
     /// stay written.
-    pub fn write_run<I>(&mut self, run: I, now: SimTime) -> Result<SimTime, FlashError>
-    where
-        I: Iterator<Item = (ChunkHandle, ByteSize)> + Clone,
-    {
+    pub fn write_run(
+        &mut self,
+        first: ChunkHandle,
+        count: u64,
+        len: ByteSize,
+        tail: Option<(ChunkHandle, ByteSize)>,
+        now: SimTime,
+    ) -> Result<SimTime, FlashError> {
         if !self.is_healthy() {
             return Err(FlashError::DeviceFailed(self.id));
         }
-        let total: ByteSize = run.clone().map(|(_, len)| len).sum();
+        let first = first.as_u64();
+        debug_assert!(
+            tail.is_none_or(|(handle, _)| handle.as_u64().wrapping_sub(first) >= count),
+            "the tail's handle lies inside the run"
+        );
+        let total = len * count + tail.map_or(ByteSize::ZERO, |(_, len)| len);
         if self.write_amplification.is_some() || self.used + total > self.config.capacity {
+            let whole = (first..first + count).map(|handle| (ChunkHandle::new(handle), len));
             let mut done = now;
-            for (handle, len) in run {
+            for (handle, len) in whole.chain(tail) {
                 done = self.write_chunk(handle, StoredChunk::synthetic(len), now)?;
             }
             return Ok(done);
         }
-        let start = self.busy_until.max(now);
-        let mut at = start;
-        let mut queued = 0;
-        let mut count = 0;
-        let (mut each, mut each_len) = (SimDuration::ZERO, ByteSize::ZERO);
-        // The entry being gathered: `gathered` chunks of `each_len` bytes
-        // from handle `first` on.
-        let (mut first, mut gathered) = (0, 0);
-        for (handle, len) in run {
-            if gathered > 0 && (len != each_len || handle.as_u64() != first + gathered) {
-                self.store_run(first, gathered, each_len);
-                gathered = 0;
-            }
-            if gathered == 0 {
-                first = handle.as_u64();
-            }
-            if len != each_len {
-                (each, each_len) = (self.scaled(self.config.write.service_time(len)), len);
-            }
-            gathered += 1;
-            queued += at.saturating_since(now).as_nanos();
-            at += each;
-            count += 1;
-        }
-        if count == 0 {
+        if count == 0 && tail.is_none() {
             // Nothing was issued: the device's horizon stays where it was.
             return Ok(now);
         }
-        self.store_run(first, gathered, each_len);
+        let start = self.busy_until.max(now);
+        let wait = start.saturating_since(now).as_nanos();
+        let mut queued = 0;
+        let mut done = start;
+        // A tail of the run's length under the next handle is its last chunk.
+        let joins = count > 0 && tail == Some((ChunkHandle::new(first + count), len));
+        if count > 0 {
+            let each = self.write_time(len);
+            queued = wait * count + each.as_nanos() * (count * (count - 1) / 2);
+            done += each * count;
+            self.store_run(first, count + u64::from(joins), len);
+        }
+        if let Some((handle, tail_len)) = tail {
+            queued += done.saturating_since(now).as_nanos();
+            done += self.write_time(tail_len);
+            if !joins {
+                self.store_run(handle.as_u64(), 1, tail_len);
+            }
+        }
         self.used += total;
-        self.stats.writes += count;
+        self.stats.writes += count + u64::from(tail.is_some());
         self.stats.bytes_written += total.as_bytes();
         self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
         self.stats.queued_nanos += queued;
-        self.stats.busy_nanos += at.saturating_since(start).as_nanos();
-        self.busy_until = at;
+        self.stats.busy_nanos += done.saturating_since(start).as_nanos();
+        self.busy_until = done;
         self.check_tables();
-        Ok(at)
+        Ok(done)
     }
 
     /// Enters `count` intact size-only chunks of `len` bytes, handles
@@ -1553,6 +1561,12 @@ mod tests {
         (d.clone(), d)
     }
 
+    /// [`FlashDevice::chunk_runs`] as plain numbers.
+    fn ranges(d: &FlashDevice) -> Vec<(u64, u64)> {
+        let ranges = d.chunk_runs();
+        ranges.iter().map(|(h, n)| (h.as_u64(), *n)).collect()
+    }
+
     fn assert_same_device(a: &FlashDevice, b: &FlashDevice) {
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.busy_until(), b.busy_until());
@@ -1601,51 +1615,90 @@ mod tests {
 
     #[test]
     fn write_run_is_the_writes_one_by_one() {
-        let lens = [16, 16, 16, 5, 16, 700].map(ByteSize::from_kib);
-        let run_of = |first: u64| (first..).map(ChunkHandle::new).zip(lens);
-        let check = |one_by_one: &mut FlashDevice, run: &mut FlashDevice, first, now| {
+        let (h, kib) = (ChunkHandle::new, ByteSize::from_kib);
+        // `count` chunks of `len` from `first` on, then the tail: one
+        // `write_run` on the one twin, the writes it stands for on the other.
+        type Run = (u64, u64, ByteSize, Option<(u64, ByteSize)>);
+        let check = |twins: &mut (FlashDevice, FlashDevice), run: Run, now| {
+            let (one_by_one, in_runs) = twins;
+            let (first, count, len, tail) = run;
+            let tail = tail.map(|(handle, len)| (h(handle), len));
+            let whole = (first..first + count).map(|handle| (h(handle), len));
             let mut expected = Ok(now);
-            for (handle, len) in run_of(first) {
+            for (handle, len) in whole.chain(tail) {
                 expected = one_by_one.write_chunk(handle, StoredChunk::synthetic(len), now);
                 if expected.is_err() {
                     break;
                 }
             }
-            assert_eq!(run.write_run(run_of(first), now), expected);
-            assert_same_device(one_by_one, run);
+            assert_eq!(in_runs.write_run(h(first), count, len, tail, now), expected);
+            assert_same_device(one_by_one, in_runs);
             expected
         };
-        for amplified in [false, true] {
-            let (mut one_by_one, mut run) = run_twins();
-            if amplified {
-                for d in [&mut one_by_one, &mut run] {
+        for (amplified, slowdown) in [(false, 1.7), (true, 1.7), (false, 2.5)] {
+            let mut twins = run_twins();
+            for d in [&mut twins.0, &mut twins.1] {
+                d.set_slowdown(slowdown);
+                if amplified {
                     d.set_write_amplification(Some(WriteAmplification::new(0.07)));
                 }
             }
-            // Fresh handles, queued behind the horizon.
-            check(&mut one_by_one, &mut run, 10, SimTime::ZERO).unwrap();
-            // The same handles again, one of them corrupted meanwhile, past
-            // the horizon: each gives its old space back.
-            for d in [&mut one_by_one, &mut run] {
-                d.corrupt_chunk(ChunkHandle::new(12));
-            }
-            let later = SimTime::from_nanos(90_000_000);
-            check(&mut one_by_one, &mut run, 10, later).unwrap();
-            // A second set does not fit the 1 MiB device: both stop at the
-            // same chunk with the same error and the same chunks written.
-            let full = check(&mut one_by_one, &mut run, 20, later);
-            assert!(matches!(full, Err(FlashError::DeviceFull { .. })));
-            assert_eq!(run.chunk_count(), 1 + 6 + 5);
-            // An empty run issues nothing.
+            let (zero, later) = (SimTime::ZERO, SimTime::from_nanos(90_000_000));
+            // Fresh handles, queued behind the horizon. A short tail under
+            // the next handle is an entry of its own; a tail of the run's
+            // length there is the run's last chunk, and under a later
+            // handle it is not.
+            check(&mut twins, (10, 5, kib(16), Some((15, kib(5)))), zero).unwrap();
+            check(&mut twins, (20, 3, kib(16), Some((23, kib(16)))), zero).unwrap();
+            check(&mut twins, (30, 2, kib(16), Some((33, kib(16)))), zero).unwrap();
+            // Past the horizon: whole chunks only, a tail only, nothing —
+            // which leaves the horizon in the past.
+            check(&mut twins, (40, 2, kib(4), None), later).unwrap();
+            check(&mut twins, (45, 0, kib(16), Some((45, kib(5)))), later).unwrap();
             let idle = SimTime::from_nanos(900_000_000);
-            assert_eq!(run.write_run(std::iter::empty(), idle), Ok(idle));
-            assert_same_device(&one_by_one, &run);
-            // A failed device takes no run.
-            run.fail();
-            assert_eq!(
-                run.write_run(run_of(30), idle),
-                Err(FlashError::DeviceFailed(DeviceId(0)))
-            );
+            assert_eq!(check(&mut twins, (46, 0, kib(16), None), idle), Ok(idle));
+            if !amplified {
+                let singles = [(0, 1), (15, 1), (33, 1), (45, 1)];
+                let mut expected = vec![(10, 5), (20, 4), (30, 2), (40, 2)];
+                expected.extend(singles);
+                expected.sort_unstable();
+                assert_eq!(ranges(&twins.1), expected);
+            }
+            // Over handles that hold a run with a corrupted chunk in it, a
+            // single chunk, a removed run's tombstone and nothing: each
+            // chunk gives its old space back.
+            for d in [&mut twins.0, &mut twins.1] {
+                d.corrupt_chunk(h(12));
+                d.remove_run(h(20), 4);
+                d.remove_chunk(h(31));
+            }
+            check(&mut twins, (9, 16, kib(16), Some((25, kib(5)))), later).unwrap();
+            assert_eq!(twins.1.used(), kib(314));
+            assert!(twins.1.all_chunks_intact());
+            // A run that crosses the 1 MiB capacity stops at the same chunk
+            // with the same error, and the chunks before it stay.
+            let held = twins.1.chunk_count();
+            let full = check(&mut twins, (100, 50, kib(16), Some((150, kib(5)))), later);
+            let (device, requested, available) = (DeviceId(0), kib(16), kib(6));
+            let rejected = FlashError::DeviceFull {
+                device,
+                requested,
+                available,
+            };
+            assert_eq!(full, Err(rejected));
+            assert_eq!(twins.1.chunk_count(), held + 44);
+            assert!(!twins.1.chunk_is_intact(h(144)));
+            // As does a tail alone with no room for it.
+            let full = check(&mut twins, (200, 0, kib(16), Some((200, kib(7)))), later);
+            assert!(matches!(full, Err(FlashError::DeviceFull { .. })));
+            // A failed device takes no run, not even an empty one.
+            for d in [&mut twins.0, &mut twins.1] {
+                d.fail();
+            }
+            let failed = Err(FlashError::DeviceFailed(DeviceId(0)));
+            assert_eq!(check(&mut twins, (300, 2, kib(16), None), idle), failed);
+            let nothing = twins.1.write_run(h(300), 0, kib(16), None, idle);
+            assert_eq!(nothing, failed);
         }
     }
 
@@ -1656,8 +1709,8 @@ mod tests {
         for d in [&mut one_by_one, &mut run] {
             d.set_slowdown(2.5);
             // Handles 10..16 are one run entry, 20 an entry of its own.
-            let six = (10..16).map(|h| (ChunkHandle::new(h), len));
-            d.write_run(six, SimTime::ZERO).unwrap();
+            d.write_run(ChunkHandle::new(10), 6, len, None, SimTime::ZERO)
+                .unwrap();
             d.write_chunk(
                 ChunkHandle::new(20),
                 StoredChunk::synthetic(len),
@@ -1725,8 +1778,8 @@ mod tests {
         let mut largest = 0;
         for _ in 0..10_000 {
             let count = 2 + rng.below(30);
-            let run = (next..next + count).map(|h| (ChunkHandle::new(h), len));
-            d.write_run(run, SimTime::ZERO).unwrap();
+            d.write_run(ChunkHandle::new(next), count, len, None, SimTime::ZERO)
+                .unwrap();
             live.push((ChunkHandle::new(next), count));
             // Stripes that put nothing on this device lie between.
             next += count + rng.below(3);
@@ -1753,14 +1806,10 @@ mod tests {
         let len = ByteSize::from_kib(4);
         let stored = || {
             let mut d = dev();
-            let run = (10..20).map(|h| (ChunkHandle::new(h), len));
-            d.write_run(run, SimTime::ZERO).unwrap();
+            d.write_run(ChunkHandle::new(10), 10, len, None, SimTime::ZERO)
+                .unwrap();
             assert_eq!(d.chunk_runs(), [(ChunkHandle::new(10), 10)]);
             d
-        };
-        let ranges = |d: &FlashDevice| -> Vec<(u64, u64)> {
-            let ranges = d.chunk_runs();
-            ranges.iter().map(|(h, n)| (h.as_u64(), *n)).collect()
         };
         let h = ChunkHandle::new;
         // Inside: the chunk becomes an entry of its own between two runs.
@@ -1794,10 +1843,8 @@ mod tests {
         d.fail();
         d.replace_with_spare();
         assert_eq!((d.chunk_runs(), d.all_chunks_intact()), (vec![], false));
-        d.write_run((16..18).map(|x| (h(x), len)), SimTime::ZERO)
-            .unwrap();
-        d.write_run((11..15).map(|x| (h(x), len)), SimTime::ZERO)
-            .unwrap();
+        d.write_run(h(16), 2, len, None, SimTime::ZERO).unwrap();
+        d.write_run(h(11), 4, len, None, SimTime::ZERO).unwrap();
         assert_eq!(ranges(&d), [(11, 4), (16, 2)]);
         assert!(!d.all_chunks_intact(), "18 and 19 still await a rebuild");
         d.remove_run(h(18), 2);

@@ -171,21 +171,24 @@ proptest! {
             // Issue times trail the horizon some of the time.
             now += SimDuration::from_micros(150);
             match op {
-                TwinOp::WriteRun { first, lens } => {
-                    let run = (first..).map(ChunkHandle::new).zip(lens.iter().copied().map(twin_len));
+                TwinOp::WriteRun { first, count, len, tail } => {
+                    let len = twin_len(len);
+                    let tail = tail.map(|(gap, len)| (ChunkHandle::new(first + count + gap), twin_len(len)));
+                    let whole = (first..first + count).map(|handle| (ChunkHandle::new(handle), len));
                     // A failed device refuses even an empty run.
                     let mut one_by_one = if singles.is_healthy() {
                         Ok(now)
                     } else {
                         Err(FlashError::DeviceFailed(DeviceId(0)))
                     };
-                    for (handle, len) in run.clone() {
+                    for (handle, len) in whole.chain(tail) {
                         one_by_one = singles.write_chunk(handle, StoredChunk::synthetic(len), now);
                         if one_by_one.is_err() {
                             break;
                         }
                     }
-                    prop_assert_eq!(runs.write_run(run, now), one_by_one);
+                    let first = ChunkHandle::new(first);
+                    prop_assert_eq!(runs.write_run(first, count, len, tail, now), one_by_one);
                 }
                 TwinOp::RewriteRun { first, count, idle_for, slack } => {
                     // Only what the caller of a rewrite run vouches for:
@@ -300,9 +303,13 @@ fn twin_len(code: u8) -> ByteSize {
 
 #[derive(Clone, Debug)]
 enum TwinOp {
+    /// `count` chunks of one length from `first` on, then at most one more:
+    /// `(gap, len)`, `gap` handles past the run's end.
     WriteRun {
         first: u64,
-        lens: Vec<u8>,
+        count: u64,
+        len: u8,
+        tail: Option<(u64, u8)>,
     },
     RewriteRun {
         first: u64,
@@ -338,9 +345,17 @@ enum TwinOp {
 
 fn arb_twin_op() -> impl Strategy<Value = TwinOp> {
     let handle = || 0..TWIN_HANDLES;
+    // Empty, tail only, whole chunks only, and a tail that continues the
+    // run (no gap, the run's length) or does not.
     let write_run = || {
-        (handle(), proptest::collection::vec(0u8..4, 0..16))
-            .prop_map(|(first, lens)| TwinOp::WriteRun { first, lens })
+        (handle(), 0u64..16, 0u8..4, 0u8..3, 0u64..3, 0u8..4).prop_map(
+            |(first, count, len, tailed, gap, tail_len)| TwinOp::WriteRun {
+                first,
+                count: count.saturating_sub(2),
+                len,
+                tail: (tailed > 0).then_some((gap / 2, tail_len)),
+            },
+        )
     };
     // Trimmed to the whole size-only chunks it finds; from the instant the
     // device falls idle or later, at its own pace or slower.

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use reo_journal::{CrashOutcome, Journal, JournalError, JournalRecord, JournalStats, LayoutRecord};
-use reo_osd::attr::{AttributeId, AttributeSet, AttributeValue};
+use reo_osd::attr::{AttributeId, AttributePage, AttributeSet, AttributeValue};
 use reo_osd::command::{CommandStatus, OsdCommand};
 use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
@@ -155,36 +155,117 @@ pub enum RecoveryOutcome {
     Lost(ObjectKey),
 }
 
+/// What the index keeps of one object. The attributes every object has
+/// are plain fields (logical length and class id are read off `layout` and
+/// `class`), so that a create, a read hit, a re-encode and a remove
+/// allocate nothing; [`ObjectRecord::attributes`] assembles the
+/// [`AttributeSet`] on request.
 #[derive(Clone, Debug)]
 struct ObjectRecord {
     layout: ObjectLayout,
     class: ObjectClass,
-    attrs: AttributeSet,
+    /// [`AttributeId::CREATED_AT`] and [`AttributeId::ACCESSED_AT`], in
+    /// nanoseconds of simulated time.
+    created_at: u64,
+    accessed_at: u64,
+    /// [`AttributeId::ACCESS_FREQ`].
+    access_freq: u64,
+    /// [`AttributeId::REPLICA_VERSION`]; `None` until stamped.
+    replica_version: Option<u64>,
+    /// What SET ATTRIBUTES stored that no field holds: an id without a
+    /// field, or a value that is not a `u64` for an id with one. An entry
+    /// here is newer than the field of its id — every write of a field
+    /// drops the entry — so it wins when the set is assembled.
+    extra: Option<Box<AttributeSet>>,
 }
 
 impl ObjectRecord {
     fn new(layout: ObjectLayout, class: ObjectClass, created_at: SimTime) -> Self {
-        let mut attrs = AttributeSet::new();
-        attrs.set(AttributeId::LOGICAL_LENGTH, layout.size().as_bytes());
-        attrs.set(AttributeId::CREATED_AT, created_at.as_nanos());
-        attrs.set(AttributeId::ACCESSED_AT, created_at.as_nanos());
-        attrs.set(AttributeId::ACCESS_FREQ, 0u64);
-        attrs.set_class(class);
         ObjectRecord {
             layout,
             class,
-            attrs,
+            created_at: created_at.as_nanos(),
+            accessed_at: created_at.as_nanos(),
+            access_freq: 0,
+            replica_version: None,
+            extra: None,
         }
     }
 
     fn touch(&mut self, at: SimTime) {
-        let freq = self
-            .attrs
-            .get(AttributeId::ACCESS_FREQ)
-            .and_then(AttributeValue::as_u64)
-            .unwrap_or(0);
-        self.attrs.set(AttributeId::ACCESS_FREQ, freq + 1);
-        self.attrs.set(AttributeId::ACCESSED_AT, at.as_nanos());
+        self.access_freq += 1;
+        self.accessed_at = at.as_nanos();
+        self.forget_extra(&[AttributeId::ACCESS_FREQ, AttributeId::ACCESSED_AT]);
+    }
+
+    fn set_class(&mut self, class: ObjectClass) {
+        self.class = class;
+        self.forget_extra(&[AttributeId::CLASS_ID]);
+    }
+
+    /// Drops what SET ATTRIBUTES stored under `ids`: their fields were
+    /// just written.
+    fn forget_extra(&mut self, ids: &[AttributeId]) {
+        if let Some(extra) = &mut self.extra {
+            for &id in ids {
+                extra.remove(id);
+            }
+        }
+    }
+
+    /// SET ATTRIBUTES: into the id's field if it has one that can hold the
+    /// value, else beside the fields. A value an access counter or a
+    /// replica stamp cannot hold reads as none to those who use the two as
+    /// numbers: a frequency of zero, an unstamped copy.
+    fn set_attribute(&mut self, id: AttributeId, value: AttributeValue) {
+        let held = match (id, value.as_u64()) {
+            (AttributeId::CREATED_AT, Some(at)) => {
+                self.created_at = at;
+                true
+            }
+            (AttributeId::ACCESSED_AT, Some(at)) => {
+                self.accessed_at = at;
+                true
+            }
+            (AttributeId::ACCESS_FREQ, freq) => {
+                self.access_freq = freq.unwrap_or(0);
+                freq.is_some()
+            }
+            (AttributeId::REPLICA_VERSION, version) => {
+                self.replica_version = version;
+                version.is_some()
+            }
+            _ => false,
+        };
+        if held {
+            self.forget_extra(&[id]);
+        } else {
+            self.extra.get_or_insert_default().set(id, value);
+        }
+    }
+
+    /// The object's attribute pages.
+    fn attributes(&self) -> AttributeSet {
+        let mut attrs = AttributeSet::new();
+        attrs.set(AttributeId::LOGICAL_LENGTH, self.layout.size().as_bytes());
+        attrs.set(AttributeId::CREATED_AT, self.created_at);
+        attrs.set(AttributeId::ACCESSED_AT, self.accessed_at);
+        attrs.set(AttributeId::ACCESS_FREQ, self.access_freq);
+        attrs.set_class(self.class);
+        if let Some(version) = self.replica_version {
+            attrs.set(AttributeId::REPLICA_VERSION, version);
+        }
+        if let Some(extra) = &self.extra {
+            let pages = [
+                AttributePage::UserInfo,
+                AttributePage::Timestamps,
+                AttributePage::ReoCache,
+            ];
+            for (id, value) in pages.into_iter().flat_map(|page| extra.page(page)) {
+                attrs.set(id, value.clone());
+            }
+        }
+        attrs
     }
 }
 
@@ -575,8 +656,8 @@ impl OsdTarget {
 
     /// The attribute pages of an object (Section II-A's per-object
     /// attributes: logical length, timestamps, and Reo's cache page).
-    pub fn attributes(&self, key: ObjectKey) -> Option<&AttributeSet> {
-        self.index.get(&key).map(|r| &r.attrs)
+    pub fn attributes(&self, key: ObjectKey) -> Option<AttributeSet> {
+        self.index.get(&key).map(ObjectRecord::attributes)
     }
 
     /// Sets one attribute on an object (the OSD SET ATTRIBUTES path).
@@ -594,7 +675,7 @@ impl OsdTarget {
             .index
             .get_mut(&key)
             .ok_or(TargetError::UnknownObject(key))?;
-        record.attrs.set(id, value);
+        record.set_attribute(id, value.into());
         Ok(())
     }
 
@@ -605,11 +686,7 @@ impl OsdTarget {
     /// is authoritative by construction, so anti-entropy only compares
     /// stamped copies.
     pub fn replica_version(&self, key: ObjectKey) -> Option<u64> {
-        self.index
-            .get(&key)?
-            .attrs
-            .get(AttributeId::REPLICA_VERSION)
-            .and_then(AttributeValue::as_u64)
+        self.index.get(&key)?.replica_version
     }
 
     /// Stamps the replication content version on `key`'s record — a
@@ -699,8 +776,7 @@ impl OsdTarget {
 
         if !self.policy.requires_reencode(old_class, class) {
             let record = self.index.get_mut(&key).expect("checked above");
-            record.class = class;
-            record.attrs.set_class(class);
+            record.set_class(class);
             self.journal_append_layout(LayoutRecord::SetClass { key, class });
             if class.is_replicated() {
                 self.journal_flush();
@@ -1284,12 +1360,7 @@ impl OsdTarget {
             out.extend_from_slice(&key.pid().as_u64().to_le_bytes());
             out.extend_from_slice(&key.oid().as_u64().to_le_bytes());
             out.push(record.class.id());
-            let freq = record
-                .attrs
-                .get(AttributeId::ACCESS_FREQ)
-                .and_then(AttributeValue::as_u64)
-                .unwrap_or(0);
-            out.extend_from_slice(&freq.to_le_bytes());
+            out.extend_from_slice(&record.access_freq.to_le_bytes());
             // The layout blob goes straight into the image, its length
             // patched in front once it is known.
             let len_at = out.len();
@@ -1416,7 +1487,7 @@ impl OsdTarget {
                 Ok(layout) => {
                     next_owner = next_owner.max(layout.owner() + 1);
                     let mut record = ObjectRecord::new(layout, entry.class, now);
-                    record.attrs.set(AttributeId::ACCESS_FREQ, entry.freq);
+                    record.access_freq = entry.freq;
                     self.index.insert(*key, record);
                     report.restored_objects += 1;
                 }
@@ -1475,12 +1546,8 @@ impl OsdTarget {
             .into_iter()
             .map(|key| {
                 let record = &self.index[&key];
-                let freq = record
-                    .attrs
-                    .get(AttributeId::ACCESS_FREQ)
-                    .and_then(AttributeValue::as_u64)
-                    .unwrap_or(0);
-                (key, record.class, record.layout.size(), freq)
+                let (class, size) = (record.class, record.layout.size());
+                (key, class, size, record.access_freq)
             })
             .collect()
     }
@@ -2057,6 +2124,53 @@ mod tests {
             t.set_attribute(k(9), AttributeId::DIRTY, 1u64),
             Err(TargetError::UnknownObject(_))
         ));
+    }
+
+    #[test]
+    fn a_reencode_starts_a_fresh_record_and_a_label_change_does_not() {
+        let mut t = reo_target();
+        let size = ByteSize::from_kib(40);
+        let created = t
+            .create_object(k(1), size, ObjectClass::Dirty, None)
+            .unwrap();
+        t.read_object(k(1)).unwrap();
+        let accessed = t.read_object(k(1)).unwrap().completed_at;
+        t.stamp_replica_version(k(1), 7).unwrap();
+        t.set_attribute(k(1), AttributeId::DIRTY, 1u64).unwrap();
+        let number = |t: &OsdTarget, id| {
+            let attrs = t.attributes(k(1)).unwrap();
+            attrs.get(id).and_then(AttributeValue::as_u64)
+        };
+        let times = |t: &OsdTarget| {
+            let at = |id| number(t, id).map(SimTime::from_nanos);
+            (at(AttributeId::CREATED_AT), at(AttributeId::ACCESSED_AT))
+        };
+
+        // Dirty and metadata share a scheme: only the label changes.
+        let policy = t.policy();
+        assert!(!policy.requires_reencode(ObjectClass::Dirty, ObjectClass::Metadata));
+        t.set_class(k(1), ObjectClass::Metadata).unwrap();
+        assert_eq!(number(&t, AttributeId::ACCESS_FREQ), Some(2));
+        assert_eq!(times(&t), (Some(created), Some(accessed)));
+        assert_eq!(t.replica_version(k(1)), Some(7));
+        assert_eq!(number(&t, AttributeId::DIRTY), Some(1));
+        assert_eq!(t.inventory(), [(k(1), ObjectClass::Metadata, size, 2)]);
+
+        // Cold data is not replicated: the object is stored anew, and the
+        // record with it — never accessed, created when the store
+        // completed, unstamped, and without what SET ATTRIBUTES added.
+        let stored = t.set_class(k(1), ObjectClass::ColdClean).unwrap();
+        assert!(stored > accessed);
+        assert_eq!(number(&t, AttributeId::ACCESS_FREQ), Some(0));
+        assert_eq!(times(&t), (Some(stored), Some(stored)));
+        assert_eq!(t.replica_version(k(1)), None);
+        assert_eq!(number(&t, AttributeId::DIRTY), None);
+        assert_eq!(
+            number(&t, AttributeId::LOGICAL_LENGTH),
+            Some(size.as_bytes())
+        );
+        assert_eq!(t.attributes(k(1)).unwrap().len(), 5);
+        assert_eq!(t.inventory(), [(k(1), ObjectClass::ColdClean, size, 0)]);
     }
 
     #[test]

@@ -147,14 +147,24 @@ const QUERY_LEN: usize = 7 + 8 + 8 + 1 + 8 + 8;
 impl ControlMessage {
     /// Encodes the message to its wire form.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_into(&mut [0; QUERY_LEN]).to_vec()
+    }
+
+    /// Encodes the message to its wire form in `buf`, which holds the
+    /// longest message there is, and returns the bytes written: what
+    /// [`ControlMessage::encode`] returns, without the allocation.
+    pub fn encode_into<'a>(&self, buf: &'a mut [u8; QUERY_LEN]) -> &'a [u8] {
+        let mut len = 0;
+        let mut put = |field: &[u8]| {
+            buf[len..len + field.len()].copy_from_slice(field);
+            len += field.len();
+        };
         match *self {
             ControlMessage::SetClass { key, class } => {
-                let mut out = Vec::with_capacity(SETID_LEN);
-                out.extend_from_slice(SETID_HEADER);
-                out.extend_from_slice(&key.pid().as_u64().to_be_bytes());
-                out.extend_from_slice(&key.oid().as_u64().to_be_bytes());
-                out.push(class.id());
-                out
+                put(SETID_HEADER);
+                put(&key.pid().as_u64().to_be_bytes());
+                put(&key.oid().as_u64().to_be_bytes());
+                put(&[class.id()]);
             }
             ControlMessage::Query {
                 key,
@@ -162,16 +172,15 @@ impl ControlMessage {
                 offset,
                 size,
             } => {
-                let mut out = Vec::with_capacity(QUERY_LEN);
-                out.extend_from_slice(QUERY_HEADER);
-                out.extend_from_slice(&key.pid().as_u64().to_be_bytes());
-                out.extend_from_slice(&key.oid().as_u64().to_be_bytes());
-                out.push(op.as_byte());
-                out.extend_from_slice(&offset.to_be_bytes());
-                out.extend_from_slice(&size.to_be_bytes());
-                out
+                put(QUERY_HEADER);
+                put(&key.pid().as_u64().to_be_bytes());
+                put(&key.oid().as_u64().to_be_bytes());
+                put(&[op.as_byte()]);
+                put(&offset.to_be_bytes());
+                put(&size.to_be_bytes());
             }
         }
+        &buf[..len]
     }
 
     /// Decodes a message from its wire form.
@@ -243,6 +252,15 @@ mod tests {
         ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x12345))
     }
 
+    /// The wire form of `msg`, which both ways of encoding agree on.
+    fn wire(msg: &ControlMessage) -> Vec<u8> {
+        // A buffer with something in it: nothing past the message shows.
+        let mut buf = [0xAA; QUERY_LEN];
+        let bytes = msg.encode();
+        assert_eq!(msg.encode_into(&mut buf), bytes);
+        bytes
+    }
+
     #[test]
     fn setid_roundtrip_all_classes() {
         for class in ObjectClass::ALL {
@@ -250,9 +268,15 @@ mod tests {
                 key: a_key(),
                 class,
             };
-            let bytes = msg.encode();
+            let bytes = wire(&msg);
             assert_eq!(bytes.len(), SETID_LEN);
             assert_eq!(ControlMessage::decode(&bytes).unwrap(), msg);
+            // Header, partition and object id big-endian, class id.
+            let mut expected = b"#SETID#".to_vec();
+            expected.extend([0, 0, 0, 0, 0, 1, 0, 0]);
+            expected.extend([0, 0, 0, 0, 0, 1, 0x23, 0x45]);
+            expected.push(class.id());
+            assert_eq!(bytes, expected);
         }
     }
 
@@ -265,7 +289,7 @@ mod tests {
                 offset: 0xdead_beef,
                 size: 0x1000,
             };
-            let bytes = msg.encode();
+            let bytes = wire(&msg);
             assert_eq!(bytes.len(), QUERY_LEN);
             assert_eq!(ControlMessage::decode(&bytes).unwrap(), msg);
         }
@@ -362,7 +386,7 @@ mod tests {
                     class: ObjectClass::from_id(class_id).unwrap(),
                 }
             };
-            prop_assert_eq!(ControlMessage::decode(&msg.encode()).unwrap(), msg);
+            prop_assert_eq!(ControlMessage::decode(&wire(&msg)).unwrap(), msg);
         }
 
         #[test]

@@ -442,14 +442,14 @@ impl StripeManager {
         let mut latest = now;
         if in_runs > 0 {
             for (d, tail) in tails.clone() {
-                let whole = (first_stripe..first_stripe + in_runs.min(full)).map(ChunkHandle::new);
+                let first = ChunkHandle::new(first_stripe);
                 let tail = tail
                     .filter(|_| in_runs == stripe_count)
                     .map(|len| (ChunkHandle::new(first_stripe + full), len));
                 let done = self
                     .array
                     .device_mut(d)
-                    .write_run(whole.zip(std::iter::repeat(chunk_size)).chain(tail), now)
+                    .write_run(first, in_runs.min(full), chunk_size, tail, now)
                     .expect("a healthy device with room for the run");
                 latest = latest.max(done);
             }

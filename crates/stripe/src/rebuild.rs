@@ -47,11 +47,16 @@ impl GatheredWrites<'_> {
         if self.on >> device.0 & 1 == 1 {
             self.on &= !(1 << device.0);
             let run = std::mem::take(&mut self.runs[device.0]);
-            let handles = (run.first..run.first + run.count).map(ChunkHandle::new);
             let done = io
                 .array
                 .device_mut(device)
-                .write_run(handles.zip(std::iter::repeat(run.len)), io.now)
+                .write_run(
+                    ChunkHandle::new(run.first),
+                    run.count,
+                    run.len,
+                    None,
+                    io.now,
+                )
                 .expect("a healthy device with room for the run");
             io.completes(done);
         }
