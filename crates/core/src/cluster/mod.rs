@@ -66,7 +66,7 @@ use reo_backend::BackendStore;
 use reo_erasure::ReedSolomon;
 use reo_flashsim::DeviceId;
 use reo_osd::{ObjectKey, SenseCode};
-use reo_placement::{ParityGroupMap, PlacementRing};
+use reo_placement::{ParityGroupMap, PlacementRing, TargetId};
 use reo_sim::{
     ByteSize, FlightRecorder, Layer, SimClock, SimDuration, SimTime, TokenBucket, Tracer,
 };
@@ -76,7 +76,7 @@ use crate::config::SystemConfig;
 use crate::metrics::{RequestSample, TargetMetricsRow};
 use crate::runner::{ExperimentPlan, PlannedEvent};
 use crate::system::{backend_sense, CacheSystem, RequestOutcome};
-use redundancy::{Coverage, ANTI_ENTROPY_BUDGET, ANTI_ENTROPY_PERIOD};
+use redundancy::{Coverage, StripeBuffers, ANTI_ENTROPY_PERIOD};
 use repair::Migration;
 
 /// Cluster-level lifecycle state of one target.
@@ -191,6 +191,13 @@ pub struct ClusterSystem {
     /// reconstruct through (its per-erasure-pattern decode plans are
     /// cached, so steady-state outage serves skip the matrix inversion).
     codec: Option<ReedSolomon>,
+    /// What a degraded parity serve synthesizes, encodes and decodes in
+    /// (at most `2k + 2m` shards of 4 KiB).
+    stripe_buffers: StripeBuffers,
+    /// The one replica-set buffer [`PlacementRing::replicas_into`]
+    /// fills: whoever needs `&mut self` while reading it takes it out
+    /// and puts it back.
+    holders: Vec<TargetId>,
     /// Replica copies deliberately rolled back by
     /// [`PlannedEvent::InjectReplicaDivergence`], as `(key, target)` —
     /// the ledger the 100%-detection acceptance check audits.
@@ -245,6 +252,8 @@ impl ClusterSystem {
             stats: RedundancySnapshot::default(),
             groups: ParityGroupMap::new(seed, 1, 0),
             codec: None,
+            stripe_buffers: StripeBuffers::default(),
+            holders: Vec::new(),
             injected_divergences: BTreeSet::new(),
             injection_rounds: 0,
             anti_entropy_cursor: None,
@@ -514,7 +523,7 @@ impl ClusterSystem {
             && !self.ledger.is_empty()
             && self.requests_handled.is_multiple_of(ANTI_ENTROPY_PERIOD)
         {
-            self.anti_entropy_step(ANTI_ENTROPY_BUDGET);
+            self.anti_entropy_step();
         }
         self.pump_migrations(false);
 

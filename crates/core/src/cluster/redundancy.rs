@@ -246,6 +246,41 @@ pub(super) struct Coverage {
     pub(super) stale: BTreeSet<usize>,
 }
 
+/// The shard buffers a degraded parity serve works in, kept by the
+/// cluster across serves.
+#[derive(Clone, Debug, Default)]
+pub(super) struct StripeBuffers {
+    /// The `k` data shards as synthesized — what the decode must restore.
+    pub(super) data: Vec<Vec<u8>>,
+    /// The `m` parity shards encoded from them.
+    pub(super) parity: Vec<Vec<u8>>,
+    /// The `k + m` slots [`ReedSolomon::reconstruct`] works on: copies
+    /// of the surviving shards, `None` for an erased one.
+    pub(super) shards: Vec<Option<Vec<u8>>>,
+}
+
+/// The mixer state one stripe shard's bytes grow from: a pure function
+/// of the cluster seed, the key's ring position, the stripe's content
+/// version and the group member holding the shard.
+pub(super) fn shard_seed(seed: u64, key_pos: u64, version: u64, member: u64) -> u64 {
+    mix64(seed ^ key_pos ^ mix64(version) ^ mix64(member.wrapping_add(1)))
+}
+
+/// Fills `shard` with `len` bytes of the mixer's stream after `from`:
+/// each [`mix64`] step yields eight bytes (little-endian), the last word
+/// cut to the shard's length. Nothing `shard` held before survives.
+pub(super) fn fill_shard(shard: &mut Vec<u8>, len: usize, from: u64) {
+    shard.resize(len, 0);
+    let mut x = from;
+    let mut words = shard.chunks_exact_mut(8);
+    for word in &mut words {
+        x = mix64(x);
+        word.copy_from_slice(&x.to_le_bytes());
+    }
+    let tail = words.into_remainder();
+    tail.copy_from_slice(&mix64(x).to_le_bytes()[..tail.len()]);
+}
+
 impl ClusterSystem {
     /// Sets the redundancy policy before traffic starts: protected
     /// classes gain coverage as they are next written. A striping
@@ -295,9 +330,10 @@ impl ClusterSystem {
     /// `true` when target `t` is in `key`'s current replica set (the
     /// primary owner counts; the set's size comes from the key's ledger
     /// entry, single-copy for uncovered keys).
-    pub(super) fn holds(&self, key: ObjectKey, t: usize) -> bool {
+    pub(super) fn holds(&mut self, key: ObjectKey, t: usize) -> bool {
         let copies = self.ledger.get(&key).map_or(1, |c| c.copies);
-        self.ring.replicas_of(key, copies).contains(&TargetId(t))
+        self.ring.replicas_into(key, copies, &mut self.holders);
+        self.holders.contains(&TargetId(t))
     }
 
     /// Drops `key`'s ledger entry because its redundancy can no longer
@@ -422,8 +458,10 @@ impl ClusterSystem {
         }
         let version = self.cover(key, class, copies, BTreeSet::new());
         let mut refreshed = 0u64;
-        for holder in self.ring.replicas_of(key, copies) {
-            let h = holder.0;
+        // The loop needs `&mut self`: borrow the kept buffer around it.
+        let mut holders = std::mem::take(&mut self.holders);
+        self.ring.replicas_into(key, copies, &mut holders);
+        for &TargetId(h) in &holders {
             match self.nodes[h].state {
                 TargetState::Up => {
                     // A newer write's fan-out supersedes (and thereby
@@ -439,6 +477,7 @@ impl ClusterSystem {
                 TargetState::Removed => {}
             }
         }
+        self.holders = holders;
         self.stats.copies_refreshed += refreshed;
     }
 
@@ -487,15 +526,19 @@ impl ClusterSystem {
         if !self.policy.replicates() {
             return None;
         }
+        self.ring
+            .replicas_into(key, 1 + self.policy.parity, &mut self.holders);
         let s = self
-            .ring
-            .replicas_of(key, 1 + self.policy.parity)
-            .into_iter()
+            .holders
+            .iter()
             .skip(1)
             .find(|h| self.nodes[h.0].state == TargetState::Up)?
             .0;
         if let Some(version) = self.ledger.get(&key).map(|c| c.version) {
-            self.verify_copy(key, s, version, true);
+            let stamp = self.nodes[s].system.cached_version(key);
+            if let Some(stamp) = stamp.filter(|&stamp| stamp != version) {
+                self.repair_copy(key, s, stamp, version, true);
+            }
         }
         self.tracer.annotate("replica-serve", now);
         Some(s)
@@ -543,14 +586,17 @@ impl ClusterSystem {
 
     /// Runs the real `k + m` codec for one degraded serve. Stripe
     /// shards are deterministic functions of `(seed, key, stripe
-    /// version, member)`, so the serve re-synthesizes the surviving
-    /// extents, erases every lost shard (down, stale, or phantom — a
-    /// slot the narrow group never had), and decodes through
+    /// version, member)` ([`shard_seed`], [`fill_shard`]), so the serve
+    /// re-synthesizes the `k` data extents, encodes their parity, erases
+    /// every lost shard (down, stale, or phantom — a slot the narrow
+    /// group never had), and decodes through
     /// [`ReedSolomon::reconstruct`] — whose per-erasure-pattern cached
     /// plans make repeat serves under the same outage skip the matrix
     /// inversion. The decode is verified against the original shards,
-    /// so every outage serve is a kernel-fidelity check.
-    fn reconstruct_stripe(&mut self, owner: usize, key: ObjectKey, size: ByteSize) {
+    /// so every outage serve is a kernel-fidelity check. All of it
+    /// happens in the kept [`StripeBuffers`]: after the first serve only
+    /// `reconstruct` allocates, for the slots it rebuilds.
+    pub(super) fn reconstruct_stripe(&mut self, owner: usize, key: ObjectKey, size: ByteSize) {
         let Some(codec) = &self.codec else {
             return;
         };
@@ -564,47 +610,51 @@ impl ClusterSystem {
         let k = self.policy.data;
         let shard_len = (size.as_bytes() as usize / k).clamp(64, 4096);
         let key_pos = self.ring.key_position(key);
-        let synth = |slot: usize| -> Vec<u8> {
+        let mut bufs = std::mem::take(&mut self.stripe_buffers);
+        let StripeBuffers {
+            data,
+            parity,
+            shards,
+        } = &mut bufs;
+        data.resize_with(k, Vec::new);
+        parity.resize_with(self.policy.parity, Vec::new);
+        shards.resize_with(k + self.policy.parity, || None);
+        for (slot, shard) in data.iter_mut().enumerate() {
             let member = members
                 .get(slot)
                 .map_or(u64::MAX - slot as u64, |m| m.0 as u64);
-            let mut x =
-                mix64(self.seed ^ key_pos ^ mix64(entry.version) ^ mix64(member.wrapping_add(1)));
-            let mut out = vec![0u8; shard_len];
-            for b in out.iter_mut() {
-                x = mix64(x);
-                *b = x as u8;
-            }
-            out
-        };
-        let data: Vec<Vec<u8>> = (0..k).map(synth).collect();
-        let parity = codec
-            .encode(&data)
+            let from = shard_seed(self.seed, key_pos, entry.version, member);
+            fill_shard(shard, shard_len, from);
+        }
+        codec
+            .encode_into(data, parity)
             .expect("stripe shards share one length by construction");
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
-        for (slot, shard) in shards.iter_mut().enumerate() {
+        for (slot, (shard, bytes)) in shards
+            .iter_mut()
+            .zip(data.iter().chain(parity.iter()))
+            .enumerate()
+        {
             if members
                 .get(slot)
                 .is_none_or(|&m| self.shard_lost(m, Some(entry)))
             {
                 *shard = None;
+            } else {
+                let kept = shard.get_or_insert_with(Vec::new);
+                kept.clear();
+                kept.extend_from_slice(bytes);
             }
         }
         codec
-            .reconstruct(&mut shards)
+            .reconstruct(shards)
             .expect("losses within tolerance were checked before routing here");
-        for (slot, original) in data.iter().enumerate() {
-            debug_assert_eq!(
-                shards[slot].as_deref(),
-                Some(original.as_slice()),
+        for (decoded, original) in shards.iter().zip(data.iter()) {
+            assert!(
+                decoded.as_deref() == Some(original.as_slice()),
                 "degraded reconstruction must restore the exact extents"
             );
         }
+        self.stripe_buffers = bufs;
     }
 
     // ---- (iv) anti-entropy and divergence injection (k = 1 only) ---------
@@ -622,32 +672,25 @@ impl ClusterSystem {
         }
     }
 
-    /// Compares target `t`'s version stamp of `key` against the
-    /// authoritative `version` and repairs a mismatch: a current
-    /// `holder` is refreshed to it, a copy with no reason to exist any
-    /// more is invalidated. Shared by the anti-entropy walk and the
-    /// read path. Returns `false` when `t` holds no stamped copy.
-    fn verify_copy(&mut self, key: ObjectKey, t: usize, version: u64, holder: bool) -> bool {
-        let Some(stamp) = self.nodes[t].system.cached_version(key) else {
-            return false;
-        };
-        if stamp != version {
-            let now = self.now();
-            self.injected_divergences.remove(&(key, t));
-            self.stats.divergences_detected += 1;
-            self.flight.record(
-                now,
-                "replica-divergence",
-                format!("target {t} stamp v{stamp} != authoritative v{version}"),
-            );
-            if !holder {
-                self.nodes[t].system.invalidate_cached(key);
-            } else if let Some(&size) = self.objects.get(&key) {
-                self.nodes[t].system.refresh_replica(key, size, version);
-            }
-            self.stats.divergences_repaired += 1;
+    /// Repairs target `t`'s copy of `key`, whose version `stamp`
+    /// differs from the authoritative `version`: a current `holder` is
+    /// refreshed to it, a copy with no reason to exist any more is
+    /// invalidated. Shared by the anti-entropy walk and the read path.
+    fn repair_copy(&mut self, key: ObjectKey, t: usize, stamp: u64, version: u64, holder: bool) {
+        let now = self.now();
+        self.injected_divergences.remove(&(key, t));
+        self.stats.divergences_detected += 1;
+        self.flight.record(
+            now,
+            "replica-divergence",
+            format!("target {t} stamp v{stamp} != authoritative v{version}"),
+        );
+        if !holder {
+            self.nodes[t].system.invalidate_cached(key);
+        } else if let Some(&size) = self.objects.get(&key) {
+            self.nodes[t].system.refresh_replica(key, size, version);
         }
-        true
+        self.stats.divergences_repaired += 1;
     }
 
     /// Seeded replica-divergence injection
@@ -668,8 +711,8 @@ impl ClusterSystem {
             .map(|(&k, c)| (k, c.version, c.copies))
             .collect();
         for (key, version, copies) in entries {
-            for holder in self.ring.replicas_of(key, copies).into_iter().skip(1) {
-                let h = holder.0;
+            self.ring.replicas_into(key, copies, &mut self.holders);
+            for &TargetId(h) in self.holders.iter().skip(1) {
                 if self.nodes[h].state != TargetState::Up
                     || self.nodes[h].system.cached_version(key) != Some(version)
                 {
@@ -700,14 +743,16 @@ impl ClusterSystem {
         injected
     }
 
-    /// One bounded anti-entropy step: walks up to `budget` covered keys
-    /// from the cursor (the cluster-level analog of the scrubber
-    /// cursor), compares every up node's version stamp against the
-    /// authoritative version, and repairs mismatches — current holders
-    /// are refreshed to the authoritative version, stale non-holders
-    /// are invalidated. Returns `true` when this step completed a full
-    /// pass over the covered namespace.
-    pub(super) fn anti_entropy_step(&mut self, budget: usize) -> bool {
+    /// One bounded anti-entropy step: walks up to
+    /// [`ANTI_ENTROPY_BUDGET`] covered keys from the cursor (the
+    /// cluster-level analog of the scrubber cursor) and compares every
+    /// up node's version stamp against the authoritative version. An
+    /// equal stamp is done; only a differing one asks the ring for the
+    /// key's replica set, to repair it — a current holder is refreshed
+    /// to the authoritative version, a stale non-holder invalidated.
+    /// Returns `true` when this step completed a full pass over the
+    /// covered namespace.
+    pub(super) fn anti_entropy_step(&mut self) -> bool {
         if self.ledger.is_empty() {
             return true;
         }
@@ -715,28 +760,38 @@ impl ClusterSystem {
             Some(cursor) => std::ops::Bound::Excluded(cursor),
             None => std::ops::Bound::Unbounded,
         };
-        // A range does not know its length: size the batch up front.
-        let mut keys: Vec<(ObjectKey, u64, usize)> = Vec::with_capacity(budget);
-        keys.extend(
-            self.ledger
-                .range((from, std::ops::Bound::Unbounded))
-                .take(budget)
-                .map(|(&k, c)| (k, c.version, c.copies)),
-        );
-        let completed = keys.len() < budget;
-        self.anti_entropy_cursor = keys.last().map(|&(k, _, _)| k);
-        for (key, version, copies) in keys {
-            let holders = self.ring.replicas_of(key, copies);
+        let mut batch = [(ObjectKey::control(), 0u64, 0usize); ANTI_ENTROPY_BUDGET];
+        let mut n = 0;
+        for (slot, (&k, c)) in batch
+            .iter_mut()
+            .zip(self.ledger.range((from, std::ops::Bound::Unbounded)))
+        {
+            *slot = (k, c.version, c.copies);
+            n += 1;
+        }
+        let batch = &batch[..n];
+        let completed = n < ANTI_ENTROPY_BUDGET;
+        self.anti_entropy_cursor = batch.last().map(|&(k, _, _)| k);
+        for &(key, version, copies) in batch {
             for i in 0..self.nodes.len() {
                 if self.nodes[i].state != TargetState::Up {
                     continue;
                 }
-                if !self.verify_copy(key, i, version, holders.contains(&TargetId(i))) {
+                match self.nodes[i].system.cached_version(key) {
+                    Some(stamp) if stamp == version => {}
+                    Some(stamp) => {
+                        self.ring.replicas_into(key, copies, &mut self.holders);
+                        let holder = self.holders.contains(&TargetId(i));
+                        self.repair_copy(key, i, stamp, version, holder);
+                    }
                     // The copy is gone (evicted, crashed out, or
                     // invalidated since). If it was a deliberately
                     // diverged copy, eviction IS the non-holder repair
                     // action, so the divergence is resolved.
-                    self.audit_divergence(key, i, "stale copy already evicted");
+                    None if !self.injected_divergences.is_empty() => {
+                        self.audit_divergence(key, i, "stale copy already evicted");
+                    }
+                    None => {}
                 }
             }
         }
@@ -757,6 +812,6 @@ impl ClusterSystem {
             return;
         }
         self.anti_entropy_cursor = None;
-        while !self.anti_entropy_step(ANTI_ENTROPY_BUDGET) {}
+        while !self.anti_entropy_step() {}
     }
 }

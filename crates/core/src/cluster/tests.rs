@@ -1,3 +1,4 @@
+use super::redundancy::{fill_shard, shard_seed, ANTI_ENTROPY_BUDGET};
 use super::*;
 use crate::config::SchemeConfig;
 use crate::metrics::CLASS_LABELS;
@@ -748,5 +749,235 @@ fn redundant_clusters_replay_identically() {
         assert_eq!(a.0, b.0, "{policy:?}: counters must replay exactly");
         assert_eq!(a.1, b.1, "{policy:?}: per-target rows must replay exactly");
         assert_eq!(a.2, b.2, "{policy:?}: aggregates must replay exactly");
+    }
+}
+
+/// The `replica-divergence` lines the flight recorder holds, in order.
+fn divergence_lines(c: &ClusterSystem) -> Vec<String> {
+    c.flight
+        .events()
+        .iter()
+        .filter(|e| e.kind == "replica-divergence")
+        .map(|e| e.detail.clone())
+        .collect()
+}
+
+/// The first covered key in the anti-entropy walk's first batch with an
+/// up, currently stamped non-primary holder that is not in `taken`.
+fn current_copy(c: &ClusterSystem, taken: &[ObjectKey]) -> (ObjectKey, usize, u64) {
+    c.ledger
+        .iter()
+        .take(ANTI_ENTROPY_BUDGET)
+        .filter(|(k, _)| !taken.contains(k))
+        .find_map(|(&k, cov)| {
+            let h = c.ring.replicas_of(k, cov.copies).get(1)?.0;
+            (c.nodes[h].system.cached_version(k) == Some(cov.version)).then_some((
+                k,
+                h,
+                cov.version,
+            ))
+        })
+        .expect("a stamped replica copy in the first batch")
+}
+
+#[test]
+fn one_anti_entropy_step_settles_every_kind_of_copy() {
+    // 16 | 1008: the writes below cannot trigger a piggybacked step.
+    let t = trace(61, 1008);
+    let mut c = cluster(4, &t).with_redundancy(Redundancy::two_way());
+    for r in t.requests() {
+        c.handle(r);
+    }
+    assert!(c.ledger.len() > ANTI_ENTROPY_BUDGET);
+
+    // (b) A join displaces a holder; the next write fans out to the new
+    // set, so the displaced node's stamp trails on a copy it has no
+    // reason to keep.
+    let before = c.ring.clone();
+    c.add_target();
+    let (kb, displaced, vb) = c
+        .ledger
+        .iter()
+        .take(ANTI_ENTROPY_BUDGET)
+        .find_map(|(&k, cov)| {
+            let old = before.replicas_of(k, cov.copies)[1];
+            let stamped = c.nodes[old.0].system.cached_version(k) == Some(cov.version);
+            (stamped && !c.ring.replicas_of(k, cov.copies).contains(&old)).then_some((
+                k,
+                old.0,
+                cov.version,
+            ))
+        })
+        .expect("the join displaced a stamped holder in the first batch");
+    let size = c.objects[&kb];
+    c.handle(&Request {
+        op: Operation::Write,
+        key: kb,
+        size,
+    });
+    assert_eq!(c.ledger[&kb].version, vb + 1);
+    assert_eq!(c.nodes[displaced].system.cached_version(kb), Some(vb));
+
+    // (a) A current holder's stamp rolled back, (c) another rolled back
+    // and then evicted — both as the injector leaves them.
+    let (ka, ha, va) = current_copy(&c, &[kb]);
+    let (kc, hc, vc) = current_copy(&c, &[kb, ka]);
+    for (k, h, v) in [(ka, ha, va), (kc, hc, vc)] {
+        c.nodes[h].system.stamp_cached_version(k, v - 1);
+        c.injected_divergences.insert((k, h));
+    }
+    assert!(c.nodes[hc].system.invalidate_cached(kc));
+
+    let batch_end = *c.ledger.keys().nth(ANTI_ENTROPY_BUDGET - 1).unwrap();
+    let before = c.redundancy_snapshot();
+    let lines_before = divergence_lines(&c).len();
+    c.anti_entropy_cursor = None;
+    assert!(!c.anti_entropy_step(), "more keys than one batch");
+
+    // Written down from the parent commit's step over this ledger: keys
+    // ascending, (a) refreshed, (c) audited, (b) invalidated, and no
+    // other copy in the batch — the (d) keys — touched or counted.
+    let after = c.redundancy_snapshot();
+    assert_eq!(after.divergences_detected, before.divergences_detected + 3);
+    assert_eq!(after.divergences_repaired, before.divergences_repaired + 3);
+    assert_eq!(after.copies_refreshed, before.copies_refreshed);
+    assert_eq!(after.anti_entropy_passes, before.anti_entropy_passes);
+    assert_eq!(
+        divergence_lines(&c)[lines_before..],
+        [
+            "target 2 stamp v3 != authoritative v4",
+            "target 1 stale copy already evicted",
+            "target 3 stamp v2 != authoritative v3",
+        ]
+    );
+    assert_eq!(
+        [(ha, va), (hc, vc), (displaced, vb)],
+        [(2, 4), (1, 20), (3, 2)]
+    );
+    assert_eq!(c.anti_entropy_cursor, Some(batch_end));
+    assert!(c.injected_divergences.is_empty());
+    assert_eq!(c.nodes[ha].system.cached_version(ka), Some(va));
+    assert_eq!(c.nodes[displaced].system.cached_version(kb), None);
+    assert_eq!(c.nodes[hc].system.cached_version(kc), None);
+}
+
+#[test]
+fn a_pass_visits_every_covered_key_once_despite_a_write_between_steps() {
+    let t = trace(67, 1008);
+    let mut c = cluster(4, &t).with_redundancy(Redundancy::two_way());
+    for r in t.requests() {
+        c.handle(r);
+    }
+    let keys: Vec<ObjectKey> = c.ledger.keys().copied().collect();
+    assert!(keys.len() > 2 * ANTI_ENTROPY_BUDGET);
+    // Every current copy rolled back: a visit is a detection.
+    let injected = c.inject_replica_divergence(1_000_000);
+    let passes = c.redundancy_snapshot().anti_entropy_passes;
+    c.anti_entropy_cursor = None;
+
+    assert!(!c.anti_entropy_step());
+    assert_eq!(c.anti_entropy_cursor, Some(keys[ANTI_ENTROPY_BUDGET - 1]));
+    // A write to a key the walk already covered: the ledger keeps its
+    // key set, so the walk resumes where it stopped.
+    let rewritten = keys[3];
+    let size = c.objects[&rewritten];
+    c.handle(&Request {
+        op: Operation::Write,
+        key: rewritten,
+        size,
+    });
+    assert_eq!(c.anti_entropy_cursor, Some(keys[ANTI_ENTROPY_BUDGET - 1]));
+
+    let mut steps = 1;
+    while !c.anti_entropy_step() {
+        steps += 1;
+        assert_eq!(
+            c.anti_entropy_cursor,
+            Some(keys[steps * ANTI_ENTROPY_BUDGET - 1]),
+            "step {steps} must end one batch further"
+        );
+    }
+    assert_eq!(
+        steps,
+        keys.len() / ANTI_ENTROPY_BUDGET,
+        "no key visited twice"
+    );
+    assert_eq!(c.anti_entropy_cursor, None);
+    let snap = c.redundancy_snapshot();
+    assert_eq!(snap.anti_entropy_passes, passes + 1);
+    assert_eq!(snap.divergences_detected, injected, "no key skipped");
+    assert!(c.injected_divergences.is_empty());
+}
+
+#[test]
+fn shards_are_a_pure_function_of_seed_key_version_and_member() {
+    let shard = |seed, key_pos, version, member, len| {
+        let mut out = vec![0xAA; 7];
+        fill_shard(&mut out, len, shard_seed(seed, key_pos, version, member));
+        out
+    };
+    let base = shard(42, 0x1234, 3, 1, 333);
+    assert_eq!(base.len(), 333);
+    assert_eq!(base, shard(42, 0x1234, 3, 1, 333));
+    assert_ne!(base, shard(42, 0x1234, 3, 2, 333), "another member");
+    assert_ne!(base, shard(42, 0x1234, 4, 1, 333), "another version");
+    assert_ne!(base, shard(42, 0x1235, 3, 1, 333), "another key");
+    assert_ne!(base, shard(43, 0x1234, 3, 1, 333), "another seed");
+    // A shorter shard is a prefix: the last word is cut, not re-drawn.
+    assert_eq!(shard(42, 0x1234, 3, 1, 64), base[..64]);
+    assert_eq!(shard(42, 0x1234, 3, 1, 61), base[..61]);
+}
+
+#[test]
+fn odd_and_clamped_shards_reconstruct_with_each_member_down() {
+    let t = trace(71, 600);
+    let mut c = cluster(4, &t).with_redundancy(Redundancy::reo(3, 1));
+    for r in t.requests() {
+        c.handle(r);
+    }
+    let (&key, _) = c.ledger.iter().next().expect("a covered key");
+    let owner = c.ring.target_of(key).unwrap().0;
+    let members = c
+        .groups
+        .members(c.groups.group_of(TargetId(owner)).unwrap());
+    assert_eq!(members.len(), 4);
+    let members = members.to_vec();
+    let key_pos = c.ring.key_position(key);
+    // 1,000 / 3 = 333 (not a multiple of eight), 100 / 3 clamps to 64,
+    // and 4 KiB shards before each so a longer serve precedes a shorter.
+    for down in 0..4 {
+        c.fail_target(members[down].0);
+        let version = c.ledger[&key].version;
+        for (bytes, shard_len) in [(64 << 10, 4096), (1_000, 333), (100, 64), (1_000, 333)] {
+            // Asserts the decode against the originals itself.
+            c.reconstruct_stripe(owner, key, ByteSize::from_bytes(bytes));
+            let bufs = &c.stripe_buffers;
+            assert_eq!(
+                (bufs.data.len(), bufs.parity.len(), bufs.shards.len()),
+                (3, 1, 4)
+            );
+            for (slot, original) in bufs.data.iter().enumerate() {
+                let mut expected = Vec::new();
+                let from = shard_seed(c.seed, key_pos, version, members[slot].0 as u64);
+                fill_shard(&mut expected, shard_len, from);
+                assert_eq!(
+                    original, &expected,
+                    "slot {slot}: bytes of an earlier serve"
+                );
+                assert_eq!(
+                    bufs.shards[slot].as_ref(),
+                    Some(&expected),
+                    "slot {slot}, {down} down"
+                );
+            }
+            assert_eq!(
+                bufs.shards[3].as_ref(),
+                Some(&bufs.parity[0]),
+                "{down} down"
+            );
+            assert_eq!(bufs.parity[0].len(), shard_len);
+        }
+        c.restore_target(members[down].0);
+        assert!(c.drain_recovery(1_000_000));
     }
 }

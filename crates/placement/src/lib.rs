@@ -222,8 +222,18 @@ impl PlacementRing {
     /// replica assignments.
     pub fn replicas_of(&self, key: ObjectKey, n: usize) -> Vec<TargetId> {
         let mut out = Vec::new();
+        self.replicas_into(key, n, &mut out);
+        out
+    }
+
+    /// [`PlacementRing::replicas_of`] into a buffer the caller keeps:
+    /// `out` is cleared and then holds the replica set, so a buffer
+    /// reused across calls stops allocating once it has held the widest
+    /// set asked for.
+    pub fn replicas_into(&self, key: ObjectKey, n: usize, out: &mut Vec<TargetId>) {
+        out.clear();
         if self.points.is_empty() || n == 0 {
-            return out;
+            return;
         }
         let members = self.len();
         let want = n.min(members);
@@ -238,7 +248,6 @@ impl PlacementRing {
                 }
             }
         }
-        out
     }
 
     /// Key counts per target over an arbitrary key set (the balance

@@ -148,6 +148,33 @@ proptest! {
         }
     }
 
+    /// A replica set written into a caller's buffer is the returned one,
+    /// whatever the buffer held: every `n` up to past the membership, on
+    /// an empty ring, after a join and after a leave, one buffer reused
+    /// throughout.
+    #[test]
+    fn replicas_into_a_used_buffer_equals_replicas_of(
+        seed in 0u64..1 << 48,
+        members in 1usize..8,
+        stride in 1u64..32,
+    ) {
+        let mut ring = ring_of(seed, members);
+        let mut joined = ring.clone();
+        joined.add_target(TargetId(members));
+        let empty = PlacementRing::new(seed);
+        ring.remove_target(TargetId(members / 2));
+        let mut buf = vec![TargetId(usize::MAX); 5];
+        for k in keyset(64, stride) {
+            for n in 0..=members + 2 {
+                for r in [&empty, &joined, &ring] {
+                    r.replicas_into(k, n, &mut buf);
+                    prop_assert_eq!(&buf, &r.replicas_of(k, n), "n = {}", n);
+                    buf.push(TargetId(usize::MAX));
+                }
+            }
+        }
+    }
+
     /// Parity groups are distinct-target and cover every member: each
     /// target is in exactly one group, no group lists a target twice,
     /// and no group exceeds the k+m width.

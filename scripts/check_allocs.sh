@@ -1,16 +1,28 @@
 #!/bin/sh
-# Fails when a benchmark run allocated more than 0.25 times a request:
+# Fails when a benchmark run allocated more than <limit> times a request
+# (0.25 unless -l gives another):
 #
 #   scripts/check_allocs.sh write_heavy.out read_medium.out small_objects.out
+#   scripts/check_allocs.sh -l 1.35 cluster_repl2.out cluster_parity31.out
 #
 # Each argument is the stdout of one untraced run of the benchmark driver;
 # its last line is the result as JSON, and allocs_per_req is read from
 # there. The count repeats exactly for a seed, so host noise cannot trip
-# the limit, and the three workloads read 0.02-0.05 since PR 23: a
-# per-object allocation coming back on the request path (one node of an
-# attribute map, one control message) adds 0.4 or more and fails it.
+# the limit, and the three single-node workloads read 0.02-0.05 since
+# PR 23: a per-object allocation coming back on the request path (one
+# node of an attribute map, one control message) adds 0.4 or more and
+# fails it. The cluster workloads need their own limit: a pass of theirs
+# contains a target outage and a restore, whose allocations are most of
+# what they read (EXPERIMENTS.md, "What the cluster adds to a request").
 set -eu
 limit=0.25
+while getopts l: opt; do
+    case $opt in
+        l) limit=$OPTARG ;;
+        *) exit 2 ;;
+    esac
+done
+shift $((OPTIND - 1))
 status=0
 for out in "$@"; do
     allocs=$(tail -n 1 "$out" |
