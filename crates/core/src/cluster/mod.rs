@@ -553,37 +553,36 @@ impl ClusterSystem {
         }
     }
 
-    /// Runs a device-scoped event on the node that owns global device
-    /// `d`: cluster plans address devices in one global namespace,
-    /// `devices_per_node * target + local`.
-    fn on_device(&mut self, d: DeviceId, f: impl FnOnce(&mut CacheSystem, DeviceId)) {
+    /// Applies a device event to the node that owns global device `d`:
+    /// cluster plans address devices in one global namespace,
+    /// `devices_per_node * target + local`, and `local` re-addresses the
+    /// event to the node's own id.
+    fn on_device(&mut self, d: DeviceId, local: impl FnOnce(DeviceId) -> PlannedEvent) {
         let per_node = self.config.devices;
         match self.nodes.get_mut(d.0 / per_node) {
             Some(node) if node.state == TargetState::Up => {
-                f(&mut node.system, DeviceId(d.0 % per_node));
+                node.system.apply_event(local(DeviceId(d.0 % per_node)));
             }
             Some(_) => self.reject("device-event-target-not-up"),
             None => self.reject("device-event-unknown-target"),
         }
     }
 
-    /// Runs `f` on every node whose state passes `wanted`.
-    fn on_nodes(
-        &mut self,
-        wanted: impl Fn(TargetState) -> bool,
-        mut f: impl FnMut(&mut CacheSystem),
-    ) {
+    /// Applies `event` to every node whose state passes `wanted`.
+    fn on_nodes(&mut self, wanted: impl Fn(TargetState) -> bool, event: PlannedEvent) {
         for node in self.nodes.iter_mut().filter(|n| wanted(n.state)) {
-            f(&mut node.system);
+            node.system.apply_event(event);
         }
     }
 
-    /// Applies one planned event at cluster scope. Device-scoped events
-    /// use the global device namespace; backend events hit the whole
-    /// backend tier; `Crash` is a cluster-wide power loss (every up
-    /// node crashes and recovers); target events drive the membership
-    /// and outage machinery. Unroutable events are rejected, never a
-    /// panic.
+    /// Applies one planned event at cluster scope. Target events drive the
+    /// membership and outage machinery and replica divergence the
+    /// redundancy ledger; every other event means on each node it reaches
+    /// what [`CacheSystem::apply_event`] says. A device event reaches the
+    /// node owning its global device id; a backend event hits the origin
+    /// store and every member's view of the backend tier; the rest reach
+    /// every up node (`Crash` is a cluster-wide power loss). Unroutable
+    /// events are rejected, never a panic.
     pub fn apply_event(&mut self, event: PlannedEvent) {
         let up = |s: TargetState| s == TargetState::Up;
         let member = |s: TargetState| s != TargetState::Removed;
@@ -600,38 +599,30 @@ impl ClusterSystem {
                 self.add_target();
             }
             PlannedEvent::RemoveTarget(t) => self.remove_target(t),
-            PlannedEvent::FailDevice(d) => self.on_device(d, |s, local| s.fail_device(local)),
-            PlannedEvent::InsertSpare(d) => self.on_device(d, |s, local| s.insert_spare(local)),
+            PlannedEvent::FailDevice(d) => self.on_device(d, PlannedEvent::FailDevice),
+            PlannedEvent::InsertSpare(d) => self.on_device(d, PlannedEvent::InsertSpare),
             PlannedEvent::SlowDevice { device, factor_pct } => {
-                self.on_device(device, |s, local| {
-                    s.slow_device(local, f64::from(factor_pct) / 100.0);
+                self.on_device(device, |device| PlannedEvent::SlowDevice {
+                    device,
+                    factor_pct,
                 });
             }
-            PlannedEvent::CorruptChunks { ppm } => self.on_nodes(up, |s| {
-                s.inject_chunk_corruption(f64::from(ppm) / 1e6);
-            }),
-            PlannedEvent::TransientFaults { ppm } => {
-                self.on_nodes(up, |s| s.arm_transient_faults(f64::from(ppm) / 1e6));
-            }
-            PlannedEvent::StartScrub => self.on_nodes(up, CacheSystem::enable_scrubber),
             PlannedEvent::FailBackend => {
                 self.origin.fail();
-                self.on_nodes(member, CacheSystem::fail_backend);
+                self.on_nodes(member, event);
             }
             PlannedEvent::RestoreBackend => {
                 self.origin.restore();
-                self.on_nodes(member, CacheSystem::restore_backend);
+                self.on_nodes(member, event);
             }
             PlannedEvent::SlowBackend { factor_pct } => {
-                let factor = f64::from(factor_pct) / 100.0;
-                self.origin.set_slow_factor(factor);
-                self.on_nodes(member, |s| s.slow_backend(factor));
+                self.origin.set_slow_factor(f64::from(factor_pct) / 100.0);
+                self.on_nodes(member, event);
             }
-            PlannedEvent::Crash => self.on_nodes(up, |s| {
-                s.crash();
-                s.recover()
-                    .expect("restart recovery after a planned cluster-wide crash");
-            }),
+            PlannedEvent::CorruptChunks { .. }
+            | PlannedEvent::TransientFaults { .. }
+            | PlannedEvent::StartScrub
+            | PlannedEvent::Crash => self.on_nodes(up, event),
         }
         self.merge_clocks();
     }

@@ -201,6 +201,37 @@ fn cluster_event_rejections_are_counted_by_reason() {
 }
 
 #[test]
+fn device_events_reach_the_node_that_owns_the_global_id() {
+    // Five devices a node: global device 7 is device 2 of target 1.
+    let t = trace(10, 100);
+    let mut c = cluster(3, &t);
+    assert_eq!(c.config().devices, 5);
+    c.apply_event(PlannedEvent::FailDevice(DeviceId(7)));
+    let failed: Vec<usize> = (0..3)
+        .map(|n| c.node(n).target().failed_devices())
+        .collect();
+    assert_eq!(failed, [0, 1, 0]);
+    assert!(!c.node(1).target().array().device(DeviceId(2)).is_healthy());
+    let injected: Vec<(i64, String)> = c
+        .flight()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "fault-injected")
+        .map(|e| (e.target, e.detail))
+        .collect();
+    assert_eq!(injected, [(1, "fail-device 2".to_string())]);
+
+    // Past the last target, and on a target that is down.
+    c.apply_event(PlannedEvent::FailDevice(DeviceId(15)));
+    c.apply_event(PlannedEvent::FailTarget(1));
+    c.apply_event(PlannedEvent::InsertSpare(DeviceId(7)));
+    let by_reason: BTreeMap<String, u64> = c.rejected_events_by_reason().into_iter().collect();
+    assert_eq!(by_reason["device-event-unknown-target"], 1);
+    assert_eq!(by_reason["device-event-target-not-up"], 1);
+    assert_eq!(c.rejected_events(), 2);
+}
+
+#[test]
 fn cluster_traces_root_at_the_placement_layer() {
     let t = trace(8, 400);
     let mut c = cluster(2, &t);

@@ -126,20 +126,10 @@ pub struct SystemConfig {
     /// Classify hotness by `Freq / Size` (`true`, the paper) or plain
     /// `Freq` (`false`, the ablation baseline).
     pub size_aware_hotness: bool,
-    /// Over-provisioned spare fraction for the flash garbage-collection
-    /// write-amplification model, or `None` to disable it (the paper's
-    /// comparisons do not model GC; enable for wear studies).
-    pub write_amplification: Option<f64>,
     /// Seed of the partial-failure injector. Systems built with equal
     /// configurations, traces, and seeds suffer byte-for-byte identical
     /// injected damage.
     pub fault_seed: u64,
-    /// Run one background-scrubber step every this many requests; `0`
-    /// disables the scrubber (the default — the normal-run experiments
-    /// predate it).
-    pub scrub_period: usize,
-    /// Objects whose chunk integrity one scrubber step verifies.
-    pub scrub_budget: usize,
     /// Auto-flush the metadata journal's staging buffer to durable media
     /// every this many appended records. Dirty writes flush eagerly
     /// regardless (the acknowledgment barrier); this knob bounds how many
@@ -188,10 +178,7 @@ impl SystemConfig {
             prioritized_recovery: true,
             dirty_flush_watermark: 0.05,
             size_aware_hotness: true,
-            write_amplification: None,
             fault_seed: 0x5EED_FA17,
-            scrub_period: 0,
-            scrub_budget: 8,
             fsync_interval: 32,
             checkpoint_period: 10_000,
             rebuild_bandwidth_pct: 0,

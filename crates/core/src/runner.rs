@@ -178,7 +178,7 @@ pub struct EventOutcome {
     pub event: PlannedEvent,
     /// The measurement window that *ended* when this event fired.
     pub window_before: MetricsSnapshot,
-    /// Failed devices after the event.
+    /// Failed devices in the array after the event.
     pub failed_devices_after: usize,
 }
 
@@ -223,53 +223,6 @@ impl ExperimentResult {
     }
 }
 
-/// Applies one planned event to the system, maintaining the failed-device
-/// count the windows are labeled with.
-fn apply_event(system: &mut CacheSystem, event: PlannedEvent, failed: &mut usize) {
-    match event {
-        PlannedEvent::FailDevice(d) => {
-            system.fail_device(d);
-            *failed += 1;
-        }
-        PlannedEvent::InsertSpare(d) => {
-            system.insert_spare(d);
-            *failed = failed.saturating_sub(1);
-        }
-        PlannedEvent::CorruptChunks { ppm } => {
-            system.inject_chunk_corruption(f64::from(ppm) / 1e6);
-        }
-        PlannedEvent::TransientFaults { ppm } => {
-            system.arm_transient_faults(f64::from(ppm) / 1e6);
-        }
-        PlannedEvent::SlowDevice { device, factor_pct } => {
-            system.slow_device(device, f64::from(factor_pct) / 100.0);
-        }
-        PlannedEvent::StartScrub => system.enable_scrubber(),
-        PlannedEvent::FailBackend => system.fail_backend(),
-        PlannedEvent::RestoreBackend => system.restore_backend(),
-        PlannedEvent::SlowBackend { factor_pct } => {
-            system.slow_backend(f64::from(factor_pct) / 100.0);
-        }
-        PlannedEvent::Crash => {
-            system.crash();
-            system
-                .recover()
-                .expect("restart recovery after a planned crash");
-        }
-        // Cluster-scoped events have no meaning on a single CacheSystem:
-        // reject them (counted under a stable reason, traced, never a
-        // panic) exactly like other misaddressed fault events. The
-        // cluster runner handles them for real.
-        PlannedEvent::FailTarget(_)
-        | PlannedEvent::RestoreTarget(_)
-        | PlannedEvent::AddTarget
-        | PlannedEvent::RemoveTarget(_)
-        | PlannedEvent::InjectReplicaDivergence { .. } => {
-            system.reject_event("cluster-event-single-target");
-        }
-    }
-}
-
 /// Drives traces through systems according to plans.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExperimentRunner;
@@ -310,24 +263,11 @@ impl ExperimentRunner {
 
         let mut events = plan.events.iter().peekable();
         let mut outcomes = Vec::new();
-        let mut failed: usize = 0;
         let mut series = Vec::new();
 
         for (i, request) in trace.requests().iter().enumerate() {
-            while let Some(&&(at, event)) = events.peek() {
-                if at > i {
-                    break;
-                }
-                events.next();
-                let now = system.clock().now();
-                let window_before = system.metrics_mut().roll_window(now);
-                apply_event(system, event, &mut failed);
-                outcomes.push(EventOutcome {
-                    at_request: i,
-                    event,
-                    window_before,
-                    failed_devices_after: failed,
-                });
+            while let Some(&(_, event)) = events.next_if(|&&(at, _)| at <= i) {
+                outcomes.push(fire(system, i, event));
             }
             system.handle(request);
             if plan.sample_every > 0 && (i + 1).is_multiple_of(plan.sample_every) {
@@ -340,17 +280,7 @@ impl ExperimentRunner {
             }
         }
         // Events scheduled past the end of the trace still fire.
-        for &(at, event) in events {
-            let now = system.clock().now();
-            let window_before = system.metrics_mut().roll_window(now);
-            apply_event(system, event, &mut failed);
-            outcomes.push(EventOutcome {
-                at_request: at,
-                event,
-                window_before,
-                failed_devices_after: failed,
-            });
-        }
+        outcomes.extend(events.map(|&(at, event)| fire(system, at, event)));
 
         ExperimentResult {
             totals: system.metrics().totals(),
@@ -360,6 +290,20 @@ impl ExperimentRunner {
             dirty_data_lost: system.dirty_data_lost(),
             series,
         }
+    }
+}
+
+/// Closes the measurement window an event ends, applies the event, and
+/// reports both.
+fn fire(system: &mut CacheSystem, at_request: usize, event: PlannedEvent) -> EventOutcome {
+    let now = system.clock().now();
+    let window_before = system.metrics_mut().roll_window(now);
+    system.apply_event(event);
+    EventOutcome {
+        at_request,
+        event,
+        window_before,
+        failed_devices_after: system.target().failed_devices(),
     }
 }
 
@@ -523,6 +467,27 @@ mod tests {
         let result = ExperimentRunner::run(&mut sys, &t, &plan);
         assert_eq!(result.events[0].failed_devices_after, 1);
         assert_eq!(result.events[1].failed_devices_after, 0);
+    }
+
+    #[test]
+    fn failed_devices_after_counts_what_the_array_holds() {
+        // The spare goes into a healthy slot and the second failure hits a
+        // device already failed: both are rejected, so one device stays
+        // failed throughout.
+        let t = trace();
+        let mut sys = system(SchemeConfig::Reo { reserve: 0.20 }, &t);
+        let plan = ExperimentPlan::normal_run()
+            .with_event(100, PlannedEvent::FailDevice(DeviceId(0)))
+            .with_event(200, PlannedEvent::InsertSpare(DeviceId(1)))
+            .with_event(300, PlannedEvent::FailDevice(DeviceId(0)));
+        let result = ExperimentRunner::run(&mut sys, &t, &plan);
+        let failed: Vec<usize> = result
+            .events
+            .iter()
+            .map(|e| e.failed_devices_after)
+            .collect();
+        assert_eq!(failed, [1, 1, 1]);
+        assert_eq!(sys.resilience().rejected_events, 2);
     }
 
     #[test]

@@ -17,6 +17,13 @@ use reo_workload::{Operation, Request, WorkloadObject};
 
 use crate::config::SystemConfig;
 use crate::metrics::{Metrics, RequestSample, LAYER_COUNTERS};
+use crate::runner::PlannedEvent;
+
+/// Requests between two background-scrubber steps, once
+/// [`CacheSystem::enable_scrubber`] has turned it on.
+const SCRUB_PERIOD: usize = 32;
+/// Objects whose chunk integrity one scrubber step verifies.
+const SCRUB_BUDGET: usize = 8;
 
 /// What happened to one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,6 +187,8 @@ pub struct CacheSystem {
     backend: BackendStore,
     metrics: Metrics,
     requests_seen: usize,
+    /// Whether the background scrubber runs ([`CacheSystem::enable_scrubber`]).
+    scrubbing: bool,
     dirty_data_lost: u64,
     offline: bool,
     faults: FaultPlan,
@@ -234,10 +243,7 @@ impl CacheSystem {
     pub fn new(config: SystemConfig) -> Self {
         assert!(config.devices > 0, "need at least one device");
         let clock = SimClock::new();
-        let mut array = FlashArray::new(config.devices, config.device, clock.clone());
-        if let Some(op) = config.write_amplification {
-            array.enable_write_amplification(Some(reo_flashsim::WriteAmplification::new(op)));
-        }
+        let array = FlashArray::new(config.devices, config.device, clock.clone());
         let stripes = StripeManager::new(array, config.chunk_size);
         let mut target = OsdTarget::new(stripes, config.scheme.policy());
         if !config.prioritized_recovery {
@@ -271,6 +277,7 @@ impl CacheSystem {
             backend,
             metrics,
             requests_seen: 0,
+            scrubbing: false,
             dirty_data_lost: 0,
             offline: false,
             faults,
@@ -433,7 +440,7 @@ impl CacheSystem {
     /// and the per-reason breakdown, and logs a structured zero-length
     /// trace span under the stable reason label so a traced run shows
     /// *why* each event was dropped, not just that one was.
-    pub(crate) fn reject_event(&mut self, reason: &'static str) {
+    fn reject_event(&mut self, reason: &'static str) {
         self.rejected_events += 1;
         *self.rejected_events_by_reason.entry(reason).or_insert(0) += 1;
         let now = self.clock.now();
@@ -518,6 +525,53 @@ impl CacheSystem {
             let now = self.clock.now();
             self.flight.record(now, "internal-error", e.sense().label());
             self.flight.dump(now, "internal-error");
+        }
+    }
+
+    /// Applies one planned event to this node. This is what an event means
+    /// on a node, for [`crate::ExperimentRunner::run`] and for every node a
+    /// [`crate::ClusterSystem::apply_event`] reaches: device events address
+    /// this node's own devices, and a `Crash` is a power loss followed by an
+    /// immediate [`CacheSystem::recover`]. The five cluster events (target
+    /// membership and replica divergence) mean nothing on one node and are
+    /// rejected under `cluster-event-single-target` — counted and traced,
+    /// never a panic.
+    ///
+    /// # Panics
+    ///
+    /// As the method an event stands for: a `SlowDevice` of a device this
+    /// node does not have, or a restart recovery that fails.
+    pub fn apply_event(&mut self, event: PlannedEvent) {
+        match event {
+            PlannedEvent::FailDevice(d) => self.fail_device(d),
+            PlannedEvent::InsertSpare(d) => self.insert_spare(d),
+            PlannedEvent::CorruptChunks { ppm } => {
+                self.inject_chunk_corruption(f64::from(ppm) / 1e6);
+            }
+            PlannedEvent::TransientFaults { ppm } => {
+                self.arm_transient_faults(f64::from(ppm) / 1e6);
+            }
+            PlannedEvent::SlowDevice { device, factor_pct } => {
+                self.slow_device(device, f64::from(factor_pct) / 100.0);
+            }
+            PlannedEvent::StartScrub => self.enable_scrubber(),
+            PlannedEvent::FailBackend => self.fail_backend(),
+            PlannedEvent::RestoreBackend => self.restore_backend(),
+            PlannedEvent::SlowBackend { factor_pct } => {
+                self.slow_backend(f64::from(factor_pct) / 100.0);
+            }
+            PlannedEvent::Crash => {
+                self.crash();
+                self.recover()
+                    .expect("restart recovery after a planned crash");
+            }
+            PlannedEvent::FailTarget(_)
+            | PlannedEvent::RestoreTarget(_)
+            | PlannedEvent::AddTarget
+            | PlannedEvent::RemoveTarget(_)
+            | PlannedEvent::InjectReplicaDivergence { .. } => {
+                self.reject_event("cluster-event-single-target");
+            }
         }
     }
 
@@ -703,12 +757,10 @@ impl CacheSystem {
     }
 
     /// Turns the background scrubber on at runtime (the `StartScrub`
-    /// planned event): keeps the configured [`SystemConfig::scrub_period`]
-    /// if one is set, otherwise scrubs a step every 32 requests.
+    /// planned event): from then on it verifies eight objects every 32
+    /// requests.
     pub fn enable_scrubber(&mut self) {
-        if self.config.scrub_period == 0 {
-            self.config.scrub_period = 32;
-        }
+        self.scrubbing = true;
     }
 
     /// Stripe reads retried past a transient device timeout so far.
@@ -951,10 +1003,7 @@ impl CacheSystem {
             self.run_recovery_batch(false);
         }
         self.run_flusher();
-        if !self.offline
-            && self.config.scrub_period > 0
-            && self.requests_seen.is_multiple_of(self.config.scrub_period)
-        {
+        if !self.offline && self.scrubbing && self.requests_seen.is_multiple_of(SCRUB_PERIOD) {
             self.run_scrubber();
         }
         if self.config.checkpoint_period > 0
@@ -1379,11 +1428,11 @@ impl CacheSystem {
     }
 
     /// One bounded background-scrubber step: verifies chunk integrity of
-    /// the next `scrub_budget` objects, repairing recoverable damage
+    /// the next [`SCRUB_BUDGET`] objects, repairing recoverable damage
     /// proactively; objects found irrecoverable are evicted so their next
     /// access is a clean miss instead of a medium error.
     fn run_scrubber(&mut self) {
-        let report = self.target.scrub_step(self.config.scrub_budget);
+        let report = self.target.scrub_step(SCRUB_BUDGET);
         for key in report.lost {
             self.evict_lost(key);
         }
@@ -1970,6 +2019,28 @@ mod tests {
             resilience.rejected_events,
             "breakdown must reconcile with the aggregate"
         );
+    }
+
+    #[test]
+    fn cluster_events_are_rejected_on_a_single_node() {
+        let trace = small_trace(6);
+        let mut sys = system_for(SchemeConfig::Reo { reserve: 0.20 }, &trace, 0.15);
+        for event in [
+            PlannedEvent::FailTarget(0),
+            PlannedEvent::RestoreTarget(0),
+            PlannedEvent::AddTarget,
+            PlannedEvent::RemoveTarget(0),
+            PlannedEvent::InjectReplicaDivergence { ppm: 500_000 },
+        ] {
+            sys.apply_event(event);
+        }
+        let resilience = sys.resilience();
+        assert_eq!(
+            resilience.rejected_events_by_reason,
+            [("cluster-event-single-target".to_string(), 5)]
+        );
+        assert_eq!(resilience.rejected_events, 5);
+        assert_eq!(sys.health(), HealthState::Healthy);
     }
 
     #[test]

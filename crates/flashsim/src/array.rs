@@ -219,14 +219,6 @@ impl FlashArray {
             .collect()
     }
 
-    /// Attaches (or clears) a garbage-collection write-amplification
-    /// model on every device.
-    pub fn enable_write_amplification(&mut self, model: Option<crate::WriteAmplification>) {
-        for d in &mut self.devices {
-            d.set_write_amplification(model);
-        }
-    }
-
     /// Fails a device in place (the paper's "shootdown" command): all its
     /// chunks become corrupted and subsequent commands to it error.
     ///

@@ -50,66 +50,6 @@ impl DeviceConfig {
     }
 }
 
-/// A simple greedy-garbage-collection write-amplification model.
-///
-/// Flash cannot overwrite in place: as the device fills, garbage
-/// collection must relocate live pages to reclaim blocks, multiplying the
-/// physical bytes programmed per logical byte written. This model uses
-/// the classic fill-level approximation
-///
-/// ```text
-/// WA(u) = 1 / (1 - u / (1 + op))      (clamped to [1, max_factor])
-/// ```
-///
-/// where `u` is the logical utilization and `op` the over-provisioned
-/// spare fraction. It is deliberately coarse — enough to surface the
-/// wear and service-time cost of writing a nearly full device, which is
-/// exactly the regime a cache lives in.
-///
-/// # Examples
-///
-/// ```
-/// use reo_flashsim::WriteAmplification;
-///
-/// let wa = WriteAmplification::new(0.07);
-/// assert_eq!(wa.factor(0.0), 1.0);
-/// assert!(wa.factor(0.9) > 2.0);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct WriteAmplification {
-    overprovisioning: f64,
-    max_factor: f64,
-}
-
-impl WriteAmplification {
-    /// Creates a model with the given over-provisioned spare fraction
-    /// (consumer SSDs are typically ~7%) and a default clamp of 10×.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overprovisioning` is negative or non-finite.
-    pub fn new(overprovisioning: f64) -> Self {
-        assert!(
-            overprovisioning >= 0.0 && overprovisioning.is_finite(),
-            "overprovisioning must be a non-negative finite fraction"
-        );
-        WriteAmplification {
-            overprovisioning,
-            max_factor: 10.0,
-        }
-    }
-
-    /// The amplification factor at logical utilization `u` (0.0–1.0).
-    pub fn factor(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0);
-        let physical_fill = u / (1.0 + self.overprovisioning);
-        if physical_fill >= 1.0 {
-            return self.max_factor;
-        }
-        (1.0 / (1.0 - physical_fill)).clamp(1.0, self.max_factor)
-    }
-}
-
 /// Health state of a device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceState {
@@ -246,7 +186,6 @@ pub struct FlashDevice {
     used: ByteSize,
     busy_until: SimTime,
     stats: DeviceStats,
-    write_amplification: Option<WriteAmplification>,
     transient: Option<TransientFaults>,
     slowdown: f64,
 }
@@ -355,7 +294,6 @@ impl FlashDevice {
             used: ByteSize::ZERO,
             busy_until: SimTime::ZERO,
             stats: DeviceStats::default(),
-            write_amplification: None,
             transient: None,
             slowdown: 1.0,
         }
@@ -405,13 +343,6 @@ impl FlashDevice {
         } else {
             SimDuration::from_nanos((d.as_nanos() as f64 * self.slowdown).round() as u64)
         }
-    }
-
-    /// Attaches a garbage-collection write-amplification model (off by
-    /// default). With it, writes to a fuller device program more physical
-    /// bytes — costing wear and service time.
-    pub fn set_write_amplification(&mut self, model: Option<WriteAmplification>) {
-        self.write_amplification = model;
     }
 
     /// The device's array index.
@@ -683,22 +614,13 @@ impl FlashDevice {
             }
             effective_used
         };
-        // Garbage-collection write amplification: the fuller the device,
-        // the more physical bytes one logical write programs.
-        let utilization = effective_used.as_bytes() as f64 / self.config.capacity.as_bytes() as f64;
-        let factor = self
-            .write_amplification
-            .map(|wa| wa.factor(utilization))
-            .unwrap_or(1.0);
-        let physical = ByteSize::from_bytes((len.as_bytes() as f64 * factor) as u64);
-
         self.used = effective_used + len;
         self.stats.writes += 1;
-        self.stats.bytes_written += physical.as_bytes();
+        self.stats.bytes_written += len.as_bytes();
         self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
 
         let start = self.busy_until.max(now);
-        let done = start + self.scaled(self.config.write.service_time(physical));
+        let done = start + self.write_time(len);
         self.stats.queued_nanos += start.saturating_since(now).as_nanos();
         self.stats.busy_nanos += done.saturating_since(start).as_nanos();
         self.busy_until = done;
@@ -828,21 +750,11 @@ impl FlashDevice {
         done
     }
 
-    /// How long this device takes to write a `len`-byte chunk while no
-    /// write-amplification model is attached: the stride callers of
-    /// [`FlashDevice::rewrite_run`] take the maximum of over their devices.
+    /// How long this device takes to write a `len`-byte chunk: the stride
+    /// callers of [`FlashDevice::rewrite_run`] take the maximum of over
+    /// their devices.
     pub fn write_time(&self, len: ByteSize) -> SimDuration {
         self.scaled(self.config.write.service_time(len))
-    }
-
-    /// `true` while a same-size size-only rewrite of any chunk the owner
-    /// placed here is pure arithmetic: [`FlashDevice::all_chunks_intact`]
-    /// vouches for the chunk, so the rewrite changes no table, and no
-    /// write-amplification model makes one write's cost depend on the
-    /// last. Such rewrites may be charged through
-    /// [`FlashDevice::rewrite_run`].
-    pub fn serves_rewrite_runs(&self) -> bool {
-        self.all_chunks_intact() && self.write_amplification.is_none()
     }
 
     /// Charges `count` rewrites of the `len`-byte size-only chunks from
@@ -855,13 +767,15 @@ impl FlashDevice {
     /// instant of the last rewrite (`start` for an empty run).
     ///
     /// The caller vouches that the chunks exist, intact and size-only, at
-    /// that length; debug builds look each of them up.
+    /// that length — which holds for every chunk it placed here while
+    /// [`FlashDevice::all_chunks_intact`] is `true`; debug builds look each
+    /// of them up.
     ///
     /// # Panics
     ///
-    /// Panics if the device does not serve rewrite runs, is still busy at
-    /// `start`, or takes longer than `stride` to write one chunk (the next
-    /// rewrite would queue behind it).
+    /// Panics if not all of the device's chunks are intact, if it is still
+    /// busy at `start`, or if it takes longer than `stride` to write one
+    /// chunk (the next rewrite would queue behind it).
     pub fn rewrite_run(
         &mut self,
         first: ChunkHandle,
@@ -871,7 +785,7 @@ impl FlashDevice {
         stride: SimDuration,
     ) -> SimTime {
         assert!(
-            self.serves_rewrite_runs(),
+            self.all_chunks_intact(),
             "{} cannot vouch for its chunks",
             self.id
         );
@@ -917,9 +831,8 @@ impl FlashDevice {
     /// starts past every handle the device has seen is entered without a
     /// lookup.
     ///
-    /// With a write-amplification model attached (every write moves the
-    /// factor of the next), or when the run might not fit (it must stop at
-    /// exactly the chunk that does not), the run is the per-chunk loop.
+    /// When the run might not fit (it must stop at exactly the chunk that
+    /// does not), the run is the per-chunk loop.
     ///
     /// # Errors
     ///
@@ -942,7 +855,7 @@ impl FlashDevice {
             "the tail's handle lies inside the run"
         );
         let total = len * count + tail.map_or(ByteSize::ZERO, |(_, len)| len);
-        if self.write_amplification.is_some() || self.used + total > self.config.capacity {
+        if self.used + total > self.config.capacity {
             let whole = (first..first + count).map(|handle| (ChunkHandle::new(handle), len));
             let mut done = now;
             for (handle, len) in whole.chain(tail) {
@@ -1422,47 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn write_amplification_grows_with_fill() {
-        let wa = WriteAmplification::new(0.07);
-        assert_eq!(wa.factor(0.0), 1.0);
-        assert!(wa.factor(0.5) < wa.factor(0.8));
-        assert!(wa.factor(0.8) < wa.factor(0.99));
-        assert!(wa.factor(1.0) <= 10.0, "clamped");
-        // Zero over-provisioning hits the clamp at full utilization.
-        assert_eq!(WriteAmplification::new(0.0).factor(1.0), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_overprovisioning_panics() {
-        let _ = WriteAmplification::new(-0.1);
-    }
-
-    #[test]
-    fn amplified_writes_cost_more_wear_and_time() {
-        let mut plain = dev();
-        let mut amplified = dev();
-        amplified.set_write_amplification(Some(WriteAmplification::new(0.07)));
-
-        // Fill both to ~87%, then write one more chunk.
-        for i in 0..7u64 {
-            let c = StoredChunk::synthetic(ByteSize::from_kib(128));
-            plain
-                .write_chunk(ChunkHandle::new(i), c.clone(), SimTime::ZERO)
-                .unwrap();
-            amplified
-                .write_chunk(ChunkHandle::new(i), c, SimTime::ZERO)
-                .unwrap();
-        }
-        assert!(
-            amplified.stats().bytes_written > plain.stats().bytes_written,
-            "GC must have programmed extra bytes"
-        );
-        assert!(amplified.wear_fraction() > plain.wear_fraction());
-        assert!(amplified.busy_until() > plain.busy_until());
-    }
-
-    #[test]
     fn transient_faults_are_recoverable_and_deterministic() {
         let mut a = dev();
         let mut b = dev();
@@ -1635,13 +1507,10 @@ mod tests {
             assert_same_device(one_by_one, in_runs);
             expected
         };
-        for (amplified, slowdown) in [(false, 1.7), (true, 1.7), (false, 2.5)] {
+        for slowdown in [1.7, 2.5] {
             let mut twins = run_twins();
             for d in [&mut twins.0, &mut twins.1] {
                 d.set_slowdown(slowdown);
-                if amplified {
-                    d.set_write_amplification(Some(WriteAmplification::new(0.07)));
-                }
             }
             let (zero, later) = (SimTime::ZERO, SimTime::from_nanos(90_000_000));
             // Fresh handles, queued behind the horizon. A short tail under
@@ -1657,13 +1526,11 @@ mod tests {
             check(&mut twins, (45, 0, kib(16), Some((45, kib(5)))), later).unwrap();
             let idle = SimTime::from_nanos(900_000_000);
             assert_eq!(check(&mut twins, (46, 0, kib(16), None), idle), Ok(idle));
-            if !amplified {
-                let singles = [(0, 1), (15, 1), (33, 1), (45, 1)];
-                let mut expected = vec![(10, 5), (20, 4), (30, 2), (40, 2)];
-                expected.extend(singles);
-                expected.sort_unstable();
-                assert_eq!(ranges(&twins.1), expected);
-            }
+            let singles = [(0, 1), (15, 1), (33, 1), (45, 1)];
+            let mut expected = vec![(10, 5), (20, 4), (30, 2), (40, 2)];
+            expected.extend(singles);
+            expected.sort_unstable();
+            assert_eq!(ranges(&twins.1), expected);
             // Over handles that hold a run with a corrupted chunk in it, a
             // single chunk, a removed run's tombstone and nothing: each
             // chunk gives its old space back.
@@ -1756,12 +1623,8 @@ mod tests {
         assert!(!refused(&run, idle, stride));
         assert!(refused(&run, SimTime::ZERO, stride));
         assert!(refused(&run, idle, SimDuration::from_micros(500)));
-        let mut amplified = run.clone();
-        amplified.set_write_amplification(Some(WriteAmplification::new(0.07)));
-        assert!(!amplified.serves_rewrite_runs());
-        assert!(refused(&amplified, idle, stride));
         run.corrupt_chunk(ChunkHandle::new(20));
-        assert!(!run.serves_rewrite_runs());
+        assert!(!run.all_chunks_intact());
         assert!(refused(&run, idle, stride));
     }
 

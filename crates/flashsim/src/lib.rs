@@ -50,7 +50,5 @@ mod fault;
 
 pub use array::{ArrayStats, DeviceReport, FlashArray};
 pub use chunk::{ChunkHandle, ChunkPayload, StoredChunk};
-pub use device::{
-    DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError, WriteAmplification,
-};
+pub use device::{DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError};
 pub use fault::{FaultPlan, FaultStats};

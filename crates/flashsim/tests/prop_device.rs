@@ -4,9 +4,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use reo_flashsim::{
-    ChunkHandle, DeviceConfig, DeviceId, FlashDevice, FlashError, StoredChunk, WriteAmplification,
-};
+use reo_flashsim::{ChunkHandle, DeviceConfig, DeviceId, FlashDevice, FlashError, StoredChunk};
 use reo_sim::{ByteSize, ServiceModel, SimDuration, SimTime};
 
 fn config() -> DeviceConfig {
@@ -48,12 +46,8 @@ proptest! {
     #[test]
     fn device_invariants_hold_under_chaos(
         ops in proptest::collection::vec(arb_op(), 1..100),
-        with_wa: bool,
     ) {
         let mut d = FlashDevice::new(DeviceId(0), config());
-        if with_wa {
-            d.set_write_amplification(Some(WriteAmplification::new(0.07)));
-        }
         // Shadow model: what should be intact, and its size.
         let mut shadow: std::collections::HashMap<u64, (u64, bool)> =
             std::collections::HashMap::new();
@@ -157,15 +151,9 @@ proptest! {
     #[test]
     fn the_run_table_is_the_per_chunk_table(
         ops in proptest::collection::vec(arb_twin_op(), 1..80),
-        with_wa: bool,
     ) {
         let mut runs = FlashDevice::new(DeviceId(0), config());
         let mut singles = runs.clone();
-        if with_wa {
-            for d in [&mut runs, &mut singles] {
-                d.set_write_amplification(Some(WriteAmplification::new(0.07)));
-            }
-        }
         let mut now = SimTime::ZERO;
         for op in ops {
             // Issue times trail the horizon some of the time.
@@ -192,15 +180,16 @@ proptest! {
                 }
                 TwinOp::RewriteRun { first, count, idle_for, slack } => {
                     // Only what the caller of a rewrite run vouches for:
-                    // whole size-only chunks on a device that serves them.
+                    // whole size-only chunks on a device whose chunks are
+                    // all intact.
                     let len = twin_len(0);
                     let held = |d: &FlashDevice| {
                         let handles = (first..first + count).map(ChunkHandle::new);
                         handles.take_while(|&h| d.holds_size_only(h, len)).count() as u64
                     };
                     let count = held(&runs);
-                    if runs.serves_rewrite_runs() {
-                        prop_assert!(singles.serves_rewrite_runs());
+                    if runs.all_chunks_intact() {
+                        prop_assert!(singles.all_chunks_intact());
                         prop_assert_eq!(held(&singles), count);
                         let start = runs.busy_until().max(now) + SimDuration::from_nanos(idle_for);
                         let stride = runs.write_time(len) + SimDuration::from_nanos(slack);

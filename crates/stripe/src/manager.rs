@@ -627,8 +627,8 @@ impl StripeManager {
     /// clock, so the whole chunks that follow run in lockstep, one every
     /// write time of the slowest device, and rewriting an intact size-only
     /// chunk as what it is changes no table: on a size-only replicated
-    /// object whose devices all
-    /// [serve rewrite runs](reo_flashsim::FlashDevice::serves_rewrite_runs)
+    /// object whose devices
+    /// [hold only intact chunks](reo_flashsim::FlashDevice::all_chunks_intact)
     /// they are charged as one run per device, however many they are. The
     /// object's short last chunk, parity schemes, objects with real
     /// payloads and devices that cannot vouch go chunk by chunk.
@@ -658,7 +658,7 @@ impl StripeManager {
             // Where the whole chunks of the range end: only the object's
             // last chunk can be short.
             let whole_end = last.saturating_add(1).min(layout.size / self.chunk_size);
-            let vouched = |d| self.array.device(d).serves_rewrite_runs();
+            let vouched = |d| self.array.device(d).all_chunks_intact();
             if next < whole_end
                 && !placed.extent.real
                 && placed.extent.scheme.is_replication()
@@ -676,7 +676,7 @@ impl StripeManager {
 
     /// Charges the size-only overwrites of the whole data chunks `chunks`
     /// of a replicated extent, one after another from `start`, where every
-    /// device of the extent is idle and serves rewrite runs: each chunk is
+    /// device of the extent is idle and holds only intact chunks: each chunk is
     /// a stripe of its own under its id, with a replica on every device,
     /// and takes the slowest device's write time. Returns the completion
     /// instant of the last, where the clock then stands.

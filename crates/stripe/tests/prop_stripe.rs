@@ -11,9 +11,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use reo_flashsim::{
-    ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, FlashDevice, WriteAmplification,
-};
+use reo_flashsim::{ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, FlashDevice};
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
 use reo_stripe::{
     ObjectLayout, ObjectStatus, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
@@ -208,7 +206,7 @@ enum ClosedForm {
     /// A size-only store rejected after at least one whole stripe fitted.
     RejectedStore,
     /// A size-only overwrite of three or more whole chunks of a replicated
-    /// object on devices that serve rewrite runs.
+    /// object on devices whose chunks are all intact.
     LockstepOverwrite,
     /// A read of a size-only object with a whole period of stripes before
     /// its last, on an intact array that serves read runs.
@@ -234,9 +232,8 @@ struct Twins {
     placement: PlacementPolicy,
 }
 
-/// `width` small devices (so stores meet `DeviceFull` and roll back),
-/// optionally under the write-amplification model.
-fn twin_array(width: usize, write_amplification: bool) -> FlashArray {
+/// `width` small devices (so stores meet `DeviceFull` and roll back).
+fn twin_array(width: usize) -> FlashArray {
     let cfg = DeviceConfig {
         capacity: ByteSize::from_mib(2),
         read: ServiceModel::new(SimDuration::from_micros(90), 520 * 1024 * 1024),
@@ -244,11 +241,7 @@ fn twin_array(width: usize, write_amplification: bool) -> FlashArray {
         erase_block: ByteSize::from_kib(128),
         pe_cycle_limit: 3000,
     };
-    let mut array = FlashArray::new(width, cfg, SimClock::new());
-    if write_amplification {
-        array.enable_write_amplification(Some(WriteAmplification::new(0.07)));
-    }
-    array
+    FlashArray::new(width, cfg, SimClock::new())
 }
 
 /// `Ok` and `Err` payloads of both sides, rendered: the error types are
@@ -258,9 +251,9 @@ fn shown<T: std::fmt::Debug, E: std::fmt::Debug>(r: &Result<T, E>) -> String {
 }
 
 impl Twins {
-    fn new(seed: u64, write_amplification: bool, width: usize, placement: PlacementPolicy) -> Self {
+    fn new(seed: u64, width: usize, placement: PlacementPolicy) -> Self {
         let chunk = ByteSize::from_kib(16);
-        let array = || twin_array(width, write_amplification);
+        let array = || twin_array(width);
         Twins {
             new: StripeManager::with_placement(array(), chunk, placement),
             old: reference::StripeManager::with_placement(array(), chunk, placement),
@@ -402,7 +395,7 @@ impl Twins {
                         let whole = (last + 1).min(n.size() / self.new.chunk_size());
                         if whole >= first + 3
                             && n.scheme().is_replication()
-                            && self.devices().all(|d| d.serves_rewrite_runs())
+                            && self.devices().all(FlashDevice::all_chunks_intact)
                         {
                             self.met(ClosedForm::LockstepOverwrite);
                         }
@@ -529,12 +522,11 @@ fn extent_runs_match_the_per_chunk_reference() {
         fn sequences(
             steps in proptest::collection::vec(arb_step(), 1..120),
             seed: u64,
-            write_amplification: bool,
             width in 1usize..=8,
             fixed: bool,
         ) {
             let placement = if fixed { PlacementPolicy::Fixed } else { PlacementPolicy::RoundRobin };
-            let mut twins = Twins::new(seed, write_amplification, width, placement);
+            let mut twins = Twins::new(seed, width, placement);
             for (i, step) in steps.iter().enumerate() {
                 if let Err(e) = twins.step(step.clone()) {
                     let from = i.saturating_sub(8);

@@ -15,7 +15,9 @@
 //!
 //! Schedules are drawn from a deterministic per-(seed, schedule) stream,
 //! so a failing combination replays identically. Three pinned seeds run
-//! eight composed schedules each.
+//! eight composed schedules each, every fault a `PlannedEvent` applied
+//! through `CacheSystem::apply_event`, and
+//! `single_node_chaos_fingerprints_are_pinned` pins what each observed.
 //!
 //! Dedicated scenarios cover the ISSUE's cascade cases: a second device
 //! failure during rebuild inside the scheme's tolerance (recovery must
@@ -104,68 +106,69 @@ fn failed_set(sys: &CacheSystem) -> Vec<DeviceId> {
         .collect()
 }
 
-/// Applies one randomly drawn fault. The first point of every schedule is
-/// pinned to a device failure so each run exercises the health machine.
-fn apply_fault(sys: &mut CacheSystem, rng: &mut DetRng, point: usize) {
+/// Draws one fault event, or none when the drawn device failure would
+/// exceed the cap. The first point of every schedule is pinned to a device
+/// failure so each run exercises the health machine.
+fn draw_fault(sys: &CacheSystem, rng: &mut DetRng, point: usize) -> Option<PlannedEvent> {
     let roll = if point == 0 { 0 } else { rng.below(8) };
-    match roll {
+    let draw = |rng: &mut DetRng, base: u64, span: u64| (base + rng.below(span)) as u32;
+    Some(match roll {
         0 => {
             // Fail a healthy device, staying within Dirty-class tolerance
             // (replication survives concurrent failures, but the menu caps
             // at two so clean classes keep a recovery path too).
             let failed = failed_set(sys);
-            if failed.len() < 2 {
-                let healthy: Vec<DeviceId> = (0..DEVICES)
-                    .map(DeviceId)
-                    .filter(|d| !failed.contains(d))
-                    .collect();
-                let pick = healthy[rng.below(healthy.len() as u64) as usize];
-                sys.fail_device(pick);
+            if failed.len() >= 2 {
+                return None;
             }
+            let healthy: Vec<DeviceId> = (0..DEVICES)
+                .map(DeviceId)
+                .filter(|d| !failed.contains(d))
+                .collect();
+            PlannedEvent::FailDevice(healthy[rng.below(healthy.len() as u64) as usize])
         }
         1 => {
             let failed = failed_set(sys);
-            if !failed.is_empty() {
-                let pick = failed[rng.below(failed.len() as u64) as usize];
-                sys.insert_spare(pick);
+            if failed.is_empty() {
+                return None;
             }
+            PlannedEvent::InsertSpare(failed[rng.below(failed.len() as u64) as usize])
         }
-        2 => {
-            let _ = sys.inject_chunk_corruption((1_000 + rng.below(19_000)) as f64 / 1e6);
-        }
-        3 => sys.arm_transient_faults((500 + rng.below(4_500)) as f64 / 1e6),
-        4 => {
-            let device = DeviceId(rng.below(DEVICES as u64) as usize);
-            let factor = (150 + rng.below(250)) as f64 / 100.0;
-            sys.slow_device(device, factor);
-        }
-        5 => {
-            sys.crash();
-            sys.recover().expect("restart recovery after chaos crash");
-        }
-        6 => {
-            // Toggle a backend outage window.
-            if sys.backend().is_down() {
-                sys.restore_backend();
-            } else {
-                sys.fail_backend();
-            }
-        }
-        _ => sys.slow_backend((10 + rng.below(30)) as f64 / 10.0),
-    }
+        2 => PlannedEvent::CorruptChunks {
+            ppm: draw(rng, 1_000, 19_000),
+        },
+        3 => PlannedEvent::TransientFaults {
+            ppm: draw(rng, 500, 4_500),
+        },
+        4 => PlannedEvent::SlowDevice {
+            device: DeviceId(rng.below(DEVICES as u64) as usize),
+            factor_pct: draw(rng, 150, 250),
+        },
+        5 => PlannedEvent::Crash,
+        // Toggle a backend outage window.
+        6 if sys.backend().is_down() => PlannedEvent::RestoreBackend,
+        6 => PlannedEvent::FailBackend,
+        _ => PlannedEvent::SlowBackend {
+            factor_pct: 10 * draw(rng, 10, 30),
+        },
+    })
 }
 
 /// Clears every standing fault, spares every failed device, and drains
 /// the rebuild queue — the quiesce step the invariants are checked after.
 fn quiesce(sys: &mut CacheSystem) {
-    sys.restore_backend();
-    sys.slow_backend(1.0);
-    sys.arm_transient_faults(0.0);
-    for d in 0..DEVICES {
-        sys.slow_device(DeviceId(d), 1.0);
-    }
-    for d in failed_set(sys) {
-        sys.insert_spare(d);
+    let clear = [
+        PlannedEvent::RestoreBackend,
+        PlannedEvent::SlowBackend { factor_pct: 100 },
+        PlannedEvent::TransientFaults { ppm: 0 },
+    ];
+    let full_speed = (0..DEVICES).map(|d| PlannedEvent::SlowDevice {
+        device: DeviceId(d),
+        factor_pct: 100,
+    });
+    let spares = failed_set(sys).into_iter().map(PlannedEvent::InsertSpare);
+    for event in clear.into_iter().chain(full_speed).chain(spares) {
+        sys.apply_event(event);
     }
     assert!(sys.drain_recovery(1_000_000), "rebuild queue must drain");
 }
@@ -180,7 +183,10 @@ fn assert_ledger_reconciles(sys: &CacheSystem, label: &str) {
     );
 }
 
-fn chaos_run(seed: u64, schedule: u64) {
+/// Drives one single-node schedule, checks the invariants, and returns a
+/// hash of what it observed: every request's `(sense, hit, degraded)`,
+/// then the final `resilience()` and every device's counters.
+fn chaos_run(seed: u64, schedule: u64) -> u64 {
     let label = format!("seed {seed} schedule {schedule}");
     let t = trace(seed);
     let mut sys = system(&t);
@@ -194,11 +200,14 @@ fn chaos_run(seed: u64, schedule: u64) {
         .map(|k| k * stride + 20 + rng.below((stride - 40) as u64) as usize)
         .collect();
 
+    let mut fingerprint = Vec::with_capacity(t.requests().len());
     let mut acked: BTreeMap<ObjectKey, ByteSize> = BTreeMap::new();
     let mut next = 0usize;
     for (i, r) in t.requests().iter().enumerate() {
         if next < points.len() && i == points[next] {
-            apply_fault(&mut sys, &mut rng, next);
+            if let Some(event) = draw_fault(&sys, &mut rng, next) {
+                sys.apply_event(event);
+            }
             next += 1;
         }
         let outcome = sys.handle(r);
@@ -207,6 +216,7 @@ fn chaos_run(seed: u64, schedule: u64) {
             SenseCode::Failure,
             "{label}: request {i} returned an opaque failure"
         );
+        fingerprint.push((outcome.sense, outcome.hit, outcome.degraded));
         if r.op == Operation::Write
             && matches!(
                 outcome.sense,
@@ -257,12 +267,19 @@ fn chaos_run(seed: u64, schedule: u64) {
             outcome.sense
         );
     }
+
+    let array = sys.target().array();
+    let devices: Vec<_> = (0..DEVICES)
+        .map(|d| array.device(DeviceId(d)).stats())
+        .collect();
+    let observed = format!("{:?}", (&fingerprint, sys.resilience(), devices));
+    let mut hasher = FastHasher::default();
+    hasher.write(observed.as_bytes());
+    hasher.finish()
 }
 
-fn chaos_matrix(seed: u64) {
-    for schedule in 0..SCHEDULES {
-        chaos_run(seed, schedule);
-    }
+fn chaos_matrix(seed: u64) -> Vec<u64> {
+    (0..SCHEDULES).map(|s| chaos_run(seed, s)).collect()
 }
 
 #[test]
@@ -278,6 +295,68 @@ fn chaos_matrix_seed_42() {
 #[test]
 fn chaos_matrix_seed_1234() {
     chaos_matrix(1234);
+}
+
+/// What [`chaos_run`] observed, per `(seed, schedule)`, recorded at the
+/// last commit whose `apply_fault` and `quiesce` called the fault methods
+/// one by one instead of drawing [`PlannedEvent`]s; a change that moves a
+/// hash changed what a single node computes and must say why.
+const PINNED_SINGLE_NODE: [(u64, [u64; SCHEDULES as usize]); 3] = [
+    (
+        11,
+        [
+            0xe5b418be5e0667ea,
+            0x6b71e4efd5cc8dd0,
+            0x3b271ddff10337a8,
+            0xc44a890fda9524dc,
+            0x61d6c87a4a845548,
+            0xa3c3024758eaa57e,
+            0xcde9d8b11a67be69,
+            0xbf236d845c7803ec,
+        ],
+    ),
+    (
+        42,
+        [
+            0x0070969de8513f9c,
+            0x4795cc8a282352e0,
+            0x588e816ab1a041c6,
+            0x9968efadfb8519c7,
+            0x6de74786a487a385,
+            0xe8e80a76358f6fc9,
+            0xabab05e9fc4a4218,
+            0x542863ed9a996853,
+        ],
+    ),
+    (
+        1234,
+        [
+            0x634493be25bf7bcd,
+            0x0776e17bbed075a9,
+            0x9ee9afb542b30651,
+            0xb6c695ff2ffe90f7,
+            0x559da4c1d276efc3,
+            0x0178fe6013a718c4,
+            0x0f4683dc239e2dd0,
+            0x44e701fb6a121b57,
+        ],
+    ),
+];
+
+#[test]
+fn single_node_chaos_fingerprints_are_pinned() {
+    let observed: Vec<(u64, Vec<u64>)> = PINNED_SINGLE_NODE
+        .iter()
+        .map(|&(seed, _)| (seed, chaos_matrix(seed)))
+        .collect();
+    let pinned: Vec<(u64, Vec<u64>)> = PINNED_SINGLE_NODE
+        .iter()
+        .map(|(seed, hashes)| (*seed, hashes.to_vec()))
+        .collect();
+    assert_eq!(
+        observed, pinned,
+        "single-node behaviour moved; observed {observed:#018x?}"
+    );
 }
 
 // ---- node-level (cluster) chaos -----------------------------------------
