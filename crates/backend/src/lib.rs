@@ -292,11 +292,6 @@ impl BackendStore {
         self.objects.len()
     }
 
-    /// Total logical bytes held.
-    pub fn total_bytes(&self) -> ByteSize {
-        self.objects.values().map(|o| o.size).sum()
-    }
-
     /// `true` if `key` is present.
     pub fn contains(&self, key: ObjectKey) -> bool {
         self.objects.contains_key(&key)
@@ -610,7 +605,6 @@ mod tests {
         s.insert(key(1), ByteSize::from_kib(4), None);
         s.insert(key(2), ByteSize::from_kib(8), None);
         assert_eq!(s.object_count(), 2);
-        assert_eq!(s.total_bytes(), ByteSize::from_kib(12));
         assert!(s.contains(key(1)));
         assert!(!s.contains(key(3)));
     }

@@ -120,11 +120,6 @@ impl StoredChunk {
     pub fn payload(&self) -> &ChunkPayload {
         &self.payload
     }
-
-    /// Consumes the chunk, returning the payload.
-    pub fn into_payload(self) -> ChunkPayload {
-        self.payload
-    }
 }
 
 #[cfg(test)]

@@ -136,11 +136,6 @@ impl RecoveryEngine {
         }
     }
 
-    /// `true` when the engine orders rebuilds by class.
-    pub fn is_prioritized(&self) -> bool {
-        self.prioritized
-    }
-
     /// Number of rebuilds still pending.
     pub fn pending(&self) -> usize {
         self.heap.len()
@@ -284,7 +279,6 @@ mod tests {
     #[test]
     fn unprioritized_engine_is_fifo_across_classes() {
         let mut e = RecoveryEngine::new_unprioritized();
-        assert!(!e.is_prioritized());
         e.enqueue(k(3), ObjectClass::ColdClean);
         e.enqueue(k(0), ObjectClass::Metadata);
         e.enqueue(k(1), ObjectClass::Dirty);

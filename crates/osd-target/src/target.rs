@@ -1318,11 +1318,6 @@ impl OsdTarget {
         self.journal.as_ref().map(|j| j.media().durable_bytes())
     }
 
-    /// The attached journal's configured flush interval, if any.
-    pub fn journal_fsync_interval(&self) -> Option<u32> {
-        self.journal.as_ref().map(|j| j.fsync_interval())
-    }
-
     /// `true` between a simulated power loss and the completion of
     /// [`OsdTarget::recover_from_journal`] — the window in which data
     /// paths answer [`SenseCode::NotReady`].

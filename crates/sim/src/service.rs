@@ -86,12 +86,6 @@ impl ServiceModel {
         let nanos = (bytes.as_bytes() as u128 * 1_000_000_000u128) / self.bytes_per_sec as u128;
         SimDuration::from_nanos(nanos as u64)
     }
-
-    /// Time to service `ops` operations of `bytes` each, paying the fixed
-    /// cost once per operation.
-    pub fn service_time_batch(&self, ops: u64, bytes: ByteSize) -> SimDuration {
-        self.per_op_latency * ops + self.transfer_time(ByteSize::from_bytes(bytes.as_bytes() * ops))
-    }
 }
 
 #[cfg(test)]
@@ -117,11 +111,18 @@ mod tests {
 
     #[test]
     fn batch_pays_latency_per_op() {
+        // Five operations pay the fixed cost five times; the same bytes
+        // streamed as one operation pay it once.
         let m = ServiceModel::new(SimDuration::from_micros(10), 1_000_000_000);
-        let t = m.service_time_batch(5, ByteSize::from_bytes(1000));
+        let op = ByteSize::from_bytes(1000);
         assert_eq!(
-            t,
+            m.service_time(op) * 5,
             SimDuration::from_micros(50) + SimDuration::from_nanos(5000)
+        );
+        let streamed = m.service_time(op) + m.transfer_time(ByteSize::from_bytes(4000));
+        assert_eq!(
+            streamed,
+            SimDuration::from_micros(10) + SimDuration::from_nanos(5000)
         );
     }
 

@@ -4,7 +4,9 @@ use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, StoredChunk};
 use reo_sim::{ByteSize, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
-use crate::{ObjectStatus, ParityUpdate, RedundancyScheme, StripeError, StripeManager};
+use crate::{
+    ObjectStatus, ParityUpdate, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
+};
 
 #[test]
 fn degraded_read_reconstructs_real_bytes() {
@@ -330,6 +332,55 @@ fn strategy_follows_read_cost_rule() {
         .overwrite_chunk(&layout3, 0, Some(&seeded(4096, 5)))
         .unwrap();
     assert_eq!(method3, ParityUpdate::Direct);
+}
+
+/// Round-robin parity exists for an even spread of write wear (Section
+/// IV-C.3). A full-stripe store writes one chunk to every device wherever
+/// its parity sits, so stores alone cannot tell the two policies apart;
+/// single-chunk overwrites write their stripe's parity every time, and
+/// under the fixed policy that is always the same device.
+#[test]
+fn parity_placement_spreads_small_write_wear() {
+    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
+        let mut m =
+            StripeManager::with_placement(test_array(5, 64), ByteSize::from_kib(64), placement);
+        let written = |m: &StripeManager| -> Vec<u64> {
+            (0..5)
+                .map(|d| m.array().device(DeviceId(d)).stats().bytes_written)
+                .collect()
+        };
+        let layouts: Vec<_> = (0..64)
+            .map(|owner| {
+                m.store_object(
+                    owner,
+                    ByteSize::from_mib(2),
+                    RedundancyScheme::parity(1),
+                    None,
+                )
+                .unwrap()
+            })
+            .collect();
+        let stored = written(&m);
+        assert!(
+            stored.iter().all(|&b| b == stored[0]),
+            "{placement:?}: {stored:?}"
+        );
+
+        // Eight single-chunk overwrites per object, spread over its 32
+        // chunks.
+        for (i, layout) in (0u64..).zip(&layouts) {
+            for c in 0..8 {
+                m.overwrite_chunk(layout, (3 * c + i) % 32, None).unwrap();
+            }
+        }
+        let after = written(&m);
+        let (max, min) = (after.iter().max().unwrap(), after.iter().min().unwrap());
+        let imbalance = *max as f64 / *min as f64;
+        match placement {
+            PlacementPolicy::Fixed => assert!(imbalance >= 1.5, "fixed: {after:?}"),
+            PlacementPolicy::RoundRobin => assert!(imbalance <= 1.05, "round-robin: {after:?}"),
+        }
+    }
 }
 
 #[test]
