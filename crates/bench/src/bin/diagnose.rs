@@ -86,10 +86,9 @@ fn main() {
     }
     .with_event(n / 3, PlannedEvent::FailTarget(1))
     .with_event(2 * n / 3, PlannedEvent::RestoreTarget(1));
-    let result = cluster.run(&trace, &plan);
+    cluster.run(&trace, &plan);
     cluster.drain_recovery(1_000_000);
-    let report =
-        export::collect_cluster_report("diagnose_cluster", &scheme.label(), &cluster, &result);
+    let report = export::collect_cluster_report("diagnose_cluster", &scheme.label(), &cluster);
 
     println!("\n== causal deep dive: 4-target cluster, target 1 outage ==");
     // Two views of the outage window: the deepest tree that reaches the

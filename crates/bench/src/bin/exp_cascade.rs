@@ -16,7 +16,7 @@
 //!    full JSONL report (including the `resilience` record).
 //!
 //! Usage:
-//!   cargo run --release -p reo-bench --bin exp_cascade [-- --quick|--smoke]
+//!   cargo run --release -p reo-bench --bin exp_cascade [-- --quick]
 
 use reo_bench::{export, FigureReport, Panel, RunScale};
 use reo_core::{

@@ -131,9 +131,9 @@ fn main() {
         }
         .with_event(n / 3, PlannedEvent::FailTarget(1))
         .with_event(2 * n / 3, PlannedEvent::RestoreTarget(1));
-        let result = cluster.run(&trace, &plan);
+        cluster.run(&trace, &plan);
         cluster.drain_recovery(1_000_000);
-        export::collect_cluster_report("observability", "Reo-20%", &cluster, &result)
+        export::collect_cluster_report("observability", "Reo-20%", &cluster)
     };
     let report = chaos_run();
     let replay = chaos_run();

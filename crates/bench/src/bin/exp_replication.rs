@@ -34,15 +34,11 @@
 //! `results/exp_replication_parity.jsonl`.
 //!
 //! Usage:
-//!   cargo run --release -p reo-bench --bin exp_replication \
-//!     [-- --quick|--smoke] [-- --mode parity]
-//!
-//! `--mode parity` runs only the parity cells (the CI smoke job uses
-//! it to exercise the erasure-coded path without the full sweep).
+//!   cargo run --release -p reo-bench --bin exp_replication [-- --quick]
 
 use reo_bench::{export, FigureReport, Panel, RunScale};
 use reo_core::{
-    parallel_map_ordered, sweep_threads, ClusterRunResult, ClusterSystem, ExperimentPlan,
+    parallel_map_ordered, sweep_threads, ClusterSystem, ExperimentPlan, MetricsSnapshot,
     PlannedEvent, Redundancy, SchemeConfig, SystemConfig,
 };
 use reo_sim::ByteSize;
@@ -76,32 +72,32 @@ fn cluster_config(trace: &Trace, policy: Redundancy) -> SystemConfig {
         .with_chunk_size(ByteSize::from_kib(32))
 }
 
-/// One end-to-end run: build the cluster under `policy`, drive the
-/// plan, drain recovery and repair through the throttle, finish with a
-/// complete anti-entropy pass, and refresh the counters and the flash
-/// split so the record reflects the fully-repaired end state.
-fn run_schedule(
-    policy: Redundancy,
-    trace: &Trace,
-    plan: &ExperimentPlan,
-) -> (ClusterSystem, ClusterRunResult) {
+/// One end-to-end run: the measured pass's totals, and the cluster in
+/// its fully-repaired end state, which reports everything else.
+struct Run {
+    totals: MetricsSnapshot,
+    cluster: ClusterSystem,
+}
+
+/// Builds the cluster under `policy`, drives the plan, drains recovery
+/// and repair through the throttle and finishes with a complete
+/// anti-entropy pass.
+fn run_schedule(policy: Redundancy, trace: &Trace, plan: &ExperimentPlan) -> Run {
     let mut cluster =
         ClusterSystem::new(cluster_config(trace, policy), TARGETS).with_redundancy(policy);
-    let mut result = cluster.run(trace, plan);
+    let totals = cluster.run(trace, plan);
     cluster.drain_recovery(1_000_000);
     cluster.run_anti_entropy_pass();
-    result.redundancy = cluster.redundancy_snapshot();
-    result.flash_overhead = cluster.flash_overhead();
-    (cluster, result)
+    Run { totals, cluster }
 }
 
 struct Cell {
     label: &'static str,
     policy: Redundancy,
     artifact: Option<&'static str>,
-    baseline: ClusterRunResult,
-    outage: ClusterRunResult,
-    double_outage: ClusterRunResult,
+    baseline: Run,
+    outage: Run,
+    double_outage: Run,
     report: export::RunReport,
 }
 
@@ -112,7 +108,7 @@ fn run_cell(trace: &Trace, &(label, policy, artifact): &PolicyRow) -> Cell {
         warmup_passes: 1,
         ..Default::default()
     };
-    let (_, baseline) = run_schedule(policy, trace, &warm());
+    let baseline = run_schedule(policy, trace, &warm());
 
     let mut outage_plan = warm().with_event(n / 3, PlannedEvent::FailTarget(0));
     if policy.replicates() {
@@ -126,8 +122,8 @@ fn run_cell(trace: &Trace, &(label, policy, artifact): &PolicyRow) -> Cell {
     outage_plan = outage_plan.with_event(2 * n / 3, PlannedEvent::RestoreTarget(0));
     let scheme = format!("Reo-20% {label}");
     let export_outage = || {
-        let (cluster, outage) = run_schedule(policy, trace, &outage_plan);
-        let report = export::collect_cluster_report("replication", &scheme, &cluster, &outage);
+        let outage = run_schedule(policy, trace, &outage_plan);
+        let report = export::collect_cluster_report("replication", &scheme, &outage.cluster);
         (outage, report)
     };
     let (outage, report) = export_outage();
@@ -146,7 +142,7 @@ fn run_cell(trace: &Trace, &(label, policy, artifact): &PolicyRow) -> Cell {
         .with_event(n / 3, PlannedEvent::FailTarget(1))
         .with_event(2 * n / 3, PlannedEvent::RestoreTarget(0))
         .with_event(2 * n / 3, PlannedEvent::RestoreTarget(1));
-    let (_, double_outage) = run_schedule(policy, trace, &double_plan);
+    let double_outage = run_schedule(policy, trace, &double_plan);
 
     Cell {
         label,
@@ -164,7 +160,8 @@ fn check_cell(cell: &Cell) {
     let Cell { label, policy, .. } = cell;
     let base = &cell.baseline.totals;
     let out = &cell.outage.totals;
-    let stats = &cell.outage.redundancy;
+    let (outage, double) = (&cell.outage.cluster, &cell.double_outage.cluster);
+    let stats = outage.redundancy_snapshot();
     println!(
         "policy {:>10}  base hit {:>5.1}% p99 {:>7.2} ms  outage hit {:>5.1}% p99 {:>7.2} ms  \
          failover serves {:>6}  diverged {:>3}/{:>3} detected  overhead {:>4.1}% (budget {:.1}%)  \
@@ -177,25 +174,26 @@ fn check_cell(cell: &Cell) {
         stats.failover_serves,
         stats.divergences_detected,
         stats.divergences_injected,
-        100.0 * cell.outage.flash_overhead.overhead_fraction(),
+        100.0 * outage.flash_overhead().overhead_fraction(),
         100.0 * policy.overhead(),
         stats.repairs_completed,
-        cell.outage.dirty_data_lost,
+        outage.dirty_data_lost(),
     );
 
-    for (schedule, result) in [
-        ("baseline", &cell.baseline),
-        ("single-outage", &cell.outage),
-        ("double-outage", &cell.double_outage),
+    for (schedule, cluster) in [
+        ("baseline", &cell.baseline.cluster),
+        ("single-outage", outage),
+        ("double-outage", double),
     ] {
         assert_eq!(
-            result.dirty_data_lost, 0,
+            cluster.dirty_data_lost(),
+            0,
             "{label} {schedule}: no acked dirty write may be lost"
         );
         // Equal-budget honesty: measured redundancy bytes per primary
         // byte never exceed the geometric m/k bound (plus slack for
         // rounding on small caches).
-        let fraction = result.flash_overhead.overhead_fraction();
+        let fraction = cluster.flash_overhead().overhead_fraction();
         assert!(
             fraction <= policy.overhead() + 0.05,
             "{label} {schedule}: measured overhead {fraction:.3} exceeds m/k = {:.3}",
@@ -207,7 +205,7 @@ fn check_cell(cell: &Cell) {
         // Policy-none keeps the redundancy machinery cold: the outage
         // degrades to backend-first service, honestly.
         assert_eq!(stats.failover_serves, 0);
-        assert!(cell.outage.observed_degraded_fraction > 0.0);
+        assert!(outage.observed_degraded_fraction() > 0.0);
     } else {
         // Failover at cache speed: the failed range is served from
         // replica holders' caches (within 10% of the no-fault baseline
@@ -266,11 +264,11 @@ fn check_cell(cell: &Cell) {
     // 3-way on 4 targets still covers every key with a survivor.
     if policy.parity <= 1 {
         assert!(
-            cell.double_outage.observed_degraded_fraction > 0.0,
+            double.observed_degraded_fraction() > 0.0,
             "{label}: double outage beyond m must degrade part of the namespace"
         );
         assert!(
-            !policy.enabled() || cell.double_outage.redundancy.beyond_tolerance_serves > 0,
+            !policy.enabled() || double.redundancy_snapshot().beyond_tolerance_serves > 0,
             "{label}: double outage beyond m must surface beyond-tolerance serves"
         );
     }
@@ -278,11 +276,6 @@ fn check_cell(cell: &Cell) {
 
 fn main() {
     let scale = RunScale::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let parity_only = args.iter().any(|a| a == "--mode=parity")
-        || args
-            .windows(2)
-            .any(|w| w[0] == "--mode" && w[1] == "parity");
 
     // Write-intensive medium workload (Section VI-D, 30% writes):
     // redundancy is exercised by acked writes, so a read-only trace
@@ -291,7 +284,7 @@ fn main() {
     let spec = scale.scale_spec(WorkloadSpec::write_intensive(0.3));
     let trace = spec.generate(42);
 
-    let mut policies: Vec<PolicyRow> = vec![
+    let policies: Vec<PolicyRow> = vec![
         ("none", Redundancy::none(), None),
         ("2-way", Redundancy::two_way(), Some("exp_replication")),
         ("3-way", Redundancy::n_way(3), None),
@@ -301,9 +294,6 @@ fn main() {
             Some("exp_replication_parity"),
         ),
     ];
-    if parity_only {
-        policies.retain(|(_, policy, _)| policy.stripes());
-    }
     let labels: Vec<&str> = policies.iter().map(|(label, ..)| *label).collect();
     println!(
         "### Replication vs parity — write-intensive medium workload (30% writes), {} requests, Reo-20%, {} targets, policies {:?}",
@@ -326,9 +316,6 @@ fn main() {
             export::write_jsonl(artifact, &cell.report);
         }
     }
-    if parity_only {
-        return;
-    }
 
     // Every cell sits at x = 1 + m/k: its protected data occupies that
     // many flash bytes per primary byte, whether the extra bytes are
@@ -346,17 +333,12 @@ fn main() {
         hit_ratio.push("single-outage", out.hit_ratio_pct());
         p99.push("baseline", base.p99_latency.as_millis_f64());
         p99.push("single-outage", out.p99_latency.as_millis_f64());
-        serves.push(
-            "single-outage",
-            cell.outage.redundancy.failover_serves as f64,
-        );
-        serves.push(
-            "double-outage",
-            cell.double_outage.redundancy.failover_serves as f64,
-        );
+        let failover_serves = |run: &Run| run.cluster.redundancy_snapshot().failover_serves as f64;
+        serves.push("single-outage", failover_serves(&cell.outage));
+        serves.push("double-outage", failover_serves(&cell.double_outage));
         overhead.push(
             "measured",
-            100.0 * cell.outage.flash_overhead.overhead_fraction(),
+            100.0 * cell.outage.cluster.flash_overhead().overhead_fraction(),
         );
     }
 
@@ -375,9 +357,9 @@ fn main() {
     );
     println!(
         "measured redundancy overhead: 2-way {:.1}% vs {} {:.1}% (budget {:.1}%)",
-        100.0 * two.outage.flash_overhead.overhead_fraction(),
+        100.0 * two.outage.cluster.flash_overhead().overhead_fraction(),
         parity.label,
-        100.0 * parity.outage.flash_overhead.overhead_fraction(),
+        100.0 * parity.outage.cluster.flash_overhead().overhead_fraction(),
         100.0 * parity.policy.overhead(),
     );
     print!("{}", export::render_summary(&two.report));

@@ -22,11 +22,11 @@
 //! `placement` record per target) to `results/exp_scaleout.jsonl`.
 //!
 //! Usage:
-//!   cargo run --release -p reo-bench --bin exp_scaleout [-- --quick|--smoke]
+//!   cargo run --release -p reo-bench --bin exp_scaleout [-- --quick]
 
 use reo_bench::{export, FigureReport, Panel, RunScale};
 use reo_core::{
-    parallel_map_ordered, sweep_threads, ClusterRunResult, ClusterSystem, ExperimentPlan,
+    parallel_map_ordered, sweep_threads, ClusterSystem, ExperimentPlan, MetricsSnapshot,
     PlannedEvent, SchemeConfig, SystemConfig,
 };
 use reo_sim::ByteSize;
@@ -42,10 +42,16 @@ fn cluster_config(trace: &reo_workload::Trace) -> SystemConfig {
 
 struct Cell {
     targets: usize,
-    baseline: ClusterRunResult,
-    outage: ClusterRunResult,
+    baseline: MetricsSnapshot,
+    outage: MetricsSnapshot,
+    /// The outage run's cluster, after `drain_recovery`.
+    cluster: ClusterSystem,
     report: export::RunReport,
-    lines: Vec<String>,
+}
+
+/// Aggregate requests per simulated second of a measured pass.
+fn req_per_sec(totals: &MetricsSnapshot) -> f64 {
+    totals.requests as f64 / totals.elapsed.as_secs_f64()
 }
 
 fn main() {
@@ -73,8 +79,7 @@ fn main() {
             warmup_passes: 1,
             ..Default::default()
         };
-        let mut baseline_cluster = ClusterSystem::new(config.clone(), targets);
-        let baseline = baseline_cluster.run(&trace, &baseline_plan);
+        let baseline = ClusterSystem::new(config.clone(), targets).run(&trace, &baseline_plan);
 
         let outage_plan = ExperimentPlan {
             warmup_passes: 1,
@@ -82,30 +87,16 @@ fn main() {
         }
         .with_event(n / 3, PlannedEvent::FailTarget(0))
         .with_event(2 * n / 3, PlannedEvent::RestoreTarget(0));
-        let mut outage_cluster = ClusterSystem::new(config.clone(), targets);
-        let outage = outage_cluster.run(&trace, &outage_plan);
-        outage_cluster.drain_recovery(1_000_000);
-        let report =
-            export::collect_cluster_report("scaleout", "Reo-20%", &outage_cluster, &outage);
-
-        let rebuild_ms = outage.totals.targets[0].rebuild_window_us as f64 / 1e3;
-        let lines = vec![format!(
-            "targets {targets:>2}  base {:>10.0} req/s  outage {:>10.0} req/s  \
-             mapped degraded {:>5.1}%  observed {:>5.1}%  rebuild {rebuild_ms:>8.1} ms  \
-             migrated {:>4}  dirty lost {}",
-            baseline.aggregate_req_per_sec,
-            outage.aggregate_req_per_sec,
-            100.0 * outage.mapped_degraded_fraction,
-            100.0 * outage.observed_degraded_fraction,
-            outage.migrated_objects,
-            outage.dirty_data_lost,
-        )];
+        let mut cluster = ClusterSystem::new(config.clone(), targets);
+        let outage = cluster.run(&trace, &outage_plan);
+        cluster.drain_recovery(1_000_000);
+        let report = export::collect_cluster_report("scaleout", "Reo-20%", &cluster);
         Cell {
             targets,
             baseline,
             outage,
+            cluster,
             report,
-            lines,
         }
     });
 
@@ -115,24 +106,25 @@ fn main() {
     let mut rebuild = Panel::new("Rebuild Window (ms)", "Targets", xs);
 
     for cell in &cells {
-        for line in &cell.lines {
-            println!("{line}");
-        }
-        throughput.push("baseline", cell.baseline.aggregate_req_per_sec);
-        throughput.push("single-outage", cell.outage.aggregate_req_per_sec);
-        degraded.push(
-            "mapped (≈1/N)",
-            100.0 * cell.outage.mapped_degraded_fraction,
+        let mapped_pct = 100.0 * cell.cluster.mapped_degraded_fraction();
+        let observed_pct = 100.0 * cell.cluster.observed_degraded_fraction();
+        let rebuild_ms = cell.outage.targets[0].rebuild_window_us as f64 / 1e3;
+        let migrated: u64 = cell.outage.targets.iter().map(|row| row.migrated_in).sum();
+        let lost = cell.cluster.dirty_data_lost();
+        println!(
+            "targets {:>2}  base {:>10.0} req/s  outage {:>10.0} req/s  \
+             mapped degraded {mapped_pct:>5.1}%  observed {observed_pct:>5.1}%  \
+             rebuild {rebuild_ms:>8.1} ms  migrated {migrated:>4}  dirty lost {lost}",
+            cell.targets,
+            req_per_sec(&cell.baseline),
+            req_per_sec(&cell.outage),
         );
-        degraded.push("observed", 100.0 * cell.outage.observed_degraded_fraction);
-        rebuild.push(
-            "target 0",
-            cell.outage.totals.targets[0].rebuild_window_us as f64 / 1e3,
-        );
-        assert_eq!(
-            cell.outage.dirty_data_lost, 0,
-            "no acked dirty write may be lost across an outage"
-        );
+        throughput.push("baseline", req_per_sec(&cell.baseline));
+        throughput.push("single-outage", req_per_sec(&cell.outage));
+        degraded.push("mapped (≈1/N)", mapped_pct);
+        degraded.push("observed", observed_pct);
+        rebuild.push("target 0", rebuild_ms);
+        assert_eq!(lost, 0, "no acked dirty write may be lost across an outage");
     }
 
     // Blast-radius containment at 4 targets: the outage must be
@@ -141,8 +133,8 @@ fn main() {
     if let Some(cell) = cells.iter().find(|c| c.targets == 4) {
         let mut contained = true;
         for t in 1..cell.targets {
-            let base_row = &cell.baseline.totals.targets[t];
-            let out_row = &cell.outage.totals.targets[t];
+            let base_row = &cell.baseline.targets[t];
+            let out_row = &cell.outage.targets[t];
             if base_row.read_hits != out_row.read_hits
                 || base_row.reads != out_row.reads
                 || base_row.sense_mix != out_row.sense_mix
@@ -156,7 +148,7 @@ fn main() {
         println!(
             "containment at 4 targets: {}  (mapped degraded fraction {:.1}%, ideal 25.0%)",
             if contained { "OK" } else { "VIOLATED" },
-            100.0 * cell.outage.mapped_degraded_fraction,
+            100.0 * cell.cluster.mapped_degraded_fraction(),
         );
         assert!(
             contained,

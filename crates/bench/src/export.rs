@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 
 use reo_core::{
-    CacheSystem, ClusterRunResult, ClusterSystem, DeviceId, DeviceReport, ExperimentResult,
-    MetricsSnapshot, SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
+    CacheSystem, ClusterSystem, DeviceId, DeviceReport, ExperimentResult, MetricsSnapshot,
+    SloSnapshot, TargetMetricsRow, TimeSeriesPoint,
 };
 use reo_sim::{LayerBreakdown, Postmortem, SimDuration, TraceBreakdown, TraceTree};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -120,35 +120,20 @@ pub fn collect_run_report(
     }
 }
 
-/// Gathers a [`RunReport`] from a finished cluster and its run result:
-/// per-target rows ride in [`MetricsSnapshot::targets`] (exported as
-/// `placement` records), node counters are summed (device rows get
+/// Gathers a [`RunReport`] from a cluster as it stands — after
+/// [`ClusterSystem::run`] and whatever drain or repair pass the caller
+/// adds: per-target rows ride in [`MetricsSnapshot::targets`] (exported
+/// as `placement` records), node counters are summed (device rows get
 /// global ids, `devices_per_node * target + local`), and the
-/// `resilience` record carries the cluster-level view — health label,
-/// summed degraded-service counters, merged rejection breakdown, and
-/// the worst per-class time-to-restored-redundancy.
+/// `resilience` record is [`ClusterSystem::resilience`].
 pub fn collect_cluster_report(
     experiment: &str,
     scheme: &str,
     cluster: &ClusterSystem,
-    result: &ClusterRunResult,
 ) -> RunReport {
     let per_node = cluster.config().devices;
     let mut devices = Vec::new();
     let mut cache = reo_cache::CacheStats::default();
-    let mut resilience = reo_core::ResilienceSnapshot {
-        health: result.health.clone(),
-        health_transitions: 0,
-        shed_requests: 0,
-        write_throughs: 0,
-        bypassed_fills: 0,
-        rejected_events: result.rejected_events,
-        rejected_events_by_reason: result.rejected_events_by_reason.clone(),
-        internal_errors: 0,
-        throttle_stalls: result.migration_stalls,
-        rebuild_throttle_bytes: result.migration_throttle_bytes,
-        ttr_us: [-1; 4],
-    };
     let mut efficiency = 0.0;
     for t in 0..cluster.targets_created() {
         let node = cluster.node(t);
@@ -157,17 +142,16 @@ pub fn collect_cluster_report(
             devices.push(d);
         }
         cache.merge(&node.cache_stats());
-        resilience.merge(&node.resilience());
         efficiency += node.space_efficiency();
     }
     RunReport {
         experiment: experiment.to_string(),
         scheme: scheme.to_string(),
-        totals: result.totals.clone(),
+        totals: cluster.metrics_snapshot(),
         breakdown: cluster.tracer().breakdown(),
         devices,
         cache,
-        resilience,
+        resilience: cluster.resilience(),
         series: Vec::new(),
         space_efficiency: efficiency / cluster.targets_created().max(1) as f64,
         perf: Vec::new(),
@@ -175,8 +159,8 @@ pub fn collect_cluster_report(
         postmortems: cluster.flight().postmortems(),
         redundancy: cluster.redundancy().enabled().then(|| RedundancyReport {
             policy: cluster.redundancy(),
-            counters: result.redundancy,
-            overhead: result.flash_overhead,
+            counters: cluster.redundancy_snapshot(),
+            overhead: cluster.flash_overhead(),
         }),
     }
 }
@@ -1161,8 +1145,8 @@ mod tests {
         }
         .with_event(200, PlannedEvent::FailTarget(1))
         .with_event(400, PlannedEvent::RestoreTarget(1));
-        let result = cluster.run(&trace, &plan);
-        let report = collect_cluster_report("scaleout_unit", "Reo-20%", &cluster, &result);
+        cluster.run(&trace, &plan);
+        let report = collect_cluster_report("scaleout_unit", "Reo-20%", &cluster);
         jsonl(&report)
     }
 
@@ -1195,8 +1179,8 @@ mod tests {
         }
         .with_event(150, PlannedEvent::FailTarget(1))
         .with_event(450, PlannedEvent::RestoreTarget(1));
-        let result = cluster.run(&trace, &plan);
-        let report = collect_cluster_report("parity_unit", "Reo-20%", &cluster, &result);
+        cluster.run(&trace, &plan);
+        let report = collect_cluster_report("parity_unit", "Reo-20%", &cluster);
         jsonl(&report)
     }
 
@@ -1231,6 +1215,32 @@ mod tests {
             scaleout_jsonl(),
             scaleout_jsonl(),
             "same seed must replay a byte-identical cluster export"
+        );
+    }
+
+    /// The three exported documents, pinned across commits: a moved hash
+    /// means a record, field or value of the export changed.
+    #[test]
+    fn exported_reports_are_pinned() {
+        use std::hash::{Hash, Hasher};
+        let hash = |text: &str| {
+            let mut hasher = reo_sim::FastHasher::default();
+            text.hash(&mut hasher);
+            hasher.finish()
+        };
+        let hashes = [
+            hash(&scaleout_jsonl()),
+            hash(&parity_jsonl()),
+            hash(&jsonl(&traced_report())),
+        ];
+        assert_eq!(
+            hashes,
+            [
+                0x2a0c_44ae_4197_94a1,
+                0x1eae_b7b9_d5b3_9d0a,
+                0x1895_cd03_2380_6b6f
+            ],
+            "{hashes:#018x?}"
         );
     }
 

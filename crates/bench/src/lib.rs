@@ -32,10 +32,9 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses `--quick` (or its CI alias `--smoke`) from the process
-    /// arguments.
+    /// Parses `--quick` from the process arguments.
     pub fn from_args() -> RunScale {
-        if std::env::args().any(|a| a == "--quick" || a == "--smoke") {
+        if std::env::args().any(|a| a == "--quick") {
             RunScale::Quick
         } else {
             RunScale::Full

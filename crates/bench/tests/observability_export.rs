@@ -106,13 +106,12 @@ fn chaos_cluster_jsonl(trace: &Trace) -> String {
     .with_event(n / 2, PlannedEvent::RestoreTarget(2))
     .with_event(3 * n / 4, PlannedEvent::FailTarget(0))
     .with_event(n - 1, PlannedEvent::RestoreTarget(0));
-    let result = cluster.run(trace, &plan);
+    cluster.run(trace, &plan);
     cluster.drain_recovery(1_000_000);
     export::jsonl(&export::collect_cluster_report(
         "obs_chaos",
         "Reo-20%",
         &cluster,
-        &result,
     ))
 }
 

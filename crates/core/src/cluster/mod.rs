@@ -58,7 +58,7 @@ mod report;
 mod tests;
 
 pub use redundancy::{Redundancy, RedundancySnapshot};
-pub use report::{ClusterHealth, ClusterRunResult, FlashOverheadReport};
+pub use report::{ClusterHealth, FlashOverheadReport};
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -73,7 +73,7 @@ use reo_sim::{
 use reo_workload::{Operation, Request, Trace, WorkloadObject};
 
 use crate::config::SystemConfig;
-use crate::metrics::{RequestSample, TargetMetricsRow};
+use crate::metrics::{MetricsSnapshot, RequestSample, TargetMetricsRow};
 use crate::runner::{ExperimentPlan, PlannedEvent};
 use crate::system::{backend_sense, CacheSystem, RequestOutcome};
 use redundancy::{Coverage, StripeBuffers, ANTI_ENTROPY_PERIOD};
@@ -163,14 +163,12 @@ pub struct ClusterSystem {
     migration_throttle: Option<TokenBucket>,
     migration_stalls: u64,
     migration_throttle_bytes: u64,
-    migrated_objects: u64,
     /// Keys that ever received a degraded-mode response.
     degraded_keys: BTreeSet<ObjectKey>,
     /// Keys that were ever mapped to a down target.
     mapped_degraded: BTreeSet<ObjectKey>,
     rejected_events: u64,
     rejected_by_reason: BTreeMap<&'static str, u64>,
-    measure_started: SimTime,
     /// One shared `reo-trace` recorder across every node: cluster-level
     /// [`Layer::Placement`] spans root each request's trace tree, and the
     /// owning node's spans nest under them.
@@ -239,12 +237,10 @@ impl ClusterSystem {
             migration_throttle: None,
             migration_stalls: 0,
             migration_throttle_bytes: 0,
-            migrated_objects: 0,
             degraded_keys: BTreeSet::new(),
             mapped_degraded: BTreeSet::new(),
             rejected_events: 0,
             rejected_by_reason: BTreeMap::new(),
-            measure_started: SimTime::ZERO,
             tracer,
             flight: FlightRecorder::new(),
             policy: Redundancy::none(),
@@ -628,13 +624,16 @@ impl ClusterSystem {
     }
 
     /// Runs `trace` through the cluster under `plan` (warm-up passes,
-    /// events at request indices, measurement reset in between), then
-    /// reports aggregate and per-target results.
+    /// events at request indices, measurement reset in between) and
+    /// returns the measured pass's [`ClusterSystem::metrics_snapshot`].
+    /// Everything else a run measured is read off the cluster afterwards
+    /// ([`ClusterSystem::resilience`], [`ClusterSystem::health`],
+    /// [`ClusterSystem::redundancy_snapshot`], ...).
     ///
     /// # Panics
     ///
     /// Panics if event indices are not sorted in non-decreasing order.
-    pub fn run(&mut self, trace: &Trace, plan: &ExperimentPlan) -> ClusterRunResult {
+    pub fn run(&mut self, trace: &Trace, plan: &ExperimentPlan) -> MetricsSnapshot {
         assert!(
             plan.events.windows(2).all(|w| w[0].0 <= w[1].0),
             "event indices must be non-decreasing"
@@ -665,29 +664,7 @@ impl ClusterSystem {
         for &(_, event) in events {
             self.apply_event(event);
         }
-        let end = self.merge_clocks();
-        let elapsed = end.saturating_since(self.measure_started);
-        let totals = self.metrics_snapshot();
-        let secs = elapsed.as_nanos() as f64 / 1e9;
-        ClusterRunResult {
-            aggregate_req_per_sec: if secs > 0.0 {
-                totals.requests as f64 / secs
-            } else {
-                0.0
-            },
-            elapsed,
-            observed_degraded_fraction: self.observed_degraded_fraction(),
-            mapped_degraded_fraction: self.mapped_degraded_fraction(),
-            dirty_data_lost: self.dirty_data_lost(),
-            migrated_objects: self.migrated_objects,
-            migration_stalls: self.migration_stalls,
-            migration_throttle_bytes: self.migration_throttle_bytes,
-            rejected_events: self.rejected_events,
-            rejected_events_by_reason: self.rejected_events_by_reason(),
-            health: self.health().label,
-            redundancy: self.stats,
-            flash_overhead: self.flash_overhead(),
-            totals,
-        }
+        self.merge_clocks();
+        self.metrics_snapshot()
     }
 }

@@ -177,7 +177,6 @@ impl ClusterSystem {
             return;
         }
         self.nodes[dest].row.migrated_in += 1;
-        self.migrated_objects += 1;
         if self.policy.data == 1 {
             if let Some(entry) = self.ledger.get(&key) {
                 let version = entry.version;
@@ -212,7 +211,8 @@ impl ClusterSystem {
             None
         };
         let batch = self.config.recovery_batch.max(1);
-        let moved_before = self.migrated_objects;
+        let migrated = |c: &Self| c.nodes.iter().map(|n| n.row.migrated_in).sum::<u64>();
+        let moved_before = migrated(self);
         for _ in 0..batch {
             if let Some(b) = &bucket {
                 if !b.has_tokens() {
@@ -274,7 +274,7 @@ impl ClusterSystem {
             }
         }
         self.migration_throttle = bucket;
-        let moved = self.migrated_objects - moved_before;
+        let moved = migrated(self) - moved_before;
         if moved > 0 {
             self.flight.record(
                 now,

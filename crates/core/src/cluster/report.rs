@@ -1,5 +1,5 @@
 //! What a cluster reports: health, per-target rows, aggregated
-//! measurements, and the result of one experiment run.
+//! measurements, and the resilience counters of the whole cluster.
 
 use std::ops::Add;
 
@@ -9,6 +9,7 @@ use reo_sim::SimDuration;
 use super::redundancy::RedundancySnapshot;
 use super::{ClusterSystem, TargetState};
 use crate::metrics::{MetricsSnapshot, SloSnapshot, TargetMetricsRow, CLASS_LABELS};
+use crate::system::ResilienceSnapshot;
 
 /// The cluster-level health view derived from per-target
 /// [`crate::HealthState`] machines and lifecycle states.
@@ -54,47 +55,6 @@ impl FlashOverheadReport {
     }
 }
 
-/// Everything one cluster experiment run produced.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClusterRunResult {
-    /// Aggregated measurements with per-target rows filled in
-    /// ([`MetricsSnapshot::targets`]).
-    pub totals: MetricsSnapshot,
-    /// Simulated span of the measured pass (max over per-target
-    /// clocks, which are merged at request barriers).
-    pub elapsed: SimDuration,
-    /// Aggregate requests per simulated second.
-    pub aggregate_req_per_sec: f64,
-    /// Fraction of the namespace that *ever saw* a degraded response
-    /// (degraded read, backend-first serve, medium error, or shed)
-    /// during the run.
-    pub observed_degraded_fraction: f64,
-    /// Fraction of the namespace that was *ever mapped* to a down
-    /// target during the run — ring balance makes this ≈ `k/N` for `k`
-    /// concurrently failed targets.
-    pub mapped_degraded_fraction: f64,
-    /// Dirty objects permanently lost, summed over nodes (0 unless
-    /// redundancy was exhausted inside a node).
-    pub dirty_data_lost: u64,
-    /// Objects moved by ring-delta rebalancing.
-    pub migrated_objects: u64,
-    /// Migration batches stalled by an empty QoS token bucket.
-    pub migration_stalls: u64,
-    /// Bytes of migration traffic charged against the throttle.
-    pub migration_throttle_bytes: u64,
-    /// Cluster-level planned events rejected as no-ops.
-    pub rejected_events: u64,
-    /// Per-reason breakdown of the rejections.
-    pub rejected_events_by_reason: Vec<(String, u64)>,
-    /// Cluster health label at the end of the run.
-    pub health: String,
-    /// Redundancy counters (all cold when the policy is
-    /// [`crate::Redundancy::none`]).
-    pub redundancy: RedundancySnapshot,
-    /// End-of-run flash-capacity split (primary vs. redundancy bytes).
-    pub flash_overhead: FlashOverheadReport,
-}
-
 impl ClusterSystem {
     /// Cluster-level planned events rejected so far.
     pub fn rejected_events(&self) -> u64 {
@@ -132,6 +92,30 @@ impl ClusterSystem {
     /// Fraction of the known namespace ever mapped to a down target.
     pub fn mapped_degraded_fraction(&self) -> f64 {
         self.namespace_fraction(self.mapped_degraded.len())
+    }
+
+    /// The cluster's resilience counters, the cluster-level view of
+    /// [`crate::CacheSystem::resilience`]: the cluster health label, its
+    /// own rejected events and migration-throttle counters, and every
+    /// node's counters merged ([`ResilienceSnapshot::merge`]).
+    pub fn resilience(&self) -> ResilienceSnapshot {
+        let mut resilience = ResilienceSnapshot {
+            health: self.health().label,
+            health_transitions: 0,
+            shed_requests: 0,
+            write_throughs: 0,
+            bypassed_fills: 0,
+            rejected_events: self.rejected_events,
+            rejected_events_by_reason: self.rejected_events_by_reason(),
+            internal_errors: 0,
+            throttle_stalls: self.migration_stalls,
+            rebuild_throttle_bytes: self.migration_throttle_bytes,
+            ttr_us: [-1; 4],
+        };
+        for node in &self.nodes {
+            resilience.merge(&node.system.resilience());
+        }
+        resilience
     }
 
     /// The cluster-level health view.
@@ -230,9 +214,7 @@ impl ClusterSystem {
         self.mapped_degraded.clear();
         self.migration_stalls = 0;
         self.migration_throttle_bytes = 0;
-        self.migrated_objects = 0;
         self.stats = RedundancySnapshot::default();
-        self.measure_started = now;
         // Observability state restarts with measurement: warm-up spans,
         // exemplars, flight events, and postmortems would otherwise leak
         // into the measured pass.

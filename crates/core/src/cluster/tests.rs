@@ -236,12 +236,14 @@ fn cluster_traces_root_at_the_placement_layer() {
     let t = trace(8, 400);
     let mut c = cluster(2, &t);
     c.enable_tracing();
+    // One recorder: switching the cluster's tracer on switches every
+    // node's, and the nodes' spans land in the cluster's breakdown.
+    assert!((0..2).all(|n| c.node(n).tracer().is_enabled()));
     for r in t.requests() {
         c.handle(r);
     }
-    assert!(c.tracer().same_recorder(c.node(0).tracer()));
-    assert!(c.tracer().same_recorder(c.node(1).tracer()));
     let breakdown = c.tracer().breakdown();
+    assert!(breakdown.layer(Layer::Cache).is_some());
     let placement = breakdown
         .layers
         .iter()
@@ -327,14 +329,18 @@ fn run_reports_aggregate_and_per_target_rows() {
     }
     .with_event(200, PlannedEvent::FailTarget(2))
     .with_event(400, PlannedEvent::RestoreTarget(2));
-    let result = c.run(&t, &plan);
-    assert_eq!(result.totals.requests, 600);
-    assert_eq!(result.totals.targets.len(), 4);
-    assert!(result.aggregate_req_per_sec > 0.0);
-    assert!(result.mapped_degraded_fraction > 0.0);
-    assert_eq!(result.dirty_data_lost, 0);
-    assert_eq!(result.totals.targets[2].outages, 1);
-    assert!(result.totals.targets[2].rebuild_window_us >= 0);
+    let totals = c.run(&t, &plan);
+    assert_eq!(totals, c.metrics_snapshot());
+    assert_eq!(totals.requests, 600);
+    assert_eq!(totals.targets.len(), 4);
+    assert!(totals.elapsed > SimDuration::ZERO);
+    assert!(c.mapped_degraded_fraction() > 0.0);
+    assert_eq!(c.dirty_data_lost(), 0);
+    assert_eq!(totals.targets[2].outages, 1);
+    assert!(totals.targets[2].rebuild_window_us >= 0);
+    let resilience = c.resilience();
+    assert_eq!(resilience.health, c.health().label);
+    assert_eq!(resilience.rejected_events, 0);
 }
 
 #[test]

@@ -59,8 +59,7 @@ mod runner;
 mod system;
 
 pub use cluster::{
-    ClusterHealth, ClusterRunResult, ClusterSystem, FlashOverheadReport, Redundancy,
-    RedundancySnapshot, TargetState,
+    ClusterHealth, ClusterSystem, FlashOverheadReport, Redundancy, RedundancySnapshot, TargetState,
 };
 // Compat names for the frozen `benchmark/` workspace (ROADMAP's
 // single-perf-harness item deletes them with

@@ -437,15 +437,14 @@ impl CacheSystem {
     }
 
     /// Records one rejected planned event: bumps the aggregate counter
-    /// and the per-reason breakdown, and logs a structured zero-length
-    /// trace span under the stable reason label so a traced run shows
-    /// *why* each event was dropped, not just that one was.
+    /// and the per-reason breakdown, and logs the stable reason label to
+    /// the flight recorder so a post-mortem shows *why* each event was
+    /// dropped, not just that one was.
     fn reject_event(&mut self, reason: &'static str) {
         self.rejected_events += 1;
         *self.rejected_events_by_reason.entry(reason).or_insert(0) += 1;
-        let now = self.clock.now();
-        self.tracer.record_span(Layer::Cache, reason, now, now);
-        self.flight.record(now, "rejected-event", reason);
+        self.flight
+            .record(self.clock.now(), "rejected-event", reason);
     }
 
     /// Runs the target's recovery-ledger invariant check on demand (the
@@ -2041,20 +2040,6 @@ mod tests {
         );
         assert_eq!(resilience.rejected_events, 5);
         assert_eq!(sys.health(), HealthState::Healthy);
-    }
-
-    #[test]
-    fn rejected_events_emit_structured_trace_spans() {
-        let trace = small_trace(11);
-        let mut sys = system_for(SchemeConfig::Reo { reserve: 0.20 }, &trace, 0.20);
-        sys.enable_tracing();
-        sys.handle(&trace.requests()[0]);
-        sys.fail_device(DeviceId(42));
-        let spans = sys.tracer().recent_spans();
-        assert!(
-            spans.iter().any(|s| s.op == "fail-device-unknown"),
-            "rejection reason missing from recent spans"
-        );
     }
 
     #[test]

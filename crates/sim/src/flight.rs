@@ -138,11 +138,6 @@ impl FlightRecorder {
         self.target
     }
 
-    /// `true` when both handles share the same ring.
-    pub fn same_ring(&self, other: &FlightRecorder) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
-    }
-
     /// Records one event.
     pub fn record(&self, at: SimTime, kind: &'static str, detail: impl Into<String>) {
         let mut inner = self.shared.lock().expect("flight lock");
@@ -247,7 +242,6 @@ mod tests {
     fn tagged_handles_share_the_ring() {
         let fr = FlightRecorder::new();
         let node = fr.with_target(3);
-        assert!(fr.same_ring(&node));
         node.record(t(5), "journal-replay", "replayed 12 records");
         let events = fr.events();
         assert_eq!(events[0].target, 3);

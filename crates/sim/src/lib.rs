@@ -13,9 +13,8 @@
 //!   latency plus a bandwidth term), used by the SSD, HDD, and network
 //!   models.
 //! * [`ByteSize`] — a byte-count newtype with human-friendly constructors.
-//! * Statistics: [`OnlineStats`], [`Histogram`], [`RateMeter`] and
-//!   [`WindowedSeries`] for the measurements the paper reports (hit ratio,
-//!   bandwidth, latency).
+//! * [`Histogram`] — the log-bucketed latency histogram behind every mean
+//!   and percentile the paper reports.
 //! * [`rng`] — seed-deterministic random number helpers so that every
 //!   experiment is exactly reproducible.
 //! * [`TokenBucket`] — a deterministic byte-rate throttle over simulated
@@ -59,8 +58,8 @@ pub use hash::{FastHasher, FastMap};
 pub use qos::TokenBucket;
 pub use service::ServiceModel;
 pub use size::ByteSize;
-pub use stats::{Histogram, OnlineStats, RateMeter, WindowedSeries};
+pub use stats::Histogram;
 pub use time::{SimClock, SimDuration, SimTime};
 pub use trace::{
-    Layer, LayerBreakdown, Span, TraceAnnotation, TraceBreakdown, TraceSpanNode, TraceTree, Tracer,
+    Layer, LayerBreakdown, TraceAnnotation, TraceBreakdown, TraceSpanNode, TraceTree, Tracer,
 };

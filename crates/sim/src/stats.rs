@@ -1,128 +1,8 @@
-//! Online statistics for simulation measurements.
-
-use std::fmt;
+//! The latency histogram behind every percentile the simulator reports.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ByteSize, SimDuration, SimTime};
-
-/// Running mean/variance/min/max accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use reo_sim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0.0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for OnlineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            self.min().unwrap_or(0.0),
-            self.max().unwrap_or(0.0)
-        )
-    }
-}
+use crate::SimDuration;
 
 /// A log-bucketed latency histogram with percentile queries.
 ///
@@ -272,167 +152,9 @@ impl Default for Histogram {
     }
 }
 
-/// Tracks bytes transferred over simulated time and reports a rate.
-///
-/// # Examples
-///
-/// ```
-/// use reo_sim::{ByteSize, RateMeter, SimTime};
-///
-/// let mut m = RateMeter::new(SimTime::ZERO);
-/// m.record(ByteSize::from_mib(100));
-/// let now = SimTime::from_nanos(1_000_000_000); // 1 simulated second
-/// assert!((m.mib_per_sec(now) - 100.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct RateMeter {
-    started_at: SimTime,
-    bytes: ByteSize,
-}
-
-impl RateMeter {
-    /// Creates a meter that starts counting at `start`.
-    pub fn new(start: SimTime) -> Self {
-        RateMeter {
-            started_at: start,
-            bytes: ByteSize::ZERO,
-        }
-    }
-
-    /// Adds transferred bytes.
-    pub fn record(&mut self, bytes: ByteSize) {
-        self.bytes += bytes;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> ByteSize {
-        self.bytes
-    }
-
-    /// Instant the meter started counting.
-    pub fn started_at(&self) -> SimTime {
-        self.started_at
-    }
-
-    /// Average rate in MiB per simulated second between start and `now`.
-    /// Returns 0.0 if no time has elapsed.
-    pub fn mib_per_sec(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(self.started_at).as_secs_f64();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        self.bytes.as_mib_f64() / elapsed
-    }
-
-    /// Resets the meter to start counting again at `now`.
-    pub fn reset(&mut self, now: SimTime) {
-        self.started_at = now;
-        self.bytes = ByteSize::ZERO;
-    }
-}
-
-/// A named series of `(x, y)` measurement points, e.g. one line on a figure.
-///
-/// The experiment binaries assemble one `WindowedSeries` per protection
-/// scheme per metric and print them as the rows of the corresponding paper
-/// figure.
-///
-/// # Examples
-///
-/// ```
-/// use reo_sim::WindowedSeries;
-///
-/// let mut s = WindowedSeries::new("Reo-20%");
-/// s.push(4.0, 61.2);
-/// s.push(6.0, 69.8);
-/// assert_eq!(s.points().len(), 2);
-/// assert_eq!(s.name(), "Reo-20%");
-/// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WindowedSeries {
-    name: String,
-    points: Vec<(f64, f64)>,
-}
-
-impl WindowedSeries {
-    /// Creates an empty series with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        WindowedSeries {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// The series name (legend label).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a measurement point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// The recorded points, in insertion order.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// The `y` value recorded for a given `x`, if present.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(px, _)| (*px - x).abs() < 1e-9)
-            .map(|(_, y)| *y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_mean_and_variance() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_empty_behaviour() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &data {
-            all.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -573,25 +295,5 @@ mod tests {
                 "p{p}: got {got_us}us, exact {exact_us}us"
             );
         }
-    }
-
-    #[test]
-    fn rate_meter_resets() {
-        let mut m = RateMeter::new(SimTime::ZERO);
-        m.record(ByteSize::from_mib(10));
-        let t1 = SimTime::from_nanos(500_000_000);
-        assert!((m.mib_per_sec(t1) - 20.0).abs() < 1e-9);
-        m.reset(t1);
-        assert_eq!(m.bytes(), ByteSize::ZERO);
-        assert_eq!(m.mib_per_sec(t1), 0.0);
-    }
-
-    #[test]
-    fn windowed_series_lookup() {
-        let mut s = WindowedSeries::new("1-parity");
-        s.push(4.0, 10.0);
-        s.push(8.0, 20.0);
-        assert_eq!(s.y_at(8.0), Some(20.0));
-        assert_eq!(s.y_at(6.0), None);
     }
 }

@@ -7,8 +7,7 @@
 //! stack (cache manager, OSD target, stripe manager, flash array,
 //! backend, journal, placement) wraps its operations in [`Tracer`] spans
 //! stamped with the simulated clock, and the tracer aggregates them into
-//! a per-layer latency breakdown plus a bounded ring of recent spans for
-//! inspection.
+//! a per-layer latency breakdown.
 //!
 //! On top of the aggregates the tracer keeps **per-request trace trees**:
 //! [`Tracer::begin_request`] mints a trace id at the outermost entry
@@ -56,7 +55,6 @@
 //! assert_eq!(flash.total, SimDuration::from_micros(250));
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -145,28 +143,14 @@ impl std::fmt::Display for Layer {
     }
 }
 
-/// One recorded span: an operation in one layer over a simulated
-/// interval, tagged with the request it served.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct Span {
-    /// The request ordinal ([`Tracer::begin_request`] count) this span
-    /// belongs to; 0 for spans outside any request (background work).
-    pub request: u64,
-    /// The layer that recorded the span.
-    pub layer: Layer,
-    /// A static operation label, e.g. `"read"`, `"store"`, `"scrub"`.
-    pub op: &'static str,
-    /// Span start (simulated).
-    pub start: SimTime,
-    /// Span end (simulated).
-    pub end: SimTime,
-}
-
-impl Span {
-    /// The span's simulated duration.
-    pub fn duration(&self) -> SimDuration {
-        self.end.saturating_since(self.start)
-    }
+/// One span buffered for the in-flight request, before its tree is
+/// resolved into [`TraceSpanNode`]s.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    layer: Layer,
+    op: &'static str,
+    start: SimTime,
+    end: SimTime,
 }
 
 /// A timestamped event annotation attached to a request's trace tree
@@ -302,9 +286,6 @@ impl TraceBreakdown {
 #[derive(Debug, Default)]
 struct TraceAgg {
     layers: [LayerAgg; 7],
-    recent: Vec<Span>,
-    recent_cap: usize,
-    recent_next: usize,
     requests: u64,
     /// Request scope nesting depth: `begin_request` at depth 0 mints a
     /// new trace id; nested calls (a cluster wrapping a node's own
@@ -313,9 +294,7 @@ struct TraceAgg {
     current: Vec<Span>,
     current_truncated: u64,
     current_annotations: Vec<TraceAnnotation>,
-    annotation_totals: BTreeMap<&'static str, u64>,
     sense_exemplars: Vec<PendingTree>,
-    sense_dropped: u64,
     slow_exemplars: Vec<PendingTree>,
 }
 
@@ -354,9 +333,6 @@ struct TracerShared {
     agg: Mutex<TraceAgg>,
 }
 
-/// How many recent spans the tracer retains for inspection.
-const DEFAULT_RECENT_SPANS: usize = 512;
-
 /// Span cap per in-flight request tree; overflow increments
 /// [`TraceTree::truncated_spans`] instead of growing without bound.
 const MAX_TREE_SPANS: usize = 256;
@@ -389,10 +365,7 @@ impl Tracer {
         Tracer {
             shared: Arc::new(TracerShared {
                 enabled: AtomicBool::new(false),
-                agg: Mutex::new(TraceAgg {
-                    recent_cap: DEFAULT_RECENT_SPANS,
-                    ..TraceAgg::default()
-                }),
+                agg: Mutex::new(TraceAgg::default()),
             }),
         }
     }
@@ -406,11 +379,6 @@ impl Tracer {
     /// change immediately.
     pub fn set_enabled(&self, enabled: bool) {
         self.shared.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// `true` when both tracers are handles to the same recorder.
-    pub fn same_recorder(&self, other: &Tracer) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
     }
 
     /// Starts a span: reads the clock if recording is on. The returned
@@ -468,33 +436,20 @@ impl Tracer {
 
     fn push(&self, layer: Layer, op: &'static str, start: SimTime, end: SimTime) {
         let mut agg = self.shared.agg.lock().expect("tracer lock");
-        let request = agg.requests;
         agg.layers[layer.index()].record(end.saturating_since(start));
-        let span = Span {
-            request,
-            layer,
-            op,
-            start,
-            end,
-        };
-        if agg.depth > 0 {
-            if agg.current.len() < MAX_TREE_SPANS {
-                agg.current.push(span);
-            } else {
-                agg.current_truncated += 1;
-            }
-        }
-        let cap = agg.recent_cap;
-        if cap == 0 {
+        if agg.depth == 0 {
             return;
         }
-        if agg.recent.len() < cap {
-            agg.recent.push(span);
+        if agg.current.len() < MAX_TREE_SPANS {
+            agg.current.push(Span {
+                layer,
+                op,
+                start,
+                end,
+            });
         } else {
-            let at = agg.recent_next;
-            agg.recent[at] = span;
+            agg.current_truncated += 1;
         }
-        agg.recent_next = (agg.recent_next + 1) % cap;
     }
 
     /// Enters a request scope. At the outermost level this mints a new
@@ -553,11 +508,9 @@ impl Tracer {
             truncated_spans: truncated,
         };
         if let Some(label) = sense {
-            if agg.sense_exemplars.len() >= SENSE_EXEMPLARS_CAP {
-                agg.sense_dropped += 1;
-                return;
+            if agg.sense_exemplars.len() < SENSE_EXEMPLARS_CAP {
+                agg.sense_exemplars.push(pending("sense", Some(label)));
             }
-            agg.sense_exemplars.push(pending("sense", Some(label)));
         } else if agg.slow_exemplars.len() < SLOW_EXEMPLARS_CAP {
             agg.slow_exemplars.push(pending("slow", None));
         } else {
@@ -577,26 +530,16 @@ impl Tracer {
     }
 
     /// Attaches a timestamped event annotation (e.g. `"retry"`,
-    /// `"degraded-path"`) to the in-flight request tree and counts it in
-    /// the per-label totals. No-op when disabled.
+    /// `"degraded-path"`) to the in-flight request tree. No-op when
+    /// disabled or outside a request scope.
     pub fn annotate(&self, label: &'static str, at: SimTime) {
         if !self.is_enabled() {
             return;
         }
         let mut agg = self.shared.agg.lock().expect("tracer lock");
-        *agg.annotation_totals.entry(label).or_insert(0) += 1;
         if agg.depth > 0 && agg.current_annotations.len() < MAX_TREE_ANNOTATIONS {
             agg.current_annotations.push(TraceAnnotation { at, label });
         }
-    }
-
-    /// Per-label annotation totals since the last reset, sorted by label.
-    pub fn annotation_counts(&self) -> Vec<(&'static str, u64)> {
-        let agg = self.shared.agg.lock().expect("tracer lock");
-        agg.annotation_totals
-            .iter()
-            .map(|(&label, &count)| (label, count))
-            .collect()
     }
 
     /// The retained exemplar trees (sense-coded and slowest requests),
@@ -612,12 +555,6 @@ impl Tracer {
             .collect();
         out.sort_by_key(|t| t.trace_id);
         out
-    }
-
-    /// Sense-coded trees that were dropped because the exemplar store
-    /// was full.
-    pub fn exemplars_dropped(&self) -> u64 {
-        self.shared.agg.lock().expect("tracer lock").sense_dropped
     }
 
     /// Snapshot of the aggregated per-layer breakdown.
@@ -649,28 +586,10 @@ impl Tracer {
         }
     }
 
-    /// The most recent spans (up to an internal cap), oldest first.
-    pub fn recent_spans(&self) -> Vec<Span> {
-        let agg = self.shared.agg.lock().expect("tracer lock");
-        if agg.recent.len() < agg.recent_cap {
-            agg.recent.clone()
-        } else {
-            let mut out = Vec::with_capacity(agg.recent.len());
-            out.extend_from_slice(&agg.recent[agg.recent_next..]);
-            out.extend_from_slice(&agg.recent[..agg.recent_next]);
-            out
-        }
-    }
-
-    /// Clears all aggregates, spans, annotations and exemplars (e.g. at
-    /// the end of warm-up), and keeps the enabled flag unchanged.
+    /// Clears all aggregates, buffered spans, annotations and exemplars
+    /// (e.g. at the end of warm-up), and keeps the enabled flag unchanged.
     pub fn reset(&self) {
-        let mut agg = self.shared.agg.lock().expect("tracer lock");
-        let cap = agg.recent_cap;
-        *agg = TraceAgg {
-            recent_cap: cap,
-            ..TraceAgg::default()
-        };
+        *self.shared.agg.lock().expect("tracer lock") = TraceAgg::default();
     }
 }
 
@@ -752,16 +671,13 @@ mod tests {
         let b = tracer.breakdown();
         assert_eq!(b.requests, 0);
         assert!(b.layers.is_empty());
-        assert!(tracer.recent_spans().is_empty());
         assert!(tracer.exemplars().is_empty());
-        assert!(tracer.annotation_counts().is_empty());
     }
 
     #[test]
     fn clones_share_the_recorder() {
         let tracer = Tracer::new();
         let other = tracer.clone();
-        assert!(tracer.same_recorder(&other));
         tracer.set_enabled(true);
         assert!(other.is_enabled());
         other.record_span(Layer::Backend, "read", t(0), t(100));
@@ -819,26 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn recent_spans_are_bounded_and_ordered() {
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
-        for i in 0..(DEFAULT_RECENT_SPANS as u64 + 10) {
-            tracer.record_span(Layer::Flash, "read", t(i), t(i + 1));
-        }
-        let spans = tracer.recent_spans();
-        assert_eq!(spans.len(), DEFAULT_RECENT_SPANS);
-        // Oldest retained span is number 10; order is oldest → newest.
-        assert_eq!(spans[0].start, t(10));
-        assert_eq!(
-            spans.last().unwrap().start,
-            t(DEFAULT_RECENT_SPANS as u64 + 9)
-        );
-        for w in spans.windows(2) {
-            assert!(w[0].start <= w[1].start);
-        }
-    }
-
-    #[test]
     fn reset_clears_but_keeps_enabled() {
         let tracer = Tracer::new();
         tracer.set_enabled(true);
@@ -851,9 +747,7 @@ mod tests {
         let b = tracer.breakdown();
         assert_eq!(b.requests, 0);
         assert!(b.layers.is_empty());
-        assert!(tracer.recent_spans().is_empty());
         assert!(tracer.exemplars().is_empty());
-        assert!(tracer.annotation_counts().is_empty());
     }
 
     #[test]
@@ -980,15 +874,17 @@ mod tests {
     }
 
     #[test]
-    fn annotation_totals_count_outside_requests() {
+    fn annotations_outside_a_request_reach_no_tree() {
         let tracer = Tracer::new();
         tracer.set_enabled(true);
         tracer.annotate("qos-stall", t(1));
-        tracer.annotate("qos-stall", t(2));
+        tracer.begin_request();
         tracer.annotate("retry", t(3));
-        assert_eq!(
-            tracer.annotation_counts(),
-            vec![("qos-stall", 2), ("retry", 1)]
-        );
+        tracer.end_request(SimDuration::from_micros(5), Some("failure"));
+        tracer.annotate("qos-stall", t(9));
+        let exemplars = tracer.exemplars();
+        assert_eq!(exemplars.len(), 1);
+        let labels: Vec<_> = exemplars[0].annotations.iter().map(|a| a.label).collect();
+        assert_eq!(labels, ["retry"]);
     }
 }

@@ -1,7 +1,7 @@
 //! Degraded reads and overwrites: bytes, strategies and pinned timing.
 
 use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, StoredChunk};
-use reo_sim::{ByteSize, SimTime, Tracer};
+use reo_sim::{ByteSize, SimDuration, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
 use crate::{
@@ -224,13 +224,20 @@ fn overwrite_chunks_is_the_per_chunk_loop() {
             (m, layout, tracer)
         };
         let ((mut looped, a, looped_spans), (mut ranged, b, ranged_spans)) = (twin(), twin());
-        for range in [0..=199, 17..=100, 198..=199, 5..=5] {
+        let ranges = [0..=199, 17..=100, 198..=199, 5..=5];
+        for range in ranges.clone() {
+            // Each range is one traced request, so its spans are kept,
+            // one by one, in that request's exemplar tree.
             let mut done = SimTime::ZERO;
+            looped_spans.begin_request();
             for ci in range.clone() {
                 (_, done) = looped.overwrite_chunk(&a, ci, None).unwrap();
             }
+            looped_spans.end_request(SimDuration::ZERO, Some("range"));
             let writes = ranged.array().stats().writes;
+            ranged_spans.begin_request();
             assert_eq!(ranged.overwrite_chunks(&b, range.clone()).unwrap(), done);
+            ranged_spans.end_request(SimDuration::ZERO, Some("range"));
             let chunks = range.end() - range.start() + 1;
             assert_eq!(ranged.array().stats().writes - writes, chunks * 5);
             assert_eq!(ranged.array().clock().now(), looped.array().clock().now());
@@ -240,10 +247,11 @@ fn overwrite_chunks_is_the_per_chunk_loop() {
                 assert_eq!(l.busy_until(), r.busy_until(), "{d} over {range:?}");
                 assert_eq!(l.chunk_runs(), r.chunk_runs(), "{d} over {range:?}");
             }
-            assert_eq!(looped_spans.recent_spans(), ranged_spans.recent_spans());
+            assert_eq!(looped_spans.exemplars(), ranged_spans.exemplars());
             assert_eq!(looped_spans.breakdown(), ranged_spans.breakdown());
         }
-        assert_eq!(ranged_spans.recent_spans().is_empty(), !traced);
+        let kept = if traced { ranges.len() } else { 0 };
+        assert_eq!(ranged_spans.exemplars().len(), kept);
         // The slowed device sets the pace: 200 us + 4 KiB at 512 MiB/s is
         // 207,629 ns a chunk, 519,073 ns there, and the last range was one
         // chunk from an idle array.
