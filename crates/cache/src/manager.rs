@@ -206,12 +206,6 @@ impl CacheManager {
         self.dirty_used
     }
 
-    /// The current hot/cold threshold `H_hot`. Starts at infinity (nothing
-    /// hot) until [`CacheManager::recompute_hot_threshold`] runs.
-    pub fn hot_threshold(&self) -> f64 {
-        self.h_hot
-    }
-
     /// `true` if `key` is cached.
     pub fn contains(&self, key: ObjectKey) -> bool {
         self.entries.contains_key(&key)

@@ -67,15 +67,13 @@ use reo_erasure::ReedSolomon;
 use reo_flashsim::DeviceId;
 use reo_osd::{ObjectKey, SenseCode};
 use reo_placement::{ParityGroupMap, PlacementRing, TargetId};
-use reo_sim::{
-    ByteSize, FlightRecorder, Layer, SimClock, SimDuration, SimTime, TokenBucket, Tracer,
-};
+use reo_sim::{ByteSize, FlightRecorder, Layer, SimClock, SimDuration, SimTime, Tracer};
 use reo_workload::{Operation, Request, Trace, WorkloadObject};
 
 use crate::config::SystemConfig;
 use crate::metrics::{MetricsSnapshot, RequestSample, TargetMetricsRow};
 use crate::runner::{ExperimentPlan, PlannedEvent};
-use crate::system::{backend_sense, CacheSystem, RequestOutcome};
+use crate::system::{backend_sense, CacheSystem, RebuildThrottle, Rejections, RequestOutcome};
 use redundancy::{Coverage, StripeBuffers, ANTI_ENTROPY_PERIOD};
 use repair::Migration;
 
@@ -160,15 +158,14 @@ pub struct ClusterSystem {
     objects: BTreeMap<ObjectKey, ByteSize>,
     /// Pending rebalance and repair moves.
     migrations: VecDeque<Migration>,
-    migration_throttle: Option<TokenBucket>,
-    migration_stalls: u64,
-    migration_throttle_bytes: u64,
+    /// The migration queue's rebuild throttle (never restarted).
+    throttle: RebuildThrottle,
     /// Keys that ever received a degraded-mode response.
     degraded_keys: BTreeSet<ObjectKey>,
     /// Keys that were ever mapped to a down target.
     mapped_degraded: BTreeSet<ObjectKey>,
-    rejected_events: u64,
-    rejected_by_reason: BTreeMap<&'static str, u64>,
+    /// Cluster-level planned events rejected as no-ops.
+    rejections: Rejections,
     /// One shared `reo-trace` recorder across every node: cluster-level
     /// [`Layer::Placement`] spans root each request's trace tree, and the
     /// owning node's spans nest under them.
@@ -234,13 +231,10 @@ impl ClusterSystem {
             origin_clock,
             objects: BTreeMap::new(),
             migrations: VecDeque::new(),
-            migration_throttle: None,
-            migration_stalls: 0,
-            migration_throttle_bytes: 0,
+            throttle: RebuildThrottle::default(),
             degraded_keys: BTreeSet::new(),
             mapped_degraded: BTreeSet::new(),
-            rejected_events: 0,
-            rejected_by_reason: BTreeMap::new(),
+            rejections: Rejections::default(),
             tracer,
             flight: FlightRecorder::new(),
             policy: Redundancy::none(),
@@ -341,13 +335,9 @@ impl ClusterSystem {
         t
     }
 
-    /// Records one rejected cluster event under a stable reason label
-    /// (and into the flight recorder — a rejected event near a trigger
-    /// is exactly what a post-mortem wants to show).
+    /// Records one rejected cluster event ([`Rejections::record`]).
     fn reject(&mut self, reason: &'static str) {
-        self.rejected_events += 1;
-        *self.rejected_by_reason.entry(reason).or_insert(0) += 1;
-        self.flight.record(self.now(), "rejected-event", reason);
+        self.rejections.record(&self.flight, self.now(), reason);
     }
 
     /// Loads the authoritative data set into the cluster: the origin

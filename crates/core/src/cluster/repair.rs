@@ -4,7 +4,7 @@
 
 use reo_osd::ObjectKey;
 use reo_placement::TargetId;
-use reo_sim::{ByteSize, SimTime, TokenBucket};
+use reo_sim::{ByteSize, SimTime};
 
 use super::{ClusterSystem, TargetState};
 
@@ -185,43 +185,27 @@ impl ClusterSystem {
         }
     }
 
-    /// Drains one bounded batch of pending migrations through the QoS
-    /// token bucket (unthrottled when `foreground_idle` — the quiesce
-    /// drain). The old owner's copy leaves through flush-and-remove
-    /// (dirty data reaches durable storage first); the new owner warms
-    /// a clean copy, charging its own device time.
-    pub(super) fn pump_migrations(&mut self, foreground_idle: bool) {
+    /// Drains one bounded batch of pending migrations through the
+    /// cluster's [`crate::system::RebuildThrottle`], charged the bytes each
+    /// move put on the wire (unmetered when `drain` — the quiesce drain,
+    /// which leaves the bucket as it was). The old owner's copy leaves
+    /// through flush-and-remove (dirty data reaches durable storage
+    /// first); the new owner warms a clean copy, charging its own device
+    /// time.
+    pub(super) fn pump_migrations(&mut self, drain: bool) {
         if self.migrations.is_empty() {
             return;
         }
         let now = self.merge_clocks();
-        let pct = self.config.rebuild_bandwidth_pct;
-        let mut bucket = if pct > 0 && !foreground_idle {
-            let device_rate = self.config.device.read.bytes_per_sec();
-            let rate = ((device_rate as u128 * pct as u128) / 100).max(1) as u64;
-            let burst = self.config.chunk_size.max(ByteSize::from_kib(64)) * 2;
-            let mut b = self
-                .migration_throttle
-                .take()
-                .unwrap_or_else(|| TokenBucket::new(rate, burst, now));
-            b.set_rate(rate);
-            b.refill(now);
-            Some(b)
-        } else {
-            None
-        };
+        let metered = !drain && self.throttle.open(&self.config, now);
         let batch = self.config.recovery_batch.max(1);
         let migrated = |c: &Self| c.nodes.iter().map(|n| n.row.migrated_in).sum::<u64>();
         let moved_before = migrated(self);
         for _ in 0..batch {
-            if let Some(b) = &bucket {
-                if !b.has_tokens() {
-                    self.migration_stalls += 1;
-                    self.tracer.annotate("qos-stall", now);
-                    self.flight
-                        .record(now, "migration-stall", "rebalance token bucket empty");
-                    break;
-                }
+            if metered && !self.throttle.admits(&self.tracer, now) {
+                self.flight
+                    .record(now, "migration-stall", "rebalance token bucket empty");
+                break;
             }
             let Some(migration) = self.migrations.pop_front() else {
                 break;
@@ -268,12 +252,10 @@ impl ClusterSystem {
                     moved = Some(size);
                 }
             }
-            if let (Some(b), Some(bytes)) = (&mut bucket, moved) {
-                b.charge(bytes);
-                self.migration_throttle_bytes += bytes.as_bytes();
+            if let Some(bytes) = moved.filter(|_| metered) {
+                self.throttle.charge(bytes.as_bytes());
             }
         }
-        self.migration_throttle = bucket;
         let moved = migrated(self) - moved_before;
         if moved > 0 {
             self.flight.record(

@@ -56,19 +56,6 @@ impl FlashOverheadReport {
 }
 
 impl ClusterSystem {
-    /// Cluster-level planned events rejected so far.
-    pub fn rejected_events(&self) -> u64 {
-        self.rejected_events
-    }
-
-    /// Per-reason breakdown of rejected cluster events.
-    pub fn rejected_events_by_reason(&self) -> Vec<(String, u64)> {
-        self.rejected_by_reason
-            .iter()
-            .map(|(&r, &n)| (r.to_string(), n))
-            .collect()
-    }
-
     /// Dirty objects permanently lost, summed over all nodes.
     pub fn dirty_data_lost(&self) -> u64 {
         self.nodes.iter().map(|n| n.system.dirty_data_lost()).sum()
@@ -105,11 +92,11 @@ impl ClusterSystem {
             shed_requests: 0,
             write_throughs: 0,
             bypassed_fills: 0,
-            rejected_events: self.rejected_events,
-            rejected_events_by_reason: self.rejected_events_by_reason(),
+            rejected_events: self.rejections.total(),
+            rejected_events_by_reason: self.rejections.rows(),
             internal_errors: 0,
-            throttle_stalls: self.migration_stalls,
-            rebuild_throttle_bytes: self.migration_throttle_bytes,
+            throttle_stalls: self.throttle.stalls,
+            rebuild_throttle_bytes: self.throttle.bytes,
             ttr_us: [-1; 4],
         };
         for node in &self.nodes {
@@ -212,8 +199,8 @@ impl ClusterSystem {
         }
         self.degraded_keys.clear();
         self.mapped_degraded.clear();
-        self.migration_stalls = 0;
-        self.migration_throttle_bytes = 0;
+        self.throttle.stalls = 0;
+        self.throttle.bytes = 0;
         self.stats = RedundancySnapshot::default();
         // Observability state restarts with measurement: warm-up spans,
         // exemplars, flight events, and postmortems would otherwise leak

@@ -180,6 +180,36 @@ fn join_and_leave_rebalance_minimally_and_reversibly() {
 }
 
 #[test]
+fn migrations_drain_through_the_rebuild_throttle() {
+    let t = trace(12, 1200);
+    let cache = t.summary().data_set_bytes.scale(0.25);
+    let mut cfg = SystemConfig::paper_defaults(SchemeConfig::Reo { reserve: 0.20 }, cache);
+    cfg.chunk_size = ByteSize::from_kib(16);
+    cfg.rebuild_bandwidth_pct = 1;
+    let mut c = ClusterSystem::new(cfg, 3).with_redundancy(Redundancy::none());
+    c.populate(t.objects());
+    let (before, after) = t.requests().split_at(600);
+    for r in before {
+        c.handle(r);
+    }
+    c.apply_event(PlannedEvent::AddTarget);
+    assert!(c.pending_migrations() > 0, "a join must queue migrations");
+    for r in after {
+        c.handle(r);
+    }
+    // No node lost a device, so every stall and byte is a migration's.
+    let resilience = c.resilience();
+    assert!(resilience.throttle_stalls > 0, "a 1% cap must stall");
+    assert!(resilience.rebuild_throttle_bytes > 0);
+    assert!(c.target_rows()[3].migrated_in > 0);
+    assert!(
+        c.drain_recovery(100_000),
+        "the quiesce drain empties the queue"
+    );
+    assert_eq!(c.pending_migrations(), 0);
+}
+
+#[test]
 fn cluster_event_rejections_are_counted_by_reason() {
     let t = trace(6, 100);
     let mut c = cluster(2, &t);
@@ -191,13 +221,15 @@ fn cluster_event_rejections_are_counted_by_reason() {
     c.restore_target(0);
     c.remove_target(0);
     c.remove_target(1); // last member
-    let by_reason: BTreeMap<String, u64> = c.rejected_events_by_reason().into_iter().collect();
+    let resilience = c.resilience();
+    let by_reason: BTreeMap<String, u64> =
+        resilience.rejected_events_by_reason.into_iter().collect();
     assert_eq!(by_reason["fail-target-unknown"], 1);
     assert_eq!(by_reason["fail-target-already-down"], 1);
     assert_eq!(by_reason["remove-target-down"], 1);
     assert_eq!(by_reason["restore-target-not-down"], 1);
     assert_eq!(by_reason["remove-last-target"], 1);
-    assert_eq!(c.rejected_events(), 5);
+    assert_eq!(resilience.rejected_events, 5);
 }
 
 #[test]
@@ -225,10 +257,12 @@ fn device_events_reach_the_node_that_owns_the_global_id() {
     c.apply_event(PlannedEvent::FailDevice(DeviceId(15)));
     c.apply_event(PlannedEvent::FailTarget(1));
     c.apply_event(PlannedEvent::InsertSpare(DeviceId(7)));
-    let by_reason: BTreeMap<String, u64> = c.rejected_events_by_reason().into_iter().collect();
+    let resilience = c.resilience();
+    let by_reason: BTreeMap<String, u64> =
+        resilience.rejected_events_by_reason.into_iter().collect();
     assert_eq!(by_reason["device-event-unknown-target"], 1);
     assert_eq!(by_reason["device-event-target-not-up"], 1);
-    assert_eq!(c.rejected_events(), 2);
+    assert_eq!(resilience.rejected_events, 2);
 }
 
 #[test]

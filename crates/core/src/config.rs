@@ -140,11 +140,12 @@ pub struct SystemConfig {
     /// replay cost grows with the whole history.
     pub checkpoint_period: usize,
     /// Cap rebuild traffic at this percentage of one device's read
-    /// throughput (the rebuild QoS token bucket). `0` disables the
+    /// throughput (the rebuild QoS token bucket); a cluster's migrations
+    /// drain through a bucket of the same shape. `0` disables the
     /// throttle entirely — rebuilds run as fast as the recovery batch
-    /// allows, the pre-throttle behaviour. When the foreground (flash
-    /// array and backend) is idle the throttle adaptively opens to the
-    /// full device rate regardless of the cap.
+    /// allows, the pre-throttle behaviour. Only the quiesce drain
+    /// (`drain_recovery`) runs unmetered; between requests the cap holds
+    /// however idle the foreground is.
     pub rebuild_bandwidth_pct: u32,
 }
 

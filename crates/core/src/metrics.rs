@@ -58,12 +58,6 @@ impl RequestSample {
         }
     }
 
-    /// Sets the serving class.
-    pub fn with_class(mut self, class: Option<ObjectClass>) -> Self {
-        self.class = class;
-        self
-    }
-
     /// Sets the availability outcome (see [`RequestSample::ok`]).
     pub fn with_ok(mut self, ok: bool) -> Self {
         self.ok = ok;
@@ -1132,8 +1126,14 @@ mod tests {
     #[test]
     fn per_class_rows_accumulate_and_report() {
         let mut m = Metrics::new(SimTime::ZERO);
-        m.record(sample(true, true, false, 1, 1, 1).with_class(Some(ObjectClass::HotClean)));
-        m.record(sample(true, true, true, 1, 5, 2).with_class(Some(ObjectClass::Dirty)));
+        m.record(RequestSample {
+            class: Some(ObjectClass::HotClean),
+            ..sample(true, true, false, 1, 1, 1)
+        });
+        m.record(RequestSample {
+            class: Some(ObjectClass::Dirty),
+            ..sample(true, true, true, 1, 5, 2)
+        });
         m.record(sample(true, false, false, 1, 9, 3)); // miss → uncached
         let s = m.totals();
         assert_eq!(s.classes.len(), 3);

@@ -100,7 +100,8 @@ pub struct ResilienceSnapshot {
     /// Clean-miss fills bypassed while the array was rebuilding.
     pub bypassed_fills: u64,
     /// Planned events rejected as no-ops (failing an already-failed
-    /// device, sparing a healthy slot, addressing an unknown device).
+    /// device, sparing a healthy slot, addressing an unknown device): the
+    /// sum of `rejected_events_by_reason`.
     pub rejected_events: u64,
     /// Per-reason breakdown of `rejected_events` as `(reason, count)`
     /// rows sorted by reason — chaos-schedule authoring mistakes are
@@ -147,6 +148,96 @@ impl ResilienceSnapshot {
         for (slot, us) in self.ttr_us.iter_mut().zip(other.ttr_us) {
             *slot = (*slot).max(us);
         }
+    }
+}
+
+/// Planned events rejected as no-ops, counted by stable reason label —
+/// a node's and a cluster's alike.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Rejections(BTreeMap<&'static str, u64>);
+
+impl Rejections {
+    /// Counts one rejection under `reason` and logs the label to `flight`
+    /// at `now`, so a post-mortem shows *why* an event was dropped, not
+    /// just that one was.
+    pub(crate) fn record(&mut self, flight: &FlightRecorder, now: SimTime, reason: &'static str) {
+        *self.0.entry(reason).or_insert(0) += 1;
+        flight.record(now, "rejected-event", reason);
+    }
+
+    /// Rejections so far.
+    pub(crate) fn total(&self) -> u64 {
+        self.0.values().sum()
+    }
+
+    /// `(reason, count)` rows sorted by reason.
+    pub(crate) fn rows(&self) -> Vec<(String, u64)> {
+        self.0.iter().map(|(&r, &n)| (r.to_string(), n)).collect()
+    }
+}
+
+/// The rebuild QoS throttle: one token bucket metering background repair
+/// traffic against the foreground — a node's rebuild batches and a
+/// cluster's migration batches alike — refilled at
+/// [`SystemConfig::rebuild_bandwidth_pct`] % of one device's read rate,
+/// with the batches it stalled and the bytes charged to it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RebuildThrottle {
+    /// Built by the first metered batch; `None` again after a restart.
+    bucket: Option<TokenBucket>,
+    /// Batches stalled by an empty bucket.
+    pub(crate) stalls: u64,
+    /// Bytes of background traffic charged against the bucket.
+    pub(crate) bytes: u64,
+}
+
+impl RebuildThrottle {
+    /// Opens one batch at `now`: `false` when `config` meters nothing
+    /// (`rebuild_bandwidth_pct == 0`), otherwise refills the bucket,
+    /// building it full on first use.
+    pub(crate) fn open(&mut self, config: &SystemConfig, now: SimTime) -> bool {
+        let pct = config.rebuild_bandwidth_pct;
+        if pct == 0 {
+            return false;
+        }
+        let bucket = self.bucket.get_or_insert_with(|| {
+            let device_rate = config.device.read.bytes_per_sec();
+            let rate = ((device_rate as u128 * pct as u128) / 100).max(1) as u64;
+            // Burst sized to a couple of stripes' worth of chunk traffic:
+            // deep enough to absorb one move's overdraft, shallow enough
+            // that a backlog cannot ride the burst past the cap.
+            let burst = config.chunk_size.max(ByteSize::from_kib(64)) * 2;
+            TokenBucket::new(rate, burst, now)
+        });
+        bucket.refill(now);
+        true
+    }
+
+    /// `true` while an open batch may start one more move; otherwise
+    /// counts a stall and annotates it `qos-stall` at `now`.
+    pub(crate) fn admits(&mut self, tracer: &Tracer, now: SimTime) -> bool {
+        if self.bucket.is_some_and(|b| b.has_tokens()) {
+            return true;
+        }
+        self.stalls += 1;
+        tracer.annotate("qos-stall", now);
+        false
+    }
+
+    /// Charges `bytes` a move put on the wire. The cost of a move is only
+    /// known after performing it; the bucket absorbs the overdraft and
+    /// repays it from refills.
+    pub(crate) fn charge(&mut self, bytes: u64) {
+        if let Some(bucket) = &mut self.bucket {
+            bucket.charge(ByteSize::from_bytes(bytes));
+        }
+        self.bytes += bytes;
+    }
+
+    /// Drops the bucket: the next metered batch starts a new episode with
+    /// a full burst.
+    pub(crate) fn restart(&mut self) {
+        self.bucket = None;
     }
 }
 
@@ -210,22 +301,16 @@ pub struct CacheSystem {
     /// Requests shed with `NotReady` (neither tier could serve).
     shed_requests: u64,
     /// Planned events rejected as defensive no-ops.
-    rejected_events: u64,
-    /// Rejections broken down by stable reason label.
-    rejected_events_by_reason: BTreeMap<&'static str, u64>,
+    rejections: Rejections,
     /// Internal-invariant violations detected by the debug-mode
     /// post-reconcile check.
     internal_errors: u64,
     /// Sense code of a freshly detected internal fault, reported on the
     /// completion of the request that detected it.
     internal_fault: Option<SenseCode>,
-    /// The rebuild QoS token bucket, present while a throttled rebuild
-    /// episode is in flight (config `rebuild_bandwidth_pct > 0`).
-    throttle: Option<TokenBucket>,
-    /// Rebuild batches stalled by an empty bucket.
-    throttle_stalls: u64,
-    /// Bytes of rebuild traffic charged against the bucket.
-    rebuild_tokens_consumed: u64,
+    /// The rebuild QoS throttle (config `rebuild_bandwidth_pct > 0`),
+    /// restarted by every device failure and spare insertion.
+    throttle: RebuildThrottle,
     /// Start instant of the in-flight rebuild episode (set by
     /// `insert_spare`, cleared by a further `fail_device`).
     rebuild_started_at: Option<SimTime>,
@@ -287,13 +372,10 @@ impl CacheSystem {
             health: HealthState::Healthy,
             health_transitions: 0,
             shed_requests: 0,
-            rejected_events: 0,
-            rejected_events_by_reason: BTreeMap::new(),
+            rejections: Rejections::default(),
             internal_errors: 0,
             internal_fault: None,
-            throttle: None,
-            throttle_stalls: 0,
-            rebuild_tokens_consumed: 0,
+            throttle: RebuildThrottle::default(),
             rebuild_started_at: None,
             redundancy_restored_at: [None; 4],
         }
@@ -423,28 +505,19 @@ impl CacheSystem {
             shed_requests: self.shed_requests,
             write_throughs: cache_stats.write_throughs,
             bypassed_fills: cache_stats.bypassed_fills,
-            rejected_events: self.rejected_events,
-            rejected_events_by_reason: self
-                .rejected_events_by_reason
-                .iter()
-                .map(|(&reason, &count)| (reason.to_string(), count))
-                .collect(),
+            rejected_events: self.rejections.total(),
+            rejected_events_by_reason: self.rejections.rows(),
             internal_errors: self.internal_errors,
-            throttle_stalls: self.throttle_stalls,
-            rebuild_throttle_bytes: self.rebuild_tokens_consumed,
+            throttle_stalls: self.throttle.stalls,
+            rebuild_throttle_bytes: self.throttle.bytes,
             ttr_us,
         }
     }
 
-    /// Records one rejected planned event: bumps the aggregate counter
-    /// and the per-reason breakdown, and logs the stable reason label to
-    /// the flight recorder so a post-mortem shows *why* each event was
-    /// dropped, not just that one was.
+    /// Records one rejected planned event ([`Rejections::record`]).
     fn reject_event(&mut self, reason: &'static str) {
-        self.rejected_events += 1;
-        *self.rejected_events_by_reason.entry(reason).or_insert(0) += 1;
-        self.flight
-            .record(self.clock.now(), "rejected-event", reason);
+        self.rejections
+            .record(&self.flight, self.clock.now(), reason);
     }
 
     /// Runs the target's recovery-ledger invariant check on demand (the
@@ -791,7 +864,7 @@ impl CacheSystem {
         // queue was cleared, and its time-to-restored ledger with it.
         self.rebuild_started_at = None;
         self.redundancy_restored_at = [None; 4];
-        self.throttle = None;
+        self.throttle.restart();
         // Dirty objects that just became irrecoverable are permanent loss.
         let lost_dirty: Vec<ObjectKey> = self
             .cache
@@ -927,7 +1000,7 @@ impl CacheSystem {
         // redundancy was never lost, so their restore time is zero.
         self.rebuild_started_at = Some(self.clock.now());
         self.redundancy_restored_at = [None; 4];
-        self.throttle = None;
+        self.throttle.restart();
         self.note_redundancy_progress();
         self.reconcile_health();
     }
@@ -997,8 +1070,6 @@ impl CacheSystem {
                 .requests_seen
                 .is_multiple_of(self.config.recovery_period.max(1))
         {
-            // Request traffic is in flight by construction here, so the
-            // rebuild throttle stays at its configured cap.
             self.run_recovery_batch(false);
         }
         self.run_flusher();
@@ -1439,61 +1510,32 @@ impl CacheSystem {
 
     /// Runs a bounded batch of background rebuilds (between requests, per
     /// Section IV-D's on-demand-first rule). With a configured
-    /// [`SystemConfig::rebuild_bandwidth_pct`], rebuild traffic is metered
-    /// through a token bucket capped at that share of one device's read
-    /// throughput. `foreground_idle` marks runs with no request traffic to
-    /// protect (the quiesce drain, or a caller that checked
-    /// [`reo_flashsim::FlashArray::is_idle_at`] itself): the throttle
-    /// adaptively opens to the full device rate there.
-    fn run_recovery_batch(&mut self, foreground_idle: bool) {
-        let pct = self.config.rebuild_bandwidth_pct;
-        if pct == 0 || foreground_idle {
-            // Unthrottled: either the throttle is disabled (the pre-QoS
-            // behaviour, and the default) or nobody is waiting.
-            for _ in 0..self.config.recovery_batch.max(1) {
-                match self.target.recover_next() {
-                    None => break,
-                    Some(RecoveryOutcome::Rebuilt(..)) | Some(RecoveryOutcome::Skipped(_)) => {}
-                    Some(RecoveryOutcome::Lost(key)) => self.evict_lost(key),
-                }
-            }
-            self.note_redundancy_progress();
-            return;
-        }
+    /// [`SystemConfig::rebuild_bandwidth_pct`], each rebuild's flash bytes
+    /// are metered through the [`RebuildThrottle`]. `drain` marks the
+    /// quiesce drain ([`CacheSystem::drain_recovery`]), the one batch that
+    /// runs unmetered; it leaves the bucket as it was.
+    fn run_recovery_batch(&mut self, drain: bool) {
         let now = self.clock.now();
-        let device_rate = self.config.device.read.bytes_per_sec();
-        let rate = ((device_rate as u128 * pct as u128) / 100).max(1) as u64;
-        // Burst sized to a couple of stripes' worth of chunk traffic: deep
-        // enough to absorb one rebuild's overdraft, shallow enough that a
-        // backlog cannot ride the burst past the cap.
-        let burst = self.config.chunk_size.max(ByteSize::from_kib(64)) * 2;
-        let mut bucket = self
-            .throttle
-            .unwrap_or_else(|| TokenBucket::new(rate, burst, now));
-        bucket.set_rate(rate);
-        bucket.refill(now);
+        let metered = !drain && self.throttle.open(&self.config, now);
         for _ in 0..self.config.recovery_batch.max(1) {
-            if !bucket.has_tokens() {
-                self.throttle_stalls += 1;
-                self.tracer.annotate("qos-stall", now);
+            if metered && !self.throttle.admits(&self.tracer, now) {
                 break;
             }
-            let before = self.target.array().stats();
+            let before = metered.then(|| self.target.array().stats());
             let outcome = self.target.recover_next();
-            let after = self.target.array().stats();
-            // The cost of one rebuild is only known after performing it;
-            // the bucket absorbs the overdraft and repays it from refills.
-            let moved = after.bytes_read.saturating_sub(before.bytes_read)
-                + after.bytes_written.saturating_sub(before.bytes_written);
-            bucket.charge(ByteSize::from_bytes(moved));
-            self.rebuild_tokens_consumed += moved;
+            if let Some(before) = before {
+                let after = self.target.array().stats();
+                self.throttle.charge(
+                    after.bytes_read.saturating_sub(before.bytes_read)
+                        + after.bytes_written.saturating_sub(before.bytes_written),
+                );
+            }
             match outcome {
                 None => break,
                 Some(RecoveryOutcome::Rebuilt(..)) | Some(RecoveryOutcome::Skipped(_)) => {}
                 Some(RecoveryOutcome::Lost(key)) => self.evict_lost(key),
             }
         }
-        self.throttle = Some(bucket);
         self.note_redundancy_progress();
     }
 

@@ -116,12 +116,6 @@ pub fn pow(a: u8, mut n: u32) -> u8 {
     t.exp[l as usize]
 }
 
-/// `2^i` in the field — the generator raised to `i`.
-#[inline]
-pub fn exp2(i: u32) -> u8 {
-    tables().exp[(i % 255) as usize]
-}
-
 /// Multiplies every byte of `dst` by `c` and XORs in `src * c`:
 /// `dst[i] ^= c * src[i]`. This is the inner loop of Reed–Solomon encoding.
 ///
@@ -656,7 +650,7 @@ mod tests {
     fn exp2_generates_whole_field() {
         let mut seen = [false; 256];
         for i in 0..255 {
-            seen[exp2(i) as usize] = true;
+            seen[pow(2, i) as usize] = true;
         }
         // 2 is a generator: all 255 nonzero elements appear.
         assert!(seen[1..].iter().all(|&s| s));

@@ -145,8 +145,7 @@ impl FlashArray {
     }
 
     /// `true` when no device is servicing an operation at `now` — the
-    /// whole array's foreground queue has drained. Used by the rebuild
-    /// throttle to open up when on-demand traffic goes idle.
+    /// whole array's foreground queue has drained.
     pub fn is_idle_at(&self, now: SimTime) -> bool {
         self.devices.iter().all(|d| d.busy_until() <= now)
     }
@@ -168,11 +167,6 @@ impl FlashArray {
     /// Panics if `id` is out of range.
     pub fn device_mut(&mut self, id: DeviceId) -> &mut FlashDevice {
         &mut self.devices[id.0]
-    }
-
-    /// Total capacity across healthy devices.
-    pub fn healthy_capacity(&self) -> ByteSize {
-        self.healthy().map(|d| d.config().capacity).sum()
     }
 
     /// Aggregate statistics.
@@ -401,13 +395,12 @@ mod tests {
 
     #[test]
     fn healthy_capacity_shrinks_on_failure() {
+        let capacity =
+            |a: &FlashArray| -> ByteSize { a.healthy().map(|d| d.config().capacity).sum() };
         let mut a = array(4);
-        let full = a.healthy_capacity();
+        let full = capacity(&a);
         a.fail_device(DeviceId(0));
-        assert_eq!(
-            a.healthy_capacity(),
-            full.saturating_sub(ByteSize::from_mib(8))
-        );
+        assert_eq!(capacity(&a), full.saturating_sub(ByteSize::from_mib(8)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The object-storage target: index, command execution, recovery driver.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -275,10 +275,6 @@ pub struct OsdTarget {
     stripes: StripeManager,
     policy: ProtectionPolicy,
     index: FastMap<ObjectKey, ObjectRecord>,
-    /// Collection objects (Table I): named groups of user objects for
-    /// fast indexing. The membership sets are metadata; each collection
-    /// is also backed by a small replicated class-0 object.
-    collections: HashMap<ObjectKey, BTreeSet<ObjectKey>>,
     recovery: RecoveryEngine,
     next_owner: u64,
     recovery_active: bool,
@@ -344,7 +340,6 @@ impl OsdTarget {
             stripes,
             policy,
             index: FastMap::default(),
-            collections: HashMap::new(),
             recovery: RecoveryEngine::new(),
             next_owner: 0,
             recovery_active: false,
@@ -722,12 +717,6 @@ impl OsdTarget {
         self.journal_append(JournalRecord::Remove { key });
         self.journal_flush();
         self.stripes.remove_object(&record.layout);
-        // Collection upkeep: removing a collection drops its membership
-        // set; removing a user object drops it from every collection.
-        self.collections.remove(&key);
-        for members in self.collections.values_mut() {
-            members.remove(&key);
-        }
         self.stats.removes += 1;
         Ok(())
     }
@@ -1043,75 +1032,6 @@ impl OsdTarget {
         self.stripes.transient_retries()
     }
 
-    /// Creates a collection object (Table I): a named group of user
-    /// objects for fast indexing. Backed by a 4 KiB class-0 (replicated)
-    /// object like the other metadata.
-    ///
-    /// # Errors
-    ///
-    /// * [`TargetError::AlreadyExists`] — duplicate collection.
-    /// * Storage errors from creating the backing object.
-    pub fn create_collection(&mut self, key: ObjectKey) -> Result<(), TargetError> {
-        if self.collections.contains_key(&key) {
-            return Err(TargetError::AlreadyExists(key));
-        }
-        self.create_object(key, ByteSize::from_kib(4), ObjectClass::Metadata, None)?;
-        self.collections.insert(key, BTreeSet::new());
-        Ok(())
-    }
-
-    /// Adds a user object to a collection ("a user object belongs to no
-    /// or multiple collections").
-    ///
-    /// # Errors
-    ///
-    /// [`TargetError::UnknownObject`] — the collection or the member does
-    /// not exist.
-    pub fn add_to_collection(
-        &mut self,
-        collection: ObjectKey,
-        member: ObjectKey,
-    ) -> Result<(), TargetError> {
-        if !self.index.contains_key(&member) {
-            return Err(TargetError::UnknownObject(member));
-        }
-        self.collections
-            .get_mut(&collection)
-            .ok_or(TargetError::UnknownObject(collection))?
-            .insert(member);
-        Ok(())
-    }
-
-    /// Removes a user object from a collection. Absent members are a
-    /// no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`TargetError::UnknownObject`] — the collection does not exist.
-    pub fn remove_from_collection(
-        &mut self,
-        collection: ObjectKey,
-        member: ObjectKey,
-    ) -> Result<(), TargetError> {
-        self.collections
-            .get_mut(&collection)
-            .ok_or(TargetError::UnknownObject(collection))?
-            .remove(&member);
-        Ok(())
-    }
-
-    /// The members of a collection, in key order.
-    ///
-    /// # Errors
-    ///
-    /// [`TargetError::UnknownObject`] — the collection does not exist.
-    pub fn collection_members(&self, collection: ObjectKey) -> Result<Vec<ObjectKey>, TargetError> {
-        self.collections
-            .get(&collection)
-            .map(|s| s.iter().copied().collect())
-            .ok_or(TargetError::UnknownObject(collection))
-    }
-
     /// Per-object query (the decoded `#QUERY#` message): sense 0x00 if the
     /// object is accessible (directly or through reconstruction), 0x63 if
     /// corrupted beyond recovery, -1 if unknown.
@@ -1387,8 +1307,8 @@ impl OsdTarget {
     }
 
     /// Simulates a power loss: every piece of DRAM state vaporizes — the
-    /// object index, collection membership, recovery queue, scrub cursor,
-    /// owner counter, and the stripe layer's allocation tables — while
+    /// object index, recovery queue, scrub cursor, owner counter, and the
+    /// stripe layer's allocation tables — while
     /// flash chunk contents and wear survive. The journal loses its staged
     /// (unflushed) records and `tear` bytes off the tail of the durable
     /// log (the torn last sector of an interrupted write). The target then
@@ -1402,7 +1322,6 @@ impl OsdTarget {
     /// attached (the state is then unrecoverable).
     pub fn simulate_crash(&mut self, tear: usize) -> Option<CrashOutcome> {
         self.index.clear();
-        self.collections.clear();
         self.recovery.clear();
         self.recovery_active = false;
         self.scrub_cursor = None;
@@ -1464,7 +1383,6 @@ impl OsdTarget {
         // Rebuild from a clean slate so recovery is idempotent even when
         // invoked on a warm target.
         self.index.clear();
-        self.collections.clear();
         self.recovery.clear();
         self.stripes.simulate_crash();
 
@@ -2015,48 +1933,6 @@ mod tests {
         t.fail_device(DeviceId(1));
         // Even dirty data dies at two failures under uniform 1-parity.
         assert_eq!(t.query(k(1)), SenseCode::Corrupted);
-    }
-
-    #[test]
-    fn collections_group_user_objects() {
-        let mut t = reo_target();
-        let coll = ObjectKey::new(reo_osd::PartitionId::FIRST, reo_osd::ObjectId::new(0x30000));
-        t.create_collection(coll).unwrap();
-        assert!(matches!(
-            t.create_collection(coll),
-            Err(TargetError::AlreadyExists(_))
-        ));
-        // The backing object is replicated metadata.
-        assert_eq!(t.class_of(coll), Some(ObjectClass::Metadata));
-
-        // Members must exist.
-        assert!(matches!(
-            t.add_to_collection(coll, k(1)),
-            Err(TargetError::UnknownObject(_))
-        ));
-        for i in [3, 1, 2] {
-            t.create_object(k(i), ByteSize::from_kib(8), ObjectClass::ColdClean, None)
-                .unwrap();
-            t.add_to_collection(coll, k(i)).unwrap();
-        }
-        // Key order, duplicates collapse.
-        t.add_to_collection(coll, k(2)).unwrap();
-        assert_eq!(t.collection_members(coll).unwrap(), vec![k(1), k(2), k(3)]);
-
-        // Removing a member object drops it from the collection.
-        t.remove_object(k(2)).unwrap();
-        assert_eq!(t.collection_members(coll).unwrap(), vec![k(1), k(3)]);
-        // Explicit removal; absent members are a no-op.
-        t.remove_from_collection(coll, k(1)).unwrap();
-        t.remove_from_collection(coll, k(1)).unwrap();
-        assert_eq!(t.collection_members(coll).unwrap(), vec![k(3)]);
-
-        // Removing the collection object drops the membership set.
-        t.remove_object(coll).unwrap();
-        assert!(matches!(
-            t.collection_members(coll),
-            Err(TargetError::UnknownObject(_))
-        ));
     }
 
     #[test]

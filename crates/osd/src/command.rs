@@ -105,11 +105,6 @@ impl OsdCommand {
             OsdCommand::Read { .. } | OsdCommand::Query { .. } | OsdCommand::List { .. }
         )
     }
-
-    /// `true` for commands that mutate device state.
-    pub fn is_mutation(&self) -> bool {
-        !self.is_read()
-    }
 }
 
 impl fmt::Display for OsdCommand {
@@ -221,18 +216,18 @@ mod tests {
         }
         .is_read());
         assert!(OsdCommand::Query { key: key() }.is_read());
-        assert!(OsdCommand::Write {
+        assert!(!OsdCommand::Write {
             key: key(),
             offset: 0,
             length: 1
         }
-        .is_mutation());
-        assert!(OsdCommand::Remove { key: key() }.is_mutation());
-        assert!(OsdCommand::SetClass {
+        .is_read());
+        assert!(!OsdCommand::Remove { key: key() }.is_read());
+        assert!(!OsdCommand::SetClass {
             key: key(),
             class: ObjectClass::Dirty
         }
-        .is_mutation());
+        .is_read());
     }
 
     #[test]

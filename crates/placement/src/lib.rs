@@ -396,19 +396,6 @@ impl ParityGroupMap {
         self.groups.get(group).map_or(&[], Vec::as_slice)
     }
 
-    /// The other members of `target`'s group (the shard holders a
-    /// degraded reconstruction of `target`'s range reads from).
-    pub fn peers_of(&self, target: TargetId) -> Vec<TargetId> {
-        match self.group_of(target) {
-            Some(g) => self.groups[g]
-                .iter()
-                .copied()
-                .filter(|&t| t != target)
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Concurrent outages group `group` tolerates while still serving
     /// its members' ranges by reconstruction: a stripe needs
     /// [`ParityGroupMap::data_shards`] surviving members, so a group of
@@ -658,17 +645,5 @@ mod tests {
         // The rejoin refills the same slot and restores the exact map.
         after.add_target(gone);
         assert_eq!(after, before);
-    }
-
-    #[test]
-    fn parity_peers_exclude_the_member_itself() {
-        let map = groups_of(33, 3, 1, 8);
-        for t in 0..8 {
-            let t = TargetId(t);
-            let peers = map.peers_of(t);
-            assert!(!peers.contains(&t));
-            assert_eq!(peers.len(), map.members(map.group_of(t).unwrap()).len() - 1);
-        }
-        assert!(map.peers_of(TargetId(99)).is_empty());
     }
 }

@@ -207,7 +207,6 @@ proptest! {
             let t = TargetId(t);
             let gid = map.group_of(t).unwrap();
             prop_assert!(map.members(gid).contains(&t));
-            prop_assert!(!map.peers_of(t).contains(&t));
         }
     }
 

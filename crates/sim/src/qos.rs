@@ -62,24 +62,6 @@ impl TokenBucket {
         }
     }
 
-    /// The configured refill rate in bytes per simulated second.
-    pub fn rate_bytes_per_sec(&self) -> u64 {
-        self.rate_bytes_per_sec
-    }
-
-    /// Changes the refill rate (the adaptive throttle opening up when the
-    /// foreground goes idle). Takes effect from the next [`refill`].
-    ///
-    /// [`refill`]: TokenBucket::refill
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_bytes_per_sec` is zero.
-    pub fn set_rate(&mut self, rate_bytes_per_sec: u64) {
-        assert!(rate_bytes_per_sec > 0, "throttle rate must be non-zero");
-        self.rate_bytes_per_sec = rate_bytes_per_sec;
-    }
-
     /// The current balance, clamped at zero (debt reads as empty).
     pub fn available(&self) -> ByteSize {
         ByteSize::from_bytes(self.tokens.max(0) as u64)
@@ -178,16 +160,6 @@ mod tests {
         b.charge(ByteSize::from_kib(64));
         b.refill(at(50)); // earlier than last_refill
         assert_eq!(b.available(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn rate_change_applies_to_later_refills() {
-        let mut b = TokenBucket::new(1 << 20, ByteSize::from_mib(4), SimTime::ZERO);
-        b.charge(ByteSize::from_mib(4));
-        b.set_rate(4 << 20);
-        b.refill(at(250)); // 250 ms at 4 MiB/s = 1 MiB
-        assert_eq!(b.available(), ByteSize::from_mib(1));
-        assert_eq!(b.rate_bytes_per_sec(), 4 << 20);
     }
 
     #[test]
