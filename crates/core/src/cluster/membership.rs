@@ -125,10 +125,12 @@ impl ClusterSystem {
         self.nodes[t].state = TargetState::Down;
         self.nodes[t].row.outages += 1;
         self.nodes[t].outage_started = Some(now);
-        for &key in self.objects.keys() {
-            if self.ring.target_of(key) == Some(TargetId(t)) {
-                self.mapped_degraded.insert(key);
-            }
+        if !self
+            .outages
+            .iter()
+            .any(|(down, ring)| down.0 == t && *ring == self.ring)
+        {
+            self.outages.push((TargetId(t), self.ring.clone()));
         }
         // A member leaving `Up` is the cluster-level analog of a target
         // leaving `Healthy`: capture the lookback window now.

@@ -162,8 +162,10 @@ pub struct ClusterSystem {
     throttle: RebuildThrottle,
     /// Keys that ever received a degraded-mode response.
     degraded_keys: BTreeSet<ObjectKey>,
-    /// Keys that were ever mapped to a down target.
-    mapped_degraded: BTreeSet<ObjectKey>,
+    /// Every target outage since the last reset, once per distinct
+    /// `(target, ring at failure)`: the keys ever mapped to a down target
+    /// are counted against it on demand, never collected.
+    outages: Vec<(TargetId, PlacementRing)>,
     /// Cluster-level planned events rejected as no-ops.
     rejections: Rejections,
     /// One shared `reo-trace` recorder across every node: cluster-level
@@ -233,7 +235,7 @@ impl ClusterSystem {
             migrations: VecDeque::new(),
             throttle: RebuildThrottle::default(),
             degraded_keys: BTreeSet::new(),
-            mapped_degraded: BTreeSet::new(),
+            outages: Vec::new(),
             rejections: Rejections::default(),
             tracer,
             flight: FlightRecorder::new(),

@@ -3,7 +3,7 @@
 
 use std::ops::Add;
 
-use reo_placement::TargetId;
+use reo_placement::{PlacementRing, TargetId};
 use reo_sim::SimDuration;
 
 use super::redundancy::RedundancySnapshot;
@@ -76,9 +76,30 @@ impl ClusterSystem {
         self.namespace_fraction(self.degraded_keys.len())
     }
 
-    /// Fraction of the known namespace ever mapped to a down target.
+    /// How many keys of the namespace some `(target, ring)` of `outages`
+    /// maps to that target, each key counted once.
+    fn keys_mapped_to<'r>(
+        &self,
+        outages: impl Iterator<Item = (TargetId, &'r PlacementRing)> + Clone,
+    ) -> usize {
+        self.objects
+            .keys()
+            .filter(|&&key| {
+                outages
+                    .clone()
+                    .any(|(down, ring)| ring.target_of(key) == Some(down))
+            })
+            .count()
+    }
+
+    /// Fraction of the known namespace ever mapped to a down target since
+    /// the last [`ClusterSystem::reset_stats`]: each key the ring at some
+    /// outage's start mapped to the target that went down. Counted when
+    /// asked, over the namespace as it stands, so a key first written
+    /// after its owner went down counts too.
     pub fn mapped_degraded_fraction(&self) -> f64 {
-        self.namespace_fraction(self.mapped_degraded.len())
+        let outages = self.outages.iter().map(|(down, ring)| (*down, ring));
+        self.namespace_fraction(self.keys_mapped_to(outages))
     }
 
     /// The cluster's resilience counters, the cluster-level view of
@@ -87,7 +108,7 @@ impl ClusterSystem {
     /// node's counters merged ([`ResilienceSnapshot::merge`]).
     pub fn resilience(&self) -> ResilienceSnapshot {
         let mut resilience = ResilienceSnapshot {
-            health: self.health().label,
+            health: self.health_label(self.down_targets()),
             health_transitions: 0,
             shed_requests: 0,
             write_throughs: 0,
@@ -105,28 +126,19 @@ impl ClusterSystem {
         resilience
     }
 
-    /// The cluster-level health view.
-    pub fn health(&self) -> ClusterHealth {
-        let members = self.ring.len();
-        let down = self
-            .nodes
+    /// Targets down now.
+    fn down_targets(&self) -> usize {
+        self.nodes
             .iter()
             .filter(|n| n.state == TargetState::Down)
-            .count();
-        let mapped_down = if down == 0 {
-            0
-        } else {
-            self.objects
-                .keys()
-                .filter(|&&k| {
-                    self.ring
-                        .target_of(k)
-                        .is_some_and(|t| self.nodes[t.0].state == TargetState::Down)
-                })
-                .count()
-        };
-        let label = if down > 0 {
-            format!("degraded({down}/{members})")
+            .count()
+    }
+
+    /// [`ClusterHealth::label`] with `down` targets down — no walk of the
+    /// namespace.
+    fn health_label(&self, down: usize) -> String {
+        if down > 0 {
+            format!("degraded({down}/{})", self.ring.len())
         } else if self
             .nodes
             .iter()
@@ -137,13 +149,31 @@ impl ClusterSystem {
             "recovering".to_string()
         } else {
             "healthy".to_string()
+        }
+    }
+
+    /// The cluster-level health view. Its `degraded_fraction` walks the
+    /// namespace while a target is down.
+    pub fn health(&self) -> ClusterHealth {
+        let members = self.ring.len();
+        let down = self.down_targets();
+        let mapped_down = if down == 0 {
+            0
+        } else {
+            let down_now = self
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| n.state == TargetState::Down)
+                .map(|(t, _)| (TargetId(t), &self.ring));
+            self.keys_mapped_to(down_now)
         };
         ClusterHealth {
             members,
             up: members - down,
             down,
             degraded_fraction: self.namespace_fraction(mapped_down),
-            label,
+            label: self.health_label(down),
         }
     }
 
@@ -180,9 +210,10 @@ impl ClusterSystem {
     }
 
     /// Resets all measurement state (end of warm-up): per-target
-    /// request counters, degraded-namespace ledgers, every node's
-    /// metrics, and the cluster's own counters. Membership, caches,
-    /// outage history, and pending migrations are untouched.
+    /// request counters, the degraded-namespace ledgers (observed keys
+    /// and the outage log), every node's metrics, and the cluster's own
+    /// counters. Membership, caches, per-target outage counts and rebuild
+    /// windows, and pending migrations are untouched.
     pub fn reset_stats(&mut self) {
         let now = self.merge_clocks();
         for node in &mut self.nodes {
@@ -198,7 +229,7 @@ impl ClusterSystem {
             node.system.metrics_mut().reset_all(now);
         }
         self.degraded_keys.clear();
-        self.mapped_degraded.clear();
+        self.outages.clear();
         self.throttle.stalls = 0;
         self.throttle.bytes = 0;
         self.stats = RedundancySnapshot::default();

@@ -377,6 +377,97 @@ fn run_reports_aggregate_and_per_target_rows() {
     assert_eq!(resilience.rejected_events, 0);
 }
 
+/// Takes `target` down and adds what the outage maps to it to `scanned`:
+/// the namespace walked with the ring of the moment, as `fail_target`
+/// itself once did.
+fn fail_and_scan(c: &mut ClusterSystem, scanned: &mut BTreeSet<ObjectKey>, target: usize) {
+    c.fail_target(target);
+    let owned = |key: &&ObjectKey| c.ring.target_of(**key) == Some(TargetId(target));
+    scanned.extend(c.objects.keys().filter(owned));
+}
+
+/// `mapped_degraded_fraction` counts every key some outage since the last
+/// `reset_stats` mapped to its down target, with the ring at that failure,
+/// against a scan of the namespace at each failure: outages of two
+/// targets, a second outage of one of them, a join while one is down that
+/// moves keys the outages counted to a target that stays up, an outage
+/// under the ring the join changed, and a reset in between. The two differ
+/// in one edge: the count is taken over the namespace as it stands when
+/// asked, so a key first written after its owner went down counts, where
+/// the scan at the failure never saw it.
+#[test]
+fn mapped_fraction_counts_every_outage_since_the_reset() {
+    let t = trace(19, 1000);
+    let mut c = cluster(4, &t);
+    let mut requests = t.requests().chunks(100);
+    let mut serve = |c: &mut ClusterSystem| {
+        for r in requests.next().unwrap() {
+            c.handle(r);
+        }
+    };
+    let fraction = |c: &ClusterSystem, keys: usize| keys as f64 / c.objects.len() as f64;
+    let mut scanned = BTreeSet::new();
+    serve(&mut c);
+    fail_and_scan(&mut c, &mut scanned, 0);
+    serve(&mut c);
+    assert!(!scanned.is_empty());
+    assert_eq!(c.mapped_degraded_fraction(), fraction(&c, scanned.len()));
+
+    // A reset forgets the outage even though its target is still down.
+    c.reset_stats();
+    scanned.clear();
+    assert_eq!(c.mapped_degraded_fraction(), 0.0);
+    c.restore_target(0);
+    serve(&mut c);
+
+    fail_and_scan(&mut c, &mut scanned, 1);
+    serve(&mut c);
+    fail_and_scan(&mut c, &mut scanned, 2);
+    let ring_at_2 = c.ring.clone();
+    assert_eq!(c.outages.len(), 2);
+    assert_eq!(c.mapped_degraded_fraction(), fraction(&c, scanned.len()));
+    assert_eq!(c.resilience().health, c.health().label);
+    c.restore_target(1);
+    serve(&mut c);
+    // Target 1 again under the same ring: the log already holds it.
+    fail_and_scan(&mut c, &mut scanned, 1);
+    assert_eq!(c.outages.len(), 2);
+    c.restore_target(1);
+    serve(&mut c);
+
+    // A join while 2 is down takes keys the outages of 1 and 2 still
+    // count; then 3 fails under the ring the join changed.
+    c.add_target();
+    assert!(scanned
+        .iter()
+        .any(|&key| c.ring.target_of(key) == Some(TargetId(4))));
+    serve(&mut c);
+    fail_and_scan(&mut c, &mut scanned, 3);
+    assert_eq!(c.outages.len(), 3);
+    serve(&mut c);
+    assert_eq!(c.mapped_degraded_fraction(), fraction(&c, scanned.len()));
+    assert_eq!(c.resilience().health, c.health().label);
+    assert_eq!(c.health().label, "degraded(2/5)");
+
+    // A key written for the first time while its owner at 2's failure is
+    // still down was never scanned, and counts.
+    let fresh = (1u64 << 40..)
+        .map(|oid| ObjectKey::user(reo_osd::PartitionId::FIRST, reo_osd::ObjectId::new(oid)))
+        .find(|&key| ring_at_2.target_of(key) == Some(TargetId(2)) && !c.objects.contains_key(&key))
+        .unwrap();
+    let write = Request {
+        op: Operation::Write,
+        key: fresh,
+        size: ByteSize::from_kib(64),
+    };
+    assert_eq!(c.handle(&write).sense, SenseCode::Success);
+    assert!(!scanned.contains(&fresh));
+    assert_eq!(
+        c.mapped_degraded_fraction(),
+        fraction(&c, scanned.len() + 1)
+    );
+}
+
 #[test]
 fn default_policy_keeps_redundancy_machinery_cold() {
     let t = trace(11, 600);

@@ -1073,14 +1073,22 @@ impl FlashDevice {
     /// metadata references from this list to find orphan chunks whose
     /// metadata never reached the journal.
     pub fn chunk_runs(&self) -> Vec<(ChunkHandle, u64)> {
+        // The run table is kept in order, so only the singles are sorted,
+        // and the two lists merged.
         let singles = self.chunks.iter().filter(|(_, s)| s.state().is_present());
+        let mut singles: Vec<(ChunkHandle, u64)> = singles.map(|(h, _)| (*h, 1)).collect();
+        singles.sort_unstable();
+        let mut singles = singles.into_iter().peekable();
         let runs = self.runs.iter();
         let runs = runs.filter(|r| r.count > 0 && r.state.is_present());
-        let mut ranges: Vec<(ChunkHandle, u64)> = singles
-            .map(|(h, _)| (*h, 1))
-            .chain(runs.map(|r| (ChunkHandle::new(r.first), r.count)))
-            .collect();
-        ranges.sort_unstable();
+        let mut ranges = Vec::with_capacity(self.chunks.len() + self.runs.len());
+        for run in runs.map(|r| (ChunkHandle::new(r.first), r.count)) {
+            while let Some(single) = singles.next_if(|single| *single < run) {
+                ranges.push(single);
+            }
+            ranges.push(run);
+        }
+        ranges.extend(singles);
         ranges
     }
 

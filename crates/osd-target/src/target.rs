@@ -11,7 +11,8 @@ use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 use reo_stripe::{
-    ObjectLayout, ObjectStatus, ReadOutcome, SpaceUsage, StripeError, StripeId, StripeManager,
+    ChunkRefs, ObjectLayout, ObjectStatus, ReadOutcome, SpaceUsage, StripeError, StripeId,
+    StripeManager,
 };
 
 use crate::policy::ProtectionPolicy;
@@ -306,7 +307,7 @@ pub struct ScrubReport {
 
 /// Report of one journal-driven restart recovery
 /// ([`OsdTarget::recover_from_journal`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TargetRecovery {
     /// Journal records replayed on top of the checkpoint image.
     pub replayed_records: usize,
@@ -1334,8 +1335,9 @@ impl OsdTarget {
     /// Deterministic restart recovery: replays the newest valid checkpoint
     /// plus the intact prefix of the journal, reinstalls every surviving
     /// object's stripe metadata, collects orphan chunks, audits chunk
-    /// health (feeding degraded objects into the class-prioritized
-    /// recovery queue and dropping lost ones), re-arms the scrubber from
+    /// health unless the array vouches for every chunk (feeding degraded
+    /// objects into the class-prioritized recovery queue and dropping
+    /// lost ones), re-arms the scrubber from
     /// the persisted cursor, verifies metadata invariants, and finishes
     /// with a fresh checkpoint. Clears the warming state on success.
     ///
@@ -1355,22 +1357,24 @@ impl OsdTarget {
         // Fold checkpoint + log into the final durable state per key, then
         // install only that final state — which makes replay idempotent
         // and insensitive to intermediate layouts whose chunks are gone.
+        // Every entry borrows its layout blob from the recovered image or
+        // record it came from.
         let checkpoint = parse_checkpoint(&outcome.checkpoint)?;
         let mut entries = checkpoint.entries;
         let mut cursor = checkpoint.cursor;
         for record in &outcome.records {
             match record {
                 JournalRecord::Create { key, class, meta } => {
-                    entries.insert(*key, ReplayEntry::new(*class, 0, meta.clone()));
+                    entries.insert(*key, ReplayEntry::new(*class, 0, meta));
                 }
                 JournalRecord::SetClass { key, class, meta } => {
                     let freq = entries.get(key).map_or(0, |e| e.freq);
-                    entries.insert(*key, ReplayEntry::new(*class, freq, meta.clone()));
+                    entries.insert(*key, ReplayEntry::new(*class, freq, meta));
                 }
                 JournalRecord::DirtyWrite { key, meta, .. } => match entries.get_mut(key) {
-                    Some(e) => e.meta.clone_from(meta),
+                    Some(e) => e.meta = meta,
                     None => {
-                        entries.insert(*key, ReplayEntry::new(ObjectClass::Dirty, 0, meta.clone()));
+                        entries.insert(*key, ReplayEntry::new(ObjectClass::Dirty, 0, meta));
                     }
                 },
                 JournalRecord::Remove { key } => {
@@ -1396,7 +1400,7 @@ impl OsdTarget {
         let mut next_owner = checkpoint.next_owner;
         let now = self.stripes.array().clock().now();
         for (key, entry) in &entries {
-            match self.stripes.install_object_meta(&entry.meta) {
+            match self.stripes.install_object_meta(entry.meta) {
                 Ok(layout) => {
                     next_owner = next_owner.max(layout.owner() + 1);
                     let mut record = ObjectRecord::new(layout, entry.class, now);
@@ -1412,12 +1416,47 @@ impl OsdTarget {
         self.next_owner = next_owner;
 
         // Chunks written before the crash whose metadata never became
-        // durable are unreachable now — collect them.
-        report.orphans_removed = self.stripes.remove_unreferenced_chunks();
+        // durable are unreachable now — collect them. The reference list
+        // holds until an extent is removed, so the consistency check below
+        // reads it too unless the audit drops an object.
+        let mut refs = self.stripes.chunk_refs();
+        report.orphans_removed = self.stripes.remove_unreferenced_chunks(&refs);
 
         // Audit chunk health: a crash can coincide with wear-out damage.
         // Degraded objects enter the class-prioritized rebuild queue;
         // lost ones are dropped for the cache layer to treat as evicted.
+        // An array that vouches for every chunk placed on it has nothing
+        // to find: installing the metadata entered every chunk it names
+        // but the devices lack as awaiting rebuild, which a vouching
+        // array has none of.
+        if self.stripes.array().all_chunks_intact() {
+            debug_assert!(self.index.values().all(|record| matches!(
+                self.stripes.object_status(&record.layout),
+                Ok(ObjectStatus::Intact)
+            )));
+        } else if self.audit_restored_objects(&mut report) {
+            refs = self.stripes.chunk_refs();
+        }
+        self.recovery_active = report.degraded > 0;
+        report.lost.sort_unstable();
+        report.lost.dedup();
+
+        // Re-arm the scrubber where the persisted cursor left off.
+        self.scrub_cursor = cursor;
+        self.journal = Some(journal);
+        self.warming = false;
+        report.violations = self.consistency_violations(&refs);
+        // Recovery ends in a fresh checkpoint so the next crash replays
+        // from here instead of the whole history.
+        self.take_checkpoint();
+        Ok(report)
+    }
+
+    /// Recovery's per-object health audit: queues every degraded object
+    /// for class-prioritized rebuild and drops every lost one, counting
+    /// both into `report`. Returns whether it dropped an object.
+    fn audit_restored_objects(&mut self, report: &mut TargetRecovery) -> bool {
+        let mut dropped = false;
         for key in self.keys() {
             let record = &self.index[&key];
             match self.stripes.object_status(&record.layout) {
@@ -1433,22 +1472,11 @@ impl OsdTarget {
                     self.stripes.remove_object(&layout);
                     self.index.remove(&key);
                     report.lost.push(key);
+                    dropped = true;
                 }
             }
         }
-        self.recovery_active = report.degraded > 0;
-        report.lost.sort_unstable();
-        report.lost.dedup();
-
-        // Re-arm the scrubber where the persisted cursor left off.
-        self.scrub_cursor = cursor;
-        self.journal = Some(journal);
-        self.warming = false;
-        report.violations = self.verify_consistency();
-        // Recovery ends in a fresh checkpoint so the next crash replays
-        // from here instead of the whole history.
-        self.take_checkpoint();
-        Ok(report)
+        dropped
     }
 
     /// The restored object map in key order — `(key, class, logical size,
@@ -1474,8 +1502,14 @@ impl OsdTarget {
     ///   consistent — every stripe an object references exists, no stripe
     ///   is claimed by two objects, and no stripe is orphaned.
     pub fn verify_consistency(&self) -> Vec<String> {
+        self.consistency_violations(&self.stripes.chunk_refs())
+    }
+
+    /// [`OsdTarget::verify_consistency`] over `refs`, the stripe layer's
+    /// reference list as its metadata stands.
+    fn consistency_violations(&self, refs: &ChunkRefs) -> Vec<String> {
         let mut violations = Vec::new();
-        let doubles = self.stripes.double_allocated_chunks();
+        let doubles = refs.double_allocated_chunks();
         if !doubles.is_empty() {
             violations.push(format!(
                 "{} chunk slot(s) are referenced by more than one stripe",
@@ -1559,29 +1593,30 @@ fn stripe_claims<'a>(
 /// was placed ([`StripeManager::export_object_meta`]).
 const CHECKPOINT_VERSION: u32 = 2;
 
-/// Final durable state of one object after folding checkpoint + log.
-struct ReplayEntry {
+/// Final durable state of one object after folding checkpoint + log; the
+/// layout blob stays where replay found it.
+struct ReplayEntry<'a> {
     class: ObjectClass,
     freq: u64,
-    meta: Vec<u8>,
+    meta: &'a [u8],
 }
 
-impl ReplayEntry {
-    fn new(class: ObjectClass, freq: u64, meta: Vec<u8>) -> Self {
+impl<'a> ReplayEntry<'a> {
+    fn new(class: ObjectClass, freq: u64, meta: &'a [u8]) -> Self {
         ReplayEntry { class, freq, meta }
     }
 }
 
-/// Parsed checkpoint image.
-struct CheckpointState {
+/// Parsed checkpoint image, borrowing its layout blobs from the image.
+struct CheckpointState<'a> {
     next_owner: u64,
     cursor: Option<ObjectKey>,
-    entries: BTreeMap<ObjectKey, ReplayEntry>,
+    entries: BTreeMap<ObjectKey, ReplayEntry<'a>>,
 }
 
 /// Parses a checkpoint image (an empty image — a freshly formatted
 /// journal — parses to the empty state).
-fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState, TargetError> {
+fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState<'_>, TargetError> {
     use reo_osd::{ObjectId, PartitionId};
 
     let corrupt = || TargetError::Stripe(StripeError::CorruptMetadata);
@@ -1645,7 +1680,7 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState, TargetError> {
         let class = ObjectClass::from_id(cur.u8().ok_or_else(corrupt)?).ok_or_else(corrupt)?;
         let freq = cur.u64().ok_or_else(corrupt)?;
         let meta_len = cur.u32().ok_or_else(corrupt)? as usize;
-        let meta = cur.take(meta_len).ok_or_else(corrupt)?.to_vec();
+        let meta = cur.take(meta_len).ok_or_else(corrupt)?;
         state
             .entries
             .insert(key, ReplayEntry::new(class, freq, meta));
@@ -2505,6 +2540,75 @@ mod tests {
         let report = t.recover_from_journal().unwrap();
         assert!(report.violations.is_empty());
         assert_eq!(t.inventory(), snapshot);
+    }
+
+    /// Twenty-four dirty (replicated), hot (two parities) and cold (no
+    /// parity) objects of one to forty-two chunks, half of them under the
+    /// checkpoint and half in the log, crashed after `damage`.
+    fn crash_after(damage: impl FnOnce(&mut OsdTarget)) -> OsdTarget {
+        use ObjectClass::{ColdClean, Dirty, HotClean};
+        let mut t = journaled_target();
+        for i in 0..24u64 {
+            let class = [Dirty, HotClean, ColdClean][i as usize % 3];
+            t.create_object(k(i), ByteSize::from_kib(4 + 7 * i), class, None)
+                .unwrap();
+            if i == 11 {
+                t.take_checkpoint();
+            }
+        }
+        damage(&mut t);
+        t.simulate_crash(0).unwrap();
+        t
+    }
+
+    #[test]
+    fn recovery_audits_objects_only_when_the_array_cannot_vouch() {
+        let vouched = |t: &OsdTarget| t.stripes.array().all_chunks_intact();
+        let healthy = crash_after(|_| {});
+        let failed = crash_after(|t| t.fail_device(DeviceId(1)));
+        // One hot object degraded, two cold ones lost.
+        let corrupted = crash_after(|t| {
+            t.corrupt_chunk(k(1), 0).unwrap();
+            t.corrupt_chunk(k(2), 0).unwrap();
+            t.corrupt_chunk(k(5), 1).unwrap();
+        });
+        // What recovery returned when it audited every object: the
+        // healthy crash skips the audit and must not tell.
+        let skipped = TargetRecovery {
+            replayed_records: 10,
+            checkpoint_generation: 2,
+            orphans_removed: 110,
+            restored_objects: 27,
+            ..TargetRecovery::default()
+        };
+        let after_failure = TargetRecovery {
+            degraded: 20,
+            lost: vec![k(2), k(5), k(8), k(11), k(14), k(17), k(20)],
+            ..skipped.clone()
+        };
+        let after_corruption = TargetRecovery {
+            degraded: 1,
+            lost: vec![k(2), k(5)],
+            ..skipped.clone()
+        };
+        for (mut t, expected, vouches) in [
+            (healthy, skipped, true),
+            (failed, after_failure, false),
+            (corrupted, after_corruption, false),
+        ] {
+            let report = t.recover_from_journal().unwrap();
+            assert_eq!(vouched(&t), vouches);
+            assert_eq!(report, expected);
+            // Degraded objects wait in the rebuild queue, lost ones are
+            // gone, and every other object reads back.
+            assert_eq!(t.recovery.pending(), report.degraded);
+            assert_eq!(t.recovery_active, report.degraded > 0);
+            assert!(report.lost.iter().all(|&key| !t.contains(key)));
+            for key in t.keys() {
+                let status = t.object_status(key).unwrap();
+                assert_ne!(status, ObjectStatus::Lost, "{key}");
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub use layout::{ChunkRole, PlacementPolicy, StripeLayout};
 pub use manager::{
     ObjectStatus, ParityUpdate, ReadOutcome, SpaceUsage, StripeError, StripeManager,
 };
+pub use recovery::ChunkRefs;
 pub use scheme::RedundancyScheme;
 
 #[cfg(test)]

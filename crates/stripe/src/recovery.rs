@@ -118,19 +118,39 @@ impl StripeManager {
         self.next_stripe = 0;
     }
 
-    /// Every `(device, first handle, count)` range live stripe metadata
-    /// references — one per extent and device — sorted, overlaps kept.
-    fn chunk_refs(&self) -> Vec<(DeviceId, u64, u64)> {
-        let mut refs = Vec::with_capacity(self.extents.len() * self.array.device_count());
-        for (first, extent) in &self.extents {
+    /// What live stripe metadata references, as ranges
+    /// ([`ChunkRefs`]): what the orphan sweep keeps and the
+    /// double-allocation check reads, so recovery builds it once for both.
+    pub fn chunk_refs(&self) -> ChunkRefs {
+        // An extent puts at most one range on a device, so taken in
+        // first-stripe order each device's ranges come sorted: placing them
+        // device by device, in the order they come, sorts the list without
+        // comparing ranges.
+        let mut extents: Vec<_> = self.extents.iter().collect();
+        extents.sort_unstable_by_key(|&(first, _)| *first);
+        let mut ranges = Vec::with_capacity(self.extents.len() * self.array.device_count());
+        let mut starts = [0; u64::BITS as usize + 1];
+        for (first, extent) in extents {
             let placed = extent.placed(*first, self.chunk_size, self.placement);
-            refs.extend(placed.tails().filter_map(|(d, tail)| {
+            for (d, tail) in placed.tails() {
                 let count = placed.full_stripes() + u64::from(tail.is_some());
-                (count > 0).then_some((d, first.0, count))
-            }));
+                if count > 0 {
+                    ranges.push((d, first.0, count));
+                    starts[d.0 + 1] += 1;
+                }
+            }
         }
-        refs.sort_unstable();
-        refs
+        for d in 1..starts.len() {
+            starts[d] += starts[d - 1];
+        }
+        let mut refs = vec![(DeviceId(0), 0, 0); ranges.len()];
+        for range in ranges {
+            let at = &mut starts[range.0 .0];
+            refs[*at] = range;
+            *at += 1;
+        }
+        debug_assert!(refs.is_sorted());
+        ChunkRefs(refs)
     }
 
     /// Every `(device, handle)` pair referenced by live stripe metadata,
@@ -138,6 +158,7 @@ impl StripeManager {
     pub fn referenced_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
         let mut refs: Vec<(DeviceId, ChunkHandle)> = self
             .chunk_refs()
+            .0
             .into_iter()
             .flat_map(|(d, first, count)| {
                 (first..first + count).map(move |h| (d, ChunkHandle::new(h)))
@@ -148,37 +169,16 @@ impl StripeManager {
         refs
     }
 
-    /// `(device, handle)` pairs claimed by more than one stripe chunk — a
-    /// violation of the no-double-allocated-chunk invariant. Empty on a
-    /// consistent manager.
-    pub fn double_allocated_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
-        // The ranges are sorted by device and start, so a handle is claimed
-        // twice where a range starts before an earlier one on its device
-        // has ended; `told` keeps each such handle to one mention.
-        let mut dup = Vec::new();
-        let (mut on, mut covered, mut told) = (None, 0, 0);
-        for (d, first, count) in self.chunk_refs() {
-            if on != Some(d) {
-                (on, covered, told) = (Some(d), 0, 0);
-            }
-            let end = first + count;
-            let twice = first.max(told)..end.min(covered);
-            dup.extend(twice.clone().map(|h| (d, ChunkHandle::new(h))));
-            told = told.max(twice.end);
-            covered = covered.max(end);
-        }
-        dup
-    }
-
-    /// Removes every chunk on the array that no live stripe references —
-    /// the orphans left behind by writes whose metadata never reached the
-    /// journal before a crash, or by removals whose chunk frees raced the
-    /// crash. Returns how many chunks were collected.
-    pub fn remove_unreferenced_chunks(&mut self) -> usize {
+    /// Removes every chunk on the array that `refs` — this manager's
+    /// [`StripeManager::chunk_refs`] as its metadata stands — does not
+    /// name: the orphans left behind by writes whose metadata never
+    /// reached the journal before a crash, or by removals whose chunk
+    /// frees raced the crash. Returns how many chunks were collected.
+    pub fn remove_unreferenced_chunks(&mut self, refs: &ChunkRefs) -> usize {
+        debug_assert_eq!(refs, &self.chunk_refs(), "stale reference list");
         // Both sides are sorted ranges: one pass over each device's chunks
         // with a cursor into the references, freeing what lies between.
-        let referenced = self.chunk_refs();
-        let mut refs = referenced.iter().peekable();
+        let mut refs = refs.0.iter().peekable();
         let mut removed = 0;
         // What is left is referenced, so under handles already handed out.
         self.rewound_from = 0;
@@ -209,5 +209,36 @@ impl StripeManager {
             }
         }
         removed
+    }
+}
+
+/// Every `(device, first handle, count)` range live stripe metadata
+/// references — one per extent and device — sorted, overlaps kept
+/// ([`StripeManager::chunk_refs`]). It describes the metadata it was built
+/// from until an extent is next installed or removed.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ChunkRefs(Vec<(DeviceId, u64, u64)>);
+
+impl ChunkRefs {
+    /// `(device, handle)` pairs claimed by more than one stripe chunk — a
+    /// violation of the no-double-allocated-chunk invariant. Empty on a
+    /// consistent manager.
+    pub fn double_allocated_chunks(&self) -> Vec<(DeviceId, ChunkHandle)> {
+        // The ranges are sorted by device and start, so a handle is claimed
+        // twice where a range starts before an earlier one on its device
+        // has ended; `told` keeps each such handle to one mention.
+        let mut dup = Vec::new();
+        let (mut on, mut covered, mut told) = (None, 0, 0);
+        for &(d, first, count) in &self.0 {
+            if on != Some(d) {
+                (on, covered, told) = (Some(d), 0, 0);
+            }
+            let end = first + count;
+            let twice = first.max(told)..end.min(covered);
+            dup.extend(twice.clone().map(|h| (d, ChunkHandle::new(h))));
+            told = told.max(twice.end);
+            covered = covered.max(end);
+        }
+        dup
     }
 }

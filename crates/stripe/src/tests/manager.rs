@@ -334,7 +334,8 @@ fn a_store_that_does_not_fit_charges_and_frees_what_chunk_by_chunk_did() {
     }
     // Once the sweep has run nothing is orphaned, and a store that does
     // not fit is arithmetic again.
-    m.remove_unreferenced_chunks();
+    let refs = m.chunk_refs();
+    m.remove_unreferenced_chunks(&refs);
     assert_eq!(m.rewound_from, 0);
 }
 

@@ -33,7 +33,7 @@ fn exported_meta_survives_a_simulated_crash() {
     assert_eq!(restored.size().as_bytes(), data.len() as u64);
     assert!(restored.stripes().eq(layout.stripes()));
     assert_eq!(m.usage(), usage_before);
-    assert!(m.double_allocated_chunks().is_empty());
+    assert!(m.chunk_refs().double_allocated_chunks().is_empty());
     // Chunk contents survived on the array: the object reads back.
     let out = m.read_object(&restored).unwrap();
     assert_eq!(out.bytes.unwrap(), data);
@@ -41,7 +41,7 @@ fn exported_meta_survives_a_simulated_crash() {
     let second = m
         .store_object(8, ByteSize::from_kib(32), RedundancyScheme::parity(1), None)
         .unwrap();
-    assert!(m.double_allocated_chunks().is_empty());
+    assert!(m.chunk_refs().double_allocated_chunks().is_empty());
     assert!(second
         .stripes()
         .all(|s| layout.stripes().all(|old| old != s)));
@@ -60,7 +60,8 @@ fn orphan_chunks_are_collected_after_crash() {
     m.install_object_meta(&blob).unwrap();
     // Only `keep`'s metadata was journaled: the other object's chunks
     // are unreferenced and must be garbage collected.
-    let removed = m.remove_unreferenced_chunks();
+    let refs = m.chunk_refs();
+    let removed = m.remove_unreferenced_chunks(&refs);
     assert!(removed > 0);
     let total_chunks: usize = (0..m.array().device_count())
         .map(|i| m.array().device(DeviceId(i)).chunk_count())
@@ -177,8 +178,9 @@ fn range_sweeps_agree_with_the_expanded_pair_sweeps() {
         if let Some(&(device, handle)) = expanded_refs(&crashed).get(case as usize * 3) {
             crashed.array.device_mut(device).remove_chunk(handle);
         }
+        let ranges = crashed.chunk_refs();
         let doubles = expanded_doubles(&crashed);
-        assert_eq!(crashed.double_allocated_chunks(), doubles, "case {case}");
+        assert_eq!(ranges.double_allocated_chunks(), doubles, "case {case}");
         checked_doubles += doubles.len();
         let mut refs = expanded_refs(&crashed);
         refs.dedup();
@@ -188,12 +190,13 @@ fn range_sweeps_agree_with_the_expanded_pair_sweeps() {
         let mut kept = present_chunks(&crashed);
         kept.retain(|pair| orphans.binary_search(pair).is_err());
         assert_eq!(
-            crashed.remove_unreferenced_chunks(),
+            crashed.remove_unreferenced_chunks(&ranges),
             orphans.len(),
             "case {case}"
         );
         assert_eq!(present_chunks(&crashed), kept, "case {case}");
-        assert_eq!(crashed.remove_unreferenced_chunks(), 0);
+        // The sweep frees chunks, not metadata: the list still holds.
+        assert_eq!(crashed.remove_unreferenced_chunks(&ranges), 0);
     }
     assert!(checked_doubles > 100, "{checked_doubles}");
 }
@@ -252,7 +255,8 @@ fn layout_blob_roundtrips_for_every_placement() {
                     let context = format!("{placement:?} {failed:#b} {scheme} {size}");
                     // Only the second object was journaled; the first
                     // one's handles come before its own.
-                    crashed.remove_unreferenced_chunks();
+                    let refs = crashed.chunk_refs();
+                    crashed.remove_unreferenced_chunks(&refs);
                     let mut chunks = steady.referenced_chunks();
                     let first_handle = ChunkHandle::new(same_layout.first_stripe.as_u64());
                     chunks.retain(|&(_, handle)| handle >= first_handle);
@@ -330,7 +334,7 @@ fn corrupt_layout_blobs_are_refused_or_install_consistently() {
                 accepted += 1;
                 // What `OsdTarget::verify_consistency` asks of the
                 // stripe layer.
-                assert!(m.double_allocated_chunks().is_empty());
+                assert!(m.chunk_refs().double_allocated_chunks().is_empty());
                 assert_eq!(m.stripe_count(), layout.stripes().count());
                 let chunks = m.referenced_chunks();
                 assert!(chunks.iter().all(|(d, _)| d.0 < 5), "byte {at} = {value}");

@@ -94,7 +94,7 @@ fn recovery_sweeps_match_the_expanded_pairs(
     for blob in journaled() {
         crashed.install_object_meta(blob).expect("own export");
     }
-    prop_assert!(crashed.double_allocated_chunks().is_empty());
+    prop_assert!(crashed.chunk_refs().double_allocated_chunks().is_empty());
 
     if let Some(blob) = blobs.first() {
         let first = first_of(blob) + 1;
@@ -115,14 +115,18 @@ fn recovery_sweeps_match_the_expanded_pairs(
         let claimed: BTreeSet<_> = others.referenced_chunks().into_iter().collect();
         let mut twice = alone.referenced_chunks();
         twice.retain(|pair| claimed.contains(pair));
-        prop_assert_eq!(both.double_allocated_chunks(), twice);
+        prop_assert_eq!(both.chunk_refs().double_allocated_chunks(), twice);
     }
 
     let referenced: BTreeSet<_> = crashed.referenced_chunks().into_iter().collect();
     let mut kept = present_chunks(&crashed);
     let present = kept.len();
     kept.retain(|pair| referenced.contains(pair));
-    prop_assert_eq!(crashed.remove_unreferenced_chunks(), present - kept.len());
+    let refs = crashed.chunk_refs();
+    prop_assert_eq!(
+        crashed.remove_unreferenced_chunks(&refs),
+        present - kept.len()
+    );
     prop_assert_eq!(present_chunks(&crashed), kept);
     Ok(())
 }

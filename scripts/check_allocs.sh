@@ -3,7 +3,7 @@
 # (0.25 unless -l gives another):
 #
 #   scripts/check_allocs.sh write_heavy.out read_medium.out small_objects.out
-#   scripts/check_allocs.sh -l 1.35 cluster_repl2.out cluster_parity31.out
+#   scripts/check_allocs.sh -l 1.01 cluster_repl2.out cluster_parity31.out
 #
 # Each argument is the stdout of one untraced run of the benchmark driver;
 # its last line is the result as JSON, and allocs_per_req is read from
@@ -12,8 +12,9 @@
 # PR 23: a per-object allocation coming back on the request path (one
 # node of an attribute map, one control message) adds 0.4 or more and
 # fails it. The cluster workloads need their own limit: a pass of theirs
-# contains a target outage and a restore, whose allocations are most of
-# what they read (EXPERIMENTS.md, "What the cluster adds to a request").
+# contains a target outage and a restore, whose journal replay rebuilds
+# what the crash dropped (EXPERIMENTS.md, "What a target outage costs the
+# host").
 set -eu
 limit=0.25
 while getopts l: opt; do
