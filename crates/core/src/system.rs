@@ -1858,6 +1858,34 @@ mod tests {
     }
 
     #[test]
+    fn degraded_reads_report_recovered_error_on_the_wire() {
+        let trace = small_trace(10);
+        let mut sys = system_for(SchemeConfig::Parity(1), &trace, 0.20);
+        for r in trace.requests().iter().take(300) {
+            sys.handle(r);
+        }
+        sys.fail_device(DeviceId(0));
+        assert!(!sys.is_offline(), "1-parity tolerates one failure");
+        // A cached object with a chunk on the failed device is served by
+        // reconstruction: a hit, and the initiator is told it was recovered.
+        let (key, size) = sys
+            .cached_user_entries()
+            .into_iter()
+            .find(|&(key, _)| {
+                sys.target().object_status(key) == Ok(reo_stripe::ObjectStatus::Degraded)
+            })
+            .expect("a cached object touches the failed device");
+        let read = Request {
+            key,
+            op: Operation::Read,
+            size,
+        };
+        let out = sys.handle(&read);
+        assert!(out.hit && out.degraded, "{out:?}");
+        assert_eq!(out.sense, SenseCode::RecoveredError);
+    }
+
+    #[test]
     fn recovery_restores_hit_ratio() {
         let trace = small_trace(9);
         let mut sys = system_for(SchemeConfig::Reo { reserve: 0.40 }, &trace, 0.20);

@@ -7,8 +7,9 @@
 //! with the flash SSD array and a hash table. This crate reproduces that
 //! role on top of [`reo_stripe::StripeManager`]:
 //!
-//! * [`OsdTarget`] — the hash-table object index, command execution
-//!   ([`OsdTarget::execute`]), and the control-object mailbox
+//! * [`OsdTarget`] — the hash-table object index, the typed data paths
+//!   the cache server calls (create, read, range write, class change,
+//!   remove, query), and the control-object mailbox
 //!   ([`OsdTarget::handle_control_write`]) that decodes `#SETID#` /
 //!   `#QUERY#` messages.
 //! * [`ProtectionPolicy`] — the data encoding policy of Section IV-C.4:

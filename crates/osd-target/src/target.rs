@@ -1,12 +1,11 @@
-//! The object-storage target: index, command execution, recovery driver.
+//! The object-storage target: the object index, its data paths, the
+//! control mailbox, crash recovery and the rebuild driver.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 use reo_journal::{CrashOutcome, Journal, JournalError, JournalRecord, JournalStats, LayoutRecord};
-use reo_osd::attr::{AttributeId, AttributePage, AttributeSet, AttributeValue};
-use reo_osd::command::{CommandStatus, OsdCommand};
 use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
@@ -156,117 +155,30 @@ pub enum RecoveryOutcome {
     Lost(ObjectKey),
 }
 
-/// What the index keeps of one object. The attributes every object has
-/// are plain fields (logical length and class id are read off `layout` and
-/// `class`), so that a create, a read hit, a re-encode and a remove
-/// allocate nothing; [`ObjectRecord::attributes`] assembles the
-/// [`AttributeSet`] on request.
+/// What the index keeps of one object: where its chunks are, its class,
+/// how often it was read since it was stored, and the replication stamp
+/// the cluster layer put on it. Plain fields, so that a create, a read
+/// hit, a re-encode and a remove allocate nothing.
 #[derive(Clone, Debug)]
 struct ObjectRecord {
     layout: ObjectLayout,
     class: ObjectClass,
-    /// [`AttributeId::CREATED_AT`] and [`AttributeId::ACCESSED_AT`], in
-    /// nanoseconds of simulated time.
-    created_at: u64,
-    accessed_at: u64,
-    /// [`AttributeId::ACCESS_FREQ`].
+    /// Reads since the object was stored; [`OsdTarget::inventory`] hands
+    /// it to the cache as `Freq` after a restart.
     access_freq: u64,
-    /// [`AttributeId::REPLICA_VERSION`]; `None` until stamped.
+    /// The cluster layer's replication content version; `None` until
+    /// stamped.
     replica_version: Option<u64>,
-    /// What SET ATTRIBUTES stored that no field holds: an id without a
-    /// field, or a value that is not a `u64` for an id with one. An entry
-    /// here is newer than the field of its id — every write of a field
-    /// drops the entry — so it wins when the set is assembled.
-    extra: Option<Box<AttributeSet>>,
 }
 
 impl ObjectRecord {
-    fn new(layout: ObjectLayout, class: ObjectClass, created_at: SimTime) -> Self {
+    fn new(layout: ObjectLayout, class: ObjectClass) -> Self {
         ObjectRecord {
             layout,
             class,
-            created_at: created_at.as_nanos(),
-            accessed_at: created_at.as_nanos(),
             access_freq: 0,
             replica_version: None,
-            extra: None,
         }
-    }
-
-    fn touch(&mut self, at: SimTime) {
-        self.access_freq += 1;
-        self.accessed_at = at.as_nanos();
-        self.forget_extra(&[AttributeId::ACCESS_FREQ, AttributeId::ACCESSED_AT]);
-    }
-
-    fn set_class(&mut self, class: ObjectClass) {
-        self.class = class;
-        self.forget_extra(&[AttributeId::CLASS_ID]);
-    }
-
-    /// Drops what SET ATTRIBUTES stored under `ids`: their fields were
-    /// just written.
-    fn forget_extra(&mut self, ids: &[AttributeId]) {
-        if let Some(extra) = &mut self.extra {
-            for &id in ids {
-                extra.remove(id);
-            }
-        }
-    }
-
-    /// SET ATTRIBUTES: into the id's field if it has one that can hold the
-    /// value, else beside the fields. A value an access counter or a
-    /// replica stamp cannot hold reads as none to those who use the two as
-    /// numbers: a frequency of zero, an unstamped copy.
-    fn set_attribute(&mut self, id: AttributeId, value: AttributeValue) {
-        let held = match (id, value.as_u64()) {
-            (AttributeId::CREATED_AT, Some(at)) => {
-                self.created_at = at;
-                true
-            }
-            (AttributeId::ACCESSED_AT, Some(at)) => {
-                self.accessed_at = at;
-                true
-            }
-            (AttributeId::ACCESS_FREQ, freq) => {
-                self.access_freq = freq.unwrap_or(0);
-                freq.is_some()
-            }
-            (AttributeId::REPLICA_VERSION, version) => {
-                self.replica_version = version;
-                version.is_some()
-            }
-            _ => false,
-        };
-        if held {
-            self.forget_extra(&[id]);
-        } else {
-            self.extra.get_or_insert_default().set(id, value);
-        }
-    }
-
-    /// The object's attribute pages.
-    fn attributes(&self) -> AttributeSet {
-        let mut attrs = AttributeSet::new();
-        attrs.set(AttributeId::LOGICAL_LENGTH, self.layout.size().as_bytes());
-        attrs.set(AttributeId::CREATED_AT, self.created_at);
-        attrs.set(AttributeId::ACCESSED_AT, self.accessed_at);
-        attrs.set(AttributeId::ACCESS_FREQ, self.access_freq);
-        attrs.set_class(self.class);
-        if let Some(version) = self.replica_version {
-            attrs.set(AttributeId::REPLICA_VERSION, version);
-        }
-        if let Some(extra) = &self.extra {
-            let pages = [
-                AttributePage::UserInfo,
-                AttributePage::Timestamps,
-                AttributePage::ReoCache,
-            ];
-            for (id, value) in pages.into_iter().flat_map(|page| extra.page(page)) {
-                attrs.set(id, value.clone());
-            }
-        }
-        attrs
     }
 }
 
@@ -595,8 +507,7 @@ impl OsdTarget {
                 other => TargetError::Stripe(other),
             })?;
         let done = self.stripes.array().clock().now();
-        self.index
-            .insert(key, ObjectRecord::new(layout, class, done));
+        self.index.insert(key, ObjectRecord::new(layout, class));
         self.stats.creates += 1;
         // WAL ordering: the metadata record is journaled only after the
         // chunks are on flash, so a crash in between leaves orphan chunks
@@ -645,42 +556,16 @@ impl OsdTarget {
                 stats.repairs += 1;
             }
         }
-        record.touch(outcome.completed_at);
+        record.access_freq += 1;
         self.trace_end("read", t0);
         Ok(outcome)
     }
 
-    /// The attribute pages of an object (Section II-A's per-object
-    /// attributes: logical length, timestamps, and Reo's cache page).
-    pub fn attributes(&self, key: ObjectKey) -> Option<AttributeSet> {
-        self.index.get(&key).map(ObjectRecord::attributes)
-    }
-
-    /// Sets one attribute on an object (the OSD SET ATTRIBUTES path).
-    ///
-    /// # Errors
-    ///
-    /// [`TargetError::UnknownObject`] — not indexed.
-    pub fn set_attribute(
-        &mut self,
-        key: ObjectKey,
-        id: AttributeId,
-        value: impl Into<AttributeValue>,
-    ) -> Result<(), TargetError> {
-        let record = self
-            .index
-            .get_mut(&key)
-            .ok_or(TargetError::UnknownObject(key))?;
-        record.set_attribute(id, value.into());
-        Ok(())
-    }
-
     /// The replication content version stamped on `key`'s record by the
-    /// cluster layer's write fan-out ([`AttributeId::REPLICA_VERSION`]).
-    /// `None` when the object is not indexed *or* was never stamped —
-    /// an unstamped copy was admitted by the primary serving path and
-    /// is authoritative by construction, so anti-entropy only compares
-    /// stamped copies.
+    /// cluster layer's write fan-out. `None` when the object is not
+    /// indexed *or* was never stamped — an unstamped copy was admitted by
+    /// the primary serving path and is authoritative by construction, so
+    /// anti-entropy only compares stamped copies.
     pub fn replica_version(&self, key: ObjectKey) -> Option<u64> {
         self.index.get(&key)?.replica_version
     }
@@ -698,7 +583,12 @@ impl OsdTarget {
         key: ObjectKey,
         version: u64,
     ) -> Result<(), TargetError> {
-        self.set_attribute(key, AttributeId::REPLICA_VERSION, version)
+        let record = self
+            .index
+            .get_mut(&key)
+            .ok_or(TargetError::UnknownObject(key))?;
+        record.replica_version = Some(version);
+        Ok(())
     }
 
     /// Removes an object and frees its stripes.
@@ -766,7 +656,7 @@ impl OsdTarget {
 
         if !self.policy.requires_reencode(old_class, class) {
             let record = self.index.get_mut(&key).expect("checked above");
-            record.set_class(class);
+            record.class = class;
             self.journal_append_layout(LayoutRecord::SetClass { key, class });
             if class.is_replicated() {
                 self.journal_flush();
@@ -806,9 +696,8 @@ impl OsdTarget {
                         outcome.bytes.as_deref(),
                     ) {
                         Ok(restored) => {
-                            let now = self.stripes.array().clock().now();
                             self.index
-                                .insert(key, ObjectRecord::new(restored, old_class, now));
+                                .insert(key, ObjectRecord::new(restored, old_class));
                             // The object moved to fresh chunks even though
                             // its class did not change: journal the new
                             // placement under the old label. Flushed
@@ -843,8 +732,7 @@ impl OsdTarget {
                 }
             };
         let done = self.stripes.array().clock().now();
-        self.index
-            .insert(key, ObjectRecord::new(new_layout, class, done));
+        self.index.insert(key, ObjectRecord::new(new_layout, class));
         self.stats.reencodes += 1;
         // Journaled after the new chunks are stored (see create_object's
         // ordering note) and flushed unconditionally: the re-encode freed
@@ -1159,45 +1047,6 @@ impl OsdTarget {
         }
     }
 
-    /// Executes an OSD command, returning its wire status. This is the
-    /// single entry point a SCSI transport would call.
-    pub fn execute(&mut self, cmd: &OsdCommand) -> CommandStatus {
-        match cmd {
-            OsdCommand::Create { key, size, class } => {
-                match self.create_object(*key, ByteSize::from_bytes(*size), *class, None) {
-                    Ok(_) => CommandStatus::success(*size),
-                    Err(e) => CommandStatus::of(e.sense()),
-                }
-            }
-            OsdCommand::Read { key, length, .. } => match self.read_object(*key) {
-                // Degraded reads served good data after reconstruction:
-                // T10's recovered-error, not a plain success.
-                Ok(out) if out.degraded => CommandStatus::recovered(*length),
-                Ok(_) => CommandStatus::success(*length),
-                Err(e) => CommandStatus::of(e.sense()),
-            },
-            OsdCommand::Write {
-                key,
-                offset,
-                length,
-            } => match self.write_range(*key, *offset, *length) {
-                Ok(_) => CommandStatus::success(*length),
-                Err(e) => CommandStatus::of(e.sense()),
-            },
-            OsdCommand::Remove { key } => match self.remove_object(*key) {
-                Ok(()) => CommandStatus::success(0),
-                Err(e) => CommandStatus::of(e.sense()),
-            },
-            OsdCommand::Flush { .. } => CommandStatus::success(0),
-            OsdCommand::SetClass { key, class } => match self.set_class(*key, *class) {
-                Ok(_) => CommandStatus::success(0),
-                Err(e) => CommandStatus::of(e.sense()),
-            },
-            OsdCommand::Query { key } => CommandStatus::of(self.query(*key)),
-            OsdCommand::List { .. } => CommandStatus::success(0),
-        }
-    }
-
     /// Handles a synchronous write to the control mailbox object
     /// (OID 0x10004): decodes the message and applies it.
     ///
@@ -1398,12 +1247,11 @@ impl OsdTarget {
             ..TargetRecovery::default()
         };
         let mut next_owner = checkpoint.next_owner;
-        let now = self.stripes.array().clock().now();
         for (key, entry) in &entries {
             match self.stripes.install_object_meta(entry.meta) {
                 Ok(layout) => {
                     next_owner = next_owner.max(layout.owner() + 1);
-                    let mut record = ObjectRecord::new(layout, entry.class, now);
+                    let mut record = ObjectRecord::new(layout, entry.class);
                     record.access_freq = entry.freq;
                     self.index.insert(*key, record);
                     report.restored_objects += 1;
@@ -1937,25 +1785,20 @@ mod tests {
     }
 
     #[test]
-    fn execute_maps_errors_to_sense_codes() {
+    fn errors_map_to_sense_codes() {
         let mut t = reo_target();
-        let read_missing = OsdCommand::Read {
-            key: k(9),
-            offset: 0,
-            length: 1,
-        };
-        assert_eq!(t.execute(&read_missing).sense(), SenseCode::Failure);
+        let missing = t.read_object(k(9)).unwrap_err();
+        assert_eq!(missing.sense(), SenseCode::Failure);
+        assert_eq!(t.query(k(9)), SenseCode::Failure);
 
-        let create = OsdCommand::Create {
-            key: k(1),
-            size: 4096,
-            class: ObjectClass::ColdClean,
-        };
-        assert!(t.execute(&create).is_success());
-        assert_eq!(t.execute(&create).sense(), SenseCode::Failure);
-
-        let query = OsdCommand::Query { key: k(1) };
-        assert_eq!(t.execute(&query).sense(), SenseCode::Success);
+        let size = ByteSize::from_kib(4);
+        t.create_object(k(1), size, ObjectClass::ColdClean, None)
+            .unwrap();
+        let duplicate = t
+            .create_object(k(1), size, ObjectClass::ColdClean, None)
+            .unwrap_err();
+        assert_eq!(duplicate.sense(), SenseCode::Failure);
+        assert_eq!(t.query(k(1)), SenseCode::Success);
     }
 
     #[test]
@@ -1971,111 +1814,27 @@ mod tests {
     }
 
     #[test]
-    fn attributes_track_lifecycle() {
-        use reo_osd::attr::{AttributeId, AttributeValue};
-        let mut t = reo_target();
-        t.create_object(k(1), ByteSize::from_kib(12), ObjectClass::ColdClean, None)
-            .unwrap();
-        let attrs = t.attributes(k(1)).unwrap();
-        assert_eq!(
-            attrs
-                .get(AttributeId::LOGICAL_LENGTH)
-                .and_then(AttributeValue::as_u64),
-            Some(12 * 1024)
-        );
-        assert_eq!(attrs.class(), Some(ObjectClass::ColdClean));
-        assert_eq!(
-            attrs
-                .get(AttributeId::ACCESS_FREQ)
-                .and_then(AttributeValue::as_u64),
-            Some(0)
-        );
-
-        // Reads bump frequency and the access timestamp.
-        t.read_object(k(1)).unwrap();
-        t.read_object(k(1)).unwrap();
-        let attrs = t.attributes(k(1)).unwrap();
-        assert_eq!(
-            attrs
-                .get(AttributeId::ACCESS_FREQ)
-                .and_then(AttributeValue::as_u64),
-            Some(2)
-        );
-        let accessed = attrs
-            .get(AttributeId::ACCESSED_AT)
-            .and_then(AttributeValue::as_u64);
-        let created = attrs
-            .get(AttributeId::CREATED_AT)
-            .and_then(AttributeValue::as_u64);
-        assert!(accessed > created);
-
-        // Class changes are mirrored into the attribute page (label-only
-        // and re-encoding paths both).
-        t.set_class(k(1), ObjectClass::HotClean).unwrap();
-        assert_eq!(
-            t.attributes(k(1)).unwrap().class(),
-            Some(ObjectClass::HotClean)
-        );
-
-        // Manual attribute writes (SET ATTRIBUTES path).
-        t.set_attribute(k(1), AttributeId::DIRTY, 1u64).unwrap();
-        assert_eq!(
-            t.attributes(k(1))
-                .unwrap()
-                .get(AttributeId::DIRTY)
-                .and_then(AttributeValue::as_u64),
-            Some(1)
-        );
-        assert!(matches!(
-            t.set_attribute(k(9), AttributeId::DIRTY, 1u64),
-            Err(TargetError::UnknownObject(_))
-        ));
-    }
-
-    #[test]
     fn a_reencode_starts_a_fresh_record_and_a_label_change_does_not() {
         let mut t = reo_target();
         let size = ByteSize::from_kib(40);
-        let created = t
-            .create_object(k(1), size, ObjectClass::Dirty, None)
+        t.create_object(k(1), size, ObjectClass::Dirty, None)
             .unwrap();
         t.read_object(k(1)).unwrap();
         let accessed = t.read_object(k(1)).unwrap().completed_at;
         t.stamp_replica_version(k(1), 7).unwrap();
-        t.set_attribute(k(1), AttributeId::DIRTY, 1u64).unwrap();
-        let number = |t: &OsdTarget, id| {
-            let attrs = t.attributes(k(1)).unwrap();
-            attrs.get(id).and_then(AttributeValue::as_u64)
-        };
-        let times = |t: &OsdTarget| {
-            let at = |id| number(t, id).map(SimTime::from_nanos);
-            (at(AttributeId::CREATED_AT), at(AttributeId::ACCESSED_AT))
-        };
 
         // Dirty and metadata share a scheme: only the label changes.
         let policy = t.policy();
         assert!(!policy.requires_reencode(ObjectClass::Dirty, ObjectClass::Metadata));
         t.set_class(k(1), ObjectClass::Metadata).unwrap();
-        assert_eq!(number(&t, AttributeId::ACCESS_FREQ), Some(2));
-        assert_eq!(times(&t), (Some(created), Some(accessed)));
         assert_eq!(t.replica_version(k(1)), Some(7));
-        assert_eq!(number(&t, AttributeId::DIRTY), Some(1));
         assert_eq!(t.inventory(), [(k(1), ObjectClass::Metadata, size, 2)]);
 
-        // Cold data is not replicated: the object is stored anew, and the
-        // record with it — never accessed, created when the store
-        // completed, unstamped, and without what SET ATTRIBUTES added.
+        // Cold data is not replicated: the object is stored anew after its
+        // last access, and the record with it — never read and unstamped.
         let stored = t.set_class(k(1), ObjectClass::ColdClean).unwrap();
         assert!(stored > accessed);
-        assert_eq!(number(&t, AttributeId::ACCESS_FREQ), Some(0));
-        assert_eq!(times(&t), (Some(stored), Some(stored)));
         assert_eq!(t.replica_version(k(1)), None);
-        assert_eq!(number(&t, AttributeId::DIRTY), None);
-        assert_eq!(
-            number(&t, AttributeId::LOGICAL_LENGTH),
-            Some(size.as_bytes())
-        );
-        assert_eq!(t.attributes(k(1)).unwrap().len(), 5);
         assert_eq!(t.inventory(), [(k(1), ObjectClass::ColdClean, size, 0)]);
     }
 
@@ -2127,20 +1886,6 @@ mod tests {
     }
 
     #[test]
-    fn write_command_uses_in_place_path() {
-        let mut t = reo_target();
-        t.create_object(k(1), ByteSize::from_kib(40), ObjectClass::Dirty, None)
-            .unwrap();
-        let cmd = OsdCommand::Write {
-            key: k(1),
-            offset: 0,
-            length: 4 * 1024,
-        };
-        assert!(t.execute(&cmd).is_success());
-        assert_eq!(t.stats().reencodes, 0, "no whole-object re-store");
-    }
-
-    #[test]
     fn scrub_repairs_partial_corruption() {
         let mut t = reo_target();
         let data: Vec<u8> = (0..40_960u32).map(|i| (i % 253) as u8).collect();
@@ -2189,6 +1934,7 @@ mod tests {
         }
         assert_eq!(t.query(k(1)), SenseCode::Success);
         assert_eq!(t.stats().creates, writes_before);
+        assert_eq!(t.stats().reencodes, 0, "no whole-object re-store");
     }
 
     #[test]
@@ -2340,31 +2086,6 @@ mod tests {
         assert_eq!(e.sense(), SenseCode::MediumError);
         assert!(e.sense().is_error());
         assert_eq!(TargetError::ObjectLost(k(1)).sense(), SenseCode::Corrupted);
-    }
-
-    #[test]
-    fn degraded_reads_report_recovered_error_on_the_wire() {
-        let mut t = reo_target();
-        let data: Vec<u8> = (0..16_384u32).map(|i| (i % 239) as u8).collect();
-        t.create_object(
-            k(1),
-            ByteSize::from_bytes(data.len() as u64),
-            ObjectClass::HotClean,
-            Some(&data),
-        )
-        .unwrap();
-        t.corrupt_chunk(k(1), 0).unwrap();
-        let read = OsdCommand::Read {
-            key: k(1),
-            offset: 0,
-            length: data.len() as u64,
-        };
-        let status = t.execute(&read);
-        assert_eq!(status.sense(), SenseCode::RecoveredError);
-        assert!(!status.sense().is_error());
-        assert_eq!(status.bytes_transferred(), data.len() as u64);
-        // Read-repair kicked in, so the next read is a plain success.
-        assert!(t.execute(&read).is_success());
     }
 
     /// A target with a journal attached before format, like the cache

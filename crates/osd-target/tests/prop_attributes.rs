@@ -1,17 +1,17 @@
-//! The target keeps an object's attributes as plain fields and assembles
-//! the attribute set on request. This test keeps a real [`AttributeSet`]
-//! per object beside it — created, touched, relabelled and replaced the
-//! way the target's index once did — and holds `attributes`,
-//! `replica_version` and `inventory` to it after every step.
+//! What the target keeps of an object beside its layout is its class, its
+//! size, how often it was read since it was stored, and the replication
+//! stamp the cluster put on it. This test keeps those four per key in a
+//! model — created, read, relabelled, re-encoded, stamped and removed the
+//! way the target's index is — and holds `replica_version` and `inventory`
+//! to it after every step.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use reo_flashsim::{DeviceConfig, FlashArray};
-use reo_osd::attr::{AttributeId, AttributePage, AttributeSet, AttributeValue};
 use reo_osd::{ObjectClass, ObjectId, ObjectKey, PartitionId};
 use reo_osd_target::{OsdTarget, ProtectionPolicy, TargetError};
-use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration, SimTime};
+use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
 use reo_stripe::StripeManager;
 
 const POLICY: ProtectionPolicy = ProtectionPolicy::differentiated();
@@ -32,89 +32,34 @@ fn key(slot: u64) -> ObjectKey {
     ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x20000 + slot))
 }
 
-/// What the index held of one object when its attributes were a set.
+/// What the index should hold of one object.
+#[derive(Clone, Copy, Debug)]
 struct Model {
-    size: ByteSize,
     class: ObjectClass,
-    attrs: AttributeSet,
+    size: ByteSize,
+    freq: u64,
+    stamp: Option<u64>,
 }
 
 impl Model {
-    fn new(size: ByteSize, class: ObjectClass, created_at: SimTime) -> Self {
-        let mut attrs = AttributeSet::new();
-        attrs.set(AttributeId::LOGICAL_LENGTH, size.as_bytes());
-        attrs.set(AttributeId::CREATED_AT, created_at.as_nanos());
-        attrs.set(AttributeId::ACCESSED_AT, created_at.as_nanos());
-        attrs.set(AttributeId::ACCESS_FREQ, 0u64);
-        attrs.set_class(class);
-        Model { size, class, attrs }
-    }
-
-    fn number(&self, id: AttributeId) -> Option<u64> {
-        self.attrs.get(id).and_then(AttributeValue::as_u64)
-    }
-
-    fn freq(&self) -> u64 {
-        self.number(AttributeId::ACCESS_FREQ).unwrap_or(0)
-    }
-
-    fn touch(&mut self, at: SimTime) {
-        self.attrs.set(AttributeId::ACCESS_FREQ, self.freq() + 1);
-        self.attrs.set(AttributeId::ACCESSED_AT, at.as_nanos());
-    }
-}
-
-/// Ids with a field behind them, the two read off the layout and the
-/// class, and two with nothing behind them.
-const IDS: [AttributeId; 8] = [
-    AttributeId::CREATED_AT,
-    AttributeId::ACCESSED_AT,
-    AttributeId::ACCESS_FREQ,
-    AttributeId::REPLICA_VERSION,
-    AttributeId::LOGICAL_LENGTH,
-    AttributeId::CLASS_ID,
-    AttributeId::DIRTY,
-    AttributeId {
-        page: AttributePage::UserInfo,
-        number: 0x99,
-    },
-];
-
-fn value(code: u8, n: u64) -> AttributeValue {
-    match code {
-        0 => AttributeValue::Text(format!("v{n}")),
-        1 => AttributeValue::Bytes(vec![n as u8; 3]),
-        _ => AttributeValue::U64(n),
+    /// A freshly stored object: never read, unstamped.
+    fn new(class: ObjectClass, size: ByteSize) -> Self {
+        Model {
+            class,
+            size,
+            freq: 0,
+            stamp: None,
+        }
     }
 }
 
 #[derive(Clone, Debug)]
 enum Step {
-    Create {
-        slot: u64,
-        kib: u64,
-        class: usize,
-    },
-    Read {
-        slot: u64,
-    },
-    SetClass {
-        slot: u64,
-        class: usize,
-    },
-    SetAttribute {
-        slot: u64,
-        id: usize,
-        code: u8,
-        n: u64,
-    },
-    Stamp {
-        slot: u64,
-        version: u64,
-    },
-    Remove {
-        slot: u64,
-    },
+    Create { slot: u64, kib: u64, class: usize },
+    Read { slot: u64 },
+    SetClass { slot: u64, class: usize },
+    Stamp { slot: u64, version: u64 },
+    Remove { slot: u64 },
 }
 
 const SLOTS: u64 = 4;
@@ -122,34 +67,24 @@ const SLOTS: u64 = 4;
 fn arb_step() -> impl Strategy<Value = Step> {
     let slot = || 0..SLOTS;
     let class = || 0..ObjectClass::ALL.len();
+    let create = || {
+        (slot(), 1u64..40, class()).prop_map(|(slot, kib, class)| Step::Create { slot, kib, class })
+    };
     let read = || slot().prop_map(|slot| Step::Read { slot });
     // Label-only and re-encoding changes both: metadata and dirty share a
     // scheme, every other pair does not.
     let set_class = || (slot(), class()).prop_map(|(slot, class)| Step::SetClass { slot, class });
-    let set_attribute = || {
-        (slot(), 0..IDS.len(), 0u8..5, 0u64..1000)
-            .prop_map(|(slot, id, code, n)| Step::SetAttribute { slot, id, code, n })
-    };
+    let stamp = || (slot(), 0u64..1000).prop_map(|(slot, version)| Step::Stamp { slot, version });
     prop_oneof![
-        (slot(), 1u64..40, class()).prop_map(|(slot, kib, class)| Step::Create {
-            slot,
-            kib,
-            class
-        }),
-        (slot(), 1u64..40, class()).prop_map(|(slot, kib, class)| Step::Create {
-            slot,
-            kib,
-            class
-        }),
+        create(),
+        create(),
         read(),
         read(),
         read(),
         set_class(),
         set_class(),
-        set_attribute(),
-        set_attribute(),
-        set_attribute(),
-        (slot(), 0u64..1000).prop_map(|(slot, version)| Step::Stamp { slot, version }),
+        stamp(),
+        stamp(),
         slot().prop_map(|slot| Step::Remove { slot }),
     ]
 }
@@ -158,7 +93,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn the_fields_are_the_attribute_set(
+    fn the_record_is_class_size_frequency_and_stamp(
         steps in proptest::collection::vec(arb_step(), 1..120),
     ) {
         let mut t = target();
@@ -171,9 +106,9 @@ proptest! {
                 Step::Create { slot, kib, class } => {
                     let (size, class) = (ByteSize::from_kib(kib), ObjectClass::ALL[class]);
                     match t.create_object(key(slot), size, class, None) {
-                        Ok(done) => {
+                        Ok(_) => {
                             prop_assert!(!model.contains_key(&key(slot)));
-                            model.insert(key(slot), Model::new(size, class, done));
+                            model.insert(key(slot), Model::new(class, size));
                         }
                         Err(TargetError::AlreadyExists(_)) => {
                             prop_assert!(model.contains_key(&key(slot)))
@@ -182,7 +117,7 @@ proptest! {
                     }
                 }
                 Step::Read { slot } => match (t.read_object(key(slot)), model.get_mut(&key(slot))) {
-                    (Ok(outcome), Some(m)) => m.touch(outcome.completed_at),
+                    (Ok(_), Some(m)) => m.freq += 1,
                     (Err(TargetError::UnknownObject(_)), None) => {}
                     (result, _) => {
                         return Err(TestCaseError::fail(format!("read: {:?}", result.map(|_| ()))))
@@ -194,25 +129,14 @@ proptest! {
                     match model.get_mut(&key(slot)) {
                         None => prop_assert!(unknown(result.map(|_| ()))),
                         Some(m) if POLICY.requires_reencode(m.class, class) => {
-                            // A re-encode stores the object anew: a fresh
-                            // record, created when the store completed.
-                            let done = result.expect("room to re-encode");
-                            *m = Model::new(m.size, class, done);
+                            // A re-encode stores the object anew, and the
+                            // record with it.
+                            result.expect("room to re-encode");
+                            *m = Model::new(class, m.size);
                         }
                         Some(m) => {
                             result.expect("a label change");
                             m.class = class;
-                            m.attrs.set_class(class);
-                        }
-                    }
-                }
-                Step::SetAttribute { slot, id, code, n } => {
-                    let result = t.set_attribute(key(slot), IDS[id], value(code, n));
-                    match model.get_mut(&key(slot)) {
-                        None => prop_assert!(unknown(result)),
-                        Some(m) => {
-                            result.expect("an indexed object");
-                            m.attrs.set(IDS[id], value(code, n));
                         }
                     }
                 }
@@ -222,7 +146,7 @@ proptest! {
                         None => prop_assert!(unknown(result)),
                         Some(m) => {
                             result.expect("an indexed object");
-                            m.attrs.set(AttributeId::REPLICA_VERSION, version);
+                            m.stamp = Some(version);
                         }
                     }
                 }
@@ -236,14 +160,12 @@ proptest! {
             }
 
             for slot in 0..SLOTS {
-                let m = model.get(&key(slot));
-                prop_assert_eq!(t.attributes(key(slot)), m.map(|m| m.attrs.clone()));
-                let stamp = m.and_then(|m| m.number(AttributeId::REPLICA_VERSION));
+                let stamp = model.get(&key(slot)).and_then(|m| m.stamp);
                 prop_assert_eq!(t.replica_version(key(slot)), stamp);
             }
             let inventory: Vec<_> = model
                 .iter()
-                .map(|(key, m)| (*key, m.class, m.size, m.freq()))
+                .map(|(key, m)| (*key, m.class, m.size, m.freq))
                 .collect();
             prop_assert_eq!(t.inventory(), inventory);
         }

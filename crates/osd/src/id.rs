@@ -103,12 +103,6 @@ impl ObjectId {
     pub const fn is_regular_user_oid(self) -> bool {
         self.0 > ObjectId::CONTROL.0
     }
-
-    /// `true` for the reserved metadata OIDs (Super Block, Device Table,
-    /// Root Directory) and the control object.
-    pub const fn is_reserved_metadata(self) -> bool {
-        self.0 >= ObjectId::SUPER_BLOCK.0 && self.0 <= ObjectId::CONTROL.0
-    }
 }
 
 impl fmt::Display for ObjectId {
@@ -206,16 +200,15 @@ impl fmt::Display for ObjectKey {
 
 /// The object taxonomy of Table I.
 ///
-/// OSD-2 defines Root, Partition, Collection, and User objects; `exofs`
-/// reserves three metadata user objects, and Reo adds a control mailbox.
+/// OSD-2 defines Root, Partition and User objects (and Collections, which
+/// no mechanism of Reo's uses); `exofs` reserves three metadata user
+/// objects, and Reo adds a control mailbox.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ObjectKind {
     /// The per-device root object `(0x0, 0x0)` recording global OSD info.
     Root,
     /// A partition object `(pid, 0x0)`.
     Partition,
-    /// A collection object (fast indexing of user objects).
-    Collection,
     /// A regular user data object.
     User,
     /// The `exofs` Super Block metadata object.
@@ -233,7 +226,6 @@ impl fmt::Display for ObjectKind {
         let s = match self {
             ObjectKind::Root => "root",
             ObjectKind::Partition => "partition",
-            ObjectKind::Collection => "collection",
             ObjectKind::User => "user",
             ObjectKind::SuperBlock => "super-block",
             ObjectKind::DeviceTable => "device-table",
@@ -296,9 +288,8 @@ mod tests {
 
     #[test]
     fn reserved_ranges() {
-        assert!(ObjectId::SUPER_BLOCK.is_reserved_metadata());
-        assert!(ObjectId::CONTROL.is_reserved_metadata());
-        assert!(!ObjectId::new(0x10005).is_reserved_metadata());
+        assert!(!ObjectId::SUPER_BLOCK.is_regular_user_oid());
+        assert!(!ObjectId::CONTROL.is_regular_user_oid());
         assert!(ObjectId::new(0x10005).is_regular_user_oid());
         assert!(!ObjectId::new(0x42).is_regular_user_oid());
     }

@@ -3,19 +3,20 @@
 //!
 //! The Reo prototype was built on `open-osd`, the Linux implementation of
 //! the T10 OSD-2 SCSI command set. That stack is obsolete, so this crate
-//! reproduces the *interface semantics* Reo actually depends on:
+//! reproduces only the *interface semantics* Reo actually depends on —
+//! per-object addressing and a side channel for class labels:
 //!
 //! * [`PartitionId`] / [`ObjectId`] / [`ObjectKey`] — the two-level object
 //!   namespace, including the reserved metadata objects that `exofs`
 //!   defined (Super Block `0x10000`, Device Table `0x10001`, Root Directory
 //!   `0x10002`) and the Reo control object (`0x10004`). See Table I of the
 //!   paper.
-//! * [`ObjectKind`] — Root / Partition / Collection / User object types.
+//! * [`ObjectKind`] — Root / Partition / User object types and the
+//!   reserved objects above.
 //! * [`ObjectClass`] — the four semantic classes of Table II (system
 //!   metadata, dirty, hot clean, cold clean) that drive differentiated
 //!   redundancy.
 //! * [`SenseCode`] — the command status codes of Table III.
-//! * [`command::OsdCommand`] — the command set the cache manager issues.
 //! * [`control`] — the `#SETID#` / `#QUERY#` control-message wire codec
 //!   written to the special object `0x10004` (Section IV-C.2).
 //!
@@ -32,9 +33,7 @@
 //! # Ok::<(), reo_osd::control::ControlMessageError>(())
 //! ```
 
-pub mod attr;
 mod class;
-pub mod command;
 pub mod control;
 mod id;
 mod sense;

@@ -22,7 +22,9 @@ fn measure_window(
     system.metrics().window().hit_ratio_pct()
 }
 
-fn drill(label: &str, scheme: SchemeConfig, trace: &reo_repro::workload::Trace) {
+/// Runs the drill and returns the hit ratio with two devices failed and
+/// whether the cache went offline then.
+fn drill(label: &str, scheme: SchemeConfig, trace: &reo_repro::workload::Trace) -> (f64, bool) {
     let cache_capacity = trace.summary().data_set_bytes.scale(0.15);
     let config = SystemConfig::paper_defaults(scheme, cache_capacity);
     let mut system = CacheSystem::new(config);
@@ -46,10 +48,8 @@ fn drill(label: &str, scheme: SchemeConfig, trace: &reo_repro::workload::Trace) 
 
     system.fail_device(DeviceId(1));
     let two_down = measure_window(&mut system, trace, 1_500, 3_000);
-    println!(
-        "hit ratio, 2 devices failed:      {two_down:.1}%  (offline: {})",
-        system.is_offline()
-    );
+    let offline = system.is_offline();
+    println!("hit ratio, 2 devices failed:      {two_down:.1}%  (offline: {offline})");
 
     // Spares arrive; Reo rebuilds the important objects first.
     system.insert_spare(DeviceId(0));
@@ -64,6 +64,8 @@ fn drill(label: &str, scheme: SchemeConfig, trace: &reo_repro::workload::Trace) 
         "dirty data permanently lost:      {}",
         system.dirty_data_lost()
     );
+    assert_eq!(system.dirty_data_lost(), 0);
+    (two_down, offline)
 }
 
 fn main() {
@@ -78,16 +80,18 @@ fn main() {
         trace.summary().data_set_bytes.as_gib_f64()
     );
 
-    drill(
+    let parity = drill(
         "uniform 1-parity (baseline)",
         SchemeConfig::Parity(1),
         &trace,
     );
-    drill(
+    let reo = drill(
         "Reo-20% (differentiated)",
         SchemeConfig::Reo { reserve: 0.20 },
         &trace,
     );
+    assert_eq!(parity, (0.0, true), "1-parity is offline at two failures");
+    assert!(reo.0 > 0.0 && !reo.1, "Reo serves through two failures");
 
     println!("\nNote how 1-parity drops to zero at the second failure (the whole");
     println!("array is corrupted), while Reo keeps serving its protected objects");

@@ -50,4 +50,6 @@ fn main() {
         100.0 * system.space_efficiency()
     );
     println!("objects cached:   {}", system.cached_objects());
+    assert_eq!(totals.requests, summary.requests as u64);
+    assert!(totals.hit_ratio_pct() > 0.0 && system.cached_objects() > 0);
 }

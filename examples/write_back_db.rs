@@ -59,6 +59,8 @@ fn main() {
     ] {
         let (label, hit, eff, lost) = run(scheme, &trace);
         println!("{label:<18}{hit:>12.1}{eff:>16.1}{lost:>24}");
+        // Only uniform 1-parity leaves dirty pages without a second copy.
+        assert_eq!(lost > 0, scheme == SchemeConfig::Parity(1), "{label}");
     }
 
     println!("\n1-parity keeps a high hit ratio but loses dirty pages at the second");

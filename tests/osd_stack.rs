@@ -3,7 +3,6 @@
 //! recovery, and policy interactions across crates.
 
 use reo_repro::flashsim::{DeviceConfig, DeviceId, FlashArray};
-use reo_repro::osd::command::OsdCommand;
 use reo_repro::osd::control::{ControlMessage, QueryOp};
 use reo_repro::osd::{ObjectClass, ObjectId, ObjectKey, PartitionId, SenseCode};
 use reo_repro::osd_target::{OsdTarget, ProtectionPolicy};
@@ -140,32 +139,6 @@ fn control_wire_format_drives_reencoding_end_to_end() {
         t.read_object(key(7)).unwrap().bytes.as_deref(),
         Some(&data[..])
     );
-}
-
-#[test]
-fn command_interface_covers_the_lifecycle() {
-    let mut t = target(
-        5,
-        64,
-        ProtectionPolicy::uniform(RedundancyScheme::parity(1)),
-    );
-    let create = OsdCommand::Create {
-        key: key(1),
-        size: 100_000,
-        class: ObjectClass::ColdClean,
-    };
-    assert!(t.execute(&create).is_success());
-    let read = OsdCommand::Read {
-        key: key(1),
-        offset: 0,
-        length: 100_000,
-    };
-    assert!(t.execute(&read).is_success());
-    let query = OsdCommand::Query { key: key(1) };
-    assert_eq!(t.execute(&query).sense(), SenseCode::Success);
-    let remove = OsdCommand::Remove { key: key(1) };
-    assert!(t.execute(&remove).is_success());
-    assert_eq!(t.execute(&read).sense(), SenseCode::Failure);
 }
 
 #[test]
