@@ -110,16 +110,10 @@ impl CacheEntry {
         self.freq as f64 / self.size.as_mib_f64()
     }
 
-    /// Reclassifies the entry given the current hot threshold; returns the
+    /// Reclassifies with an externally decided hot flag (the manager
+    /// decides it against `H_hot` under its hotness definition: the
+    /// paper's `Freq / Size` or the pure-frequency ablation); returns the
     /// new class.
-    pub fn reclassify(&mut self, h_hot: f64) -> ObjectClass {
-        let hot = self.freq > 0 && self.hotness() >= h_hot;
-        self.reclassify_as(hot)
-    }
-
-    /// Reclassifies with an externally decided hot flag (the manager may
-    /// use a different hotness definition, e.g. the pure-frequency
-    /// ablation); returns the new class.
     pub fn reclassify_as(&mut self, hot: bool) -> ObjectClass {
         self.class = ClassifierInputs {
             metadata: self.metadata,
@@ -169,24 +163,22 @@ mod tests {
     }
 
     #[test]
-    fn reclassify_follows_threshold() {
+    fn reclassify_as_follows_the_hot_flag() {
         let mut e = CacheEntry::new(key(), ByteSize::from_mib(1), false, false);
         e.touch();
-        // H = 1.0; threshold below it => hot.
-        assert_eq!(e.reclassify(0.5), ObjectClass::HotClean);
-        // Threshold above it => cold.
-        assert_eq!(e.reclassify(2.0), ObjectClass::ColdClean);
+        assert_eq!(e.reclassify_as(true), ObjectClass::HotClean);
+        assert_eq!(e.class(), ObjectClass::HotClean);
+        assert_eq!(e.reclassify_as(false), ObjectClass::ColdClean);
         // Dirty overrides hotness.
         e.mark_dirty();
-        assert_eq!(e.reclassify(0.5), ObjectClass::Dirty);
+        assert_eq!(e.reclassify_as(true), ObjectClass::Dirty);
         e.mark_clean();
-        assert_eq!(e.reclassify(0.5), ObjectClass::HotClean);
-    }
-
-    #[test]
-    fn untouched_entry_never_hot_even_with_zero_threshold() {
-        let mut e = CacheEntry::new(key(), ByteSize::from_mib(1), false, false);
-        assert_eq!(e.reclassify(0.0), ObjectClass::ColdClean);
+        assert_eq!(e.reclassify_as(true), ObjectClass::HotClean);
+        // So does metadata, dirty or not.
+        let mut m = CacheEntry::new(key(), ByteSize::from_mib(1), false, true);
+        assert_eq!(m.reclassify_as(true), ObjectClass::Metadata);
+        m.mark_dirty();
+        assert_eq!(m.reclassify_as(false), ObjectClass::Metadata);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!   metadata → class 0, dirty → class 1, hot clean → class 2, cold clean
 //!   → class 3. Class changes are what the initiator ships to the target
 //!   as `#SETID#` control messages.
+//! * **The periodic refresh** ([`CacheManager::refresh_classification`])
+//!   — recompute `H_hot`, then reclassify the clean entries the threshold
+//!   sweep sorted (the only ones whose class depends on it; metadata and
+//!   dirty entries are relabelled as their flags change) and return the
+//!   changes in key order.
 //!
 //! The manager deliberately does *not* talk to devices: it is pure policy
 //! over an index of cached objects, so it can be tested exhaustively and

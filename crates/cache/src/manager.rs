@@ -1,5 +1,7 @@
 //! The cache manager: policy over the cached-object index.
 
+use std::cmp::Reverse;
+
 use reo_osd::{ObjectClass, ObjectKey};
 use reo_sim::{ByteSize, FastMap};
 
@@ -94,6 +96,16 @@ pub struct ClassChange {
     pub to: ObjectClass,
 }
 
+/// One clean entry as the hot-threshold sweep saw it: its hotness, its
+/// size in bytes, its key and its class when scanned.
+#[derive(Clone, Copy, Debug)]
+struct HotCandidate {
+    h: f64,
+    size: u64,
+    key: ObjectKey,
+    class: ObjectClass,
+}
+
 /// The object cache manager (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct CacheManager {
@@ -105,9 +117,11 @@ pub struct CacheManager {
     h_hot: f64,
     stats: CacheStats,
     /// Reusable scan buffer for [`Self::recompute_hot_threshold`]: the
-    /// periodic threshold sweep sorts every clean entry, and reusing the
-    /// buffer keeps that sweep allocation-free at steady state.
-    hot_scan: Vec<(f64, u64, ObjectKey)>,
+    /// periodic threshold sweep sorts every clean entry in place, and
+    /// reusing the buffer keeps that sweep allocation-free at steady
+    /// state. [`Self::refresh_classification`] reclassifies exactly these
+    /// entries.
+    hot_scan: Vec<HotCandidate>,
 }
 
 impl CacheManager {
@@ -426,62 +440,86 @@ impl CacheManager {
             self.entries
                 .iter()
                 .filter(|(_, e)| !e.is_dirty() && !e.is_metadata() && e.freq() > 0)
-                .map(|(k, e)| (Self::hotness_of(&self.config, e), e.size().as_bytes(), *k)),
+                .map(|(k, e)| HotCandidate {
+                    h: Self::hotness_of(&self.config, e),
+                    size: e.size().as_bytes(),
+                    key: *k,
+                    class: e.class(),
+                }),
         );
-        // Ties broken by key so the threshold is independent of hash-map
-        // iteration order (experiments must be bit-reproducible).
-        self.hot_scan.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("hotness is finite")
-                .then(a.2.cmp(&b.2))
-        });
+        // Hottest first, ties broken by key so the threshold is independent
+        // of hash-map iteration order (experiments must be bit-reproducible).
+        // `H` is positive and finite here (`Freq > 0`, sizes non-zero), so
+        // its bits order as the number does; keys are unique, so the
+        // unstable sort has one possible output, the stable sort's.
+        debug_assert!(self.hot_scan.iter().all(|c| c.h > 0.0 && c.h.is_finite()));
+        self.hot_scan
+            .sort_unstable_by_key(|c| (Reverse(c.h.to_bits()), c.key));
 
         let mut consumed = 0.0;
         let mut threshold = f64::INFINITY;
-        for &(h, size, _key) in &self.hot_scan {
-            let overhead = size as f64 * self.config.hot_parity_overhead;
+        for c in &self.hot_scan {
+            let overhead = c.size as f64 * self.config.hot_parity_overhead;
             if consumed + overhead > budget {
                 break;
             }
             consumed += overhead;
-            threshold = h;
+            threshold = c.h;
         }
         self.h_hot = threshold;
         threshold
     }
 
-    /// Reclassifies every entry against the current threshold and returns
-    /// the changes (to be shipped as `#SETID#` messages).
-    pub fn reclassify_all(&mut self) -> Vec<ClassChange> {
-        let h = self.h_hot;
-        let config = self.config;
-        let mut changes = Vec::new();
-        for (key, e) in self.entries.iter_mut() {
-            let from = e.class();
-            let hot = Self::is_hot(&config, e, h);
-            let to = e.reclassify_as(hot);
-            if from != to {
-                if to == ObjectClass::HotClean {
-                    self.stats.promotions += 1;
-                } else if from == ObjectClass::HotClean {
-                    self.stats.demotions += 1;
-                }
-                changes.push(ClassChange {
-                    key: *key,
-                    from,
-                    to,
-                });
-            }
-        }
-        // Deterministic order regardless of hash-map iteration.
-        changes.sort_by_key(|c| c.key);
-        changes
-    }
-
-    /// Convenience: recompute the threshold, then reclassify everything.
+    /// Recomputes the threshold, reclassifies the index against it and
+    /// returns the changes (to be shipped as `#SETID#` messages), sorted
+    /// by key.
+    ///
+    /// Only a clean, non-metadata entry's class depends on `H_hot`:
+    /// metadata and dirty entries are classes 0 and 1 whatever their heat,
+    /// and [`Self::insert`], [`Self::mark_dirty`] and [`Self::mark_clean`]
+    /// relabel an entry as soon as either flag changes. Every indexed entry
+    /// has `Freq ≥ 1`, so those are exactly the entries the threshold sweep
+    /// sorted, and one pass over its buffer reclassifies the index; the
+    /// index is probed only for an entry whose class changes.
     pub fn refresh_classification(&mut self) -> Vec<ClassChange> {
-        self.recompute_hot_threshold();
-        self.reclassify_all()
+        let threshold = self.recompute_hot_threshold();
+        let mut changes = Vec::new();
+        for c in &self.hot_scan {
+            let hot = c.h >= threshold;
+            let to = if hot {
+                ObjectClass::HotClean
+            } else {
+                ObjectClass::ColdClean
+            };
+            if to == c.class {
+                continue;
+            }
+            self.entries
+                .get_mut(&c.key)
+                .expect("the sweep scanned a live entry")
+                .reclassify_as(hot);
+            if hot {
+                self.stats.promotions += 1;
+            } else {
+                self.stats.demotions += 1;
+            }
+            changes.push(ClassChange {
+                key: c.key,
+                from: c.class,
+                to,
+            });
+        }
+        // Key order: the order the changes ship in decides which objects a
+        // promotion's room-making evicts.
+        changes.sort_unstable_by_key(|c| c.key);
+        debug_assert!(self.entries.values().all(|e| e.class()
+            == reo_osd::ClassifierInputs {
+                metadata: e.is_metadata(),
+                hot: Self::is_hot(&self.config, e, threshold),
+                dirty: e.is_dirty(),
+            }
+            .classify()));
+        changes
     }
 
     /// Keys of all dirty entries (need flushing before eviction), sorted
@@ -583,7 +621,7 @@ mod tests {
         // Freq counts the inserting access too, so the H values are
         // 10/2, 6/2, 2/2; the threshold is the second hottest = 3.
         assert!((h - 3.0).abs() < 1e-9, "h = {h}");
-        let changes = m.reclassify_all();
+        let changes = m.refresh_classification();
         assert_eq!(changes.len(), 2);
         assert_eq!(m.entry(k(1)).unwrap().class(), ObjectClass::HotClean);
         assert_eq!(m.entry(k(2)).unwrap().class(), ObjectClass::HotClean);
@@ -597,8 +635,26 @@ mod tests {
         m.record_access(k(1));
         let h = m.recompute_hot_threshold();
         assert!(h.is_infinite());
-        assert!(m.reclassify_all().is_empty());
+        assert!(m.refresh_classification().is_empty());
         assert_eq!(m.entry(k(1)).unwrap().class(), ObjectClass::ColdClean);
+    }
+
+    #[test]
+    fn untouched_entry_never_hot_even_with_zero_threshold() {
+        for size_aware_hotness in [true, false] {
+            let config = CacheConfig {
+                size_aware_hotness,
+                ..*mgr(30, 0.1).config()
+            };
+            let mut e = CacheEntry::new(k(1), ByteSize::from_mib(1), false, false);
+            // Never accessed: not hot even under a zero threshold.
+            assert!(!CacheManager::is_hot(&config, &e, 0.0));
+            e.touch();
+            // H = 1.0 under either definition.
+            assert!(CacheManager::is_hot(&config, &e, 0.5));
+            assert!(CacheManager::is_hot(&config, &e, 1.0));
+            assert!(!CacheManager::is_hot(&config, &e, 2.0));
+        }
     }
 
     #[test]
