@@ -137,27 +137,13 @@ pub struct BackendStats {
     pub bytes_written: u64,
 }
 
-/// Counters of injected backend faults and their fallout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackendFaultStats {
-    /// Outage windows opened ([`BackendStore::fail`] transitions).
-    pub outages: u64,
-    /// Outage windows closed ([`BackendStore::restore`] transitions).
-    pub restores: u64,
-    /// Slow-spindle factors applied (changes away from the nominal rate).
-    pub slowdowns: u64,
-    /// Requests rejected with [`BackendError::Unavailable`] while down.
-    pub rejected_while_down: u64,
-}
-
 /// Fault-injection state of the backend server, symmetric to the flash
 /// array's `FaultPlan`: an outage flag plus a slow-spindle service-time
-/// multiplier, with counters for everything injected.
+/// multiplier.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BackendFault {
     down: bool,
     slow_factor: f64,
-    stats: BackendFaultStats,
 }
 
 impl Default for BackendFault {
@@ -165,7 +151,6 @@ impl Default for BackendFault {
         BackendFault {
             down: false,
             slow_factor: 1.0,
-            stats: BackendFaultStats::default(),
         }
     }
 }
@@ -179,11 +164,6 @@ impl BackendFault {
     /// The current disk service-time multiplier (1.0 = nominal).
     pub fn slow_factor(&self) -> f64 {
         self.slow_factor
-    }
-
-    /// Cumulative fault counters.
-    pub fn stats(&self) -> BackendFaultStats {
-        self.stats
     }
 }
 
@@ -241,7 +221,7 @@ impl BackendStore {
         self.stats
     }
 
-    /// Current fault-injection state and its counters.
+    /// Current fault-injection state.
     pub fn fault(&self) -> &BackendFault {
         &self.fault
     }
@@ -255,18 +235,12 @@ impl BackendStore {
     /// [`BackendError::Unavailable`] until [`BackendStore::restore`].
     /// Idempotent — failing an already-down backend is a no-op.
     pub fn fail(&mut self) {
-        if !self.fault.down {
-            self.fault.down = true;
-            self.fault.stats.outages += 1;
-        }
+        self.fault.down = true;
     }
 
     /// Closes the outage window; requests are served again. Idempotent.
     pub fn restore(&mut self) {
-        if self.fault.down {
-            self.fault.down = false;
-            self.fault.stats.restores += 1;
-        }
+        self.fault.down = false;
     }
 
     /// Sets the slow-spindle factor: disk service time is multiplied by
@@ -281,9 +255,6 @@ impl BackendStore {
             factor.is_finite() && factor > 0.0,
             "slow factor must be finite and positive"
         );
-        if factor != 1.0 && factor != self.fault.slow_factor {
-            self.fault.stats.slowdowns += 1;
-        }
         self.fault.slow_factor = factor;
     }
 
@@ -379,7 +350,6 @@ impl BackendStore {
     /// * [`BackendError::UnknownObject`] — absent.
     pub fn read(&mut self, key: ObjectKey) -> Result<FetchedObject, BackendError> {
         if self.fault.down {
-            self.fault.stats.rejected_while_down += 1;
             return Err(BackendError::Unavailable);
         }
         let (size, bytes) = {
@@ -414,7 +384,6 @@ impl BackendStore {
         bytes: Option<Bytes>,
     ) -> Result<SimTime, BackendError> {
         if self.fault.down {
-            self.fault.stats.rejected_while_down += 1;
             return Err(BackendError::Unavailable);
         }
         if size.is_zero() {
@@ -461,7 +430,6 @@ impl BackendStore {
         bytes: Option<Bytes>,
     ) -> Result<SimTime, BackendError> {
         if self.fault.down {
-            self.fault.stats.rejected_while_down += 1;
             return Err(BackendError::Unavailable);
         }
         if size.is_zero() {
@@ -675,13 +643,10 @@ mod tests {
         assert_eq!(s.clock.now(), before, "rejections are free");
         assert_eq!(s.stats(), BackendStats::default());
         assert_eq!(s.version_of(key(1)), Some(0), "no write landed");
-        assert_eq!(s.fault().stats().rejected_while_down, 3);
 
         s.restore();
         assert!(!s.is_down());
         assert!(s.read(key(1)).is_ok());
-        let fs = s.fault().stats();
-        assert_eq!((fs.outages, fs.restores), (1, 1));
     }
 
     #[test]
@@ -689,10 +654,11 @@ mod tests {
         let mut s = store();
         s.fail();
         s.fail();
+        assert!(s.is_down());
         s.restore();
+        assert!(!s.is_down(), "one restore closes a window failed twice");
         s.restore();
-        let fs = s.fault().stats();
-        assert_eq!((fs.outages, fs.restores), (1, 1));
+        assert!(!s.is_down());
     }
 
     #[test]
@@ -718,7 +684,7 @@ mod tests {
             degraded.as_nanos() > base.as_nanos() * 3,
             "{degraded} vs {base}"
         );
-        assert_eq!(slow.fault().stats().slowdowns, 1);
+        assert_eq!(slow.fault().slow_factor(), 4.0);
 
         // Back to nominal: the same-size read costs exactly what a fresh
         // store charges (the 1.0 path is untouched by fault plumbing).

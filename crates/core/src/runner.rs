@@ -36,8 +36,8 @@ pub enum PlannedEvent {
         /// Service-time multiplier in percent (must be positive).
         factor_pct: u32,
     },
-    /// Turn on the background scrubber (see
-    /// [`CacheSystem::enable_scrubber`]).
+    /// Turn on the background scrubber: from then on it verifies eight
+    /// objects every 32 requests, repairing or evicting what it finds.
     StartScrub,
     /// Take the backend server offline: misses, flushes, and write-through
     /// fallbacks start failing until [`PlannedEvent::RestoreBackend`].
@@ -628,11 +628,19 @@ mod tests {
         // Backend faults never touch the flash-device failure count.
         assert!(result.events.iter().all(|e| e.failed_devices_after == 0));
         let snap = sys.resilience();
-        assert!(
-            sys.backend().fault().stats().outages == 1
-                && sys.backend().fault().stats().restores == 1,
+        let injected: Vec<String> = sys
+            .flight()
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == "fault-injected")
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            injected,
+            ["slow-backend x3", "fail-backend", "restore-backend"],
             "outage window opened and closed"
         );
+        assert!(!sys.backend().is_down());
         assert_eq!(snap.health, "healthy", "restored backend heals the system");
         assert_eq!(sys.dirty_data_lost(), 0);
     }

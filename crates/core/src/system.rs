@@ -19,8 +19,8 @@ use crate::config::SystemConfig;
 use crate::metrics::{Metrics, RequestSample, LAYER_COUNTERS};
 use crate::runner::PlannedEvent;
 
-/// Requests between two background-scrubber steps, once
-/// [`CacheSystem::enable_scrubber`] has turned it on.
+/// Requests between two background-scrubber steps, once a
+/// [`PlannedEvent::StartScrub`] has turned it on.
 const SCRUB_PERIOD: usize = 32;
 /// Objects whose chunk integrity one scrubber step verifies.
 const SCRUB_BUDGET: usize = 8;
@@ -252,6 +252,17 @@ pub(crate) fn backend_sense(e: &BackendError) -> SenseCode {
     }
 }
 
+/// An empty cache manager for `config` — a new node's, and a crashed
+/// one's before [`CacheSystem::recover`] repopulates it.
+fn cache_manager(config: &SystemConfig) -> CacheManager {
+    CacheManager::new(CacheConfig {
+        capacity: config.cache_capacity,
+        redundancy_reserve: config.scheme.redundancy_reserve(),
+        hot_parity_overhead: CacheConfig::two_parity_overhead(config.devices),
+        size_aware_hotness: config.size_aware_hotness,
+    })
+}
+
 /// What one restart recovery ([`CacheSystem::recover`]) did.
 #[derive(Clone, Debug)]
 pub struct SystemRecovery {
@@ -278,7 +289,7 @@ pub struct CacheSystem {
     backend: BackendStore,
     metrics: Metrics,
     requests_seen: usize,
-    /// Whether the background scrubber runs ([`CacheSystem::enable_scrubber`]).
+    /// Whether the background scrubber runs ([`PlannedEvent::StartScrub`]).
     scrubbing: bool,
     dirty_data_lost: u64,
     offline: bool,
@@ -334,12 +345,7 @@ impl CacheSystem {
         if !config.prioritized_recovery {
             target.set_unprioritized_recovery();
         }
-        let cache = CacheManager::new(CacheConfig {
-            capacity: config.cache_capacity,
-            redundancy_reserve: config.scheme.redundancy_reserve(),
-            hot_parity_overhead: CacheConfig::two_parity_overhead(config.devices),
-            size_aware_hotness: config.size_aware_hotness,
-        });
+        let cache = cache_manager(&config);
         let mut backend = BackendStore::new(config.backend, clock.clone());
         let metrics = Metrics::new(clock.now());
         let faults = FaultPlan::new(config.fault_seed);
@@ -600,8 +606,9 @@ impl CacheSystem {
         }
     }
 
-    /// Applies one planned event to this node. This is what an event means
-    /// on a node, for [`crate::ExperimentRunner::run`] and for every node a
+    /// Applies one planned event to this node — the node's only fault
+    /// door. This is what an event means on a node, for
+    /// [`crate::ExperimentRunner::run`] and for every node a
     /// [`crate::ClusterSystem::apply_event`] reaches: device events address
     /// this node's own devices, and a `Crash` is a power loss followed by an
     /// immediate [`CacheSystem::recover`]. The five cluster events (target
@@ -611,26 +618,45 @@ impl CacheSystem {
     ///
     /// # Panics
     ///
-    /// As the method an event stands for: a `SlowDevice` of a device this
-    /// node does not have, or a restart recovery that fails.
+    /// On a `SlowDevice` of a device this node does not have, a zero
+    /// `factor_pct`, or a restart recovery that fails.
     pub fn apply_event(&mut self, event: PlannedEvent) {
+        let now = self.clock.now();
         match event {
             PlannedEvent::FailDevice(d) => self.fail_device(d),
             PlannedEvent::InsertSpare(d) => self.insert_spare(d),
+            // Draws come from `SystemConfig::fault_seed`, so equal seeds
+            // damage equal chunks and time out equal reads.
             PlannedEvent::CorruptChunks { ppm } => {
-                self.inject_chunk_corruption(f64::from(ppm) / 1e6);
+                self.target
+                    .inject_latent_corruption(&mut self.faults, f64::from(ppm) / 1e6);
             }
             PlannedEvent::TransientFaults { ppm } => {
-                self.arm_transient_faults(f64::from(ppm) / 1e6);
+                self.target
+                    .arm_transient_faults(&mut self.faults, f64::from(ppm) / 1e6);
             }
             PlannedEvent::SlowDevice { device, factor_pct } => {
-                self.slow_device(device, f64::from(factor_pct) / 100.0);
+                let factor = f64::from(factor_pct) / 100.0;
+                self.target.slow_device(&mut self.faults, device, factor);
             }
-            PlannedEvent::StartScrub => self.enable_scrubber(),
-            PlannedEvent::FailBackend => self.fail_backend(),
-            PlannedEvent::RestoreBackend => self.restore_backend(),
+            PlannedEvent::StartScrub => self.scrubbing = true,
+            // While the backend is down the cache keeps serving hits;
+            // misses and dirty evictions are shed or deferred.
+            PlannedEvent::FailBackend => {
+                self.flight.record(now, "fault-injected", "fail-backend");
+                self.backend.fail();
+                self.reconcile_health();
+            }
+            PlannedEvent::RestoreBackend => {
+                self.flight.record(now, "fault-injected", "restore-backend");
+                self.backend.restore();
+                self.reconcile_health();
+            }
             PlannedEvent::SlowBackend { factor_pct } => {
-                self.slow_backend(f64::from(factor_pct) / 100.0);
+                let factor = f64::from(factor_pct) / 100.0;
+                let detail = format!("slow-backend x{factor}");
+                self.flight.record(now, "fault-injected", detail);
+                self.backend.set_slow_factor(factor);
             }
             PlannedEvent::Crash => {
                 self.crash();
@@ -645,40 +671,6 @@ impl CacheSystem {
                 self.reject_event("cluster-event-single-target");
             }
         }
-    }
-
-    /// Opens a backend outage window (the `FailBackend` planned event):
-    /// every backend request fails with [`BackendError::Unavailable`]
-    /// until [`CacheSystem::restore_backend`]. The cache keeps serving
-    /// hits; misses and dirty evictions are shed or deferred.
-    pub fn fail_backend(&mut self) {
-        self.flight
-            .record(self.clock.now(), "fault-injected", "fail-backend");
-        self.backend.fail();
-        self.reconcile_health();
-    }
-
-    /// Closes the backend outage window.
-    pub fn restore_backend(&mut self) {
-        self.flight
-            .record(self.clock.now(), "fault-injected", "restore-backend");
-        self.backend.restore();
-        self.reconcile_health();
-    }
-
-    /// Scales the backend disk's service time (a slow spindle; `1.0`
-    /// restores nominal speed).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is finite and positive.
-    pub fn slow_backend(&mut self, factor: f64) {
-        self.flight.record(
-            self.clock.now(),
-            "fault-injected",
-            format!("slow-backend x{factor}"),
-        );
-        self.backend.set_slow_factor(factor);
     }
 
     /// Loads the authoritative data set into the backend (charge-free).
@@ -801,40 +793,6 @@ impl CacheSystem {
         self.metrics.record(sample);
     }
 
-    /// One round of seeded latent corruption across the cache's flash
-    /// array: every intact chunk is independently lost with probability
-    /// `rate` (the uncorrectable-error-rate failure mode). Returns the
-    /// number of chunks corrupted. Draws come from the configured
-    /// [`SystemConfig::fault_seed`], so equal seeds damage equal chunks.
-    pub fn inject_chunk_corruption(&mut self, rate: f64) -> usize {
-        self.target.inject_latent_corruption(&mut self.faults, rate)
-    }
-
-    /// Arms per-read transient timeouts at `rate` on every flash device;
-    /// `0.0` disarms. The stripe layer absorbs them with bounded
-    /// retry-with-backoff, so they surface as latency, not errors.
-    pub fn arm_transient_faults(&mut self, rate: f64) {
-        self.target.arm_transient_faults(&mut self.faults, rate);
-    }
-
-    /// Scales one device's service times (a stuck or throttled device;
-    /// `1.0` restores nominal speed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is out of range or `factor` is not finite and
-    /// positive.
-    pub fn slow_device(&mut self, device: DeviceId, factor: f64) {
-        self.target.slow_device(&mut self.faults, device, factor);
-    }
-
-    /// Turns the background scrubber on at runtime (the `StartScrub`
-    /// planned event): from then on it verifies eight objects every 32
-    /// requests.
-    pub fn enable_scrubber(&mut self) {
-        self.scrubbing = true;
-    }
-
     /// Stripe reads retried past a transient device timeout so far.
     pub fn transient_retries(&self) -> u64 {
         self.target.transient_retries()
@@ -866,21 +824,13 @@ impl CacheSystem {
         self.redundancy_restored_at = [None; 4];
         self.throttle.restart();
         // Dirty objects that just became irrecoverable are permanent loss.
-        let lost_dirty: Vec<ObjectKey> = self
-            .cache
-            .dirty_keys()
-            .into_iter()
-            .filter(|&k| {
-                matches!(
-                    self.target.object_status(k),
-                    Ok(reo_stripe::ObjectStatus::Lost)
-                )
-            })
-            .collect();
-        for key in lost_dirty {
-            self.dirty_data_lost += 1;
-            self.cache.remove(key);
-            let _ = self.target.remove_object(key);
+        for key in self.cache.dirty_keys() {
+            if matches!(
+                self.target.object_status(key),
+                Ok(reo_stripe::ObjectStatus::Lost)
+            ) {
+                self.evict_lost(key);
+            }
         }
         // Uniform protection manages the array as one RAID-like group:
         // once failures exceed the parity level the whole cache "is
@@ -937,17 +887,14 @@ impl CacheSystem {
         }
     }
 
-    /// Drops every cached object and stops admitting new ones.
+    /// Drops every cached object and stops admitting new ones. The cache
+    /// stays empty while offline: every admission path returns early.
     fn take_offline(&mut self) {
         for key in self.target.keys() {
-            if let Some(entry) = self.cache.remove(key) {
-                if entry.is_dirty() {
-                    self.dirty_data_lost += 1;
-                }
-            }
-            let _ = self.target.remove_object(key);
+            self.evict_lost(key);
         }
         self.offline = true;
+        debug_assert!(self.cache.is_empty(), "an offline cache holds nothing");
     }
 
     /// `true` when the uniform array has failed past its parity level and
@@ -986,12 +933,7 @@ impl CacheSystem {
             }
         }
         for key in lost {
-            if let Some(entry) = self.cache.remove(key) {
-                if entry.is_dirty() {
-                    self.dirty_data_lost += 1;
-                }
-            }
-            let _ = self.target.remove_object(key);
+            self.evict_lost(key);
         }
         self.retune_cache_topology();
         // A fresh rebuild episode begins: reset the time-to-restored
@@ -1162,13 +1104,11 @@ impl CacheSystem {
             // The caching layer is down: every request goes to the backend.
             // A backend outage on top of that leaves nothing to serve from
             // — shed with NotReady rather than panic.
-            return match self.backend.read(key) {
-                Ok(_) => (false, false, None, SenseCode::MediumError),
-                Err(e) => {
-                    self.shed_requests += 1;
-                    (false, false, None, backend_sense(&e))
-                }
+            let sense = match self.backend.read(key) {
+                Ok(_) => SenseCode::MediumError,
+                Err(e) => self.shed(&e),
             };
+            return (false, false, None, sense);
         }
         let mut cache_copy_lost = false;
         if self.cache.contains(key) {
@@ -1200,10 +1140,7 @@ impl CacheSystem {
         // on-demand traffic do not also compete with fill writes.
         let fetched = match self.backend.read(key) {
             Ok(f) => f,
-            Err(e) => {
-                self.shed_requests += 1;
-                return (false, false, None, backend_sense(&e));
-            }
+            Err(e) => return (false, false, None, self.shed(&e)),
         };
         if self.target.recovery_pending() > 0 {
             self.cache.note_bypassed_fill();
@@ -1222,41 +1159,22 @@ impl CacheSystem {
     /// straight through to the backend) and the completion sense code.
     fn handle_write(&mut self, request: &Request) -> (Option<ObjectClass>, SenseCode) {
         let key = request.key;
-        if self.offline {
-            // No cache to absorb the write: write through to the backend.
-            return match self.backend.write(key, request.size, None) {
-                Ok(_) => {
-                    self.cache.note_write_through();
-                    (None, SenseCode::Success)
-                }
-                Err(e) => {
-                    // Neither tier can take the write: shed, unacked.
-                    self.shed_requests += 1;
-                    (None, backend_sense(&e))
-                }
-            };
-        }
         if !self.dirty_redundancy_met() {
-            // Degraded write-through mode: the cache cannot give a new
-            // dirty object the redundancy its class requires, so the
-            // write's durable home is the backend. The backend write is
-            // acknowledged *before* any cached (now stale) copy is
-            // dropped, so a backend outage here sheds the new write
-            // without losing the previously acknowledged contents.
-            return match self.backend.write(key, request.size, None) {
-                Ok(_) => {
-                    self.cache.note_write_through();
-                    if self.cache.contains(key) {
-                        self.cache.remove(key);
-                        let _ = self.target.remove_object(key);
-                    }
-                    (None, SenseCode::Success)
+            // Degraded write-through mode, offline included: the cache
+            // cannot give a new dirty object the redundancy its class
+            // requires, so the write's durable home is the backend. The
+            // backend write is acknowledged *before* any cached (now
+            // stale) copy is dropped, so a backend outage here sheds the
+            // new write without losing the previously acknowledged
+            // contents.
+            let sense = self.write_through(key, request.size);
+            if sense == SenseCode::Success {
+                self.cache.note_write_through();
+                if self.cache.contains(key) {
+                    self.invalidate_cached(key);
                 }
-                Err(e) => {
-                    self.shed_requests += 1;
-                    (None, backend_sense(&e))
-                }
-            };
+            }
+            return (None, sense);
         }
         if self.cache.contains(key) {
             // Whole-object overwrite of a cached object: rewrite it in
@@ -1289,13 +1207,7 @@ impl CacheSystem {
                 // Could not re-store the new contents: drop the entry and
                 // write straight through so nothing is lost.
                 self.cache.remove(key);
-                return match self.backend.write(key, request.size, None) {
-                    Ok(_) => (None, SenseCode::Success),
-                    Err(e) => {
-                        self.shed_requests += 1;
-                        (None, backend_sense(&e))
-                    }
-                };
+                return (None, self.write_through(key, request.size));
             }
             (Some(ObjectClass::Dirty), SenseCode::Success)
         } else {
@@ -1326,15 +1238,25 @@ impl CacheSystem {
         } else if dirty {
             // Could not cache a dirty object: write it straight through to
             // the backend so nothing is lost.
-            match self.backend.write(key, size, None) {
-                Ok(_) => SenseCode::Success,
-                Err(e) => {
-                    self.shed_requests += 1;
-                    backend_sense(&e)
-                }
-            }
+            self.write_through(key, size)
         } else {
             SenseCode::Success
+        }
+    }
+
+    /// Sheds a request neither tier can take: counts it and answers with
+    /// the backend error's sense code.
+    fn shed(&mut self, e: &BackendError) -> SenseCode {
+        self.shed_requests += 1;
+        backend_sense(e)
+    }
+
+    /// Writes `key` straight to the backend, the durable home of a write
+    /// the cache cannot absorb; [`CacheSystem::shed`] when that fails too.
+    fn write_through(&mut self, key: ObjectKey, size: ByteSize) -> SenseCode {
+        match self.backend.write(key, size, None) {
+            Ok(_) => SenseCode::Success,
+            Err(e) => self.shed(&e),
         }
     }
 
@@ -1581,12 +1503,7 @@ impl CacheSystem {
             .expect("CacheSystem always attaches a journal");
         // The initiator-side cache index is DRAM too: rebuild from scratch
         // (recover() repopulates it from the recovered object map).
-        self.cache = CacheManager::new(CacheConfig {
-            capacity: self.config.cache_capacity,
-            redundancy_reserve: self.config.scheme.redundancy_reserve(),
-            hot_parity_overhead: CacheConfig::two_parity_overhead(self.config.devices),
-            size_aware_hotness: self.config.size_aware_hotness,
-        });
+        self.cache = cache_manager(&self.config);
         outcome
     }
 
@@ -2162,7 +2079,7 @@ mod tests {
         for r in trace.requests().iter().take(200) {
             sys.handle(r);
         }
-        sys.fail_backend();
+        sys.apply_event(PlannedEvent::FailBackend);
         // Cached reads still work; uncached reads and evict-blocked writes
         // shed with NotReady instead of panicking or losing acks.
         let mut served = 0u64;
@@ -2180,7 +2097,7 @@ mod tests {
         ));
         assert_eq!(sys.dirty_data_lost(), 0);
 
-        sys.restore_backend();
+        sys.apply_event(PlannedEvent::RestoreBackend);
         for r in trace.requests().iter().skip(400) {
             sys.handle(r);
         }
@@ -2308,5 +2225,130 @@ mod tests {
             "throttled rebuild ({throttled_batches} rounds) must outlast \
              the open one ({open_batches})"
         );
+    }
+
+    /// Every branch that sheds a request or writes it through to the
+    /// backend, each with the backend up and with it down: the
+    /// completion's sense code, the requests it shed, the write-throughs
+    /// it counted, and whether the key is cached afterwards.
+    #[test]
+    fn write_through_and_shed_rules_are_pinned() {
+        type Setup = fn(&mut CacheSystem, &reo_workload::Trace) -> Request;
+        type Expected = (SenseCode, u64, u64, bool);
+        fn write(key: ObjectKey, size: ByteSize) -> Request {
+            Request {
+                key,
+                op: Operation::Write,
+                size,
+            }
+        }
+        // A cached object the target holds under a clean class, so a
+        // whole-object overwrite has to re-store it.
+        fn cached_clean(sys: &CacheSystem) -> (ObjectKey, ByteSize) {
+            sys.cached_user_entries()
+                .into_iter()
+                .find(|&(k, _)| sys.target().class_of(k) != Some(ObjectClass::Dirty))
+                .expect("a clean cached object")
+        }
+        // Larger than the whole array: no class of it fits anywhere.
+        fn too_large(sys: &CacheSystem) -> ByteSize {
+            sys.config().cache_capacity * 2
+        }
+        let cases: [(&str, SchemeConfig, Setup, [Expected; 2]); 5] = [
+            (
+                "offline write",
+                SchemeConfig::Parity(1),
+                |sys, trace| {
+                    sys.apply_event(PlannedEvent::FailDevice(DeviceId(0)));
+                    sys.apply_event(PlannedEvent::FailDevice(DeviceId(1)));
+                    assert!(sys.is_offline());
+                    let o = &trace.objects()[0];
+                    write(o.key, o.size)
+                },
+                [
+                    (SenseCode::Success, 0, 1, false),
+                    (SenseCode::NotReady, 1, 0, false),
+                ],
+            ),
+            (
+                "degraded write-through",
+                SchemeConfig::Reo { reserve: 0.20 },
+                |sys, _| {
+                    for d in 0..4 {
+                        sys.apply_event(PlannedEvent::FailDevice(DeviceId(d)));
+                    }
+                    let (key, size) = sys.cached_user_entries()[0];
+                    write(key, size)
+                },
+                [
+                    (SenseCode::Success, 0, 1, false),
+                    (SenseCode::NotReady, 1, 0, true),
+                ],
+            ),
+            (
+                "cached overwrite",
+                SchemeConfig::Reo { reserve: 0.20 },
+                |sys, _| {
+                    let (key, size) = cached_clean(sys);
+                    write(key, size)
+                },
+                [
+                    (SenseCode::Success, 0, 0, true),
+                    (SenseCode::NotReady, 1, 0, true),
+                ],
+            ),
+            (
+                "failed re-store",
+                SchemeConfig::Reo { reserve: 0.20 },
+                |sys, _| {
+                    let (key, _) = cached_clean(sys);
+                    write(key, too_large(sys))
+                },
+                [
+                    (SenseCode::Success, 0, 0, false),
+                    (SenseCode::NotReady, 1, 0, true),
+                ],
+            ),
+            (
+                "dirty admit that fits nowhere",
+                SchemeConfig::Reo { reserve: 0.20 },
+                |sys, trace| {
+                    let cached = sys.cached_keys();
+                    let o = trace
+                        .objects()
+                        .iter()
+                        .find(|o| !cached.contains(&o.key))
+                        .expect("an uncached object");
+                    write(o.key, too_large(sys))
+                },
+                [
+                    (SenseCode::Success, 0, 0, false),
+                    (SenseCode::NotReady, 1, 0, false),
+                ],
+            ),
+        ];
+        let trace = write_trace(11);
+        for (name, scheme, setup, expected) in cases {
+            for (backend_down, want) in [false, true].into_iter().zip(expected) {
+                let mut sys = system_for(scheme, &trace, 0.30);
+                for r in trace.requests().iter().take(300) {
+                    sys.handle(r);
+                }
+                let request = setup(&mut sys, &trace);
+                if backend_down {
+                    sys.apply_event(PlannedEvent::FailBackend);
+                }
+                let before = sys.resilience();
+                let outcome = sys.handle(&request);
+                let after = sys.resilience();
+                let got = (
+                    outcome.sense,
+                    after.shed_requests - before.shed_requests,
+                    after.write_throughs - before.write_throughs,
+                    sys.cached_keys().contains(&request.key),
+                );
+                assert_eq!(got, want, "{name}, backend down: {backend_down}");
+            }
+        }
     }
 }

@@ -367,17 +367,6 @@ impl MulTable {
             dst[i] ^= self.low[(delta & 0x0f) as usize] ^ self.high[(delta >> 4) as usize];
         }
     }
-
-    /// `dst[i] ^= c * src[i]` using the precomputed table.
-    ///
-    /// Kept as the historical name; delegates to [`Self::mul_slice_xor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn mul_acc_slice(&self, dst: &mut [u8], src: &[u8]) {
-        self.mul_slice_xor(dst, src);
-    }
 }
 
 /// `dst[i] = Σ_d tables[d] · srcs[d][i]` — one whole parity row, fused.
@@ -696,7 +685,7 @@ mod tests {
             let mut a = vec![0x55u8; 256];
             let mut b = a.clone();
             mul_acc_slice(&mut a, &src, c);
-            MulTable::new(c).mul_acc_slice(&mut b, &src);
+            MulTable::new(c).mul_slice_xor(&mut b, &src);
             assert_eq!(a, b, "c={c}");
         }
     }

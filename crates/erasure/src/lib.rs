@@ -9,7 +9,7 @@
 //! * [`gf256`] — arithmetic in GF(2^8) with the AES/RS-standard reducing
 //!   polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).
 //! * [`Matrix`] — dense matrices over GF(2^8) with Gauss–Jordan inversion,
-//!   plus Vandermonde and Cauchy constructions.
+//!   plus the Vandermonde construction.
 //! * [`ReedSolomon`] — an `m` data + `k` parity systematic code: encode,
 //!   verify, and reconstruct any ≤ `k` missing shards.
 //! * [`delta`] — the two parity-update strategies the paper discusses

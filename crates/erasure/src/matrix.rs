@@ -74,27 +74,6 @@ impl Matrix {
         m
     }
 
-    /// A `k × m` Cauchy matrix: `m[i][j] = 1 / (x_i + y_j)` with
-    /// `x_i = i + m`, `y_j = j`. Every square submatrix of a Cauchy matrix
-    /// is invertible, so appending it to an identity yields a valid
-    /// systematic encoding matrix directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k + m > 256` (the field runs out of distinct points).
-    pub fn cauchy(k: usize, m: usize) -> Self {
-        assert!(k + m <= 256, "k + m must be at most 256 for GF(256)");
-        let mut out = Matrix::zero(k, m);
-        for i in 0..k {
-            for j in 0..m {
-                let x = (i + m) as u8;
-                let y = j as u8;
-                out.set(i, j, gf256::inv(gf256::add(x, y)));
-            }
-        }
-        out
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -291,9 +270,10 @@ mod tests {
 
     #[test]
     fn inverse_times_original_is_identity() {
-        // A nontrivial invertible matrix: Cauchy square.
-        let m = Matrix::cauchy(4, 4);
-        let inv = m.inverse().expect("cauchy submatrix is invertible");
+        // A nontrivial invertible matrix: a square Vandermonde matrix
+        // over four distinct points.
+        let m = Matrix::vandermonde(4, 4);
+        let inv = m.inverse().expect("square Vandermonde is invertible");
         assert_eq!(m.mul(&inv), Matrix::identity(4));
         assert_eq!(inv.mul(&m), Matrix::identity(4));
     }
@@ -314,31 +294,6 @@ mod tests {
         let s = v.select_rows(&[4, 0]);
         assert_eq!(s.row(0), v.row(4));
         assert_eq!(s.row(1), v.row(0));
-    }
-
-    #[test]
-    fn cauchy_all_square_submatrices_invertible_small() {
-        let c = Matrix::cauchy(4, 4);
-        // Every single entry is nonzero.
-        for i in 0..4 {
-            for j in 0..4 {
-                assert_ne!(c.get(i, j), 0);
-            }
-        }
-        // Every 2x2 submatrix has nonzero determinant.
-        for r0 in 0..4 {
-            for r1 in (r0 + 1)..4 {
-                for c0 in 0..4 {
-                    for c1 in (c0 + 1)..4 {
-                        let det = gf256::add(
-                            gf256::mul(c.get(r0, c0), c.get(r1, c1)),
-                            gf256::mul(c.get(r0, c1), c.get(r1, c0)),
-                        );
-                        assert_ne!(det, 0, "submatrix ({r0},{r1})x({c0},{c1})");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

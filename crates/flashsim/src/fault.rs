@@ -18,21 +18,6 @@ use reo_sim::rng::DetRng;
 use crate::array::FlashArray;
 use crate::device::DeviceId;
 
-/// Cumulative injection counters of a [`FaultPlan`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Chunks corrupted across all injection rounds.
-    pub chunks_corrupted: u64,
-    /// Calls to [`FaultPlan::inject_latent_corruption`].
-    pub corruption_rounds: u64,
-    /// Calls to [`FaultPlan::arm_transient_faults`].
-    pub transient_arms: u64,
-    /// Calls to [`FaultPlan::slow_device`].
-    pub slowdowns: u64,
-    /// Power losses planned via [`FaultPlan::crash_tear_bytes`].
-    pub crashes: u64,
-}
-
 /// A deterministic source of partial failures for a [`FlashArray`].
 ///
 /// # Examples
@@ -45,15 +30,12 @@ pub struct FaultStats {
 /// let mut plan = FaultPlan::new(42);
 /// // Nothing stored yet, so nothing to corrupt — but the call is valid.
 /// assert_eq!(plan.inject_latent_corruption(&mut array, 0.01), 0);
-/// assert_eq!(plan.stats().corruption_rounds, 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    seed: u64,
     corruption: DetRng,
     transient_root: DetRng,
     power_loss: DetRng,
-    stats: FaultStats,
 }
 
 impl FaultPlan {
@@ -61,17 +43,10 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         let root = DetRng::from_seed(seed);
         FaultPlan {
-            seed,
             corruption: root.derive("latent-corruption"),
             transient_root: root.derive("transient-faults"),
             power_loss: root.derive("power-loss"),
-            stats: FaultStats::default(),
         }
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Derives an independent fault seed for one stream (e.g. one target
@@ -91,11 +66,6 @@ impl FaultPlan {
         x ^ (x >> 31)
     }
 
-    /// Cumulative injection counters.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
     /// One round of latent corruption: every intact chunk on every healthy
     /// device is independently lost with probability `rate`. Returns the
     /// number of chunks corrupted. Devices stay healthy — the damage is
@@ -108,8 +78,6 @@ impl FaultPlan {
                 corrupted += dev.corrupt_chunks_randomly(rate, &mut self.corruption);
             }
         }
-        self.stats.corruption_rounds += 1;
-        self.stats.chunks_corrupted += corrupted as u64;
         corrupted
     }
 
@@ -124,7 +92,6 @@ impl FaultPlan {
                 .device_mut(DeviceId(i))
                 .arm_transient_faults(rate, rng);
         }
-        self.stats.transient_arms += 1;
     }
 
     /// Scales one device's service times by `factor` (a stuck or throttled
@@ -136,7 +103,6 @@ impl FaultPlan {
     /// positive.
     pub fn slow_device(&mut self, array: &mut FlashArray, id: DeviceId, factor: f64) {
         array.device_mut(id).set_slowdown(factor);
-        self.stats.slowdowns += 1;
     }
 
     /// Plans the tail damage of a power loss: how many bytes of the
@@ -144,7 +110,6 @@ impl FaultPlan {
     /// uniformly drawn from `0..=max`. Equal seeds and call sequences tear
     /// equal byte counts, keeping crash experiments reproducible.
     pub fn crash_tear_bytes(&mut self, max: u64) -> u64 {
-        self.stats.crashes += 1;
         self.power_loss.below(max + 1)
     }
 }
@@ -215,7 +180,9 @@ mod tests {
         let mut plan = FaultPlan::new(7);
         // Rate 1.0 corrupts everything reachable: only the healthy 32.
         assert_eq!(plan.inject_latent_corruption(&mut array, 1.0), 32);
-        assert_eq!(plan.stats().chunks_corrupted, 32);
+        for d in 1..3usize {
+            assert!(array.device(DeviceId(d)).intact_handles().is_empty());
+        }
     }
 
     #[test]
@@ -229,8 +196,6 @@ mod tests {
         plan.slow_device(&mut array, DeviceId(1), 8.0);
         assert_eq!(array.device(DeviceId(1)).slowdown(), 8.0);
         assert_eq!(array.device(DeviceId(0)).slowdown(), 1.0);
-        assert_eq!(plan.stats().transient_arms, 1);
-        assert_eq!(plan.stats().slowdowns, 1);
         plan.arm_transient_faults(&mut array, 0.0);
         assert!(!array.device(DeviceId(2)).transient_faults_armed());
     }

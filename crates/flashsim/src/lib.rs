@@ -51,4 +51,4 @@ mod fault;
 pub use array::{ArrayStats, DeviceReport, FlashArray};
 pub use chunk::{ChunkHandle, ChunkPayload, StoredChunk};
 pub use device::{DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError};
-pub use fault::{FaultPlan, FaultStats};
+pub use fault::FaultPlan;

@@ -10,7 +10,7 @@
 # Each argument is the stdout of one untraced run of the benchmark driver;
 # its last line is the result as JSON, and allocs_per_req is read from
 # there. The count repeats exactly for a seed, so host noise cannot trip
-# the limit, and the three single-node workloads read 0.02-0.05 since
+# the limit, and the four single-node workloads read 0.01-0.06 since
 # PR 23: a per-object allocation coming back on the request path (one
 # node of an attribute map, one control message) adds 0.4 or more and
 # fails it. The cluster workloads need their own limit: a pass of theirs

@@ -969,7 +969,7 @@ fn backend_outage_while_read_only_becomes_unavailable() {
     sys.fail_device(DeviceId(1));
     assert_eq!(sys.health(), HealthState::ReadOnly);
 
-    sys.fail_backend();
+    sys.apply_event(PlannedEvent::FailBackend);
     let probe = sys.handle(&t.requests()[400]);
     assert_eq!(sys.health(), HealthState::Unavailable);
     assert_eq!(probe.sense, SenseCode::NotReady, "shed, not served wrong");
@@ -979,7 +979,7 @@ fn backend_outage_while_read_only_becomes_unavailable() {
     }
     assert!(sys.resilience().shed_requests > 0);
 
-    sys.restore_backend();
+    sys.apply_event(PlannedEvent::RestoreBackend);
     sys.handle(&t.requests()[601]);
     assert_eq!(sys.health(), HealthState::ReadOnly, "backend is back");
     sys.insert_spare(DeviceId(0));

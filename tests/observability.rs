@@ -105,9 +105,12 @@ fn fault_counters_roll_and_reset_with_scrubber_enabled() {
     for r in t.requests() {
         sys.handle(r);
     }
-    sys.enable_scrubber();
-    let corrupted = sys.inject_chunk_corruption(0.05);
-    assert!(corrupted > 0, "seeded corruption must land");
+    sys.apply_event(PlannedEvent::StartScrub);
+    sys.apply_event(PlannedEvent::CorruptChunks { ppm: 50_000 });
+    assert!(
+        !sys.target().array().all_chunks_intact(),
+        "seeded corruption must land"
+    );
     for r in t.requests() {
         sys.handle(r);
     }
@@ -136,7 +139,7 @@ fn fault_counters_roll_and_reset_with_scrubber_enabled() {
     sys.metrics_mut().reset_all(now);
     assert_eq!(sys.metrics().totals().scrub_passes, 0);
     assert_eq!(sys.metrics().totals().medium_errors, 0);
-    sys.inject_chunk_corruption(0.05);
+    sys.apply_event(PlannedEvent::CorruptChunks { ppm: 50_000 });
     for r in t.requests() {
         sys.handle(r);
     }
@@ -160,9 +163,9 @@ fn scrubber_repairs_show_in_window_and_tracer_scrub_spans() {
         }
         sys.enable_tracing();
         if scrubbing {
-            sys.enable_scrubber();
+            sys.apply_event(PlannedEvent::StartScrub);
         }
-        sys.inject_chunk_corruption(0.08);
+        sys.apply_event(PlannedEvent::CorruptChunks { ppm: 80_000 });
         let now = sys.clock().now();
         sys.metrics_mut().reset_all(now);
         for r in t.requests() {
