@@ -615,15 +615,7 @@ impl FlashDevice {
             effective_used
         };
         self.used = effective_used + len;
-        self.stats.writes += 1;
-        self.stats.bytes_written += len.as_bytes();
-        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
-
-        let start = self.busy_until.max(now);
-        let done = start + self.write_time(len);
-        self.stats.queued_nanos += start.saturating_since(now).as_nanos();
-        self.stats.busy_nanos += done.saturating_since(start).as_nanos();
-        self.busy_until = done;
+        let done = self.charge_writes(1, len, now);
         self.check_tables();
         Ok(done)
     }
@@ -665,12 +657,27 @@ impl FlashDevice {
         }
         self.stats.reads += 1;
         self.stats.bytes_read += chunk.len().as_bytes();
-        let start = self.busy_until.max(now);
-        let done = start + self.scaled(self.config.read.service_time(chunk.len()));
-        self.stats.queued_nanos += start.saturating_since(now).as_nanos();
-        self.stats.busy_nanos += done.saturating_since(start).as_nanos();
-        self.busy_until = done;
+        let done = self.occupy(
+            1,
+            self.scaled(self.config.read.service_time(chunk.len())),
+            now,
+        );
         Ok((chunk, done))
+    }
+
+    /// Queues `count` operations of `each`, all issued at `now`, back to
+    /// back: operation *i* starts when operation *i - 1* completes, so they
+    /// wait `count` times for the device to fall idle and `0 + 1 + ... +
+    /// (count - 1)` times `each` for each other. Returns the completion
+    /// instant of the last; `count` is at least one.
+    fn occupy(&mut self, count: u64, each: SimDuration, now: SimTime) -> SimTime {
+        let start = self.busy_until.max(now);
+        let done = start + each * count;
+        self.stats.queued_nanos += start.saturating_since(now).as_nanos() * count
+            + each.as_nanos() * (count * (count - 1) / 2);
+        self.stats.busy_nanos += each.as_nanos() * count;
+        self.busy_until = done;
+        done
     }
 
     /// Checks whether a chunk is present and intact, without charging any
@@ -737,17 +744,9 @@ impl FlashDevice {
         if count == 0 {
             return now;
         }
-        // Read i starts when read i-1 completes: `each * i` after `start`.
-        let each = self.scaled(self.config.read.service_time(len));
-        let start = self.busy_until.max(now);
-        let done = start + each * count;
         self.stats.reads += count;
         self.stats.bytes_read += len.as_bytes() * count;
-        self.stats.queued_nanos += start.saturating_since(now).as_nanos() * count
-            + each.as_nanos() * (count * (count - 1) / 2);
-        self.stats.busy_nanos += each.as_nanos() * count;
-        self.busy_until = done;
-        done
+        self.occupy(count, self.scaled(self.config.read.service_time(len)), now)
     }
 
     /// How long this device takes to write a `len`-byte chunk: the stride
@@ -809,12 +808,37 @@ impl FlashDevice {
             return start;
         }
         let done = start + stride * (count - 1) + each;
-        self.stats.writes += count;
-        self.stats.bytes_written += len.as_bytes() * count;
-        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
+        self.count_writes(count, len);
         self.stats.busy_nanos += each.as_nanos() * count;
         self.busy_until = done;
         done
+    }
+
+    /// Charges `count` writes of `len`-byte chunks, all issued at `now`,
+    /// in closed form, exactly as `count` calls of
+    /// [`FlashDevice::write_chunk`] the device takes would — the same
+    /// counters, queueing and `busy_until` to the nanosecond — and enters
+    /// no chunk: what writes cost that their caller takes back again, as a
+    /// store does the chunks before the one a device refuses. Returns the
+    /// completion instant of the last write (`now` for none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device is not healthy.
+    pub fn charge_writes(&mut self, count: u64, len: ByteSize, now: SimTime) -> SimTime {
+        assert!(self.is_healthy(), "{} takes no writes", self.id);
+        if count == 0 {
+            return now;
+        }
+        self.count_writes(count, len);
+        self.occupy(count, self.write_time(len), now)
+    }
+
+    /// Counts `count` writes of `len` bytes, and the erases they wear.
+    fn count_writes(&mut self, count: u64, len: ByteSize) {
+        self.stats.writes += count;
+        self.stats.bytes_written += len.as_bytes() * count;
+        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
     }
 
     /// Writes a run of size-only chunks, all issued at `now` — `count`
@@ -822,22 +846,19 @@ impl FlashDevice {
     /// `tail` chunk, if any, whose handle lies outside those — exactly as
     /// one [`FlashDevice::write_chunk`] per chunk in that order would, and
     /// returns the completion instant of the last (`now` for an empty
-    /// run). Like [`FlashDevice::read_run`] it charges in closed form:
-    /// write *i* starts when write *i - 1* completes, so the `count` whole
-    /// chunks wait `count` times for the device to fall idle and
-    /// `0 + 1 + ... + (count - 1)` service times for each other, and the
-    /// tail waits behind them all. The whole chunks become one run entry,
-    /// which a tail of their length under the next handle joins; a run that
-    /// starts past every handle the device has seen is entered without a
-    /// lookup.
+    /// run). The writes are charged as [`FlashDevice::charge_writes`]
+    /// charges them, the tail behind the whole chunks. The whole chunks
+    /// become one run entry, which a tail of their length under the next
+    /// handle joins; a run that starts past every handle the device has
+    /// seen is entered without a lookup.
     ///
-    /// When the run might not fit (it must stop at exactly the chunk that
-    /// does not), the run is the per-chunk loop.
+    /// The caller vouches that the device takes every chunk: its callers
+    /// issue only what fits ([`FlashDevice::available`] counts room for the
+    /// whole run), so no write of a run is ever refused.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// As [`FlashDevice::write_chunk`]; chunks before the rejected one
-    /// stay written.
+    /// Panics if the device is not healthy or has no room for the run.
     pub fn write_run(
         &mut self,
         first: ChunkHandle,
@@ -845,56 +866,33 @@ impl FlashDevice {
         len: ByteSize,
         tail: Option<(ChunkHandle, ByteSize)>,
         now: SimTime,
-    ) -> Result<SimTime, FlashError> {
-        if !self.is_healthy() {
-            return Err(FlashError::DeviceFailed(self.id));
-        }
+    ) -> SimTime {
         let first = first.as_u64();
         debug_assert!(
             tail.is_none_or(|(handle, _)| handle.as_u64().wrapping_sub(first) >= count),
             "the tail's handle lies inside the run"
         );
         let total = len * count + tail.map_or(ByteSize::ZERO, |(_, len)| len);
-        if self.used + total > self.config.capacity {
-            let whole = (first..first + count).map(|handle| (ChunkHandle::new(handle), len));
-            let mut done = now;
-            for (handle, len) in whole.chain(tail) {
-                done = self.write_chunk(handle, StoredChunk::synthetic(len), now)?;
-            }
-            return Ok(done);
-        }
-        if count == 0 && tail.is_none() {
-            // Nothing was issued: the device's horizon stays where it was.
-            return Ok(now);
-        }
-        let start = self.busy_until.max(now);
-        let wait = start.saturating_since(now).as_nanos();
-        let mut queued = 0;
-        let mut done = start;
+        assert!(
+            total <= self.available(),
+            "{} has no room for a run of {total}",
+            self.id
+        );
+        let mut done = self.charge_writes(count, len, now);
         // A tail of the run's length under the next handle is its last chunk.
         let joins = count > 0 && tail == Some((ChunkHandle::new(first + count), len));
         if count > 0 {
-            let each = self.write_time(len);
-            queued = wait * count + each.as_nanos() * (count * (count - 1) / 2);
-            done += each * count;
             self.store_run(first, count + u64::from(joins), len);
         }
         if let Some((handle, tail_len)) = tail {
-            queued += done.saturating_since(now).as_nanos();
-            done += self.write_time(tail_len);
+            done = self.charge_writes(1, tail_len, now);
             if !joins {
                 self.store_run(handle.as_u64(), 1, tail_len);
             }
         }
         self.used += total;
-        self.stats.writes += count + u64::from(tail.is_some());
-        self.stats.bytes_written += total.as_bytes();
-        self.stats.erases_estimated = self.stats.bytes_written / self.config.erase_block.as_bytes();
-        self.stats.queued_nanos += queued;
-        self.stats.busy_nanos += done.saturating_since(start).as_nanos();
-        self.busy_until = done;
         self.check_tables();
-        Ok(done)
+        done
     }
 
     /// Enters `count` intact size-only chunks of `len` bytes, handles
@@ -1504,12 +1502,11 @@ mod tests {
             let (first, count, len, tail) = run;
             let tail = tail.map(|(handle, len)| (h(handle), len));
             let whole = (first..first + count).map(|handle| (h(handle), len));
-            let mut expected = Ok(now);
+            let mut expected = now;
             for (handle, len) in whole.chain(tail) {
-                expected = one_by_one.write_chunk(handle, StoredChunk::synthetic(len), now);
-                if expected.is_err() {
-                    break;
-                }
+                expected = one_by_one
+                    .write_chunk(handle, StoredChunk::synthetic(len), now)
+                    .unwrap();
             }
             assert_eq!(in_runs.write_run(h(first), count, len, tail, now), expected);
             assert_same_device(one_by_one, in_runs);
@@ -1525,15 +1522,15 @@ mod tests {
             // the next handle is an entry of its own; a tail of the run's
             // length there is the run's last chunk, and under a later
             // handle it is not.
-            check(&mut twins, (10, 5, kib(16), Some((15, kib(5)))), zero).unwrap();
-            check(&mut twins, (20, 3, kib(16), Some((23, kib(16)))), zero).unwrap();
-            check(&mut twins, (30, 2, kib(16), Some((33, kib(16)))), zero).unwrap();
+            check(&mut twins, (10, 5, kib(16), Some((15, kib(5)))), zero);
+            check(&mut twins, (20, 3, kib(16), Some((23, kib(16)))), zero);
+            check(&mut twins, (30, 2, kib(16), Some((33, kib(16)))), zero);
             // Past the horizon: whole chunks only, a tail only, nothing —
             // which leaves the horizon in the past.
-            check(&mut twins, (40, 2, kib(4), None), later).unwrap();
-            check(&mut twins, (45, 0, kib(16), Some((45, kib(5)))), later).unwrap();
+            check(&mut twins, (40, 2, kib(4), None), later);
+            check(&mut twins, (45, 0, kib(16), Some((45, kib(5)))), later);
             let idle = SimTime::from_nanos(900_000_000);
-            assert_eq!(check(&mut twins, (46, 0, kib(16), None), idle), Ok(idle));
+            assert_eq!(check(&mut twins, (46, 0, kib(16), None), idle), idle);
             let singles = [(0, 1), (15, 1), (33, 1), (45, 1)];
             let mut expected = vec![(10, 5), (20, 4), (30, 2), (40, 2)];
             expected.extend(singles);
@@ -1547,34 +1544,113 @@ mod tests {
                 d.remove_run(h(20), 4);
                 d.remove_chunk(h(31));
             }
-            check(&mut twins, (9, 16, kib(16), Some((25, kib(5)))), later).unwrap();
+            check(&mut twins, (9, 16, kib(16), Some((25, kib(5)))), later);
             assert_eq!(twins.1.used(), kib(314));
             assert!(twins.1.all_chunks_intact());
-            // A run that crosses the 1 MiB capacity stops at the same chunk
-            // with the same error, and the chunks before it stay.
-            let held = twins.1.chunk_count();
-            let full = check(&mut twins, (100, 50, kib(16), Some((150, kib(5)))), later);
-            let (device, requested, available) = (DeviceId(0), kib(16), kib(6));
-            let rejected = FlashError::DeviceFull {
-                device,
-                requested,
-                available,
-            };
-            assert_eq!(full, Err(rejected));
-            assert_eq!(twins.1.chunk_count(), held + 44);
-            assert!(!twins.1.chunk_is_intact(h(144)));
-            // As does a tail alone with no room for it.
-            let full = check(&mut twins, (200, 0, kib(16), Some((200, kib(7)))), later);
-            assert!(matches!(full, Err(FlashError::DeviceFull { .. })));
-            // A failed device takes no run, not even an empty one.
-            for d in [&mut twins.0, &mut twins.1] {
-                d.fail();
-            }
-            let failed = Err(FlashError::DeviceFailed(DeviceId(0)));
-            assert_eq!(check(&mut twins, (300, 2, kib(16), None), idle), failed);
-            let nothing = twins.1.write_run(h(300), 0, kib(16), None, idle);
-            assert_eq!(nothing, failed);
+            // Exactly the room left is taken.
+            check(&mut twins, (100, 44, kib(16), Some((144, kib(6)))), later);
+            assert_eq!(twins.1.available(), ByteSize::ZERO);
         }
+        // Refused: a run one byte over the room left, a tail alone with no
+        // room for it, and on a failed device any run, even an empty one.
+        let (mut d, _) = run_twins();
+        let room = d.available();
+        let refused = |d: &FlashDevice, count: u64, tail: Option<(ChunkHandle, ByteSize)>| {
+            let mut d = d.clone();
+            let len = kib(16);
+            std::panic::catch_unwind(move || d.write_run(h(10), count, len, tail, SimTime::ZERO))
+                .is_err()
+        };
+        let over = room - kib(16) * (room / kib(16)) + ByteSize::from_bytes(1);
+        assert!(!refused(&d, room / kib(16), None));
+        assert!(refused(&d, room / kib(16), Some((h(99), over))));
+        assert!(refused(
+            &d,
+            0,
+            Some((h(99), room + ByteSize::from_bytes(1)))
+        ));
+        d.fail();
+        assert!(refused(&d, 0, None));
+    }
+
+    #[test]
+    fn charge_writes_is_the_writes_one_by_one_taken_back() {
+        let (h, kib) = (ChunkHandle::new, ByteSize::from_kib);
+        // One twin writes chunk by chunk until the device refuses one, then
+        // removes what it wrote; the other charges the writes the device
+        // took, per chunk length, and enters nothing.
+        let check = |twins: &mut (FlashDevice, FlashDevice), writes: &[(u64, ByteSize)], now| {
+            let (one_by_one, charged) = twins;
+            let before = ranges(charged);
+            let mut taken = Vec::new();
+            let mut refused = None;
+            let mut expected = now;
+            for (handle, len) in writes.iter().map(|&(handle, len)| (h(handle), len)) {
+                match one_by_one.write_chunk(handle, StoredChunk::synthetic(len), now) {
+                    Ok(done) => {
+                        expected = done;
+                        taken.push(len);
+                    }
+                    Err(e) => {
+                        refused = Some(e);
+                        break;
+                    }
+                }
+            }
+            for &(handle, _) in &writes[..taken.len()] {
+                one_by_one.remove_chunk(h(handle));
+            }
+            let mut done = now;
+            for lens in taken.chunk_by(|a, b| a == b) {
+                done = charged.charge_writes(lens.len() as u64, lens[0], now);
+            }
+            assert_eq!(done, expected);
+            assert_same_device(one_by_one, charged);
+            assert_eq!(ranges(charged), before, "nothing entered");
+            refused
+        };
+        let run = |first: u64, count: u64, len| (first..first + count).map(move |h| (h, len));
+        for slowdown in [1.7, 2.5] {
+            let mut twins = run_twins();
+            for d in [&mut twins.0, &mut twins.1] {
+                d.set_slowdown(slowdown);
+                let filler = StoredChunk::synthetic(kib(1024 - 8 - 300));
+                d.write_chunk(h(1 << 20), filler, SimTime::ZERO).unwrap();
+            }
+            let (zero, later) = (SimTime::ZERO, SimTime::from_nanos(90_000_000));
+            // 300 KiB left: a run that crosses it stops at the chunk past the
+            // eighteenth, behind the horizon and past it.
+            let crossing: Vec<_> = run(10, 50, kib(16)).chain([(60, kib(5))]).collect();
+            for now in [zero, later] {
+                let refused = check(&mut twins, &crossing, now);
+                let rejected = FlashError::DeviceFull {
+                    device: DeviceId(0),
+                    requested: kib(16),
+                    available: kib(12),
+                };
+                assert_eq!(refused, Some(rejected));
+            }
+            // Whole chunks, then a short chunk that fits and one that does
+            // not: a store's stripe that a later device refuses.
+            let mixed: Vec<_> = run(10, 18, kib(16))
+                .chain([(28, kib(9)), (29, kib(4))])
+                .collect();
+            assert!(matches!(
+                check(&mut twins, &mixed, later),
+                Some(FlashError::DeviceFull { .. })
+            ));
+            // A tail alone with no room for it: nothing is charged.
+            let idle = SimTime::from_nanos(900_000_000);
+            assert!(check(&mut twins, &[(200, kib(301))], idle).is_some());
+            assert_eq!(twins.1.charge_writes(0, kib(16), idle), idle);
+            assert_same_device(&twins.0, &twins.1);
+        }
+        // A failed device takes no writes.
+        let (mut d, _) = run_twins();
+        d.fail();
+        assert!(
+            std::panic::catch_unwind(move || d.charge_writes(1, kib(16), SimTime::ZERO)).is_err()
+        );
     }
 
     #[test]
@@ -1584,8 +1660,7 @@ mod tests {
         for d in [&mut one_by_one, &mut run] {
             d.set_slowdown(2.5);
             // Handles 10..16 are one run entry, 20 an entry of its own.
-            d.write_run(ChunkHandle::new(10), 6, len, None, SimTime::ZERO)
-                .unwrap();
+            d.write_run(ChunkHandle::new(10), 6, len, None, SimTime::ZERO);
             d.write_chunk(
                 ChunkHandle::new(20),
                 StoredChunk::synthetic(len),
@@ -1649,8 +1724,7 @@ mod tests {
         let mut largest = 0;
         for _ in 0..10_000 {
             let count = 2 + rng.below(30);
-            d.write_run(ChunkHandle::new(next), count, len, None, SimTime::ZERO)
-                .unwrap();
+            d.write_run(ChunkHandle::new(next), count, len, None, SimTime::ZERO);
             live.push((ChunkHandle::new(next), count));
             // Stripes that put nothing on this device lie between.
             next += count + rng.below(3);
@@ -1677,8 +1751,7 @@ mod tests {
         let len = ByteSize::from_kib(4);
         let stored = || {
             let mut d = dev();
-            d.write_run(ChunkHandle::new(10), 10, len, None, SimTime::ZERO)
-                .unwrap();
+            d.write_run(ChunkHandle::new(10), 10, len, None, SimTime::ZERO);
             assert_eq!(d.chunk_runs(), [(ChunkHandle::new(10), 10)]);
             d
         };
@@ -1714,8 +1787,8 @@ mod tests {
         d.fail();
         d.replace_with_spare();
         assert_eq!((d.chunk_runs(), d.all_chunks_intact()), (vec![], false));
-        d.write_run(h(16), 2, len, None, SimTime::ZERO).unwrap();
-        d.write_run(h(11), 4, len, None, SimTime::ZERO).unwrap();
+        d.write_run(h(16), 2, len, None, SimTime::ZERO);
+        d.write_run(h(11), 4, len, None, SimTime::ZERO);
         assert_eq!(ranges(&d), [(11, 4), (16, 2)]);
         assert!(!d.all_chunks_intact(), "18 and 19 still await a rebuild");
         d.remove_run(h(18), 2);

@@ -146,7 +146,8 @@ proptest! {
     /// `singles` chunk by chunk (which never forms a run). Per-chunk
     /// writes, corruptions and removals land inside, at the front and at
     /// the back of runs; failures and spares flip them whole; later runs
-    /// rebuild parts of them; the device is small enough to reject writes.
+    /// rebuild parts of them; the device is small enough to reject writes
+    /// (a run it cannot take whole goes chunk by chunk on both twins).
     /// After every operation nothing a caller can ask tells the two apart.
     #[test]
     fn the_run_table_is_the_per_chunk_table(
@@ -163,20 +164,26 @@ proptest! {
                     let len = twin_len(len);
                     let tail = tail.map(|(gap, len)| (ChunkHandle::new(first + count + gap), twin_len(len)));
                     let whole = (first..first + count).map(|handle| (ChunkHandle::new(handle), len));
-                    // A failed device refuses even an empty run.
-                    let mut one_by_one = if singles.is_healthy() {
-                        Ok(now)
-                    } else {
-                        Err(FlashError::DeviceFailed(DeviceId(0)))
-                    };
+                    let total = len * count + tail.map_or(ByteSize::ZERO, |(_, len)| len);
+                    // Only a run the device takes whole goes as one, as its
+                    // callers issue them; any other goes chunk by chunk on
+                    // both twins.
+                    let taken = runs.is_healthy() && total <= runs.available();
+                    let mut one_by_one = Ok(now);
                     for (handle, len) in whole.chain(tail) {
-                        one_by_one = singles.write_chunk(handle, StoredChunk::synthetic(len), now);
+                        let chunk = StoredChunk::synthetic(len);
+                        one_by_one = singles.write_chunk(handle, chunk.clone(), now);
+                        if !taken {
+                            prop_assert_eq!(runs.write_chunk(handle, chunk, now), one_by_one.clone());
+                        }
                         if one_by_one.is_err() {
                             break;
                         }
                     }
-                    let first = ChunkHandle::new(first);
-                    prop_assert_eq!(runs.write_run(first, count, len, tail, now), one_by_one);
+                    if taken {
+                        let done = runs.write_run(ChunkHandle::new(first), count, len, tail, now);
+                        prop_assert_eq!(Ok(done), one_by_one);
+                    }
                 }
                 TwinOp::RewriteRun { first, count, idle_for, slack } => {
                     // Only what the caller of a rewrite run vouches for:

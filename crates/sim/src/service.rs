@@ -4,6 +4,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::{ByteSize, SimDuration};
 
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
 /// A two-parameter service-time model for a storage or network device.
 ///
 /// The time to service one operation of `n` bytes is
@@ -81,10 +83,18 @@ impl ServiceModel {
         if self.bytes_per_sec == u64::MAX {
             return SimDuration::ZERO;
         }
-        // nanos = bytes * 1e9 / bw, computed in u128 to avoid overflow for
-        // large transfers.
-        let nanos = (bytes.as_bytes() as u128 * 1_000_000_000u128) / self.bytes_per_sec as u128;
-        SimDuration::from_nanos(nanos as u64)
+        // nanos = bytes * 1e9 / bw: in u64 while the product fits (up to
+        // about 17 GiB, which every chunk is), in u128 beyond, where a u64
+        // product would overflow. Both divide the same exact product.
+        let bytes = bytes.as_bytes();
+        let nanos = match bytes.checked_mul(NANOS_PER_SEC) {
+            Some(product) => product / self.bytes_per_sec,
+            None => {
+                (u128::from(bytes) * u128::from(NANOS_PER_SEC) / u128::from(self.bytes_per_sec))
+                    as u64
+            }
+        };
+        SimDuration::from_nanos(nanos)
     }
 }
 
@@ -131,6 +141,22 @@ mod tests {
         let m = ServiceModel::new(SimDuration::ZERO, 100 * 1024 * 1024);
         let t = m.service_time(ByteSize::from_gib(1024));
         assert!(t.as_secs_f64() > 10_000.0);
+    }
+
+    #[test]
+    fn u64_transfer_time_is_the_u128_quotient() {
+        // The largest size whose product with 1e9 fits a u64, and the next,
+        // which takes the u128 path.
+        let largest = u64::MAX / NANOS_PER_SEC;
+        let sizes = [0, 1, 16 << 10, 64 << 10, 1 << 34, largest, largest + 1];
+        for bw in [1, 470 * 1024 * 1024 + 1, u64::MAX - 1] {
+            let m = ServiceModel::new(SimDuration::ZERO, bw);
+            for bytes in sizes {
+                let wide = u128::from(bytes) * u128::from(NANOS_PER_SEC) / u128::from(bw);
+                let t = m.transfer_time(ByteSize::from_bytes(bytes));
+                assert_eq!(t.as_nanos(), wide as u64, "{bytes} bytes at {bw} B/s");
+            }
+        }
     }
 
     #[test]

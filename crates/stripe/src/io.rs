@@ -199,25 +199,22 @@ impl StripeIo<'_> {
         Ok(())
     }
 
-    /// Writes the chunks of a fresh extent's stripes from the `from`-th on
-    /// one by one in extent order, encoding parity from `payload` when
-    /// there is one (a real extent is written from its first stripe).
-    /// `written` counts the chunks on flash, for the caller's rollback.
+    /// Writes the chunks of a fresh extent one by one in extent order,
+    /// encoding parity from `payload` when there is one. `written` counts
+    /// the chunks on flash, for the caller's rollback.
     pub(crate) fn write_extent(
         &mut self,
         extent: &PlacedExtent,
-        from: u64,
         payload: Option<&[u8]>,
         written: &mut usize,
     ) -> Result<(), StripeError> {
-        debug_assert!(from == 0 || payload.is_none());
         let image = |c: &StripeChunk, bytes: Option<&[u8]>| match bytes {
             Some(b) => StoredChunk::real(Bytes::copy_from_slice(&b[..c.len.as_bytes() as usize])),
             None => StoredChunk::synthetic(c.len),
         };
         // Where the next data chunk's bytes start in the payload.
         let mut at = 0;
-        for stripe in extent.stripes_from(from) {
+        for stripe in extent.stripes() {
             let stripe_bytes = payload.map(|p| &p[at..]);
             for c in stripe.data() {
                 self.write_chunk(&c, image(&c, payload.map(|p| &p[at..])))?;

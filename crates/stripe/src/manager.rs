@@ -406,28 +406,26 @@ impl StripeManager {
         let stripe_count = placed.shape.stripes;
         self.next_stripe += stripe_count;
 
-        // What the extent puts on each of its devices: one whole chunk of
-        // every stripe before the last under the handles from the first
-        // stripe on, then the last stripe's chunk there, if it has one.
-        let (full, chunk_size) = (placed.full_stripes(), self.chunk_size);
-        let tails = placed.tails();
-
-        // A size-only extent goes out as one run per device as far as every
-        // device has room for its chunk of every stripe: none of those
-        // writes can be rejected, so the order between devices cannot show.
-        // That is all of an extent that fits. Of one that does not it is
-        // the stripes before the one with the chunk that is rejected: a
-        // device short of its share takes the whole chunks it has room for,
-        // one per stripe before the last. The stripes after the runs are
-        // written chunk by chunk in extent order, which stops at exactly
-        // that chunk — as is every stripe of a real extent, and of one under
-        // handles a crash took back, where chunks it orphaned may still
-        // sit: writing over one frees room that no count of free bytes
-        // shows.
+        // A size-only extent goes out as one run per device when every
+        // device has room for its share: none of those writes can be
+        // rejected, so the order between devices cannot show. One that
+        // does not fit is priced, not written (`price_refused_store`). A
+        // real extent is written chunk by chunk in extent order, which stops
+        // at exactly the chunk that is rejected — as is one under handles a
+        // crash took back, where chunks it orphaned may still sit: writing
+        // over one frees room that no count of free bytes shows.
         let now = self.array.clock().now();
-        let in_runs = if extent.real || first_stripe < self.rewound_from {
-            0
-        } else {
+        let mut latest = now;
+        if !extent.real && first_stripe >= self.rewound_from {
+            // What the extent puts on each of its devices: one whole chunk
+            // of every stripe before the last under the handles from the
+            // first stripe on, then the last stripe's chunk there, if it
+            // has one.
+            let (full, chunk_size) = (placed.full_stripes(), self.chunk_size);
+            let tails = placed.tails();
+            // The stripes every device has room for its chunk of: a device
+            // short of its share takes the whole chunks it has room for,
+            // one per stripe before the last.
             let fitting = tails.clone().map(|(d, tail)| {
                 let share = chunk_size * full + tail.unwrap_or(ByteSize::ZERO);
                 let free = self.array.device(d).available();
@@ -437,41 +435,29 @@ impl StripeManager {
                     full.min(free / chunk_size)
                 }
             });
-            fitting.min().expect("an extent has a device")
-        };
-        let mut latest = now;
-        if in_runs > 0 {
-            for (d, tail) in tails.clone() {
-                let first = ChunkHandle::new(first_stripe);
-                let tail = tail
-                    .filter(|_| in_runs == stripe_count)
-                    .map(|len| (ChunkHandle::new(first_stripe + full), len));
-                let done = self
-                    .array
-                    .device_mut(d)
-                    .write_run(first, in_runs.min(full), chunk_size, tail, now)
-                    .expect("a healthy device with room for the run");
-                latest = latest.max(done);
+            let in_runs = fitting.min().expect("an extent has a device");
+            if in_runs < stripe_count {
+                return Err(self.price_refused_store(&placed, in_runs, now));
             }
-        }
-        if in_runs < stripe_count {
+            for (d, tail) in tails {
+                let first = ChunkHandle::new(first_stripe);
+                let tail = tail.map(|len| (ChunkHandle::new(first_stripe + full), len));
+                let device = self.array.device_mut(d);
+                latest = latest.max(device.write_run(first, full, chunk_size, tail, now));
+            }
+        } else {
             let (mut io, _) = self.split_io();
             let mut written = 0;
-            let result = io.write_extent(&placed, in_runs, payload, &mut written);
-            latest = latest.max(io.finish());
+            let result = io.write_extent(&placed, payload, &mut written);
+            latest = io.finish();
             if let Err(e) = result {
-                // Roll back the runs and the chunks written after them; the
-                // stripe being assembled stays consumed.
-                for (d, _) in tails {
-                    let device = self.array.device_mut(d);
-                    device.remove_run(ChunkHandle::new(first_stripe), in_runs);
-                }
-                let chunks = placed.stripes_from(in_runs).flat_map(|s| s.chunks());
+                // Roll back the chunks written; the stripe being assembled
+                // stays consumed.
+                let chunks = placed.stripes().flat_map(|s| s.chunks());
                 for c in chunks.take(written) {
                     self.array.device_mut(c.device).remove_chunk(c.handle);
                 }
-                let reached = in_runs + (written / extent.width()) as u64;
-                self.next_stripe = first_stripe + reached + 1;
+                self.next_stripe = first_stripe + (written / extent.width()) as u64 + 1;
                 return Err(e);
             }
         }
@@ -486,6 +472,50 @@ impl StripeManager {
             first_stripe: StripeId(first_stripe),
             stripe_count: u32::try_from(stripe_count).expect("a stored object's stripes fit a u32"),
         })
+    }
+
+    /// What a size-only store of `placed`, under handles no crash took
+    /// back, costs when only its first `in_runs` stripes fit every device:
+    /// the writes issued chunk by chunk in extent order up to the one a
+    /// device refuses, each taken back again. Every device takes its whole
+    /// chunk of each of those stripes, and the refused chunk is the first
+    /// in stripe `in_runs` whose device is short of its length — the
+    /// device that bounds `in_runs` is, so the walk stops within one
+    /// stripe. Each device is charged what it took, per chunk length, and
+    /// nothing is entered, so nothing is rolled back; the stripes up to the
+    /// refused one stay consumed, and the clock stays where it is.
+    fn price_refused_store(
+        &mut self,
+        placed: &PlacedExtent,
+        in_runs: u64,
+        now: SimTime,
+    ) -> StripeError {
+        let chunk_size = self.chunk_size;
+        let stripe = placed
+            .stripes_from(in_runs)
+            .next()
+            .expect("a stripe is refused");
+        let room = |d| self.array.device(d).available() - chunk_size * in_runs;
+        let (taken, c) = stripe
+            .chunks()
+            .enumerate()
+            .find(|(_, c)| c.len > room(c.device))
+            .expect("a device short of its share refuses its chunk of the stripe");
+        let refused = FlashError::DeviceFull {
+            device: c.device,
+            requested: c.len,
+            available: room(c.device),
+        };
+        for d in placed.devices() {
+            self.array
+                .device_mut(d)
+                .charge_writes(in_runs, chunk_size, now);
+        }
+        for c in stripe.chunks().take(taken) {
+            self.array.device_mut(c.device).charge_writes(1, c.len, now);
+        }
+        self.next_stripe = placed.first_stripe + in_runs + 1;
+        StripeError::Flash(refused)
     }
 
     /// Ends an operation started at `now` whose last chunk operation

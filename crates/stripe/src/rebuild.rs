@@ -47,17 +47,9 @@ impl GatheredWrites<'_> {
         if self.on >> device.0 & 1 == 1 {
             self.on &= !(1 << device.0);
             let run = std::mem::take(&mut self.runs[device.0]);
-            let done = io
-                .array
-                .device_mut(device)
-                .write_run(
-                    ChunkHandle::new(run.first),
-                    run.count,
-                    run.len,
-                    None,
-                    io.now,
-                )
-                .expect("a healthy device with room for the run");
+            let first = ChunkHandle::new(run.first);
+            let device = io.array.device_mut(device);
+            let done = device.write_run(first, run.count, run.len, None, io.now);
             io.completes(done);
         }
     }

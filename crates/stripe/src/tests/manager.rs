@@ -340,6 +340,111 @@ fn a_store_that_does_not_fit_charges_and_frees_what_chunk_by_chunk_did() {
 }
 
 #[test]
+fn a_store_that_cannot_fit_leaves_the_pinned_state() {
+    // An unevenly filled array with a slowed device. Three stores that do
+    // not fit: one rejected on a whole chunk after five whole stripes
+    // fitted, one rejected in its first stripe, and one rejected on a short
+    // chunk, between stores that fit. Values recorded from the code that
+    // wrote each chunk up to the rejected one and rolled them back.
+    let kib = |n: u64| n * 1024;
+    let mut m = nearly_full([kib(64), kib(40) + 512, kib(23), kib(64), kib(30) + 7]);
+    m.array.device_mut(DeviceId(3)).set_slowdown(1.5);
+    let (parity, replication) = (RedundancyScheme::parity(1), RedundancyScheme::Replication);
+    let stores = [
+        (kib(1), RedundancyScheme::parity(0)),
+        (kib(120) + 300, parity),
+        (kib(20), replication),
+        (kib(40), parity),
+        (3584, replication),
+        (kib(2), parity),
+    ];
+    // Each store's first stripe, or the device that refused a chunk with
+    // the chunk's length and the room the device had.
+    let outcomes: Vec<_> = (1..)
+        .zip(stores)
+        .map(|(owner, (size, scheme))| {
+            match m.store_object(owner, ByteSize::from_bytes(size), scheme, None) {
+                Ok(layout) => Ok(layout.stripes().next().unwrap().as_u64()),
+                Err(StripeError::Flash(FlashError::DeviceFull {
+                    device,
+                    requested,
+                    available,
+                })) => Err((device.0, requested.as_bytes(), available.as_bytes())),
+                Err(e) => panic!("{e}"),
+            }
+        })
+        .collect();
+    let devices: Vec<_> = (0..5)
+        .map(|d| {
+            let device = m.array.device(DeviceId(d));
+            let s = device.stats();
+            (
+                (s.writes, s.bytes_written, s.erases_estimated),
+                (s.queued_nanos, s.busy_nanos),
+                device.busy_until().as_nanos(),
+                device.used().as_bytes(),
+                device
+                    .chunk_runs()
+                    .iter()
+                    .map(|(h, n)| (h.as_u64(), *n))
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+    let refused = |requested| Err((2, requested, 3072));
+    let expected = [
+        Ok(0),
+        refused(4096),
+        Ok(7),
+        refused(4096),
+        refused(3584),
+        Ok(14),
+    ];
+    assert_eq!(outcomes, expected);
+    let filler = (1 << 40, 1);
+    assert_eq!(
+        devices,
+        [
+            (
+                (15, 1_034_752, 7),
+                (11_996_292, 4_927_369),
+                5_965_519,
+                1_006_592,
+                vec![(0, 1), (7, 5), (14, 1), filler]
+            ),
+            (
+                (13, 1_055_744, 8),
+                (9_550_934, 4_566_471),
+                5_761_705,
+                1_027_584,
+                vec![(7, 5), filler]
+            ),
+            (
+                (11, 1_065_984, 8),
+                (9_343_305, 4_185_545),
+                4_309_251,
+                1_045_504,
+                vec![(7, 5), filler]
+            ),
+            (
+                (13, 1_031_680, 7),
+                (14_326_424, 5_766_951),
+                5_968_858,
+                1_003_520,
+                vec![(7, 5), filler]
+            ),
+            (
+                (14, 1_068_537, 8),
+                (9_965_238, 4_790_299),
+                5_965_519,
+                1_040_377,
+                vec![(7, 5), (14, 1), filler]
+            ),
+        ]
+    );
+}
+
+#[test]
 fn input_validation() {
     let mut m = mgr(3);
     assert!(matches!(

@@ -11,7 +11,9 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use reo_flashsim::{ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, FlashDevice};
+use reo_flashsim::{
+    ChunkHandle, DeviceConfig, DeviceId, FaultPlan, FlashArray, FlashDevice, FlashError,
+};
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
 use reo_stripe::{
     ObjectLayout, ObjectStatus, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
@@ -135,6 +137,7 @@ fn recovery_sweeps_match_the_expanded_pairs(
 #[derive(Clone, Debug)]
 enum Step {
     Store { size: u64, scheme: u8, real: bool },
+    Fill { over: u64 },
     Read { slot: usize },
     Overwrite { slot: usize, first: u64, span: u64 },
     Remove { slot: usize },
@@ -181,6 +184,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
             scheme,
             real: real == 0,
         }),
+        // A size-only replicated store of the tightest healthy device's
+        // room, less a chunk, plus `over` bytes.
+        (0u64..32 * 1024).prop_map(|over| Step::Fill { over }),
         read(),
         read(),
         read(),
@@ -207,8 +213,14 @@ fn arb_step() -> impl Strategy<Value = Step> {
 /// reference walks the object's chunks.
 #[derive(Clone, Copy)]
 enum ClosedForm {
-    /// A size-only store rejected after at least one whole stripe fitted.
+    /// A size-only store, under handles no crash took back, rejected after
+    /// at least one whole stripe fitted.
     RejectedStore,
+    /// Such a store rejected in its first stripe: no whole stripe fitted.
+    RejectedInFirstStripe,
+    /// Such a store rejected on a chunk shorter than the chunk size: the
+    /// object's short last chunk, or its last stripe's parity or replica.
+    RejectedShortChunk,
     /// A size-only overwrite of three or more whole chunks of a replicated
     /// object on devices whose chunks are all intact.
     LockstepOverwrite,
@@ -220,7 +232,7 @@ enum ClosedForm {
 /// Steps of one whole run of the differential test that met each closed
 /// form's precondition (a row per form) under round-robin placement, under
 /// fixed placement, and with a slowed device in the array.
-static MET: [[AtomicU64; 3]; 3] = [const { [const { AtomicU64::new(0) }; 3] }; 3];
+static MET: [[AtomicU64; 3]; 5] = [const { [const { AtomicU64::new(0) }; 3] }; 5];
 
 /// The extent-and-run manager and the per-chunk reference, each over its
 /// own array and fault plan built from the same seed.
@@ -234,6 +246,11 @@ struct Twins {
     /// Owners of the objects stored with a real payload.
     real: BTreeSet<u64>,
     placement: PlacementPolicy,
+    /// The stripe the next store starts at, and the highest one a crash
+    /// rewound it from: a store below that may write over chunks the crash
+    /// orphaned, and goes chunk by chunk.
+    next_stripe: u64,
+    rewound_from: u64,
 }
 
 /// `width` small devices (so stores meet `DeviceFull` and roll back).
@@ -267,6 +284,8 @@ impl Twins {
             owner: 0,
             real: BTreeSet::new(),
             placement,
+            next_stripe: 0,
+            rewound_from: 0,
         }
     }
 
@@ -340,9 +359,29 @@ impl Twins {
                 let n = self
                     .new
                     .store_object(self.owner, size, scheme, payload.as_deref());
-                // A rejected store wrote a whole stripe only if one fitted.
-                if n.is_err() && !real && self.new.array().stats().writes - writes >= width as u64 {
-                    self.met(ClosedForm::RejectedStore);
+                let first = self.next_stripe;
+                match &n {
+                    Ok(n) => {
+                        prop_assert_eq!(n.stripes().next().map(|s| s.as_u64()), Some(first));
+                        self.next_stripe = n.stripes().last().expect("a stripe").as_u64() + 1;
+                    }
+                    // The stripes before the one holding the rejected chunk
+                    // were written whole, and stay consumed with it.
+                    Err(StripeError::Flash(FlashError::DeviceFull { requested, .. })) => {
+                        let whole = (self.new.array().stats().writes - writes) / width as u64;
+                        self.next_stripe = first + whole + 1;
+                        if !real && first >= self.rewound_from {
+                            self.met(if whole > 0 {
+                                ClosedForm::RejectedStore
+                            } else {
+                                ClosedForm::RejectedInFirstStripe
+                            });
+                            if *requested < self.new.chunk_size() {
+                                self.met(ClosedForm::RejectedShortChunk);
+                            }
+                        }
+                    }
+                    Err(_) => {}
                 }
                 let o = self
                     .old
@@ -364,6 +403,26 @@ impl Twins {
                         self.live.push((n, o));
                     }
                     (n, o) => prop_assert_eq!(shown(&n), shown(&o)),
+                }
+            }
+            Step::Fill { over } => {
+                // A replica is the whole object on every device: the store
+                // leaves the tightest device less than a chunk of room, or
+                // is refused there, mostly on its short last chunk.
+                let chunk = self.new.chunk_size().as_bytes();
+                let tightest = self
+                    .devices()
+                    .filter(|d| d.is_healthy())
+                    .map(|d| d.available());
+                let size = tightest
+                    .min()
+                    .map_or(0, |room| (room.as_bytes() + over).saturating_sub(chunk));
+                if size > 0 {
+                    return self.step(Step::Store {
+                        size,
+                        scheme: 3,
+                        real: false,
+                    });
                 }
             }
             Step::Read { slot } => {
@@ -491,6 +550,8 @@ impl Twins {
                     .collect();
                 self.new.simulate_crash();
                 self.old.simulate_crash();
+                self.rewound_from = self.rewound_from.max(self.next_stripe);
+                self.next_stripe = 0;
                 for ((was, _), (n, o)) in std::mem::take(&mut self.live).iter().zip(blobs) {
                     let n = self.new.install_object_meta(&n).expect("own export");
                     let o = self.old.install_object_meta(&o).expect("own export");
@@ -499,6 +560,8 @@ impl Twins {
                         (was.owner(), was.size(), was.scheme())
                     );
                     prop_assert!(n.stripes().eq(was.stripes()));
+                    let end = n.stripes().last().expect("a stripe").as_u64() + 1;
+                    self.next_stripe = self.next_stripe.max(end);
                     self.live.push((n, o));
                 }
             }
