@@ -14,16 +14,17 @@
 //!   `#QUERY#` messages.
 //! * [`ProtectionPolicy`] — the data encoding policy of Section IV-C.4:
 //!   under differentiated redundancy, metadata and dirty objects are
-//!   replicated across all devices, hot clean objects get 2-parity
-//!   stripes, cold clean objects get none; under uniform protection every
-//!   object gets the same scheme (the paper's 0/1/2-parity and
+//!   replicated across all devices, hot clean objects get a fixed
+//!   2-parity, cold clean objects get none; under uniform protection
+//!   every object gets the same scheme (the paper's 0/1/2-parity and
 //!   full-replication baselines).
 //! * [`RecoveryEngine`] — differentiated recovery (Section IV-D): after a
-//!   spare is inserted, damaged-but-recoverable objects are queued by
-//!   class (metadata first, cold clean last) and rebuilt one at a time so
-//!   that on-demand requests can interleave at higher priority. Only
-//!   valid objects are rebuilt; irrecoverable ones are reported for
-//!   eviction instead of being scanned block-by-block.
+//!   spare is inserted, damaged-but-recoverable objects are queued in one
+//!   FIFO per class and popped lowest class first (metadata first, cold
+//!   clean last), one at a time, so that on-demand requests can
+//!   interleave at higher priority. Only valid objects are rebuilt;
+//!   irrecoverable ones are reported for eviction instead of being
+//!   scanned block-by-block.
 //!
 //! # Examples
 //!

@@ -28,20 +28,19 @@ pub enum ProtectionPolicy {
     /// ("uniform data protection" in the paper's evaluation).
     Uniform(RedundancyScheme),
     /// Reo's differentiated redundancy (Section IV-C.4): replication for
-    /// classes 0/1, `hot_parity` parity chunks for class 2, none for
-    /// class 3.
-    Differentiated {
-        /// Parity chunks per stripe for hot clean objects (the paper uses
-        /// 2, "which ensures that they can survive no more than two
-        /// device failures").
-        hot_parity: u8,
-    },
+    /// classes 0/1, two parity chunks for class 2, none for class 3.
+    Differentiated,
 }
+
+/// Parity chunks per stripe for hot clean objects under differentiated
+/// redundancy: the paper's 2, "which ensures that they can survive no
+/// more than two device failures".
+const HOT_PARITY: u8 = 2;
 
 impl ProtectionPolicy {
     /// Reo's policy with the paper's 2-parity protection for hot data.
     pub const fn differentiated() -> Self {
-        ProtectionPolicy::Differentiated { hot_parity: 2 }
+        ProtectionPolicy::Differentiated
     }
 
     /// A uniform-protection baseline.
@@ -53,9 +52,9 @@ impl ProtectionPolicy {
     pub fn scheme_for(self, class: ObjectClass) -> RedundancyScheme {
         match self {
             ProtectionPolicy::Uniform(s) => s,
-            ProtectionPolicy::Differentiated { hot_parity } => match class {
+            ProtectionPolicy::Differentiated => match class {
                 ObjectClass::Metadata | ObjectClass::Dirty => RedundancyScheme::Replication,
-                ObjectClass::HotClean => RedundancyScheme::Parity(hot_parity),
+                ObjectClass::HotClean => RedundancyScheme::Parity(HOT_PARITY),
                 ObjectClass::ColdClean => RedundancyScheme::Parity(0),
             },
         }
@@ -72,8 +71,8 @@ impl fmt::Display for ProtectionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProtectionPolicy::Uniform(s) => write!(f, "uniform({s})"),
-            ProtectionPolicy::Differentiated { hot_parity } => {
-                write!(f, "differentiated(hot={hot_parity}-parity)")
+            ProtectionPolicy::Differentiated => {
+                write!(f, "differentiated(hot={HOT_PARITY}-parity)")
             }
         }
     }

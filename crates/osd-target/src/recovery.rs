@@ -1,7 +1,6 @@
 //! Differentiated data recovery: the class-priority rebuild queue.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use reo_osd::{ObjectClass, ObjectKey};
@@ -17,7 +16,7 @@ pub struct LedgerImbalance {
     pub enqueued: u64,
     /// Items popped for rebuild.
     pub completed: u64,
-    /// Items still pending in the heap.
+    /// Items still pending in the queues.
     pub pending: u64,
     /// Items dropped by `clear` without being rebuilt.
     pub cancelled: u64,
@@ -45,28 +44,6 @@ pub struct RecoveryItem {
     pub key: ObjectKey,
     /// The class it had when queued — the priority driver.
     pub class: ObjectClass,
-    seq: u64,
-    /// 0 when class-prioritized; a constant otherwise, neutralizing the
-    /// class term so ordering degenerates to FIFO (the block-order
-    /// baseline of traditional reconstruction).
-    order_class: u8,
-}
-
-impl PartialOrd for RecoveryItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for RecoveryItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; we want the *lowest* order class
-        // (most important) first, FIFO within a class.
-        other
-            .order_class
-            .cmp(&self.order_class)
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// The rebuild scheduler of Section IV-D.
@@ -74,10 +51,10 @@ impl Ord for RecoveryItem {
 /// "When there is no on-demand requests, the reconstruction procedure
 /// restores the recoverable data objects according to their class
 /// (metadata, dirty data, hot clean data, and finally cold clean data),
-/// from Class 0 to Class 3, in that order." The engine is a priority queue
-/// keyed on class with FIFO order within a class; the target pops one item
-/// at a time between servicing requests, so on-demand accesses always get
-/// the device first.
+/// from Class 0 to Class 3, in that order." The engine is one FIFO queue
+/// per class, popped lowest class first; the target pops one item at a
+/// time between servicing requests, so on-demand accesses always get the
+/// device first.
 ///
 /// # Examples
 ///
@@ -93,37 +70,25 @@ impl Ord for RecoveryItem {
 /// assert_eq!(engine.pop().unwrap().key, k(2));
 /// assert_eq!(engine.pop().unwrap().key, k(1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryEngine {
-    heap: BinaryHeap<RecoveryItem>,
-    next_seq: u64,
+    /// One FIFO per recovery priority; the unprioritized baseline queues
+    /// everything in the first.
+    queues: [VecDeque<RecoveryItem>; 4],
     enqueued_total: u64,
     completed_total: u64,
     cancelled_total: u64,
-    /// Pending count per class id (0..=3), maintained alongside the heap
-    /// so time-to-restored-redundancy can be read off without draining.
+    /// Pending count per class id (0..=3), maintained alongside the
+    /// queues so time-to-restored-redundancy can be read off without
+    /// draining.
     pending_per_class: [usize; 4],
-    prioritized: bool,
-}
-
-impl Default for RecoveryEngine {
-    fn default() -> Self {
-        RecoveryEngine::new()
-    }
+    unprioritized: bool,
 }
 
 impl RecoveryEngine {
     /// Creates an empty, class-prioritized engine (Reo's behaviour).
     pub fn new() -> Self {
-        RecoveryEngine {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            enqueued_total: 0,
-            completed_total: 0,
-            cancelled_total: 0,
-            pending_per_class: [0; 4],
-            prioritized: true,
-        }
+        RecoveryEngine::default()
     }
 
     /// Creates an engine that rebuilds strictly in enqueue (FIFO) order,
@@ -131,20 +96,20 @@ impl RecoveryEngine {
     /// baseline for the ablation study.
     pub fn new_unprioritized() -> Self {
         RecoveryEngine {
-            prioritized: false,
-            ..RecoveryEngine::new()
+            unprioritized: true,
+            ..RecoveryEngine::default()
         }
     }
 
     /// Number of rebuilds still pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// `true` when nothing is pending (recovery has ended — the target
     /// reports sense code 0x66).
     pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
+        self.queues.iter().all(VecDeque::is_empty)
     }
 
     /// Total items ever enqueued.
@@ -172,36 +137,24 @@ impl RecoveryEngine {
     /// Queues an object for rebuild at its class priority (or FIFO when
     /// unprioritized).
     pub fn enqueue(&mut self, key: ObjectKey, class: ObjectClass) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let order_class = if self.prioritized {
-            class.recovery_priority()
-        } else {
-            0
-        };
-        self.heap.push(RecoveryItem {
-            key,
-            class,
-            seq,
-            order_class,
-        });
+        let priority = class.recovery_priority() as usize;
+        let queue = if self.unprioritized { 0 } else { priority };
+        self.queues[queue].push_back(RecoveryItem { key, class });
         self.enqueued_total += 1;
-        self.pending_per_class[class.recovery_priority() as usize] += 1;
+        self.pending_per_class[priority] += 1;
     }
 
     /// Pops the most important pending rebuild.
     pub fn pop(&mut self) -> Option<RecoveryItem> {
-        let item = self.heap.pop();
-        if let Some(it) = &item {
-            self.completed_total += 1;
-            self.pending_per_class[it.class.recovery_priority() as usize] -= 1;
-        }
-        item
+        let item = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
+        self.completed_total += 1;
+        self.pending_per_class[item.class.recovery_priority() as usize] -= 1;
+        Some(item)
     }
 
     /// Checks the accounting invariants: every item ever enqueued is
     /// completed, pending, or cancelled — exactly one of the three — and
-    /// the per-class pending counters sum to the heap size. Cheap
+    /// the per-class pending counters sum to the queue lengths. Cheap
     /// (counter arithmetic only), so callers can run it after every
     /// reconcile in debug builds.
     ///
@@ -210,7 +163,7 @@ impl RecoveryEngine {
     /// Returns the full counter snapshot as a [`LedgerImbalance`] when
     /// the ledger no longer reconciles.
     pub fn verify_ledger(&self) -> Result<(), LedgerImbalance> {
-        let pending = self.heap.len() as u64;
+        let pending = self.pending() as u64;
         let pending_by_class: u64 = self.pending_per_class.iter().map(|&n| n as u64).sum();
         let reconciles = self.enqueued_total
             == self.completed_total + pending + self.cancelled_total
@@ -232,8 +185,8 @@ impl RecoveryEngine {
     /// the queue and the target rebuilds it from scratch). Dropped items
     /// count as cancelled, not completed.
     pub fn clear(&mut self) {
-        self.cancelled_total += self.heap.len() as u64;
-        self.heap.clear();
+        self.cancelled_total += self.pending() as u64;
+        self.queues.iter_mut().for_each(VecDeque::clear);
         self.pending_per_class = [0; 4];
     }
 }
@@ -310,7 +263,7 @@ mod tests {
         assert!(imbalance.to_string().contains("ledger imbalance"));
         e.completed_total -= 1;
         assert!(e.verify_ledger().is_ok());
-        // Per-class counters drifting from the heap is also an imbalance.
+        // Per-class counters drifting from the queues is also an imbalance.
         e.pending_per_class[0] += 1;
         assert!(e.verify_ledger().is_err());
     }

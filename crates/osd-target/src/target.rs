@@ -116,6 +116,25 @@ impl TargetError {
     }
 }
 
+/// What a stripe-layer failure of an operation on `key` answers: a stripe
+/// lost past its redundancy loses the object (sense 0x63), a device short
+/// of room fills the cache (0x64), and anything else is the stripe error
+/// itself ([`TargetError::sense`] maps the rest).
+fn stripe_error(key: ObjectKey, e: StripeError) -> TargetError {
+    match e {
+        StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
+        StripeError::Flash(FlashError::DeviceFull {
+            requested,
+            available,
+            ..
+        }) => TargetError::CacheFull {
+            requested,
+            available,
+        },
+        other => TargetError::Stripe(other),
+    }
+}
+
 /// Cumulative target counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TargetStats {
@@ -352,39 +371,14 @@ impl OsdTarget {
         }
     }
 
-    /// Appends a record to the attached journal, if any.
-    fn journal_append(&mut self, record: JournalRecord) {
-        if self.journal.is_some() {
-            let started = self.trace_begin();
-            if let Some(j) = self.journal.as_mut() {
-                j.append(&record);
-            }
-            let end = self.clock().now();
-            self.stripes
-                .tracer()
-                .record(Layer::Journal, "append", started, end);
-        }
-    }
-
-    /// Forces staged journal records to durable media, if a journal is
-    /// attached — the fsync barrier acknowledged writes wait behind.
-    fn journal_flush(&mut self) {
-        if self.journal.is_some() {
-            let started = self.trace_begin();
-            if let Some(j) = self.journal.as_mut() {
-                j.flush();
-            }
-            let end = self.clock().now();
-            self.stripes
-                .tracer()
-                .record(Layer::Journal, "flush", started, end);
-        }
-    }
-
-    /// Appends a layout-carrying record for an indexed object to the
-    /// attached journal, if any: the object's current stripe metadata is
-    /// serialized straight into the journal's staging buffer.
-    fn journal_append_layout(&mut self, head: LayoutRecord) {
+    /// Runs `op` on the attached journal, if any, as one journal-layer
+    /// span named `name`. `op` also gets the stripe layer and the index,
+    /// so a record can serialize an object's layout in place.
+    fn journaled(
+        &mut self,
+        name: &'static str,
+        op: impl FnOnce(&mut Journal, &StripeManager, &FastMap<ObjectKey, ObjectRecord>),
+    ) {
         let started = self.trace_begin();
         let OsdTarget {
             journal: Some(journal),
@@ -395,16 +389,38 @@ impl OsdTarget {
         else {
             return;
         };
-        let layout = &index[&head.key()].layout;
-        journal.append_layout(head, |out| {
-            stripes
-                .export_object_meta_into(layout, out)
-                .expect("indexed layouts always reference live stripes")
-        });
+        op(journal, stripes, index);
         let end = self.clock().now();
         self.stripes
             .tracer()
-            .record(Layer::Journal, "append", started, end);
+            .record(Layer::Journal, name, started, end);
+    }
+
+    /// Appends a record to the attached journal, if any.
+    fn journal_append(&mut self, record: JournalRecord) {
+        self.journaled("append", |journal, _, _| {
+            journal.append(&record);
+        });
+    }
+
+    /// Forces staged journal records to durable media, if a journal is
+    /// attached — the fsync barrier acknowledged writes wait behind.
+    fn journal_flush(&mut self) {
+        self.journaled("flush", |journal, _, _| journal.flush());
+    }
+
+    /// Appends a layout-carrying record for an indexed object to the
+    /// attached journal, if any: the object's current stripe metadata is
+    /// serialized straight into the journal's staging buffer.
+    fn journal_append_layout(&mut self, head: LayoutRecord) {
+        self.journaled("append", |journal, stripes, index| {
+            let layout = &index[&head.key()].layout;
+            journal.append_layout(head, |out| {
+                stripes
+                    .export_object_meta_into(layout, out)
+                    .expect("indexed layouts always reference live stripes")
+            });
+        });
     }
 
     /// Number of indexed objects.
@@ -495,17 +511,7 @@ impl OsdTarget {
         let layout = self
             .stripes
             .store_object(owner, size, scheme, payload)
-            .map_err(|e| match e {
-                StripeError::Flash(reo_flashsim::FlashError::DeviceFull {
-                    requested,
-                    available,
-                    ..
-                }) => TargetError::CacheFull {
-                    requested,
-                    available,
-                },
-                other => TargetError::Stripe(other),
-            })?;
+            .map_err(|e| stripe_error(key, e))?;
         let done = self.stripes.array().clock().now();
         self.index.insert(key, ObjectRecord::new(layout, class));
         self.stats.creates += 1;
@@ -539,10 +545,9 @@ impl OsdTarget {
             ..
         } = self;
         let record = index.get_mut(&key).ok_or(TargetError::UnknownObject(key))?;
-        let outcome = stripes.read_object(&record.layout).map_err(|e| match e {
-            StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
-            other => TargetError::Stripe(other),
-        })?;
+        let outcome = stripes
+            .read_object(&record.layout)
+            .map_err(|e| stripe_error(key, e))?;
         stats.reads += 1;
         if outcome.degraded {
             stats.degraded_reads += 1;
@@ -667,80 +672,53 @@ impl OsdTarget {
         // Re-encode: read (possibly degraded), then replace.
         let t0 = self.trace_begin();
         let layout = &record.layout;
-        let outcome = self.stripes.read_object(layout).map_err(|e| match e {
-            StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
-            other => TargetError::Stripe(other),
-        })?;
+        let outcome = self
+            .stripes
+            .read_object(layout)
+            .map_err(|e| stripe_error(key, e))?;
 
-        let new_scheme = self.policy.scheme_for(class);
-        let old_scheme = self.policy.scheme_for(old_class);
         let size = layout.size();
         self.stripes.remove_object(layout);
         let owner = self.next_owner;
         self.next_owner += 1;
-        let new_layout =
-            match self
-                .stripes
-                .store_object(owner, size, new_scheme, outcome.bytes.as_deref())
-            {
-                Ok(l) => l,
-                Err(first_err) => {
-                    // The new encoding did not fit. Fall back to re-storing
-                    // under the old scheme — that space sufficed a moment ago
-                    // — so a failed promotion does not evict the (usually
-                    // hottest) object.
-                    match self.stripes.store_object(
-                        owner,
-                        size,
-                        old_scheme,
-                        outcome.bytes.as_deref(),
-                    ) {
-                        Ok(restored) => {
-                            self.index
-                                .insert(key, ObjectRecord::new(restored, old_class));
-                            // The object moved to fresh chunks even though
-                            // its class did not change: journal the new
-                            // placement under the old label. Flushed
-                            // unconditionally — the old chunks were freed,
-                            // so the durable log must not keep pointing at
-                            // them past this call.
-                            let class = old_class;
-                            self.journal_append_layout(LayoutRecord::SetClass { key, class });
-                            self.journal_flush();
-                            return Err(match first_err {
-                                StripeError::Flash(reo_flashsim::FlashError::DeviceFull {
-                                    requested,
-                                    available,
-                                    ..
-                                }) => TargetError::CacheFull {
-                                    requested,
-                                    available,
-                                },
-                                other => TargetError::Stripe(other),
-                            });
-                        }
-                        Err(_) => {
-                            // Even the old encoding no longer fits: the object
-                            // is gone; drop the record so state stays
-                            // consistent.
-                            self.index.remove(&key);
-                            self.journal_append(JournalRecord::Remove { key });
-                            self.journal_flush();
-                            return Err(TargetError::ObjectLost(key));
-                        }
-                    }
+        let bytes = outcome.bytes.as_deref();
+        let mut store = |class| {
+            let scheme = self.policy.scheme_for(class);
+            self.stripes.store_object(owner, size, scheme, bytes)
+        };
+        // Where the object ends up, under which class, and the error a
+        // fallback defers.
+        let (layout, class, refused) = match store(class) {
+            Ok(layout) => (layout, class, None),
+            // The new encoding did not fit. Fall back to re-storing under
+            // the old scheme — that space sufficed a moment ago — so a
+            // failed promotion does not evict the (usually hottest)
+            // object; it moves to fresh chunks under its old label.
+            Err(e) => match store(old_class) {
+                Ok(layout) => (layout, old_class, Some(stripe_error(key, e))),
+                Err(_) => {
+                    // Even the old encoding no longer fits: the object is
+                    // gone; drop the record so state stays consistent.
+                    self.index.remove(&key);
+                    self.journal_append(JournalRecord::Remove { key });
+                    self.journal_flush();
+                    return Err(TargetError::ObjectLost(key));
                 }
-            };
+            },
+        };
         let done = self.stripes.array().clock().now();
-        self.index.insert(key, ObjectRecord::new(new_layout, class));
-        self.stats.reencodes += 1;
+        self.index.insert(key, ObjectRecord::new(layout, class));
         // Journaled after the new chunks are stored (see create_object's
-        // ordering note) and flushed unconditionally: the re-encode freed
-        // the old chunks, and a lazily-staged record would leave the
-        // durable log pointing at chunks that no longer exist — a crash
-        // would then replay the stale placement and count the object lost.
+        // ordering note) and flushed unconditionally: the old chunks were
+        // freed, and a lazily-staged record would leave the durable log
+        // pointing at chunks that no longer exist — a crash would then
+        // replay the stale placement and count the object lost.
         self.journal_append_layout(LayoutRecord::SetClass { key, class });
         self.journal_flush();
+        if let Some(e) = refused {
+            return Err(e);
+        }
+        self.stats.reencodes += 1;
         self.trace_end("reencode", t0);
         Ok(done)
     }
@@ -786,10 +764,7 @@ impl OsdTarget {
         let done = self
             .stripes
             .overwrite_chunks(layout, first..=last)
-            .map_err(|e| match e {
-                StripeError::ObjectLost { .. } => TargetError::ObjectLost(key),
-                other => TargetError::Stripe(other),
-            })?;
+            .map_err(|e| stripe_error(key, e))?;
         // The dirty-write durability point: the write is acknowledged
         // (returns Ok) only after its journal record — including the
         // object's current chunk placement — has been flushed to durable
@@ -976,12 +951,17 @@ impl OsdTarget {
     pub fn insert_spare(&mut self, id: DeviceId) -> Vec<ObjectKey> {
         self.stripes.replace_device(id);
         self.recovery.clear();
+        let lost = self.queue_damaged();
+        self.recovery_active = true;
+        lost
+    }
+
+    /// Walks every indexed object in key order — so the rebuild queue,
+    /// and with it the whole experiment, is deterministic — queues each
+    /// degraded one for rebuild at its class, and returns the lost ones.
+    fn queue_damaged(&mut self) -> Vec<ObjectKey> {
         let mut lost = Vec::new();
-        // Scan in key order so the rebuild queue (and therefore the whole
-        // experiment) is deterministic.
-        let mut keys: Vec<ObjectKey> = self.index.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
+        for key in self.keys() {
             let record = &self.index[&key];
             match self.stripes.object_status(&record.layout) {
                 Ok(ObjectStatus::Intact) => {}
@@ -989,7 +969,6 @@ impl OsdTarget {
                 Ok(ObjectStatus::Lost) | Err(_) => lost.push(key),
             }
         }
-        self.recovery_active = true;
         lost
     }
 
@@ -1097,63 +1076,25 @@ impl OsdTarget {
 
     /// Serializes the target's durable state — object map, class labels,
     /// access frequencies, stripe allocation tables (per-object layout
-    /// metadata), scrub cursor, owner counter, and per-device wear — into
-    /// a checkpoint image.
+    /// metadata), scrub cursor and owner counter — into a checkpoint
+    /// image.
     pub fn checkpoint_blob(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.next_owner.to_le_bytes());
-        match self.scrub_cursor {
-            Some(cursor) => {
-                out.push(1);
-                out.extend_from_slice(&cursor.pid().as_u64().to_le_bytes());
-                out.extend_from_slice(&cursor.oid().as_u64().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        // Wear counters ride along for audit; the flash array itself is
-        // the durable authority (wear survives power loss with the media).
-        let reports = self.stripes.array().device_stats();
-        out.extend_from_slice(&(reports.len() as u32).to_le_bytes());
-        for r in &reports {
-            out.extend_from_slice(&r.wear.to_bits().to_le_bytes());
-        }
-        let keys = self.keys();
-        out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-        for key in keys {
-            let record = &self.index[&key];
-            out.extend_from_slice(&key.pid().as_u64().to_le_bytes());
-            out.extend_from_slice(&key.oid().as_u64().to_le_bytes());
-            out.push(record.class.id());
-            out.extend_from_slice(&record.access_freq.to_le_bytes());
-            // The layout blob goes straight into the image, its length
-            // patched in front once it is known.
-            let len_at = out.len();
-            out.extend_from_slice(&[0; 4]);
-            self.stripes
-                .export_object_meta_into(&record.layout, &mut out)
-                .expect("indexed layouts always reference live stripes");
-            let meta_len = (out.len() - len_at - 4) as u32;
-            out[len_at..len_at + 4].copy_from_slice(&meta_len.to_le_bytes());
-        }
-        out
+        checkpoint_image(
+            &self.stripes,
+            &self.index,
+            self.next_owner,
+            self.scrub_cursor,
+        )
     }
 
     /// Takes a checkpoint: writes the current durable state to the
     /// journal's inactive checkpoint slot, flips the superblock, and
     /// truncates the log. No-op without an attached journal.
     pub fn take_checkpoint(&mut self) {
-        if self.journal.is_some() {
-            let started = self.trace_begin();
-            let image = self.checkpoint_blob();
-            if let Some(j) = self.journal.as_mut() {
-                j.checkpoint(&image);
-            }
-            let end = self.clock().now();
-            self.stripes
-                .tracer()
-                .record(Layer::Journal, "checkpoint", started, end);
-        }
+        let (next_owner, cursor) = (self.next_owner, self.scrub_cursor);
+        self.journaled("checkpoint", |journal, stripes, index| {
+            journal.checkpoint(&checkpoint_image(stripes, index, next_owner, cursor));
+        });
     }
 
     /// Simulates a power loss: every piece of DRAM state vaporizes — the
@@ -1301,30 +1242,20 @@ impl OsdTarget {
     }
 
     /// Recovery's per-object health audit: queues every degraded object
-    /// for class-prioritized rebuild and drops every lost one, counting
-    /// both into `report`. Returns whether it dropped an object.
+    /// for class-prioritized rebuild (on the queue recovery emptied) and
+    /// drops every lost one, counting both into `report`. Returns whether
+    /// it dropped an object.
     fn audit_restored_objects(&mut self, report: &mut TargetRecovery) -> bool {
-        let mut dropped = false;
-        for key in self.keys() {
-            let record = &self.index[&key];
-            match self.stripes.object_status(&record.layout) {
-                Ok(ObjectStatus::Intact) => {}
-                Ok(ObjectStatus::Degraded) => {
-                    self.recovery.enqueue(key, record.class);
-                    report.degraded += 1;
-                }
-                Ok(ObjectStatus::Lost) | Err(_) => {
-                    // Free whatever chunks survive and drop the stripes so
-                    // the table holds no entries for unindexed objects.
-                    let layout = record.layout.clone();
-                    self.stripes.remove_object(&layout);
-                    self.index.remove(&key);
-                    report.lost.push(key);
-                    dropped = true;
-                }
-            }
+        let lost = self.queue_damaged();
+        report.degraded = self.recovery.pending();
+        for &key in &lost {
+            // Free whatever chunks survive and drop the stripes so the
+            // table holds no entries for unindexed objects.
+            let record = self.index.remove(&key).expect("the walk saw it indexed");
+            self.stripes.remove_object(&record.layout);
         }
-        dropped
+        report.lost.extend_from_slice(&lost);
+        !lost.is_empty()
     }
 
     /// The restored object map in key order — `(key, class, logical size,
@@ -1438,8 +1369,51 @@ fn stripe_claims<'a>(
 
 /// Version tag of the checkpoint image format. Version 1 embedded the
 /// per-chunk layout blob; since version 2 the blob records how the object
-/// was placed ([`StripeManager::export_object_meta`]).
-const CHECKPOINT_VERSION: u32 = 2;
+/// was placed ([`StripeManager::export_object_meta`]); version 3 drops
+/// the per-device wear snapshot version 2 carried and nothing read.
+const CHECKPOINT_VERSION: u32 = 3;
+
+/// The checkpoint image of an index over `stripes`: version, owner
+/// counter, scrub cursor, then every object in key order with its class,
+/// access frequency and layout blob.
+fn checkpoint_image(
+    stripes: &StripeManager,
+    index: &FastMap<ObjectKey, ObjectRecord>,
+    next_owner: u64,
+    cursor: Option<ObjectKey>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    out.extend_from_slice(&next_owner.to_le_bytes());
+    match cursor {
+        Some(cursor) => {
+            out.push(1);
+            out.extend_from_slice(&cursor.pid().as_u64().to_le_bytes());
+            out.extend_from_slice(&cursor.oid().as_u64().to_le_bytes());
+        }
+        None => out.push(0),
+    }
+    let mut keys: Vec<ObjectKey> = index.keys().copied().collect();
+    keys.sort_unstable();
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    for key in keys {
+        let record = &index[&key];
+        out.extend_from_slice(&key.pid().as_u64().to_le_bytes());
+        out.extend_from_slice(&key.oid().as_u64().to_le_bytes());
+        out.push(record.class.id());
+        out.extend_from_slice(&record.access_freq.to_le_bytes());
+        // The layout blob goes straight into the image, its length
+        // patched in front once it is known.
+        let len_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        stripes
+            .export_object_meta_into(&record.layout, &mut out)
+            .expect("indexed layouts always reference live stripes");
+        let meta_len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&meta_len.to_le_bytes());
+    }
+    out
+}
 
 /// Final durable state of one object after folding checkpoint + log; the
 /// layout blob stays where replay found it.
@@ -1514,11 +1488,6 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<CheckpointState<'_>, TargetError> {
             state.cursor = Some(ObjectKey::new(PartitionId::new(pid), ObjectId::new(oid)));
         }
         _ => return Err(corrupt()),
-    }
-    let devices = cur.u32().ok_or_else(corrupt)?;
-    for _ in 0..devices {
-        // Wear snapshot: audit-only, the array is authoritative.
-        cur.u64().ok_or_else(corrupt)?;
     }
     let entry_count = cur.u32().ok_or_else(corrupt)?;
     for _ in 0..entry_count {
@@ -2088,14 +2057,227 @@ mod tests {
         assert_eq!(TargetError::ObjectLost(k(1)).sense(), SenseCode::Corrupted);
     }
 
-    /// A target with a journal attached before format, like the cache
-    /// system builds it.
     fn journaled_target() -> OsdTarget {
-        let mut t = reo_target();
+        with_journal(reo_target())
+    }
+
+    /// `t` with a journal attached before format, like the cache system
+    /// builds it.
+    fn with_journal(mut t: OsdTarget) -> OsdTarget {
         t.attach_journal(Journal::format(8));
         t.format().unwrap();
         t.take_checkpoint();
         t
+    }
+
+    /// A journaled target of five 1 MiB devices: device 0 is full, the
+    /// other four hold only the reserved metadata objects. One-chunk cold
+    /// objects are stored one stripe after another, and each that landed
+    /// elsewhere is removed again.
+    fn lopsided_target() -> OsdTarget {
+        let mut t = with_journal(target_with(ProtectionPolicy::differentiated(), 1));
+        let room = |t: &OsdTarget| t.array().device(DeviceId(0)).available();
+        for i in 1000.. {
+            if room(&t).is_zero() {
+                break;
+            }
+            let before = room(&t);
+            t.create_object(k(i), ByteSize::from_kib(4), ObjectClass::ColdClean, None)
+                .unwrap();
+            if room(&t) == before {
+                t.remove_object(k(i)).unwrap();
+            }
+        }
+        t.take_checkpoint();
+        t
+    }
+
+    /// Stores a one-chunk cold object `key` at the next stripe and removes
+    /// it again if it fitted: the next store starts one stripe later.
+    fn skip_stripe(t: &mut OsdTarget, key: ObjectKey) {
+        if t.create_object(key, ByteSize::from_kib(4), ObjectClass::ColdClean, None)
+            .is_ok()
+        {
+            t.remove_object(key).unwrap();
+        }
+    }
+
+    /// The kind, key and class of every journal record, flushed.
+    fn journal_heads(t: &mut OsdTarget) -> Vec<(&'static str, ObjectKey, Option<ObjectClass>)> {
+        let journal = t.journal.as_mut().unwrap();
+        journal.flush();
+        let records = journal.replay().unwrap().records;
+        records
+            .iter()
+            .map(|record| match record {
+                JournalRecord::Create { key, class, .. } => ("create", *key, Some(*class)),
+                JournalRecord::SetClass { key, class, .. } => ("set-class", *key, Some(*class)),
+                JournalRecord::DirtyWrite { key, .. } => ("dirty-write", *key, None),
+                JournalRecord::Remove { key } => ("remove", *key, None),
+                JournalRecord::ScrubCursor { .. } => unreachable!("no scrub runs here"),
+            })
+            .collect()
+    }
+
+    /// `k(1)`, 40 KiB of `class`, on a journaled target with device
+    /// `failed` down.
+    fn forty_kib_of(class: ObjectClass, failed: Option<usize>) -> OsdTarget {
+        let mut t = journaled_target();
+        t.create_object(k(1), ByteSize::from_kib(40), class, None)
+            .unwrap();
+        if let Some(d) = failed {
+            t.fail_device(DeviceId(d));
+        }
+        t
+    }
+
+    /// `k(1)`, one chunk of cold data on a device with room. Re-encoding
+    /// it replicated is refused by the full device 0, and the old-scheme
+    /// store that follows lands `skip + 1` stripes after the object's.
+    fn cold_beside_a_full_device(skip: u64) -> OsdTarget {
+        let mut t = lopsided_target();
+        let cold = ObjectClass::ColdClean;
+        while t
+            .create_object(k(1), ByteSize::from_kib(4), cold, None)
+            .is_err()
+        {}
+        for i in 0..skip {
+            skip_stripe(&mut t, k(500 + i));
+        }
+        t
+    }
+
+    /// One row of the error contract: an operation on a prepared target,
+    /// the error it returns, and what it leaves of `key`.
+    struct ErrorCase {
+        name: &'static str,
+        setup: fn() -> OsdTarget,
+        op: fn(&mut OsdTarget) -> Result<(), TargetError>,
+        error: TargetError,
+        sense: SenseCode,
+        key: ObjectKey,
+        class: Option<ObjectClass>,
+        records: &'static [(&'static str, u64, Option<ObjectClass>)],
+    }
+
+    #[test]
+    fn stripe_errors_map_the_same_from_every_operation() {
+        use ObjectClass::{ColdClean, Dirty, HotClean};
+        let cases = [
+            ErrorCase {
+                name: "create: the aggregate precheck",
+                setup: lopsided_target,
+                op: |t| {
+                    t.create_object(k(2), ByteSize::from_mib(5), ColdClean, None)
+                        .map(drop)
+                },
+                error: TargetError::CacheFull {
+                    requested: ByteSize::from_mib(5),
+                    available: ByteSize::from_kib(4 * 1004),
+                },
+                sense: SenseCode::CacheFull,
+                key: k(2),
+                class: None,
+                records: &[],
+            },
+            ErrorCase {
+                name: "create: one device short of room",
+                setup: lopsided_target,
+                op: |t| {
+                    t.create_object(k(2), ByteSize::from_kib(4), Dirty, None)
+                        .map(drop)
+                },
+                error: TargetError::CacheFull {
+                    requested: ByteSize::from_kib(4),
+                    available: ByteSize::ZERO,
+                },
+                sense: SenseCode::CacheFull,
+                key: k(2),
+                class: None,
+                records: &[],
+            },
+            ErrorCase {
+                name: "read: the object is lost",
+                setup: || forty_kib_of(ColdClean, Some(0)),
+                op: |t| t.read_object(k(1)).map(drop),
+                error: TargetError::ObjectLost(k(1)),
+                sense: SenseCode::Corrupted,
+                key: k(1),
+                class: Some(ColdClean),
+                records: &[],
+            },
+            ErrorCase {
+                name: "set_class: the read is lost",
+                setup: || forty_kib_of(ColdClean, Some(0)),
+                op: |t| t.set_class(k(1), HotClean).map(drop),
+                error: TargetError::ObjectLost(k(1)),
+                sense: SenseCode::Corrupted,
+                key: k(1),
+                class: Some(ColdClean),
+                records: &[],
+            },
+            ErrorCase {
+                name: "set_class: the new encoding is refused, the old one fits",
+                setup: || cold_beside_a_full_device(0),
+                op: |t| t.set_class(k(1), Dirty).map(drop),
+                error: TargetError::CacheFull {
+                    requested: ByteSize::from_kib(4),
+                    available: ByteSize::ZERO,
+                },
+                sense: SenseCode::CacheFull,
+                key: k(1),
+                class: Some(ColdClean),
+                records: &[("set-class", 1, Some(ColdClean))],
+            },
+            ErrorCase {
+                name: "set_class: neither encoding fits",
+                setup: || cold_beside_a_full_device(2),
+                op: |t| t.set_class(k(1), Dirty).map(drop),
+                error: TargetError::ObjectLost(k(1)),
+                sense: SenseCode::Corrupted,
+                key: k(1),
+                class: None,
+                records: &[("remove", 1, None)],
+            },
+            ErrorCase {
+                name: "write_range: a degraded stripe",
+                setup: || forty_kib_of(HotClean, Some(0)),
+                op: |t| t.write_range(k(1), 0, 4096).map(drop),
+                error: TargetError::ObjectLost(k(1)),
+                sense: SenseCode::Corrupted,
+                key: k(1),
+                class: Some(HotClean),
+                records: &[],
+            },
+            ErrorCase {
+                name: "write_range: out of range",
+                setup: || forty_kib_of(HotClean, None),
+                op: |t| t.write_range(k(1), 36 * 1024, 8 * 1024).map(drop),
+                error: TargetError::Stripe(StripeError::PayloadSizeMismatch {
+                    declared: 40 * 1024,
+                    payload: 44 * 1024,
+                }),
+                sense: SenseCode::Failure,
+                key: k(1),
+                class: Some(HotClean),
+                records: &[],
+            },
+        ];
+        for case in cases {
+            let name = case.name;
+            let mut t = (case.setup)();
+            let before = journal_heads(&mut t).len();
+            let error = (case.op)(&mut t).unwrap_err();
+            assert_eq!(error, case.error, "{name}");
+            assert_eq!(error.sense(), case.sense, "{name}");
+            assert_eq!(t.class_of(case.key), case.class, "{name}");
+            let records: Vec<_> = case
+                .records
+                .iter()
+                .map(|&(kind, i, class)| (kind, k(i), class))
+                .collect();
+            assert_eq!(journal_heads(&mut t)[before..], records, "{name}");
+        }
     }
 
     #[test]
@@ -2439,15 +2621,31 @@ mod tests {
         t.create_object(k(1), ByteSize::from_kib(8), ObjectClass::Dirty, None)
             .unwrap();
         // Same framing, but the embedded layout blobs of version 1 listed
-        // every chunk: an image that claims it must not reach the parser.
-        let mut image = t.checkpoint_blob();
-        image[..4].copy_from_slice(&1u32.to_le_bytes());
-        t.journal.as_mut().unwrap().checkpoint(&image);
-        t.simulate_crash(0).unwrap();
-        assert!(matches!(
-            t.recover_from_journal(),
-            Err(TargetError::Stripe(StripeError::CorruptMetadata))
-        ));
+        // every chunk, and version 2 carried a wear snapshot after the
+        // cursor: an image that claims either must not reach the parser.
+        for version in [1u32, 2] {
+            let mut t = t.clone();
+            let mut image = t.checkpoint_blob();
+            image[..4].copy_from_slice(&version.to_le_bytes());
+            if version == 2 {
+                // The snapshot as version 2 wrote it: a device count and
+                // one wear value per device, after the absent cursor's
+                // one byte.
+                let devices = t.device_count();
+                let mut wear = (devices as u32).to_le_bytes().to_vec();
+                wear.extend((0..devices).flat_map(|_| 0f64.to_bits().to_le_bytes()));
+                image.splice(13..13, wear);
+            }
+            t.journal.as_mut().unwrap().checkpoint(&image);
+            t.simulate_crash(0).unwrap();
+            assert!(
+                matches!(
+                    t.recover_from_journal(),
+                    Err(TargetError::Stripe(StripeError::CorruptMetadata))
+                ),
+                "version {version}"
+            );
+        }
     }
 
     #[test]
