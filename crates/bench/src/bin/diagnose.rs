@@ -12,7 +12,7 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin diagnose [-- --quick]
 
-use reo_bench::{build_system, export, RunScale};
+use reo_bench::{build_system, export, trace, RunScale};
 use reo_core::{
     ClusterSystem, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig, SystemConfig,
 };
@@ -22,7 +22,7 @@ use reo_workload::WorkloadSpec;
 
 fn main() {
     let scale = RunScale::from_args();
-    let trace = scale.scale_spec(WorkloadSpec::medium()).generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     println!(
         "medium workload: {} objects / {:.2} GiB / {} requests; cache 10%, 64 KiB chunks",
         trace.summary().objects,

@@ -15,7 +15,7 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_ablation_hotness [-- --quick]
 
-use reo_bench::{FigureReport, RunScale};
+use reo_bench::{trace, FigureReport, RunScale};
 use reo_core::{CacheSystem, DeviceId, SchemeConfig, SystemConfig};
 use reo_osd::ObjectClass;
 use reo_sim::ByteSize;
@@ -109,8 +109,7 @@ fn run(
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::medium());
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     let window = match scale {
         RunScale::Full => 2_000,
         RunScale::Quick => 300,

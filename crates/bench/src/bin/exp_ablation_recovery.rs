@@ -18,7 +18,7 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_ablation_recovery [-- --quick]
 
-use reo_bench::{FigureReport, RunScale};
+use reo_bench::{trace, FigureReport, RunScale};
 use reo_core::{CacheSystem, DeviceId, SchemeConfig, SystemConfig};
 use reo_osd::ObjectClass;
 use reo_sim::ByteSize;
@@ -98,8 +98,7 @@ fn run(
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::write_intensive(0.30));
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::write_intensive(0.30));
     let (max_requests, probe_every) = match scale {
         RunScale::Full => (20_000, 50),
         RunScale::Quick => (3_000, 25),

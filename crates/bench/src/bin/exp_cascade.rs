@@ -18,10 +18,11 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_cascade [-- --quick]
 
-use reo_bench::{export, FigureReport, Panel, RunScale};
+use reo_bench::{
+    export, parallel_map_ordered, sweep_threads, trace, FigureReport, Panel, RunScale,
+};
 use reo_core::{
-    parallel_map_ordered, sweep_threads, CacheSystem, ExperimentPlan, ExperimentRunner,
-    PlannedEvent, SchemeConfig, SystemConfig,
+    CacheSystem, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig, SystemConfig,
 };
 use reo_flashsim::DeviceId;
 use reo_sim::ByteSize;
@@ -50,8 +51,7 @@ fn cascade_system(trace: &reo_workload::Trace, rebuild_pct: u32) -> CacheSystem 
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::write_intensive(0.3));
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::write_intensive(0.3));
     let n = trace.requests().len();
 
     println!(

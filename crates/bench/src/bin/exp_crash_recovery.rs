@@ -14,15 +14,14 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_crash_recovery [-- --quick]
 
-use reo_bench::{build_system, export, FigureReport, Panel, RunScale};
+use reo_bench::{build_system, export, trace, FigureReport, Panel, RunScale};
 use reo_core::{ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig};
 use reo_sim::ByteSize;
 use reo_workload::WorkloadSpec;
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::medium());
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     let n = trace.requests().len();
 
     println!(

@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use reo_bench::{build_system, export, RunScale};
+use reo_bench::{build_system, export, trace, RunScale};
 use reo_core::{
     ClusterSystem, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig, SystemConfig,
 };
@@ -65,8 +65,7 @@ fn timed_run(trace: &reo_workload::Trace, plan: &ExperimentPlan, traced: bool) -
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::medium());
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     let n = trace.requests().len();
     println!(
         "### Observability — medium workload, {} requests, Reo-20%",

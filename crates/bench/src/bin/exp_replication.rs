@@ -36,10 +36,12 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_replication [-- --quick]
 
-use reo_bench::{export, FigureReport, Panel, RunScale};
+use reo_bench::{
+    export, parallel_map_ordered, sweep_threads, trace, FigureReport, Panel, RunScale,
+};
 use reo_core::{
-    parallel_map_ordered, sweep_threads, ClusterSystem, ExperimentPlan, MetricsSnapshot,
-    PlannedEvent, Redundancy, SchemeConfig, SystemConfig,
+    ClusterSystem, ExperimentPlan, MetricsSnapshot, PlannedEvent, Redundancy, SchemeConfig,
+    SystemConfig,
 };
 use reo_sim::ByteSize;
 use reo_workload::{Trace, WorkloadSpec};
@@ -281,8 +283,7 @@ fn main() {
     // redundancy is exercised by acked writes, so a read-only trace
     // would leave the fan-out, stripe-update, divergence, and repair
     // paths cold.
-    let spec = scale.scale_spec(WorkloadSpec::write_intensive(0.3));
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::write_intensive(0.3));
 
     let policies: Vec<PolicyRow> = vec![
         ("none", Redundancy::none(), None),

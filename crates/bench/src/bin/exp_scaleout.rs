@@ -24,10 +24,11 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_scaleout [-- --quick]
 
-use reo_bench::{export, FigureReport, Panel, RunScale};
+use reo_bench::{
+    export, parallel_map_ordered, sweep_threads, trace, FigureReport, Panel, RunScale,
+};
 use reo_core::{
-    parallel_map_ordered, sweep_threads, ClusterSystem, ExperimentPlan, MetricsSnapshot,
-    PlannedEvent, SchemeConfig, SystemConfig,
+    ClusterSystem, ExperimentPlan, MetricsSnapshot, PlannedEvent, SchemeConfig, SystemConfig,
 };
 use reo_sim::ByteSize;
 use reo_workload::WorkloadSpec;
@@ -61,8 +62,7 @@ fn main() {
     } else {
         &[1, 2, 4, 8, 16]
     };
-    let spec = scale.scale_spec(WorkloadSpec::medium());
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     let n = trace.requests().len();
     let config = cluster_config(&trace);
 

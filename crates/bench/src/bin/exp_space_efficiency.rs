@@ -10,10 +10,10 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_space_efficiency [-- --quick]
 
-use reo_bench::{build_system, FigureReport, RunScale};
-use reo_core::{parallel_map_ordered, sweep_threads, SchemeConfig};
+use reo_bench::{build_system, parallel_map_ordered, sweep_threads, trace, FigureReport, RunScale};
+use reo_core::SchemeConfig;
 use reo_sim::ByteSize;
-use reo_workload::{Locality, Trace, WorkloadSpec};
+use reo_workload::{Locality, WorkloadSpec};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -26,17 +26,7 @@ fn main() {
 
     let mut table: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
 
-    let traces: Vec<(Locality, Trace)> = localities
-        .iter()
-        .map(|&locality| {
-            let spec = scale.scale_spec(match locality {
-                Locality::Weak => WorkloadSpec::weak(),
-                Locality::Medium => WorkloadSpec::medium(),
-                Locality::Strong => WorkloadSpec::strong(),
-            });
-            (locality, spec.generate(42))
-        })
-        .collect();
+    let traces = localities.map(|locality| trace(scale, WorkloadSpec::paper(locality)));
 
     // Every (locality, scheme) pair is an independent full-trace run;
     // fan them across cores and fold the averages back in serial order.
@@ -44,7 +34,7 @@ fn main() {
         .flat_map(|li| schemes.iter().map(move |&scheme| (li, scheme)))
         .collect();
     let averages = parallel_map_ordered(&cells, sweep_threads(), |_, &(li, scheme)| {
-        let trace = &traces[li].1;
+        let trace = &traces[li];
         // The paper uses a 4 GB memory / 64 KB chunk config; cache is
         // sized at 10% of the data set for this check.
         let mut system = build_system(scheme, trace, 0.10, ByteSize::from_kib(64));
@@ -64,7 +54,7 @@ fn main() {
         table
             .entry(scheme.label())
             .or_default()
-            .insert(traces[li].0.to_string(), avg);
+            .insert(localities[li].to_string(), avg);
     }
 
     println!("\n== Average space efficiency (%) — Section VI-B ==");

@@ -18,7 +18,7 @@
 //! Usage:
 //!   cargo run --release -p reo-bench --bin exp_warmup [-- --quick]
 
-use reo_bench::{build_system, FigureReport, Panel, RunScale};
+use reo_bench::{build_system, trace, FigureReport, Panel, RunScale};
 use reo_core::{CacheSystem, DeviceId, SchemeConfig};
 use reo_sim::ByteSize;
 use reo_workload::WorkloadSpec;
@@ -53,8 +53,7 @@ fn measure_windows(
 
 fn main() {
     let scale = RunScale::from_args();
-    let spec = scale.scale_spec(WorkloadSpec::medium());
-    let trace = spec.generate(42);
+    let trace = trace(scale, WorkloadSpec::medium());
     let (windows, window_len) = match scale {
         RunScale::Full => (10, 500),
         RunScale::Quick => (8, 100),

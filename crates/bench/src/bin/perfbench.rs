@@ -36,10 +36,8 @@
 //!   cargo run --release -p reo-bench --bin perfbench [-- --quick]
 
 use reo_bench::export::{self, PerfPoint};
-use reo_bench::{build_system, run_once, RunScale};
-use reo_core::{
-    parallel_map_ordered, sweep_threads, ExperimentPlan, ExperimentRunner, SchemeConfig,
-};
+use reo_bench::{build_system, parallel_map_ordered, run_once, sweep_threads, RunScale, SEED};
+use reo_core::{ExperimentPlan, ExperimentRunner, SchemeConfig};
 use reo_erasure::{delta, gf256, ReedSolomon};
 use reo_journal::{crc32, Journal, JournalRecord};
 use reo_osd::{ObjectClass, ObjectId, ObjectKey, PartitionId};
@@ -221,7 +219,7 @@ fn sweep_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
             .with_objects(400)
             .with_requests(4_000),
     };
-    let trace = spec.generate(42);
+    let trace = spec.generate(SEED);
     let cells: Vec<(f64, SchemeConfig)> = [0.06, 0.10]
         .iter()
         .flat_map(|&fraction| {
@@ -311,7 +309,7 @@ fn tracing_benches(scale: RunScale, points: &mut Vec<PerfPoint>) {
         RunScale::Quick => WorkloadSpec::medium().with_objects(50).with_requests(2_000),
         RunScale::Full => WorkloadSpec::medium(),
     };
-    let trace = spec.generate(42);
+    let trace = spec.generate(SEED);
     let timed = |traced: bool| {
         let mut system = build_system(
             SchemeConfig::Reo { reserve: 0.20 },
@@ -367,7 +365,7 @@ fn main() {
         RunScale::Quick => WorkloadSpec::medium().with_objects(50).with_requests(500),
         RunScale::Full => WorkloadSpec::medium(),
     };
-    let trace = spec.generate(42);
+    let trace = spec.generate(SEED);
     let scheme = SchemeConfig::Reo { reserve: 0.20 };
     let mut system = build_system(scheme, &trace, 0.10, ByteSize::from_kib(64));
     let start = Instant::now();

@@ -21,10 +21,8 @@
 
 use std::process::ExitCode;
 
-use reo_core::{
-    CacheSystem, DeviceId, ExperimentPlan, ExperimentRunner, PlannedEvent, SchemeConfig,
-    SystemConfig,
-};
+use reo_bench::{run_once, SEED};
+use reo_core::{DeviceId, ExperimentPlan, PlannedEvent, SchemeConfig};
 use reo_sim::ByteSize;
 use reo_workload::{Locality, Trace, WorkloadSpec};
 use serde::Serialize;
@@ -148,11 +146,7 @@ fn parse_locality(s: &str) -> Result<Locality, String> {
 
 fn spec_from_flags(flags: &Flags) -> Result<WorkloadSpec, String> {
     let locality = parse_locality(flags.get("locality").unwrap_or("medium"))?;
-    let mut spec = match locality {
-        Locality::Weak => WorkloadSpec::weak(),
-        Locality::Medium => WorkloadSpec::medium(),
-        Locality::Strong => WorkloadSpec::strong(),
-    };
+    let mut spec = WorkloadSpec::paper(locality);
     spec.write_ratio = flags.parse_num("write-ratio", 0.0)?;
     if !(0.0..=1.0).contains(&spec.write_ratio) {
         return Err("--write-ratio must be in [0,1]".into());
@@ -194,29 +188,27 @@ fn run_and_report(
     if !(0.001..=1.0).contains(&cache_fraction) {
         return Err("--cache must be a fraction in (0.001, 1.0]".into());
     }
-    let cache = trace.summary().data_set_bytes.scale(cache_fraction);
-    let config =
-        SystemConfig::paper_defaults(scheme, cache).with_chunk_size(ByteSize::from_kib(chunk_kib));
-    let mut system = CacheSystem::new(config);
-    let result = ExperimentRunner::run(&mut system, trace, plan);
+    let result = run_once(
+        scheme,
+        trace,
+        cache_fraction,
+        ByteSize::from_kib(chunk_kib),
+        plan,
+    );
 
-    let mut windows = Vec::new();
-    let mut failed = 0usize;
-    for e in &result.events {
-        windows.push(WindowReport {
-            failed_devices: failed,
-            hit_ratio_pct: e.window_before.hit_ratio_pct(),
-            bandwidth_mib_s: e.window_before.bandwidth_mib_s(),
-            mean_latency_ms: e.window_before.mean_latency_ms(),
-        });
-        failed = e.failed_devices_after;
-    }
-    windows.push(WindowReport {
-        failed_devices: failed,
-        hit_ratio_pct: result.final_window.hit_ratio_pct(),
-        bandwidth_mib_s: result.final_window.bandwidth_mib_s(),
-        mean_latency_ms: result.final_window.mean_latency_ms(),
-    });
+    // Window i ran with as many failed devices as event i-1 left behind.
+    let failed = std::iter::once(0).chain(result.events.iter().map(|e| e.failed_devices_after));
+    let windows = result
+        .windows()
+        .into_iter()
+        .zip(failed)
+        .map(|(window, failed_devices)| WindowReport {
+            failed_devices,
+            hit_ratio_pct: window.hit_ratio_pct(),
+            bandwidth_mib_s: window.bandwidth_mib_s(),
+            mean_latency_ms: window.mean_latency_ms(),
+        })
+        .collect();
 
     let report = SimulationReport {
         scheme: scheme.label(),
@@ -281,7 +273,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let scheme = parse_scheme(flags.get("scheme").unwrap_or("reo-20"))?;
     let spec = spec_from_flags(&flags)?;
-    let seed: u64 = flags.parse_num("seed", 42)?;
+    let seed: u64 = flags.parse_num("seed", SEED)?;
     let cache: f64 = flags.parse_num("cache", 0.10)?;
     let chunk_kib: u64 = flags.parse_num("chunk-kib", 64)?;
     let trace = spec.generate(seed);
@@ -302,7 +294,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let out = flags.get("out").ok_or("--out PATH is required")?;
     let spec = spec_from_flags(&flags)?;
-    let seed: u64 = flags.parse_num("seed", 42)?;
+    let seed: u64 = flags.parse_num("seed", SEED)?;
     let trace = spec.generate(seed);
     let body = serde_json::to_string(&trace).map_err(|e| e.to_string())?;
     std::fs::write(out, body).map_err(|e| format!("writing {out}: {e}"))?;

@@ -1,6 +1,6 @@
 //! Validates exporter JSON-lines documents against the current schema
-//! (see `reo_bench::export`). The CI smoke job runs this on the output
-//! of `exp_normal_run --trace`.
+//! (see `reo_bench::export`). CI's `results-reproduce` job runs this on
+//! every committed `results/*.jsonl` and `BENCH_perf.json`.
 //!
 //! Usage:
 //!   cargo run --release -p reo-bench --bin validate_jsonl -- <file.jsonl> [...]

@@ -23,7 +23,6 @@
 //! counters stay counts.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 use reo_core::{
     CacheSystem, ClusterSystem, DeviceId, DeviceReport, ExperimentResult, MetricsSnapshot,
@@ -691,19 +690,7 @@ pub fn jsonl(report: &RunReport) -> String {
 
 /// Writes the report's JSON lines to `results/{name}.jsonl`.
 pub fn write_jsonl(name: &str, report: &RunReport) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.jsonl"));
-    match std::fs::File::create(&path) {
-        Ok(mut file) => {
-            if file.write_all(jsonl(report).as_bytes()).is_ok() {
-                println!("\n[trace report written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    crate::write_result(&format!("{name}.jsonl"), &jsonl(report), "trace report");
 }
 
 // ---- validation --------------------------------------------------------

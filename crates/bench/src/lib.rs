@@ -1,18 +1,19 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the Reo
-//! paper's evaluation (Section VI); this library holds the plumbing they
-//! share: building systems, sweeping parameters, and printing the series
-//! in the same shape the paper reports (one row per scheme, one column
-//! per x-axis point).
+//! The swept figures of the Reo paper's evaluation (Section VI, Figs. 5–9)
+//! and the partial-failure run are rows of [`grid`], run by the `figures`
+//! binary; every other binary in `src/bin/` regenerates one table or
+//! study. This library holds what they share: the command line, the seed,
+//! building systems, the sweep pool, and printing the series in the shape
+//! the paper reports (one row per scheme, one column per x-axis point).
 //!
 //! Binaries accept `--quick` to shrink the workloads for smoke runs; the
 //! full (default) runs use the paper's parameters.
 
 pub mod export;
+pub mod grid;
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 use reo_core::{
     CacheSystem, ExperimentPlan, ExperimentResult, ExperimentRunner, SchemeConfig, SystemConfig,
@@ -20,6 +21,9 @@ use reo_core::{
 use reo_sim::ByteSize;
 use reo_workload::{Trace, WorkloadSpec};
 use serde::Serialize;
+
+/// The seed every committed artifact's workload is generated from.
+pub const SEED: u64 = 42;
 
 /// Scale factors for quick smoke runs vs full paper-scale runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,12 +36,35 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses `--quick` from the process arguments.
+    /// Parses a command line (program name excluded): `--quick`, and the
+    /// [`grid`] figures to run by name (`all` names every row). Returns
+    /// the scale and the named figures in argument order; any other
+    /// argument is an error.
+    pub fn parse(args: &[String]) -> Result<(RunScale, Vec<&'static str>), String> {
+        let figures: Vec<&'static str> = grid::rows().iter().map(|row| row.figure).collect();
+        let mut scale = RunScale::Full;
+        let mut named = Vec::new();
+        for arg in args {
+            match arg.as_str() {
+                "--quick" => scale = RunScale::Quick,
+                "all" => named.extend(&figures),
+                name => match figures.iter().find(|&&figure| figure == name) {
+                    Some(figure) => named.push(*figure),
+                    None => return Err(format!("unknown argument `{name}`")),
+                },
+            }
+        }
+        Ok((scale, named))
+    }
+
+    /// The scale of a binary whose only option is `--quick`: any other
+    /// argument prints the usage line and exits non-zero.
     pub fn from_args() -> RunScale {
-        if std::env::args().any(|a| a == "--quick") {
-            RunScale::Quick
-        } else {
-            RunScale::Full
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        match RunScale::parse(&args) {
+            Ok((scale, named)) if named.is_empty() => scale,
+            Ok(_) => exit_with_usage("[--quick]", "figure names are arguments of `figures`"),
+            Err(error) => exit_with_usage("[--quick]", &error),
         }
     }
 
@@ -52,6 +79,19 @@ impl RunScale {
             }
         }
     }
+}
+
+/// Prints `error` and the binary's usage line to stderr and exits with
+/// status 2.
+pub fn exit_with_usage(usage: &str, error: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    eprintln!("error: {error}\nusage: {program} {usage}");
+    std::process::exit(2)
+}
+
+/// The trace of `spec` at `scale`, generated from [`SEED`].
+pub fn trace(scale: RunScale, spec: WorkloadSpec) -> Trace {
+    scale.scale_spec(spec).generate(SEED)
 }
 
 /// Builds the paper-testbed system for a scheme, cache fraction, and
@@ -184,7 +224,8 @@ impl FigureReport {
         for panel in &self.panels {
             panel.print();
         }
-        write_json(name, self);
+        let body = serde_json::to_string_pretty(self).expect("results serialize");
+        write_result(&format!("{name}.json"), &body, "results");
     }
 }
 
@@ -196,29 +237,72 @@ fn trim_float(x: f64) -> String {
     }
 }
 
-/// Writes a JSON report next to the binary's working directory under
-/// `results/`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let body = serde_json::to_string_pretty(value).expect("results serialize");
-            if f.write_all(body.as_bytes()).is_ok() {
-                println!("\n[results written to {}]", path.display());
-            }
-        }
+/// Writes `body` to `results/{file}` and prints where it went (`what`).
+pub fn write_result(file: &str, body: &str, what: &str) {
+    let path = std::path::Path::new("results").join(file);
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => println!("\n[{what} written to {}]", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 
-/// The cache-size sweep of the normal-run figures: 4%..12% of the data
-/// set.
-pub fn cache_size_sweep() -> Vec<f64> {
-    vec![0.04, 0.06, 0.08, 0.10, 0.12]
+/// Number of worker threads experiment sweeps use: the machine's
+/// available parallelism.
+pub fn sweep_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Fans `f` over `items` on a scoped worker pool and returns results in
+/// item order — `out[i] == f(i, &items[i])` exactly as the serial loop
+/// would produce them, regardless of which worker ran which item or in
+/// what order they finished.
+///
+/// Workers claim items from a shared atomic cursor, so uneven cell costs
+/// load-balance naturally. With `threads <= 1` (or one item) no threads
+/// are spawned at all; callers get the plain serial loop. Determinism
+/// argument: each cell owns an independent `&T` and writes only its own
+/// slot, index-ordered collection restores serial order, and cells must
+/// not share mutable state (enforced by `F: Sync` + the `&T` argument) —
+/// so the output is a pure function of `items`, identical to the serial
+/// path byte for byte.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker (the scope joins all threads
+/// first).
+pub fn parallel_map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    let cursor = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+    let workers = threads.min(items.len());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(i, item);
+                slots.lock().expect("no poisoned workers")[i] = Some(r);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("no poisoned workers")
+        .into_iter()
+        .map(|r| r.expect("every index claimed exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -247,7 +331,39 @@ mod tests {
 
     #[test]
     fn sweep_matches_paper_axis() {
-        assert_eq!(cache_size_sweep(), vec![0.04, 0.06, 0.08, 0.10, 0.12]);
+        // Figs. 5–7 sweep the cache from 4% to 12% of the data set; the
+        // percent on the axis must turn into exactly the paper's fraction.
+        for row in grid::rows()
+            .iter()
+            .filter(|row| row.experiment == "normal_run")
+        {
+            let fractions: Vec<f64> = row.xs.iter().map(|&x| (row.cache_fraction)(x)).collect();
+            assert_eq!(fractions, [0.04, 0.06, 0.08, 0.10, 0.12], "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert!(RunScale::parse(&args(&["--quik"])).is_err());
+        assert!(RunScale::parse(&args(&["fig10"])).is_err());
+        assert!(RunScale::parse(&args(&["--quick", "fig6", "--trace"])).is_err());
+        assert_eq!(RunScale::parse(&args(&[])), Ok((RunScale::Full, vec![])));
+        assert_eq!(
+            RunScale::parse(&args(&["fig8", "--quick", "all"])),
+            Ok((
+                RunScale::Quick,
+                vec![
+                    "fig8",
+                    "fig5",
+                    "fig6",
+                    "fig7",
+                    "fig8",
+                    "fig9",
+                    "partial_failure"
+                ]
+            ))
+        );
     }
 
     #[test]
@@ -262,5 +378,46 @@ mod tests {
             &ExperimentPlan::normal_run(),
         );
         assert_eq!(result.totals.requests, 200);
+    }
+
+    #[test]
+    fn parallel_map_ordered_matches_serial_for_any_thread_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let serial: Vec<u64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| x * 3 + i as u64)
+            .collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let got = parallel_map_ordered(&items, threads, |i, x| x * 3 + i as u64);
+            assert_eq!(got, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn parallel_map_ordered_handles_empty_and_single_inputs() {
+        let empty: Vec<u32> = Vec::new();
+        assert!(parallel_map_ordered(&empty, 4, |_, x| *x).is_empty());
+        assert_eq!(
+            parallel_map_ordered(&[9u32], 4, |i, x| (i, *x)),
+            vec![(0, 9)]
+        );
+    }
+
+    #[test]
+    fn parallel_map_ordered_keeps_order_under_uneven_cell_costs() {
+        // Make early indices the slowest so completion order inverts
+        // submission order; collection must still be index-ordered.
+        let items: Vec<u64> = (0..16).collect();
+        let got = parallel_map_ordered(&items, 4, |i, x| {
+            std::thread::sleep(std::time::Duration::from_millis(16 - i as u64));
+            *x
+        });
+        assert_eq!(got, items);
+    }
+
+    #[test]
+    fn sweep_threads_is_at_least_one() {
+        assert!(sweep_threads() >= 1);
     }
 }

@@ -75,8 +75,7 @@ pub use metrics::{
     SLO_LATENCY_TARGET_PCT, SLO_LATENCY_THRESHOLDS_MS, SLO_SLOW_WINDOW_SECS,
 };
 pub use runner::{
-    parallel_map_ordered, sweep_threads, EventOutcome, ExperimentPlan, ExperimentResult,
-    ExperimentRunner, PlannedEvent, TimeSeriesPoint,
+    EventOutcome, ExperimentPlan, ExperimentResult, ExperimentRunner, PlannedEvent, TimeSeriesPoint,
 };
 pub use system::{CacheSystem, HealthState, RequestOutcome, ResilienceSnapshot, SystemRecovery};
 

@@ -307,73 +307,6 @@ fn fire(system: &mut CacheSystem, at_request: usize, event: PlannedEvent) -> Eve
     }
 }
 
-/// Number of worker threads experiment sweeps should use.
-///
-/// Defaults to the machine's available parallelism; the
-/// `REO_SWEEP_THREADS` environment variable overrides it (set it to `1`
-/// to force the serial path, e.g. when bisecting a determinism issue).
-pub fn sweep_threads() -> usize {
-    if let Ok(v) = std::env::var("REO_SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Fans `f` over `items` on a scoped worker pool and returns results in
-/// item order — `out[i] == f(i, &items[i])` exactly as the serial loop
-/// would produce them, regardless of which worker ran which item or in
-/// what order they finished.
-///
-/// Workers claim items from a shared atomic cursor, so uneven cell costs
-/// load-balance naturally. With `threads <= 1` (or one item) no threads
-/// are spawned at all; callers get the plain serial loop. Determinism
-/// argument: each cell owns an independent `&T` and writes only its own
-/// slot, index-ordered collection restores serial order, and cells must
-/// not share mutable state (enforced by `F: Sync` + the `&T` argument) —
-/// so the output is a pure function of `items`, identical to the serial
-/// path byte for byte.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker (the scope joins all threads
-/// first).
-pub fn parallel_map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let cursor = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let workers = threads.min(items.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(i, item);
-                slots.lock().expect("no poisoned workers")[i] = Some(r);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("no poisoned workers")
-        .into_iter()
-        .map(|r| r.expect("every index claimed exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,46 +604,5 @@ mod tests {
     #[should_panic(expected = "must be ordered")]
     fn cascade_plan_rejects_unordered_indices() {
         let _ = ExperimentPlan::second_failure_during_rebuild(200, 100, 300);
-    }
-
-    #[test]
-    fn parallel_map_ordered_matches_serial_for_any_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x * 3 + i as u64)
-            .collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let got = parallel_map_ordered(&items, threads, |i, x| x * 3 + i as u64);
-            assert_eq!(got, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_ordered_handles_empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map_ordered(&empty, 4, |_, x| *x).is_empty());
-        assert_eq!(
-            parallel_map_ordered(&[9u32], 4, |i, x| (i, *x)),
-            vec![(0, 9)]
-        );
-    }
-
-    #[test]
-    fn parallel_map_ordered_keeps_order_under_uneven_cell_costs() {
-        // Make early indices the slowest so completion order inverts
-        // submission order; collection must still be index-ordered.
-        let items: Vec<u64> = (0..16).collect();
-        let got = parallel_map_ordered(&items, 4, |i, x| {
-            std::thread::sleep(std::time::Duration::from_millis(16 - i as u64));
-            *x
-        });
-        assert_eq!(got, items);
-    }
-
-    #[test]
-    fn sweep_threads_is_at_least_one() {
-        assert!(sweep_threads() >= 1);
     }
 }

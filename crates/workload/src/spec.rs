@@ -113,7 +113,9 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    fn paper_base(locality: Locality) -> Self {
+    /// The paper's read workload of a locality preset (Section VI-A):
+    /// 4,000 objects of 4.4 MB mean size and the preset's request count.
+    pub fn paper(locality: Locality) -> Self {
         WorkloadSpec {
             objects: 4_000,
             mean_object_size: ByteSize::from_bytes((4.4 * 1024.0 * 1024.0) as u64),
@@ -128,18 +130,18 @@ impl WorkloadSpec {
 
     /// The weak-locality read workload (Figure 5): 25,616 requests.
     pub fn weak() -> Self {
-        Self::paper_base(Locality::Weak)
+        Self::paper(Locality::Weak)
     }
 
     /// The medium-locality read workload (Figures 6 and 8): 51,057
     /// requests.
     pub fn medium() -> Self {
-        Self::paper_base(Locality::Medium)
+        Self::paper(Locality::Medium)
     }
 
     /// The strong-locality read workload (Figure 7): 89,723 requests.
     pub fn strong() -> Self {
-        Self::paper_base(Locality::Strong)
+        Self::paper(Locality::Strong)
     }
 
     /// A write-intensive medium workload (Section VI-D) with the given
@@ -155,7 +157,7 @@ impl WorkloadSpec {
         );
         WorkloadSpec {
             write_ratio,
-            ..Self::paper_base(Locality::Medium)
+            ..Self::paper(Locality::Medium)
         }
     }
 

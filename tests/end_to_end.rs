@@ -123,7 +123,7 @@ fn runs_are_deterministic_across_repetitions() {
 
 #[test]
 fn parallel_sweep_matches_serial_cell_for_cell() {
-    use reo_repro::core::parallel_map_ordered;
+    use reo_bench::parallel_map_ordered;
 
     // The sweep pool must be invisible in the results: every cell's
     // metrics identical to the serial loop, in the serial loop's order.
