@@ -11,7 +11,8 @@
 //!   cargo run --release -p reo-bench --bin exp_space_efficiency [-- --quick]
 
 use reo_bench::{build_system, parallel_map_ordered, sweep_threads, trace, FigureReport, RunScale};
-use reo_core::SchemeConfig;
+use reo_core::{SchemeConfig, SystemConfig};
+use reo_osd_target::ProtectionPolicy;
 use reo_sim::ByteSize;
 use reo_workload::{Locality, WorkloadSpec};
 use std::collections::BTreeMap;
@@ -63,12 +64,14 @@ fn main() {
         print!("{:>10}", l.to_string());
     }
     println!("{:>10}", "ideal");
+    // Every cell ran on `build_system`'s array, the paper's.
+    let devices = SystemConfig::paper_defaults(schemes[0], ByteSize::from_kib(64)).devices;
     for &scheme in &schemes {
-        let ideal: f64 = match scheme {
-            SchemeConfig::Parity(k) => 100.0 * (5 - k as u64) as f64 / 5.0,
-            SchemeConfig::FullReplication => 20.0,
-            SchemeConfig::Reo { reserve } => 100.0 * (1.0 - reserve),
-        };
+        let ideal = 100.0
+            * match scheme.policy() {
+                ProtectionPolicy::Uniform(s) => s.space_efficiency(devices),
+                ProtectionPolicy::Differentiated => 1.0 - scheme.redundancy_reserve(),
+            };
         print!("{:<18}", scheme.label());
         for l in &localities {
             print!("{:>10.1}", table[&scheme.label()][&l.to_string()]);

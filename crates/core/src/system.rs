@@ -8,7 +8,7 @@ use reo_flashsim::{DeviceId, FaultPlan, FlashArray};
 use reo_journal::{CrashOutcome, Journal};
 use reo_osd::control::ControlMessage;
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
-use reo_osd_target::{OsdTarget, RecoveryOutcome, TargetError, TargetRecovery};
+use reo_osd_target::{OsdTarget, ProtectionPolicy, RecoveryOutcome, TargetError, TargetRecovery};
 use reo_sim::{
     ByteSize, FlightRecorder, Layer, SimClock, SimDuration, SimTime, TokenBucket, Tracer,
 };
@@ -258,9 +258,19 @@ fn cache_manager(config: &SystemConfig) -> CacheManager {
     CacheManager::new(CacheConfig {
         capacity: config.cache_capacity,
         redundancy_reserve: config.scheme.redundancy_reserve(),
-        hot_parity_overhead: CacheConfig::two_parity_overhead(config.devices),
+        hot_parity_overhead: hot_parity_overhead(config.devices),
         size_aware_hotness: config.size_aware_hotness,
     })
+}
+
+/// Parity bytes per user byte of a hot clean object on `healthy` devices:
+/// Reo's hot scheme as that many devices can give it, so one device
+/// carries no parity at all.
+fn hot_parity_overhead(healthy: usize) -> f64 {
+    let scheme = ProtectionPolicy::differentiated()
+        .scheme_for(ObjectClass::HotClean)
+        .clamped_to(healthy);
+    scheme.parity_chunks(healthy) as f64 / scheme.data_chunks_per_stripe(healthy) as f64
 }
 
 /// What one restart recovery ([`CacheSystem::recover`]) did.
@@ -836,10 +846,8 @@ impl CacheSystem {
         // once failures exceed the parity level the whole cache "is
         // corrupted and becomes unusable" (Section VI-C) — Reo instead
         // stays up on the survivors.
-        if let Some(tolerated) = self.uniform_tolerance() {
-            if self.target.failed_devices() > tolerated {
-                self.take_offline();
-            }
+        if self.uniform_array_failed() {
+            self.take_offline();
         }
         self.retune_cache_topology();
         self.reconcile_health();
@@ -858,16 +866,8 @@ impl CacheSystem {
             self.config.cache_capacity.as_bytes() / self.config.devices as u64 * healthy as u64,
         )
         .max(ByteSize::from_kib(1));
-        let overhead = if healthy >= 2 {
-            let k = 2usize.min(healthy - 1);
-            let m = healthy - k;
-            k as f64 / m as f64
-        } else {
-            // A single device cannot hold redundancy; hot protection is
-            // free because it degenerates to no parity.
-            0.0
-        };
-        self.cache.update_topology(capacity, overhead);
+        self.cache
+            .update_topology(capacity, hot_parity_overhead(healthy));
         if self.config.scheme.is_differentiated() {
             // Re-derive the threshold immediately so admissions budget
             // against the new topology; the periodic refresh ships the
@@ -876,14 +876,14 @@ impl CacheSystem {
         }
     }
 
-    /// For uniform schemes, the device failures the whole array tolerates;
-    /// `None` for Reo (no array-wide failure mode).
-    fn uniform_tolerance(&self) -> Option<usize> {
-        use crate::config::SchemeConfig;
-        match self.config.scheme {
-            SchemeConfig::Parity(k) => Some(k as usize),
-            SchemeConfig::FullReplication => Some(self.config.devices - 1),
-            SchemeConfig::Reo { .. } => None,
+    /// `true` when a uniform scheme's array has more failed devices than
+    /// its scheme tolerates; never for Reo (no array-wide failure mode).
+    fn uniform_array_failed(&self) -> bool {
+        match self.config.scheme.policy() {
+            ProtectionPolicy::Uniform(scheme) => {
+                self.target.failed_devices() > scheme.failures_tolerated(self.config.devices)
+            }
+            ProtectionPolicy::Differentiated => false,
         }
     }
 
@@ -924,13 +924,9 @@ impl CacheSystem {
             format!("insert-spare {}", device.0),
         );
         let lost = self.target.insert_spare(device);
-        if self.offline {
-            if let Some(tolerated) = self.uniform_tolerance() {
-                if self.target.failed_devices() <= tolerated {
-                    // The (now empty) array is usable again; it re-warms.
-                    self.offline = false;
-                }
-            }
+        if self.offline && !self.uniform_array_failed() {
+            // The (now empty) array is usable again; it re-warms.
+            self.offline = false;
         }
         for key in lost {
             self.evict_lost(key);
@@ -2350,5 +2346,69 @@ mod tests {
                 assert_eq!(got, want, "{name}, backend down: {backend_down}");
             }
         }
+    }
+
+    /// Nodes of one and two devices build and serve under every scheme:
+    /// the hot class's parity is clamped to the array, as the stripe layer
+    /// clamps it, and a uniform array goes offline past what its scheme
+    /// tolerates on that many devices.
+    #[test]
+    fn narrow_arrays_build_serve_and_fail_by_their_scheme() {
+        let trace = WorkloadSpec {
+            objects: 100,
+            mean_object_size: ByteSize::from_kib(256),
+            size_sigma: 0.7,
+            locality: reo_workload::Locality::Medium,
+            requests: 2_000,
+            write_ratio: 0.2,
+            temporal_reuse: reo_workload::Locality::Medium.temporal_reuse(),
+            reuse_window: 100,
+        }
+        .generate(11);
+        for devices in [1, 2] {
+            for scheme in [
+                SchemeConfig::Parity(0),
+                SchemeConfig::Parity(1),
+                SchemeConfig::FullReplication,
+                SchemeConfig::Reo { reserve: 0.20 },
+            ] {
+                let cache = trace.summary().data_set_bytes.scale(0.20);
+                let mut config = SystemConfig::paper_defaults(scheme, cache);
+                config.devices = devices;
+                config.device.capacity = ByteSize::from_bytes(cache.as_bytes() / devices as u64);
+                config.chunk_size = ByteSize::from_kib(16);
+                let mut sys = CacheSystem::new(config);
+                sys.populate(trace.objects());
+                for r in trace.requests() {
+                    sys.handle(r);
+                }
+                let totals = sys.metrics().totals();
+                assert_eq!(totals.requests, 2_000, "{scheme} on {devices}");
+                assert!(totals.read_hits > 0, "{scheme} on {devices}");
+
+                sys.fail_device(DeviceId(0));
+                let offline = match scheme {
+                    SchemeConfig::Parity(0) => true,
+                    SchemeConfig::Parity(_) | SchemeConfig::FullReplication => devices == 1,
+                    SchemeConfig::Reo { .. } => false,
+                };
+                assert_eq!(sys.is_offline(), offline, "{scheme} on {devices}");
+            }
+        }
+    }
+
+    /// The copy of the hot overhead the cache crate keeps for callers that
+    /// build a `CacheConfig` by hand agrees with the node's, bit for bit.
+    #[test]
+    fn two_parity_overhead_is_the_node_hot_overhead() {
+        for n in 3..=8 {
+            assert_eq!(
+                CacheConfig::two_parity_overhead(n).to_bits(),
+                hot_parity_overhead(n).to_bits(),
+                "{n} devices"
+            );
+        }
+        assert_eq!(hot_parity_overhead(2), 1.0);
+        assert_eq!(hot_parity_overhead(1), 0.0);
     }
 }

@@ -1,62 +1,17 @@
-//! Parity updating strategies: direct re-encoding vs delta patching.
+//! Delta parity-updating.
 //!
 //! Section II-B of the Reo paper describes the write-amplification problem
 //! of Reed–Solomon parity maintenance. When one data chunk of a stripe is
 //! overwritten there are two ways to bring the parity chunks up to date:
-//!
-//! * **Direct parity-updating** — read all *other* data chunks of the
-//!   stripe and re-encode the parity from scratch. Costs `m - 1` chunk
-//!   reads (the updated chunk is already in hand).
-//! * **Delta parity-updating** — read the *old* content of the updated
-//!   chunk and the old parity chunks; compute
-//!   `delta = old_data XOR new_data`, then
-//!   `new_parity[p] = old_parity[p] XOR coeff(p, d) * delta`.
-//!   Costs `1 + k` chunk reads.
-//!
-//! The paper chooses "the encoding method that incurs the least disk
-//! reads"; [`cheapest_strategy`] encodes exactly that decision rule.
+//! re-encode them from every data chunk ([`ReedSolomon::encode_into`]), or
+//! patch them with the change to the one chunk:
+//! `delta = old_data XOR new_data`, then
+//! `new_parity[p] = old_parity[p] XOR coeff(p, d) * delta`.
+//! [`apply_delta_update`] is the patch. Which of the two an overwrite uses
+//! — the one with the fewer chunk reads — is decided by the stripe layer,
+//! which issues the reads.
 
 use crate::rs::{CodecError, ReedSolomon};
-
-/// Which parity-update strategy to use for an in-place chunk overwrite.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum UpdateStrategy {
-    /// Re-encode parity from all data chunks (`m - 1` extra reads).
-    Direct,
-    /// Patch parity using the old data and old parity (`1 + k` extra reads).
-    Delta,
-}
-
-/// Number of chunk reads needed to update parity via the given strategy,
-/// for a stripe with `m` data chunks and `k` parity chunks.
-///
-/// # Examples
-///
-/// ```
-/// use reo_erasure::delta::{read_cost, UpdateStrategy};
-///
-/// // Wide stripe, single parity: delta wins.
-/// assert!(read_cost(UpdateStrategy::Delta, 8, 1) < read_cost(UpdateStrategy::Direct, 8, 1));
-/// // Narrow stripe, heavy parity: direct wins.
-/// assert!(read_cost(UpdateStrategy::Direct, 2, 3) < read_cost(UpdateStrategy::Delta, 2, 3));
-/// ```
-pub fn read_cost(strategy: UpdateStrategy, m: usize, k: usize) -> usize {
-    match strategy {
-        UpdateStrategy::Direct => m.saturating_sub(1),
-        UpdateStrategy::Delta => 1 + k,
-    }
-}
-
-/// The strategy with the fewest chunk reads for an `m` data / `k` parity
-/// stripe, breaking ties in favour of [`UpdateStrategy::Delta`] (it also
-/// touches fewer devices).
-pub fn cheapest_strategy(m: usize, k: usize) -> UpdateStrategy {
-    if read_cost(UpdateStrategy::Delta, m, k) <= read_cost(UpdateStrategy::Direct, m, k) {
-        UpdateStrategy::Delta
-    } else {
-        UpdateStrategy::Direct
-    }
-}
 
 /// Applies a delta parity update for an overwrite of data shard `d`.
 ///
@@ -179,23 +134,39 @@ mod tests {
         );
     }
 
+    /// §II-B's read counts as the codec's inputs set them: the delta patch
+    /// takes the old chunk and the `k` parity chunks (`1 + k` reads), a
+    /// re-encode takes every data chunk, `m - 1` of them not in hand.
+    #[test]
+    fn cost_model_matches_paper_rule() {
+        let reads = |m: usize, k: usize| {
+            let rs = ReedSolomon::new(m, k).unwrap();
+            let data: Vec<Vec<u8>> = (0..m).map(|i| vec![i as u8 + 1; 4]).collect();
+            let mut parity = rs.encode(&data).unwrap();
+            let new = vec![0xa5u8; 4];
+            apply_delta_update(&rs, 0, &data[0], &new, &mut parity).unwrap();
+            let mut updated = data.clone();
+            updated[0] = new;
+            assert_eq!(parity, rs.encode(&updated).unwrap());
+            let delta = 1 + parity.len();
+            let direct = updated.len() - 1;
+            (delta, direct)
+        };
+        // Wide stripes favour delta; k+1 < m-1.
+        assert_eq!(reads(8, 1), (2, 7));
+        assert_eq!(reads(8, 2), (3, 7));
+        // Narrow stripes favour direct.
+        assert_eq!(reads(2, 2), (3, 1));
+        // Tie (m-1 == k+1).
+        assert_eq!(reads(4, 2), (3, 3));
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_shard_index_panics() {
         let rs = ReedSolomon::new(2, 1).unwrap();
         let mut parity = vec![vec![0u8; 1]];
         let _ = apply_delta_update(&rs, 5, &[1], &[2], &mut parity);
-    }
-
-    #[test]
-    fn cost_model_matches_paper_rule() {
-        // Wide stripes favour delta; k+1 < m-1.
-        assert_eq!(cheapest_strategy(8, 1), UpdateStrategy::Delta);
-        assert_eq!(cheapest_strategy(8, 2), UpdateStrategy::Delta);
-        // Narrow stripes favour direct.
-        assert_eq!(cheapest_strategy(2, 2), UpdateStrategy::Direct);
-        // Tie (m-1 == k+1) goes to delta.
-        assert_eq!(cheapest_strategy(4, 2), UpdateStrategy::Delta);
     }
 
     proptest! {

@@ -53,12 +53,6 @@ pub const fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
-/// Subtracts two field elements (identical to [`add`] in GF(2^8)).
-#[inline]
-pub const fn sub(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// Multiplies two field elements.
 ///
 /// # Examples
@@ -114,50 +108,6 @@ pub fn pow(a: u8, mut n: u32) -> u8 {
     n %= 255;
     let l = (t.log[a as usize] as u32 * n) % 255;
     t.exp[l as usize]
-}
-
-/// Multiplies every byte of `dst` by `c` and XORs in `src * c`:
-/// `dst[i] ^= c * src[i]`. This is the inner loop of Reed–Solomon encoding.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "slice length mismatch");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-        return;
-    }
-    let t = tables();
-    let log_c = t.log[c as usize];
-    for (d, s) in dst.iter_mut().zip(src) {
-        if *s != 0 {
-            *d ^= t.exp[(t.log[*s as usize] + log_c) as usize];
-        }
-    }
-}
-
-/// Multiplies every byte of `buf` by `c` in place.
-pub fn mul_slice(buf: &mut [u8], c: u8) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        buf.fill(0);
-        return;
-    }
-    let t = tables();
-    let log_c = t.log[c as usize];
-    for b in buf.iter_mut() {
-        if *b != 0 {
-            *b = t.exp[(t.log[*b as usize] + log_c) as usize];
-        }
-    }
 }
 
 /// XORs `src` into `dst`: `dst[i] ^= src[i]`.
@@ -229,12 +179,6 @@ impl MulTable {
             *b = mul(c, 1 << i) as u64;
         }
         MulTable { low, high, bits, c }
-    }
-
-    /// The coefficient this table multiplies by.
-    #[inline]
-    pub fn coefficient(&self) -> u8 {
-        self.c
     }
 
     /// Multiplies one byte by the table's coefficient.
@@ -572,7 +516,6 @@ mod tests {
     #[test]
     fn add_is_xor() {
         assert_eq!(add(0b1010, 0b0110), 0b1100);
-        assert_eq!(sub(0b1100, 0b0110), 0b1010);
     }
 
     #[test]
@@ -654,17 +597,17 @@ mod tests {
         for (e, s) in expect.iter_mut().zip(&src) {
             *e ^= mul(*s, 0x1d);
         }
-        mul_acc_slice(&mut dst, &src, 0x1d);
+        MulTable::new(0x1d).mul_slice_xor(&mut dst, &src);
         assert_eq!(dst, expect);
     }
 
     #[test]
     fn mul_slice_special_cases() {
-        let mut buf = [3u8, 5, 0, 7];
-        let orig = buf;
-        mul_slice(&mut buf, 1);
-        assert_eq!(buf, orig);
-        mul_slice(&mut buf, 0);
+        let src = [3u8, 5, 0, 7];
+        let mut buf = [0xaau8; 4];
+        MulTable::new(1).mul_slice(&mut buf, &src);
+        assert_eq!(buf, src);
+        MulTable::new(0).mul_slice(&mut buf, &src);
         assert_eq!(buf, [0, 0, 0, 0]);
     }
 
@@ -680,13 +623,18 @@ mod tests {
 
     #[test]
     fn mul_table_slice_matches_mul_acc_slice() {
+        // The overwrite kernel equals the accumulate kernel into zeros, and
+        // both equal the scalar product.
         let src: Vec<u8> = (0..=255u8).collect();
         for c in [0u8, 1, 0x1d, 0xa7] {
-            let mut a = vec![0x55u8; 256];
-            let mut b = a.clone();
-            mul_acc_slice(&mut a, &src, c);
-            MulTable::new(c).mul_slice_xor(&mut b, &src);
-            assert_eq!(a, b, "c={c}");
+            let t = MulTable::new(c);
+            let expect: Vec<u8> = src.iter().map(|s| mul(c, *s)).collect();
+            let mut acc = vec![0u8; 256];
+            t.mul_slice_xor(&mut acc, &src);
+            let mut over = vec![0x55u8; 256];
+            t.mul_slice(&mut over, &src);
+            assert_eq!(acc, expect, "c={c}");
+            assert_eq!(over, expect, "c={c}");
         }
     }
 

@@ -8,13 +8,12 @@
 //!
 //! * [`gf256`] — arithmetic in GF(2^8) with the AES/RS-standard reducing
 //!   polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).
-//! * [`Matrix`] — dense matrices over GF(2^8) with Gauss–Jordan inversion,
-//!   plus the Vandermonde construction.
-//! * [`ReedSolomon`] — an `m` data + `k` parity systematic code: encode,
-//!   verify, and reconstruct any ≤ `k` missing shards.
-//! * [`delta`] — the two parity-update strategies the paper discusses
-//!   (direct re-encoding vs delta patching) and the read-cost model Reo uses
-//!   to pick whichever incurs fewer disk reads.
+//! * [`ReedSolomon`] — an `m` data + `k` parity systematic code over a
+//!   Vandermonde matrix (inverted by Gauss–Jordan elimination, a
+//!   crate-private matrix type): encode, and reconstruct any ≤ `k` missing
+//!   shards.
+//! * [`delta`] — delta parity-updating: patch every parity shard with the
+//!   change to one data shard, without reading the others.
 //!
 //! # Examples
 //!
@@ -41,5 +40,4 @@ pub mod gf256;
 mod matrix;
 mod rs;
 
-pub use matrix::Matrix;
 pub use rs::{CodecError, ReedSolomon};

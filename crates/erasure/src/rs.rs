@@ -203,26 +203,12 @@ impl ReedSolomon {
         self.data + self.parity
     }
 
-    /// The encoding coefficient applied to data shard `d` when computing
-    /// parity shard `p`.
-    ///
-    /// Exposed for the delta parity-update path, which needs individual
-    /// coefficients rather than whole-stripe encodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= parity_shards()` or `d >= data_shards()`.
-    pub fn parity_coefficient(&self, p: usize, d: usize) -> u8 {
-        assert!(p < self.parity, "parity index out of range");
-        assert!(d < self.data, "data index out of range");
-        self.encode_matrix.get(self.data + p, d)
-    }
-
     /// The precomputed multiply kernel for parity row `p`, data shard `d`.
     ///
-    /// The kernel multiplies by [`Self::parity_coefficient`]`(p, d)`; the
-    /// delta parity-update path uses it to fold the coefficient multiply
-    /// into a single fused pass over the changed chunk.
+    /// The kernel multiplies by the encoding coefficient of data shard `d`
+    /// in parity shard `p`; the delta parity-update path uses it to fold
+    /// the coefficient multiply into a single fused pass over the changed
+    /// chunk.
     ///
     /// # Panics
     ///
@@ -320,28 +306,6 @@ impl ReedSolomon {
         for (table, shard) in row[1..].iter().zip(&data[1..]) {
             table.mul_slice_xor(out, shard.as_ref());
         }
-    }
-
-    /// Verifies that the given full shard set (data followed by parity) is
-    /// consistent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors like [`CodecError::WrongShardCount`]; returns
-    /// `Ok(false)` if shapes are fine but parity does not match.
-    pub fn verify<T: AsRef<[u8]>>(&self, shards: &[T]) -> Result<bool, CodecError> {
-        if shards.len() != self.total_shards() {
-            return Err(CodecError::WrongShardCount {
-                expected: self.total_shards(),
-                actual: shards.len(),
-            });
-        }
-        self.check_shards(shards)?;
-        let recomputed = self.encode(&shards[..self.data])?;
-        Ok(recomputed
-            .iter()
-            .zip(&shards[self.data..])
-            .all(|(a, b)| a.as_slice() == b.as_ref()))
     }
 
     /// Reconstructs every missing shard (`None` entries) in place.
@@ -548,16 +512,15 @@ mod tests {
 
     #[test]
     fn encode_verify_roundtrip() {
+        // A stripe verifies when re-encoding its data gives back its parity.
         let rs = ReedSolomon::new(4, 2).unwrap();
         let data = sample_data(4, 64);
-        let parity = rs.encode(&data).unwrap();
+        let mut parity = rs.encode(&data).unwrap();
         assert_eq!(parity.len(), 2);
-        let mut all: Vec<Vec<u8>> = data.clone();
-        all.extend(parity);
-        assert!(rs.verify(&all).unwrap());
+        assert_eq!(rs.encode(&data).unwrap(), parity);
         // Corrupt one byte and verification fails.
-        all[5][3] ^= 0xff;
-        assert!(!rs.verify(&all).unwrap());
+        parity[1][3] ^= 0xff;
+        assert_ne!(rs.encode(&data).unwrap(), parity);
     }
 
     #[test]
@@ -669,7 +632,7 @@ mod tests {
             data[d][0] = 1;
             let parity = rs.encode(&data).unwrap();
             for (p, row) in parity.iter().enumerate().take(2) {
-                assert_eq!(row[0], rs.parity_coefficient(p, d));
+                assert_eq!(row[0], rs.parity_kernel(p, d).mul(1));
             }
         }
     }

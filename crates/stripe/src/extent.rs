@@ -406,17 +406,6 @@ impl<'a> Stripe<'a> {
     }
 }
 
-/// The scheme an object asked for, as an array of `healthy` devices can
-/// give it: parity is clamped to leave one data chunk.
-pub(crate) fn clamp_scheme(scheme: RedundancyScheme, healthy: usize) -> RedundancyScheme {
-    match scheme {
-        RedundancyScheme::Parity(k) => {
-            RedundancyScheme::Parity(k.min((healthy.saturating_sub(1)) as u8))
-        }
-        RedundancyScheme::Replication => RedundancyScheme::Replication,
-    }
-}
-
 /// Serialized size of a layout blob: owner, size, requested scheme,
 /// effective scheme, first stripe, first handle (the first stripe again),
 /// healthy set, real flag.
@@ -473,7 +462,7 @@ pub(crate) fn decode_layout(
         && blob[44] <= 1
         && !extent.size.is_zero()
         && extent.healthy != 0
-        && extent.scheme == clamp_scheme(requested, extent.width());
+        && extent.scheme == requested.clamped_to(extent.width());
     well_formed
         .then_some((u64_at(0), requested, first_stripe, extent))
         .ok_or(Corrupt)

@@ -476,7 +476,8 @@ impl StripeIo<'_> {
     }
 
     /// The parity-maintaining overwrite: picks delta vs direct by read
-    /// count, reads what it needs, recomputes parity, writes back.
+    /// count, reads what it needs, recomputes parity, writes back. This is
+    /// the one home of Section II-B's rule.
     ///
     /// On real-payload stripes all encode inputs and outputs live in the
     /// manager's scratch pool, whose capacity carries over between calls;
@@ -494,7 +495,8 @@ impl StripeIo<'_> {
         let plen = stripe.shard_len().as_bytes() as usize;
         let real = stripe.real;
 
-        // Section II-B's rule: the method with the fewest chunk reads.
+        // Section II-B's rule: the method with the fewest chunk reads; a
+        // tie goes to delta, which also touches fewer devices.
         let delta_reads = 1 + k;
         let direct_reads = m_actual.saturating_sub(1);
         let use_delta = delta_reads <= direct_reads;

@@ -9,7 +9,7 @@ use reo_erasure::CodecError;
 use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, FlashArray, FlashError};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 
-use crate::extent::{clamp_scheme, Extent, ExtentShape, ObjectLayout, PlacedExtent, StripeId};
+use crate::extent::{Extent, ExtentShape, ObjectLayout, PlacedExtent, StripeId};
 use crate::io::{stripe_health_on, CodecCache, ReadRun, StripeHealth, StripeIo, StripeScratch};
 use crate::layout::PlacementPolicy;
 use crate::rebuild::{Rebuild, WriteRun};
@@ -318,7 +318,7 @@ impl StripeManager {
         if healthy == 0 || size.is_zero() {
             return ByteSize::ZERO;
         }
-        let scheme = clamp_scheme(scheme, healthy);
+        let scheme = scheme.clamped_to(healthy);
         let shape = ExtentShape::of(size, self.chunk_size, scheme, healthy);
         match scheme {
             RedundancyScheme::Replication => size * healthy as u64,
@@ -394,7 +394,7 @@ impl StripeManager {
         if healthy == 0 {
             return Err(StripeError::NoHealthyDevices);
         }
-        let scheme = clamp_scheme(scheme, healthy.count_ones() as usize);
+        let scheme = scheme.clamped_to(healthy.count_ones() as usize);
         let first_stripe = self.next_stripe;
         let extent = Extent {
             size,

@@ -94,6 +94,27 @@ impl RedundancyScheme {
         }
     }
 
+    /// The scheme as an array of `healthy` devices can give it: parity is
+    /// clamped to leave one data chunk per stripe.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use reo_stripe::RedundancyScheme;
+    ///
+    /// assert_eq!(RedundancyScheme::parity(2).clamped_to(5), RedundancyScheme::parity(2));
+    /// assert_eq!(RedundancyScheme::parity(2).clamped_to(2), RedundancyScheme::parity(1));
+    /// assert_eq!(RedundancyScheme::parity(2).clamped_to(1), RedundancyScheme::parity(0));
+    /// ```
+    pub fn clamped_to(self, healthy: usize) -> Self {
+        match self {
+            RedundancyScheme::Parity(k) => {
+                RedundancyScheme::Parity(k.min(healthy.saturating_sub(1) as u8))
+            }
+            RedundancyScheme::Replication => RedundancyScheme::Replication,
+        }
+    }
+
     /// `true` if the scheme stores whole copies rather than parity.
     pub const fn is_replication(self) -> bool {
         matches!(self, RedundancyScheme::Replication)

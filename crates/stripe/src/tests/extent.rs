@@ -5,7 +5,6 @@ use reo_flashsim::DeviceId;
 use reo_sim::ByteSize;
 
 use super::{mgr, payload, test_array};
-use crate::extent::clamp_scheme;
 use crate::{RedundancyScheme, StripeError, StripeManager};
 
 #[test]
@@ -80,7 +79,7 @@ fn closed_form_usage_and_shares_are_what_the_devices_hold() {
     for failed in 0u32..31 {
         let healthy = 5 - failed.count_ones() as usize;
         for scheme in schemes {
-            let m = clamp_scheme(scheme, healthy).data_chunks_per_stripe(healthy) as u64;
+            let m = scheme.clamped_to(healthy).data_chunks_per_stripe(healthy) as u64;
             // One short chunk; exactly full stripes; a short last stripe
             // ending in a short chunk; forty stripes.
             for size in [100, chunk * m * 2, chunk * (m * 2 + 1) + 77, chunk * m * 40] {

@@ -304,42 +304,45 @@ fn overwrite_keeps_parity_consistent_for_all_chunks() {
     }
 }
 
+/// Section II-B's rule, which `overwrite_with_parity` alone applies: a
+/// full stripe of `m` data and `k` parity chunks is patched by delta
+/// (`1 + k` reads) unless re-encoding (`m - 1` reads) reads fewer; a tie
+/// goes to delta, which also touches fewer devices.
 #[test]
 fn strategy_follows_read_cost_rule() {
-    // 5 devices, 1 parity: m = 4 data chunks per stripe. Delta reads
-    // 1 + 1 = 2; direct reads m - 1 = 3 -> delta.
+    use ParityUpdate::{Delta, Direct};
     let chunk = ByteSize::from_kib(4);
-    let mut m = StripeManager::new(test_array(5, 64), chunk);
-    let data = seeded(16_384, 1);
-    let layout = m
-        .store_object(
-            1,
-            ByteSize::from_bytes(data.len() as u64),
-            RedundancyScheme::parity(1),
-            Some(&data),
-        )
-        .unwrap();
-    let (method, _) = m
-        .overwrite_chunk(&layout, 0, Some(&seeded(4096, 9)))
-        .unwrap();
-    assert_eq!(method, ParityUpdate::Delta);
-
-    // 3 devices, 2 parity: m = 1 data chunk. Delta reads 3; direct
-    // reads 0 -> direct.
-    let mut m3 = StripeManager::new(test_array(3, 64), chunk);
-    let data3 = seeded(4_096, 2);
-    let layout3 = m3
-        .store_object(
-            1,
-            ByteSize::from_bytes(data3.len() as u64),
-            RedundancyScheme::parity(2),
-            Some(&data3),
-        )
-        .unwrap();
-    let (method3, _) = m3
-        .overwrite_chunk(&layout3, 0, Some(&seeded(4096, 5)))
-        .unwrap();
-    assert_eq!(method3, ParityUpdate::Direct);
+    for (devices, k, expected) in [
+        // m = 4: delta 2 reads, direct 3.
+        (5, 1, Delta),
+        // m = 8: delta 2 or 3, direct 7.
+        (9, 1, Delta),
+        (10, 2, Delta),
+        // m = 1: delta 3, direct 0.
+        (3, 2, Direct),
+        // m = 2: delta 3, direct 1.
+        (4, 2, Direct),
+        // m = 3: delta 3, direct 2.
+        (5, 2, Direct),
+        // m = 4: delta 3, direct 3 — the tie.
+        (6, 2, Delta),
+    ] {
+        let m = devices - k as usize;
+        let mut mgr = StripeManager::new(test_array(devices, 64), chunk);
+        let data = seeded(m * 4096, k);
+        let layout = mgr
+            .store_object(
+                1,
+                ByteSize::from_bytes(data.len() as u64),
+                RedundancyScheme::parity(k),
+                Some(&data),
+            )
+            .unwrap();
+        let (method, _) = mgr
+            .overwrite_chunk(&layout, 0, Some(&seeded(4096, 9)))
+            .unwrap();
+        assert_eq!(method, expected, "{devices} devices, {k} parity");
+    }
 }
 
 /// Round-robin parity exists for an even spread of write wear (Section

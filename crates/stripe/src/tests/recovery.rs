@@ -4,7 +4,6 @@ use reo_flashsim::{ChunkHandle, DeviceId};
 use reo_sim::ByteSize;
 
 use super::{mgr, payload, test_array};
-use crate::extent::clamp_scheme;
 use crate::{
     ObjectStatus, PlacementPolicy, RedundancyScheme, SpaceUsage, StripeError, StripeManager,
 };
@@ -219,7 +218,7 @@ fn layout_blob_roundtrips_for_every_placement() {
         for failed in 0u32..31 {
             let healthy = 5 - failed.count_ones() as usize;
             for scheme in schemes {
-                let m = clamp_scheme(scheme, healthy).data_chunks_per_stripe(healthy) as u64;
+                let m = scheme.clamped_to(healthy).data_chunks_per_stripe(healthy) as u64;
                 // One chunk; exactly full stripes; a short last stripe
                 // ending in a short chunk; many stripes.
                 for size in [
