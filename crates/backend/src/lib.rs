@@ -293,6 +293,13 @@ impl BackendStore {
         self.busy_until <= now
     }
 
+    /// Makes room for `additional` more objects at once, so loading a
+    /// data set of known size does not rehash the map as it grows. Nothing
+    /// iterates the map, so its capacity cannot show in any result.
+    pub fn reserve(&mut self, additional: usize) {
+        self.objects.reserve(additional);
+    }
+
     /// Populates an object without charging any time (initial data-set
     /// load, before the experiment starts).
     ///

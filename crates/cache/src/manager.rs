@@ -472,7 +472,17 @@ impl CacheManager {
 
     /// Recomputes the threshold, reclassifies the index against it and
     /// returns the changes (to be shipped as `#SETID#` messages), sorted
-    /// by key.
+    /// by key: [`Self::refresh_classification_into`] into a new buffer.
+    pub fn refresh_classification(&mut self) -> Vec<ClassChange> {
+        let mut changes = Vec::new();
+        self.refresh_classification_into(&mut changes);
+        changes
+    }
+
+    /// Recomputes the threshold, reclassifies the index against it and
+    /// puts the changes in `changes` in place of what it held, sorted by
+    /// key. A caller that keeps the buffer between refreshes allocates
+    /// nothing once it has grown.
     ///
     /// Only a clean, non-metadata entry's class depends on `H_hot`:
     /// metadata and dirty entries are classes 0 and 1 whatever their heat,
@@ -481,9 +491,9 @@ impl CacheManager {
     /// has `Freq ≥ 1`, so those are exactly the entries the threshold sweep
     /// sorted, and one pass over its buffer reclassifies the index; the
     /// index is probed only for an entry whose class changes.
-    pub fn refresh_classification(&mut self) -> Vec<ClassChange> {
+    pub fn refresh_classification_into(&mut self, changes: &mut Vec<ClassChange>) {
         let threshold = self.recompute_hot_threshold();
-        let mut changes = Vec::new();
+        changes.clear();
         for c in &self.hot_scan {
             let hot = c.h >= threshold;
             let to = if hot {
@@ -519,7 +529,6 @@ impl CacheManager {
                 dirty: e.is_dirty(),
             }
             .classify()));
-        changes
     }
 
     /// Keys of all dirty entries (need flushing before eviction), sorted

@@ -345,12 +345,13 @@ impl ClusterSystem {
     /// Loads the authoritative data set into the cluster: the origin
     /// store, every node's backend mirror, and the key → size map.
     pub fn populate(&mut self, objects: &[WorkloadObject]) {
+        self.origin.reserve(objects.len());
         for o in objects {
             self.objects.insert(o.key, o.size);
             self.origin.insert(o.key, o.size, None);
-            for node in &mut self.nodes {
-                node.system.mirror_backend_object(o.key, o.size);
-            }
+        }
+        for node in &mut self.nodes {
+            node.system.populate(objects);
         }
     }
 

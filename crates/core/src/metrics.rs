@@ -316,13 +316,25 @@ struct SloBucket {
 }
 
 /// Per-class SLO accumulator: lifetime counters plus a bounded deque of
-/// per-second buckets covering the slow window.
-#[derive(Clone, Debug, Default)]
+/// per-second buckets covering the slow window. The deque is made at the
+/// window's length and never holds more, so recording allocates nothing.
+#[derive(Clone, Debug)]
 struct SloClassAccum {
     requests: u64,
     latency_breaches: u64,
     errors: u64,
     buckets: std::collections::VecDeque<SloBucket>,
+}
+
+impl Default for SloClassAccum {
+    fn default() -> Self {
+        SloClassAccum {
+            requests: 0,
+            latency_breaches: 0,
+            errors: 0,
+            buckets: std::collections::VecDeque::with_capacity(SLO_SLOW_WINDOW_SECS as usize),
+        }
+    }
 }
 
 impl SloClassAccum {
@@ -342,12 +354,8 @@ impl SloClassAccum {
             back.latency_breaches += u64::from(breach);
             back.errors += u64::from(error);
         } else {
-            self.buckets.push_back(SloBucket {
-                second,
-                requests: 1,
-                latency_breaches: u64::from(breach),
-                errors: u64::from(error),
-            });
+            // Buckets older than the window go before the new one comes:
+            // the seconds are distinct, so at most the window's length stay.
             let horizon = second.saturating_sub(SLO_SLOW_WINDOW_SECS - 1);
             while self
                 .buckets
@@ -356,6 +364,12 @@ impl SloClassAccum {
             {
                 self.buckets.pop_front();
             }
+            self.buckets.push_back(SloBucket {
+                second,
+                requests: 1,
+                latency_breaches: u64::from(breach),
+                errors: u64::from(error),
+            });
         }
     }
 

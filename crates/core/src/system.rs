@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use reo_backend::{BackendError, BackendStore};
-use reo_cache::{CacheConfig, CacheManager};
+use reo_cache::{CacheConfig, CacheManager, ClassChange};
 use reo_flashsim::{DeviceId, FaultPlan, FlashArray};
 use reo_journal::{CrashOutcome, Journal};
 use reo_osd::control::ControlMessage;
@@ -338,6 +338,9 @@ pub struct CacheSystem {
     /// Per-class instants at which the rebuild queue drained, indexed by
     /// class id — the time-to-restored-redundancy ledger.
     redundancy_restored_at: [Option<SimTime>; 4],
+    /// The class changes of the refresh in flight; kept between refreshes
+    /// only for its capacity.
+    class_changes: Vec<ClassChange>,
 }
 
 impl CacheSystem {
@@ -394,6 +397,7 @@ impl CacheSystem {
             throttle: RebuildThrottle::default(),
             rebuild_started_at: None,
             redundancy_restored_at: [None; 4],
+            class_changes: Vec::new(),
         }
     }
 
@@ -685,6 +689,7 @@ impl CacheSystem {
 
     /// Loads the authoritative data set into the backend (charge-free).
     pub fn populate(&mut self, objects: &[WorkloadObject]) {
+        self.backend.reserve(objects.len());
         for o in objects {
             self.backend.insert(o.key, o.size, None);
         }
@@ -1325,12 +1330,16 @@ impl CacheSystem {
     /// Recomputes the hot threshold and ships every class change to the
     /// target through the control mailbox (`#SETID#`), evicting cold tail
     /// objects when a promotion needs parity space.
+    // Once in `classification_period` requests: out of line, so the
+    // refresh does not grow `handle`'s body for every other request.
+    #[inline(never)]
     fn refresh_classification(&mut self) {
-        let changes = self.cache.refresh_classification();
+        let mut changes = std::mem::take(&mut self.class_changes);
+        self.cache.refresh_classification_into(&mut changes);
         // One buffer for every message of the burst; its length is the
         // longest control message's, or this does not compile.
         let mut wire = [0; 40];
-        for change in changes {
+        for &change in &changes {
             // A promotion grows the object's footprint; make room first.
             let entry_size = match self.cache.entry(change.key) {
                 Some(e) => e.size(),
@@ -1372,6 +1381,7 @@ impl CacheSystem {
                 Err(e) => debug_assert!(false, "control write failed: {e}"),
             }
         }
+        self.class_changes = changes;
     }
 
     /// The background write-back flusher: while the dirty share of the

@@ -1072,9 +1072,11 @@ impl FlashDevice {
     /// metadata never reached the journal.
     pub fn chunk_runs(&self) -> Vec<(ChunkHandle, u64)> {
         // The run table is kept in order, so only the singles are sorted,
-        // and the two lists merged.
-        let singles = self.chunks.iter().filter(|(_, s)| s.state().is_present());
-        let mut singles: Vec<(ChunkHandle, u64)> = singles.map(|(h, _)| (*h, 1)).collect();
+        // and the two lists merged. A filter tells `collect` nothing of
+        // its length: the buffer is sized once, for every single.
+        let present = self.chunks.iter().filter(|(_, s)| s.state().is_present());
+        let mut singles = Vec::with_capacity(self.chunks.len());
+        singles.extend(present.map(|(h, _)| (*h, 1)));
         singles.sort_unstable();
         let mut singles = singles.into_iter().peekable();
         let runs = self.runs.iter();

@@ -283,66 +283,91 @@ impl JournalRecord {
         };
         head.encode_payload_into(out, |out| out.extend_from_slice(meta));
     }
+}
 
-    fn decode_payload(bytes: &[u8]) -> Option<JournalRecord> {
+/// A record payload decoded over the bytes it lies in: a layout-carrying
+/// record's head with its `meta` blob borrowed, or a record that carries
+/// no blob. Scanning the log this way copies nothing; replay takes the
+/// owned record of each.
+enum Decoded<'a> {
+    Layout(LayoutRecord, &'a [u8]),
+    Bare(JournalRecord),
+}
+
+impl<'a> Decoded<'a> {
+    /// Decodes one payload: `None` unless its tag is known and its length
+    /// is exactly what the tag and the blob's length field say.
+    fn parse(bytes: &'a [u8]) -> Option<Self> {
         fn get_key(bytes: &[u8], at: usize) -> Option<ObjectKey> {
             let pid = get_u64(bytes, at)?;
             let oid = get_u64(bytes, at + 8)?;
             Some(ObjectKey::new(PartitionId::new(pid), ObjectId::new(oid)))
         }
-        fn get_meta(bytes: &[u8], at: usize) -> Option<Vec<u8>> {
+        // The blob whose length field is at `at`, ending the payload.
+        let meta_at = |at: usize| {
             let len = get_u32(bytes, at)? as usize;
-            bytes.get(at + 4..at + 4 + len).map(<[u8]>::to_vec)
-        }
+            bytes.get(at + 4..).filter(|meta| meta.len() == len)
+        };
         let tag = *bytes.first()?;
         match tag {
             1 | 2 => {
                 let key = get_key(bytes, 1)?;
                 let class = ObjectClass::from_id(*bytes.get(17)?)?;
-                let meta = get_meta(bytes, 18)?;
-                if bytes.len() != 18 + 4 + meta.len() {
-                    return None;
-                }
-                Some(if tag == 1 {
-                    JournalRecord::Create { key, class, meta }
+                let head = if tag == 1 {
+                    LayoutRecord::Create { key, class }
                 } else {
-                    JournalRecord::SetClass { key, class, meta }
-                })
+                    LayoutRecord::SetClass { key, class }
+                };
+                Some(Decoded::Layout(head, meta_at(18)?))
             }
             3 => {
-                let key = get_key(bytes, 1)?;
-                let offset = get_u64(bytes, 17)?;
-                let length = get_u64(bytes, 25)?;
-                let meta = get_meta(bytes, 33)?;
-                if bytes.len() != 33 + 4 + meta.len() {
-                    return None;
-                }
-                Some(JournalRecord::DirtyWrite {
-                    key,
-                    offset,
-                    length,
-                    meta,
-                })
+                let head = LayoutRecord::DirtyWrite {
+                    key: get_key(bytes, 1)?,
+                    offset: get_u64(bytes, 17)?,
+                    length: get_u64(bytes, 25)?,
+                };
+                Some(Decoded::Layout(head, meta_at(33)?))
             }
             4 => {
                 if bytes.len() != 17 {
                     return None;
                 }
-                Some(JournalRecord::Remove {
+                Some(Decoded::Bare(JournalRecord::Remove {
                     key: get_key(bytes, 1)?,
-                })
+                }))
             }
             5 => {
                 let present = *bytes.get(1)?;
-                match present {
-                    0 if bytes.len() == 2 => Some(JournalRecord::ScrubCursor { cursor: None }),
-                    1 if bytes.len() == 18 => Some(JournalRecord::ScrubCursor {
-                        cursor: Some(get_key(bytes, 2)?),
-                    }),
-                    _ => None,
-                }
+                let cursor = match present {
+                    0 if bytes.len() == 2 => None,
+                    1 if bytes.len() == 18 => Some(get_key(bytes, 2)?),
+                    _ => return None,
+                };
+                Some(Decoded::Bare(JournalRecord::ScrubCursor { cursor }))
             }
             _ => None,
+        }
+    }
+
+    /// The owned record.
+    fn into_record(self) -> JournalRecord {
+        let (head, meta) = match self {
+            Decoded::Layout(head, meta) => (head, meta.to_vec()),
+            Decoded::Bare(record) => return record,
+        };
+        match head {
+            LayoutRecord::Create { key, class } => JournalRecord::Create { key, class, meta },
+            LayoutRecord::SetClass { key, class } => JournalRecord::SetClass { key, class, meta },
+            LayoutRecord::DirtyWrite {
+                key,
+                offset,
+                length,
+            } => JournalRecord::DirtyWrite {
+                key,
+                offset,
+                length,
+                meta,
+            },
         }
     }
 }
@@ -522,11 +547,12 @@ impl JournalMedia {
         best.ok_or(JournalError::NoValidSuperblock)
     }
 
-    /// Scans the log, returning the intact record prefix and the byte
-    /// offset where scanning stopped.
-    fn scan_log(&self, base_seq: u64) -> (Vec<JournalRecord>, usize) {
-        let mut records = Vec::new();
+    /// Scans the log, handing `visit` each record of the intact prefix,
+    /// decoded over the log's own bytes, and returns the byte offset where
+    /// scanning stopped.
+    fn scan_log(&self, base_seq: u64, mut visit: impl FnMut(Decoded<'_>)) -> usize {
         let mut at = 0usize;
+        let mut next_seq = base_seq;
         while let Some(magic) = get_u32(&self.log, at) {
             if magic != RECORD_MAGIC {
                 break;
@@ -548,16 +574,25 @@ impl JournalMedia {
             if record_crc(&self.log[at..at + HEADER_LEN + len]) != crc {
                 break;
             }
-            if seq != base_seq + records.len() as u64 {
+            if seq != next_seq {
                 break;
             }
-            let Some(record) = JournalRecord::decode_payload(payload) else {
+            let Some(record) = Decoded::parse(payload) else {
                 break;
             };
-            records.push(record);
+            visit(record);
+            next_seq += 1;
             at += HEADER_LEN + len;
         }
-        (records, at)
+        at
+    }
+
+    /// The intact record prefix of the log as owned records, and the byte
+    /// offset where it ends.
+    fn owned_records(&self, base_seq: u64) -> (Vec<JournalRecord>, usize) {
+        let mut records = Vec::new();
+        let consumed = self.scan_log(base_seq, |r| records.push(r.into_record()));
+        (records, consumed)
     }
 }
 
@@ -661,7 +696,7 @@ impl Journal {
         fsync_interval: u32,
     ) -> Result<(Journal, ReplayOutcome), JournalError> {
         let (active, sb) = media.best_superblock()?;
-        let (records, consumed) = media.scan_log(sb.base_seq);
+        let (records, consumed) = media.owned_records(sb.base_seq);
         let torn_bytes = media.log.len() - consumed;
         let outcome = ReplayOutcome {
             checkpoint: media.checkpoints[sb.checkpoint_slot as usize % 2].clone(),
@@ -815,7 +850,9 @@ impl Journal {
             .best_superblock()
             .map(|(_, sb)| sb.base_seq)
             .unwrap_or(0);
-        let (_, consumed) = self.media.scan_log(base_seq);
+        // Where the intact prefix ends is all the crash needs: the walk
+        // decodes each record over the log's bytes and keeps none.
+        let consumed = self.media.scan_log(base_seq, |_| {});
         CrashOutcome {
             staged_records_lost,
             staged_bytes_lost,
@@ -827,7 +864,7 @@ impl Journal {
     /// Replays the durable media without modifying it.
     pub fn replay(&self) -> Result<ReplayOutcome, JournalError> {
         let (_, sb) = self.media.best_superblock()?;
-        let (records, consumed) = self.media.scan_log(sb.base_seq);
+        let (records, consumed) = self.media.owned_records(sb.base_seq);
         let torn_bytes = self.media.log.len() - consumed;
         Ok(ReplayOutcome {
             checkpoint: self.media.checkpoints[sb.checkpoint_slot as usize % 2].clone(),
@@ -911,7 +948,8 @@ mod tests {
         for rec in samples {
             let mut payload = Vec::new();
             rec.encode_payload_into(&mut payload);
-            assert_eq!(JournalRecord::decode_payload(&payload), Some(rec));
+            let decoded = Decoded::parse(&payload).map(Decoded::into_record);
+            assert_eq!(decoded, Some(rec));
         }
     }
 
@@ -1000,6 +1038,64 @@ mod tests {
         assert_eq!(crash.torn_bytes, 0);
         assert!(!crash.partial_tail);
         assert_eq!(j.replay().unwrap().records.len(), 4);
+    }
+
+    /// What a crash reports, pinned at each place a tear can fall: on a
+    /// record boundary, inside the next record's header, inside its
+    /// payload, and with nothing staged. The log holds flushed records of
+    /// every kind; three more are staged, the first a 41-byte `Create`.
+    #[test]
+    fn crash_outcomes_are_pinned() {
+        let journal = |staged: bool| {
+            let mut j = Journal::format(100);
+            j.append(&create(0));
+            j.append(&JournalRecord::DirtyWrite {
+                key: key(1),
+                offset: 8,
+                length: 16,
+                meta: vec![7; 45],
+            });
+            j.append(&JournalRecord::Remove { key: key(2) });
+            j.append(&JournalRecord::ScrubCursor { cursor: None });
+            j.flush();
+            if staged {
+                j.append(&create(3));
+                j.append(&JournalRecord::SetClass {
+                    key: key(4),
+                    class: ObjectClass::HotClean,
+                    meta: vec![3; 45],
+                });
+                j.append(&JournalRecord::Remove { key: key(5) });
+            }
+            j
+        };
+        let boundary = HEADER_LEN + 18 + 4 + 5;
+        let outcome = |lost, bytes_lost, torn_bytes| CrashOutcome {
+            staged_records_lost: lost,
+            staged_bytes_lost: bytes_lost,
+            torn_bytes,
+            partial_tail: torn_bytes > 0,
+        };
+        // (anything staged, tear) → outcome, records replayed, log length.
+        let cases = [
+            ((true, boundary), outcome(2, 124, 0), 5, 255),
+            ((true, boundary + 7), outcome(2, 117, 7), 5, 262),
+            (
+                (true, boundary + HEADER_LEN + 3),
+                outcome(2, 101, 23),
+                5,
+                278,
+            ),
+            ((false, 50), outcome(0, 0, 0), 4, 208),
+        ];
+        for ((staged, tear), crashed, records, log_len) in cases {
+            let mut j = journal(staged);
+            assert_eq!(j.crash(tear), crashed, "tear {tear}");
+            let replay = j.replay().unwrap();
+            assert_eq!(replay.records.len(), records, "tear {tear}");
+            assert_eq!(replay.torn_bytes, crashed.torn_bytes, "tear {tear}");
+            assert_eq!(j.media().log_len(), log_len, "tear {tear}");
+        }
     }
 
     #[test]

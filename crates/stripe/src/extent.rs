@@ -271,17 +271,30 @@ impl PlacedExtent {
         ranked.iter().map(|&d| DeviceId(d as usize))
     }
 
-    /// Each of the extent's devices with how many data chunks any `width`
-    /// consecutive stripes before the last put on it — whole chunks all.
-    pub(crate) fn data_chunks_per_period(&self) -> impl Iterator<Item = (DeviceId, u64)> + '_ {
-        let layout = StripeLayout::with_placement(
+    /// The object's data chunks (its primary replicas, under replication)
+    /// as arithmetic on the rotation, not a walk: each of the extent's
+    /// devices in rank order with how many of them but the last it holds —
+    /// whole chunks all — and the device and length of that last chunk.
+    pub(crate) fn data_chunk_counts(
+        &self,
+    ) -> (
+        impl Iterator<Item = (DeviceId, u64)> + '_,
+        (DeviceId, ByteSize),
+    ) {
+        let (width, full) = (self.extent.width() as u64, self.full_stripes());
+        let first = StripeLayout::with_placement(
             self.first_stripe,
             self.extent.scheme,
-            self.extent.width(),
+            width as usize,
             self.placement,
         );
-        let ranked = self.devices().enumerate();
-        ranked.map(move |(rank, d)| (d, layout.data_chunks_per_period(rank)))
+        // The last stripe's data chunks before the object's last.
+        let then = self.shape.data_chunks - 1 - full * self.shape.m;
+        let (by_rank, last) = first.data_chunks_by_rank(full / width, full % width, then);
+        let counts = self.devices().enumerate();
+        let counts = counts.map(move |(rank, d)| (d, by_rank(rank)));
+        let last_len = self.chunk_len(self.shape.data_chunks - 1);
+        (counts, (DeviceId(self.devices[last] as usize), last_len))
     }
 
     /// The stripe holding the object's `chunk_index`-th data chunk, and

@@ -258,30 +258,20 @@ impl StripeIo<'_> {
     /// Reads every stripe of an extent, degraded ones by reconstruction.
     /// Returns the assembled bytes of a real extent and whether any stripe
     /// was degraded.
-    ///
-    /// A size-only extent on an intact array whose devices all serve read
-    /// runs is counted, not walked: the placement repeats every `width`
-    /// stripes, so the whole periods among the stripes before the last add
-    /// their data chunks to each device's [`ReadRun`] in one step
-    /// ([`crate::StripeLayout::data_chunks_per_period`]), and only the
-    /// fewer than `width` stripes after them and the last stripe are
-    /// walked.
     pub(crate) fn read_extent(
         &mut self,
         extent: &PlacedExtent,
     ) -> Result<(Option<Vec<u8>>, bool), StripeError> {
-        let mut degraded = false;
-        // Bytes of the stripes that yielded any; `None` until one does.
-        let mut assembled: Option<Vec<u8>> = None;
         // No device anywhere holds a chunk awaiting rebuild: no stripe
         // needs a health probe.
         let array_intact = self.array.all_chunks_intact();
-        let counted = if array_intact {
-            self.count_whole_periods(extent)
-        } else {
-            0
-        };
-        for stripe in extent.stripes_from(counted) {
+        if array_intact && self.count_healthy_read(extent) {
+            return Ok((None, false));
+        }
+        let mut degraded = false;
+        // Bytes of the stripes that yielded any; `None` until one does.
+        let mut assembled: Option<Vec<u8>> = None;
+        for stripe in extent.stripes() {
             let health = if array_intact {
                 debug_assert!(stripe.chunks().all(|c| chunk_intact_on(self.array, &c)));
                 StripeHealth::Intact
@@ -300,25 +290,28 @@ impl StripeIo<'_> {
         Ok((assembled, degraded))
     }
 
-    /// Counts the data-chunk reads of the whole periods of a size-only
-    /// extent on an intact array into its devices' runs, if those all serve
-    /// read runs, and returns how many stripes that covers: the most whole
-    /// multiples of the extent's width among the stripes before the last,
-    /// whose data chunks are all whole.
-    fn count_whole_periods(&mut self, extent: &PlacedExtent) -> u64 {
-        let (full, width) = (extent.full_stripes(), extent.extent.width() as u64);
+    /// Counts the read of a size-only extent of more than one stripe on an
+    /// intact array into its devices' runs, if those all serve read runs,
+    /// and says whether it did. Each device gets one count of its whole
+    /// data chunks ([`PlacedExtent::data_chunk_counts`]), and the device of
+    /// the object's last data chunk one more read at that chunk's length:
+    /// the runs the walk builds, in its order, so every device is charged
+    /// what the walk charges it. A one-stripe object is walked: that is
+    /// no more work than counting.
+    fn count_healthy_read(&mut self, extent: &PlacedExtent) -> bool {
         let served = |d| self.array.device(d).serves_read_runs();
-        if extent.extent.real || full < width || !extent.devices().all(served) {
-            return 0;
+        if extent.extent.real || extent.full_stripes() == 0 || !extent.devices().all(served) {
+            return false;
         }
-        let periods = full / width;
-        debug_assert!(extent.stripes().take((periods * width) as usize).all(|s| s
+        debug_assert!(extent.stripes().all(|s| s
             .data()
             .all(|c| self.array.device(c.device).holds_size_only(c.handle, c.len))));
-        for (d, per_period) in extent.data_chunks_per_period() {
-            self.count_reads(d, extent.chunk_size, periods * per_period);
+        let (counts, (last, last_len)) = extent.data_chunk_counts();
+        for (device, count) in counts {
+            self.count_reads(device, extent.chunk_size, count);
         }
-        periods * width
+        self.count_reads(last, last_len, 1);
+        true
     }
 
     /// Reads the data chunks (or the primary replica) of an intact stripe,

@@ -142,26 +142,56 @@ impl StripeLayout {
         (self.wrapped(data), self.wrapped(redundancy))
     }
 
-    /// How many data chunks (primary replicas, under replication) any
-    /// `devices` consecutive stripes put on the device at `rank`. The
-    /// rotation repeats every `devices` stripes, so the count is the same
-    /// whichever stripe the period starts at: round-robin every rank is a
-    /// data rank in as many stripes of a period as a stripe has data
-    /// chunks; under the fixed policy the data ranks take one each stripe
-    /// and the others none.
-    pub(crate) fn data_chunks_per_period(&self, rank: usize) -> u64 {
-        match self.placement {
-            PlacementPolicy::RoundRobin => self.data_slots() as u64,
-            PlacementPolicy::Fixed => {
-                let first = self.first_ranks().0;
-                let is_data_rank = (first..first + self.data_slots()).contains(&rank);
-                if is_data_rank {
-                    self.devices as u64
-                } else {
-                    0
-                }
+    /// Where the data chunks (primary replicas, under replication) of a
+    /// run of stripes from this one fall: `periods` whole periods of
+    /// `devices` stripes, then `rest` (fewer than `devices`) stripes, then
+    /// the first `then` data chunks of the stripe after those. Returns how
+    /// many land on each rank, as a function of the rank, and the rank of
+    /// the data chunk that follows them. What depends only on the layout is
+    /// worked out once, here; a rank costs a few operations and no
+    /// division.
+    ///
+    /// The rotation repeats every `devices` stripes, so a period puts the
+    /// same count on a rank whichever stripe it starts at: round-robin
+    /// every rank is a data rank in as many stripes of a period as a
+    /// stripe has data chunks; under the fixed policy the data ranks take
+    /// one each stripe and the others none. Of the rest, round-robin the
+    /// `i`-th stripe starts its data `i` ranks further on than this one,
+    /// so a rank is covered by the stripes that start at most
+    /// `data_slots - 1` ranks before it, once round the array or, past its
+    /// end, twice; under the fixed policy every stripe has the same data
+    /// ranks.
+    pub(crate) fn data_chunks_by_rank(
+        &self,
+        periods: u64,
+        rest: u64,
+        then: u64,
+    ) -> (impl Fn(usize) -> u64 + Copy, usize) {
+        let (n, m) = (self.devices as u64, self.data_slots() as u64);
+        let round_robin = self.placement == PlacementPolicy::RoundRobin;
+        let first = self.first_ranks().0 as u64;
+        let wrapped = move |q: u64| if q < n { q } else { q - n };
+        // How many ranks on from this stripe's first data chunk the stripe
+        // after the rest starts its data.
+        let then_from = if round_robin { rest } else { 0 };
+        // The stripes `i < rest` whose data, `i` to `i + m - 1` ranks on,
+        // covers `q` ranks on.
+        let covering = move |q: u64| (q + 1).min(rest).saturating_sub((q + 1).saturating_sub(m));
+        let by_rank = move |rank: usize| {
+            // How far along the array `rank` lies from this stripe's first
+            // data chunk.
+            let past = wrapped(rank as u64 + n - first);
+            let in_then = u64::from(wrapped(past + n - then_from) < then);
+            if round_robin {
+                periods * m + covering(past) + covering(past + n) + in_then
+            } else if past < m {
+                periods * n + rest + in_then
+            } else {
+                0
             }
-        }
+        };
+        let following = wrapped(first + wrapped(then_from + then)) as usize;
+        (by_rank, following)
     }
 
     /// The scheme this layout was built with.
@@ -329,12 +359,17 @@ mod tests {
         assert_eq!(counts, [100, 0, 0, 0, 0]);
     }
 
+    /// Whole periods and fewer than a period of stripes from every
+    /// residue (and from far along), then part of the next stripe: what
+    /// `data_chunks_by_rank` counts on each rank, and the rank it names
+    /// for the next data chunk, are what walking those stripes finds.
     #[test]
     fn data_chunks_per_period_is_what_walking_a_period_counts() {
         let schemes = [
             RedundancyScheme::parity(0),
             RedundancyScheme::parity(1),
             RedundancyScheme::parity(2),
+            RedundancyScheme::parity(3),
             RedundancyScheme::Replication,
         ];
         for width in 1..=8usize {
@@ -342,25 +377,42 @@ mod tests {
                 if matches!(scheme, RedundancyScheme::Parity(k) if k as usize >= width) {
                     continue;
                 }
+                let (n, m) = (width as u64, scheme.data_chunks_per_stripe(width));
                 for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-                    // A period from every residue, and from far along.
-                    for first in (0..width as u64).chain([1_000_003]) {
-                        let mut walked = vec![0u64; width];
-                        for s in first..first + width as u64 {
-                            let l = StripeLayout::with_placement(s, scheme, width, placement);
-                            for j in 0..l.data_slots() {
-                                walked[l.data_device(j).0] += 1;
+                    for first in (0..n).chain([1_000_003]) {
+                        let l = StripeLayout::with_placement(first, scheme, width, placement);
+                        for stripes in 0..3 * n {
+                            let next = StripeLayout::with_placement(
+                                first + stripes,
+                                scheme,
+                                width,
+                                placement,
+                            );
+                            for then in 0..m {
+                                let mut walked = vec![0u64; width];
+                                for s in first..first + stripes {
+                                    let stripe =
+                                        StripeLayout::with_placement(s, scheme, width, placement);
+                                    for j in 0..m {
+                                        walked[stripe.data_device(j).0] += 1;
+                                    }
+                                }
+                                for j in 0..then {
+                                    walked[next.data_device(j).0] += 1;
+                                }
+                                let (by_rank, following) =
+                                    l.data_chunks_by_rank(stripes / n, stripes % n, then as u64);
+                                let counted: Vec<u64> = (0..width).map(by_rank).collect();
+                                let case = format!(
+                                    "{scheme} {placement:?} on {width} from {first}, \
+                                     {stripes} stripes and {then} chunks"
+                                );
+                                assert_eq!(counted, walked, "{case}");
+                                assert_eq!(following, next.data_device(then).0, "{case}");
+                                let total = stripes * m as u64 + then as u64;
+                                assert_eq!(counted.iter().sum::<u64>(), total, "{case}");
                             }
                         }
-                        let l = StripeLayout::with_placement(first, scheme, width, placement);
-                        let counted: Vec<u64> =
-                            (0..width).map(|r| l.data_chunks_per_period(r)).collect();
-                        assert_eq!(
-                            counted, walked,
-                            "{scheme} {placement:?} on {width} from {first}"
-                        );
-                        let per_stripe = scheme.data_chunks_per_stripe(width);
-                        assert_eq!(counted.iter().sum::<u64>(), (per_stripe * width) as u64);
                     }
                 }
             }

@@ -5,7 +5,8 @@ use reo_sim::{ByteSize, SimDuration, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
 use crate::{
-    ObjectStatus, ParityUpdate, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
+    ObjectStatus, ParityUpdate, PlacementPolicy, RedundancyScheme, StripeError, StripeLayout,
+    StripeManager,
 };
 
 #[test]
@@ -489,4 +490,95 @@ fn synthetic_overwrite_charges_time() {
     let before = m.array().clock().now();
     let (_, done) = m.overwrite_chunk(&layout, 0, None).unwrap();
     assert!(done > before);
+}
+
+/// A healthy size-only read is counted, not walked, and charges what
+/// reading its data chunks one by one does. On one to eight devices, under
+/// `Parity(0..=3)` (where the width takes it) and replication, both
+/// placements and a first stripe at every residue of the width, reading an
+/// object leaves every device's counters and horizon, and the completion
+/// instant, where `read_chunk` on each data chunk in object order leaves a
+/// twin array. One device is busy before the read, so the runs queue. The
+/// objects are one chunk, one stripe with a short last chunk, two stripes,
+/// an exact multiple of the width in stripes, and whole periods with
+/// leftover stripes and a short last chunk.
+#[test]
+fn a_counted_read_is_the_data_chunks_read_one_by_one() {
+    let chunk = ByteSize::from_kib(4);
+    let kib = chunk.as_bytes();
+    for width in 1..=8usize {
+        let parity = (0..=3u8).filter(|&k| (k as usize) < width);
+        let schemes = parity
+            .map(RedundancyScheme::parity)
+            .chain([RedundancyScheme::Replication]);
+        for scheme in schemes {
+            let m = scheme.data_chunks_per_stripe(width) as u64;
+            let w = width as u64;
+            let sizes = [
+                kib,
+                m * kib - 100,
+                2 * m * kib - 1,
+                w * m * kib,
+                (2 * w + 3) * m * kib - 777,
+            ];
+            for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
+                for residue in 0..w {
+                    for size in sizes {
+                        let case = format!(
+                            "{scheme} {placement:?} on {width}, stripe {residue}, {size} bytes"
+                        );
+                        let twin = || {
+                            let mut m = StripeManager::with_placement(
+                                test_array(width, 64),
+                                chunk,
+                                placement,
+                            );
+                            m.next_stripe = 3 * w + residue;
+                            let layout = m
+                                .store_object(1, ByteSize::from_bytes(size), scheme, None)
+                                .unwrap();
+                            // The device of the first data chunk is busy
+                            // reading it when the object's read arrives.
+                            let first = layout.stripes().next().unwrap().as_u64();
+                            let l = StripeLayout::with_placement(first, scheme, width, placement);
+                            let now = m.array.clock().now();
+                            let device = m.array.device_mut(l.data_device(0));
+                            device.read_chunk(ChunkHandle::new(first), now).unwrap();
+                            (m, layout)
+                        };
+                        let (mut counted, layout) = twin();
+                        let (mut walked, _) = twin();
+                        let done = counted.read_object(&layout).unwrap().completed_at;
+
+                        let now = walked.array.clock().now();
+                        let mut latest = now;
+                        let mut left = size;
+                        for s in layout.stripes() {
+                            let l =
+                                StripeLayout::with_placement(s.as_u64(), scheme, width, placement);
+                            for j in 0..l.data_slots() {
+                                if left == 0 {
+                                    break;
+                                }
+                                let device = walked.array.device_mut(l.data_device(j));
+                                let (read, at) = device
+                                    .read_chunk(ChunkHandle::new(s.as_u64()), now)
+                                    .unwrap();
+                                assert_eq!(read.len().as_bytes(), left.min(kib), "{case}");
+                                left -= left.min(kib);
+                                latest = latest.max(at);
+                            }
+                        }
+                        assert_eq!(left, 0, "{case}");
+                        assert_eq!(done, walked.array.complete_batch([latest]), "{case}");
+                        for d in (0..width).map(DeviceId) {
+                            let (c, w) = (counted.array.device(d), walked.array.device(d));
+                            assert_eq!(c.stats(), w.stats(), "{d} counters, {case}");
+                            assert_eq!(c.busy_until(), w.busy_until(), "{d} horizon, {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

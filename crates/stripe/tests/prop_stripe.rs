@@ -224,8 +224,8 @@ enum ClosedForm {
     /// A size-only overwrite of three or more whole chunks of a replicated
     /// object on devices whose chunks are all intact.
     LockstepOverwrite,
-    /// A read of a size-only object with a whole period of stripes before
-    /// its last, on an intact array that serves read runs.
+    /// A read of a size-only object of more than one stripe on an intact
+    /// array that serves read runs.
     CountedRead,
 }
 
@@ -427,10 +427,7 @@ impl Twins {
             }
             Step::Read { slot } => {
                 if let Some((n, o)) = self.live.get(slot) {
-                    // More stripes before the last than the array has
-                    // devices are more than the extent is wide.
-                    let periodic = n.stripes().count() > self.new.array().device_count();
-                    if periodic
+                    if n.stripes().count() > 1
                         && !self.real.contains(&n.owner())
                         && self.devices().all(|d| d.serves_read_runs())
                     {

@@ -4,16 +4,16 @@
 # request:
 #
 #   scripts/check_allocs.sh write_heavy.out read_medium.out small_objects.out
-#   scripts/check_allocs.sh -l 1.01 cluster_repl2.out cluster_parity31.out
+#   scripts/check_allocs.sh -l 0.56 cluster_repl2.out
 #   scripts/check_allocs.sh -b 143 small_objects.out
 #
 # Each argument is the stdout of one untraced run of the benchmark driver;
 # its last line is the result as JSON, and allocs_per_req is read from
 # there. The count repeats exactly for a seed, so host noise cannot trip
-# the limit, and the four single-node workloads read 0.01-0.06 since
-# PR 23: a per-object allocation coming back on the request path (one
+# the limit, and the four single-node workloads read 0.003-0.045 at
+# seed 1: a per-object allocation coming back on the request path (one
 # node of an attribute map, one control message) adds 0.4 or more and
-# fails it. The cluster workloads need their own limit: a pass of theirs
+# fails it. The cluster workloads need their own limits: a pass of theirs
 # contains a target outage and a restore, whose journal replay rebuilds
 # what the crash dropped (EXPERIMENTS.md, "What a target outage costs the
 # host"). alloc_bytes_per_req (-b) also repeats for a seed; it catches a
