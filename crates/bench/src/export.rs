@@ -1223,9 +1223,9 @@ mod tests {
         assert_eq!(
             hashes,
             [
-                0x2a0c_44ae_4197_94a1,
+                0x25cc_7dfe_8151_1067,
                 0x1eae_b7b9_d5b3_9d0a,
-                0x1895_cd03_2380_6b6f
+                0xa5a6_9f06_d30e_c6dd
             ],
             "{hashes:#018x?}"
         );

@@ -12,7 +12,7 @@ use reo_osd_target::{OsdTarget, ProtectionPolicy, RecoveryOutcome, TargetError, 
 use reo_sim::{
     ByteSize, FlightRecorder, Layer, SimClock, SimDuration, SimTime, TokenBucket, Tracer,
 };
-use reo_stripe::StripeManager;
+use reo_stripe::{Room, StripeManager};
 use reo_workload::{Operation, Request, WorkloadObject};
 
 use crate::config::SystemConfig;
@@ -1272,14 +1272,16 @@ impl CacheSystem {
     /// Creates the object on the target, evicting LRU victims until it
     /// fits. Returns `false` if it can never fit.
     fn create_with_eviction(&mut self, key: ObjectKey, size: ByteSize, class: ObjectClass) -> bool {
-        let needed = self.target.physical_bytes_needed(size, class);
-        let total = self.target.usage().total() + self.target.free_capacity();
-        if needed > total {
-            return false;
-        }
         loop {
             match self.target.create_object(key, size, class, None) {
                 Ok(_) => return true,
+                // A refused create wrote nothing; asked only then, the
+                // room rule costs nothing on the common path.
+                Err(TargetError::CacheFull { .. })
+                    if self.target.room_for(key, size, class) == Room::Never =>
+                {
+                    return false
+                }
                 Err(TargetError::CacheFull { .. }) => match self.pick_victim(Some(key)) {
                     Some(v) => {
                         if !self.evict(v) {
@@ -1340,27 +1342,25 @@ impl CacheSystem {
         // longest control message's, or this does not compile.
         let mut wire = [0; 40];
         for &change in &changes {
-            // A promotion grows the object's footprint; make room first.
+            // A promotion grows the object's share of some device; make
+            // room there first.
             let entry_size = match self.cache.entry(change.key) {
                 Some(e) => e.size(),
                 None => continue,
             };
-            let old_need = self.target.physical_bytes_needed(entry_size, change.from);
-            let new_need = self.target.physical_bytes_needed(entry_size, change.to);
-            if new_need > old_need {
-                let extra = new_need - old_need;
-                let mut guard = 0usize;
-                while self.target.free_capacity() < extra && guard < 1024 {
-                    match self.pick_victim(Some(change.key)) {
-                        Some(v) => {
-                            if !self.evict(v) {
-                                break;
-                            }
+            let mut guard = 0usize;
+            while guard < 1024
+                && self.target.room_for(change.key, entry_size, change.to) == Room::Short
+            {
+                match self.pick_victim(Some(change.key)) {
+                    Some(v) => {
+                        if !self.evict(v) {
+                            break;
                         }
-                        None => break,
                     }
-                    guard += 1;
+                    None => break,
                 }
+                guard += 1;
             }
             let msg = ControlMessage::SetClass {
                 key: change.key,
@@ -2420,5 +2420,112 @@ mod tests {
         }
         assert_eq!(hot_parity_overhead(2), 1.0);
         assert_eq!(hot_parity_overhead(1), 0.0);
+    }
+
+    /// A user object key of the tests below.
+    fn user(i: u64) -> ObjectKey {
+        use reo_osd::{ObjectId, PartitionId};
+        ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x20000 + i))
+    }
+
+    /// A node under `scheme` of five 1 MiB devices and 16 KiB chunks,
+    /// filled with one-chunk objects while device 0 was out, up to the
+    /// first admission that had to evict, then given a blank spare there:
+    /// device 0 has room for nearly a whole device, the other four for
+    /// less than a few chunks each — far more free bytes in sum than on
+    /// the fullest device.
+    fn filled_around_a_spare(scheme: SchemeConfig) -> CacheSystem {
+        let mut config = SystemConfig::paper_defaults(scheme, ByteSize::from_mib(5));
+        config.chunk_size = ByteSize::from_kib(16);
+        let mut sys = CacheSystem::new(config);
+        sys.target.fail_device(DeviceId(0));
+        for i in 0.. {
+            let cached = sys.cached_objects();
+            sys.warm_object(user(i), ByteSize::from_kib(16));
+            if sys.cached_objects() <= cached {
+                break;
+            }
+        }
+        sys.target.insert_spare(DeviceId(0));
+        sys.drain_recovery(usize::MAX);
+        let free = |d| sys.target.array().device(DeviceId(d)).available();
+        assert!(free(0) > ByteSize::from_kib(900), "{scheme}: {}", free(0));
+        assert!((1..5).all(|d| free(d) < ByteSize::from_kib(64)), "{scheme}");
+        sys
+    }
+
+    /// Runs `op` on `sys` and asserts that every write it put on a device
+    /// is a chunk that stays there: a chunk under a handle past every
+    /// handle the devices held before. A store a device refused, written
+    /// and taken back, would show as a write with no chunk.
+    fn no_refused_write(sys: &mut CacheSystem, label: &str, op: impl FnOnce(&mut CacheSystem)) {
+        let devices = || (0..5).map(DeviceId);
+        let writes = |sys: &CacheSystem, d| sys.target.array().device(d).stats().writes;
+        let handles = |sys: &CacheSystem, d| sys.target.array().device(d).chunk_handles();
+        let before: Vec<_> = devices().map(|d| writes(sys, d)).collect();
+        let newest = devices()
+            .flat_map(|d| handles(sys, d))
+            .max()
+            .expect("a chunk");
+        op(sys);
+        for (d, before) in devices().zip(before) {
+            let stored = handles(sys, d).into_iter().filter(|&h| h > newest).count();
+            assert_eq!(
+                writes(sys, d) - before,
+                stored as u64,
+                "{label}: ssd{}",
+                d.0
+            );
+        }
+    }
+
+    /// On a node whose free bytes sit on one device, an admission evicts
+    /// until every device has room for its share, under every scheme: it
+    /// lands, and no device writes a chunk it then takes back.
+    #[test]
+    fn a_create_makes_room_on_every_device_before_it_writes() {
+        for scheme in [
+            SchemeConfig::Reo { reserve: 0.20 },
+            SchemeConfig::Parity(1),
+            SchemeConfig::Parity(0),
+            SchemeConfig::FullReplication,
+        ] {
+            let mut sys = filled_around_a_spare(scheme);
+            let label = scheme.label();
+            no_refused_write(&mut sys, &label, |sys| {
+                assert!(sys.warm_object(user(1 << 20), ByteSize::from_kib(200)));
+            });
+            assert!(sys.target.contains(user(1 << 20)), "{label}");
+        }
+    }
+
+    /// A promotion on that node under Reo: the refresh evicts until every
+    /// device has room for the object's hot share, counting its cold share
+    /// as freed, so the re-encode lands — where free bytes summed over the
+    /// devices say there is room already and evict nothing. The reserve
+    /// (2.6 % of 5 MiB) has room for the parity of the one object read
+    /// again and again, and of no one-chunk object besides.
+    #[test]
+    fn a_promotion_makes_room_on_every_device_before_it_writes() {
+        let mut sys = filled_around_a_spare(SchemeConfig::Reo { reserve: 0.026 });
+        sys.set_classification_period(usize::MAX);
+        let (key, size) = (user(1 << 20), ByteSize::from_kib(192));
+        assert!(sys.warm_object(key, size));
+        assert_eq!(sys.target.class_of(key), Some(ObjectClass::ColdClean));
+        let read = Request {
+            key,
+            op: Operation::Read,
+            size,
+        };
+        for _ in 0..20 {
+            assert!(sys.handle(&read).hit);
+        }
+        sys.drain_recovery(usize::MAX);
+        assert_eq!(
+            sys.target.room_for(key, size, ObjectClass::HotClean),
+            Room::Short
+        );
+        no_refused_write(&mut sys, "refresh", CacheSystem::refresh_classification);
+        assert_eq!(sys.target.class_of(key), Some(ObjectClass::HotClean));
     }
 }

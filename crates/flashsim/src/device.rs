@@ -818,14 +818,14 @@ impl FlashDevice {
     /// in closed form, exactly as `count` calls of
     /// [`FlashDevice::write_chunk`] the device takes would — the same
     /// counters, queueing and `busy_until` to the nanosecond — and enters
-    /// no chunk: what writes cost that their caller takes back again, as a
-    /// store does the chunks before the one a device refuses. Returns the
-    /// completion instant of the last write (`now` for none).
+    /// no chunk: the cost [`FlashDevice::write_chunk`] and
+    /// [`FlashDevice::write_run`] share. Returns the completion instant of
+    /// the last write (`now` for none).
     ///
     /// # Panics
     ///
     /// Panics if the device is not healthy.
-    pub fn charge_writes(&mut self, count: u64, len: ByteSize, now: SimTime) -> SimTime {
+    fn charge_writes(&mut self, count: u64, len: ByteSize, now: SimTime) -> SimTime {
         assert!(self.is_healthy(), "{} takes no writes", self.id);
         if count == 0 {
             return now;
@@ -846,8 +846,8 @@ impl FlashDevice {
     /// `tail` chunk, if any, whose handle lies outside those — exactly as
     /// one [`FlashDevice::write_chunk`] per chunk in that order would, and
     /// returns the completion instant of the last (`now` for an empty
-    /// run). The writes are charged as [`FlashDevice::charge_writes`]
-    /// charges them, the tail behind the whole chunks. The whole chunks
+    /// run). The writes are charged in closed form, the tail behind the
+    /// whole chunks. The whole chunks
     /// become one run entry, which a tail of their length under the next
     /// handle joins; a run that starts past every handle the device has
     /// seen is entered without a lookup.

@@ -10,7 +10,7 @@ use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 use reo_stripe::{
-    ChunkRefs, ObjectLayout, ObjectStatus, ReadOutcome, SpaceUsage, StripeError, StripeId,
+    ChunkRefs, ObjectLayout, ObjectStatus, ReadOutcome, Room, SpaceUsage, StripeError, StripeId,
     StripeManager,
 };
 
@@ -433,16 +433,19 @@ impl OsdTarget {
         self.stripes.usage()
     }
 
-    /// Free bytes across healthy devices.
-    pub fn free_capacity(&self) -> ByteSize {
-        self.stripes.free_capacity()
-    }
-
-    /// Physical footprint an object of `size` in `class` would take under
-    /// the current policy and device health.
-    pub fn physical_bytes_needed(&self, size: ByteSize, class: ObjectClass) -> ByteSize {
+    /// Whether `key` at `size` bytes fits the array in `class` now: room
+    /// for what [`OsdTarget::create_object`] or [`OsdTarget::set_class`]
+    /// would store ([`StripeManager::room_for`]). What `key` holds now
+    /// counts as freed, as a re-encode releases it first; a class change
+    /// that keeps the scheme stores nothing, and fits.
+    pub fn room_for(&self, key: ObjectKey, size: ByteSize, class: ObjectClass) -> Room {
+        let record = self.index.get(&key);
+        if record.is_some_and(|r| !self.policy.requires_reencode(r.class, class)) {
+            return Room::Fits;
+        }
+        let scheme = self.policy.scheme_for(class);
         self.stripes
-            .physical_bytes_needed(size, self.policy.scheme_for(class))
+            .room_for(size, scheme, record.map(|r| &r.layout))
     }
 
     /// The shared simulation clock.
@@ -498,20 +501,11 @@ impl OsdTarget {
         }
         let t0 = self.trace_begin();
         let scheme = self.policy.scheme_for(class);
-        let needed = self.stripes.physical_bytes_needed(size, scheme);
-        let available = self.stripes.free_capacity();
-        if needed > available {
-            return Err(TargetError::CacheFull {
-                requested: needed,
-                available,
-            });
-        }
-        let owner = self.next_owner;
-        self.next_owner += 1;
         let layout = self
             .stripes
-            .store_object(owner, size, scheme, payload)
+            .store_object(self.next_owner, size, scheme, payload)
             .map_err(|e| stripe_error(key, e))?;
+        self.next_owner += 1;
         let done = self.stripes.array().clock().now();
         self.index.insert(key, ObjectRecord::new(layout, class));
         self.stats.creates += 1;
@@ -643,10 +637,13 @@ impl OsdTarget {
     ///
     /// * [`TargetError::UnknownObject`] — not indexed.
     /// * [`TargetError::ObjectLost`] — the object cannot be read for
-    ///   re-encoding; the record keeps its old scheme and class.
+    ///   re-encoding, and the record keeps its old scheme and class; or
+    ///   neither encoding has room once the old copy is released, and the
+    ///   object is dropped from the index (the removal journaled): the
+    ///   caller must treat it as evicted.
     /// * [`TargetError::CacheFull`] — no room for the new encoding. The
-    ///   old copy has already been released, so the object is **dropped
-    ///   from the index**; the caller must treat it as evicted.
+    ///   object is stored again under its old scheme, on fresh chunks, and
+    ///   keeps its record and its old class; a later change may retry.
     pub fn set_class(
         &mut self,
         key: ObjectKey,
@@ -2093,7 +2090,8 @@ mod tests {
     }
 
     /// Stores a one-chunk cold object `key` at the next stripe and removes
-    /// it again if it fitted: the next store starts one stripe later.
+    /// it again if it fitted: the next store starts one stripe later, unless
+    /// that stripe's chunk would land on a full device.
     fn skip_stripe(t: &mut OsdTarget, key: ObjectKey) {
         if t.create_object(key, ByteSize::from_kib(4), ObjectClass::ColdClean, None)
             .is_ok()
@@ -2133,14 +2131,13 @@ mod tests {
 
     /// `k(1)`, one chunk of cold data on a device with room. Re-encoding
     /// it replicated is refused by the full device 0, and the old-scheme
-    /// store that follows lands `skip + 1` stripes after the object's.
+    /// store that follows lands `skip + 1` stripes after the object's, or
+    /// at the first stripe before that whose chunk goes to device 0.
     fn cold_beside_a_full_device(skip: u64) -> OsdTarget {
         let mut t = lopsided_target();
-        let cold = ObjectClass::ColdClean;
-        while t
-            .create_object(k(1), ByteSize::from_kib(4), cold, None)
-            .is_err()
-        {}
+        // The stripe after the one that filled device 0 goes elsewhere.
+        t.create_object(k(1), ByteSize::from_kib(4), ObjectClass::ColdClean, None)
+            .unwrap();
         for i in 0..skip {
             skip_stripe(&mut t, k(500 + i));
         }
@@ -2165,15 +2162,15 @@ mod tests {
         use ObjectClass::{ColdClean, Dirty, HotClean};
         let cases = [
             ErrorCase {
-                name: "create: the aggregate precheck",
+                name: "create: no device has room for its share",
                 setup: lopsided_target,
                 op: |t| {
                     t.create_object(k(2), ByteSize::from_mib(5), ColdClean, None)
                         .map(drop)
                 },
                 error: TargetError::CacheFull {
-                    requested: ByteSize::from_mib(5),
-                    available: ByteSize::from_kib(4 * 1004),
+                    requested: ByteSize::from_mib(1),
+                    available: ByteSize::from_kib(1004),
                 },
                 sense: SenseCode::CacheFull,
                 key: k(2),
@@ -2231,7 +2228,7 @@ mod tests {
             },
             ErrorCase {
                 name: "set_class: neither encoding fits",
-                setup: || cold_beside_a_full_device(2),
+                setup: || cold_beside_a_full_device(4),
                 op: |t| t.set_class(k(1), Dirty).map(drop),
                 error: TargetError::ObjectLost(k(1)),
                 sense: SenseCode::Corrupted,

@@ -265,6 +265,15 @@ impl PlacedExtent {
         touched.chain(untouched.map(|d| (DeviceId(d as usize), None)))
     }
 
+    /// Each of the extent's devices, in [`PlacedExtent::tails`] order, with
+    /// the bytes the extent puts there: a whole chunk of every stripe
+    /// before the last, and its chunk of the last, if it has one.
+    pub(crate) fn shares(&self) -> impl Iterator<Item = (DeviceId, ByteSize)> + '_ {
+        let whole = self.chunk_size * self.full_stripes();
+        let tails = self.tails();
+        tails.map(move |(d, tail)| (d, whole + tail.unwrap_or(ByteSize::ZERO)))
+    }
+
     /// The extent's devices in rank order: lowest first.
     pub(crate) fn devices(&self) -> impl Iterator<Item = DeviceId> + Clone + '_ {
         let ranked = &self.devices[..self.extent.width()];

@@ -48,7 +48,7 @@ mod scheme;
 pub use extent::{ObjectLayout, StripeId};
 pub use layout::{ChunkRole, PlacementPolicy, StripeLayout};
 pub use manager::{
-    ObjectStatus, ParityUpdate, ReadOutcome, SpaceUsage, StripeError, StripeManager,
+    ObjectStatus, ParityUpdate, ReadOutcome, Room, SpaceUsage, StripeError, StripeManager,
 };
 pub use recovery::ChunkRefs;
 pub use scheme::RedundancyScheme;

@@ -122,6 +122,18 @@ pub enum ObjectStatus {
     Lost,
 }
 
+/// Whether an object fits the array ([`StripeManager::room_for`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Room {
+    /// Every device has room for its share now.
+    Fits,
+    /// Some device is short of its share now: removing objects can make
+    /// room.
+    Short,
+    /// Some device could not hold its share even empty.
+    Never,
+}
+
 /// Result of reading an object.
 #[derive(Clone, Debug)]
 pub struct ReadOutcome {
@@ -302,32 +314,79 @@ impl StripeManager {
         self.usage
     }
 
-    /// Total free bytes across healthy devices.
-    pub fn free_capacity(&self) -> ByteSize {
-        self.array.healthy().map(|d| d.available()).sum()
+    /// Whether an object of `size` under `scheme` fits the array now, by
+    /// the rule [`StripeManager::store_object`] applies: every healthy
+    /// device needs room for its share of the extent the store would place
+    /// from the next stripe on. The chunks of `freeing`, when given, count
+    /// as free — what a re-encode releases before it stores again.
+    ///
+    /// An empty object fits; with no healthy device nothing ever does.
+    pub fn room_for(
+        &self,
+        size: ByteSize,
+        scheme: RedundancyScheme,
+        freeing: Option<&ObjectLayout>,
+    ) -> Room {
+        if size.is_zero() {
+            return Room::Fits;
+        }
+        let Some(placed) = self.next_extent(size, scheme, false) else {
+            return Room::Never;
+        };
+        let capacity = |d| self.array.device(d).config().capacity;
+        let freeing = freeing.and_then(|layout| self.placed(layout).ok());
+        if placed.shares().any(|(d, share)| share > capacity(d)) {
+            Room::Never
+        } else if self.first_short(&placed, freeing.as_ref()).is_some() {
+            Room::Short
+        } else {
+            Room::Fits
+        }
     }
 
-    /// Physical bytes an object of `size` will occupy under `scheme`,
-    /// including padding of partial chunks in parity stripes and all
-    /// replicas — what the cache manager budgets evictions against.
-    ///
-    /// The estimate uses the current healthy-device count, matching what
-    /// [`StripeManager::store_object`] would do right now.
-    pub fn physical_bytes_needed(&self, size: ByteSize, scheme: RedundancyScheme) -> ByteSize {
-        let healthy = self.array.healthy().count();
-        if healthy == 0 || size.is_zero() {
-            return ByteSize::ZERO;
+    /// The room rule: the refusal of the first of `placed`'s devices whose
+    /// share is more than its free bytes, plus its share of `freeing` when
+    /// given.
+    fn first_short(
+        &self,
+        placed: &PlacedExtent,
+        freeing: Option<&PlacedExtent>,
+    ) -> Option<FlashError> {
+        placed.shares().find_map(|(device, requested)| {
+            let freed = freeing.into_iter().flat_map(PlacedExtent::shares);
+            let freed = freed.filter(|&(d, _)| d == device).map(|(_, share)| share);
+            let available = self.array.device(device).available() + freed.sum();
+            (requested > available).then_some(FlashError::DeviceFull {
+                device,
+                requested,
+                available,
+            })
+        })
+    }
+
+    /// The extent a store of `size` under `scheme` places now: over the
+    /// healthy devices, with the parity count clamped to them, from the
+    /// next stripe on. `None` when no device is healthy.
+    fn next_extent(
+        &self,
+        size: ByteSize,
+        scheme: RedundancyScheme,
+        real: bool,
+    ) -> Option<PlacedExtent> {
+        let healthy = self
+            .array
+            .healthy()
+            .fold(0u64, |set, d| set | 1 << d.id().0);
+        if healthy == 0 {
+            return None;
         }
-        let scheme = scheme.clamped_to(healthy);
-        let shape = ExtentShape::of(size, self.chunk_size, scheme, healthy);
-        match scheme {
-            RedundancyScheme::Replication => size * healthy as u64,
-            // Each stripe's parity chunks are as large as its largest
-            // data chunk; approximate with full chunk size.
-            RedundancyScheme::Parity(_) => {
-                size + self.chunk_size * (shape.stripes * shape.redundancy)
-            }
-        }
+        let extent = Extent {
+            size,
+            healthy,
+            scheme: scheme.clamped_to(healthy.count_ones() as usize),
+            real,
+        };
+        Some(extent.placed(StripeId(self.next_stripe), self.chunk_size, self.placement))
     }
 
     /// Fails a device in place ("shootdown").
@@ -366,9 +425,16 @@ impl StripeManager {
     /// * [`StripeError::EmptyObject`] — `size` is zero.
     /// * [`StripeError::PayloadSizeMismatch`] — payload length ≠ `size`.
     /// * [`StripeError::NoHealthyDevices`] — the whole array is down.
-    /// * [`StripeError::Flash`] — a device rejected a write (e.g. full);
-    ///   nothing of the object stays written, and the stripes up to the
-    ///   one holding the rejected chunk stay consumed.
+    /// * [`StripeError::Flash`] — a device has no room for its share
+    ///   ([`StripeManager::room_for`]): the first such device's
+    ///   [`FlashError::DeviceFull`], with its share and its free bytes.
+    ///   Nothing is written or charged, and the next store starts at the
+    ///   same stripe. Under handles a crash took back (until the orphan
+    ///   sweep) chunks the crash orphaned may sit where the extent goes,
+    ///   and writing over one frees room no count of free bytes shows: there
+    ///   the store is written chunk by chunk, the chunk a device rejects is
+    ///   the error, what was written is taken back, and the stripes up to
+    ///   the one holding the rejected chunk stay consumed.
     pub fn store_object(
         &mut self,
         owner: u64,
@@ -387,59 +453,30 @@ impl StripeManager {
                 });
             }
         }
-        let healthy = self
-            .array
-            .healthy()
-            .fold(0u64, |set, d| set | 1 << d.id().0);
-        if healthy == 0 {
-            return Err(StripeError::NoHealthyDevices);
+        let placed = self
+            .next_extent(size, scheme, payload.is_some())
+            .ok_or(StripeError::NoHealthyDevices)?;
+        let (extent, first_stripe) = (placed.extent, self.next_stripe);
+        let rewound = first_stripe < self.rewound_from;
+        if !rewound {
+            if let Some(refused) = self.first_short(&placed, None) {
+                return Err(StripeError::Flash(refused));
+            }
         }
-        let scheme = scheme.clamped_to(healthy.count_ones() as usize);
-        let first_stripe = self.next_stripe;
-        let extent = Extent {
-            size,
-            healthy,
-            scheme,
-            real: payload.is_some(),
-        };
-        let placed = extent.placed(StripeId(first_stripe), self.chunk_size, self.placement);
         let stripe_count = placed.shape.stripes;
         self.next_stripe += stripe_count;
 
-        // A size-only extent goes out as one run per device when every
-        // device has room for its share: none of those writes can be
-        // rejected, so the order between devices cannot show. One that
-        // does not fit is priced, not written (`price_refused_store`). A
-        // real extent is written chunk by chunk in extent order, which stops
-        // at exactly the chunk that is rejected — as is one under handles a
-        // crash took back, where chunks it orphaned may still sit: writing
-        // over one frees room that no count of free bytes shows.
+        // A size-only extent that fits goes out as one run per device:
+        // none of those writes can be rejected, so the order between
+        // devices cannot show. A real extent is written chunk by chunk in
+        // extent order, parity encoded stripe by stripe, as is one under
+        // rewound handles, which stops at exactly the chunk that is
+        // rejected.
         let now = self.array.clock().now();
         let mut latest = now;
-        if !extent.real && first_stripe >= self.rewound_from {
-            // What the extent puts on each of its devices: one whole chunk
-            // of every stripe before the last under the handles from the
-            // first stripe on, then the last stripe's chunk there, if it
-            // has one.
+        if !extent.real && !rewound {
             let (full, chunk_size) = (placed.full_stripes(), self.chunk_size);
-            let tails = placed.tails();
-            // The stripes every device has room for its chunk of: a device
-            // short of its share takes the whole chunks it has room for,
-            // one per stripe before the last.
-            let fitting = tails.clone().map(|(d, tail)| {
-                let share = chunk_size * full + tail.unwrap_or(ByteSize::ZERO);
-                let free = self.array.device(d).available();
-                if free >= share {
-                    stripe_count
-                } else {
-                    full.min(free / chunk_size)
-                }
-            });
-            let in_runs = fitting.min().expect("an extent has a device");
-            if in_runs < stripe_count {
-                return Err(self.price_refused_store(&placed, in_runs, now));
-            }
-            for (d, tail) in tails {
+            for (d, tail) in placed.tails() {
                 let first = ChunkHandle::new(first_stripe);
                 let tail = tail.map(|len| (ChunkHandle::new(first_stripe + full), len));
                 let device = self.array.device_mut(d);
@@ -468,54 +505,10 @@ impl StripeManager {
         Ok(ObjectLayout {
             owner,
             size,
-            scheme,
+            scheme: extent.scheme,
             first_stripe: StripeId(first_stripe),
             stripe_count: u32::try_from(stripe_count).expect("a stored object's stripes fit a u32"),
         })
-    }
-
-    /// What a size-only store of `placed`, under handles no crash took
-    /// back, costs when only its first `in_runs` stripes fit every device:
-    /// the writes issued chunk by chunk in extent order up to the one a
-    /// device refuses, each taken back again. Every device takes its whole
-    /// chunk of each of those stripes, and the refused chunk is the first
-    /// in stripe `in_runs` whose device is short of its length — the
-    /// device that bounds `in_runs` is, so the walk stops within one
-    /// stripe. Each device is charged what it took, per chunk length, and
-    /// nothing is entered, so nothing is rolled back; the stripes up to the
-    /// refused one stay consumed, and the clock stays where it is.
-    fn price_refused_store(
-        &mut self,
-        placed: &PlacedExtent,
-        in_runs: u64,
-        now: SimTime,
-    ) -> StripeError {
-        let chunk_size = self.chunk_size;
-        let stripe = placed
-            .stripes_from(in_runs)
-            .next()
-            .expect("a stripe is refused");
-        let room = |d| self.array.device(d).available() - chunk_size * in_runs;
-        let (taken, c) = stripe
-            .chunks()
-            .enumerate()
-            .find(|(_, c)| c.len > room(c.device))
-            .expect("a device short of its share refuses its chunk of the stripe");
-        let refused = FlashError::DeviceFull {
-            device: c.device,
-            requested: c.len,
-            available: room(c.device),
-        };
-        for d in placed.devices() {
-            self.array
-                .device_mut(d)
-                .charge_writes(in_runs, chunk_size, now);
-        }
-        for c in stripe.chunks().take(taken) {
-            self.array.device_mut(c.device).charge_writes(1, c.len, now);
-        }
-        self.next_stripe = placed.first_stripe + in_runs + 1;
-        StripeError::Flash(refused)
     }
 
     /// Ends an operation started at `now` whose last chunk operation

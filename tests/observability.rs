@@ -343,8 +343,10 @@ fn traced_run_exports_jsonl_the_validator_accepts() {
 /// every sampling point of one small run that crosses each kind of
 /// interval boundary (failures, a spare, a crash with journal replay,
 /// corruption under a running scrubber). The hash was recorded before
-/// windows and samples became subtractions from one accumulator; a moved
-/// hash means an interval reports something else.
+/// windows and samples became subtractions from one accumulator, and
+/// re-recorded when fit became one per-device rule checked before anything
+/// is written (refused stores no longer charge device time); a moved hash
+/// means an interval reports something else.
 #[test]
 fn planned_run_windows_and_series_are_pinned() {
     use reo_repro::flashsim::DeviceId;
@@ -366,5 +368,5 @@ fn planned_run_windows_and_series_are_pinned() {
     let mut hasher = reo_repro::sim::FastHasher::default();
     hasher.write(observed.as_bytes());
     let hash = hasher.finish();
-    assert_eq!(hash, 0x7cd3b9390a8d3186, "observed {hash:#018x}");
+    assert_eq!(hash, 0x2d1451937eeebf19, "observed {hash:#018x}");
 }
