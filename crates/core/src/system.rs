@@ -1261,41 +1261,38 @@ impl CacheSystem {
         }
     }
 
-    /// Picks the next eviction victim: the least-recently-used object
-    /// other than `protect` (the paper uses plain object-level LRU).
-    /// While the backend is down, dirty entries are unevictable — their
-    /// flush would fail — so the scan skips them.
-    fn pick_victim(&self, protect: Option<ObjectKey>) -> Option<ObjectKey> {
-        self.cache.pick_victim(protect, self.backend.is_down())
-    }
-
     /// Creates the object on the target, evicting LRU victims until it
     /// fits. Returns `false` if it can never fit.
     fn create_with_eviction(&mut self, key: ObjectKey, size: ByteSize, class: ObjectClass) -> bool {
         loop {
             match self.target.create_object(key, size, class, None) {
                 Ok(_) => return true,
-                // A refused create wrote nothing; asked only then, the
-                // room rule costs nothing on the common path.
-                Err(TargetError::CacheFull { .. })
-                    if self.target.room_for(key, size, class) == Room::Never =>
-                {
-                    return false
-                }
-                Err(TargetError::CacheFull { .. }) => match self.pick_victim(Some(key)) {
-                    Some(v) => {
-                        if !self.evict(v) {
-                            return false;
-                        }
+                Err(TargetError::CacheFull { .. }) => {
+                    if !self.evict_for(key, size, class) {
+                        return false;
                     }
-                    None => return false,
-                },
+                }
                 Err(TargetError::AlreadyExists(_)) => {
                     // Stale target entry without a cache entry: replace it.
                     let _ = self.target.remove_object(key);
                 }
                 Err(_) => return false,
             }
+        }
+    }
+
+    /// After the target refused a create or class change of `key` for room
+    /// (writing nothing), evicts the least-recently-used other object —
+    /// the paper's plain LRU; dirty ones only while the backend is up —
+    /// unless the array can never hold `key`. Returns whether it evicted,
+    /// so the caller retries.
+    fn evict_for(&mut self, key: ObjectKey, size: ByteSize, class: ObjectClass) -> bool {
+        if self.target.room_for(key, size, class) == Room::Never {
+            return false;
+        }
+        match self.cache.pick_victim(Some(key), self.backend.is_down()) {
+            Some(victim) => self.evict(victim),
+            None => false,
         }
     }
 
@@ -1342,43 +1339,29 @@ impl CacheSystem {
         // longest control message's, or this does not compile.
         let mut wire = [0; 40];
         for &change in &changes {
-            // A promotion grows the object's share of some device; make
-            // room there first.
-            let entry_size = match self.cache.entry(change.key) {
+            let size = match self.cache.entry(change.key) {
                 Some(e) => e.size(),
                 None => continue,
             };
-            let mut guard = 0usize;
-            while guard < 1024
-                && self.target.room_for(change.key, entry_size, change.to) == Room::Short
-            {
-                match self.pick_victim(Some(change.key)) {
-                    Some(v) => {
-                        if !self.evict(v) {
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-                guard += 1;
-            }
             let msg = ControlMessage::SetClass {
                 key: change.key,
                 class: change.to,
             };
-            match self.target.handle_control_write(msg.encode_into(&mut wire)) {
-                Ok(SenseCode::Corrupted) => {
-                    // Irrecoverable (or dropped during a failed restore):
-                    // the object is no longer in cache.
-                    self.evict_lost(change.key)
+            // A promotion grows the object's share of some device: the
+            // target refuses it, touching nothing, until evictions make room.
+            loop {
+                match self.target.handle_control_write(msg.encode_into(&mut wire)) {
+                    Ok(SenseCode::CacheFull) if self.evict_for(change.key, size, change.to) => {
+                        continue
+                    }
+                    // Irrecoverable: the object is no longer in cache.
+                    Ok(SenseCode::Corrupted) => self.evict_lost(change.key),
+                    // Applied, or refused with no room to make: the next
+                    // refresh retries.
+                    Ok(_) => {}
+                    Err(e) => debug_assert!(false, "control write failed: {e}"),
                 }
-                Ok(SenseCode::CacheFull) => {
-                    // No room for the new redundancy; the target kept the
-                    // object under its old scheme. Leave the entry — the
-                    // next refresh retries.
-                }
-                Ok(_) => {}
-                Err(e) => debug_assert!(false, "control write failed: {e}"),
+                break;
             }
         }
         self.class_changes = changes;
@@ -1416,8 +1399,8 @@ impl CacheSystem {
             if let Some(new_class) = self.cache.mark_clean(key) {
                 match self.target.set_class(key, new_class) {
                     Ok(_) => {}
-                    // No room to re-encode: the target keeps the old
-                    // (replicated) layout; a later refresh retries.
+                    // No room to re-encode: the target left the old
+                    // (replicated) layout as it was; a later refresh retries.
                     Err(TargetError::CacheFull { .. }) => {}
                     Err(_) => self.evict_lost(key),
                 }
@@ -2527,5 +2510,55 @@ mod tests {
         );
         no_refused_write(&mut sys, "refresh", CacheSystem::refresh_classification);
         assert_eq!(sys.target.class_of(key), Some(ObjectClass::HotClean));
+    }
+
+    /// A promotion the array can never take — a device would have to hold
+    /// more of the hot encoding than it holds bytes — is refused before
+    /// anything is read: the refresh sends it, evicts nothing (not the
+    /// dirty object there for the taking), and no device does any I/O;
+    /// the entry stays cached, cold.
+    #[test]
+    fn a_promotion_the_array_never_takes_changes_nothing() {
+        let config =
+            SystemConfig::paper_defaults(SchemeConfig::Reo { reserve: 0.9 }, ByteSize::from_mib(5));
+        let mut sys = CacheSystem::new(config);
+        sys.set_classification_period(usize::MAX);
+        let (key, size) = (user(1), ByteSize::from_mib(4));
+        assert!(sys.warm_object(key, size));
+        let write = Request {
+            key: user(2),
+            op: Operation::Write,
+            size: ByteSize::from_kib(64),
+        };
+        sys.handle(&write);
+        let read = Request {
+            key,
+            op: Operation::Read,
+            size,
+        };
+        for _ in 0..20 {
+            assert!(sys.handle(&read).hit);
+        }
+        assert_eq!(
+            sys.target.room_for(key, size, ObjectClass::HotClean),
+            Room::Never
+        );
+        let io = |sys: &CacheSystem| {
+            let array = sys.target.array();
+            let stats = (0..5).map(|d| array.device(DeviceId(d)).stats());
+            stats.collect::<Vec<_>>()
+        };
+        let (before, cached) = (io(&sys), sys.cached_objects());
+        let sent = sys.target.stats().control_messages;
+        sys.refresh_classification();
+        assert!(
+            sys.target.stats().control_messages > sent,
+            "no promotion sent"
+        );
+        assert_eq!(sys.target.class_of(key), Some(ObjectClass::ColdClean));
+        assert!(sys.cache.contains(key) && sys.cache.contains(user(2)));
+        assert_eq!(sys.cached_objects(), cached);
+        assert_eq!(io(&sys), before);
+        assert_eq!(sys.target.stats().reencodes, 0);
     }
 }

@@ -690,6 +690,14 @@ impl FlashDevice {
             }
     }
 
+    /// `true` when the device holds `handle`, readable or not: its bytes
+    /// count in [`FlashDevice::used`].
+    pub fn holds_chunk(&self, handle: ChunkHandle) -> bool {
+        let state = self.run_of(handle).map(|run| run.state);
+        let state = state.or_else(|| self.chunks.get(&handle).map(ChunkSlot::state));
+        state.is_some_and(ChunkState::is_present)
+    }
+
     /// `true` when the device is healthy and no chunk placed on it awaits
     /// a rebuild: none was corrupted or lost in a failure, and none went
     /// with a device this one replaced. [`FlashDevice::chunk_is_intact`]

@@ -285,13 +285,17 @@ impl JournalRecord {
     }
 }
 
-/// A record payload decoded over the bytes it lies in: a layout-carrying
-/// record's head with its `meta` blob borrowed, or a record that carries
-/// no blob. Scanning the log this way copies nothing; replay takes the
+/// A record decoded over the bytes it lies in ([`Journal::recover`]).
+/// Scanning the log this way copies nothing; [`Journal::replay`] takes the
 /// owned record of each.
-enum Decoded<'a> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Decoded<'a> {
+    /// A layout-carrying record's head, with its `meta` blob borrowed.
     Layout(LayoutRecord, &'a [u8]),
-    Bare(JournalRecord),
+    /// A [`JournalRecord::Remove`] of the key.
+    Remove(ObjectKey),
+    /// A [`JournalRecord::ScrubCursor`] at the key.
+    ScrubCursor(Option<ObjectKey>),
 }
 
 impl<'a> Decoded<'a> {
@@ -332,9 +336,7 @@ impl<'a> Decoded<'a> {
                 if bytes.len() != 17 {
                     return None;
                 }
-                Some(Decoded::Bare(JournalRecord::Remove {
-                    key: get_key(bytes, 1)?,
-                }))
+                Some(Decoded::Remove(get_key(bytes, 1)?))
             }
             5 => {
                 let present = *bytes.get(1)?;
@@ -343,17 +345,18 @@ impl<'a> Decoded<'a> {
                     1 if bytes.len() == 18 => Some(get_key(bytes, 2)?),
                     _ => return None,
                 };
-                Some(Decoded::Bare(JournalRecord::ScrubCursor { cursor }))
+                Some(Decoded::ScrubCursor(cursor))
             }
             _ => None,
         }
     }
 
     /// The owned record.
-    fn into_record(self) -> JournalRecord {
+    pub fn into_record(self) -> JournalRecord {
         let (head, meta) = match self {
             Decoded::Layout(head, meta) => (head, meta.to_vec()),
-            Decoded::Bare(record) => return record,
+            Decoded::Remove(key) => return JournalRecord::Remove { key },
+            Decoded::ScrubCursor(cursor) => return JournalRecord::ScrubCursor { cursor },
         };
         match head {
             LayoutRecord::Create { key, class } => JournalRecord::Create { key, class, meta },
@@ -547,52 +550,48 @@ impl JournalMedia {
         best.ok_or(JournalError::NoValidSuperblock)
     }
 
-    /// Scans the log, handing `visit` each record of the intact prefix,
-    /// decoded over the log's own bytes, and returns the byte offset where
-    /// scanning stopped.
-    fn scan_log(&self, base_seq: u64, mut visit: impl FnMut(Decoded<'_>)) -> usize {
-        let mut at = 0usize;
-        let mut next_seq = base_seq;
-        while let Some(magic) = get_u32(&self.log, at) {
-            if magic != RECORD_MAGIC {
-                break;
-            }
-            let (Some(seq), Some(len)) = (get_u64(&self.log, at + 4), get_u32(&self.log, at + 12))
-            else {
-                break;
-            };
-            let len = len as usize;
-            if len > MAX_PAYLOAD {
-                break;
-            }
-            let Some(crc) = get_u32(&self.log, at + 16) else {
-                break;
-            };
-            let Some(payload) = self.log.get(at + HEADER_LEN..at + HEADER_LEN + len) else {
-                break;
-            };
-            if record_crc(&self.log[at..at + HEADER_LEN + len]) != crc {
-                break;
-            }
-            if seq != next_seq {
-                break;
-            }
-            let Some(record) = Decoded::parse(payload) else {
-                break;
-            };
-            visit(record);
-            next_seq += 1;
-            at += HEADER_LEN + len;
+    /// The records of the log's intact prefix, numbered from `base_seq`.
+    fn records(&self, base_seq: u64) -> LogRecords<'_> {
+        LogRecords {
+            log: &self.log,
+            at: 0,
+            next_seq: base_seq,
         }
-        at
     }
+}
 
-    /// The intact record prefix of the log as owned records, and the byte
-    /// offset where it ends.
-    fn owned_records(&self, base_seq: u64) -> (Vec<JournalRecord>, usize) {
-        let mut records = Vec::new();
-        let consumed = self.scan_log(base_seq, |r| records.push(r.into_record()));
-        (records, consumed)
+/// The records of a log's intact prefix, in order, each decoded over the
+/// log's own bytes ([`Decoded`]): the scan stops at the first record whose
+/// framing, checksum, sequence number or payload does not hold.
+#[derive(Clone, Debug)]
+pub struct LogRecords<'a> {
+    log: &'a [u8],
+    /// Where the next record starts, or the intact prefix ends.
+    at: usize,
+    next_seq: u64,
+}
+
+impl<'a> Iterator for LogRecords<'a> {
+    type Item = Decoded<'a>;
+
+    fn next(&mut self) -> Option<Decoded<'a>> {
+        let (log, at) = (self.log, self.at);
+        if get_u32(log, at)? != RECORD_MAGIC {
+            return None;
+        }
+        let (seq, len) = (get_u64(log, at + 4)?, get_u32(log, at + 12)? as usize);
+        if len > MAX_PAYLOAD {
+            return None;
+        }
+        let crc = get_u32(log, at + 16)?;
+        let payload = log.get(at + HEADER_LEN..at + HEADER_LEN + len)?;
+        if record_crc(&log[at..at + HEADER_LEN + len]) != crc || seq != self.next_seq {
+            return None;
+        }
+        let record = Decoded::parse(payload)?;
+        self.next_seq += 1;
+        self.at += HEADER_LEN + len;
+        Some(record)
     }
 }
 
@@ -613,6 +612,20 @@ pub struct ReplayOutcome {
     pub torn_tail: bool,
     /// Bytes of torn tail discarded (0 when `torn_tail` is false).
     pub torn_bytes: usize,
+}
+
+/// What [`Journal::recover`] read off the media, borrowed from them.
+#[derive(Clone, Debug)]
+pub struct Recovered<'a> {
+    /// The checkpoint image the live superblock points at (empty for a
+    /// freshly formatted journal).
+    pub checkpoint: &'a [u8],
+    /// Generation number of the superblock used.
+    pub generation: u64,
+    /// Bytes of torn tail cut off the log (0 when its end was intact).
+    pub torn_bytes: usize,
+    /// The log's records after the checkpoint, in append order.
+    pub records: LogRecords<'a>,
 }
 
 /// What a simulated power loss did to the journal.
@@ -688,36 +701,34 @@ impl Journal {
         }
     }
 
-    /// Rebuilds a journal over media that survived a crash: replays it,
-    /// truncates any torn tail, and resumes the sequence numbering after
-    /// the last intact record.
-    pub fn recover(
-        mut media: JournalMedia,
-        fsync_interval: u32,
-    ) -> Result<(Journal, ReplayOutcome), JournalError> {
-        let (active, sb) = media.best_superblock()?;
-        let (records, consumed) = media.owned_records(sb.base_seq);
-        let torn_bytes = media.log.len() - consumed;
-        let outcome = ReplayOutcome {
-            checkpoint: media.checkpoints[sb.checkpoint_slot as usize % 2].clone(),
+    /// Resumes the journal over the media a crash left, as a journal built
+    /// fresh over them would stand: the torn tail cut off, nothing staged,
+    /// numbering resumed after the last intact record, counters at zero.
+    /// Returns what replay needs, borrowed from the media: the checkpoint
+    /// image and the log's records, decoded over its own bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::NoValidSuperblock`] — both superblocks are damaged;
+    /// the journal is left as it was.
+    pub fn recover(&mut self) -> Result<Recovered<'_>, JournalError> {
+        let (active, sb) = self.media.best_superblock()?;
+        let mut scan = self.media.records(sb.base_seq);
+        let intact = scan.by_ref().count() as u64;
+        let torn_bytes = self.media.log.len() - scan.at;
+        self.media.log.truncate(scan.at);
+        self.staging.clear();
+        self.staged_records = 0;
+        self.next_seq = sb.base_seq + intact;
+        self.appends_since_flush = 0;
+        self.active_superblock = active;
+        self.stats = JournalStats::default();
+        Ok(Recovered {
+            checkpoint: &self.media.checkpoints[sb.checkpoint_slot as usize % 2],
             generation: sb.generation,
-            base_seq: sb.base_seq,
-            torn_tail: torn_bytes > 0,
             torn_bytes,
-            records,
-        };
-        media.log.truncate(consumed);
-        let journal = Journal {
-            media,
-            staging: Vec::new(),
-            staged_records: 0,
-            next_seq: sb.base_seq + outcome.records.len() as u64,
-            appends_since_flush: 0,
-            fsync_interval,
-            active_superblock: active,
-            stats: JournalStats::default(),
-        };
-        Ok((journal, outcome))
+            records: self.media.records(sb.base_seq),
+        })
     }
 
     /// Appends a record to the staging buffer, returning its sequence
@@ -822,26 +833,16 @@ impl Journal {
     /// exactly what a restart sees.
     pub fn crash(&mut self, tear: usize) -> CrashOutcome {
         let persisted = tear.min(self.staging.len());
-        // Walk the record boundaries inside the persisted prefix: complete
-        // records survive the crash (their sectors landed), the remainder
-        // is the torn tail.
-        let mut at = 0usize;
-        let mut survived = 0usize;
-        while at + HEADER_LEN <= persisted {
-            let len = u32::from_le_bytes(
-                self.staging[at + 12..at + 16]
-                    .try_into()
-                    .expect("4-byte slice"),
-            ) as usize;
-            if at + HEADER_LEN + len > persisted {
-                break;
-            }
-            survived += 1;
-            at += HEADER_LEN + len;
-        }
+        // Complete records inside the persisted prefix survive the crash
+        // (their sectors landed), the remainder is the torn tail.
+        let survived = LogRecords {
+            log: &self.staging[..persisted],
+            at: 0,
+            next_seq: self.next_seq - self.staged_records,
+        };
+        let staged_records_lost = self.staged_records - survived.count() as u64;
         self.media.log.extend_from_slice(&self.staging[..persisted]);
         let staged_bytes_lost = self.staging.len() - persisted;
-        let staged_records_lost = self.staged_records - survived as u64;
         self.staging.clear();
         self.staged_records = 0;
         self.appends_since_flush = 0;
@@ -852,7 +853,9 @@ impl Journal {
             .unwrap_or(0);
         // Where the intact prefix ends is all the crash needs: the walk
         // decodes each record over the log's bytes and keeps none.
-        let consumed = self.media.scan_log(base_seq, |_| {});
+        let mut scan = self.media.records(base_seq);
+        scan.by_ref().for_each(drop);
+        let consumed = scan.at;
         CrashOutcome {
             staged_records_lost,
             staged_bytes_lost,
@@ -864,8 +867,9 @@ impl Journal {
     /// Replays the durable media without modifying it.
     pub fn replay(&self) -> Result<ReplayOutcome, JournalError> {
         let (_, sb) = self.media.best_superblock()?;
-        let (records, consumed) = self.media.owned_records(sb.base_seq);
-        let torn_bytes = self.media.log.len() - consumed;
+        let mut scan = self.media.records(sb.base_seq);
+        let records = scan.by_ref().map(Decoded::into_record).collect();
+        let torn_bytes = self.media.log.len() - scan.at;
         Ok(ReplayOutcome {
             checkpoint: self.media.checkpoints[sb.checkpoint_slot as usize % 2].clone(),
             generation: sb.generation,
@@ -894,11 +898,6 @@ impl Journal {
     /// The sequence number the next append will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The configured auto-flush interval (appends per fsync).
-    pub fn fsync_interval(&self) -> u32 {
-        self.fsync_interval
     }
 
     /// Running activity counters.
@@ -1014,9 +1013,10 @@ mod tests {
         assert!(out.torn_tail);
         assert!(out.torn_bytes > 0);
 
-        let (recovered, replayed) = Journal::recover(j.media().clone(), 100).unwrap();
-        assert_eq!(replayed.records.len(), 3);
-        assert!(replayed.torn_tail);
+        let mut recovered = j.clone();
+        let replayed = recovered.recover().unwrap();
+        assert_eq!(replayed.torn_bytes, 7);
+        assert_eq!(replayed.records.count(), 3);
         // The torn tail is gone and sequencing resumes cleanly.
         assert_eq!(recovered.next_seq(), 3);
         let clean = recovered.replay().unwrap();
@@ -1359,12 +1359,12 @@ mod tests {
         // A tear at every byte of the last record replays the prefix.
         let last = legacy_encode(6, &records[6]).len();
         for torn in 1..=last {
-            let mut media = owned.media().clone();
-            assert_eq!(media.tear_log_tail(torn), torn);
-            let (recovered, out) = Journal::recover(media, 3).unwrap();
-            assert_eq!(out.records, records[..6], "torn {torn}");
-            assert_eq!(out.torn_tail, torn < last);
+            let mut recovered = owned.clone();
+            assert_eq!(recovered.media_mut().tear_log_tail(torn), torn);
+            let out = recovered.recover().unwrap();
             assert_eq!(out.torn_bytes, last - torn);
+            let replayed: Vec<_> = out.records.map(Decoded::into_record).collect();
+            assert_eq!(replayed, records[..6], "torn {torn}");
             assert_eq!(recovered.next_seq(), 6);
         }
     }

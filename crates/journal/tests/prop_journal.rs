@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use reo_journal::{Journal, JournalMedia, JournalRecord};
+use reo_journal::{Decoded, Journal, JournalRecord};
 use reo_osd::{ObjectClass, ObjectId, ObjectKey, PartitionId};
 
 fn key(i: u64) -> ObjectKey {
@@ -131,10 +131,11 @@ impl Model {
     }
 }
 
-fn torn_media(media: &JournalMedia, keep: usize) -> JournalMedia {
-    let mut torn = media.clone();
-    let tear = media.log_len().saturating_sub(keep);
-    torn.tear_log_tail(tear);
+/// `journal` with its log torn down to its first `keep` bytes.
+fn torn_copy(journal: &Journal, keep: usize) -> Journal {
+    let mut torn = journal.clone();
+    let tear = journal.media().log_len().saturating_sub(keep);
+    torn.media_mut().tear_log_tail(tear);
     torn
 }
 
@@ -163,26 +164,26 @@ proptest! {
         prop_assert_eq!(&full.records, &records);
 
         let keep = cut % (journal.media().log_len() + 1);
-        let (torn_journal, torn_out) =
-            Journal::recover(torn_media(journal.media(), keep), fsync).unwrap();
+        let mut torn_journal = torn_copy(&journal, keep);
+        let recovered = torn_journal.recover().unwrap();
+        let torn_bytes = recovered.torn_bytes;
+        let torn_records: Vec<JournalRecord> =
+            recovered.records.map(Decoded::into_record).collect();
 
         // Prefix-closed: the torn replay is an exact record prefix.
-        prop_assert!(torn_out.records.len() <= records.len());
-        prop_assert_eq!(
-            &torn_out.records[..],
-            &records[..torn_out.records.len()]
-        );
-        // A tear that lands mid-record must be flagged.
-        prop_assert_eq!(torn_out.torn_tail, torn_out.torn_bytes > 0);
+        prop_assert!(torn_records.len() <= records.len());
+        prop_assert_eq!(&torn_records[..], &records[..torn_records.len()]);
+        // Recovery cut exactly the tail past the last intact record.
+        prop_assert_eq!(torn_journal.media().log_len() + torn_bytes, keep);
 
-        // Recovery truncated the tail: the recovered journal replays clean.
+        // The recovered journal replays clean.
         let clean = torn_journal.replay().unwrap();
         prop_assert!(!clean.torn_tail);
-        prop_assert_eq!(clean.records.len(), torn_out.records.len());
+        prop_assert_eq!(clean.records.len(), torn_records.len());
 
         // Idempotent convergence: prefix state + full replay == full replay.
         let full_state = Model::fold(&records);
-        let mut converged = Model::fold(&torn_out.records);
+        let mut converged = Model::fold(&torn_records);
         for rec in &records {
             converged.apply(rec);
         }

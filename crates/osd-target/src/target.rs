@@ -5,7 +5,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use reo_journal::{CrashOutcome, Journal, JournalError, JournalRecord, JournalStats, LayoutRecord};
+use reo_journal::{
+    CrashOutcome, Decoded, Journal, JournalError, JournalRecord, JournalStats, LayoutRecord,
+};
 use reo_osd::control::{ControlMessage, ControlMessageError};
 use reo_osd::{ObjectClass, ObjectKey, SenseCode};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
@@ -34,9 +36,9 @@ pub enum TargetError {
     ObjectLost(ObjectKey),
     /// Not enough flash space — the condition behind sense code 0x64.
     CacheFull {
-        /// Bytes the operation needed.
+        /// Bytes the operation needed on the device short of room.
         requested: ByteSize,
-        /// Bytes available across healthy devices.
+        /// Bytes that device has free.
         available: ByteSize,
     },
     /// A lower-level stripe error.
@@ -629,35 +631,36 @@ impl OsdTarget {
     /// Applies a class change (the decoded `#SETID#` message).
     ///
     /// If the policy maps the new class to a different redundancy scheme,
-    /// the object is re-encoded: read (degraded reads allowed), removed,
-    /// and stored again under the new scheme — charging realistic I/O
-    /// time. Otherwise only the label changes.
+    /// the object is re-encoded ([`StripeManager::reencode_object`]): if
+    /// every device has room for its share of the new encoding, the
+    /// object is read (degraded reads allowed), removed, and stored again
+    /// under the new scheme — charging realistic I/O time. Otherwise only
+    /// the label changes.
     ///
     /// # Errors
     ///
+    /// Each leaves the object as it was — record, class, layout, journal,
+    /// counters:
+    ///
     /// * [`TargetError::UnknownObject`] — not indexed.
+    /// * [`TargetError::CacheFull`] — some device has no room for its share
+    ///   of the new encoding, even with the object's chunks freed. Nothing
+    ///   is read or written; a later change may retry.
     /// * [`TargetError::ObjectLost`] — the object cannot be read for
-    ///   re-encoding, and the record keeps its old scheme and class; or
-    ///   neither encoding has room once the old copy is released, and the
-    ///   object is dropped from the index (the removal journaled): the
-    ///   caller must treat it as evicted.
-    /// * [`TargetError::CacheFull`] — no room for the new encoding. The
-    ///   object is stored again under its old scheme, on fresh chunks, and
-    ///   keeps its record and its old class; a later change may retry.
+    ///   re-encoding.
     pub fn set_class(
         &mut self,
         key: ObjectKey,
         class: ObjectClass,
     ) -> Result<SimTime, TargetError> {
         self.check_ready()?;
+        let t0 = self.trace_begin();
         let record = self
             .index
-            .get(&key)
+            .get_mut(&key)
             .ok_or(TargetError::UnknownObject(key))?;
-        let old_class = record.class;
 
-        if !self.policy.requires_reencode(old_class, class) {
-            let record = self.index.get_mut(&key).expect("checked above");
+        if !self.policy.requires_reencode(record.class, class) {
             record.class = class;
             self.journal_append_layout(LayoutRecord::SetClass { key, class });
             if class.is_replicated() {
@@ -666,43 +669,12 @@ impl OsdTarget {
             return Ok(self.stripes.array().clock().now());
         }
 
-        // Re-encode: read (possibly degraded), then replace.
-        let t0 = self.trace_begin();
-        let layout = &record.layout;
-        let outcome = self
+        let scheme = self.policy.scheme_for(class);
+        let layout = self
             .stripes
-            .read_object(layout)
+            .reencode_object(&record.layout, scheme, self.next_owner)
             .map_err(|e| stripe_error(key, e))?;
-
-        let size = layout.size();
-        self.stripes.remove_object(layout);
-        let owner = self.next_owner;
         self.next_owner += 1;
-        let bytes = outcome.bytes.as_deref();
-        let mut store = |class| {
-            let scheme = self.policy.scheme_for(class);
-            self.stripes.store_object(owner, size, scheme, bytes)
-        };
-        // Where the object ends up, under which class, and the error a
-        // fallback defers.
-        let (layout, class, refused) = match store(class) {
-            Ok(layout) => (layout, class, None),
-            // The new encoding did not fit. Fall back to re-storing under
-            // the old scheme — that space sufficed a moment ago — so a
-            // failed promotion does not evict the (usually hottest)
-            // object; it moves to fresh chunks under its old label.
-            Err(e) => match store(old_class) {
-                Ok(layout) => (layout, old_class, Some(stripe_error(key, e))),
-                Err(_) => {
-                    // Even the old encoding no longer fits: the object is
-                    // gone; drop the record so state stays consistent.
-                    self.index.remove(&key);
-                    self.journal_append(JournalRecord::Remove { key });
-                    self.journal_flush();
-                    return Err(TargetError::ObjectLost(key));
-                }
-            },
-        };
         let done = self.stripes.array().clock().now();
         self.index.insert(key, ObjectRecord::new(layout, class));
         // Journaled after the new chunks are stored (see create_object's
@@ -712,9 +684,6 @@ impl OsdTarget {
         // replay the stale placement and count the object lost.
         self.journal_append_layout(LayoutRecord::SetClass { key, class });
         self.journal_flush();
-        if let Some(e) = refused {
-            return Err(e);
-        }
         self.stats.reencodes += 1;
         self.trace_end("reencode", t0);
         Ok(done)
@@ -1124,9 +1093,9 @@ impl OsdTarget {
     /// object's stripe metadata, collects orphan chunks, audits chunk
     /// health unless the array vouches for every chunk (feeding degraded
     /// objects into the class-prioritized recovery queue and dropping
-    /// lost ones), re-arms the scrubber from
-    /// the persisted cursor, verifies metadata invariants, and finishes
-    /// with a fresh checkpoint. Clears the warming state on success.
+    /// lost ones), re-arms the scrubber from the persisted cursor, verifies
+    /// metadata invariants, and finishes with a fresh checkpoint. Clears
+    /// the warming state on success; on an error the journal stays attached.
     ///
     /// # Errors
     ///
@@ -1135,39 +1104,35 @@ impl OsdTarget {
     ///   metadata root is unrecoverable.
     /// * [`TargetError::Stripe`] — the checkpoint image is corrupt.
     pub fn recover_from_journal(&mut self) -> Result<TargetRecovery, TargetError> {
-        let attached = self.journal.as_ref().ok_or(TargetError::NotReady)?;
-        let fsync_interval = attached.fsync_interval();
-        let media = attached.media().clone();
-        let (journal, outcome) =
-            Journal::recover(media, fsync_interval).map_err(TargetError::Journal)?;
+        let journal = self.journal.as_mut().ok_or(TargetError::NotReady)?;
+        let recovered = journal.recover().map_err(TargetError::Journal)?;
 
         // Fold checkpoint + log into the final durable state per key, then
         // install only that final state — which makes replay idempotent
         // and insensitive to intermediate layouts whose chunks are gone.
-        // Every entry borrows its layout blob from the recovered image or
-        // record it came from.
-        let checkpoint = parse_checkpoint(&outcome.checkpoint)?;
+        // Every entry borrows its layout blob from the journal's media.
+        let checkpoint = parse_checkpoint(recovered.checkpoint)?;
         let mut entries = checkpoint.entries;
         let mut cursor = checkpoint.cursor;
-        for record in &outcome.records {
+        let mut replayed_records = 0;
+        for record in recovered.records {
+            replayed_records += 1;
             match record {
-                JournalRecord::Create { key, class, meta } => {
-                    entries.insert(*key, ReplayEntry::new(*class, 0, meta));
+                Decoded::Layout(LayoutRecord::Create { key, class }, meta) => {
+                    entries.insert(key, ReplayEntry::new(class, 0, meta));
                 }
-                JournalRecord::SetClass { key, class, meta } => {
-                    let freq = entries.get(key).map_or(0, |e| e.freq);
-                    entries.insert(*key, ReplayEntry::new(*class, freq, meta));
+                Decoded::Layout(LayoutRecord::SetClass { key, class }, meta) => {
+                    let freq = entries.get(&key).map_or(0, |e| e.freq);
+                    entries.insert(key, ReplayEntry::new(class, freq, meta));
                 }
-                JournalRecord::DirtyWrite { key, meta, .. } => match entries.get_mut(key) {
-                    Some(e) => e.meta = meta,
-                    None => {
-                        entries.insert(*key, ReplayEntry::new(ObjectClass::Dirty, 0, meta));
-                    }
-                },
-                JournalRecord::Remove { key } => {
-                    entries.remove(key);
+                Decoded::Layout(LayoutRecord::DirtyWrite { key, .. }, meta) => {
+                    let dirty = || ReplayEntry::new(ObjectClass::Dirty, 0, meta);
+                    entries.entry(key).or_insert_with(dirty).meta = meta;
                 }
-                JournalRecord::ScrubCursor { cursor: c } => cursor = *c,
+                Decoded::Remove(key) => {
+                    entries.remove(&key);
+                }
+                Decoded::ScrubCursor(at) => cursor = at,
             }
         }
 
@@ -1178,10 +1143,10 @@ impl OsdTarget {
         self.stripes.simulate_crash();
 
         let mut report = TargetRecovery {
-            replayed_records: outcome.records.len(),
-            checkpoint_generation: outcome.generation,
-            torn_tail: outcome.torn_tail,
-            torn_bytes: outcome.torn_bytes,
+            replayed_records,
+            checkpoint_generation: recovered.generation,
+            torn_tail: recovered.torn_bytes > 0,
+            torn_bytes: recovered.torn_bytes,
             ..TargetRecovery::default()
         };
         let mut next_owner = checkpoint.next_owner;
@@ -1229,7 +1194,6 @@ impl OsdTarget {
 
         // Re-arm the scrubber where the persisted cursor left off.
         self.scrub_cursor = cursor;
-        self.journal = Some(journal);
         self.warming = false;
         report.violations = self.consistency_violations(&refs);
         // Recovery ends in a fresh checkpoint so the next crash replays
@@ -2089,17 +2053,6 @@ mod tests {
         t
     }
 
-    /// Stores a one-chunk cold object `key` at the next stripe and removes
-    /// it again if it fitted: the next store starts one stripe later, unless
-    /// that stripe's chunk would land on a full device.
-    fn skip_stripe(t: &mut OsdTarget, key: ObjectKey) {
-        if t.create_object(key, ByteSize::from_kib(4), ObjectClass::ColdClean, None)
-            .is_ok()
-        {
-            t.remove_object(key).unwrap();
-        }
-    }
-
     /// The kind, key and class of every journal record, flushed.
     fn journal_heads(t: &mut OsdTarget) -> Vec<(&'static str, ObjectKey, Option<ObjectClass>)> {
         let journal = t.journal.as_mut().unwrap();
@@ -2129,23 +2082,19 @@ mod tests {
         t
     }
 
-    /// `k(1)`, one chunk of cold data on a device with room. Re-encoding
-    /// it replicated is refused by the full device 0, and the old-scheme
-    /// store that follows lands `skip + 1` stripes after the object's, or
-    /// at the first stripe before that whose chunk goes to device 0.
-    fn cold_beside_a_full_device(skip: u64) -> OsdTarget {
+    /// `k(1)`, one chunk of cold data on a device with room: re-encoding
+    /// it replicated is refused by the full device 0.
+    fn cold_beside_a_full_device() -> OsdTarget {
         let mut t = lopsided_target();
         // The stripe after the one that filled device 0 goes elsewhere.
         t.create_object(k(1), ByteSize::from_kib(4), ObjectClass::ColdClean, None)
             .unwrap();
-        for i in 0..skip {
-            skip_stripe(&mut t, k(500 + i));
-        }
         t
     }
 
     /// One row of the error contract: an operation on a prepared target,
-    /// the error it returns, and what it leaves of `key`.
+    /// the error it returns, and what it leaves of `key`. Nothing else
+    /// moves (see [`untouched`]).
     struct ErrorCase {
         name: &'static str,
         setup: fn() -> OsdTarget,
@@ -2155,6 +2104,13 @@ mod tests {
         key: ObjectKey,
         class: Option<ObjectClass>,
         records: &'static [(&'static str, u64, Option<ObjectClass>)],
+    }
+
+    /// What a failed operation leaves as it was: the clock, the byte
+    /// accounting, the counters and the durable image of the index (keys,
+    /// classes, layouts, the owner counter).
+    fn untouched(t: &OsdTarget) -> (SimTime, SpaceUsage, TargetStats, Vec<u8>) {
+        (t.clock().now(), t.usage(), t.stats(), t.checkpoint_blob())
     }
 
     #[test]
@@ -2214,8 +2170,8 @@ mod tests {
                 records: &[],
             },
             ErrorCase {
-                name: "set_class: the new encoding is refused, the old one fits",
-                setup: || cold_beside_a_full_device(0),
+                name: "set_class: a device has no room for the new encoding",
+                setup: cold_beside_a_full_device,
                 op: |t| t.set_class(k(1), Dirty).map(drop),
                 error: TargetError::CacheFull {
                     requested: ByteSize::from_kib(4),
@@ -2224,17 +2180,7 @@ mod tests {
                 sense: SenseCode::CacheFull,
                 key: k(1),
                 class: Some(ColdClean),
-                records: &[("set-class", 1, Some(ColdClean))],
-            },
-            ErrorCase {
-                name: "set_class: neither encoding fits",
-                setup: || cold_beside_a_full_device(4),
-                op: |t| t.set_class(k(1), Dirty).map(drop),
-                error: TargetError::ObjectLost(k(1)),
-                sense: SenseCode::Corrupted,
-                key: k(1),
-                class: None,
-                records: &[("remove", 1, None)],
+                records: &[],
             },
             ErrorCase {
                 name: "write_range: a degraded stripe",
@@ -2264,10 +2210,12 @@ mod tests {
             let name = case.name;
             let mut t = (case.setup)();
             let before = journal_heads(&mut t).len();
+            let state = untouched(&t);
             let error = (case.op)(&mut t).unwrap_err();
             assert_eq!(error, case.error, "{name}");
             assert_eq!(error.sense(), case.sense, "{name}");
             assert_eq!(t.class_of(case.key), case.class, "{name}");
+            assert!(untouched(&t) == state, "{name}");
             let records: Vec<_> = case
                 .records
                 .iter()

@@ -334,10 +334,13 @@ impl StripeManager {
             return Room::Never;
         };
         let capacity = |d| self.array.device(d).config().capacity;
-        let freeing = freeing.and_then(|layout| self.placed(layout).ok());
+        let short = match freeing.and_then(|layout| self.placed(layout).ok()) {
+            Some(old) => self.first_short(&placed, self.freed_by(&old)),
+            None => self.first_short(&placed, |_| ByteSize::ZERO),
+        };
         if placed.shares().any(|(d, share)| share > capacity(d)) {
             Room::Never
-        } else if self.first_short(&placed, freeing.as_ref()).is_some() {
+        } else if short.is_some() {
             Room::Short
         } else {
             Room::Fits
@@ -345,23 +348,44 @@ impl StripeManager {
     }
 
     /// The room rule: the refusal of the first of `placed`'s devices whose
-    /// share is more than its free bytes, plus its share of `freeing` when
-    /// given.
+    /// share is more than its free bytes, plus what `freed` says removing
+    /// some object would free there (asked only of a device short without).
     fn first_short(
         &self,
         placed: &PlacedExtent,
-        freeing: Option<&PlacedExtent>,
+        mut freed: impl FnMut(DeviceId) -> ByteSize,
     ) -> Option<FlashError> {
         placed.shares().find_map(|(device, requested)| {
-            let freed = freeing.into_iter().flat_map(PlacedExtent::shares);
-            let freed = freed.filter(|&(d, _)| d == device).map(|(_, share)| share);
-            let available = self.array.device(device).available() + freed.sum();
+            let mut available = self.array.device(device).available();
+            if requested > available {
+                available += freed(device);
+            }
             (requested > available).then_some(FlashError::DeviceFull {
                 device,
                 requested,
                 available,
             })
         })
+    }
+
+    /// What removing `old` frees on a healthy device: its share there, less
+    /// any chunk a replaced device took with it.
+    fn freed_by<'a>(&'a self, old: &'a PlacedExtent) -> impl FnMut(DeviceId) -> ByteSize + 'a {
+        let mut shares = None;
+        move |device| {
+            let flash = self.array.device(device);
+            if flash.all_chunks_intact() {
+                let shares = shares.get_or_insert_with(|| {
+                    let mut shares = [ByteSize::ZERO; u64::BITS as usize];
+                    old.shares().for_each(|(d, share)| shares[d.0] = share);
+                    shares
+                });
+                return shares[device.0];
+            }
+            let chunks = old.stripes().flat_map(|s| s.chunks());
+            let held = chunks.filter(|c| c.device == device && flash.holds_chunk(c.handle));
+            held.map(|c| c.len).sum()
+        }
     }
 
     /// The extent a store of `size` under `scheme` places now: over the
@@ -456,13 +480,58 @@ impl StripeManager {
         let placed = self
             .next_extent(size, scheme, payload.is_some())
             .ok_or(StripeError::NoHealthyDevices)?;
-        let (extent, first_stripe) = (placed.extent, self.next_stripe);
-        let rewound = first_stripe < self.rewound_from;
-        if !rewound {
-            if let Some(refused) = self.first_short(&placed, None) {
+        if self.next_stripe >= self.rewound_from {
+            if let Some(refused) = self.first_short(&placed, |_| ByteSize::ZERO) {
                 return Err(StripeError::Flash(refused));
             }
         }
+        self.write_placed(owner, &placed, payload)
+    }
+
+    /// Re-encodes the object `layout` names under `scheme`, as `owner`'s,
+    /// if every device has room for its share with the object's chunks
+    /// freed ([`StripeManager::room_for`]): reads it (degraded reads
+    /// allowed), removes it and stores it again from the next stripe on.
+    /// The new extent is placed once, before anything is read.
+    ///
+    /// # Errors
+    ///
+    /// Each leaves the object as it was: [`StripeError::UnknownStripe`],
+    /// the first short device's [`FlashError::DeviceFull`] (nothing read or
+    /// charged), or what reading it fails with (with no healthy device, its
+    /// first stripe's loss).
+    pub fn reencode_object(
+        &mut self,
+        layout: &ObjectLayout,
+        scheme: RedundancyScheme,
+        owner: u64,
+    ) -> Result<ObjectLayout, StripeError> {
+        let old = self.placed(layout)?;
+        let Some(mut placed) = self.next_extent(layout.size, scheme, false) else {
+            let first = old.stripes().next().expect("an extent has a stripe");
+            return Err(first.object_lost(first.chunks().count()));
+        };
+        if let Some(refused) = self.first_short(&placed, self.freed_by(&old)) {
+            return Err(StripeError::Flash(refused));
+        }
+        let bytes = self.read_placed(&old)?.bytes;
+        placed.extent.real = bytes.is_some();
+        self.extents.remove(&layout.first_stripe);
+        self.free(&old);
+        // Every device of the extent is healthy and has room for its share.
+        let stored = self.write_placed(owner, &placed, bytes.as_deref());
+        Ok(stored.expect("the room rule admitted the store"))
+    }
+
+    /// Writes `placed` (from the next stripe on) as `owner`'s object.
+    fn write_placed(
+        &mut self,
+        owner: u64,
+        placed: &PlacedExtent,
+        payload: Option<&[u8]>,
+    ) -> Result<ObjectLayout, StripeError> {
+        let (extent, first_stripe) = (placed.extent, self.next_stripe);
+        let rewound = first_stripe < self.rewound_from;
         let stripe_count = placed.shape.stripes;
         self.next_stripe += stripe_count;
 
@@ -485,7 +554,7 @@ impl StripeManager {
         } else {
             let (mut io, _) = self.split_io();
             let mut written = 0;
-            let result = io.write_extent(&placed, payload, &mut written);
+            let result = io.write_extent(placed, payload, &mut written);
             latest = io.finish();
             if let Err(e) = result {
                 // Roll back the chunks written; the stripe being assembled
@@ -500,11 +569,11 @@ impl StripeManager {
         }
         self.completed("store", now, latest);
 
-        self.charge_usage(&placed);
+        self.charge_usage(placed);
         self.extents.insert(StripeId(first_stripe), extent);
         Ok(ObjectLayout {
             owner,
-            size,
+            size: extent.size,
             scheme: extent.scheme,
             first_stripe: StripeId(first_stripe),
             stripe_count: u32::try_from(stripe_count).expect("a stored object's stripes fit a u32"),
@@ -570,11 +639,16 @@ impl StripeManager {
     /// * [`StripeError::UnknownStripe`] — stale layout.
     /// * [`StripeError::Flash`] — unexpected device error.
     pub fn read_object(&mut self, layout: &ObjectLayout) -> Result<ReadOutcome, StripeError> {
-        let retries_before = self.transient_retries;
         let placed = self.placed(layout)?;
+        self.read_placed(&placed)
+    }
+
+    /// [`StripeManager::read_object`] of the extent `placed`.
+    fn read_placed(&mut self, placed: &PlacedExtent) -> Result<ReadOutcome, StripeError> {
+        let retries_before = self.transient_retries;
         let (mut io, _) = self.split_io();
         let now = io.now;
-        let result = io.read_extent(&placed);
+        let result = io.read_extent(placed);
         let latest = io.finish();
         let (mut bytes, degraded) = result?;
 
@@ -588,7 +662,7 @@ impl StripeManager {
             self.array.tracer().annotate("retry", completed_at);
         }
         if let Some(bytes) = &mut bytes {
-            bytes.truncate(layout.size.as_bytes() as usize);
+            bytes.truncate(placed.extent.size.as_bytes() as usize);
         }
         Ok(ReadOutcome {
             bytes,
@@ -785,19 +859,23 @@ impl StripeManager {
     /// Stale layouts (already removed) are a no-op.
     pub fn remove_object(&mut self, layout: &ObjectLayout) {
         if let Some(extent) = self.extents.remove(&layout.first_stripe) {
-            let placed = extent.placed(layout.first_stripe, self.chunk_size, self.placement);
-            let (first, full) = (layout.first_stripe.0, placed.full_stripes());
-            for (d, tail) in placed.tails() {
-                let device = self.array.device_mut(d);
-                if full > 0 {
-                    device.remove_run(ChunkHandle::new(first), full);
-                }
-                if tail.is_some() {
-                    device.remove_chunk(ChunkHandle::new(first + full));
-                }
-            }
-            self.release_usage(&placed);
+            self.free(&extent.placed(layout.first_stripe, self.chunk_size, self.placement));
         }
+    }
+
+    /// Frees every chunk of `placed`, and its bytes in the accounting.
+    fn free(&mut self, placed: &PlacedExtent) {
+        let (first, full) = (placed.first_stripe, placed.full_stripes());
+        for (d, tail) in placed.tails() {
+            let device = self.array.device_mut(d);
+            if full > 0 {
+                device.remove_run(ChunkHandle::new(first), full);
+            }
+            if tail.is_some() {
+                device.remove_chunk(ChunkHandle::new(first + full));
+            }
+        }
+        self.release_usage(placed);
     }
 
     pub(crate) fn charge_usage(&mut self, extent: &PlacedExtent) {

@@ -607,3 +607,64 @@ fn pristine_store_read_remove_keeps_its_timing() {
     assert_eq!(m.usage().total(), ByteSize::ZERO);
     assert_eq!(m.stripe_count(), 0);
 }
+
+/// A re-encode is decided by the room rule before anything is read or
+/// freed, counting as freed what removing the object frees — only the
+/// chunks the devices hold: one that went with a replaced device frees
+/// nothing. Refused, the re-encode leaves everything as it was; given the
+/// room, it lands.
+#[test]
+fn a_reencode_counts_as_freed_only_the_chunks_the_devices_hold() {
+    let mut m = StripeManager::new(test_array(5, 1), ByteSize::from_kib(4));
+    let size = ByteSize::from_kib(40);
+    let (one, two) = (RedundancyScheme::parity(1), RedundancyScheme::parity(2));
+    let old = m.store_object(1, size, one, None).unwrap();
+    // The object's 8 or 12 KiB on device 0 go with it; its spare has 8 KiB
+    // free, less than the 12 or 16 KiB two parity chunks a stripe put
+    // there, and no less once the object's share there were counted freed.
+    m.fail_device(DeviceId(0));
+    m.replace_device(DeviceId(0));
+    let filler = StoredChunk::synthetic(ByteSize::from_mib(1) - ByteSize::from_kib(8));
+    let spare = m.array.device_mut(DeviceId(0));
+    spare
+        .write_chunk(ChunkHandle::new(1 << 40), filler, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(m.object_status(&old).unwrap(), ObjectStatus::Degraded);
+    assert_eq!(m.room_for(size, two, Some(&old)), Room::Short);
+
+    let (first, now, usage) = (m.next_stripe, m.array.clock().now(), m.usage());
+    let before: Vec<_> = (0..5)
+        .map(|d| m.array.device(DeviceId(d)).clone())
+        .collect();
+    let refused = m.reencode_object(&old, two, 2).unwrap_err();
+    assert!(
+        matches!(
+            refused,
+            StripeError::Flash(FlashError::DeviceFull { device: DeviceId(0), available, .. })
+                if available == ByteSize::from_kib(8)
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(
+        (m.next_stripe, m.array.clock().now(), m.usage()),
+        (first, now, usage)
+    );
+    for (d, before) in before.iter().enumerate() {
+        let device = m.array.device(DeviceId(d));
+        assert_eq!(device.stats(), before.stats(), "ssd{d}");
+        assert_eq!(device.used(), before.used(), "ssd{d}");
+        assert_eq!(device.chunk_runs(), before.chunk_runs(), "ssd{d}");
+    }
+    assert_eq!(m.object_status(&old).unwrap(), ObjectStatus::Degraded);
+
+    m.array
+        .device_mut(DeviceId(0))
+        .remove_chunk(ChunkHandle::new(1 << 40));
+    let new = m.reencode_object(&old, two, 2).unwrap();
+    assert_eq!(new.stripes().next().map(StripeId::as_u64), Some(first));
+    assert_eq!(m.object_status(&new).unwrap(), ObjectStatus::Intact);
+    assert!(matches!(
+        m.object_status(&old),
+        Err(StripeError::UnknownStripe(_))
+    ));
+}

@@ -4,7 +4,7 @@
 # request:
 #
 #   scripts/check_allocs.sh write_heavy.out read_medium.out small_objects.out
-#   scripts/check_allocs.sh -l 0.56 cluster_repl2.out
+#   scripts/check_allocs.sh -l 0.38 cluster_repl2.out
 #   scripts/check_allocs.sh -b 143 small_objects.out
 #
 # Each argument is the stdout of one untraced run of the benchmark driver;
