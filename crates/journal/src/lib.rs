@@ -27,9 +27,11 @@
 //! journal.append(&JournalRecord::Create { key, class: ObjectClass::Dirty, meta: vec![1, 2] });
 //! journal.flush(); // the durability point: staged records reach the media
 //!
-//! let outcome = journal.replay()?;
-//! assert_eq!(outcome.records.len(), 1);
-//! assert!(!outcome.torn_tail);
+//! // A restart reads the media back (here over a copy of them).
+//! let mut restarted = journal.clone();
+//! let recovered = restarted.recover()?;
+//! assert_eq!(recovered.torn_bytes, 0);
+//! assert_eq!(recovered.records.count(), 1);
 //! # Ok::<(), reo_journal::JournalError>(())
 //! ```
 
@@ -286,8 +288,8 @@ impl JournalRecord {
 }
 
 /// A record decoded over the bytes it lies in ([`Journal::recover`]).
-/// Scanning the log this way copies nothing; [`Journal::replay`] takes the
-/// owned record of each.
+/// Scanning the log this way copies nothing; [`Decoded::into_record`]
+/// takes the owned record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decoded<'a> {
     /// A layout-carrying record's head, with its `meta` blob borrowed.
@@ -595,25 +597,6 @@ impl<'a> Iterator for LogRecords<'a> {
     }
 }
 
-/// Everything replay learned from the durable media.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplayOutcome {
-    /// The checkpoint image the live superblock points at (possibly empty
-    /// for a freshly formatted journal).
-    pub checkpoint: Vec<u8>,
-    /// Generation number of the superblock used.
-    pub generation: u64,
-    /// Sequence number of the first log record after the checkpoint.
-    pub base_seq: u64,
-    /// The intact record prefix of the log, in append order.
-    pub records: Vec<JournalRecord>,
-    /// `true` when trailing bytes after the intact prefix failed their
-    /// checksum or framing — a torn tail from a partial sector write.
-    pub torn_tail: bool,
-    /// Bytes of torn tail discarded (0 when `torn_tail` is false).
-    pub torn_bytes: usize,
-}
-
 /// What [`Journal::recover`] read off the media, borrowed from them.
 #[derive(Clone, Debug)]
 pub struct Recovered<'a> {
@@ -864,22 +847,6 @@ impl Journal {
         }
     }
 
-    /// Replays the durable media without modifying it.
-    pub fn replay(&self) -> Result<ReplayOutcome, JournalError> {
-        let (_, sb) = self.media.best_superblock()?;
-        let mut scan = self.media.records(sb.base_seq);
-        let records = scan.by_ref().map(Decoded::into_record).collect();
-        let torn_bytes = self.media.log.len() - scan.at;
-        Ok(ReplayOutcome {
-            checkpoint: self.media.checkpoints[sb.checkpoint_slot as usize % 2].clone(),
-            generation: sb.generation,
-            base_seq: sb.base_seq,
-            torn_tail: torn_bytes > 0,
-            torn_bytes,
-            records,
-        })
-    }
-
     /// The durable media (for inspection or extraction at crash time).
     pub fn media(&self) -> &JournalMedia {
         &self.media
@@ -913,6 +880,14 @@ mod tests {
 
     fn key(i: u64) -> ObjectKey {
         ObjectKey::user(PartitionId::FIRST, ObjectId::new(0x2_0000 + i))
+    }
+
+    /// The records a restart over `j`'s media reads back: those of a
+    /// recovered clone.
+    fn recovered_records(j: &Journal) -> Vec<JournalRecord> {
+        let mut restarted = j.clone();
+        let recovered = restarted.recover().unwrap();
+        recovered.records.map(Decoded::into_record).collect()
     }
 
     fn create(i: u64) -> JournalRecord {
@@ -959,13 +934,14 @@ mod tests {
             j.append(&create(i));
         }
         // Nothing flushed yet: replay sees an empty journal.
-        assert!(j.replay().unwrap().records.is_empty());
+        assert!(recovered_records(&j).is_empty());
         j.flush();
-        let out = j.replay().unwrap();
-        assert_eq!(out.records.len(), 5);
-        assert_eq!(out.base_seq, 0);
-        assert!(!out.torn_tail);
-        assert_eq!(out.records[3], create(3));
+        let mut restarted = j.clone();
+        let out = restarted.recover().unwrap();
+        assert_eq!(out.torn_bytes, 0);
+        let records: Vec<_> = out.records.map(Decoded::into_record).collect();
+        assert_eq!(records, (0..5).map(create).collect::<Vec<_>>());
+        assert_eq!(restarted.next_seq(), 5);
     }
 
     #[test]
@@ -976,7 +952,7 @@ mod tests {
         assert_eq!(j.staged_records(), 2);
         j.append(&create(2));
         assert_eq!(j.staged_records(), 0);
-        assert_eq!(j.replay().unwrap().records.len(), 3);
+        assert_eq!(recovered_records(&j).len(), 3);
         assert_eq!(j.stats().flushes, 1);
     }
 
@@ -989,9 +965,9 @@ mod tests {
         let crash = j.crash(0);
         assert_eq!(crash.staged_records_lost, 1);
         assert!(!crash.partial_tail);
-        let out = j.replay().unwrap();
-        assert_eq!(out.records.len(), 1);
-        assert!(!out.torn_tail);
+        let out = j.recover().unwrap();
+        assert_eq!(out.records.count(), 1);
+        assert_eq!(out.torn_bytes, 0);
     }
 
     #[test]
@@ -1008,10 +984,6 @@ mod tests {
         assert_eq!(crash.torn_bytes, 7);
         assert_eq!(crash.staged_records_lost, 1);
         assert!(crash.partial_tail);
-        let out = j.replay().unwrap();
-        assert_eq!(out.records.len(), 3);
-        assert!(out.torn_tail);
-        assert!(out.torn_bytes > 0);
 
         let mut recovered = j.clone();
         let replayed = recovered.recover().unwrap();
@@ -1019,9 +991,9 @@ mod tests {
         assert_eq!(replayed.records.count(), 3);
         // The torn tail is gone and sequencing resumes cleanly.
         assert_eq!(recovered.next_seq(), 3);
-        let clean = recovered.replay().unwrap();
-        assert_eq!(clean.records.len(), 3);
-        assert!(!clean.torn_tail);
+        let clean = recovered.recover().unwrap();
+        assert_eq!(clean.records.count(), 3);
+        assert_eq!(clean.torn_bytes, 0);
     }
 
     #[test]
@@ -1037,7 +1009,7 @@ mod tests {
         assert_eq!(crash.staged_records_lost, 0);
         assert_eq!(crash.torn_bytes, 0);
         assert!(!crash.partial_tail);
-        assert_eq!(j.replay().unwrap().records.len(), 4);
+        assert_eq!(recovered_records(&j).len(), 4);
     }
 
     /// What a crash reports, pinned at each place a tear can fall: on a
@@ -1091,10 +1063,10 @@ mod tests {
         for ((staged, tear), crashed, records, log_len) in cases {
             let mut j = journal(staged);
             assert_eq!(j.crash(tear), crashed, "tear {tear}");
-            let replay = j.replay().unwrap();
-            assert_eq!(replay.records.len(), records, "tear {tear}");
-            assert_eq!(replay.torn_bytes, crashed.torn_bytes, "tear {tear}");
             assert_eq!(j.media().log_len(), log_len, "tear {tear}");
+            let replay = j.recover().unwrap();
+            assert_eq!(replay.records.count(), records, "tear {tear}");
+            assert_eq!(replay.torn_bytes, crashed.torn_bytes, "tear {tear}");
         }
     }
 
@@ -1113,9 +1085,9 @@ mod tests {
         assert_eq!(crash.torn_bytes, 0);
         assert_eq!(crash.staged_records_lost, 1);
         assert!(!crash.partial_tail);
-        let out = j.replay().unwrap();
-        assert_eq!(out.records.len(), 1);
-        assert!(!out.torn_tail);
+        let out = j.recover().unwrap();
+        assert_eq!(out.records.count(), 1);
+        assert_eq!(out.torn_bytes, 0);
     }
 
     #[test]
@@ -1126,17 +1098,21 @@ mod tests {
         assert_eq!(j.media().log_len(), 0);
         j.append(&create(1));
         j.flush();
-        let out = j.replay().unwrap();
+        let mut restarted = j.clone();
+        let out = restarted.recover().unwrap();
         assert_eq!(out.checkpoint, b"state-v1");
         assert_eq!(out.generation, 1);
-        assert_eq!(out.base_seq, 1);
-        assert_eq!(out.records, vec![create(1)]);
+        let records: Vec<_> = out.records.map(Decoded::into_record).collect();
+        assert_eq!(records, vec![create(1)]);
+        // Numbering resumes after the one record past the checkpoint.
+        assert_eq!(restarted.next_seq(), 2);
 
         j.checkpoint(b"state-v2");
-        let out = j.replay().unwrap();
+        let out = j.recover().unwrap();
         assert_eq!(out.checkpoint, b"state-v2");
         assert_eq!(out.generation, 2);
-        assert_eq!(out.base_seq, 2);
+        assert_eq!(out.records.count(), 0);
+        assert_eq!(j.next_seq(), 2);
     }
 
     #[test]
@@ -1144,10 +1120,10 @@ mod tests {
         let mut j = Journal::format(100);
         j.checkpoint(b"gen1");
         j.checkpoint(b"gen2");
-        // Corrupt the live superblock; replay must fall back to gen1's.
+        // Corrupt the live superblock; recovery must fall back to gen1's.
         let live = j.active_superblock;
         j.media_mut().corrupt_superblock(live);
-        let out = j.replay().unwrap();
+        let out = j.recover().unwrap();
         assert_eq!(out.checkpoint, b"gen1");
         assert_eq!(out.generation, 1);
     }
@@ -1160,7 +1136,7 @@ mod tests {
         let (_, sb) = j.media().best_superblock().unwrap();
         j.media_mut()
             .corrupt_checkpoint(sb.checkpoint_slot as usize);
-        let out = j.replay().unwrap();
+        let out = j.recover().unwrap();
         assert_eq!(out.checkpoint, b"gen1");
     }
 
@@ -1170,7 +1146,9 @@ mod tests {
         j.checkpoint(b"gen1");
         j.media_mut().corrupt_superblock(0);
         j.media_mut().corrupt_superblock(1);
-        assert_eq!(j.replay(), Err(JournalError::NoValidSuperblock));
+        let untouched = j.media().clone();
+        assert!(matches!(j.recover(), Err(JournalError::NoValidSuperblock)));
+        assert_eq!(j.media(), &untouched, "a failed recovery leaves the media");
     }
 
     #[test]
@@ -1354,7 +1332,7 @@ mod tests {
         assert_eq!(owned.stats(), streamed.stats());
         // fsync_interval 3 over 7 appends: two automatic flushes + ours.
         assert_eq!(owned.stats().flushes, 3);
-        assert_eq!(owned.replay().unwrap().records, records);
+        assert_eq!(recovered_records(&owned), records);
 
         // A tear at every byte of the last record replays the prefix.
         let last = legacy_encode(6, &records[6]).len();

@@ -1,7 +1,9 @@
 //! Property tests: journal replay must be prefix-closed (any torn byte
 //! prefix of a valid journal replays to a record prefix) and idempotent
 //! (replaying a torn prefix and then re-replaying the full journal
-//! converges to the same final state as replaying the full journal alone).
+//! converges to the same final state as replaying the full journal alone),
+//! and recovery must be idempotent (recovering a recovered journal changes
+//! nothing).
 
 use std::collections::BTreeMap;
 
@@ -131,6 +133,16 @@ impl Model {
     }
 }
 
+/// What recovering a clone of `journal` reads: the bytes of torn tail cut
+/// off, the records, and where numbering resumes.
+fn recover_clone(journal: &Journal) -> (usize, Vec<JournalRecord>, u64) {
+    let mut restarted = journal.clone();
+    let out = restarted.recover().unwrap();
+    let torn = out.torn_bytes;
+    let records = out.records.map(Decoded::into_record).collect();
+    (torn, records, restarted.next_seq())
+}
+
 /// `journal` with its log torn down to its first `keep` bytes.
 fn torn_copy(journal: &Journal, keep: usize) -> Journal {
     let mut torn = journal.clone();
@@ -159,9 +171,9 @@ proptest! {
         }
         journal.flush();
 
-        let full = journal.replay().unwrap();
-        prop_assert!(!full.torn_tail);
-        prop_assert_eq!(&full.records, &records);
+        let (torn, full, _) = recover_clone(&journal);
+        prop_assert_eq!(torn, 0);
+        prop_assert_eq!(&full, &records);
 
         let keep = cut % (journal.media().log_len() + 1);
         let mut torn_journal = torn_copy(&journal, keep);
@@ -177,9 +189,9 @@ proptest! {
         prop_assert_eq!(torn_journal.media().log_len() + torn_bytes, keep);
 
         // The recovered journal replays clean.
-        let clean = torn_journal.replay().unwrap();
-        prop_assert!(!clean.torn_tail);
-        prop_assert_eq!(clean.records.len(), torn_records.len());
+        let (torn, clean, _) = recover_clone(&torn_journal);
+        prop_assert_eq!(torn, 0);
+        prop_assert_eq!(clean.len(), torn_records.len());
 
         // Idempotent convergence: prefix state + full replay == full replay.
         let full_state = Model::fold(&records);
@@ -190,16 +202,27 @@ proptest! {
         prop_assert_eq!(converged, full_state);
     }
 
-    /// Replaying the same media twice is idempotent — identical outcomes.
+    /// Recovery is idempotent: recovering a recovered journal, torn at
+    /// any byte or not, cuts nothing more, hands out the same records and
+    /// resumes numbering at the same sequence number.
     #[test]
-    fn replay_is_deterministic(ops in proptest::collection::vec(arb_op(), 1..20)) {
+    fn recovery_is_idempotent(
+        ops in proptest::collection::vec(arb_op(), 1..20),
+        cut in 0usize..2048,
+    ) {
         let mut journal = Journal::format(2);
         for op in &ops {
             journal.append(&record_of(op));
         }
         journal.flush();
-        let a = journal.replay().unwrap();
-        let b = journal.replay().unwrap();
-        prop_assert_eq!(a, b);
+        let keep = cut % (journal.media().log_len() + 1);
+        let mut once = torn_copy(&journal, keep);
+        let first: Vec<JournalRecord> =
+            once.recover().unwrap().records.map(Decoded::into_record).collect();
+        let next_seq = once.next_seq();
+        let (torn, again, resumed) = recover_clone(&once);
+        prop_assert_eq!(torn, 0);
+        prop_assert_eq!(again, first);
+        prop_assert_eq!(resumed, next_seq);
     }
 }

@@ -2057,14 +2057,14 @@ mod tests {
     fn journal_heads(t: &mut OsdTarget) -> Vec<(&'static str, ObjectKey, Option<ObjectClass>)> {
         let journal = t.journal.as_mut().unwrap();
         journal.flush();
-        let records = journal.replay().unwrap().records;
+        let mut restarted = journal.clone();
+        let records = restarted.recover().unwrap().records;
         records
-            .iter()
-            .map(|record| match record {
-                JournalRecord::Create { key, class, .. } => ("create", *key, Some(*class)),
-                JournalRecord::SetClass { key, class, .. } => ("set-class", *key, Some(*class)),
-                JournalRecord::DirtyWrite { key, .. } => ("dirty-write", *key, None),
-                JournalRecord::Remove { key } => ("remove", *key, None),
+            .map(|record| match record.into_record() {
+                JournalRecord::Create { key, class, .. } => ("create", key, Some(class)),
+                JournalRecord::SetClass { key, class, .. } => ("set-class", key, Some(class)),
+                JournalRecord::DirtyWrite { key, .. } => ("dirty-write", key, None),
+                JournalRecord::Remove { key } => ("remove", key, None),
                 JournalRecord::ScrubCursor { .. } => unreachable!("no scrub runs here"),
             })
             .collect()

@@ -200,13 +200,11 @@ impl StripeIo<'_> {
     }
 
     /// Writes the chunks of a fresh extent one by one in extent order,
-    /// encoding parity from `payload` when there is one. `written` counts
-    /// the chunks on flash, for the caller's rollback.
+    /// encoding parity from `payload` when there is one.
     pub(crate) fn write_extent(
         &mut self,
         extent: &PlacedExtent,
         payload: Option<&[u8]>,
-        written: &mut usize,
     ) -> Result<(), StripeError> {
         let image = |c: &StripeChunk, bytes: Option<&[u8]>| match bytes {
             Some(b) => StoredChunk::real(Bytes::copy_from_slice(&b[..c.len.as_bytes() as usize])),
@@ -218,7 +216,6 @@ impl StripeIo<'_> {
             let stripe_bytes = payload.map(|p| &p[at..]);
             for c in stripe.data() {
                 self.write_chunk(&c, image(&c, payload.map(|p| &p[at..])))?;
-                *written += 1;
                 at += c.len.as_bytes() as usize;
             }
             if let (Some(bytes), RedundancyScheme::Parity(1..=u8::MAX)) =
@@ -249,7 +246,6 @@ impl StripeIo<'_> {
                     None => image(&c, None),
                 };
                 self.write_chunk(&c, stored)?;
-                *written += 1;
             }
         }
         Ok(())

@@ -180,10 +180,6 @@ pub struct StripeManager {
     pub(crate) chunk_size: ByteSize,
     pub(crate) placement: PlacementPolicy,
     pub(crate) next_stripe: u64,
-    /// Where `next_stripe` stood when a crash last rewound it, at its
-    /// highest: chunks the crash orphaned may sit under handles below this
-    /// until the sweep, and none from here on.
-    pub(crate) rewound_from: u64,
     /// One extent per stored object, keyed by its first stripe.
     pub(crate) extents: FastMap<StripeId, Extent>,
     pub(crate) usage: SpaceUsage,
@@ -233,7 +229,6 @@ impl StripeManager {
             chunk_size,
             placement,
             next_stripe: 0,
-            rewound_from: 0,
             extents: FastMap::default(),
             usage: SpaceUsage::default(),
             transient_retries: 0,
@@ -453,12 +448,7 @@ impl StripeManager {
     ///   ([`StripeManager::room_for`]): the first such device's
     ///   [`FlashError::DeviceFull`], with its share and its free bytes.
     ///   Nothing is written or charged, and the next store starts at the
-    ///   same stripe. Under handles a crash took back (until the orphan
-    ///   sweep) chunks the crash orphaned may sit where the extent goes,
-    ///   and writing over one frees room no count of free bytes shows: there
-    ///   the store is written chunk by chunk, the chunk a device rejects is
-    ///   the error, what was written is taken back, and the stripes up to
-    ///   the one holding the rejected chunk stay consumed.
+    ///   same stripe.
     pub fn store_object(
         &mut self,
         owner: u64,
@@ -480,12 +470,10 @@ impl StripeManager {
         let placed = self
             .next_extent(size, scheme, payload.is_some())
             .ok_or(StripeError::NoHealthyDevices)?;
-        if self.next_stripe >= self.rewound_from {
-            if let Some(refused) = self.first_short(&placed, |_| ByteSize::ZERO) {
-                return Err(StripeError::Flash(refused));
-            }
+        if let Some(refused) = self.first_short(&placed, |_| ByteSize::ZERO) {
+            return Err(StripeError::Flash(refused));
         }
-        self.write_placed(owner, &placed, payload)
+        Ok(self.write_placed(owner, &placed, payload))
     }
 
     /// Re-encodes the object `layout` names under `scheme`, as `owner`'s,
@@ -518,32 +506,29 @@ impl StripeManager {
         placed.extent.real = bytes.is_some();
         self.extents.remove(&layout.first_stripe);
         self.free(&old);
-        // Every device of the extent is healthy and has room for its share.
-        let stored = self.write_placed(owner, &placed, bytes.as_deref());
-        Ok(stored.expect("the room rule admitted the store"))
+        Ok(self.write_placed(owner, &placed, bytes.as_deref()))
     }
 
-    /// Writes `placed` (from the next stripe on) as `owner`'s object.
+    /// Writes `placed` (from the next stripe on) as `owner`'s object. The
+    /// room rule has admitted it: every device of the extent is healthy
+    /// and has room for its share, so no write of it can be refused.
     fn write_placed(
         &mut self,
         owner: u64,
         placed: &PlacedExtent,
         payload: Option<&[u8]>,
-    ) -> Result<ObjectLayout, StripeError> {
+    ) -> ObjectLayout {
         let (extent, first_stripe) = (placed.extent, self.next_stripe);
-        let rewound = first_stripe < self.rewound_from;
         let stripe_count = placed.shape.stripes;
         self.next_stripe += stripe_count;
 
-        // A size-only extent that fits goes out as one run per device:
-        // none of those writes can be rejected, so the order between
-        // devices cannot show. A real extent is written chunk by chunk in
-        // extent order, parity encoded stripe by stripe, as is one under
-        // rewound handles, which stops at exactly the chunk that is
-        // rejected.
+        // A size-only extent goes out as one run per device: none of those
+        // writes can be refused, so the order between devices cannot show.
+        // A real extent is written chunk by chunk in extent order, parity
+        // encoded stripe by stripe.
         let now = self.array.clock().now();
         let mut latest = now;
-        if !extent.real && !rewound {
+        if !extent.real {
             let (full, chunk_size) = (placed.full_stripes(), self.chunk_size);
             for (d, tail) in placed.tails() {
                 let first = ChunkHandle::new(first_stripe);
@@ -553,31 +538,21 @@ impl StripeManager {
             }
         } else {
             let (mut io, _) = self.split_io();
-            let mut written = 0;
-            let result = io.write_extent(placed, payload, &mut written);
+            io.write_extent(placed, payload)
+                .expect("the room rule admitted the store");
             latest = io.finish();
-            if let Err(e) = result {
-                // Roll back the chunks written; the stripe being assembled
-                // stays consumed.
-                let chunks = placed.stripes().flat_map(|s| s.chunks());
-                for c in chunks.take(written) {
-                    self.array.device_mut(c.device).remove_chunk(c.handle);
-                }
-                self.next_stripe = first_stripe + (written / extent.width()) as u64 + 1;
-                return Err(e);
-            }
         }
         self.completed("store", now, latest);
 
         self.charge_usage(placed);
         self.extents.insert(StripeId(first_stripe), extent);
-        Ok(ObjectLayout {
+        ObjectLayout {
             owner,
             size: extent.size,
             scheme: extent.scheme,
             first_stripe: StripeId(first_stripe),
             stripe_count: u32::try_from(stripe_count).expect("a stored object's stripes fit a u32"),
-        })
+        }
     }
 
     /// Ends an operation started at `now` whose last chunk operation

@@ -110,11 +110,12 @@ impl StripeManager {
 
     /// Simulates the DRAM side of a power loss: every piece of in-memory
     /// stripe metadata (extents, byte accounting, the allocator cursor)
-    /// vanishes. The flash array — the durable medium — is untouched.
+    /// vanishes. The flash array — the durable medium — is untouched: the
+    /// chunks the crash orphans count as used, by the room rule too, until
+    /// [`StripeManager::remove_unreferenced_chunks`] collects them.
     pub fn simulate_crash(&mut self) {
         self.extents.clear();
         self.usage = SpaceUsage::default();
-        self.rewound_from = self.rewound_from.max(self.next_stripe);
         self.next_stripe = 0;
     }
 
@@ -180,8 +181,6 @@ impl StripeManager {
         // with a cursor into the references, freeing what lies between.
         let mut refs = refs.0.iter().peekable();
         let mut removed = 0;
-        // What is left is referenced, so under handles already handed out.
-        self.rewound_from = 0;
         for id in (0..self.array.device_count()).map(DeviceId) {
             let device = self.array.device_mut(id);
             for (first, count) in device.chunk_runs() {

@@ -4,7 +4,6 @@ use reo_flashsim::{ChunkHandle, DeviceId, FlashError, StoredChunk};
 use reo_sim::{ByteSize, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
-use crate::extent::Extent;
 use crate::{
     ObjectLayout, ObjectStatus, RedundancyScheme, Room, SpaceUsage, StripeError, StripeId,
     StripeManager,
@@ -328,11 +327,11 @@ fn a_store_that_cannot_fit_leaves_the_pinned_state() {
     }
 
     // After a crash the handles start over, under chunks the crash
-    // orphaned: writing over those frees their room, so the same object
-    // fits again where the free bytes say nothing does, and is written
-    // chunk by chunk.
+    // orphaned. Those hold their bytes until the sweep, so the same object
+    // is refused on device 2, the one device it filled, before anything is
+    // written, and fits once the sweep has collected them.
     let size = ByteSize::from_kib(160);
-    let mut m = nearly_full([kib(64), kib(64), kib(40), kib(64), kib(64)]);
+    let mut m = nearly_full([kib(80), kib(80), kib(40), kib(80), kib(80)]);
     let layout = m.store_object(1, size, parity, None).unwrap();
     assert_eq!(m.array.device(DeviceId(2)).available(), ByteSize::ZERO);
     assert_eq!(m.room_for(size, parity, None), Room::Short);
@@ -340,108 +339,59 @@ fn a_store_that_cannot_fit_leaves_the_pinned_state() {
     // so each device's share is the same wherever the rotation starts.
     assert_eq!(m.room_for(size, parity, Some(&layout)), Room::Fits);
     m.simulate_crash();
+    let (now, before) = (m.array.clock().now(), m.array.clone());
+    assert_eq!(m.room_for(size, parity, None), Room::Short);
+    let refused = FlashError::DeviceFull {
+        device: DeviceId(2),
+        requested: ByteSize::from_kib(40),
+        available: ByteSize::ZERO,
+    };
+    assert_eq!(
+        m.store_object(1, size, parity, None).unwrap_err(),
+        StripeError::Flash(refused)
+    );
+    assert_eq!(m.next_stripe, 0, "a refused store consumes no stripe");
+    assert_eq!(m.array.clock().now(), now, "and takes no time");
+    assert_eq!(m.usage(), SpaceUsage::default());
+    for d in (0..5).map(DeviceId) {
+        let (device, before) = (m.array.device(d), before.device(d));
+        assert_eq!(device.stats(), before.stats(), "{d:?}");
+        assert_eq!(device.used(), before.used(), "{d:?}");
+        assert_eq!(device.chunk_runs(), before.chunk_runs(), "{d:?}");
+    }
+    // The sweep collects the object's fifty chunks and the five fillers,
+    // which no extent names either.
+    let refs = m.chunk_refs();
+    assert_eq!(m.remove_unreferenced_chunks(&refs), 55);
+    assert_eq!(m.room_for(size, parity, None), Room::Fits);
     let again = m.store_object(1, size, parity, None).unwrap();
     assert_eq!(again.stripes().next().map(StripeId::as_u64), Some(0));
-    // Once the sweep has run nothing is orphaned, and the rule applies
-    // again.
-    let refs = m.chunk_refs();
-    m.remove_unreferenced_chunks(&refs);
-    assert_eq!(m.rewound_from, 0);
-    assert_eq!(m.room_for(size, parity, Some(&again)), Room::Fits);
-}
-
-/// What storing `size` size-only bytes under `scheme` from stripe `first`
-/// does to the devices chunk by chunk: every chunk written in extent order
-/// at the clock until one is rejected, and then each removed again.
-fn store_chunk_by_chunk(
-    m: &mut StripeManager,
-    first: u64,
-    size: ByteSize,
-    scheme: RedundancyScheme,
-) -> Result<(), (FlashError, u64)> {
-    let extent = Extent {
-        size,
-        healthy: 0b11111,
-        scheme,
-        real: false,
-    };
-    let placed = extent.placed(StripeId(first), m.chunk_size, m.placement);
-    let now = m.array.clock().now();
-    let chunks = || placed.stripes().flat_map(|s| s.chunks());
-    for (written, c) in chunks().enumerate() {
-        let stored = StoredChunk::synthetic(c.len);
-        if let Err(e) = m
-            .array
-            .device_mut(c.device)
-            .write_chunk(c.handle, stored, now)
-        {
-            for c in chunks().take(written) {
-                m.array.device_mut(c.device).remove_chunk(c.handle);
-            }
-            return Err((e, written as u64 / 5));
-        }
-    }
-    Ok(())
 }
 
 #[test]
-fn a_store_that_does_not_fit_charges_and_frees_what_chunk_by_chunk_did() {
-    // Under handles a crash took back, a store may write over chunks the
-    // crash orphaned and so find room no count of free bytes shows: it is
-    // written chunk by chunk, and when a device rejects a chunk what was
-    // written is taken back. Device 2 holds the first object's ten chunks
-    // and nothing more; after the crash a larger object goes over them and
-    // is rejected in the first stripe past them, on a whole chunk, on a
-    // short last stripe's chunk and, with 99 bytes left, on its 100-byte
-    // tail.
-    let kib = |n: u64| n * 1024;
+fn a_store_that_fits_after_a_crash_writes_over_the_orphans() {
+    // Every device has room for the object twice. After the crash the same
+    // object is stored again from stripe 0, over the first one's chunks:
+    // each write gives the orphan's bytes back first, so every device ends
+    // up holding exactly what it held before the store.
     let parity = RedundancyScheme::parity(1);
-    let lacking = |requested, available| FlashError::DeviceFull {
-        device: DeviceId(2),
-        requested: ByteSize::from_bytes(requested),
-        available: ByteSize::from_bytes(available),
-    };
-    let cases = [
-        (kib(40), kib(200), lacking(4096, 0)),
-        (kib(40), kib(168), lacking(4096, 0)),
-        (kib(40) + 99, kib(164) + 100, lacking(100, 99)),
-    ];
-    for (free, size, error) in cases {
-        let size = ByteSize::from_bytes(size);
-        let mut m = nearly_full([kib(64), kib(64), free, kib(64), kib(64)]);
-        m.array.device_mut(DeviceId(3)).set_slowdown(1.5);
-        m.store_object(1, ByteSize::from_kib(160), parity, None)
-            .unwrap();
+    let size = ByteSize::from_kib(160);
+    for real in [false, true] {
+        let mut m = nearly_full([80 * 1024; 5]);
+        let bytes = real.then(|| payload(size.as_bytes() as usize));
+        m.store_object(1, size, parity, None).unwrap();
         m.simulate_crash();
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
-        m.set_tracer(tracer.clone());
-        let mut twin = m.clone();
-        let (now, stored) = (m.array.clock().now(), tracer.breakdown());
-
-        let rejected = m.store_object(2, size, parity, None).unwrap_err();
-        assert_eq!(rejected, StripeError::Flash(error.clone()), "{size}");
-        assert_eq!(
-            store_chunk_by_chunk(&mut twin, 0, size, parity),
-            Err((error, 10)),
-            "{size}"
-        );
-        assert_eq!(m.next_stripe, 11, "{size} consumes the rejected stripe");
-        assert_eq!(m.array.clock().now(), now, "a rejected store takes no time");
-        assert_eq!(tracer.breakdown(), stored, "and leaves no span");
-        assert_eq!(m.usage(), SpaceUsage::default(), "{size}");
-        for d in (0..5).map(DeviceId) {
-            let (device, twin) = (m.array.device(d), twin.array.device(d));
-            assert_eq!(device.stats(), twin.stats(), "{d:?} of {size}");
-            assert_eq!(device.busy_until(), twin.busy_until(), "{d:?} of {size}");
-            assert_eq!(device.used(), twin.used(), "{d:?} of {size}");
-            assert_eq!(device.chunk_runs(), twin.chunk_runs(), "{d:?} of {size}");
-            assert_eq!(
-                device.chunk_handles(),
-                twin.chunk_handles(),
-                "{d:?} of {size}"
-            );
-        }
+        let before: Vec<_> = (0..5).map(|d| m.array.device(DeviceId(d)).used()).collect();
+        assert_eq!(m.room_for(size, parity, None), Room::Fits);
+        let again = m.store_object(2, size, parity, bytes.as_deref()).unwrap();
+        assert_eq!(again.stripes().next().map(StripeId::as_u64), Some(0));
+        let after: Vec<_> = (0..5).map(|d| m.array.device(DeviceId(d)).used()).collect();
+        assert_eq!(after, before, "real {real}");
+        let read = m.read_object(&again).unwrap();
+        assert_eq!(read.bytes, bytes, "real {real}");
+        // Nothing is orphaned any more but the fillers.
+        let refs = m.chunk_refs();
+        assert_eq!(m.remove_unreferenced_chunks(&refs), 5, "real {real}");
     }
 }
 

@@ -213,9 +213,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
 /// reference walks the object's chunks.
 #[derive(Clone, Copy)]
 enum ClosedForm {
-    /// A store, under handles no crash took back, that some device has no
-    /// room for: refused before anything is written, where the reference
-    /// writes chunk by chunk up to the one refused and takes them back.
+    /// A store some device has no room for: refused before anything is
+    /// written, where the reference writes chunk by chunk up to the one
+    /// refused and takes them back.
     RefusedUnwritten,
     /// A size-only overwrite of three or more whole chunks of a replicated
     /// object on devices whose chunks are all intact.
@@ -242,11 +242,8 @@ struct Twins {
     /// Owners of the objects stored with a real payload.
     real: BTreeSet<u64>,
     placement: PlacementPolicy,
-    /// The stripe the next store starts at, and the highest one a crash
-    /// rewound it from: a store below that may write over chunks the crash
-    /// orphaned, and goes chunk by chunk.
+    /// The stripe the next store starts at.
     next_stripe: u64,
-    rewound_from: u64,
 }
 
 /// `width` small devices (so stores meet `DeviceFull`).
@@ -281,7 +278,6 @@ impl Twins {
             real: BTreeSet::new(),
             placement,
             next_stripe: 0,
-            rewound_from: 0,
         }
     }
 
@@ -347,10 +343,6 @@ impl Twins {
                     (0..size).map(byte).collect()
                 });
                 let (size, scheme) = (ByteSize::from_bytes(size), scheme_of(scheme));
-                let (width, writes) = (
-                    self.new.array().healthy().count(),
-                    self.new.array().stats().writes,
-                );
                 let n = self
                     .new
                     .store_object(self.owner, size, scheme, payload.as_deref());
@@ -367,19 +359,10 @@ impl Twins {
                     // which writes chunk by chunk, refuses it too, and is
                     // not sent it, so the state after the step is the state
                     // before it on both sides.
-                    Err(StripeError::Flash(FlashError::DeviceFull { .. }))
-                        if first >= self.rewound_from =>
-                    {
+                    Err(StripeError::Flash(FlashError::DeviceFull { .. })) => {
                         self.met(ClosedForm::RefusedUnwritten);
                         prop_assert!(store(&mut self.old.clone()).is_err());
                         return self.assert_same_state();
-                    }
-                    // Under rewound handles the stripes before the one
-                    // holding the rejected chunk were written whole, and
-                    // stay consumed with it.
-                    Err(StripeError::Flash(FlashError::DeviceFull { .. })) => {
-                        let whole = (self.new.array().stats().writes - writes) / width as u64;
-                        self.next_stripe = first + whole + 1;
                     }
                     Err(_) => {}
                 }
@@ -530,11 +513,12 @@ impl Twins {
                     .slow_device(&mut self.old_plan, DeviceId(device), factor);
             }
             Step::CrashAndReplay => {
-                // Journal every live object, lose the DRAM side, replay.
-                // Each side installs its own export: the extent side
-                // records how an object was placed, the reference where
-                // every chunk went, and both must come back naming the
-                // same chunks.
+                // Journal every live object, lose the DRAM side, replay and
+                // sweep the orphans, as a target's restore does. Each side
+                // installs its own export: the extent side records how an
+                // object was placed, the reference where every chunk went,
+                // and both must come back naming the same chunks, and
+                // collect the same orphans.
                 let blobs: Vec<(Vec<u8>, Vec<u8>)> = self
                     .live
                     .iter()
@@ -545,7 +529,6 @@ impl Twins {
                     .collect();
                 self.new.simulate_crash();
                 self.old.simulate_crash();
-                self.rewound_from = self.rewound_from.max(self.next_stripe);
                 self.next_stripe = 0;
                 for ((was, _), (n, o)) in std::mem::take(&mut self.live).iter().zip(blobs) {
                     let n = self.new.install_object_meta(&n).expect("own export");
@@ -559,6 +542,11 @@ impl Twins {
                     self.next_stripe = self.next_stripe.max(end);
                     self.live.push((n, o));
                 }
+                let refs = self.new.chunk_refs();
+                prop_assert_eq!(
+                    self.new.remove_unreferenced_chunks(&refs),
+                    self.old.remove_unreferenced_chunks()
+                );
             }
         }
         self.assert_same_state()
@@ -573,9 +561,10 @@ impl Twins {
 /// manager and the per-chunk reference in the same simulation after every
 /// step: every completion instant, error and byte read, every device's
 /// counters, horizon and chunks, the byte accounting, the retry count and
-/// the chunks the stripe metadata references. And the run reaches what it
-/// guards: each closed form's precondition was met under both placement
-/// policies and with a slowed device.
+/// the chunks the stripe metadata references and the orphans a crash's
+/// sweep collects. And the run reaches what it guards: each closed form's
+/// precondition was met under both placement policies and with a slowed
+/// device.
 #[test]
 fn extent_runs_match_the_per_chunk_reference() {
     proptest! {

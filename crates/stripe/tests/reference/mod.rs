@@ -1,16 +1,17 @@
 //! The per-chunk stripe manager this crate shipped before objects became
 //! extents and device I/O became runs: one map entry and one `Vec` per
 //! stripe, one device call and one map probe per chunk. Its loops are kept
-//! verbatim (public rustdoc, the crash-recovery garbage collection and the
-//! accessors the test does not call dropped) as the reference
-//! `prop_stripe.rs` holds the extent path to: same clock, same device
-//! counters, same chunks referenced, same errors. Its layout blob is the
+//! verbatim (public rustdoc and the accessors the test does not call
+//! dropped, the crash-recovery garbage collection put back as a plain walk
+//! of the held handles) as the reference `prop_stripe.rs` holds the extent
+//! path to: same clock, same device counters, same chunks referenced, same
+//! orphans collected, same errors. Its layout blob is the
 //! per-chunk one (a row per chunk) the extent path no longer writes. It
 //! writes and frees chunk by chunk, so its devices never form a run: what
 //! the comparison holds the devices' run tables to is their per-chunk
 //! tables.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -959,6 +960,22 @@ impl StripeManager {
         self.stripes.clear();
         self.usage = SpaceUsage::default();
         self.next_stripe = 0;
+    }
+
+    /// Removes, chunk by chunk, every chunk the devices hold that no stripe
+    /// names: what a crash orphaned. Returns how many.
+    pub fn remove_unreferenced_chunks(&mut self) -> usize {
+        let referenced: HashSet<_> = self.referenced_chunks().into_iter().collect();
+        let mut removed = 0;
+        for d in (0..self.array.device_count()).map(DeviceId) {
+            for handle in self.array.device(d).chunk_handles() {
+                if !referenced.contains(&(d, handle)) {
+                    self.array.device_mut(d).remove_chunk(handle);
+                    removed += 1;
+                }
+            }
+        }
+        removed
     }
 }
 
