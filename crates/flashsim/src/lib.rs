@@ -50,5 +50,7 @@ mod fault;
 
 pub use array::{ArrayStats, DeviceReport, FlashArray};
 pub use chunk::{ChunkHandle, ChunkPayload, StoredChunk};
-pub use device::{DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError};
+pub use device::{
+    DeviceConfig, DeviceId, DeviceState, DeviceStats, FlashDevice, FlashError, ShareStatus,
+};
 pub use fault::FaultPlan;

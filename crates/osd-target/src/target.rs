@@ -2602,4 +2602,84 @@ mod tests {
         ));
         assert!(t.simulate_crash(0).is_none());
     }
+
+    /// A spare insertion queues what walking every stripe of every object
+    /// finds. On a journaled target, objects of every class and of one
+    /// chunk, one stripe and many stripes (a partial last one) are stored
+    /// over five devices, device 0 fails, the same again is stored over the
+    /// four left, and chunks of two many-stripe objects are corrupted, so
+    /// that a device's share of each no longer answers as a whole: one
+    /// object stays degraded, the other loses a stripe. When the spare goes
+    /// in, the lost objects, the rebuild queue in the order it pops and per
+    /// class, every object's status and the target's counters are those
+    /// recorded when every object's health was probed chunk by chunk.
+    #[test]
+    fn a_spare_insertion_queues_what_the_walk_finds() {
+        let mut t = journaled_target();
+        let sizes = [4, 10, 40, 100].map(ByteSize::from_kib);
+        let mut created = 0;
+        let mut store_each_class = |t: &mut OsdTarget| {
+            for class in ObjectClass::ALL {
+                for size in sizes {
+                    created += 1;
+                    t.create_object(k(created), size, class, None).unwrap();
+                }
+            }
+        };
+        store_each_class(&mut t);
+        t.fail_device(DeviceId(0));
+        store_each_class(&mut t);
+        // The hot objects of the five-device array, in their second
+        // stripe on devices that did not fail: one chunk of the 100 KiB
+        // one, which that stripe survives, and two of the 40 KiB one,
+        // which it does not.
+        t.corrupt_chunk(k(12), 5).unwrap();
+        t.corrupt_chunk(k(11), 3).unwrap();
+        t.corrupt_chunk(k(11), 4).unwrap();
+        let lost = t.insert_spare(DeviceId(0));
+
+        // That one and the cold objects of the five devices but the one
+        // chunk that missed device 0; every object stored over the four is
+        // intact.
+        assert_eq!(lost, [k(11), k(14), k(15), k(16)]);
+        let reserved = t
+            .keys()
+            .into_iter()
+            .filter(|key| key.oid().as_u64() < 0x20000);
+        let reserved: Vec<ObjectKey> = reserved.collect();
+        assert_eq!(reserved.len(), 5);
+        let mut expected: Vec<(ObjectKey, ObjectClass)> = reserved
+            .into_iter()
+            .map(|key| (key, ObjectClass::Metadata))
+            .collect();
+        let classes = [
+            ObjectClass::Metadata,
+            ObjectClass::Dirty,
+            ObjectClass::HotClean,
+        ];
+        for (nth, class) in classes.into_iter().enumerate() {
+            let keys = (1..=4).map(|i| k(4 * nth as u64 + i));
+            expected.extend(keys.filter(|&key| key != k(11)).map(|key| (key, class)));
+        }
+        let mut queue = t.recovery_engine().clone();
+        let queued = std::iter::from_fn(|| queue.pop()).map(|item| (item.key, item.class));
+        assert_eq!(queued.collect::<Vec<_>>(), expected);
+        let per_class = ObjectClass::ALL.map(|c| t.recovery_engine().pending_of(c));
+        assert_eq!(per_class, [9, 4, 3, 0]);
+        for i in 1..=created {
+            let status = match i {
+                11 | 14..=16 => ObjectStatus::Lost,
+                1..=12 => ObjectStatus::Degraded,
+                _ => ObjectStatus::Intact,
+            };
+            assert_eq!(t.object_status(k(i)).unwrap(), status, "object {i}");
+        }
+        assert_eq!(
+            t.stats(),
+            TargetStats {
+                creates: 37,
+                ..TargetStats::default()
+            }
+        );
+    }
 }

@@ -306,6 +306,30 @@ impl PlacedExtent {
         (counts, (DeviceId(self.devices[last] as usize), last_len))
     }
 
+    /// Chunks a whole stripe of the extent can lose and still be read.
+    pub(crate) fn tolerated(&self) -> usize {
+        self.extent.scheme.failures_tolerated(self.extent.width())
+    }
+
+    /// The chunk reads of the extent's whole stripes when the devices of
+    /// the ranks in `lost` hold nothing of them readable, as arithmetic on
+    /// the rotation ([`StripeLayout::whole_stripe_reads`]): `read(device,
+    /// count)` for each of the extent's devices in rank order.
+    pub(crate) fn whole_stripe_reads(&self, lost: u64, mut read: impl FnMut(DeviceId, u64)) {
+        let width = self.extent.width();
+        let first = StripeLayout::with_placement(
+            self.first_stripe,
+            self.extent.scheme,
+            width,
+            self.placement,
+        );
+        let mut reads = [0; u64::BITS as usize];
+        first.whole_stripe_reads(self.full_stripes(), lost, &mut reads[..width]);
+        for (device, &count) in self.devices().zip(&reads) {
+            read(device, count);
+        }
+    }
+
     /// The stripe holding the object's `chunk_index`-th data chunk, and
     /// the chunk's index within it.
     ///

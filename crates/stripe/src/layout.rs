@@ -194,6 +194,49 @@ impl StripeLayout {
         (by_rank, following)
     }
 
+    /// The chunk reads of `stripes` whole stripes from this one when the
+    /// ranks in `lost` (bit `r` for rank `r`, at most the redundancy slots
+    /// of them) hold nothing readable, added to `reads[rank]`: the pattern
+    /// of each of the (at most `devices`) rotations the stripes take, times
+    /// the stripes of that rotation.
+    ///
+    /// A whole stripe has a chunk on every rank: its data chunks from its
+    /// first data rank on, then its parity chunks in codec order (or its
+    /// other replicas) on the ranks that follow, round the array. Each
+    /// read takes the first `data_slots` survivors in that order: the data
+    /// chunks of an intact stripe, the shards a degraded one is
+    /// reconstructed from, the first surviving replica. Round-robin the
+    /// `i`-th stripe on starts `i` ranks further on, and the rotations
+    /// repeat every `devices` stripes; under the fixed policy every stripe
+    /// starts where this one does.
+    pub(crate) fn whole_stripe_reads(&self, stripes: u64, lost: u64, reads: &mut [u64]) {
+        let (n, m) = (self.devices as u64, self.data_slots());
+        debug_assert!(lost.count_ones() as usize <= self.devices - m);
+        let round_robin = self.placement == PlacementPolicy::RoundRobin;
+        let rotations = if round_robin {
+            stripes.min(n)
+        } else {
+            stripes.min(1)
+        };
+        let first = self.first_ranks().0;
+        for i in 0..rotations {
+            let count = if round_robin {
+                stripes / n + u64::from(i < stripes % n)
+            } else {
+                stripes
+            };
+            let mut rank = self.wrapped(first + i as usize);
+            let mut to_read = m;
+            while to_read > 0 {
+                if lost >> rank & 1 == 0 {
+                    reads[rank] += count;
+                    to_read -= 1;
+                }
+                rank = self.wrapped(rank + 1);
+            }
+        }
+    }
+
     /// The scheme this layout was built with.
     pub fn scheme(&self) -> RedundancyScheme {
         self.scheme
@@ -411,6 +454,60 @@ mod tests {
                                 assert_eq!(following, next.data_device(then).0, "{case}");
                                 let total = stripes * m as u64 + then as u64;
                                 assert_eq!(counted.iter().sum::<u64>(), total, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whole stripes from every residue, with every set of lost ranks a
+    /// stripe survives: what `whole_stripe_reads` counts on each rank is
+    /// what reading the first surviving chunks of each stripe, data then
+    /// parity in codec order (or replicas), finds.
+    #[test]
+    fn whole_stripe_reads_are_the_first_survivors_of_each_stripe() {
+        let schemes = [
+            RedundancyScheme::parity(0),
+            RedundancyScheme::parity(1),
+            RedundancyScheme::parity(2),
+            RedundancyScheme::parity(3),
+            RedundancyScheme::Replication,
+        ];
+        for width in 1..=8usize {
+            for scheme in schemes {
+                if matches!(scheme, RedundancyScheme::Parity(k) if k as usize >= width) {
+                    continue;
+                }
+                let n = width as u64;
+                let tolerated = scheme.failures_tolerated(width) as u32;
+                let masks = (0..1u64 << width).filter(|l| l.count_ones() <= tolerated);
+                for lost in masks {
+                    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
+                        for first in (0..n).chain([1_000_003]) {
+                            let l = StripeLayout::with_placement(first, scheme, width, placement);
+                            for stripes in [0, 1, n - 1, n, n + 1, 2 * n + 3] {
+                                let mut walked = vec![0u64; width];
+                                for s in first..first + stripes {
+                                    let s =
+                                        StripeLayout::with_placement(s, scheme, width, placement);
+                                    let data = (0..s.data_slots()).map(|j| s.data_device(j));
+                                    let redundancy =
+                                        (0..s.redundancy_slots()).map(|p| s.parity_device(p));
+                                    let survivors =
+                                        data.chain(redundancy).filter(|d| lost >> d.0 & 1 == 0);
+                                    for d in survivors.take(s.data_slots()) {
+                                        walked[d.0] += 1;
+                                    }
+                                }
+                                let mut counted = vec![0u64; width];
+                                l.whole_stripe_reads(stripes, lost, &mut counted);
+                                assert_eq!(
+                                    counted, walked,
+                                    "{scheme} {placement:?} on {width} from {first}, \
+                                     {stripes} stripes, lost {lost:b}"
+                                );
                             }
                         }
                     }

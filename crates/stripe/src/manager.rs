@@ -10,7 +10,9 @@ use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, FlashArray, FlashError};
 use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 
 use crate::extent::{Extent, ExtentShape, ObjectLayout, PlacedExtent, StripeId};
-use crate::io::{stripe_health_on, CodecCache, ReadRun, StripeHealth, StripeIo, StripeScratch};
+use crate::io::{
+    lost_shares_on, stripe_health_on, CodecCache, ReadRun, StripeHealth, StripeIo, StripeScratch,
+};
 use crate::layout::PlacementPolicy;
 use crate::rebuild::{Rebuild, WriteRun};
 use crate::scheme::RedundancyScheme;
@@ -582,15 +584,27 @@ impl StripeManager {
     }
 
     /// The object's health, computed from chunk intactness. Free — no
-    /// service time is charged (a metadata scan).
+    /// service time is charged (a metadata scan). Its whole stripes are
+    /// judged by each device's share of them when every share answers as a
+    /// whole, and only the last stripe is probed chunk by chunk; otherwise
+    /// every stripe is.
     ///
     /// # Errors
     ///
     /// [`StripeError::UnknownStripe`] if the layout references a removed
     /// stripe.
     pub fn object_status(&self, layout: &ObjectLayout) -> Result<ObjectStatus, StripeError> {
-        let mut degraded = false;
-        for stripe in self.placed(layout)?.stripes() {
+        let placed = self.placed(layout)?;
+        // Each whole stripe has a chunk on every device of the extent, so
+        // it loses exactly the lost shares.
+        let (from, mut degraded) = match lost_shares_on(&self.array, &placed) {
+            Some(lost) if lost.count_ones() as usize > placed.tolerated() => {
+                return Ok(ObjectStatus::Lost)
+            }
+            Some(lost) => (placed.full_stripes(), lost != 0),
+            None => (0, false),
+        };
+        for stripe in placed.stripes_from(from) {
             match stripe_health_on(&self.array, &stripe) {
                 StripeHealth::Intact => {}
                 StripeHealth::Degraded(_) => degraded = true,

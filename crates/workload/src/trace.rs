@@ -1,7 +1,7 @@
 //! Generated traces: object tables and request streams.
 
 use reo_osd::{ObjectId, ObjectKey, PartitionId};
-use reo_sim::ByteSize;
+use reo_sim::{ByteSize, FastMap};
 use serde::{Deserialize, Serialize};
 
 /// First OID used for workload objects (clear of all reserved IDs).
@@ -83,8 +83,7 @@ impl Trace {
     /// Panics if any request addresses a key absent from `objects` or
     /// disagrees with its size.
     pub fn new(objects: Vec<WorkloadObject>, requests: Vec<Request>) -> Self {
-        let sizes: std::collections::HashMap<ObjectKey, ByteSize> =
-            objects.iter().map(|o| (o.key, o.size)).collect();
+        let sizes: FastMap<ObjectKey, ByteSize> = objects.iter().map(|o| (o.key, o.size)).collect();
         for r in &requests {
             match sizes.get(&r.key) {
                 Some(&s) => assert_eq!(s, r.size, "request size disagrees for {}", r.key),
