@@ -3,7 +3,7 @@
 use reo_backend::BackendConfig;
 use reo_flashsim::DeviceConfig;
 use reo_osd_target::ProtectionPolicy;
-use reo_sim::{ByteSize, ServiceModel, SimDuration};
+use reo_sim::ByteSize;
 use reo_stripe::RedundancyScheme;
 
 /// One of the six protection configurations the paper evaluates.
@@ -167,10 +167,7 @@ impl SystemConfig {
             chunk_size: ByteSize::from_kib(64),
             device: DeviceConfig {
                 capacity: per_device,
-                read: ServiceModel::new(SimDuration::from_micros(90), 520 * 1024 * 1024),
-                write: ServiceModel::new(SimDuration::from_micros(220), 470 * 1024 * 1024),
-                erase_block: ByteSize::from_mib(2),
-                pe_cycle_limit: 3000,
+                ..DeviceConfig::intel_540s()
             },
             backend: BackendConfig::paper_testbed(),
             classification_period: 500,
@@ -240,6 +237,12 @@ mod tests {
             cfg.device.capacity.as_bytes() * 5,
             ByteSize::from_gib(2).as_bytes() / 5 * 5
         );
+        // The SSD is the calibrated one in everything but its size.
+        let intel_540s = DeviceConfig {
+            capacity: cfg.device.capacity,
+            ..DeviceConfig::intel_540s()
+        };
+        assert_eq!(cfg.device, intel_540s);
         assert_eq!(cfg.chunk_size, ByteSize::from_kib(64));
         let big_chunks = cfg.with_chunk_size(ByteSize::from_mib(1));
         assert_eq!(big_chunks.chunk_size, ByteSize::from_mib(1));

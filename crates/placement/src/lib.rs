@@ -91,7 +91,6 @@ struct RingPoint {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlacementRing {
     seed: u64,
-    vnodes: usize,
     points: Vec<RingPoint>,
     epoch: u64,
 }
@@ -99,20 +98,8 @@ pub struct PlacementRing {
 impl PlacementRing {
     /// An empty ring with [`DEFAULT_VNODES`] virtual nodes per target.
     pub fn new(seed: u64) -> Self {
-        PlacementRing::with_vnodes(seed, DEFAULT_VNODES)
-    }
-
-    /// An empty ring with an explicit vnode count (tests use small
-    /// counts to provoke imbalance, experiments can raise it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vnodes` is zero.
-    pub fn with_vnodes(seed: u64, vnodes: usize) -> Self {
-        assert!(vnodes > 0, "a target needs at least one virtual node");
         PlacementRing {
             seed,
-            vnodes,
             points: Vec::new(),
             epoch: 0,
         }
@@ -132,7 +119,7 @@ impl PlacementRing {
 
     /// Number of member targets.
     pub fn len(&self) -> usize {
-        self.points.len() / self.vnodes
+        self.points.len() / DEFAULT_VNODES
     }
 
     /// `true` when no target is a member.
@@ -163,7 +150,7 @@ impl PlacementRing {
         if self.contains(target) {
             return false;
         }
-        for vnode in 0..self.vnodes as u32 {
+        for vnode in 0..DEFAULT_VNODES as u32 {
             let point = RingPoint {
                 position: self.position_of(target, vnode),
                 target,

@@ -7,7 +7,7 @@ use std::fmt;
 use reo_flashsim::{ChunkHandle, DeviceId};
 use reo_sim::ByteSize;
 
-use crate::layout::{PlacementPolicy, StripeLayout};
+use crate::layout::StripeLayout;
 use crate::manager::{SpaceUsage, StripeError};
 use crate::scheme::RedundancyScheme;
 
@@ -120,13 +120,8 @@ impl Extent {
     }
 
     /// The extent with what addresses its chunks: the stripe it starts at
-    /// and the manager's chunk size and placement policy.
-    pub(crate) fn placed(
-        &self,
-        first_stripe: StripeId,
-        chunk_size: ByteSize,
-        placement: PlacementPolicy,
-    ) -> PlacedExtent {
+    /// and the manager's chunk size.
+    pub(crate) fn placed(&self, first_stripe: StripeId, chunk_size: ByteSize) -> PlacedExtent {
         // Rank `r` and rank `r + width` are the same device, so the chunks a
         // stripe puts on consecutive ranks are a slice, wrapped or not.
         let mut devices = [0; 2 * u64::BITS as usize];
@@ -141,7 +136,6 @@ impl Extent {
             shape: ExtentShape::of(self.size, chunk_size, self.scheme, self.width()),
             first_stripe: first_stripe.0,
             chunk_size,
-            placement,
             devices,
         }
     }
@@ -193,7 +187,6 @@ pub(crate) struct PlacedExtent {
     pub(crate) shape: ExtentShape,
     pub(crate) first_stripe: u64,
     pub(crate) chunk_size: ByteSize,
-    placement: PlacementPolicy,
     /// The extent's devices in rank order (lowest first), twice over.
     devices: [u8; 2 * u64::BITS as usize],
 }
@@ -214,12 +207,7 @@ impl PlacedExtent {
     pub(crate) fn stripes_from(&self, from: u64) -> impl Iterator<Item = Stripe<'_>> {
         let ExtentShape { m, data_chunks, .. } = self.shape;
         let (extent, first_stripe) = (self.extent, self.first_stripe + from);
-        let mut layout = StripeLayout::with_placement(
-            first_stripe,
-            extent.scheme,
-            extent.width(),
-            self.placement,
-        );
+        let mut layout = StripeLayout::new(first_stripe, extent.scheme, extent.width());
         (from..self.shape.stripes).map(move |stripe_no| {
             let data_len = (data_chunks - stripe_no * m).min(m);
             let (data_rank, redundancy_rank) = layout.first_ranks();
@@ -291,12 +279,7 @@ impl PlacedExtent {
         (DeviceId, ByteSize),
     ) {
         let (width, full) = (self.extent.width() as u64, self.full_stripes());
-        let first = StripeLayout::with_placement(
-            self.first_stripe,
-            self.extent.scheme,
-            width as usize,
-            self.placement,
-        );
+        let first = StripeLayout::new(self.first_stripe, self.extent.scheme, width as usize);
         // The last stripe's data chunks before the object's last.
         let then = self.shape.data_chunks - 1 - full * self.shape.m;
         let (by_rank, last) = first.data_chunks_by_rank(full / width, full % width, then);
@@ -317,12 +300,7 @@ impl PlacedExtent {
     /// count)` for each of the extent's devices in rank order.
     pub(crate) fn whole_stripe_reads(&self, lost: u64, mut read: impl FnMut(DeviceId, u64)) {
         let width = self.extent.width();
-        let first = StripeLayout::with_placement(
-            self.first_stripe,
-            self.extent.scheme,
-            width,
-            self.placement,
-        );
+        let first = StripeLayout::new(self.first_stripe, self.extent.scheme, width);
         let mut reads = [0; u64::BITS as usize];
         first.whole_stripe_reads(self.full_stripes(), lost, &mut reads[..width]);
         for (device, &count) in self.devices().zip(&reads) {

@@ -24,27 +24,13 @@ impl ChunkRole {
     }
 }
 
-/// Where parity chunks live across stripes.
-///
-/// Reo rotates parity round-robin "for an even distribution" (Section
-/// IV-C.3). The fixed policy concentrates parity on the lowest devices —
-/// the classic RAID-4 arrangement whose uneven write wear the Differential
-/// RAID line of work warns about; it exists here as the ablation baseline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlacementPolicy {
-    /// Rotate parity with the stripe index (Reo's choice).
-    #[default]
-    RoundRobin,
-    /// Pin parity to the first `k` devices (RAID-4-style baseline).
-    Fixed,
-}
-
 /// Placement arithmetic for one stripe on an `n`-device array.
 ///
-/// Under [`PlacementPolicy::RoundRobin`], stripe `s` places its `p`-th
-/// parity chunk on device `(s + p) mod n`, and its `j`-th data chunk on
-/// device `(s + k + j) mod n` where `k` is the parity count. Replicated
-/// stripes place replica `r` on device `(s + r) mod n`.
+/// Parity rotates round-robin "for an even distribution" (Section
+/// IV-C.3): stripe `s` places its `p`-th parity chunk on device
+/// `(s + p) mod n`, and its `j`-th data chunk on device `(s + k + j) mod n`
+/// where `k` is the parity count. Replicated stripes place replica `r` on
+/// device `(s + r) mod n`.
 ///
 /// # Examples
 ///
@@ -60,49 +46,26 @@ pub enum PlacementPolicy {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StripeLayout {
-    stripe_index: u64,
     scheme: RedundancyScheme,
     devices: usize,
-    placement: PlacementPolicy,
-    /// How far the stripe's chunks are rotated along the devices: `s mod n`
-    /// round-robin, nothing under the fixed policy.
+    /// How far the stripe's chunks are rotated along the devices: `s mod n`.
     rotation: usize,
 }
 
 impl StripeLayout {
     /// Creates the layout of stripe `stripe_index` under `scheme` on a
-    /// `devices`-wide array with round-robin parity.
+    /// `devices`-wide array.
     ///
     /// # Panics
     ///
     /// Panics if the scheme does not fit the array.
     pub fn new(stripe_index: u64, scheme: RedundancyScheme, devices: usize) -> Self {
-        Self::with_placement(stripe_index, scheme, devices, PlacementPolicy::RoundRobin)
-    }
-
-    /// Creates the layout with an explicit parity placement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheme does not fit the array.
-    pub fn with_placement(
-        stripe_index: u64,
-        scheme: RedundancyScheme,
-        devices: usize,
-        placement: PlacementPolicy,
-    ) -> Self {
         // Validate geometry eagerly.
         let _ = scheme.data_chunks_per_stripe(devices);
-        let rotation = match placement {
-            PlacementPolicy::RoundRobin => (stripe_index % devices as u64) as usize,
-            PlacementPolicy::Fixed => 0,
-        };
         StripeLayout {
-            stripe_index,
             scheme,
             devices,
-            placement,
-            rotation,
+            rotation: (stripe_index % devices as u64) as usize,
         }
     }
 
@@ -110,13 +73,8 @@ impl StripeLayout {
     /// by one device and wraps, so walking an object's consecutive stripes
     /// divides once.
     pub(crate) fn next(self) -> Self {
-        let rotation = match self.placement {
-            PlacementPolicy::RoundRobin => self.wrapped(self.rotation + 1),
-            PlacementPolicy::Fixed => 0,
-        };
         StripeLayout {
-            stripe_index: self.stripe_index + 1,
-            rotation,
+            rotation: self.wrapped(self.rotation + 1),
             ..self
         }
     }
@@ -152,15 +110,12 @@ impl StripeLayout {
     /// division.
     ///
     /// The rotation repeats every `devices` stripes, so a period puts the
-    /// same count on a rank whichever stripe it starts at: round-robin
-    /// every rank is a data rank in as many stripes of a period as a
-    /// stripe has data chunks; under the fixed policy the data ranks take
-    /// one each stripe and the others none. Of the rest, round-robin the
-    /// `i`-th stripe starts its data `i` ranks further on than this one,
-    /// so a rank is covered by the stripes that start at most
-    /// `data_slots - 1` ranks before it, once round the array or, past its
-    /// end, twice; under the fixed policy every stripe has the same data
-    /// ranks.
+    /// same count on a rank whichever stripe it starts at: every rank is a
+    /// data rank in as many stripes of a period as a stripe has data
+    /// chunks. Of the rest, the `i`-th stripe starts its data `i` ranks
+    /// further on than this one, so a rank is covered by the stripes that
+    /// start at most `data_slots - 1` ranks before it, once round the
+    /// array or, past its end, twice.
     pub(crate) fn data_chunks_by_rank(
         &self,
         periods: u64,
@@ -168,12 +123,8 @@ impl StripeLayout {
         then: u64,
     ) -> (impl Fn(usize) -> u64 + Copy, usize) {
         let (n, m) = (self.devices as u64, self.data_slots() as u64);
-        let round_robin = self.placement == PlacementPolicy::RoundRobin;
         let first = self.first_ranks().0 as u64;
         let wrapped = move |q: u64| if q < n { q } else { q - n };
-        // How many ranks on from this stripe's first data chunk the stripe
-        // after the rest starts its data.
-        let then_from = if round_robin { rest } else { 0 };
         // The stripes `i < rest` whose data, `i` to `i + m - 1` ranks on,
         // covers `q` ranks on.
         let covering = move |q: u64| (q + 1).min(rest).saturating_sub((q + 1).saturating_sub(m));
@@ -181,16 +132,11 @@ impl StripeLayout {
             // How far along the array `rank` lies from this stripe's first
             // data chunk.
             let past = wrapped(rank as u64 + n - first);
-            let in_then = u64::from(wrapped(past + n - then_from) < then);
-            if round_robin {
-                periods * m + covering(past) + covering(past + n) + in_then
-            } else if past < m {
-                periods * n + rest + in_then
-            } else {
-                0
-            }
+            // The stripe after the rest starts its data `rest` ranks on.
+            let in_then = u64::from(wrapped(past + n - rest) < then);
+            periods * m + covering(past) + covering(past + n) + in_then
         };
-        let following = wrapped(first + wrapped(then_from + then)) as usize;
+        let following = wrapped(first + wrapped(rest + then)) as usize;
         (by_rank, following)
     }
 
@@ -205,26 +151,15 @@ impl StripeLayout {
     /// other replicas) on the ranks that follow, round the array. Each
     /// read takes the first `data_slots` survivors in that order: the data
     /// chunks of an intact stripe, the shards a degraded one is
-    /// reconstructed from, the first surviving replica. Round-robin the
-    /// `i`-th stripe on starts `i` ranks further on, and the rotations
-    /// repeat every `devices` stripes; under the fixed policy every stripe
-    /// starts where this one does.
+    /// reconstructed from, the first surviving replica. The `i`-th stripe
+    /// on starts `i` ranks further on, and the rotations repeat every
+    /// `devices` stripes.
     pub(crate) fn whole_stripe_reads(&self, stripes: u64, lost: u64, reads: &mut [u64]) {
         let (n, m) = (self.devices as u64, self.data_slots());
         debug_assert!(lost.count_ones() as usize <= self.devices - m);
-        let round_robin = self.placement == PlacementPolicy::RoundRobin;
-        let rotations = if round_robin {
-            stripes.min(n)
-        } else {
-            stripes.min(1)
-        };
         let first = self.first_ranks().0;
-        for i in 0..rotations {
-            let count = if round_robin {
-                stripes / n + u64::from(i < stripes % n)
-            } else {
-                stripes
-            };
+        for i in 0..stripes.min(n) {
+            let count = stripes / n + u64::from(i < stripes % n);
             let mut rank = self.wrapped(first + i as usize);
             let mut to_read = m;
             while to_read > 0 {
@@ -371,37 +306,6 @@ mod tests {
         let _ = l.data_device(3);
     }
 
-    #[test]
-    fn fixed_placement_pins_parity() {
-        // RAID-4 style: parity always on devices 0..k, data on the rest.
-        for s in 0..20u64 {
-            let l = StripeLayout::with_placement(
-                s,
-                RedundancyScheme::parity(2),
-                5,
-                PlacementPolicy::Fixed,
-            );
-            assert_eq!(l.parity_device(0), DeviceId(0), "stripe {s}");
-            assert_eq!(l.parity_device(1), DeviceId(1), "stripe {s}");
-            assert_eq!(l.data_device(0), DeviceId(2), "stripe {s}");
-        }
-    }
-
-    #[test]
-    fn fixed_placement_concentrates_parity_load() {
-        let mut counts = [0usize; 5];
-        for s in 0..100u64 {
-            let l = StripeLayout::with_placement(
-                s,
-                RedundancyScheme::parity(1),
-                5,
-                PlacementPolicy::Fixed,
-            );
-            counts[l.parity_device(0).0] += 1;
-        }
-        assert_eq!(counts, [100, 0, 0, 0, 0]);
-    }
-
     /// Whole periods and fewer than a period of stripes from every
     /// residue (and from far along), then part of the next stripe: what
     /// `data_chunks_by_rank` counts on each rank, and the rank it names
@@ -421,40 +325,32 @@ mod tests {
                     continue;
                 }
                 let (n, m) = (width as u64, scheme.data_chunks_per_stripe(width));
-                for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-                    for first in (0..n).chain([1_000_003]) {
-                        let l = StripeLayout::with_placement(first, scheme, width, placement);
-                        for stripes in 0..3 * n {
-                            let next = StripeLayout::with_placement(
-                                first + stripes,
-                                scheme,
-                                width,
-                                placement,
-                            );
-                            for then in 0..m {
-                                let mut walked = vec![0u64; width];
-                                for s in first..first + stripes {
-                                    let stripe =
-                                        StripeLayout::with_placement(s, scheme, width, placement);
-                                    for j in 0..m {
-                                        walked[stripe.data_device(j).0] += 1;
-                                    }
+                for first in (0..n).chain([1_000_003]) {
+                    let l = StripeLayout::new(first, scheme, width);
+                    for stripes in 0..3 * n {
+                        let next = StripeLayout::new(first + stripes, scheme, width);
+                        for then in 0..m {
+                            let mut walked = vec![0u64; width];
+                            for s in first..first + stripes {
+                                let stripe = StripeLayout::new(s, scheme, width);
+                                for j in 0..m {
+                                    walked[stripe.data_device(j).0] += 1;
                                 }
-                                for j in 0..then {
-                                    walked[next.data_device(j).0] += 1;
-                                }
-                                let (by_rank, following) =
-                                    l.data_chunks_by_rank(stripes / n, stripes % n, then as u64);
-                                let counted: Vec<u64> = (0..width).map(by_rank).collect();
-                                let case = format!(
-                                    "{scheme} {placement:?} on {width} from {first}, \
-                                     {stripes} stripes and {then} chunks"
-                                );
-                                assert_eq!(counted, walked, "{case}");
-                                assert_eq!(following, next.data_device(then).0, "{case}");
-                                let total = stripes * m as u64 + then as u64;
-                                assert_eq!(counted.iter().sum::<u64>(), total, "{case}");
                             }
+                            for j in 0..then {
+                                walked[next.data_device(j).0] += 1;
+                            }
+                            let (by_rank, following) =
+                                l.data_chunks_by_rank(stripes / n, stripes % n, then as u64);
+                            let counted: Vec<u64> = (0..width).map(by_rank).collect();
+                            let case = format!(
+                                "{scheme} on {width} from {first}, \
+                                 {stripes} stripes and {then} chunks"
+                            );
+                            assert_eq!(counted, walked, "{case}");
+                            assert_eq!(following, next.data_device(then).0, "{case}");
+                            let total = stripes * m as u64 + then as u64;
+                            assert_eq!(counted.iter().sum::<u64>(), total, "{case}");
                         }
                     }
                 }
@@ -484,31 +380,28 @@ mod tests {
                 let tolerated = scheme.failures_tolerated(width) as u32;
                 let masks = (0..1u64 << width).filter(|l| l.count_ones() <= tolerated);
                 for lost in masks {
-                    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-                        for first in (0..n).chain([1_000_003]) {
-                            let l = StripeLayout::with_placement(first, scheme, width, placement);
-                            for stripes in [0, 1, n - 1, n, n + 1, 2 * n + 3] {
-                                let mut walked = vec![0u64; width];
-                                for s in first..first + stripes {
-                                    let s =
-                                        StripeLayout::with_placement(s, scheme, width, placement);
-                                    let data = (0..s.data_slots()).map(|j| s.data_device(j));
-                                    let redundancy =
-                                        (0..s.redundancy_slots()).map(|p| s.parity_device(p));
-                                    let survivors =
-                                        data.chain(redundancy).filter(|d| lost >> d.0 & 1 == 0);
-                                    for d in survivors.take(s.data_slots()) {
-                                        walked[d.0] += 1;
-                                    }
+                    for first in (0..n).chain([1_000_003]) {
+                        let l = StripeLayout::new(first, scheme, width);
+                        for stripes in [0, 1, n - 1, n, n + 1, 2 * n + 3] {
+                            let mut walked = vec![0u64; width];
+                            for s in first..first + stripes {
+                                let s = StripeLayout::new(s, scheme, width);
+                                let data = (0..s.data_slots()).map(|j| s.data_device(j));
+                                let redundancy =
+                                    (0..s.redundancy_slots()).map(|p| s.parity_device(p));
+                                let survivors =
+                                    data.chain(redundancy).filter(|d| lost >> d.0 & 1 == 0);
+                                for d in survivors.take(s.data_slots()) {
+                                    walked[d.0] += 1;
                                 }
-                                let mut counted = vec![0u64; width];
-                                l.whole_stripe_reads(stripes, lost, &mut counted);
-                                assert_eq!(
-                                    counted, walked,
-                                    "{scheme} {placement:?} on {width} from {first}, \
-                                     {stripes} stripes, lost {lost:b}"
-                                );
                             }
+                            let mut counted = vec![0u64; width];
+                            l.whole_stripe_reads(stripes, lost, &mut counted);
+                            assert_eq!(
+                                counted, walked,
+                                "{scheme} on {width} from {first}, \
+                                 {stripes} stripes, lost {lost:b}"
+                            );
                         }
                     }
                 }

@@ -46,7 +46,7 @@ mod recovery;
 mod scheme;
 
 pub use extent::{ObjectLayout, StripeId};
-pub use layout::{ChunkRole, PlacementPolicy, StripeLayout};
+pub use layout::{ChunkRole, StripeLayout};
 pub use manager::{
     ObjectStatus, ParityUpdate, ReadOutcome, Room, SpaceUsage, StripeError, StripeManager,
 };

@@ -13,7 +13,6 @@ use crate::extent::{Extent, ExtentShape, ObjectLayout, PlacedExtent, StripeId};
 use crate::io::{
     lost_shares_on, stripe_health_on, CodecCache, ReadRun, StripeHealth, StripeIo, StripeScratch,
 };
-use crate::layout::PlacementPolicy;
 use crate::rebuild::{Rebuild, WriteRun};
 use crate::scheme::RedundancyScheme;
 
@@ -180,7 +179,6 @@ impl SpaceUsage {
 pub struct StripeManager {
     pub(crate) array: FlashArray,
     pub(crate) chunk_size: ByteSize,
-    pub(crate) placement: PlacementPolicy,
     pub(crate) next_stripe: u64,
     /// One extent per stored object, keyed by its first stripe.
     pub(crate) extents: FastMap<StripeId, Extent>,
@@ -199,25 +197,10 @@ impl StripeManager {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` is zero.
-    pub fn new(array: FlashArray, chunk_size: ByteSize) -> Self {
-        Self::with_placement(array, chunk_size, PlacementPolicy::RoundRobin)
-    }
-
-    /// Creates a manager with an explicit parity placement policy (the
-    /// RAID-4-style [`PlacementPolicy::Fixed`] exists for the wear-balance
-    /// ablation).
-    ///
-    /// # Panics
-    ///
     /// Panics if `chunk_size` is zero, or if the array has more than 64
     /// devices (an extent records the devices it was placed over as one
     /// bit each of a `u64`).
-    pub fn with_placement(
-        array: FlashArray,
-        chunk_size: ByteSize,
-        placement: PlacementPolicy,
-    ) -> Self {
+    pub fn new(array: FlashArray, chunk_size: ByteSize) -> Self {
         assert!(!chunk_size.is_zero(), "chunk size must be non-zero");
         assert!(
             array.device_count() <= u64::BITS as usize,
@@ -229,7 +212,6 @@ impl StripeManager {
             write_runs: vec![WriteRun::default(); array.device_count()],
             array,
             chunk_size,
-            placement,
             next_stripe: 0,
             extents: FastMap::default(),
             usage: SpaceUsage::default(),
@@ -407,7 +389,7 @@ impl StripeManager {
             scheme: scheme.clamped_to(healthy.count_ones() as usize),
             real,
         };
-        Some(extent.placed(StripeId(self.next_stripe), self.chunk_size, self.placement))
+        Some(extent.placed(StripeId(self.next_stripe), self.chunk_size))
     }
 
     /// Fails a device in place ("shootdown").
@@ -578,7 +560,7 @@ impl StripeManager {
     /// The extent `layout` names, with what addresses its chunks.
     pub(crate) fn placed(&self, layout: &ObjectLayout) -> Result<PlacedExtent, StripeError> {
         let extent = self.extent(layout)?;
-        let placed = extent.placed(layout.first_stripe, self.chunk_size, self.placement);
+        let placed = extent.placed(layout.first_stripe, self.chunk_size);
         debug_assert_eq!(placed.shape.stripes, u64::from(layout.stripe_count));
         Ok(placed)
     }
@@ -848,7 +830,7 @@ impl StripeManager {
     /// Stale layouts (already removed) are a no-op.
     pub fn remove_object(&mut self, layout: &ObjectLayout) {
         if let Some(extent) = self.extents.remove(&layout.first_stripe) {
-            self.free(&extent.placed(layout.first_stripe, self.chunk_size, self.placement));
+            self.free(&extent.placed(layout.first_stripe, self.chunk_size));
         }
     }
 

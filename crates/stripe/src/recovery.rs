@@ -71,7 +71,7 @@ impl StripeManager {
             return Err(Corrupt);
         }
         let first_stripe = StripeId(first);
-        let placed = extent.placed(first_stripe, self.chunk_size, self.placement);
+        let placed = extent.placed(first_stripe, self.chunk_size);
         // Every stripe but the last is full, so those alone occupy
         // `width` whole chunks each: more of them than the array has bytes
         // for were never stored.
@@ -94,7 +94,7 @@ impl StripeManager {
             }
         }
         if let Some(old) = self.extents.remove(&first_stripe) {
-            self.release_usage(&old.placed(first_stripe, self.chunk_size, self.placement));
+            self.release_usage(&old.placed(first_stripe, self.chunk_size));
         }
         self.charge_usage(&placed);
         self.next_stripe = self.next_stripe.max(next_stripe);
@@ -132,7 +132,7 @@ impl StripeManager {
         let mut ranges = Vec::with_capacity(self.extents.len() * self.array.device_count());
         let mut starts = [0; u64::BITS as usize + 1];
         for (first, extent) in extents {
-            let placed = extent.placed(*first, self.chunk_size, self.placement);
+            let placed = extent.placed(*first, self.chunk_size);
             for (d, tail) in placed.tails() {
                 let count = placed.full_stripes() + u64::from(tail.is_some());
                 if count > 0 {

@@ -5,8 +5,7 @@ use reo_sim::{ByteSize, SimDuration, SimTime, Tracer};
 
 use super::{mgr, payload, test_array};
 use crate::{
-    ObjectStatus, ParityUpdate, PlacementPolicy, RedundancyScheme, StripeError, StripeLayout,
-    StripeManager,
+    ObjectStatus, ParityUpdate, RedundancyScheme, StripeError, StripeLayout, StripeManager,
 };
 
 #[test]
@@ -348,51 +347,42 @@ fn strategy_follows_read_cost_rule() {
 
 /// Round-robin parity exists for an even spread of write wear (Section
 /// IV-C.3). A full-stripe store writes one chunk to every device wherever
-/// its parity sits, so stores alone cannot tell the two policies apart;
-/// single-chunk overwrites write their stripe's parity every time, and
-/// under the fixed policy that is always the same device.
+/// its parity sits, so stores alone cannot show the spread; single-chunk
+/// overwrites write their stripe's parity every time, so parity that
+/// stopped rotating would pile their wear on its devices.
 #[test]
 fn parity_placement_spreads_small_write_wear() {
-    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-        let mut m =
-            StripeManager::with_placement(test_array(5, 64), ByteSize::from_kib(64), placement);
-        let written = |m: &StripeManager| -> Vec<u64> {
-            (0..5)
-                .map(|d| m.array().device(DeviceId(d)).stats().bytes_written)
-                .collect()
-        };
-        let layouts: Vec<_> = (0..64)
-            .map(|owner| {
-                m.store_object(
-                    owner,
-                    ByteSize::from_mib(2),
-                    RedundancyScheme::parity(1),
-                    None,
-                )
-                .unwrap()
-            })
-            .collect();
-        let stored = written(&m);
-        assert!(
-            stored.iter().all(|&b| b == stored[0]),
-            "{placement:?}: {stored:?}"
-        );
+    let mut m = StripeManager::new(test_array(5, 64), ByteSize::from_kib(64));
+    let written = |m: &StripeManager| -> Vec<u64> {
+        (0..5)
+            .map(|d| m.array().device(DeviceId(d)).stats().bytes_written)
+            .collect()
+    };
+    let layouts: Vec<_> = (0..64)
+        .map(|owner| {
+            m.store_object(
+                owner,
+                ByteSize::from_mib(2),
+                RedundancyScheme::parity(1),
+                None,
+            )
+            .unwrap()
+        })
+        .collect();
+    let stored = written(&m);
+    assert!(stored.iter().all(|&b| b == stored[0]), "{stored:?}");
 
-        // Eight single-chunk overwrites per object, spread over its 32
-        // chunks.
-        for (i, layout) in (0u64..).zip(&layouts) {
-            for c in 0..8 {
-                m.overwrite_chunk(layout, (3 * c + i) % 32, None).unwrap();
-            }
-        }
-        let after = written(&m);
-        let (max, min) = (after.iter().max().unwrap(), after.iter().min().unwrap());
-        let imbalance = *max as f64 / *min as f64;
-        match placement {
-            PlacementPolicy::Fixed => assert!(imbalance >= 1.5, "fixed: {after:?}"),
-            PlacementPolicy::RoundRobin => assert!(imbalance <= 1.05, "round-robin: {after:?}"),
+    // Eight single-chunk overwrites per object, spread over its 32
+    // chunks.
+    for (i, layout) in (0u64..).zip(&layouts) {
+        for c in 0..8 {
+            m.overwrite_chunk(layout, (3 * c + i) % 32, None).unwrap();
         }
     }
+    let after = written(&m);
+    let (max, min) = (after.iter().max().unwrap(), after.iter().min().unwrap());
+    let imbalance = *max as f64 / *min as f64;
+    assert!(imbalance <= 1.05, "{after:?}");
 }
 
 #[test]
@@ -494,12 +484,12 @@ fn synthetic_overwrite_charges_time() {
 
 /// A healthy size-only read is counted, not walked, and charges what
 /// reading its data chunks one by one does. On one to eight devices, under
-/// `Parity(0..=3)` (where the width takes it) and replication, both
-/// placements and a first stripe at every residue of the width, reading an
-/// object leaves every device's counters and horizon, and the completion
-/// instant, where `read_chunk` on each data chunk in object order leaves a
-/// twin array. One device is busy before the read, so the runs queue. The
-/// objects are one chunk, one stripe with a short last chunk, two stripes,
+/// `Parity(0..=3)` (where the width takes it) and replication, and a
+/// first stripe at every residue of the width, reading an object leaves
+/// every device's counters and horizon, and the completion instant, where
+/// `read_chunk` on each data chunk in object order leaves a twin array.
+/// One device is busy before the read, so the runs queue. The objects are
+/// one chunk, one stripe with a short last chunk, two stripes,
 /// an exact multiple of the width in stripes, and whole periods with
 /// leftover stripes and a short last chunk.
 #[test]
@@ -521,61 +511,52 @@ fn a_counted_read_is_the_data_chunks_read_one_by_one() {
                 w * m * kib,
                 (2 * w + 3) * m * kib - 777,
             ];
-            for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-                for residue in 0..w {
-                    for size in sizes {
-                        let case = format!(
-                            "{scheme} {placement:?} on {width}, stripe {residue}, {size} bytes"
-                        );
-                        let twin = || {
-                            let mut m = StripeManager::with_placement(
-                                test_array(width, 64),
-                                chunk,
-                                placement,
-                            );
-                            m.next_stripe = 3 * w + residue;
-                            let layout = m
-                                .store_object(1, ByteSize::from_bytes(size), scheme, None)
-                                .unwrap();
-                            // The device of the first data chunk is busy
-                            // reading it when the object's read arrives.
-                            let first = layout.stripes().next().unwrap().as_u64();
-                            let l = StripeLayout::with_placement(first, scheme, width, placement);
-                            let now = m.array.clock().now();
-                            let device = m.array.device_mut(l.data_device(0));
-                            device.read_chunk(ChunkHandle::new(first), now).unwrap();
-                            (m, layout)
-                        };
-                        let (mut counted, layout) = twin();
-                        let (mut walked, _) = twin();
-                        let done = counted.read_object(&layout).unwrap().completed_at;
+            for residue in 0..w {
+                for size in sizes {
+                    let case = format!("{scheme} on {width}, stripe {residue}, {size} bytes");
+                    let twin = || {
+                        let mut m = StripeManager::new(test_array(width, 64), chunk);
+                        m.next_stripe = 3 * w + residue;
+                        let layout = m
+                            .store_object(1, ByteSize::from_bytes(size), scheme, None)
+                            .unwrap();
+                        // The device of the first data chunk is busy
+                        // reading it when the object's read arrives.
+                        let first = layout.stripes().next().unwrap().as_u64();
+                        let l = StripeLayout::new(first, scheme, width);
+                        let now = m.array.clock().now();
+                        let device = m.array.device_mut(l.data_device(0));
+                        device.read_chunk(ChunkHandle::new(first), now).unwrap();
+                        (m, layout)
+                    };
+                    let (mut counted, layout) = twin();
+                    let (mut walked, _) = twin();
+                    let done = counted.read_object(&layout).unwrap().completed_at;
 
-                        let now = walked.array.clock().now();
-                        let mut latest = now;
-                        let mut left = size;
-                        for s in layout.stripes() {
-                            let l =
-                                StripeLayout::with_placement(s.as_u64(), scheme, width, placement);
-                            for j in 0..l.data_slots() {
-                                if left == 0 {
-                                    break;
-                                }
-                                let device = walked.array.device_mut(l.data_device(j));
-                                let (read, at) = device
-                                    .read_chunk(ChunkHandle::new(s.as_u64()), now)
-                                    .unwrap();
-                                assert_eq!(read.len().as_bytes(), left.min(kib), "{case}");
-                                left -= left.min(kib);
-                                latest = latest.max(at);
+                    let now = walked.array.clock().now();
+                    let mut latest = now;
+                    let mut left = size;
+                    for s in layout.stripes() {
+                        let l = StripeLayout::new(s.as_u64(), scheme, width);
+                        for j in 0..l.data_slots() {
+                            if left == 0 {
+                                break;
                             }
+                            let device = walked.array.device_mut(l.data_device(j));
+                            let (read, at) = device
+                                .read_chunk(ChunkHandle::new(s.as_u64()), now)
+                                .unwrap();
+                            assert_eq!(read.len().as_bytes(), left.min(kib), "{case}");
+                            left -= left.min(kib);
+                            latest = latest.max(at);
                         }
-                        assert_eq!(left, 0, "{case}");
-                        assert_eq!(done, walked.array.complete_batch([latest]), "{case}");
-                        for d in (0..width).map(DeviceId) {
-                            let (c, w) = (counted.array.device(d), walked.array.device(d));
-                            assert_eq!(c.stats(), w.stats(), "{d} counters, {case}");
-                            assert_eq!(c.busy_until(), w.busy_until(), "{d} horizon, {case}");
-                        }
+                    }
+                    assert_eq!(left, 0, "{case}");
+                    assert_eq!(done, walked.array.complete_batch([latest]), "{case}");
+                    for d in (0..width).map(DeviceId) {
+                        let (c, w) = (counted.array.device(d), walked.array.device(d));
+                        assert_eq!(c.stats(), w.stats(), "{d} counters, {case}");
+                        assert_eq!(c.busy_until(), w.busy_until(), "{d} horizon, {case}");
                     }
                 }
             }
@@ -585,10 +566,10 @@ fn a_counted_read_is_the_data_chunks_read_one_by_one() {
 
 /// A degraded size-only read is counted per device share, not walked, and
 /// charges what the walk does. On one to eight devices, under
-/// `Parity(0..=3)` (where the width takes it) and replication, both
-/// placements and a first stripe at every residue of the width, an object
-/// of each of the five sizes above is read with none of its devices lost,
-/// then with one and more, up to one past what a stripe tolerates: failed,
+/// `Parity(0..=3)` (where the width takes it) and replication, and a
+/// first stripe at every residue of the width, an object of each of the
+/// five sizes above is read with none of its devices lost, then with one
+/// and more, up to one past what a stripe tolerates: failed,
 /// replaced by a spare that holds none of the object, or each in turn. A
 /// one-chunk object's corrupted chunk keeps one more device from vouching
 /// for all it holds, and one device is busy before the read. The twin
@@ -625,108 +606,94 @@ fn a_degraded_counted_read_is_the_walk() {
                 w * m * kib,
                 (2 * w + 3) * m * kib - 777,
             ];
-            for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-                for residue in 0..w {
-                    for (nth, size) in sizes.into_iter().enumerate() {
-                        for lost in 0..=(tolerated + 1).min(width) {
-                            let losses: &[Loss] = if lost == 0 {
-                                &[Loss::Failed]
-                            } else {
-                                &[Loss::Failed, Loss::Spare, Loss::EachInTurn]
+            for residue in 0..w {
+                for (nth, size) in sizes.into_iter().enumerate() {
+                    for lost in 0..=(tolerated + 1).min(width) {
+                        let losses: &[Loss] = if lost == 0 {
+                            &[Loss::Failed]
+                        } else {
+                            &[Loss::Failed, Loss::Spare, Loss::EachInTurn]
+                        };
+                        for &loss in losses {
+                            let case = format!(
+                                "{scheme} on {width}, stripe {residue}, \
+                                 {size} bytes, {lost} lost ({loss:?})"
+                            );
+                            // Consecutive devices from one that moves
+                            // with the residue and the size.
+                            let victims = (0..lost).map(|i| {
+                                let d = (residue as usize + nth + i) % width;
+                                let spare = match loss {
+                                    Loss::Failed => false,
+                                    Loss::Spare => true,
+                                    Loss::EachInTurn => i % 2 == 1,
+                                };
+                                (DeviceId(d), spare)
+                            });
+                            let twin = |walks: bool| {
+                                let mut m = StripeManager::new(test_array(width, 64), chunk);
+                                m.next_stripe = 3 * w + residue;
+                                let size = ByteSize::from_bytes(size);
+                                let layout = m.store_object(1, size, scheme, None).unwrap();
+                                let first = layout.stripes().next().unwrap().as_u64();
+                                let l = StripeLayout::new(first, scheme, width);
+                                let now = m.array.clock().now();
+                                let device = m.array.device_mut(l.data_device(0));
+                                device.read_chunk(ChunkHandle::new(first), now).unwrap();
+                                let other = m
+                                    .store_object(2, chunk, RedundancyScheme::Replication, None)
+                                    .unwrap();
+                                m.corrupt_data_chunk(&other, 0).unwrap();
+                                for (d, spare) in victims.clone() {
+                                    m.fail_device(d);
+                                    if spare {
+                                        m.replace_device(d);
+                                    }
+                                }
+                                if walks {
+                                    for d in 0..width {
+                                        let device = m.array.device_mut(DeviceId(d));
+                                        let rng = DetRng::from_seed(d as u64);
+                                        device.arm_transient_faults(f64::MIN_POSITIVE, rng);
+                                    }
+                                }
+                                (m, layout)
                             };
-                            for &loss in losses {
-                                let case = format!(
-                                    "{scheme} {placement:?} on {width}, stripe {residue}, \
-                                     {size} bytes, {lost} lost ({loss:?})"
-                                );
-                                // Consecutive devices from one that moves
-                                // with the residue and the size.
-                                let victims = (0..lost).map(|i| {
-                                    let d = (residue as usize + nth + i) % width;
-                                    let spare = match loss {
-                                        Loss::Failed => false,
-                                        Loss::Spare => true,
-                                        Loss::EachInTurn => i % 2 == 1,
-                                    };
-                                    (DeviceId(d), spare)
-                                });
-                                let twin = |walks: bool| {
-                                    let mut m = StripeManager::with_placement(
-                                        test_array(width, 64),
-                                        chunk,
-                                        placement,
-                                    );
-                                    m.next_stripe = 3 * w + residue;
-                                    let size = ByteSize::from_bytes(size);
-                                    let layout = m.store_object(1, size, scheme, None).unwrap();
-                                    let first = layout.stripes().next().unwrap().as_u64();
-                                    let l = StripeLayout::with_placement(
-                                        first, scheme, width, placement,
-                                    );
-                                    let now = m.array.clock().now();
-                                    let device = m.array.device_mut(l.data_device(0));
-                                    device.read_chunk(ChunkHandle::new(first), now).unwrap();
-                                    let other = m
-                                        .store_object(2, chunk, RedundancyScheme::Replication, None)
-                                        .unwrap();
-                                    m.corrupt_data_chunk(&other, 0).unwrap();
-                                    for (d, spare) in victims.clone() {
-                                        m.fail_device(d);
-                                        if spare {
-                                            m.replace_device(d);
-                                        }
-                                    }
-                                    if walks {
-                                        for d in 0..width {
-                                            let device = m.array.device_mut(DeviceId(d));
-                                            let rng = DetRng::from_seed(d as u64);
-                                            device.arm_transient_faults(f64::MIN_POSITIVE, rng);
-                                        }
-                                    }
-                                    (m, layout)
-                                };
-                                let (mut counted, layout) = twin(false);
-                                let (mut walked, _) = twin(true);
+                            let (mut counted, layout) = twin(false);
+                            let (mut walked, _) = twin(true);
 
-                                // Every share answers as a whole.
-                                let stripes = layout.stripes().count() as u64;
-                                let first = ChunkHandle::new(layout.stripes().next().unwrap().0);
-                                if stripes > 1 {
-                                    for d in (0..width).map(DeviceId) {
-                                        let share = counted
-                                            .array
-                                            .device(d)
-                                            .share_status(first, stripes - 1);
-                                        let expected = if victims.clone().any(|v| v.0 == d) {
-                                            ShareStatus::Unreadable
-                                        } else {
-                                            ShareStatus::Intact
-                                        };
-                                        assert_eq!(share, expected, "{d}, {case}");
-                                    }
-                                    counted_cases += u64::from(lost <= tolerated);
-                                }
-
-                                let outcome = |m: &mut StripeManager| {
-                                    let read = m.read_object(&layout);
-                                    format!("{:?}", read.map(|r| (r.degraded, r.completed_at)))
-                                };
-                                let (c, wk) = (outcome(&mut counted), outcome(&mut walked));
-                                assert_eq!(c, wk, "{case}");
-                                assert_eq!(
-                                    counted.array.clock().now(),
-                                    walked.array.clock().now(),
-                                    "{case}"
-                                );
+                            // Every share answers as a whole.
+                            let stripes = layout.stripes().count() as u64;
+                            let first = ChunkHandle::new(layout.stripes().next().unwrap().0);
+                            if stripes > 1 {
                                 for d in (0..width).map(DeviceId) {
-                                    let (c, wk) = (counted.array.device(d), walked.array.device(d));
-                                    assert_eq!(c.stats(), wk.stats(), "{d} counters, {case}");
-                                    assert_eq!(
-                                        c.busy_until(),
-                                        wk.busy_until(),
-                                        "{d} horizon, {case}"
-                                    );
+                                    let share =
+                                        counted.array.device(d).share_status(first, stripes - 1);
+                                    let expected = if victims.clone().any(|v| v.0 == d) {
+                                        ShareStatus::Unreadable
+                                    } else {
+                                        ShareStatus::Intact
+                                    };
+                                    assert_eq!(share, expected, "{d}, {case}");
                                 }
+                                counted_cases += u64::from(lost <= tolerated);
+                            }
+
+                            let outcome = |m: &mut StripeManager| {
+                                let read = m.read_object(&layout);
+                                format!("{:?}", read.map(|r| (r.degraded, r.completed_at)))
+                            };
+                            let (c, wk) = (outcome(&mut counted), outcome(&mut walked));
+                            assert_eq!(c, wk, "{case}");
+                            assert_eq!(
+                                counted.array.clock().now(),
+                                walked.array.clock().now(),
+                                "{case}"
+                            );
+                            for d in (0..width).map(DeviceId) {
+                                let (c, wk) = (counted.array.device(d), walked.array.device(d));
+                                assert_eq!(c.stats(), wk.stats(), "{d} counters, {case}");
+                                assert_eq!(c.busy_until(), wk.busy_until(), "{d} horizon, {case}");
                             }
                         }
                     }

@@ -4,9 +4,7 @@ use reo_flashsim::{ChunkHandle, DeviceId};
 use reo_sim::ByteSize;
 
 use super::{mgr, payload, test_array};
-use crate::{
-    ObjectStatus, PlacementPolicy, RedundancyScheme, SpaceUsage, StripeError, StripeManager,
-};
+use crate::{ObjectStatus, RedundancyScheme, SpaceUsage, StripeError, StripeManager};
 
 #[test]
 fn exported_meta_survives_a_simulated_crash() {
@@ -74,7 +72,7 @@ fn orphan_chunks_are_collected_after_crash() {
 fn expanded_refs(m: &StripeManager) -> Vec<(DeviceId, ChunkHandle)> {
     let mut refs = Vec::new();
     for (first, extent) in &m.extents {
-        let placed = extent.placed(*first, m.chunk_size, m.placement);
+        let placed = extent.placed(*first, m.chunk_size);
         let chunks = placed.stripes().flat_map(|stripe| stripe.chunks());
         refs.extend(chunks.map(|c| (c.device, c.handle)));
     }
@@ -202,7 +200,7 @@ fn range_sweeps_agree_with_the_expanded_pair_sweeps() {
 
 #[test]
 fn layout_blob_roundtrips_for_every_placement() {
-    // Scheme x size x devices failed at store time x placement policy:
+    // Scheme x size x devices failed at store time:
     // a blob reinstalled after a crash yields the extent that was
     // stored — same blob, same chunks, same bytes accounted, and a
     // read that costs what it costs a manager that never crashed.
@@ -214,75 +212,69 @@ fn layout_blob_roundtrips_for_every_placement() {
         RedundancyScheme::Replication,
     ];
     let mut cases = 0;
-    for placement in [PlacementPolicy::RoundRobin, PlacementPolicy::Fixed] {
-        for failed in 0u32..31 {
-            let healthy = 5 - failed.count_ones() as usize;
-            for scheme in schemes {
-                let m = scheme.clamped_to(healthy).data_chunks_per_stripe(healthy) as u64;
-                // One chunk; exactly full stripes; a short last stripe
-                // ending in a short chunk; many stripes.
-                for size in [
-                    100,
-                    chunk * m * 2,
-                    chunk * (m * 2 + 1) + 77,
-                    chunk * m * 40 + 1,
-                ] {
-                    let stored = || {
-                        let array = test_array(5, 64);
-                        let mut mgr = StripeManager::with_placement(
-                            array,
-                            ByteSize::from_bytes(chunk),
-                            placement,
-                        );
-                        // Move the allocators off zero first.
-                        mgr.store_object(1, ByteSize::from_kib(20), scheme, None)
-                            .unwrap();
-                        for d in (0..5).filter(|d| failed >> d & 1 == 1) {
-                            mgr.fail_device(DeviceId(d));
-                        }
-                        let layout = mgr
-                            .store_object(2, ByteSize::from_bytes(size), scheme, None)
-                            .unwrap();
-                        (mgr, layout)
-                    };
-                    let (mut crashed, layout) = stored();
-                    let (mut steady, same_layout) = stored();
-                    let blob = crashed.export_object_meta(&layout).unwrap();
-                    crashed.simulate_crash();
-                    let restored = crashed.install_object_meta(&blob).unwrap();
-                    assert_eq!(crashed.export_object_meta(&restored).unwrap(), blob);
-                    let context = format!("{placement:?} {failed:#b} {scheme} {size}");
-                    // Only the second object was journaled; the first
-                    // one's handles come before its own.
-                    let refs = crashed.chunk_refs();
-                    crashed.remove_unreferenced_chunks(&refs);
-                    let mut chunks = steady.referenced_chunks();
-                    let first_handle = ChunkHandle::new(same_layout.first_stripe.as_u64());
-                    chunks.retain(|&(_, handle)| handle >= first_handle);
-                    assert_eq!(crashed.referenced_chunks(), chunks, "{context}");
-                    assert_eq!(
-                        crashed.placed(&restored).unwrap().usage(),
-                        steady.placed(&same_layout).unwrap().usage(),
-                        "{context}"
-                    );
-                    let read = crashed.read_object(&restored).unwrap();
-                    let same_read = steady.read_object(&same_layout).unwrap();
-                    assert_eq!(read.completed_at, same_read.completed_at, "{context}");
-                    assert_eq!(read.degraded, same_read.degraded, "{context}");
-                    crashed.remove_object(&restored);
-                    assert_eq!(crashed.usage(), SpaceUsage::default(), "{context}");
-                    // What the reinstalled extent names is what the
-                    // devices hold: removing it empties them.
-                    let left: usize = (0..5)
-                        .map(|d| crashed.array().device(DeviceId(d)).chunk_count())
-                        .sum();
-                    assert_eq!(left, 0, "{context}");
-                    cases += 1;
-                }
+    for failed in 0u32..31 {
+        let healthy = 5 - failed.count_ones() as usize;
+        for scheme in schemes {
+            let m = scheme.clamped_to(healthy).data_chunks_per_stripe(healthy) as u64;
+            // One chunk; exactly full stripes; a short last stripe
+            // ending in a short chunk; many stripes.
+            for size in [
+                100,
+                chunk * m * 2,
+                chunk * (m * 2 + 1) + 77,
+                chunk * m * 40 + 1,
+            ] {
+                let stored = || {
+                    let array = test_array(5, 64);
+                    let mut mgr = StripeManager::new(array, ByteSize::from_bytes(chunk));
+                    // Move the allocators off zero first.
+                    mgr.store_object(1, ByteSize::from_kib(20), scheme, None)
+                        .unwrap();
+                    for d in (0..5).filter(|d| failed >> d & 1 == 1) {
+                        mgr.fail_device(DeviceId(d));
+                    }
+                    let layout = mgr
+                        .store_object(2, ByteSize::from_bytes(size), scheme, None)
+                        .unwrap();
+                    (mgr, layout)
+                };
+                let (mut crashed, layout) = stored();
+                let (mut steady, same_layout) = stored();
+                let blob = crashed.export_object_meta(&layout).unwrap();
+                crashed.simulate_crash();
+                let restored = crashed.install_object_meta(&blob).unwrap();
+                assert_eq!(crashed.export_object_meta(&restored).unwrap(), blob);
+                let context = format!("{failed:#b} {scheme} {size}");
+                // Only the second object was journaled; the first
+                // one's handles come before its own.
+                let refs = crashed.chunk_refs();
+                crashed.remove_unreferenced_chunks(&refs);
+                let mut chunks = steady.referenced_chunks();
+                let first_handle = ChunkHandle::new(same_layout.first_stripe.as_u64());
+                chunks.retain(|&(_, handle)| handle >= first_handle);
+                assert_eq!(crashed.referenced_chunks(), chunks, "{context}");
+                assert_eq!(
+                    crashed.placed(&restored).unwrap().usage(),
+                    steady.placed(&same_layout).unwrap().usage(),
+                    "{context}"
+                );
+                let read = crashed.read_object(&restored).unwrap();
+                let same_read = steady.read_object(&same_layout).unwrap();
+                assert_eq!(read.completed_at, same_read.completed_at, "{context}");
+                assert_eq!(read.degraded, same_read.degraded, "{context}");
+                crashed.remove_object(&restored);
+                assert_eq!(crashed.usage(), SpaceUsage::default(), "{context}");
+                // What the reinstalled extent names is what the
+                // devices hold: removing it empties them.
+                let left: usize = (0..5)
+                    .map(|d| crashed.array().device(DeviceId(d)).chunk_count())
+                    .sum();
+                assert_eq!(left, 0, "{context}");
+                cases += 1;
             }
         }
     }
-    assert_eq!(cases, 2 * 31 * 4 * 4);
+    assert_eq!(cases, 31 * 4 * 4);
 }
 
 #[test]

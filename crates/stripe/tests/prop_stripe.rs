@@ -2,8 +2,7 @@
 //! must preserve its invariants, and must leave the simulation exactly
 //! where the per-chunk manager it replaced ([`reference`]) leaves it.
 
-// Frozen, so what the twins stopped calling (`new`: they pick the placement)
-// stays in it.
+// Frozen, so what the twins do not call stays in it.
 #[allow(dead_code)]
 mod reference;
 
@@ -16,9 +15,7 @@ use reo_flashsim::{
     ShareStatus,
 };
 use reo_sim::{ByteSize, ServiceModel, SimClock, SimDuration};
-use reo_stripe::{
-    ObjectLayout, ObjectStatus, PlacementPolicy, RedundancyScheme, StripeError, StripeManager,
-};
+use reo_stripe::{ObjectLayout, ObjectStatus, RedundancyScheme, StripeError, StripeManager};
 
 fn test_array(n: usize) -> FlashArray {
     let cfg = DeviceConfig {
@@ -237,9 +234,9 @@ enum ClosedForm {
 }
 
 /// Steps of one whole run of the differential test that met each closed
-/// form's precondition (a row per form) under round-robin placement, under
-/// fixed placement, and with a slowed device in the array.
-static MET: [[AtomicU64; 3]; 5] = [const { [const { AtomicU64::new(0) }; 3] }; 5];
+/// form's precondition (a row per form): all of them, and those with a
+/// slowed device in the array.
+static MET: [[AtomicU64; 2]; 5] = [const { [const { AtomicU64::new(0) }; 2] }; 5];
 
 /// The extent-and-run manager and the per-chunk reference, each over its
 /// own array and fault plan built from the same seed.
@@ -252,7 +249,6 @@ struct Twins {
     owner: u64,
     /// Owners of the objects stored with a real payload.
     real: BTreeSet<u64>,
-    placement: PlacementPolicy,
     /// The stripe the next store starts at.
     next_stripe: u64,
 }
@@ -276,18 +272,17 @@ fn shown<T: std::fmt::Debug, E: std::fmt::Debug>(r: &Result<T, E>) -> String {
 }
 
 impl Twins {
-    fn new(seed: u64, width: usize, placement: PlacementPolicy) -> Self {
+    fn new(seed: u64, width: usize) -> Self {
         let chunk = ByteSize::from_kib(16);
         let array = || twin_array(width);
         Twins {
-            new: StripeManager::with_placement(array(), chunk, placement),
-            old: reference::StripeManager::with_placement(array(), chunk, placement),
+            new: StripeManager::new(array(), chunk),
+            old: reference::StripeManager::new(array(), chunk),
             new_plan: FaultPlan::new(seed),
             old_plan: FaultPlan::new(seed),
             live: Vec::new(),
             owner: 0,
             real: BTreeSet::new(),
-            placement,
             next_stripe: 0,
         }
     }
@@ -300,9 +295,9 @@ impl Twins {
     /// Counts a step that met `form`'s precondition.
     fn met(&self, form: ClosedForm) {
         let row = &MET[form as usize];
-        row[(self.placement == PlacementPolicy::Fixed) as usize].fetch_add(1, Ordering::Relaxed);
+        row[0].fetch_add(1, Ordering::Relaxed);
         if self.devices().any(|d| d.slowdown() != 1.0) {
-            row[2].fetch_add(1, Ordering::Relaxed);
+            row[1].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -612,13 +607,8 @@ impl Twins {
 
 /// One seeded sequence of steps on `width` devices: the twins must agree
 /// after every step, and again once everything is removed.
-fn run_sequence(steps: &[Step], seed: u64, width: usize, fixed: bool) -> Result<(), TestCaseError> {
-    let placement = if fixed {
-        PlacementPolicy::Fixed
-    } else {
-        PlacementPolicy::RoundRobin
-    };
-    let mut twins = Twins::new(seed, width, placement);
+fn run_sequence(steps: &[Step], seed: u64, width: usize) -> Result<(), TestCaseError> {
+    let mut twins = Twins::new(seed, width);
     for (i, step) in steps.iter().enumerate() {
         if let Err(e) = twins.step(step.clone()) {
             let from = i.saturating_sub(8);
@@ -636,13 +626,13 @@ fn run_sequence(steps: &[Step], seed: u64, width: usize, fixed: bool) -> Result<
     Ok(())
 }
 
-/// Fails unless every closed form's precondition was met under both
-/// placement policies and with a slowed device.
+/// Fails unless every closed form's precondition was met, and met with a
+/// slowed device.
 fn assert_every_closed_form_met() {
     let met = MET
         .each_ref()
         .map(|row| row.each_ref().map(|n| n.load(Ordering::Relaxed)));
-    println!("closed forms met (round-robin, fixed, slowed): {met:?}");
+    println!("closed forms met (all, slowed): {met:?}");
     assert!(
         met.iter().flatten().all(|&n| n > 0),
         "a closed form was never reached: {met:?}"
@@ -652,14 +642,13 @@ fn assert_every_closed_form_met() {
 /// The same seeded sequence of stores (size-only and with real payloads, on
 /// one array), reads, overwrites, removals, device failures, spares and
 /// rebuilds, corruptions, transient faults, slow devices and crash replays
-/// — on one to eight devices, under either placement policy — leaves the
+/// — on one to eight devices — leaves the
 /// extent-and-run manager and the per-chunk reference in the same
 /// simulation after every step: every completion instant, error and byte
 /// read, every device's counters, horizon and chunks, the byte accounting,
 /// the retry count and the chunks the stripe metadata references and the
 /// orphans a crash's sweep collects. And the run reaches what it guards:
-/// each closed form's precondition was met under both placement policies
-/// and with a slowed device.
+/// each closed form's precondition was met, and met with a slowed device.
 #[test]
 fn extent_runs_match_the_per_chunk_reference() {
     proptest! {
@@ -669,9 +658,8 @@ fn extent_runs_match_the_per_chunk_reference() {
             steps in proptest::collection::vec(arb_step(), 1..120),
             seed: u64,
             width in 1usize..=8,
-            fixed: bool,
         ) {
-            run_sequence(&steps, seed, width, fixed)?;
+            run_sequence(&steps, seed, width)?;
         }
     }
     sequences();
@@ -691,9 +679,8 @@ fn extent_runs_match_the_per_chunk_reference_at_length() {
             steps in proptest::collection::vec(arb_step(), 1..120),
             seed: u64,
             width in 1usize..=8,
-            fixed: bool,
         ) {
-            run_sequence(&steps, seed, width, fixed)?;
+            run_sequence(&steps, seed, width)?;
         }
     }
     sequences();

@@ -20,8 +20,7 @@ use reo_erasure::{CodecError, ReedSolomon};
 use reo_flashsim::{ChunkHandle, DeviceId, FaultPlan, FlashArray, FlashError, StoredChunk};
 use reo_sim::{ByteSize, FastMap, Layer, SimDuration, SimTime};
 use reo_stripe::{
-    ChunkRole, ObjectStatus, ParityUpdate, PlacementPolicy, ReadOutcome, RedundancyScheme,
-    SpaceUsage, StripeLayout,
+    ChunkRole, ObjectStatus, ParityUpdate, ReadOutcome, RedundancyScheme, SpaceUsage, StripeLayout,
 };
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,7 +183,6 @@ struct StripeIo<'a> {
 pub struct StripeManager {
     array: FlashArray,
     chunk_size: ByteSize,
-    placement: PlacementPolicy,
     next_stripe: u64,
     stripes: FastMap<StripeId, StripeMeta>,
     usage: SpaceUsage,
@@ -200,19 +198,10 @@ const TRANSIENT_BACKOFF: SimDuration = SimDuration::from_micros(500);
 
 impl StripeManager {
     pub fn new(array: FlashArray, chunk_size: ByteSize) -> Self {
-        Self::with_placement(array, chunk_size, PlacementPolicy::RoundRobin)
-    }
-
-    pub fn with_placement(
-        array: FlashArray,
-        chunk_size: ByteSize,
-        placement: PlacementPolicy,
-    ) -> Self {
         assert!(!chunk_size.is_zero(), "chunk size must be non-zero");
         StripeManager {
             array,
             chunk_size,
-            placement,
             next_stripe: 0,
             stripes: FastMap::default(),
             usage: SpaceUsage::default(),
@@ -330,12 +319,7 @@ impl StripeManager {
                 let stripe_index = this.next_stripe;
                 this.next_stripe += 1;
                 let id = StripeId(stripe_index);
-                let layout = StripeLayout::with_placement(
-                    stripe_index,
-                    scheme,
-                    healthy.len(),
-                    this.placement,
-                );
+                let layout = StripeLayout::new(stripe_index, scheme, healthy.len());
 
                 let mut chunks: Vec<StripeChunk> = Vec::new();
                 let parity_len = group.iter().copied().fold(ByteSize::ZERO, ByteSize::max);
