@@ -337,13 +337,19 @@ impl BackendStore {
         }
     }
 
+    /// Occupies the disk with `bytes` of disk and network time from when it
+    /// is next free; returns that start and the new `busy_until`.
+    fn occupy(&mut self, bytes: ByteSize) -> (SimTime, SimTime) {
+        let start = self.busy_until.max(self.clock.now());
+        self.busy_until = start + self.disk_time(bytes) + self.config.network.service_time(bytes);
+        (start, self.busy_until)
+    }
+
+    /// Serves a request of `bytes` in the foreground: the clock advances
+    /// to its completion.
     fn service(&mut self, op: &'static str, bytes: ByteSize) -> SimTime {
         let now = self.clock.now();
-        let start = self.busy_until.max(now);
-        let disk = self.disk_time(bytes);
-        let net = self.config.network.service_time(bytes);
-        let done = start + disk + net;
-        self.busy_until = done;
+        let (_, done) = self.occupy(bytes);
         let t = self.clock.advance_to(done);
         self.tracer.record_span(Layer::Backend, op, now, t);
         t
@@ -376,20 +382,16 @@ impl BackendStore {
         })
     }
 
-    /// Writes (or overwrites) an object — the cache's write-back flush
-    /// path. Charges disk + network time and bumps the object's version.
-    ///
-    /// # Errors
-    ///
-    /// * [`BackendError::Unavailable`] — outage window open (no charge).
-    /// * [`BackendError::EmptyObject`] — zero size.
-    /// * [`BackendError::PayloadSizeMismatch`] — payload/size disagreement.
-    pub fn write(
+    /// What both write paths do before the disk is charged: refuses the
+    /// write while the backend is down or when the object is empty or its
+    /// payload disagrees with `size`, else stores the object with its
+    /// version bumped and counts the write.
+    fn store(
         &mut self,
         key: ObjectKey,
         size: ByteSize,
         bytes: Option<Bytes>,
-    ) -> Result<SimTime, BackendError> {
+    ) -> Result<(), BackendError> {
         if self.fault.down {
             return Err(BackendError::Unavailable);
         }
@@ -413,10 +415,27 @@ impl BackendStore {
                 version,
             },
         );
-        let completed_at = self.service("write", size);
         self.stats.writes += 1;
         self.stats.bytes_written += size.as_bytes();
-        Ok(completed_at)
+        Ok(())
+    }
+
+    /// Writes (or overwrites) an object — the cache's write-back flush
+    /// path. Charges disk + network time and bumps the object's version.
+    ///
+    /// # Errors
+    ///
+    /// * [`BackendError::Unavailable`] — outage window open (no charge).
+    /// * [`BackendError::EmptyObject`] — zero size.
+    /// * [`BackendError::PayloadSizeMismatch`] — payload/size disagreement.
+    pub fn write(
+        &mut self,
+        key: ObjectKey,
+        size: ByteSize,
+        bytes: Option<Bytes>,
+    ) -> Result<SimTime, BackendError> {
+        self.store(key, size, bytes)?;
+        Ok(self.service("write", size))
     }
 
     /// Writes an object *in the background*: the disk is occupied until
@@ -436,35 +455,8 @@ impl BackendStore {
         size: ByteSize,
         bytes: Option<Bytes>,
     ) -> Result<SimTime, BackendError> {
-        if self.fault.down {
-            return Err(BackendError::Unavailable);
-        }
-        if size.is_zero() {
-            return Err(BackendError::EmptyObject);
-        }
-        if let Some(b) = &bytes {
-            if b.len() as u64 != size.as_bytes() {
-                return Err(BackendError::PayloadSizeMismatch {
-                    declared: size.as_bytes(),
-                    payload: b.len() as u64,
-                });
-            }
-        }
-        let version = self.objects.get(&key).map(|o| o.version + 1).unwrap_or(1);
-        self.objects.insert(
-            key,
-            StoredObject {
-                size,
-                bytes,
-                version,
-            },
-        );
-        let now = self.clock.now();
-        let start = self.busy_until.max(now);
-        let done = start + self.disk_time(size) + self.config.network.service_time(size);
-        self.busy_until = done;
-        self.stats.writes += 1;
-        self.stats.bytes_written += size.as_bytes();
+        self.store(key, size, bytes)?;
+        let (start, done) = self.occupy(size);
         // Background writes do not advance the clock; the span covers the
         // disk occupancy (start may be in the clock's future).
         self.tracer

@@ -54,12 +54,14 @@ fn reset_buffers(pool: &mut Vec<Vec<u8>>, count: usize, len: usize) {
     }
 }
 
-/// Size-only reads one operation has issued to one device and not yet
-/// charged: `count` chunks of `len` bytes, back to back.
+/// Size-only chunk operations one operation has issued to one device and
+/// not yet made: `count` chunks of `len` bytes, back to back — reads, or
+/// (a rebuild's) writes to the handles `writes_from ..`.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ReadRun {
+pub(crate) struct PendingRun {
     len: ByteSize,
     count: u64,
+    writes_from: Option<u64>,
 }
 
 /// The mutable halves of a [`crate::StripeManager`] that stripe I/O needs,
@@ -70,9 +72,11 @@ pub(crate) struct ReadRun {
 /// checked as a whole ([`reo_flashsim::FlashDevice::share_status`]), or on
 /// a device that vouches for its chunks
 /// ([`reo_flashsim::FlashDevice::serves_read_runs`]) — on a device with no
-/// transient fault armed is only counted into that device's [`ReadRun`];
-/// the run is charged in closed form when a chunk of another length joins
-/// it, before any per-chunk operation on the device, and in
+/// transient fault armed is only counted into that device's
+/// [`PendingRun`], and so is a rebuild's size-only write the device is
+/// sure to take ([`StripeIo::write_sized`]). A device's run holds reads or
+/// writes, never both; it is made when a chunk of another kind, length or
+/// place joins it, before any per-chunk operation on the device, and in
 /// [`StripeIo::finish`] — so each device sees its operations in the order
 /// they were issued.
 pub(crate) struct StripeIo<'a> {
@@ -80,7 +84,7 @@ pub(crate) struct StripeIo<'a> {
     pub(crate) transient_retries: &'a mut u64,
     pub(crate) codecs: &'a mut CodecCache,
     pub(crate) scratch: &'a mut StripeScratch,
-    pub(crate) read_runs: &'a mut [ReadRun],
+    pub(crate) runs: &'a mut [PendingRun],
     pub(crate) now: SimTime,
     pub(crate) latest: SimTime,
 }
@@ -95,26 +99,45 @@ impl StripeIo<'_> {
         self.latest = self.latest.max(done);
     }
 
-    /// Charges the reads gathered for `device`, if any.
-    pub(crate) fn flush_reads(&mut self, device: DeviceId) {
-        let run = &mut self.read_runs[device.0];
-        if run.count > 0 {
-            let done = self
-                .array
-                .device_mut(device)
-                .read_run(run.count, run.len, self.now);
-            run.count = 0;
-            self.completes(done);
+    /// Makes what is gathered for `device`, if anything: charges its reads
+    /// or makes its writes. A run of no chunks is nothing to make (a lost
+    /// device's share of whole stripes counts no reads).
+    fn flush(&mut self, device: DeviceId) {
+        let run = &mut self.runs[device.0];
+        if run.count == 0 {
+            return;
         }
+        if run.writes_from.is_some() {
+            return self.make_writes(device);
+        }
+        let count = std::mem::take(&mut run.count);
+        let done = self
+            .array
+            .device_mut(device)
+            .read_run(count, run.len, self.now);
+        self.completes(done);
     }
 
-    /// Charges every gathered read and returns the instant the operation
+    /// Makes the writes a rebuild gathered for `device`. Out of line: every
+    /// read run is made through [`StripeIo::flush`] too, and only a rebuild
+    /// writes.
+    #[cold]
+    #[inline(never)]
+    fn make_writes(&mut self, device: DeviceId) {
+        let run = std::mem::take(&mut self.runs[device.0]);
+        let first = ChunkHandle::new(run.writes_from.expect("a write run"));
+        let device = self.array.device_mut(device);
+        let done = device.write_run(first, run.count, run.len, None, self.now);
+        self.completes(done);
+    }
+
+    /// Makes everything gathered and returns the instant the operation
     /// completes. Runs on the error path too: a failed operation leaves
     /// the devices exactly as its chunk operations, issued one by one up
     /// to the failure, would.
     pub(crate) fn finish(mut self) -> SimTime {
-        for device in 0..self.read_runs.len() {
-            self.flush_reads(DeviceId(device));
+        for device in 0..self.runs.len() {
+            self.flush(DeviceId(device));
         }
         self.latest
     }
@@ -139,13 +162,37 @@ impl StripeIo<'_> {
     }
 
     /// Counts `count` reads of `len`-byte size-only chunks into `device`'s
-    /// run, charging first what it holds of another length.
+    /// run, making first what it holds of another kind or length.
     fn count_reads(&mut self, device: DeviceId, len: ByteSize, count: u64) {
-        if self.read_runs[device.0].len != len {
-            self.flush_reads(device);
-            self.read_runs[device.0].len = len;
+        let run = self.runs[device.0];
+        if run.len != len || run.writes_from.is_some() {
+            self.flush(device);
+            self.runs[device.0].len = len;
         }
-        self.read_runs[device.0].count += count;
+        self.runs[device.0].count += count;
+    }
+
+    /// Writes a size-only chunk a rebuild lost: gathered into its device's
+    /// run while the device is sure to take it (healthy, with room for the
+    /// whole run), so a gathered write cannot be rejected later; else
+    /// written at once, where an error surfaces at this chunk.
+    pub(crate) fn write_sized(&mut self, c: &StripeChunk) -> Result<(), FlashError> {
+        let run = self.runs[c.device.0];
+        let next = run.writes_from.map(|first| first + run.count);
+        if run.len != c.len || next != Some(c.handle.as_u64()) {
+            self.flush(c.device);
+        }
+        let gathered = self.runs[c.device.0].count;
+        let device = self.array.device(c.device);
+        if !device.is_healthy() || device.available() < c.len * (gathered + 1) {
+            return self.write_chunk(c, StoredChunk::synthetic(c.len));
+        }
+        self.runs[c.device.0] = PendingRun {
+            len: c.len,
+            count: gathered + 1,
+            writes_from: Some(c.handle.as_u64() - gathered),
+        };
+        Ok(())
     }
 
     /// Reads a chunk through the device's per-chunk path, absorbing
@@ -155,7 +202,7 @@ impl StripeIo<'_> {
     /// starts later), so transient faults surface as latency, not data
     /// loss.
     fn read_chunk(&mut self, c: &StripeChunk) -> Result<StoredChunk, FlashError> {
-        self.flush_reads(c.device);
+        self.flush(c.device);
         let mut at = self.now;
         let mut backoff = TRANSIENT_BACKOFF;
         let mut attempts = 0;
@@ -194,7 +241,7 @@ impl StripeIo<'_> {
         c: &StripeChunk,
         stored: StoredChunk,
     ) -> Result<(), FlashError> {
-        self.flush_reads(c.device);
+        self.flush(c.device);
         let done = self
             .array
             .device_mut(c.device)
@@ -410,7 +457,7 @@ impl StripeIo<'_> {
             return Ok(());
         }
 
-        let shards = self.reconstruct(stripe, |_, _| {})?;
+        let shards = self.reconstruct(stripe)?;
         if stripe.real {
             // Assemble data bytes in order, trimming to recorded lengths.
             let out = assembled.get_or_insert_with(Vec::new);
@@ -427,12 +474,15 @@ impl StripeIo<'_> {
     /// short stripe's phantom zero shards count as read) and reconstructs
     /// the rest. Returns every shard of a real stripe; a size-only stripe
     /// carries no bytes: it is charged the same chunk reads and builds
-    /// nothing. `before_read` runs ahead of each read with the device about
-    /// to be read — where a rebuild makes the writes it has gathered there.
+    /// nothing.
+    ///
+    /// Inlined into its two callers: out of line, the walk in
+    /// [`StripeIo::read_extent`] that every one-stripe read takes cost the
+    /// host a fifth more, though it never calls this.
+    #[inline(always)]
     pub(crate) fn reconstruct(
         &mut self,
         stripe: &Stripe<'_>,
-        mut before_read: impl FnMut(&mut Self, DeviceId),
     ) -> Result<Vec<Option<Vec<u8>>>, StripeError> {
         let (codec_m, parity_count) = (stripe.encode_m, stripe.redundancy_on.len());
         let parity_len = stripe.shard_len().as_bytes() as usize;
@@ -452,7 +502,6 @@ impl StripeIo<'_> {
                 continue;
             }
             to_read -= 1;
-            before_read(self, c.device);
             if let Some(chunk) = self.read(stripe.real, &c)? {
                 // Zero-padded to the shard length; a chunk overwritten
                 // size-only inside a real stripe reads as zeros.

@@ -11,9 +11,8 @@ use reo_sim::{ByteSize, FastMap, Layer, SimTime, Tracer};
 
 use crate::extent::{Extent, ExtentShape, ObjectLayout, PlacedExtent, StripeId};
 use crate::io::{
-    lost_shares_on, stripe_health_on, CodecCache, ReadRun, StripeHealth, StripeIo, StripeScratch,
+    lost_shares_on, stripe_health_on, CodecCache, PendingRun, StripeHealth, StripeIo, StripeScratch,
 };
-use crate::rebuild::{Rebuild, WriteRun};
 use crate::scheme::RedundancyScheme;
 
 /// Errors from stripe-manager operations.
@@ -188,8 +187,7 @@ pub struct StripeManager {
     pub(crate) scratch: StripeScratch,
     /// Per-device state of the operation in flight, indexed by device;
     /// kept between operations only for its capacity.
-    read_runs: Vec<ReadRun>,
-    write_runs: Vec<WriteRun>,
+    runs: Vec<PendingRun>,
 }
 
 impl StripeManager {
@@ -208,8 +206,7 @@ impl StripeManager {
             array.device_count()
         );
         StripeManager {
-            read_runs: vec![ReadRun::default(); array.device_count()],
-            write_runs: vec![WriteRun::default(); array.device_count()],
+            runs: vec![PendingRun::default(); array.device_count()],
             array,
             chunk_size,
             next_stripe: 0,
@@ -221,22 +218,18 @@ impl StripeManager {
         }
     }
 
-    /// Splits the manager into the I/O half of an operation issued now and
-    /// the write runs a rebuild gathers.
-    fn split_io(&mut self) -> (StripeIo<'_>, &mut [WriteRun]) {
+    /// The I/O half of the manager, for an operation issued now.
+    fn io(&mut self) -> StripeIo<'_> {
         let now = self.array.clock().now();
-        (
-            StripeIo {
-                array: &mut self.array,
-                transient_retries: &mut self.transient_retries,
-                codecs: &mut self.codecs,
-                scratch: &mut self.scratch,
-                read_runs: &mut self.read_runs,
-                now,
-                latest: now,
-            },
-            &mut self.write_runs,
-        )
+        StripeIo {
+            array: &mut self.array,
+            transient_retries: &mut self.transient_retries,
+            codecs: &mut self.codecs,
+            scratch: &mut self.scratch,
+            runs: &mut self.runs,
+            now,
+            latest: now,
+        }
     }
 
     /// Chunk reads retried after a transient timeout, cumulatively.
@@ -521,7 +514,7 @@ impl StripeManager {
                 latest = latest.max(device.write_run(first, full, chunk_size, tail, now));
             }
         } else {
-            let (mut io, _) = self.split_io();
+            let mut io = self.io();
             io.write_extent(placed, payload)
                 .expect("the room rule admitted the store");
             latest = io.finish();
@@ -617,7 +610,7 @@ impl StripeManager {
     /// [`StripeManager::read_object`] of the extent `placed`.
     fn read_placed(&mut self, placed: &PlacedExtent) -> Result<ReadOutcome, StripeError> {
         let retries_before = self.transient_retries;
-        let (mut io, _) = self.split_io();
+        let mut io = self.io();
         let now = io.now;
         let result = io.read_extent(placed);
         let latest = io.finish();
@@ -675,7 +668,7 @@ impl StripeManager {
     ) -> Result<(ParityUpdate, SimTime), StripeError> {
         let placed = self.placed(layout)?;
         let (stripe, local_j) = placed.locate(layout.owner, chunk_index);
-        let (mut io, _) = self.split_io();
+        let mut io = self.io();
         let now = io.now;
         let result = io.overwrite(&stripe, local_j, new_payload);
         let latest = io.finish();
@@ -788,11 +781,10 @@ impl StripeManager {
     ///   write (e.g. it is still failed).
     pub fn rebuild_object(&mut self, layout: &ObjectLayout) -> Result<SimTime, StripeError> {
         let placed = self.placed(layout)?;
-        let (io, write_runs) = self.split_io();
+        let mut io = self.io();
         let now = io.now;
-        let mut rebuild = Rebuild::new(io, write_runs);
-        let result = rebuild.extent(&placed);
-        let latest = rebuild.finish();
+        let result = io.rebuild_extent(&placed);
+        let latest = io.finish();
         result?;
 
         Ok(self.completed("rebuild", now, latest))

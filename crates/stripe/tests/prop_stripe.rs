@@ -209,7 +209,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
 
 /// The requests the manager answers by arithmetic per device where the
 /// reference walks the object's chunks.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum ClosedForm {
     /// A store some device has no room for: refused before anything is
     /// written, where the reference writes chunk by chunk up to the one
@@ -231,12 +231,16 @@ enum ClosedForm {
     /// it cannot vouch for, decided from each device's share of its whole
     /// stripes: only the last stripe probed chunk by chunk.
     ShareStatus,
+    /// A rebuild of a size-only object of more than one stripe onto a spare
+    /// that holds none of it: the spare's chunks gathered into one write
+    /// run per length, where the reference writes them one by one.
+    RebuildRun,
 }
 
 /// Steps of one whole run of the differential test that met each closed
 /// form's precondition (a row per form): all of them, and those with a
 /// slowed device in the array.
-static MET: [[AtomicU64; 2]; 5] = [const { [const { AtomicU64::new(0) }; 2] }; 5];
+static MET: [[AtomicU64; 2]; 6] = [const { [const { AtomicU64::new(0) }; 2] }; 6];
 
 /// The extent-and-run manager and the per-chunk reference, each over its
 /// own array and fault plan built from the same seed.
@@ -521,6 +525,15 @@ impl Twins {
                     let keep = match status {
                         Ok(ObjectStatus::Intact) => true,
                         Ok(ObjectStatus::Degraded) => {
+                            let spare = self.new.array().device(DeviceId(device));
+                            let mut stripes = n.stripes().map(|s| ChunkHandle::new(s.as_u64()));
+                            if !self.real.contains(&n.owner())
+                                && n.stripes().count() > 1
+                                && self.devices_of(n).iter().any(|d| d.id() == spare.id())
+                                && !stripes.any(|h| spare.holds_chunk(h))
+                            {
+                                self.met(ClosedForm::RebuildRun);
+                            }
                             let n = self.new.rebuild_object(n);
                             let o = self.old.rebuild_object(o);
                             prop_assert_eq!(shown(&n), shown(&o));
@@ -626,6 +639,70 @@ fn run_sequence(steps: &[Step], seed: u64, width: usize) -> Result<(), TestCaseE
     Ok(())
 }
 
+/// Hand-written sequences on four devices, one per closed form, each with
+/// device 0 slowed to half speed before anything else happens: whatever
+/// the generated cases reach, every form is reached by construction.
+fn fixed_sequences() -> [(ClosedForm, Vec<Step>); 6] {
+    let slow = Step::Slow {
+        device: 0,
+        tenths: 20,
+    };
+    // Five parity stripes (3+1) and thirteen replicated chunks, size-only.
+    let parity = Step::Store {
+        size: 200_000,
+        scheme: 1,
+        real: false,
+    };
+    let replicated = Step::Store {
+        size: 200_000,
+        scheme: 3,
+        real: false,
+    };
+    let whole = Step::Overwrite {
+        slot: 0,
+        first: 0,
+        span: 39,
+    };
+    let read = Step::Read { slot: 0 };
+    let (fail, spare) = (Step::Fail { device: 1 }, Step::Spare { device: 1 });
+    [
+        (
+            ClosedForm::RefusedUnwritten,
+            vec![slow.clone(), Step::Fill { over: 20 * 1024 }],
+        ),
+        (
+            ClosedForm::LockstepOverwrite,
+            vec![slow.clone(), replicated.clone(), whole],
+        ),
+        (
+            ClosedForm::CountedRead,
+            vec![slow.clone(), parity.clone(), read.clone()],
+        ),
+        (
+            ClosedForm::DegradedCountedRead,
+            vec![slow.clone(), parity.clone(), fail.clone(), read],
+        ),
+        (
+            ClosedForm::ShareStatus,
+            vec![slow.clone(), parity, fail.clone(), spare.clone()],
+        ),
+        (ClosedForm::RebuildRun, vec![slow, replicated, fail, spare]),
+    ]
+}
+
+/// Runs [`fixed_sequences`], and fails unless each met its closed form
+/// with a slowed device.
+fn run_fixed_sequences() {
+    for (form, steps) in fixed_sequences() {
+        let slowed = || MET[form as usize][1].load(Ordering::Relaxed);
+        let before = slowed();
+        if let Err(e) = run_sequence(&steps, 7, 4) {
+            panic!("the fixed {form:?} sequence: {e:?}");
+        }
+        assert!(slowed() > before, "the fixed {form:?} sequence missed it");
+    }
+}
+
 /// Fails unless every closed form's precondition was met, and met with a
 /// slowed device.
 fn assert_every_closed_form_met() {
@@ -648,9 +725,11 @@ fn assert_every_closed_form_met() {
 /// read, every device's counters, horizon and chunks, the byte accounting,
 /// the retry count and the chunks the stripe metadata references and the
 /// orphans a crash's sweep collects. And the run reaches what it guards:
-/// each closed form's precondition was met, and met with a slowed device.
+/// each closed form's precondition was met, and met with a slowed device —
+/// by [`fixed_sequences`] first, then by the generated cases.
 #[test]
 fn extent_runs_match_the_per_chunk_reference() {
+    run_fixed_sequences();
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -672,6 +751,7 @@ fn extent_runs_match_the_per_chunk_reference() {
 #[test]
 #[ignore = "a long slice: run in release with --ignored"]
 fn extent_runs_match_the_per_chunk_reference_at_length() {
+    run_fixed_sequences();
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
