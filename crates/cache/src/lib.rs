@@ -12,17 +12,18 @@
 //!   its hotness is `H = Freq / Size` (Section IV-C.1): small, frequently
 //!   read objects are the most valuable per byte of cache.
 //! * **Adaptive hot/cold threshold** ([`CacheManager::recompute_hot_threshold`])
-//!   — sort objects by descending `H`, admit them to the "hot" set one by
-//!   one until the configured redundancy reserve (e.g. 10% of cache space)
-//!   would be consumed by their parity, and use the last admitted object's
-//!   `H` as `H_hot`.
+//!   — take clean objects hottest first (descending `H`), as long a run of
+//!   them as the configured redundancy reserve (e.g. 10% of cache space)
+//!   holds the parity of, and use the last one's `H` as `H_hot`. The run
+//!   is charged its exact byte sum and selected in time linear in the
+//!   number of candidates.
 //! * **Classification** (Table II via [`reo_osd::ClassifierInputs`]) —
 //!   metadata → class 0, dirty → class 1, hot clean → class 2, cold clean
 //!   → class 3. Class changes are what the initiator ships to the target
 //!   as `#SETID#` control messages.
 //! * **The periodic refresh** ([`CacheManager::refresh_classification`])
 //!   — recompute `H_hot`, then reclassify the clean entries the threshold
-//!   sweep sorted (the only ones whose class depends on it; metadata and
+//!   sweep scanned (the only ones whose class depends on it; metadata and
 //!   dirty entries are relabelled as their flags change) and return the
 //!   changes in key order.
 //!

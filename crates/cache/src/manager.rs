@@ -1,7 +1,5 @@
 //! The cache manager: policy over the cached-object index.
 
-use std::cmp::Reverse;
-
 use reo_osd::{ObjectClass, ObjectKey};
 use reo_sim::{ByteSize, FastMap};
 
@@ -106,6 +104,81 @@ struct HotCandidate {
     class: ObjectClass,
 }
 
+impl HotCandidate {
+    /// `!H.to_bits()`: `H` is positive and finite, so its bits order as the
+    /// number does, and their complement ascends as `H` descends (and is
+    /// never 0).
+    fn rank(&self) -> u64 {
+        !self.h.to_bits()
+    }
+}
+
+/// The `H` of the last candidate of the longest prefix, hottest first and
+/// ties by key, whose byte sum `fits`; `∞` if not even the first fits.
+/// `(lo, hi)` are the least and the greatest [`HotCandidate::rank`]
+/// (`(u64::MAX, 0)` when there is no candidate), and `fits` is monotone
+/// (true up to some sum, false beyond it). `candidates` is left in no
+/// particular order.
+///
+/// A radix select on the ranks: each round splits the candidates still in
+/// play into 256 buckets of equal width between the least and the greatest
+/// rank among them, charges whole buckets hottest first while the sum fits,
+/// and keeps only the bucket the cut falls in. The least and the greatest
+/// rank always land in different buckets, and a bucket spans 8 bits fewer
+/// of rank than the round's range, so within eight rounds, each linear in
+/// what is left, one rank remains. The order takes that tie group by key,
+/// so the prefix reaches into it exactly when the size of its smallest key
+/// fits.
+fn select_hot_threshold(
+    candidates: &mut [HotCandidate],
+    (mut lo, mut hi): (u64, u64),
+    fits: impl Fn(u64) -> bool,
+) -> f64 {
+    let mut active = candidates;
+    // Bytes of the candidates hotter than every one in play, all of them
+    // in the prefix; the coldest of them sets the threshold.
+    let mut charged = 0u64;
+    let mut threshold = f64::INFINITY;
+    while lo < hi {
+        let shift = (64 - (hi - lo).leading_zeros()).saturating_sub(8);
+        let base = lo;
+        let digit = move |c: &HotCandidate| ((c.rank() - base) >> shift) as usize;
+        let mut bytes = [0u64; 256];
+        let mut hottest = [u64::MAX; 256];
+        let mut coldest = [0u64; 256];
+        for c in active.iter() {
+            let d = digit(c);
+            bytes[d] += c.size;
+            hottest[d] = hottest[d].min(c.rank());
+            coldest[d] = coldest[d].max(c.rank());
+        }
+        let mut cut = 0;
+        while cut < bytes.len() && fits(charged + bytes[cut]) {
+            charged += bytes[cut];
+            if coldest[cut] != 0 {
+                threshold = f64::from_bits(!coldest[cut]);
+            }
+            cut += 1;
+        }
+        if cut == bytes.len() {
+            return threshold;
+        }
+        let mut kept = 0;
+        for i in 0..active.len() {
+            if digit(&active[i]) == cut {
+                active.swap(kept, i);
+                kept += 1;
+            }
+        }
+        active = &mut active[..kept];
+        (lo, hi) = (hottest[cut], coldest[cut]);
+    }
+    match active.iter().min_by_key(|c| c.key) {
+        Some(first) if fits(charged + first.size) => first.h,
+        _ => threshold,
+    }
+}
+
 /// The object cache manager (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct CacheManager {
@@ -117,10 +190,11 @@ pub struct CacheManager {
     h_hot: f64,
     stats: CacheStats,
     /// Reusable scan buffer for [`Self::recompute_hot_threshold`]: the
-    /// periodic threshold sweep sorts every clean entry in place, and
-    /// reusing the buffer keeps that sweep allocation-free at steady
-    /// state. [`Self::refresh_classification`] reclassifies exactly these
-    /// entries.
+    /// periodic threshold sweep copies every clean entry here and selects
+    /// the hot prefix in place, and reusing the buffer keeps that sweep
+    /// allocation-free at steady state. [`Self::refresh_classification`]
+    /// reclassifies exactly these entries, in whatever order the selection
+    /// left them.
     hot_scan: Vec<HotCandidate>,
 }
 
@@ -424,48 +498,43 @@ impl CacheManager {
 
     /// Recomputes the adaptive `H_hot` threshold (Section IV-C.1).
     ///
-    /// Objects are sorted by descending hotness `H`; walking that order,
-    /// each clean candidate's parity overhead (`hot_parity_overhead ×
-    /// size`) is charged against the redundancy budget (`redundancy_reserve
-    /// × capacity` minus what dirty/metadata replication already consumes
-    /// conceptually — the paper charges the budget only with parity, and
-    /// dirty replication is bounded separately, so we do the same). The
-    /// `H` of the last object that fits becomes the new threshold.
+    /// The clean, non-metadata entries are taken hottest first (descending
+    /// `H`, ties by ascending key, so the threshold does not depend on the
+    /// index's iteration order), each charged its parity, `size ×
+    /// hot_parity_overhead`, against the redundancy budget
+    /// (`redundancy_reserve × capacity`; the paper charges the budget only
+    /// with parity, and dirty replication is bounded separately, so we do
+    /// the same). The hot set is the longest prefix of that order whose
+    /// exact byte sum `B` fits, `B × hot_parity_overhead ≤ budget`, and the
+    /// `H` of its last object becomes the new threshold — `∞` when not even
+    /// the hottest fits. An entry tied with the last one is hot too.
+    ///
+    /// A radix select on the bits of `H` finds the prefix in time linear in
+    /// the number of candidates.
     ///
     /// Returns the new threshold.
     pub fn recompute_hot_threshold(&mut self) -> f64 {
         let budget = self.config.capacity.as_bytes() as f64 * self.config.redundancy_reserve;
+        let overhead = self.config.hot_parity_overhead;
         self.hot_scan.clear();
-        self.hot_scan.extend(
-            self.entries
-                .iter()
-                .filter(|(_, e)| !e.is_dirty() && !e.is_metadata() && e.freq() > 0)
-                .map(|(k, e)| HotCandidate {
-                    h: Self::hotness_of(&self.config, e),
-                    size: e.size().as_bytes(),
-                    key: *k,
-                    class: e.class(),
-                }),
-        );
-        // Hottest first, ties broken by key so the threshold is independent
-        // of hash-map iteration order (experiments must be bit-reproducible).
-        // `H` is positive and finite here (`Freq > 0`, sizes non-zero), so
-        // its bits order as the number does; keys are unique, so the
-        // unstable sort has one possible output, the stable sort's.
-        debug_assert!(self.hot_scan.iter().all(|c| c.h > 0.0 && c.h.is_finite()));
-        self.hot_scan
-            .sort_unstable_by_key(|c| (Reverse(c.h.to_bits()), c.key));
-
-        let mut consumed = 0.0;
-        let mut threshold = f64::INFINITY;
-        for c in &self.hot_scan {
-            let overhead = c.size as f64 * self.config.hot_parity_overhead;
-            if consumed + overhead > budget {
-                break;
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for (&key, e) in &self.entries {
+            if e.is_dirty() || e.is_metadata() || e.freq() == 0 {
+                continue;
             }
-            consumed += overhead;
-            threshold = c.h;
+            let c = HotCandidate {
+                h: Self::hotness_of(&self.config, e),
+                size: e.size().as_bytes(),
+                key,
+                class: e.class(),
+            };
+            debug_assert!(c.h > 0.0 && c.h.is_finite());
+            (lo, hi) = (lo.min(c.rank()), hi.max(c.rank()));
+            self.hot_scan.push(c);
         }
+        let threshold = select_hot_threshold(&mut self.hot_scan, (lo, hi), |bytes| {
+            bytes as f64 * overhead <= budget
+        });
         self.h_hot = threshold;
         threshold
     }
@@ -489,8 +558,9 @@ impl CacheManager {
     /// and [`Self::insert`], [`Self::mark_dirty`] and [`Self::mark_clean`]
     /// relabel an entry as soon as either flag changes. Every indexed entry
     /// has `Freq ≥ 1`, so those are exactly the entries the threshold sweep
-    /// sorted, and one pass over its buffer reclassifies the index; the
-    /// index is probed only for an entry whose class changes.
+    /// scanned, and one pass over its buffer, in no particular order,
+    /// reclassifies the index; the index is probed only for an entry whose
+    /// class changes, and only the changes are sorted.
     pub fn refresh_classification_into(&mut self, changes: &mut Vec<ClassChange>) {
         let threshold = self.recompute_hot_threshold();
         changes.clear();
@@ -642,10 +712,207 @@ mod tests {
         let mut m = mgr(30, 0.0);
         m.insert(k(1), ByteSize::from_mib(1), false, false);
         m.record_access(k(1));
+        // Even one byte's parity is over a zero budget.
+        m.insert(k(2), ByteSize::from_bytes(1), false, false);
         let h = m.recompute_hot_threshold();
         assert!(h.is_infinite());
         assert!(m.refresh_classification().is_empty());
         assert_eq!(m.entry(k(1)).unwrap().class(), ObjectClass::ColdClean);
+        assert_eq!(m.entry(k(2)).unwrap().class(), ObjectClass::ColdClean);
+    }
+
+    /// A manager holding clean objects `(i, size, freq)`.
+    fn filled(capacity_mib: u64, reserve: f64, objects: &[(u64, ByteSize, u64)]) -> CacheManager {
+        let mut m = mgr(capacity_mib, reserve);
+        for &(i, size, freq) in objects {
+            m.insert(k(i), size, false, false);
+            for _ in 1..freq {
+                m.record_access(k(i));
+            }
+        }
+        m
+    }
+
+    fn hot_keys(m: &CacheManager) -> Vec<ObjectKey> {
+        let mut hot: Vec<ObjectKey> = m
+            .classes()
+            .filter(|&(_, c)| c == ObjectClass::HotClean)
+            .map(|(key, _)| key)
+            .collect();
+        hot.sort_unstable();
+        hot
+    }
+
+    #[test]
+    fn a_tie_straddling_the_cut_is_hot_on_both_sides() {
+        // 15 MiB × 10 % = 1.5 MiB of parity at 2/3 a byte: 2.25 MiB of hot
+        // data. k1 (H = 10) and k2 (H = 2) fit, 1.33 MiB of parity; k3,
+        // tied with k2, would make it 2 MiB. The cut falls inside the tie,
+        // and the tie is hot whole.
+        let mib = ByteSize::from_mib(1);
+        let mut m = filled(
+            15,
+            0.1,
+            &[(1, mib, 10), (2, mib, 2), (3, mib, 2), (4, mib, 1)],
+        );
+        assert_eq!(m.recompute_hot_threshold(), 2.0);
+        let changes = m.refresh_classification();
+        assert_eq!(changes.len(), 3);
+        assert_eq!(hot_keys(&m), vec![k(1), k(2), k(3)]);
+        assert_eq!(m.stats().promotions, 3);
+    }
+
+    #[test]
+    fn a_tie_is_entered_by_its_smallest_key() {
+        // The same budget; k2 and k3 tie at H = 2, and the order takes k2
+        // first. k1 + k2 is 3 MiB (2 MiB of parity): over. k1 + k3 alone
+        // would fit, but a prefix cannot skip k2, so the tie stays cold.
+        let mib = ByteSize::from_mib(1);
+        let mut m = filled(
+            15,
+            0.1,
+            &[(1, mib, 10), (2, ByteSize::from_mib(2), 4), (3, mib, 2)],
+        );
+        assert_eq!(m.recompute_hot_threshold(), 10.0);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), vec![k(1)]);
+    }
+
+    #[test]
+    fn nothing_fitting_promotes_nothing() {
+        // 3 MiB of parity budget; the hottest object alone needs 4 MiB.
+        let mut m = filled(
+            30,
+            0.1,
+            &[
+                (1, ByteSize::from_mib(6), 50),
+                (2, ByteSize::from_mib(8), 3),
+            ],
+        );
+        assert!(m.recompute_hot_threshold().is_infinite());
+        assert!(m.refresh_classification().is_empty());
+        assert!(hot_keys(&m).is_empty());
+        assert_eq!(m.stats().promotions, 0);
+        // Nothing scanned at all answers the same.
+        let mut empty = mgr(30, 0.1);
+        assert!(empty.recompute_hot_threshold().is_infinite());
+        assert!(empty.refresh_classification().is_empty());
+        empty.insert(k(9), ByteSize::from_mib(1), true, false);
+        empty.insert(k(8), ByteSize::from_kib(4), false, true);
+        assert!(empty.recompute_hot_threshold().is_infinite());
+    }
+
+    #[test]
+    fn everything_fitting_sets_the_coldest_h() {
+        let sizes = [1u64, 3, 2, 5, 4];
+        let objects: Vec<(u64, ByteSize, u64)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &mib)| (i as u64, ByteSize::from_mib(mib), 2 * i as u64 + 1))
+            .collect();
+        // 15 MiB of data, 10 MiB of parity, 12 MiB of budget.
+        let mut m = filled(30, 0.4, &objects);
+        // H = Freq / Size: 1/1, 3/3, 5/2, 7/5, 9/4; the coldest is 1.0.
+        assert_eq!(m.recompute_hot_threshold(), 1.0);
+        assert_eq!(m.refresh_classification().len(), 5);
+        assert_eq!(hot_keys(&m).len(), 5);
+    }
+
+    #[test]
+    fn near_ties_charged_together_leave_the_colder_one_hot() {
+        // Two objects one byte apart in size, at H = 1 (k3) and just above
+        // it (k2), and k1 at H ≈ 98.8, sized so that the pair shares a
+        // bucket of the first round. 30 MiB × 40 % holds all three (about
+        // 2 MiB of parity).
+        let mib = ByteSize::from_mib(1);
+        let near = ByteSize::from_bytes(mib.as_bytes() - 1);
+        let hot = ByteSize::from_bytes(mib.as_bytes() + 12_345);
+        let objects = [(1, hot, 100), (2, near, 1), (3, mib, 1)];
+        let mut m = filled(30, 0.4, &objects);
+        assert_eq!(m.recompute_hot_threshold(), 1.0);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), vec![k(1), k(2), k(3)]);
+        // A colder object that cannot fit (H = 0.05, 20 MiB) puts the cut
+        // on it; the pair, charged whole, still leaves the colder one hot.
+        let colder = (4, ByteSize::from_mib(20), 1);
+        let mut m = filled(30, 0.4, &[objects[0], objects[1], objects[2], colder]);
+        assert_eq!(m.recompute_hot_threshold(), 1.0);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), vec![k(1), k(2), k(3)]);
+    }
+
+    #[test]
+    fn a_cut_in_the_last_bucket_is_narrowed_like_any_other() {
+        // H = 2.997 (k1), 2.0008 (k2) and 2 (k3): k2 and k3 are so close
+        // beside k1 that the first round puts both in its last bucket.
+        // The budget of the tie test holds k1 and k2, not k3, so the cut
+        // falls in that bucket, and a second round must split it.
+        let mib = ByteSize::from_mib(1).as_bytes();
+        let mut m = filled(
+            15,
+            0.1,
+            &[
+                (1, ByteSize::from_bytes(mib + 1000), 3),
+                (2, ByteSize::from_bytes(mib - 400), 2),
+                (3, ByteSize::from_bytes(mib), 2),
+            ],
+        );
+        let h2 = m.entry(k(2)).unwrap().hotness();
+        assert_eq!(m.recompute_hot_threshold(), h2);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), vec![k(1), k(2)]);
+    }
+
+    #[test]
+    fn zero_overhead_makes_every_clean_object_hot() {
+        let mut m = filled(
+            30,
+            0.0,
+            &[
+                (1, ByteSize::from_mib(20), 1),
+                (2, ByteSize::from_mib(9), 4),
+            ],
+        );
+        assert!(m.recompute_hot_threshold().is_infinite());
+        // A topology whose hot objects carry no parity: nothing is charged,
+        // so even a zero budget holds the whole clean set.
+        m.update_topology(ByteSize::from_mib(30), 0.0);
+        assert_eq!(m.recompute_hot_threshold(), 1.0 / 20.0);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), vec![k(1), k(2)]);
+    }
+
+    #[test]
+    fn the_budget_is_charged_the_exact_byte_sum() {
+        // Ten 1-byte objects at 0.1 parity a byte, against a budget of
+        // exactly 1 - 2^-53. Adding 0.1 ten times hottest first rounds down
+        // to that budget, so a walk summing `f64` overheads takes all ten;
+        // the exact sum is 10 bytes, whose parity rounds to 1.0: over.
+        let capacity = ByteSize::from_bytes(2);
+        let reserve = 0.5 - f64::EPSILON / 4.0;
+        let budget = capacity.as_bytes() as f64 * reserve;
+        let walked = (0..10).fold(0.0f64, |sum, _| sum + 0.1);
+        assert!(
+            walked <= budget && 10.0 * 0.1 > budget,
+            "the two rules agree"
+        );
+        let mut m = CacheManager::new(CacheConfig {
+            capacity,
+            redundancy_reserve: reserve,
+            hot_parity_overhead: 0.1,
+            size_aware_hotness: true,
+        });
+        for i in 0..10 {
+            m.insert(k(i), ByteSize::from_bytes(1), false, false);
+            for _ in 0..10 - i {
+                m.record_access(k(i));
+            }
+        }
+        // Nine fit; the tenth (k9, Freq 2) is the one the walk admitted.
+        let h9 = m.entry(k(8)).unwrap().hotness();
+        assert_eq!(m.recompute_hot_threshold(), h9);
+        m.refresh_classification();
+        assert_eq!(hot_keys(&m), (0..9).map(k).collect::<Vec<_>>());
     }
 
     #[test]
